@@ -1,13 +1,14 @@
 .PHONY: build test check fmt-check sweep-smoke trace-smoke fault-smoke \
 	resume-smoke sched-smoke cluster-smoke fuzz-smoke ooh-smoke \
-	arm-smoke profile-smoke bench-engine bench-obs perf-check clean
+	arm-smoke profile-smoke clean
 
 # The default verification bundle: tier-1 tests plus the end-to-end
 # trace-export, fault-injection, crash/resume, consolidation-scheduler,
 # cluster-fleet, fuzzing, OoH-delegation, ARM-backend and self-profiling
-# smoke runs, and the perf envelope gate.
+# smoke runs. `dune runtest` also runs the repo benchmark in smoke mode
+# (benchmark/svt_bench.exe --smoke), which checks its pinned digests.
 check: test trace-smoke fault-smoke resume-smoke sched-smoke cluster-smoke \
-	fuzz-smoke ooh-smoke arm-smoke profile-smoke perf-check
+	fuzz-smoke ooh-smoke arm-smoke profile-smoke
 
 build:
 	dune build @all
@@ -186,24 +187,6 @@ profile-smoke: build
 	dune exec bin/svt_sim.exe -- profile --mode sw-svt --level l2 \
 		--out _build/profile-smoke.folded --validate
 	@echo "profile-smoke: folded stacks at _build/profile-smoke.folded"
-
-# Engine/fuzz-harness throughput baseline: BENCH_engine.json records
-# events/sec and execs/sec on a fixed-seed batch so the perf trajectory
-# is visible across PRs (ROADMAP item 1).
-bench-engine: build
-	dune exec bench/main.exe -- engine
-
-# Self-profiling trajectory: BENCH_obs.json records events/sec on the
-# fig6 and consolidation workloads plus the armed-profiler overhead
-# ratio and allocated bytes per event.
-bench-obs: build
-	dune exec bench/main.exe -- profile
-
-# Gate BENCH_obs.json against the checked-in envelope: fail on a >30%
-# regression (throughput floors, overhead/allocation ceilings).
-# Regenerates BENCH_obs.json first so the gate always judges this tree.
-perf-check: build
-	dune exec bench/main.exe -- profile perf-check quick
 
 clean:
 	dune clean

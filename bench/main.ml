@@ -717,251 +717,6 @@ let cluster () =
       (Mode.Ooh, Policy.default);
     ]
 
-(* ----------------------------------------------------------------- engine *)
-
-(* Engine/fuzz-harness throughput baseline (ROADMAP item 1): a fixed-seed
-   fuzz batch, in memory, timed on the host clock. Emits
-   BENCH_engine.json with events/sec and execs/sec so the perf
-   trajectory stays visible across PRs. The batch itself is fully
-   deterministic; only the wall-clock denominators vary per host. *)
-let engine () =
-  header "Engine: simulator + fuzz-harness throughput (BENCH_engine.json)";
-  let module Fuzz = Svt_fuzz.Fuzz in
-  let seed = 7L and batch = if quick then 32 else 128 in
-  (* warm-up: fault the code paths in before timing *)
-  ignore (Fuzz.campaign ~seed ~batch:8 () : Fuzz.stats);
-  let t0 = Unix.gettimeofday () in
-  let stats = Fuzz.campaign ~jobs ~seed ~batch () in
-  let wall = Unix.gettimeofday () -. t0 in
-  let events_per_sec = float_of_int stats.Fuzz.events /. wall in
-  let execs_per_sec = float_of_int stats.Fuzz.execs /. wall in
-  Printf.printf
-    "  batch=%d execs (x%d modes) seed=%Ld: %d kept, %d coverage bits\n"
-    stats.Fuzz.execs (List.length Fuzz.modes) seed stats.Fuzz.kept
-    stats.Fuzz.cov_bits;
-  Printf.printf "  %.0f events/sec, %.1f execs/sec (wall %.3f s, jobs=%d)\n%!"
-    events_per_sec execs_per_sec wall jobs;
-  (* The delegation mode exercises the shortest trap path in the engine
-     (no SVt thread, no ring), so its event rate is the simulator's
-     per-mode ceiling — tracked as its own row. *)
-  let ooh_sys = nested Mode.Ooh in
-  let t1 = Unix.gettimeofday () in
-  ignore (Microbench.measure_cpuid ooh_sys : Microbench.result);
-  let ooh_wall = Unix.gettimeofday () -. t1 in
-  let ooh_events = Svt_engine.Simulator.events_processed (System.sim ooh_sys) in
-  let ooh_events_per_sec = float_of_int ooh_events /. ooh_wall in
-  Printf.printf "  ooh nested cpuid: %d events, %.0f events/sec\n%!" ooh_events
-    ooh_events_per_sec;
-  (* The ARM backend runs the same engine through the memory-backed
-     sysreg nested-state path (more auxiliary accesses per episode, no
-     shadow-VMCS shortcut), so its event rate is tracked as its own row
-     to keep cross-backend perf visible across PRs. *)
-  let arm_sys =
-    System.create ~arch:Svt_arch.Backend.Arm ~mode:Mode.Baseline
-      ~level:System.L2_nested ()
-  in
-  let t2 = Unix.gettimeofday () in
-  ignore (Microbench.measure_cpuid arm_sys : Microbench.result);
-  let arm_wall = Unix.gettimeofday () -. t2 in
-  let arm_events = Svt_engine.Simulator.events_processed (System.sim arm_sys) in
-  let arm_events_per_sec = float_of_int arm_events /. arm_wall in
-  Printf.printf "  arm nested cpuid: %d events, %.0f events/sec\n%!" arm_events
-    arm_events_per_sec;
-  let path =
-    Bench_out.write ~section:"engine"
-      [
-        ("seed", Bench_out.Int (Int64.to_int seed));
-        ("batch", Bench_out.Int batch);
-        ("jobs", Bench_out.Int jobs);
-        ("events", Bench_out.Int stats.Fuzz.events);
-        ("execs", Bench_out.Int stats.Fuzz.execs);
-        ("kept", Bench_out.Int stats.Fuzz.kept);
-        ("cov_bits", Bench_out.Int stats.Fuzz.cov_bits);
-        ("wall_s", Bench_out.Float wall);
-        ("events_per_sec", Bench_out.Float events_per_sec);
-        ("execs_per_sec", Bench_out.Float execs_per_sec);
-        ("ooh_events", Bench_out.Int ooh_events);
-        ("ooh_events_per_sec", Bench_out.Float ooh_events_per_sec);
-        ("arm_events", Bench_out.Int arm_events);
-        ("arm_events_per_sec", Bench_out.Float arm_events_per_sec);
-      ]
-  in
-  Printf.printf "  wrote %s\n%!" path
-
-(* ---------------------------------------------------------------- profile *)
-
-(* Self-profiling trajectory (BENCH_obs.json): how fast the simulator
-   retires events on the paper's two characteristic shapes — the fig6
-   nested cpuid microbench and a whole-host consolidation run — plus
-   what the profiler itself costs when armed (wall-clock ratio and
-   allocated bytes per event). The simulated results are identical with
-   the profiler on or off (the determinism suite asserts it); these
-   numbers only track the host-side cost trajectory across PRs. *)
-let profile () =
-  header "profile: self-profiler throughput + overhead (BENCH_obs.json)";
-  let module Runner = Svt_campaign.Runner in
-  let module Profiler = Svt_obs.Profiler in
-  let module Simulator = Svt_engine.Simulator in
-  let reps = if quick then 3 else 7 in
-  let median samples =
-    let a = Array.of_list samples in
-    Array.sort compare a;
-    a.(Array.length a / 2)
-  in
-  let p = Spec.point ~workload:"cpuid" Mode.sw_svt_default in
-  (* one measured rep: wall seconds, events retired, profiler (if armed) *)
-  let rep ~armed () =
-    let sys = Runner.make_system p in
-    let prof =
-      if not armed then None
-      else begin
-        let prof = Profiler.create () in
-        Svt_obs.Probe.subscribe (System.probe sys) (Profiler.sink prof);
-        Simulator.set_observer (System.sim sys) (Some (Profiler.observer prof));
-        Profiler.start prof;
-        Some prof
-      end
-    in
-    let t0 = Unix.gettimeofday () in
-    ignore (Runner.workload_metrics p sys : (string * float) list);
-    let wall = Unix.gettimeofday () -. t0 in
-    Option.iter Profiler.stop prof;
-    (wall, Simulator.events_processed (System.sim sys), prof)
-  in
-  ignore (rep ~armed:true () : float * int * Profiler.t option) (* warm-up *);
-  let null_walls = List.init reps (fun _ -> let w, _, _ = rep ~armed:false () in w) in
-  let armed = List.init reps (fun _ -> rep ~armed:true ()) in
-  let _, events, _ = List.hd armed in
-  let null_wall = median null_walls in
-  let armed_wall = median (List.map (fun (w, _, _) -> w) armed) in
-  let alloc_bytes =
-    median
-      (List.filter_map
-         (fun (_, _, prof) -> Option.map Profiler.allocated_bytes prof)
-         armed)
-  in
-  let events_per_sec = float_of_int events /. null_wall in
-  let overhead_ratio = armed_wall /. null_wall in
-  let alloc_bytes_per_event = alloc_bytes /. float_of_int events in
-  Printf.printf
-    "  fig6 cpuid (sw-svt, l2): %d events, %.0f events/sec, profiler \
-     overhead x%.2f, %.0f B allocated/event\n%!"
-    events events_per_sec overhead_ratio alloc_bytes_per_event;
-  (* whole-host consolidation: 8 nested tenants on 4 cores x 2 SMT *)
-  let module Topology = Svt_sched.Topology in
-  let module Policy = Svt_sched.Policy in
-  let module Host = Svt_sched.Host in
-  let horizon = Svt_engine.Time.of_ms (if quick then 2 else 5) in
-  let consolidate_rep () =
-    let topology =
-      Topology.create ~sockets:1 ~cores_per_socket:4 ~smt_per_core:2 ()
-    in
-    let host = Host.create ~topology () in
-    for i = 0 to 7 do
-      match
-        Host.add_tenant host
-          (Host.tenant_spec ~policy:Svt_core.Mode.Dedicated_sibling ~seed:i
-             Mode.sw_svt_default)
-      with
-      | Ok () -> ()
-      | Error _ -> failwith "profile: consolidation tenant rejected"
-    done;
-    let t0 = Unix.gettimeofday () in
-    Host.run host ~horizon;
-    let wall = Unix.gettimeofday () -. t0 in
-    (wall, Host.events host)
-  in
-  ignore (consolidate_rep () : float * int) (* warm-up *);
-  let cons = List.init reps (fun _ -> consolidate_rep ()) in
-  let _, cons_events = List.hd cons in
-  let cons_wall = median (List.map fst cons) in
-  let consolidate_events_per_sec = float_of_int cons_events /. cons_wall in
-  Printf.printf "  consolidate (8 tenants): %d events, %.0f events/sec\n%!"
-    cons_events consolidate_events_per_sec;
-  let path =
-    Bench_out.write ~section:"obs"
-      [
-        ("reps", Bench_out.Int reps);
-        ("events", Bench_out.Int events);
-        ("events_per_sec", Bench_out.Float events_per_sec);
-        ("overhead_ratio", Bench_out.Float overhead_ratio);
-        ("alloc_bytes_per_event", Bench_out.Float alloc_bytes_per_event);
-        ("consolidate_events", Bench_out.Int cons_events);
-        ( "consolidate_events_per_sec",
-          Bench_out.Float consolidate_events_per_sec );
-      ]
-  in
-  Printf.printf "  wrote %s\n%!" path
-
-(* ------------------------------------------------------------- perf-check *)
-
-(* Gate BENCH_obs.json against the checked-in envelope
-   (BENCH_obs.envelope.json): fail on a >30% regression. Throughput
-   floors regress downward (measured < baseline / margin); cost
-   ceilings regress upward (measured > baseline * margin). The
-   envelope's throughput baselines are set conservatively low so that
-   host-speed variation does not trip the gate, while the
-   host-speed-independent ratios (overhead, bytes/event) gate tightly. *)
-let perf_check () =
-  header "perf-check: BENCH_obs.json vs checked-in envelope";
-  let margin = 1.3 in
-  let read_fields path =
-    if not (Sys.file_exists path) then begin
-      Printf.printf "  %s missing (run the profile section first)\n%!" path;
-      exit 1
-    end;
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    let fail () =
-      Printf.printf "  %s is not a JSON object\n%!" path;
-      exit 1
-    in
-    match Svt_campaign.Ledger.parse_json (String.trim s) with
-    | Svt_campaign.Ledger.Obj fields ->
-        List.filter_map
-          (function
-            | k, Svt_campaign.Ledger.Num v -> Some (k, v)
-            | _ -> None)
-          fields
-    | _ -> fail ()
-    | exception Svt_campaign.Ledger.Parse_error _ -> fail ()
-  in
-  let measured = read_fields "BENCH_obs.json" in
-  let envelope = read_fields "BENCH_obs.envelope.json" in
-  let get src name =
-    match List.assoc_opt name src with
-    | Some v -> v
-    | None ->
-        Printf.printf "  missing field %s\n%!" name;
-        exit 1
-  in
-  let failures = ref 0 in
-  let gate name ~kind =
-    let m = get measured name and b = get envelope name in
-    let ok, bound =
-      match kind with
-      | `Floor -> (m >= b /. margin, b /. margin)
-      | `Ceiling -> (m <= b *. margin, b *. margin)
-    in
-    Printf.printf "  %-28s %12.2f %s %12.2f (baseline %.2f)  %s\n%!" name m
-      (match kind with `Floor -> ">=" | `Ceiling -> "<=")
-      bound b
-      (if ok then "ok" else "FAIL");
-    if not ok then incr failures
-  in
-  gate "events_per_sec" ~kind:`Floor;
-  gate "consolidate_events_per_sec" ~kind:`Floor;
-  gate "overhead_ratio" ~kind:`Ceiling;
-  gate "alloc_bytes_per_event" ~kind:`Ceiling;
-  if !failures > 0 then begin
-    Printf.printf
-      "  %d metric(s) regressed >30%% against BENCH_obs.envelope.json\n%!"
-      !failures;
-    exit 1
-  end;
-  Printf.printf "  all metrics within the envelope\n%!"
-
 (* --------------------------------------------------------------- bechamel *)
 
 (* Wall-clock cost of the simulator itself: one Bechamel test per
@@ -1037,8 +792,5 @@ let () =
   if wanted "faults" then faults ();
   if wanted "sched" then sched ();
   if wanted "cluster" then cluster ();
-  if wanted "engine" then engine ();
-  if wanted "profile" then profile ();
-  if wanted "perf-check" then perf_check ();
   if wanted "bechamel" then bechamel ();
   print_endline "\ndone."

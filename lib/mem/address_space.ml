@@ -82,37 +82,30 @@ let write_u16 t gpa v = Phys_mem.write_u16 t.mem (hpa_exn t gpa Ept.Write) v
 let read_u8 t gpa = Phys_mem.read_u8 t.mem (hpa_exn t gpa Ept.Read)
 let write_u8 t gpa v = Phys_mem.write_u8 t.mem (hpa_exn t gpa Ept.Write) v
 
-let read_bytes t gpa len =
-  (* Page-wise to honour per-page mappings. *)
-  let out = Bytes.create len in
+(* Bulk copies go a page at a time, to honour per-page mappings: each 4 KB
+   page is translated once through the EPT (so permission and
+   misconfiguration faults are raised per page, before that page is
+   touched) and then blitted straight between host memory and [buf]. *)
+let copy_pages t gpa buf access copy =
+  let len = Bytes.length buf in
   let rec go done_ =
     if done_ < len then begin
       let gpa' = Addr.Gpa.add gpa done_ in
       let in_page =
         Stdlib.min (len - done_) (Addr.page_size - Addr.Gpa.offset gpa')
       in
-      let hpa = hpa_exn t gpa' Ept.Read in
-      Bytes.blit (Phys_mem.read_bytes t.mem hpa in_page) 0 out done_ in_page;
-      go (done_ + in_page)
-    end
-  in
-  go 0;
-  out
-
-let write_bytes t gpa data =
-  let len = Bytes.length data in
-  let rec go done_ =
-    if done_ < len then begin
-      let gpa' = Addr.Gpa.add gpa done_ in
-      let in_page =
-        Stdlib.min (len - done_) (Addr.page_size - Addr.Gpa.offset gpa')
-      in
-      let hpa = hpa_exn t gpa' Ept.Write in
-      Phys_mem.write_bytes t.mem hpa (Bytes.sub data done_ in_page);
+      copy t.mem (hpa_exn t gpa' access) buf ~off:done_ ~len:in_page;
       go (done_ + in_page)
     end
   in
   go 0
+
+let read_bytes t gpa len =
+  let out = Bytes.create len in
+  copy_pages t gpa out Ept.Read Phys_mem.read_into;
+  out
+
+let write_bytes t gpa data = copy_pages t gpa data Ept.Write Phys_mem.write_from
 
 (* Allocate fresh, already-mapped guest pages (for rings, buffers). *)
 let alloc_guest_pages t n =

@@ -40,6 +40,10 @@ val write_u16 : t -> Addr.Gpa.t -> int -> unit
 val read_u8 : t -> Addr.Gpa.t -> int
 val write_u8 : t -> Addr.Gpa.t -> int -> unit
 val read_bytes : t -> Addr.Gpa.t -> int -> bytes
+(** Bulk copies are page-granular: one EPT translation (with its
+    permission check) and one blit per 4 KB page. A faulting page raises
+    before it is touched; pages before it have already been copied. *)
+
 val write_bytes : t -> Addr.Gpa.t -> bytes -> unit
 
 val alloc_guest_pages : t -> int -> Addr.Gpa.t

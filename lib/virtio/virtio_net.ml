@@ -159,7 +159,8 @@ let backend_deliver t (pkt : Bytes.t) =
   | None -> t.dropped_rx <- t.dropped_rx + 1
   | Some (id, addr, cap, _writable) ->
       let len = min (Bytes.length pkt) cap in
-      Aspace.write_bytes (aspace t) addr (Bytes.sub pkt 0 len);
+      let payload = if len < Bytes.length pkt then Bytes.sub pkt 0 len else pkt in
+      Aspace.write_bytes (aspace t) addr payload;
       Virtqueue.push_used t.rx ~id ~len;
       t.rx_packets <- t.rx_packets + 1;
       Signal.broadcast t.rx_ready;

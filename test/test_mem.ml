@@ -47,10 +47,47 @@ let test_phys_mem_page_crossing () =
 
 let test_phys_mem_bytes_roundtrip () =
   let m = Phys_mem.create () in
-  let a = Addr.Hpa.of_int 0x3F00 in
+  let a = Addr.Hpa.of_int 0x3FF0 in
   let data = Bytes.of_string "the quick brown fox crosses a page boundary!" in
-  Phys_mem.write_bytes m a data;
-  checkb "round trip" true (Phys_mem.read_bytes m a (Bytes.length data) = data)
+  let len = Bytes.length data in
+  Phys_mem.write_from m a data ~off:0 ~len;
+  let out = Bytes.make (len + 4) '*' in
+  Phys_mem.read_into m a out ~off:2 ~len;
+  Alcotest.(check string) "round trip at an offset"
+    ("**" ^ Bytes.to_string data ^ "**") (Bytes.to_string out);
+  checki "both pages resident" 2 (Phys_mem.resident_pages m);
+  (* a sub-range of the caller's buffer *)
+  Phys_mem.write_from m (Addr.Hpa.of_int 0x8000) data ~off:4 ~len:5;
+  let q = Bytes.create 5 in
+  Phys_mem.read_into m (Addr.Hpa.of_int 0x8000) q ~off:0 ~len:5;
+  Alcotest.(check string) "sub-range" "quick" (Bytes.to_string q)
+
+let test_phys_mem_range_bounds () =
+  let m = Phys_mem.create () in
+  let buf = Bytes.create 8 in
+  Alcotest.check_raises "past end" (Invalid_argument "Phys_mem.read_into")
+    (fun () -> Phys_mem.read_into m (Addr.Hpa.of_int 0) buf ~off:4 ~len:5);
+  Alcotest.check_raises "negative len" (Invalid_argument "Phys_mem.write_from")
+    (fun () -> Phys_mem.write_from m (Addr.Hpa.of_int 0) buf ~off:0 ~len:(-1));
+  checki "nothing touched" 0 (Phys_mem.resident_pages m)
+
+(* Narrow accessors touch exactly their own bytes: a u32/u16 read at the
+   end of a page must not materialize the next one. *)
+let test_phys_mem_no_over_read () =
+  let m = Phys_mem.create () in
+  checki "u32 at page end" 0 (Phys_mem.read_u32 m (Addr.Hpa.of_int 0x1FFC));
+  checki "u16 at page end" 0 (Phys_mem.read_u16 m (Addr.Hpa.of_int 0x1FFE));
+  checki "one page resident" 1 (Phys_mem.resident_pages m)
+
+let test_phys_mem_narrow_crossing () =
+  let m = Phys_mem.create () in
+  Phys_mem.write_u32 m (Addr.Hpa.of_int 0x1FFE) 0xCAFEF00D;
+  checki "u32 crosses" 0xCAFEF00D (Phys_mem.read_u32 m (Addr.Hpa.of_int 0x1FFE));
+  Phys_mem.write_u16 m (Addr.Hpa.of_int 0x2FFF) 0x1BEEF;
+  checki "u16 crosses, truncated" 0xBEEF
+    (Phys_mem.read_u16 m (Addr.Hpa.of_int 0x2FFF));
+  checki "little-endian low byte" 0xEF (Phys_mem.read_u8 m (Addr.Hpa.of_int 0x2FFF));
+  checki "high byte on next page" 0xBE (Phys_mem.read_u8 m (Addr.Hpa.of_int 0x3000))
 
 let test_phys_mem_sparse () =
   let m = Phys_mem.create () in
@@ -200,6 +237,48 @@ let test_aspace_bytes_cross_page () =
   checkb "cross-page payload" true
     (Aspace.read_bytes a near_end 8 = Bytes.of_string "boundary")
 
+(* Page-granular copies agree with the byte-wise accessors for any start
+   offset and length, including empty copies and exact page multiples. *)
+let copy_case =
+  QCheck.make
+    ~print:QCheck.Print.(triple int int int)
+    QCheck.Gen.(
+      triple (int_bound 4095)
+        (frequency
+           [
+             (1, return 0);
+             (1, map (fun k -> k * 4096) (int_range 1 3));
+             (4, int_bound ((3 * 4096) + 17));
+           ])
+        (int_bound 255))
+
+let prop_aspace_copy_roundtrip =
+  QCheck.Test.make ~name:"page-granular copy round trip" ~count:200 copy_case
+    (fun (off, len, seed) ->
+      let a = make_aspace () in
+      let g = Addr.Gpa.add (Aspace.alloc_guest_pages a 5) off in
+      let data = Bytes.init len (fun i -> Char.chr (((i * 131) + seed) land 0xFF)) in
+      Aspace.write_bytes a g data;
+      let back = Aspace.read_bytes a g len in
+      let bytewise =
+        Bytes.init len (fun i -> Char.chr (Aspace.read_u8 a (Addr.Gpa.add g i)))
+      in
+      Bytes.equal back data && Bytes.equal bytewise data)
+
+(* A range that runs from RAM into an MMIO page still faults on the MMIO
+   page: the EPT is consulted per page, not once per copy. *)
+let test_aspace_copy_into_mmio_faults () =
+  let a = make_aspace () in
+  let bar = Aspace.add_mmio_region a ~name:"net-doorbell" ~len:4096 in
+  let start = Addr.Gpa.add bar (-8) in
+  let msg = Fmt.str "EPT misconfig at %a (net-doorbell)" Addr.Gpa.pp bar in
+  Alcotest.check_raises "write faults" (Failure msg) (fun () ->
+      Aspace.write_bytes a start (Bytes.make 16 'x'));
+  Alcotest.check_raises "read faults" (Failure msg) (fun () ->
+      ignore (Aspace.read_bytes a start 16));
+  Alcotest.(check string) "RAM page before the fault was written" "xxxxxxxx"
+    (Bytes.to_string (Aspace.read_bytes a start 8))
+
 let () =
   Alcotest.run "svt_mem"
     [
@@ -213,6 +292,11 @@ let () =
           Alcotest.test_case "widths" `Quick test_phys_mem_rw_widths;
           Alcotest.test_case "page crossing" `Quick test_phys_mem_page_crossing;
           Alcotest.test_case "bytes round trip" `Quick test_phys_mem_bytes_roundtrip;
+          Alcotest.test_case "range bounds" `Quick test_phys_mem_range_bounds;
+          Alcotest.test_case "no over-read at page end" `Quick
+            test_phys_mem_no_over_read;
+          Alcotest.test_case "narrow page crossing" `Quick
+            test_phys_mem_narrow_crossing;
           Alcotest.test_case "sparse materialization" `Quick test_phys_mem_sparse;
         ] );
       ( "frame-alloc",
@@ -243,5 +327,8 @@ let () =
           Alcotest.test_case "allocated pages usable" `Quick
             test_aspace_alloc_pages_mapped;
           Alcotest.test_case "cross-page bytes" `Quick test_aspace_bytes_cross_page;
+          Alcotest.test_case "copy into mmio faults" `Quick
+            test_aspace_copy_into_mmio_faults;
+          QCheck_alcotest.to_alcotest prop_aspace_copy_roundtrip;
         ] );
     ]
