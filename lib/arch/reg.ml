@@ -46,6 +46,32 @@ let switched_set =
 
 let switched_count = List.length switched_set
 
+let gpr_index = function
+  | RAX -> 0 | RBX -> 1 | RCX -> 2 | RDX -> 3
+  | RSI -> 4 | RDI -> 5 | RBP -> 6 | RSP -> 7
+  | R8 -> 8 | R9 -> 9 | R10 -> 10 | R11 -> 11
+  | R12 -> 12 | R13 -> 13 | R14 -> 14 | R15 -> 15
+
+(* Position in [switched_set], so per-context state over the switched
+   set can live in a flat array. *)
+let slot = function
+  | Gpr g -> gpr_index g
+  | Rip -> 16
+  | Rflags -> 17
+  | Cr 0 -> 18
+  | Cr 3 -> 19
+  | Cr 4 -> 20
+  | Dr 7 -> 21
+  | Segment "cs" -> 22
+  | Segment "ss" -> 23
+  | Segment "ds" -> 24
+  | Segment "es" -> 25
+  | Segment "fs" -> 26
+  | Segment "gs" -> 27
+  | Segment "tr" -> 28
+  | Segment "ldtr" -> 29
+  | Cr _ | Dr _ | Segment _ -> -1
+
 let compare = Stdlib.compare
 let equal = ( = )
 let pp ppf r = Fmt.string ppf (name r)

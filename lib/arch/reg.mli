@@ -25,6 +25,11 @@ val switched_set : t list
     world switch. *)
 
 val switched_count : int
+
+val slot : t -> int
+(** Index of a register in {!switched_set} ([0 .. switched_count - 1]),
+    or [-1] for a register outside it. *)
+
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

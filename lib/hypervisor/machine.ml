@@ -81,7 +81,3 @@ let now t = Simulator.now t.sim
 
 let obs t = t.obs
 let probe t = Svt_obs.Recorder.probe t.obs
-
-(* Formatted text annotation; kept as the cheap always-available surface,
-   now one sink of the obs layer (the bounded Trace ring underneath). *)
-let trace t ~tag fmt = Svt_obs.Recorder.annotate t.obs ~tag fmt

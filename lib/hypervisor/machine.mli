@@ -59,8 +59,3 @@ val obs : t -> Svt_obs.Recorder.t
 val probe : t -> Svt_obs.Probe.t
 (** Shorthand for [Svt_obs.Recorder.probe (obs t)] — what the
     instrumented trap paths emit spans through. *)
-
-val trace :
-  t -> tag:string -> ('a, Format.formatter, unit, unit) format4 -> 'a
-(** Record a formatted entry in the machine's bounded annotation ring
-    (the obs layer's text sink). *)

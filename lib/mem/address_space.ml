@@ -30,10 +30,8 @@ let create ~mem ~alloc ~ram_bytes =
   (* Back all of guest RAM with host frames up front (the paper's VMs are
      configured to avoid swapping). *)
   let pages = (ram_bytes + Addr.page_size - 1) / Addr.page_size in
-  for i = 0 to pages - 1 do
-    let hpa = Frame_alloc.alloc alloc in
-    Ept.map t.ept ~gpa:(Addr.Gpa.of_int (i * Addr.page_size)) ~hpa ~perm:Ept.rwx
-  done;
+  Ept.map_range t.ept ~gpa:(Addr.Gpa.of_int 0) ~len:(pages * Addr.page_size)
+    ~perm:Ept.rwx ~frame:(fun _ -> Frame_alloc.alloc alloc);
   t.regions <-
     [ { name = "ram"; base = Addr.Gpa.of_int 0; len = pages * Addr.page_size;
         kind = `Ram } ];
@@ -110,10 +108,8 @@ let write_bytes t gpa data = copy_pages t gpa data Ept.Write Phys_mem.write_from
 (* Allocate fresh, already-mapped guest pages (for rings, buffers). *)
 let alloc_guest_pages t n =
   let base = t.alloc_cursor in
-  for i = 0 to n - 1 do
-    let hpa = Frame_alloc.alloc t.alloc in
-    Ept.map t.ept ~gpa:(Addr.Gpa.add base (i * Addr.page_size)) ~hpa ~perm:Ept.rwx
-  done;
+  Ept.map_range t.ept ~gpa:base ~len:(n * Addr.page_size) ~perm:Ept.rwx
+    ~frame:(fun _ -> Frame_alloc.alloc t.alloc);
   t.alloc_cursor <- Addr.Gpa.add base (n * Addr.page_size);
   t.regions <-
     { name = "alloc"; base; len = n * Addr.page_size; kind = `Ram } :: t.regions;

@@ -6,7 +6,13 @@
    The misconfig marker reproduces how KVM implements virtio doorbells for
    MMIO regions: the region is deliberately left misconfigured so every
    guest store raises EPT_MISCONFIG — the exit reason the paper's profiles
-   show dominating L0's time under I/O load (§6.2, §6.3). *)
+   show dominating L0's time under I/O load (§6.2, §6.3).
+
+   Leaf tables hold packed ints, as hardware EPT entries are packed
+   words, so mapping a page allocates nothing: 0 is an empty entry; a
+   mapped page sets [present], its read/write/exec bits and the host frame
+   number above [frame_shift]; a misconfigured page sets only
+   [misconfig], and its tag lives in a side table keyed by guest page. *)
 
 type perm = { read : bool; write : bool; exec : bool }
 
@@ -19,107 +25,152 @@ type entry =
   | Page of { hpa : Addr.Hpa.t; perm : perm }
   | Misconfig of { tag : string } (* deliberate misconfiguration (MMIO) *)
 
-type node = { slots : slot array }
-and slot = Empty | Table of node | Leaf of entry
-
 type fault =
   | Violation of { gpa : Addr.Gpa.t; access : access }
   | Misconfiguration of { gpa : Addr.Gpa.t; tag : string }
 
+(* Levels 3 and 2 hold [Dir]s; level 1 holds [Leaves], the level-0
+   tables of packed entries. *)
+type node = Empty | Dir of node array | Leaves of int array
+
 type t = {
-  root : node;
+  root : node array;
+  tags : (int, string) Hashtbl.t; (* guest page -> misconfig tag *)
   mutable mapped_pages : int;
   mutable invalidations : int; (* INVEPT count *)
 }
 
 let levels = 4
 let bits_per_level = 9
+let fanout = 1 lsl bits_per_level
 
-let make_node () = { slots = Array.make (1 lsl bits_per_level) Empty }
-let create () = { root = make_node (); mapped_pages = 0; invalidations = 0 }
+(* Guest page numbers wrap at the 48 bits four levels index. *)
+let page_number_mask = (1 lsl (bits_per_level * levels)) - 1
 
-let index_at gpa level =
-  (* level 3 = root, level 0 = leaf table *)
-  (Addr.Gpa.page_of gpa lsr (bits_per_level * level))
-  land ((1 lsl bits_per_level) - 1)
+let present = 0b00001
+let read_bit = 0b00010
+let write_bit = 0b00100
+let exec_bit = 0b01000
+let misconfig = 0b10000
+let frame_shift = 5
 
-let rec walk_set node gpa level entry =
-  let idx = index_at gpa level in
-  if level = 0 then node.slots.(idx) <- Leaf entry
-  else begin
-    let child =
-      match node.slots.(idx) with
-      | Table n -> n
-      | Empty ->
-          let n = make_node () in
-          node.slots.(idx) <- Table n;
-          n
-      | Leaf _ -> invalid_arg "Ept: leaf at intermediate level"
-    in
-    walk_set child gpa (level - 1) entry
-  end
+let perm_bits p =
+  (if p.read then read_bit else 0)
+  lor (if p.write then write_bit else 0)
+  lor if p.exec then exec_bit else 0
+
+let perms =
+  Array.init 8 (fun i ->
+      { read = i land 1 <> 0; write = i land 2 <> 0; exec = i land 4 <> 0 })
+
+let access_bit = function
+  | Read -> read_bit
+  | Write -> write_bit
+  | Exec -> exec_bit
+
+let hpa_of_entry e = Addr.Hpa.of_int ((e lsr frame_shift) lsl Addr.page_shift)
+
+let create () =
+  {
+    root = Array.make fanout Empty;
+    tags = Hashtbl.create 8;
+    mapped_pages = 0;
+    invalidations = 0;
+  }
+
+let page_index gpa = Addr.Gpa.page_of gpa land page_number_mask
+let index_at page level = (page lsr (bits_per_level * level)) land (fanout - 1)
+let no_leaves : int array = [||]
+
+(* The leaf table covering guest page [page], creating the directories on
+   the way when [create] is set; [no_leaves] when absent. *)
+let rec leaves_of dir page level ~create =
+  let idx = index_at page level in
+  match dir.(idx) with
+  | Leaves l -> l
+  | Dir d -> leaves_of d page (level - 1) ~create
+  | Empty when not create -> no_leaves
+  | Empty when level = 1 ->
+      let l = Array.make fanout 0 in
+      dir.(idx) <- Leaves l;
+      l
+  | Empty ->
+      let d = Array.make fanout Empty in
+      dir.(idx) <- Dir d;
+      leaves_of d page (level - 1) ~create
+
+let entry_at t page =
+  let l = leaves_of t.root page (levels - 1) ~create:false in
+  if l == no_leaves then 0 else l.(page land (fanout - 1))
+
+(* Overwrite the entry at [l.(i)] (guest page [page]), keeping the page
+   count and the tag table in step with what the slot held before. *)
+let set t l i page e =
+  let old = l.(i) in
+  if old land present <> 0 then t.mapped_pages <- t.mapped_pages - 1;
+  if old land misconfig <> 0 then Hashtbl.remove t.tags page;
+  if e land present <> 0 then t.mapped_pages <- t.mapped_pages + 1;
+  l.(i) <- e
+
+(* Map a contiguous guest range: page [i] of it to host frame [frame i],
+   with [frame] called once per page in ascending order. One walk per
+   leaf table. *)
+let map_range t ~gpa ~len ~perm ~frame =
+  if not (Addr.Gpa.is_page_aligned gpa) then invalid_arg "Ept.map: unaligned";
+  let pages = (len + Addr.page_size - 1) / Addr.page_size in
+  let bits = present lor perm_bits perm in
+  let first = page_index gpa in
+  let i = ref 0 in
+  while !i < pages do
+    let page = (first + !i) land page_number_mask in
+    let l = leaves_of t.root page (levels - 1) ~create:true in
+    let lo = page land (fanout - 1) in
+    let n = Stdlib.min (pages - !i) (fanout - lo) in
+    for k = 0 to n - 1 do
+      let hpa = frame (!i + k) in
+      if not (Addr.Hpa.is_page_aligned hpa) then invalid_arg "Ept.map: unaligned";
+      set t l (lo + k) (page + k)
+        (bits lor ((Addr.Hpa.to_int hpa lsr Addr.page_shift) lsl frame_shift))
+    done;
+    i := !i + n
+  done
 
 let map t ~gpa ~hpa ~perm =
-  if not (Addr.Gpa.is_page_aligned gpa && Addr.Hpa.is_page_aligned hpa) then
-    invalid_arg "Ept.map: unaligned";
-  walk_set t.root gpa (levels - 1) (Page { hpa; perm });
-  t.mapped_pages <- t.mapped_pages + 1
+  map_range t ~gpa ~len:Addr.page_size ~perm ~frame:(fun _ -> hpa)
 
 let mark_misconfig t ~gpa ~tag =
   if not (Addr.Gpa.is_page_aligned gpa) then invalid_arg "Ept.mark_misconfig";
-  walk_set t.root gpa (levels - 1) (Misconfig { tag })
+  let page = page_index gpa in
+  let l = leaves_of t.root page (levels - 1) ~create:true in
+  set t l (page land (fanout - 1)) page misconfig;
+  Hashtbl.replace t.tags page tag
 
-let rec walk_get node gpa level =
-  let idx = index_at gpa level in
-  match node.slots.(idx) with
-  | Empty -> None
-  | Leaf e -> if level = 0 then Some e else None
-  | Table n -> if level = 0 then None else walk_get n gpa (level - 1)
-
-let lookup t gpa = walk_get t.root gpa (levels - 1)
-
-let permits perm = function
-  | Read -> perm.read
-  | Write -> perm.write
-  | Exec -> perm.exec
+let lookup t gpa =
+  let page = page_index gpa in
+  let e = entry_at t page in
+  if e = 0 then None
+  else if e land misconfig <> 0 then Some (Misconfig { tag = Hashtbl.find t.tags page })
+  else Some (Page { hpa = hpa_of_entry e; perm = perms.((e lsr 1) land 7) })
 
 (* Translate a guest-physical address for a given access, returning either
    the host-physical address or the architectural fault. *)
 let translate t ~gpa ~access =
-  match lookup t (Addr.Gpa.align_down gpa) with
-  | None -> Error (Violation { gpa; access })
-  | Some (Misconfig { tag }) -> Error (Misconfiguration { gpa; tag })
-  | Some (Page { hpa; perm }) ->
-      if permits perm access then
-        Ok (Addr.Hpa.add hpa (Addr.Gpa.offset gpa))
-      else Error (Violation { gpa; access })
+  let page = page_index gpa in
+  let e = entry_at t page in
+  if e land misconfig <> 0 then
+    Error (Misconfiguration { gpa; tag = Hashtbl.find t.tags page })
+  else if e land access_bit access <> 0 then
+    Ok (Addr.Hpa.add (hpa_of_entry e) (Addr.Gpa.offset gpa))
+  else Error (Violation { gpa; access })
 
 let unmap t ~gpa =
-  let rec go node level =
-    let idx = index_at gpa level in
-    match node.slots.(idx) with
-    | Empty -> ()
-    | Leaf _ when level = 0 ->
-        node.slots.(idx) <- Empty;
-        t.mapped_pages <- t.mapped_pages - 1
-    | Table n when level > 0 -> go n (level - 1)
-    | _ -> ()
-  in
-  go t.root (levels - 1)
+  let page = page_index gpa in
+  let l = leaves_of t.root page (levels - 1) ~create:false in
+  if l != no_leaves then set t l (page land (fanout - 1)) page 0
 
 let invept t = t.invalidations <- t.invalidations + 1
 let invalidations t = t.invalidations
 let mapped_pages t = t.mapped_pages
-
-(* Map a contiguous range. *)
-let map_range t ~gpa ~hpa ~len ~perm =
-  let pages = (len + Addr.page_size - 1) / Addr.page_size in
-  for i = 0 to pages - 1 do
-    map t
-      ~gpa:(Addr.Gpa.add gpa (i * Addr.page_size))
-      ~hpa:(Addr.Hpa.add hpa (i * Addr.page_size))
-      ~perm
-  done
 
 let pp_fault ppf = function
   | Violation { gpa; access } ->

@@ -29,7 +29,12 @@ val create : unit -> t
 val map : t -> gpa:Addr.Gpa.t -> hpa:Addr.Hpa.t -> perm:perm -> unit
 (** Map one page (both addresses page-aligned). *)
 
-val map_range : t -> gpa:Addr.Gpa.t -> hpa:Addr.Hpa.t -> len:int -> perm:perm -> unit
+val map_range :
+  t -> gpa:Addr.Gpa.t -> len:int -> perm:perm -> frame:(int -> Addr.Hpa.t) -> unit
+(** Map the [len] bytes (rounded up to pages) from [gpa]: page [i] of the
+    range to host frame [frame i]. [frame] is called once per page, in
+    ascending order, so it may draw fresh frames from an allocator. One
+    table walk per 512-page leaf table; no allocation per page. *)
 
 val mark_misconfig : t -> gpa:Addr.Gpa.t -> tag:string -> unit
 (** Mark a page deliberately misconfigured (an MMIO doorbell). *)
@@ -47,4 +52,6 @@ val invept : t -> unit
 
 val invalidations : t -> int
 val mapped_pages : t -> int
+(** Entries currently mapping a page (misconfigured entries excluded). *)
+
 val pp_fault : Format.formatter -> fault -> unit

@@ -20,33 +20,37 @@ let size = 8192
 
 let create () = { bits = Bytes.make (size / 8) '\000'; marks = 0 }
 
-(* FNV-1a, folded to a slot index. *)
-let fnv_prime = 0x100000001b3L
-let fnv_offset = 0xcbf29ce484222325L
+(* FNV-1a on native ints, folded to a slot index. OCaml ints wrap mod
+   2^63, which agrees with the 64-bit hash on every bit but the top one,
+   so the 13 bits a slot reads are exactly 64-bit FNV-1a's. *)
+let fnv_prime = 0x100000001b3
+let fnv_offset = Int64.to_int 0xcbf29ce484222325L
 
 let fnv_fold h s =
   let h = ref h in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) fnv_prime)
-    s;
+  for i = 0 to String.length s - 1 do
+    h := (!h lxor Char.code (String.unsafe_get s i)) * fnv_prime
+  done;
   (* separate the concatenated key parts *)
-  Int64.mul (Int64.logxor !h 0x1fL) fnv_prime
+  (!h lxor 0x1f) * fnv_prime
 
 (* The tags that name a handler path. Numeric payload tags (field
    counts, vectors, ports) are deliberately excluded: they would turn
    path coverage into value coverage and saturate the map. *)
 let key_tags = [ "reason"; "mode"; "leg"; "cause"; "dir"; "cmd"; "outcome" ]
 
+(* Fold the first value of tag [key], if any. *)
+let rec fold_tag h key = function
+  | [] -> h
+  | (k, v) :: rest -> if String.equal k key then fnv_fold h v else fold_tag h key rest
+
+let rec fold_keys h tags = function
+  | [] -> h
+  | key :: keys -> fold_keys (fold_tag h key tags) tags keys
+
 let slot_of_span (span : Span.t) =
   let h = fnv_fold fnv_offset (Span.kind_name span.Span.kind) in
-  let h =
-    List.fold_left
-      (fun h tag ->
-        match Span.tag span tag with None -> h | Some v -> fnv_fold h v)
-      h key_tags
-  in
-  Int64.to_int (Int64.logand h (Int64.of_int (size - 1)))
+  fold_keys h span.Span.tags key_tags land (size - 1)
 
 let mark t slot =
   let byte = slot lsr 3 and bit = slot land 7 in

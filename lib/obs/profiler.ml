@@ -21,9 +21,8 @@
    per-vCPU root once the pending list outgrows its cap, and at [stop].
 
    Allocation is charged per segment from the minor-allocation counter
-   (the cheap, monotonic part of [Gc.quick_stat]); whole-run totals
-   including major-heap words come from full [Gc.quick_stat] deltas at
-   [start]/[stop]. *)
+   ([Gc.minor_words], exact at any point); whole-run totals including
+   major-heap words come from [allocated_words] at [start]/[stop]. *)
 
 module Simulator = Svt_engine.Simulator
 
@@ -65,8 +64,8 @@ type t = {
   mutable seg_words : float;
   mutable t_start : float;
   mutable t_stop : float;
-  mutable gc_start : Gc.stat option;
-  mutable alloc_words : float; (* quick_stat delta, set at stop *)
+  mutable words_at_start : float;
+  mutable alloc_words : float; (* allocated_words delta, set at stop *)
   mutable spans : int;
   mutable events : int;
 }
@@ -91,7 +90,7 @@ let create ?(clock = default_clock) ?(words = default_words) () =
       running = false; in_event = false;
       seg_clock = 0.0; seg_words = 0.0;
       t_start = 0.0; t_stop = 0.0;
-      gc_start = None; alloc_words = 0.0;
+      words_at_start = 0.0; alloc_words = 0.0;
       spans = 0; events = 0;
     }
   in
@@ -203,8 +202,17 @@ let observer t =
         end);
   }
 
+(* On OCaml 5 [Gc.quick_stat]'s minor count only advances when a minor
+   collection runs, so emptying the minor heap first makes the total
+   exact. Survivors of that collection are counted in both the minor and
+   major totals; subtracting the promoted words cancels them. *)
+let allocated_words () =
+  Gc.minor ();
+  let g = Gc.quick_stat () in
+  g.Gc.minor_words +. g.Gc.major_words -. g.Gc.promoted_words
+
 let start t =
-  t.gc_start <- Some (Gc.quick_stat ());
+  t.words_at_start <- allocated_words ();
   t.t_start <- t.clock ();
   t.seg_clock <- t.t_start;
   t.seg_words <- t.words ();
@@ -215,14 +223,7 @@ let stop t =
     segment t t.engine_other;
     t.running <- false;
     t.t_stop <- t.seg_clock;
-    (match t.gc_start with
-    | Some g0 ->
-        let g1 = Gc.quick_stat () in
-        t.alloc_words <-
-          g1.Gc.minor_words -. g0.Gc.minor_words
-          +. (g1.Gc.major_words -. g0.Gc.major_words)
-          -. (g1.Gc.promoted_words -. g0.Gc.promoted_words)
-    | None -> ());
+    t.alloc_words <- allocated_words () -. t.words_at_start;
     Hashtbl.iter
       (fun vcpu lst ->
         List.iter (fun p -> fold_root t vcpu p) !lst;

@@ -36,9 +36,14 @@ val observer : t -> Svt_engine.Simulator.observer
 (** Dispatch hooks; pass to [Simulator.set_observer]. Segments engine
     bookkeeping from in-event work and counts events. *)
 
+val allocated_words : unit -> float
+(** Words this domain has allocated so far (minor + major - promoted),
+    exactly: empties the minor heap first. The difference of two calls
+    is the allocation of the code between them. *)
+
 val start : t -> unit
 (** Open the profiled region: resets the segment clock and records the
-    [Gc.quick_stat] baseline. *)
+    {!allocated_words} baseline. *)
 
 val stop : t -> unit
 (** Close the region: charges the trailing segment, folds still-open
@@ -59,8 +64,8 @@ val spans : t -> int
 val events : t -> int
 
 val allocated_bytes : t -> float
-(** Whole-region allocation (minor + major - promoted words, from
-    [Gc.quick_stat] deltas at start/stop), in bytes. *)
+(** Whole-region allocation ({!allocated_words} delta from start to
+    stop), in bytes. *)
 
 (** {2 Output} *)
 

@@ -1,40 +1,28 @@
 (* The per-machine observability bundle: one probe for the instrumented
-   hot paths, the bounded text-annotation ring (the old Machine.trace,
-   now one sink among several), and the optional structured sinks.
+   hot paths and the optional structured sinks.
    Freshly created recorders have no span sink installed — the null-sink
    state — so observability is free until someone asks for it. *)
 
 module Time = Svt_engine.Time
-module Trace = Svt_engine.Trace
 
 type t = {
   probe : Probe.t;
   clock : unit -> Time.t;
-  ring : Trace.t; (* bounded in-memory sink for text annotations *)
   mutable timeline : Timeline.t option;
   mutable chrome : Chrome_trace.t option;
 }
 
-let create ?(ring_capacity = 4096) ~clock () =
+let create ~clock () =
   {
     probe = Probe.create ~clock ();
     clock;
-    ring = Trace.create ~capacity:ring_capacity ();
     timeline = None;
     chrome = None;
   }
 
 let probe t = t.probe
 let now t = t.clock ()
-let ring t = t.ring
-
-(* Formatted text annotation into the bounded ring (the legacy
-   Machine.trace surface). *)
-let annotate t ~tag fmt = Trace.recordf t.ring ~time:(t.clock ()) ~tag fmt
-
-let set_enabled t flag =
-  Probe.set_armed t.probe flag;
-  Trace.set_enabled t.ring flag
+let set_enabled t flag = Probe.set_armed t.probe flag
 
 (* Install-once sink accessors: the first call creates and subscribes,
    later calls return the same sink. *)

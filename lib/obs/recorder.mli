@@ -1,6 +1,5 @@
 (** The per-machine observability bundle: one {!Probe} for the
-    instrumented hot paths, the bounded {!Svt_engine.Trace} ring for
-    text annotations, and optional structured sinks ({!Timeline},
+    instrumented hot paths and optional structured sinks ({!Timeline},
     {!Chrome_trace}) installed on demand.
 
     A fresh recorder has no span sink — the null-sink state: every
@@ -8,24 +7,15 @@
     unobserved one. *)
 
 module Time = Svt_engine.Time
-module Trace = Svt_engine.Trace
 
 type t
 
-val create : ?ring_capacity:int -> clock:(unit -> Time.t) -> unit -> t
+val create : clock:(unit -> Time.t) -> unit -> t
 val probe : t -> Probe.t
 val now : t -> Time.t
 
-val ring : t -> Trace.t
-(** The bounded text-annotation ring (the legacy [Machine.trace]
-    storage). *)
-
-val annotate :
-  t -> tag:string -> ('a, Format.formatter, unit, unit) format4 -> 'a
-(** Formatted text annotation into the ring. *)
-
 val set_enabled : t -> bool -> unit
-(** Master switch: disarms the probe and the annotation ring. *)
+(** Master switch: arms or disarms the probe. *)
 
 val enable_timeline : ?capacity:int -> t -> Timeline.t
 (** Install (once) and return the per-vCPU timeline sink. *)

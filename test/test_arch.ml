@@ -30,6 +30,14 @@ let test_reg_names_unique () =
   checki "unique names" (List.length names)
     (List.length (List.sort_uniq compare names))
 
+let test_reg_slots () =
+  List.iteri
+    (fun i r -> checki ("slot of " ^ Reg.name r) i (Reg.slot r))
+    Reg.switched_set;
+  List.iter
+    (fun r -> checki ("unswitched " ^ Reg.name r) (-1) (Reg.slot r))
+    [ Reg.Cr 2; Reg.Dr 0; Reg.Segment "gdtr" ]
+
 (* --- Regfile ------------------------------------------------------------- *)
 
 let make_rf () = Regfile.create ~contexts:3 ~physical_entries:168
@@ -81,6 +89,129 @@ let test_regfile_bad_context () =
   let rf = make_rf () in
   Alcotest.check_raises "bad ctx" (Invalid_argument "Regfile: bad context index")
     (fun () -> ignore (Regfile.read rf ~ctx:9 Reg.Rip))
+
+(* Model-based check: random operation sequences against a reference
+   register file built from an ordered map per context and a plain-list
+   FIFO free list. *)
+module Ref_regfile = struct
+  module M = Map.Make (Reg)
+
+  type t = { entries : int64 array; mutable free : int list; maps : int M.t array }
+
+  let create ~contexts ~physical_entries =
+    let free = ref (List.init physical_entries Fun.id) in
+    let maps =
+      Array.init contexts (fun _ ->
+          List.fold_left
+            (fun m reg ->
+              match !free with
+              | idx :: rest ->
+                  free := rest;
+                  M.add reg idx m
+              | [] -> assert false)
+            M.empty Reg.switched_set)
+    in
+    { entries = Array.make physical_entries 0L; free = !free; maps }
+
+  let phys_of t ~ctx reg = M.find_opt reg t.maps.(ctx)
+
+  let rename t ~ctx reg =
+    match t.free with
+    | [] -> None
+    | idx :: rest ->
+        t.free <- rest;
+        (match M.find_opt reg t.maps.(ctx) with
+        | Some o ->
+            t.entries.(idx) <- t.entries.(o);
+            t.free <- t.free @ [ o ]
+        | None -> ());
+        t.maps.(ctx) <- M.add reg idx t.maps.(ctx);
+        Some idx
+end
+
+type rf_op =
+  | Rf_write of int * Reg.t * int64
+  | Rf_rename of int * Reg.t
+  | Rf_copy of int * int
+
+let rf_pool = Reg.switched_set @ [ Reg.Cr 2; Reg.Dr 0; Reg.Segment "gdtr" ]
+
+let rf_op_to_string = function
+  | Rf_write (c, r, v) -> Printf.sprintf "write %d %s %Ld" c (Reg.name r) v
+  | Rf_rename (c, r) -> Printf.sprintf "rename %d %s" c (Reg.name r)
+  | Rf_copy (a, b) -> Printf.sprintf "copy %d->%d" a b
+
+let rf_case =
+  let open QCheck.Gen in
+  let* contexts = int_range 1 4 in
+  let* spare = int_range 0 8 in
+  let ctx = int_bound (contexts - 1) and reg = oneofl rf_pool in
+  let op =
+    frequency
+      [
+        (4, map3 (fun c r v -> Rf_write (c, r, Int64.of_int v)) ctx reg small_nat);
+        (4, map2 (fun c r -> Rf_rename (c, r)) ctx reg);
+        (1, map2 (fun a b -> Rf_copy (a, b)) ctx ctx);
+      ]
+  in
+  let+ ops = list_size (int_bound 60) op in
+  (contexts, (contexts * Reg.switched_count) + spare, ops)
+
+let prop_regfile_matches_model =
+  QCheck.Test.make ~name:"regfile agrees with map+list model" ~count:300
+    (QCheck.make rf_case
+       ~print:(fun (c, n, ops) ->
+         Printf.sprintf "contexts=%d entries=%d: %s" c n
+           (String.concat "; " (List.map rf_op_to_string ops))))
+    (fun (contexts, physical_entries, ops) ->
+      let rf = Regfile.create ~contexts ~physical_entries in
+      let m = Ref_regfile.create ~contexts ~physical_entries in
+      let apply = function
+        | Rf_write (ctx, reg, v) -> (
+            match Ref_regfile.phys_of m ~ctx reg with
+            | Some idx ->
+                m.Ref_regfile.entries.(idx) <- v;
+                Regfile.write rf ~ctx reg v;
+                true
+            | None -> (
+                try
+                  Regfile.write rf ~ctx reg v;
+                  false
+                with Invalid_argument _ -> true))
+        | Rf_rename (ctx, reg) ->
+            Regfile.rename rf ~ctx reg = Ref_regfile.rename m ~ctx reg
+        | Rf_copy (from_ctx, to_ctx) ->
+            List.iter
+              (fun reg ->
+                match
+                  (Ref_regfile.phys_of m ~ctx:from_ctx reg,
+                   Ref_regfile.phys_of m ~ctx:to_ctx reg)
+                with
+                | Some f, Some t -> m.Ref_regfile.entries.(t) <- m.Ref_regfile.entries.(f)
+                | _ -> assert false)
+              Reg.switched_set;
+            Regfile.copy_switched_set rf ~from_ctx ~to_ctx;
+            true
+      in
+      let agrees () =
+        Regfile.free_entries rf = List.length m.Ref_regfile.free
+        && List.for_all
+             (fun ctx ->
+               List.for_all
+                 (fun reg ->
+                   match Ref_regfile.phys_of m ~ctx reg with
+                   | Some idx ->
+                       Regfile.phys_of rf ~ctx reg = idx
+                       && Regfile.read rf ~ctx reg = m.Ref_regfile.entries.(idx)
+                   | None -> (
+                       try
+                         ignore (Regfile.read rf ~ctx reg);
+                         false
+                       with Invalid_argument _ -> true))
+                 rf_pool)
+             (List.init contexts Fun.id)
+      in
+      List.for_all (fun op -> apply op && agrees ()) ops)
 
 (* --- MSRs ---------------------------------------------------------------- *)
 
@@ -388,6 +519,7 @@ let () =
         [
           Alcotest.test_case "switched set" `Quick test_reg_switched_set;
           Alcotest.test_case "names unique" `Quick test_reg_names_unique;
+          Alcotest.test_case "slots follow the switched set" `Quick test_reg_slots;
         ] );
       ( "regfile",
         [
@@ -399,6 +531,7 @@ let () =
           Alcotest.test_case "copy switched set" `Quick test_regfile_copy_switched_set;
           Alcotest.test_case "sizing check" `Quick test_regfile_too_small_rejected;
           Alcotest.test_case "bad context rejected" `Quick test_regfile_bad_context;
+          QCheck_alcotest.to_alcotest prop_regfile_matches_model;
         ] );
       ( "msr",
         [

@@ -613,9 +613,31 @@ let test_arch_arm_speedup_exceeds_x86 () =
   checkb "arm relative speedup larger" true
     (arm_base /. arm_svt > x86_base /. x86_svt)
 
+(* Allocation guard for stack construction: a default x86 L2 baseline
+   stack allocates about 131 KB. Construction is deterministic and the
+   count is exact, so the 200 KB bound needs no noise margin; a boxed
+   entry per mapped guest page, or another eagerly filled table of that
+   size, fails it. *)
+let test_of_config_alloc_guard () =
+  let cfg = System.Config.make ~mode:Mode.Baseline ~level:System.L2_nested () in
+  ignore (System.of_config cfg : System.t) (* warm-up *);
+  let w0 = Svt_obs.Profiler.allocated_words () in
+  ignore (System.of_config cfg : System.t);
+  let kb =
+    (Svt_obs.Profiler.allocated_words () -. w0)
+    *. float_of_int (Sys.word_size / 8)
+    /. 1024.0
+  in
+  checkb (Printf.sprintf "of_config allocates %.1f KB (bound 200)" kb) true (kb <= 200.0)
+
 let () =
   Alcotest.run "svt_core"
     [
+      ( "construction",
+        [
+          Alcotest.test_case "of_config allocation guard" `Quick
+            test_of_config_alloc_guard;
+        ] );
       ( "mode-wait",
         [
           Alcotest.test_case "mode names" `Quick test_mode_names;

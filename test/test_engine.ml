@@ -1,13 +1,12 @@
 (* Tests for the discrete-event engine: time arithmetic, the cancellable
    event queue, process scheduling determinism, synchronization
-   primitives, the PRNG and its distributions, and the trace ring. *)
+   primitives, and the PRNG and its distributions. *)
 
 module Time = Svt_engine.Time
 module Event_queue = Svt_engine.Event_queue
 module Simulator = Svt_engine.Simulator
 module Proc = Simulator.Proc
 module Prng = Svt_engine.Prng
-module Trace = Svt_engine.Trace
 
 let check = Alcotest.check
 let checki = Alcotest.(check int)
@@ -489,40 +488,6 @@ let prop_int_in_range =
       let v = Prng.int_in_range g ~lo ~hi in
       v >= lo && v <= hi)
 
-(* --- Trace --------------------------------------------------------------- *)
-
-let test_trace_records_and_wraps () =
-  let t = Trace.create ~capacity:4 () in
-  for i = 1 to 6 do
-    Trace.record t ~time:(Time.of_ns i) ~tag:"e" (string_of_int i)
-  done;
-  checki "total recorded" 6 (Trace.total_recorded t);
-  let entries = Trace.to_list t in
-  checki "capacity bound" 4 (List.length entries);
-  check Alcotest.string "oldest kept is 3" "3"
-    (List.hd entries).Trace.detail
-
-let test_trace_iter () =
-  let t = Trace.create ~capacity:4 () in
-  for i = 1 to 6 do
-    Trace.record t ~time:(Time.of_ns i) ~tag:"e" (string_of_int i)
-  done;
-  let seen = ref [] in
-  Trace.iter t (fun e -> seen := e.Trace.detail :: !seen);
-  check
-    Alcotest.(list string)
-    "iter visits retained entries oldest-first" [ "3"; "4"; "5"; "6" ]
-    (List.rev !seen)
-
-let test_trace_find_and_disable () =
-  let t = Trace.create () in
-  Trace.record t ~time:1 ~tag:"a" "x";
-  Trace.record t ~time:2 ~tag:"b" "y";
-  Trace.set_enabled t false;
-  Trace.record t ~time:3 ~tag:"a" "z";
-  checki "find by tag" 1 (List.length (Trace.find t ~tag:"a"));
-  checki "disabled drops" 2 (Trace.total_recorded t)
-
 let () =
   Alcotest.run "svt_engine"
     [
@@ -589,11 +554,5 @@ let () =
           Alcotest.test_case "zipf skew" `Quick test_prng_zipf_skew;
           Alcotest.test_case "shuffle permutes" `Quick test_prng_shuffle_permutes;
           QCheck_alcotest.to_alcotest prop_int_in_range;
-        ] );
-      ( "trace",
-        [
-          Alcotest.test_case "record and wrap" `Quick test_trace_records_and_wraps;
-          Alcotest.test_case "iter oldest-first" `Quick test_trace_iter;
-          Alcotest.test_case "find and disable" `Quick test_trace_find_and_disable;
         ] );
     ]

@@ -182,7 +182,8 @@ let test_ept_invept_counts () =
 
 let test_ept_map_range () =
   let e = Ept.create () in
-  Ept.map_range e ~gpa:(gpa 0) ~hpa:(hpa 0x100000) ~len:(3 * 4096) ~perm:Ept.rwx;
+  Ept.map_range e ~gpa:(gpa 0) ~len:(3 * 4096) ~perm:Ept.rwx
+    ~frame:(fun i -> Addr.Hpa.add (hpa 0x100000) (i * 4096));
   checki "three pages" 3 (Ept.mapped_pages e);
   match Ept.translate e ~gpa:(gpa 0x2ABC) ~access:Ept.Read with
   | Ok h -> checki "third page" 0x102ABC (Addr.Hpa.to_int h)
@@ -198,6 +199,124 @@ let prop_ept_translate_preserves_offset =
       match Ept.translate e ~gpa:(Addr.Gpa.add g off) ~access:Ept.Read with
       | Ok h -> Addr.Hpa.offset h = off
       | Error _ -> false)
+
+(* Model-based check: random map / map_range / mark_misconfig / unmap
+   sequences against an association list from guest page to entry.
+   Pages cluster at leaf-table edges, around 512 GB and at the top of the
+   48-bit space (where ranges wrap); frames reach 129 GB. *)
+type ept_op =
+  | Ept_map of int * int * int (* page, frame, perm index *)
+  | Ept_range of int * int * int * int (* page, pages, first frame, perm index *)
+  | Ept_misconfig of int * string
+  | Ept_unmap of int
+
+let ept_page_space = 1 lsl 36
+let perm_of_index i = { Ept.read = i land 1 <> 0; write = i land 2 <> 0; exec = i land 4 <> 0 }
+
+let ept_op_to_string = function
+  | Ept_map (p, f, i) -> Printf.sprintf "map %#x->%#x perm%d" p f i
+  | Ept_range (p, n, f, i) -> Printf.sprintf "range %#x+%d->%#x perm%d" p n f i
+  | Ept_misconfig (p, tag) -> Printf.sprintf "misconfig %#x %s" p tag
+  | Ept_unmap p -> Printf.sprintf "unmap %#x" p
+
+let ept_ops =
+  let open QCheck.Gen in
+  let page =
+    frequency
+      [
+        (3, int_bound 1100);
+        (2, map (fun k -> (1 lsl 27) - 520 + k) (int_bound 1040));
+        (1, map (fun k -> ept_page_space - 1 - k) (int_bound 600));
+        (1, int_bound (ept_page_space - 1));
+      ]
+  in
+  let frame = int_bound (129 lsl 18) and perm = int_bound 7 in
+  let op =
+    frequency
+      [
+        (4, map3 (fun p f i -> Ept_map (p, f, i)) page frame perm);
+        ( 2,
+          map3
+            (fun (p, n) f i -> Ept_range (p, n, f, i))
+            (pair page (frequency [ (4, int_range 1 40); (1, int_range 500 600) ]))
+            frame perm );
+        (2, map2 (fun p tag -> Ept_misconfig (p, tag)) page
+             (oneofl [ "net-doorbell"; "blk-doorbell"; "console" ]));
+        (2, map (fun p -> Ept_unmap p) page);
+      ]
+  in
+  list_size (int_bound 24) op
+
+let prop_ept_matches_model =
+  QCheck.Test.make ~name:"ept agrees with assoc-list model" ~count:150
+    (QCheck.make ept_ops ~print:(fun ops -> String.concat "; " (List.map ept_op_to_string ops)))
+    (fun ops ->
+      let e = Ept.create () in
+      let model = ref [] and touched = ref [] and frames_in_order = ref true in
+      let set page entry =
+        let page = page land (ept_page_space - 1) in
+        touched := page :: !touched;
+        model := List.remove_assoc page !model;
+        Option.iter (fun en -> model := (page, en) :: !model) entry
+      in
+      let page_gpa p = gpa (p * 4096) in
+      List.iter
+        (function
+          | Ept_map (p, f, i) ->
+              Ept.map e ~gpa:(page_gpa p) ~hpa:(hpa (f * 4096)) ~perm:(perm_of_index i);
+              set p (Some (Ept.Page { hpa = hpa (f * 4096); perm = perm_of_index i }))
+          | Ept_range (p, n, f, i) ->
+              let next = ref 0 in
+              Ept.map_range e ~gpa:(page_gpa p) ~len:((n * 4096) - 7)
+                ~perm:(perm_of_index i)
+                ~frame:(fun k ->
+                  if k <> !next then frames_in_order := false;
+                  incr next;
+                  hpa ((f + (3 * k)) * 4096));
+              if !next <> n then frames_in_order := false;
+              for k = 0 to n - 1 do
+                set (p + k)
+                  (Some (Ept.Page { hpa = hpa ((f + (3 * k)) * 4096); perm = perm_of_index i }))
+              done
+          | Ept_misconfig (p, tag) ->
+              Ept.mark_misconfig e ~gpa:(page_gpa p) ~tag;
+              set p (Some (Ept.Misconfig { tag }))
+          | Ept_unmap p ->
+              Ept.unmap e ~gpa:(page_gpa p);
+              set p None)
+        ops;
+      let agrees page =
+        let expected = List.assoc_opt page !model in
+        let g = Addr.Gpa.add (page_gpa page) ((page * 7) land 4095) in
+        let translates access =
+          let want =
+            match expected with
+            | None -> Error (Ept.Violation { gpa = g; access })
+            | Some (Ept.Misconfig { tag }) -> Error (Ept.Misconfiguration { gpa = g; tag })
+            | Some (Ept.Page { hpa = h; perm }) ->
+                let ok =
+                  match access with
+                  | Ept.Read -> perm.Ept.read
+                  | Ept.Write -> perm.Ept.write
+                  | Ept.Exec -> perm.Ept.exec
+                in
+                if ok then Ok (Addr.Hpa.add h (Addr.Gpa.offset g))
+                else Error (Ept.Violation { gpa = g; access })
+          in
+          Ept.translate e ~gpa:g ~access = want
+        in
+        Ept.lookup e (page_gpa page) = expected
+        && List.for_all translates [ Ept.Read; Ept.Write; Ept.Exec ]
+      in
+      let pages =
+        List.sort_uniq compare
+          (List.concat_map (fun p -> [ p; (p + 1) land (ept_page_space - 1) ]) !touched)
+      in
+      let mapped =
+        List.length
+          (List.filter (function _, Ept.Page _ -> true | _ -> false) !model)
+      in
+      !frames_in_order && List.for_all agrees pages && Ept.mapped_pages e = mapped)
 
 (* --- Address space --------------------------------------------------------- *)
 
@@ -221,6 +340,36 @@ let test_aspace_mmio_region_faults () =
   match Aspace.region_of_gpa a bar with
   | Some r -> Alcotest.(check string) "region" "net-doorbell" r.Aspace.name
   | None -> Alcotest.fail "region must exist"
+
+(* Guest RAM and allocated pages take exactly the frames a per-page
+   [Frame_alloc.alloc] sequence hands out, freed frames first. A twin
+   allocator driven through the same frees replays that sequence. *)
+let test_aspace_frames_follow_allocator () =
+  let twin () =
+    let a = Frame_alloc.create ~base:(1 lsl 30) ~size_bytes:(1 lsl 24) in
+    let frames = Frame_alloc.alloc_n a 3 in
+    Frame_alloc.free a (List.nth frames 2);
+    Frame_alloc.free a (List.nth frames 0);
+    a
+  in
+  let alloc = twin () and expected = twin () in
+  let a = Aspace.create ~mem:(Phys_mem.create ()) ~alloc ~ram_bytes:(600 * 4096) in
+  let extra = Aspace.alloc_guest_pages a 5 in
+  let frame_of g =
+    match Aspace.translate a ~gpa:g ~access:Ept.Read with
+    | Ok h -> Addr.Hpa.to_int h
+    | Error _ -> Alcotest.fail "page must map"
+  in
+  for i = 0 to 599 do
+    checki (Printf.sprintf "ram page %d" i)
+      (Addr.Hpa.to_int (Frame_alloc.alloc expected))
+      (frame_of (gpa (i * 4096)))
+  done;
+  for i = 0 to 4 do
+    checki (Printf.sprintf "allocated page %d" i)
+      (Addr.Hpa.to_int (Frame_alloc.alloc expected))
+      (frame_of (Addr.Gpa.add extra (i * 4096)))
+  done
 
 let test_aspace_alloc_pages_mapped () =
   let a = make_aspace () in
@@ -318,6 +467,7 @@ let () =
           Alcotest.test_case "invept counter" `Quick test_ept_invept_counts;
           Alcotest.test_case "map range" `Quick test_ept_map_range;
           QCheck_alcotest.to_alcotest prop_ept_translate_preserves_offset;
+          QCheck_alcotest.to_alcotest prop_ept_matches_model;
         ] );
       ( "address-space",
         [
@@ -326,6 +476,8 @@ let () =
             test_aspace_mmio_region_faults;
           Alcotest.test_case "allocated pages usable" `Quick
             test_aspace_alloc_pages_mapped;
+          Alcotest.test_case "frames follow the allocator" `Quick
+            test_aspace_frames_follow_allocator;
           Alcotest.test_case "cross-page bytes" `Quick test_aspace_bytes_cross_page;
           Alcotest.test_case "copy into mmio faults" `Quick
             test_aspace_copy_into_mmio_faults;

@@ -256,6 +256,42 @@ let test_coverage_slot_keying () =
     (Coverage.slot_of_span (span Span.Vm_exit)
     <> Coverage.slot_of_span (span Span.World_switch))
 
+(* The 64-bit FNV-1a slot hash the native-int one must agree with. *)
+let reference_slot (sp : Span.t) =
+  let prime = 0x100000001b3L in
+  let fold h s =
+    let h = ref h in
+    String.iter
+      (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) prime)
+      s;
+    Int64.mul (Int64.logxor !h 0x1fL) prime
+  in
+  let h = fold 0xcbf29ce484222325L (Span.kind_name sp.Span.kind) in
+  let h =
+    List.fold_left
+      (fun h tag -> match Span.tag sp tag with None -> h | Some v -> fold h v)
+      h
+      [ "reason"; "mode"; "leg"; "cause"; "dir"; "cmd"; "outcome" ]
+  in
+  Int64.to_int (Int64.logand h (Int64.of_int (Coverage.size - 1)))
+
+let prop_coverage_slot_matches_int64 =
+  let gen =
+    let open QCheck.Gen in
+    let str = string_size ~gen:char (int_bound 24) in
+    let key =
+      oneof
+        [ oneofl [ "reason"; "mode"; "leg"; "cause"; "dir"; "cmd"; "outcome"; "vector" ]; str ]
+    in
+    pair (oneofl Span.all_kinds) (list_size (int_bound 6) (pair key str))
+  in
+  QCheck.Test.make ~name:"slot hash = 64-bit FNV-1a reference" ~count:500
+    (QCheck.make gen ~print:(fun (k, tags) ->
+         Span.kind_name k ^ " " ^ String.concat "," (List.map (fun (a, b) -> a ^ "=" ^ b) tags)))
+    (fun (kind, tags) ->
+      let sp = span kind ~tags in
+      Coverage.slot_of_span sp = reference_slot sp)
+
 let test_coverage_merge_and_hex () =
   let a = Coverage.create () and b = Coverage.create () in
   Coverage.mark a 1;
@@ -490,28 +526,37 @@ let test_profiler_does_not_perturb () =
     (Printf.sprintf "exclusive sum within 5%% of wall (drift %.4f)" drift)
     true (drift <= 0.05)
 
-(* Active-sink allocation budget (Gc.quick_stat deltas): with a counting
-   sink subscribed the probe must build real spans, but the per-span
-   construction cost has a hard ceiling. The workload is deterministic,
-   and so is its allocation — only the sink delta is under test. The
-   budget is the checked-in guard: ~5.2 KB/span today (span record plus
-   the instrumentation sites' tag formatting, which only runs when a
-   sink is armed), failing if a change makes arming a sink more than
-   ~1.5x costlier per span. *)
-let alloc_budget_bytes_per_span = 8192.0
+(* The whole-region allocation total is exact: a 10,000-cell int list
+   is 30,000 words, and the profiler's own bookkeeping adds only a few. *)
+let test_profiler_alloc_total_exact () =
+  let prof = Profiler.create () in
+  Profiler.start prof;
+  let l = Sys.opaque_identity (List.init 10_000 Fun.id) in
+  Profiler.stop prof;
+  checki "list kept" 10_000 (List.length l);
+  let words = Profiler.allocated_bytes prof /. float_of_int (Sys.word_size / 8) in
+  checkb
+    (Printf.sprintf "%.0f words counted for a 30000-word list" words)
+    true
+    (words >= 30_000.0 && words <= 30_064.0)
+
+(* Active-sink allocation budget (exact allocated-word deltas): with a
+   counting sink subscribed the probe must build real spans, but the
+   per-span construction cost has a hard ceiling. The workload is
+   deterministic, and so is its allocation — only the sink delta is
+   under test. Measured exactly it is 234 B/span (span record plus the
+   instrumentation sites' tag lists, which are only built when a sink is
+   armed); the budget fails a change that makes arming a sink about
+   twice as costly per span. *)
+let alloc_budget_bytes_per_span = 512.0
 
 let test_counting_sink_alloc_budget () =
   let alloc_of prepare =
     let sys = Runner.make_system point in
     let counted = prepare sys in
-    let g0 = Gc.quick_stat () in
+    let w0 = Profiler.allocated_words () in
     ignore (Runner.workload_metrics point sys : (string * float) list);
-    let g1 = Gc.quick_stat () in
-    let words =
-      g1.Gc.minor_words -. g0.Gc.minor_words
-      +. (g1.Gc.major_words -. g0.Gc.major_words)
-      -. (g1.Gc.promoted_words -. g0.Gc.promoted_words)
-    in
+    let words = Profiler.allocated_words () -. w0 in
     (words *. float_of_int (Sys.word_size / 8), counted)
   in
   ignore (alloc_of (fun _ -> ref 0)) (* warm-up *);
@@ -554,6 +599,7 @@ let () =
       ( "coverage",
         [
           Alcotest.test_case "slot keying" `Quick test_coverage_slot_keying;
+          QCheck_alcotest.to_alcotest prop_coverage_slot_matches_int64;
           Alcotest.test_case "merge and hex" `Quick test_coverage_merge_and_hex;
           Alcotest.test_case "probe sink" `Quick test_coverage_attaches_to_probe;
         ] );
@@ -578,5 +624,7 @@ let () =
             test_profiler_engine_buckets;
           Alcotest.test_case "does not perturb" `Quick
             test_profiler_does_not_perturb;
+          Alcotest.test_case "allocation total exact" `Quick
+            test_profiler_alloc_total_exact;
         ] );
     ]
