@@ -1,14 +1,15 @@
 .PHONY: build test check fmt-check sweep-smoke trace-smoke fault-smoke \
-	resume-smoke sched-smoke cluster-smoke fuzz-smoke ooh-smoke \
-	arm-smoke profile-smoke clean
+	resume-smoke sched-smoke cluster-smoke fuzz-smoke profile-smoke clean
 
 # The default verification bundle: tier-1 tests plus the end-to-end
 # trace-export, fault-injection, crash/resume, consolidation-scheduler,
-# cluster-fleet, fuzzing, OoH-delegation, ARM-backend and self-profiling
-# smoke runs. `dune runtest` also runs the repo benchmark in smoke mode
-# (benchmark/svt_bench.exe --smoke), which checks its pinned digests.
+# cluster-fleet, fuzzing and self-profiling smoke runs. `dune runtest`
+# also diffs the CLI's golden outputs (test/expected: the x86 and ARM
+# fig6 tables and the cluster report) and runs the repo benchmark in
+# smoke mode (benchmark/svt_bench.exe --smoke), which checks its pinned
+# digests.
 check: test trace-smoke fault-smoke resume-smoke sched-smoke cluster-smoke \
-	fuzz-smoke ooh-smoke arm-smoke profile-smoke
+	fuzz-smoke profile-smoke
 
 build:
 	dune build @all
@@ -46,16 +47,16 @@ trace-smoke: build
 	@echo "trace-smoke: trace at _build/trace-smoke.json"
 
 # Determinism gate for the fault injector: the same seed and plan must
-# produce byte-identical ledger rows (the faults subcommand pins wall_s
-# for exactly this reason). A diff here means an injection point consumed
+# produce byte-identical ledger rows (run --out pins wall_s for exactly
+# this reason). A diff here means an injection point consumed
 # PRNG state or virtual time it should not have.
 FAULT_PLAN = drop-ring:0.05,corrupt-vmcs12:0.02,stall-blocked:0.1
 fault-smoke: build
 	rm -f _build/fault-smoke-a.jsonl _build/fault-smoke-b.jsonl
-	dune exec bin/svt_sim.exe -- faults --mode sw-svt --workload rr \
-		--seed 7 --plan $(FAULT_PLAN) --out _build/fault-smoke-a.jsonl
-	dune exec bin/svt_sim.exe -- faults --mode sw-svt --workload rr \
-		--seed 7 --plan $(FAULT_PLAN) --out _build/fault-smoke-b.jsonl
+	dune exec bin/svt_sim.exe -- run --mode sw-svt --workload rr \
+		--seed 7 --fault $(FAULT_PLAN) --out _build/fault-smoke-a.jsonl
+	dune exec bin/svt_sim.exe -- run --mode sw-svt --workload rr \
+		--seed 7 --fault $(FAULT_PLAN) --out _build/fault-smoke-b.jsonl
 	cmp _build/fault-smoke-a.jsonl _build/fault-smoke-b.jsonl
 	@echo "fault-smoke: ledgers byte-identical"
 
@@ -102,24 +103,17 @@ sched-smoke: build
 	@echo "sched-smoke: consolidation ledger byte-identical across jobs=1/2"
 
 # Determinism + fault-tolerance gate for the cluster layer (lib/cluster).
-# Three parts: (1) a fixed-seed host-crash fleet run must reproduce the
-# checked-in report table byte-for-byte — every evacuated tenant visibly
-# re-placed or typed-rejected; (2) a cluster-workload sweep must be
-# byte-identical across jobs=1/jobs=2; (3) the same sweep killed after 2
-# rows (--max-rows, exit 3) and resumed must match the uninterrupted
-# ledger. A diff anywhere means fleet state leaked into a PRNG stream,
-# the placement scan, or the fault rolls.
-CLUSTER_ARGS = --hosts 4 --tenants 10 \
-	--fault host-crash:0.02,host-degrade:0.01 --seed 42
+# A cluster-workload sweep must be byte-identical across jobs=1/jobs=2,
+# and the same sweep killed after 2 rows (--max-rows, exit 3) and resumed
+# must match the uninterrupted ledger. A diff means fleet state leaked
+# into a PRNG stream, the placement scan, or the fault rolls. (The
+# fixed-seed fleet report is a golden file that `dune runtest` diffs.)
 CLUSTER_AXES = --axis workload=cluster --axis mode=baseline,sw-svt \
 	--axis hosts=2 --axis tenants=4 --axis fault=host-crash:0.05 \
 	--axis seed=0,1 --deterministic --quiet
 cluster-smoke: build
-	rm -f _build/cluster-smoke.txt _build/cluster-j1.jsonl \
-		_build/cluster-j2.jsonl _build/cluster-cut.jsonl
-	dune exec bin/svt_sim.exe -- cluster $(CLUSTER_ARGS) \
-		--out _build/cluster-smoke.txt > /dev/null
-	cmp test/expected/cluster-smoke.expected _build/cluster-smoke.txt
+	rm -f _build/cluster-j1.jsonl _build/cluster-j2.jsonl \
+		_build/cluster-cut.jsonl
 	dune exec bin/svt_sim.exe -- sweep $(CLUSTER_AXES) \
 		--jobs 1 --ledger _build/cluster-j1.jsonl
 	dune exec bin/svt_sim.exe -- sweep $(CLUSTER_AXES) \
@@ -131,7 +125,7 @@ cluster-smoke: build
 	dune exec bin/svt_sim.exe -- sweep $(CLUSTER_AXES) \
 		--jobs 2 --resume --ledger _build/cluster-cut.jsonl
 	cmp _build/cluster-j1.jsonl _build/cluster-cut.jsonl
-	@echo "cluster-smoke: report matches expected; ledgers byte-identical across jobs=1/2 and interrupt+resume"
+	@echo "cluster-smoke: ledgers byte-identical across jobs=1/2 and interrupt+resume"
 
 # Determinism + soundness gate for the coverage-guided fuzzer (lib/fuzz):
 # the same fixed-seed batch run with 1 and 2 worker domains must produce
@@ -150,34 +144,6 @@ fuzz-smoke: build
 	grep -q "violations=0" _build/fuzz-smoke.out
 	grep -q "kept=" _build/fuzz-smoke.out && ! grep -q "kept=0 " _build/fuzz-smoke.out
 	@echo "fuzz-smoke: corpus ledger byte-identical across jobs=1/2, no violations"
-
-# Determinism gate for the Out-of-Hypervisor delegation mode: the full
-# Figure 6 strategy table (baseline levels, SW/HW SVt, ooh and the
-# full-nesting upper bound) must be byte-identical across two runs, and
-# the ooh row must actually be present.
-ooh-smoke: build
-	rm -f _build/ooh-fig6-a.txt _build/ooh-fig6-b.txt
-	dune exec bin/svt_sim.exe -- fig6 --out _build/ooh-fig6-a.txt
-	dune exec bin/svt_sim.exe -- fig6 --out _build/ooh-fig6-b.txt
-	cmp _build/ooh-fig6-a.txt _build/ooh-fig6-b.txt
-	grep -q "^OoH" _build/ooh-fig6-a.txt
-	@echo "ooh-smoke: fig6 table byte-identical, OoH column present"
-
-# Determinism + calibration gate for the ARM NV/VHE backend: the ARM
-# fig6 table (with its per-exit latency profile) must be byte-identical
-# across two runs AND match the checked-in expected file — pinning the
-# cross-ISA claim (costlier baseline nested exits, larger SVt speedup)
-# byte-for-byte. HW SVt must be absent (no shadow VMCS on ARM), SW SVt
-# present.
-arm-smoke: build
-	rm -f _build/arm-fig6-a.txt _build/arm-fig6-b.txt
-	dune exec bin/svt_sim.exe -- fig6 --arch arm --out _build/arm-fig6-a.txt
-	dune exec bin/svt_sim.exe -- fig6 --arch arm --out _build/arm-fig6-b.txt
-	cmp _build/arm-fig6-a.txt _build/arm-fig6-b.txt
-	cmp test/expected/arm-fig6.expected _build/arm-fig6-a.txt
-	grep -q "^SW SVt" _build/arm-fig6-a.txt
-	! grep -q "^HW SVt" _build/arm-fig6-a.txt
-	@echo "arm-smoke: ARM fig6 + per-exit table byte-identical and matches expected"
 
 # End-to-end exercise of the self-profiler: run the fig6 cpuid workload
 # with the profiler sink + dispatch observer armed, emit folded stacks,

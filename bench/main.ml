@@ -94,7 +94,10 @@ let campaign_lookup ?run ~label spec =
                     (Spec.canonical_key point))
 
 let header title = Printf.printf "\n==== %s ====\n\n%!" title
-let nested mode = System.create ~mode ~level:System.L2_nested ()
+let nested ?machine ?n_vcpus ?shadow ?multiplex_contexts mode =
+  System.of_config
+    (System.Config.make ?machine ?n_vcpus ?shadow ?multiplex_contexts ~mode
+       ~level:System.L2_nested ())
 
 (* ---------------------------------------------------------------- Table 1 *)
 
@@ -350,7 +353,7 @@ let fig8 () =
     (last_b.Etc.avg_us /. last_s.Etc.avg_us)
     Paper.fig8_avg_speedup;
   (* section 6.3.1 profiling claim *)
-  let s = System.create ~mode:Mode.Baseline ~level:System.L2_nested ~n_vcpus:2 () in
+  let s = nested ~n_vcpus:2 Mode.Baseline in
   let _ = Etc.run_point ~duration ~qps:17_500.0 s in
   let m = System.metrics s in
   let whole = Svt_engine.Simulator.now (System.sim s) in
@@ -470,7 +473,7 @@ let ablation () =
     (fun ns ->
       let cost = { Svt_arch.Cost_model.paper_machine with ctxt_reg_access = ns } in
       let config = { Svt_hyp.Machine.paper_config with cost } in
-      let sys = System.create ~config ~mode:Mode.Hw_svt ~level:System.L2_nested () in
+      let sys = nested ~machine:config Mode.Hw_svt in
       let r = Microbench.measure_cpuid sys in
       Printf.printf "   %3d ns/access  %6.2f us\n%!" ns r.Microbench.per_op_us)
     [ 1; 4; 16; 64 ];
@@ -487,7 +490,7 @@ let ablation () =
       let cost = { Svt_arch.Cost_model.paper_machine with per_reason } in
       let config = { Svt_hyp.Machine.paper_config with cost } in
       let t mode =
-        let sys = System.create ~config ~mode ~level:System.L2_nested () in
+        let sys = nested ~machine:config mode in
         let net, _ = System.attach_net sys in
         let vcpu = System.vcpu0 sys in
         let out = ref 0.0 in
@@ -506,9 +509,7 @@ let ablation () =
   print_endline "e) hardware VMCS shadowing (baseline nested cpuid):";
   List.iter
     (fun (label, shadow) ->
-      let sys =
-        System.create ~shadow ~mode:Mode.Baseline ~level:System.L2_nested ()
-      in
+      let sys = nested ~shadow Mode.Baseline in
       let r = Microbench.measure_cpuid sys in
       Printf.printf "   %-10s %6.2f us\n%!" label r.Microbench.per_op_us)
     [ ("enabled", Svt_vmcs.Shadow.hardware_shadowing_enabled);
@@ -527,10 +528,7 @@ let ablation () =
     \   where L1 and L2 share a hardware context:";
   List.iter
     (fun (label, multiplex_contexts) ->
-      let sys =
-        System.create ~multiplex_contexts ~mode:Mode.Hw_svt
-          ~level:System.L2_nested ()
-      in
+      let sys = nested ~multiplex_contexts Mode.Hw_svt in
       let r = Microbench.measure_cpuid sys in
       Printf.printf "   %-22s %6.2f us\n%!" label r.Microbench.per_op_us)
     [ ("3 contexts (proposal)", false); ("2 contexts (multiplexed)", true) ]
@@ -648,13 +646,8 @@ let sched () =
       Host.run host ~horizon;
       let r = Host.report host in
       let sum f = List.fold_left (fun a tr -> a +. f tr) 0.0 r.Host.tenant_reports in
-      let label =
-        match mode with
-        | Svt_core.Mode.Sw_svt _ ->
-            Printf.sprintf "%s/%s" (Spec.mode_to_string mode) (Policy.name policy)
-        | _ -> Spec.mode_to_string mode
-      in
-      Printf.printf "   %-28s %9.1f %13.2f %9.1f%% %10.2f %9.1f\n%!" label
+      Printf.printf "   %-28s %9.1f %13.2f %9.1f%% %10.2f %9.1f\n%!"
+        (Policy.label mode policy)
         r.Host.aggregate_kops
         (sum (fun tr -> tr.Host.per_exit_us) /. float_of_int (max 1 (List.length r.Host.tenant_reports)))
         (100.0 *. r.Host.occupancy)
@@ -700,13 +693,8 @@ let cluster () =
       Cluster.run fleet ~horizon;
       let r = Cluster.report fleet in
       if not r.Cluster.r_conserved then failwith "cluster: tenant lost";
-      let label =
-        match mode with
-        | Svt_core.Mode.Sw_svt _ ->
-            Printf.sprintf "%s/%s" (Spec.mode_to_string mode) (Policy.name policy)
-        | _ -> Spec.mode_to_string mode
-      in
-      Printf.printf "   %-28s %9.1f %7d %7d %7d %7d %12.2f\n%!" label
+      Printf.printf "   %-28s %9.1f %7d %7d %7d %7d %12.2f\n%!"
+        (Policy.label mode policy)
         r.Cluster.r_aggregate_kops r.Cluster.r_placed r.Cluster.r_evictions
         r.Cluster.r_readmissions r.Cluster.r_quarantines
         r.Cluster.r_survivor_p99_per_exit_us)
@@ -742,8 +730,7 @@ let bechamel () =
         (Staged.stage (fun () ->
              ignore
                (Etc.run_point ~duration:(Svt_engine.Time.of_ms 2) ~qps:10_000.0
-                  (System.create ~mode:Mode.Baseline ~level:System.L2_nested
-                     ~n_vcpus:2 ()))));
+                  (nested ~n_vcpus:2 Mode.Baseline))));
       Test.make ~name:"fig9: 10ms of TPC-C"
         (Staged.stage (fun () ->
              ignore (Tpcc.run ~duration:(Svt_engine.Time.of_ms 10) (nested Mode.Baseline))));

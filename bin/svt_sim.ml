@@ -1,12 +1,15 @@
 (* svt_sim: command-line front end to the SVt simulator.
 
-   Every experiment of the paper's evaluation is available as a
-   subcommand with its parameters exposed, e.g.:
+   One campaign point (any registry workload, any arch, mode and level)
+   runs through `run`; `trace` and `profile` run the same point with the
+   tracing sinks or the self-profiler attached. For example:
 
-       svt_sim cpuid  --mode hw-svt --level l2
-       svt_sim rr     --mode baseline --transactions 500
-       svt_sim etc    --qps 15000 --mode sw-svt --duration-ms 100
-       svt_sim video  --fps 120 --seconds 300
+       svt_sim run -w cpuid --mode hw-svt --level l2
+       svt_sim run -w rr --arch arm --mode sw-svt
+       svt_sim run -w rr --mode sw-svt --seed 7 --fault drop-ring:0.05
+       svt_sim trace -w etc --mode sw-svt --out etc.json
+       svt_sim sweep --axis mode=baseline,sw-svt,hw-svt --axis level=l1,l2
+       svt_sim fig6 --arch arm
        svt_sim blocked-demo
 
    (The bench harness `bench/main.exe` drives the same code to regenerate
@@ -14,32 +17,28 @@
 
 open Cmdliner
 module Time = Svt_engine.Time
+module Simulator = Svt_engine.Simulator
 module Mode = Svt_core.Mode
 module System = Svt_core.System
 module Guest = Svt_core.Guest
 module Vcpu = Svt_hyp.Vcpu
-module Breakdown = Svt_hyp.Breakdown
+module Spec = Svt_campaign.Spec
+module Runner = Svt_campaign.Runner
 
 (* ---- common arguments ---- *)
 
-(* The CLI shares the campaign axis grammar's name tables (which in turn
-   defer to Wait.Kind for the wait-mechanism selector), so "sw-svt-mwait"
-   or "sw-svt-polling@cross-numa" mean the same thing everywhere. *)
-let mode_conv =
-  let parse s =
-    match Svt_campaign.Spec.mode_of_string s with
-    | Ok m -> Ok m
-    | Error e -> Error (`Msg e)
-  in
-  Arg.conv (parse, fun ppf m -> Fmt.string ppf (Svt_campaign.Spec.mode_to_string m))
+(* Every CLI value parses through its type's own name table (the one the
+   campaign axis grammar uses), so "sw-svt-mwait" or
+   "sw-svt-polling@cross-numa" mean the same thing everywhere. *)
+let conv_of_result of_string to_string =
+  Arg.conv
+    ( (fun s -> Result.map_error (fun e -> `Msg e) (of_string s)),
+      fun ppf v -> Fmt.string ppf (to_string v) )
 
-let level_conv =
-  let parse s =
-    match Svt_campaign.Spec.level_of_string s with
-    | Ok l -> Ok l
-    | Error e -> Error (`Msg e)
-  in
-  Arg.conv (parse, fun ppf l -> Fmt.string ppf (Svt_campaign.Spec.level_to_string l))
+let mode_conv = conv_of_result Mode.of_string Mode.to_string
+let level_conv = conv_of_result Spec.level_of_string Spec.level_to_string
+let arch_conv =
+  conv_of_result Svt_arch.Backend.of_string Svt_arch.Backend.to_string
 
 let mode_arg =
   Arg.(value & opt mode_conv Mode.Baseline
@@ -53,14 +52,6 @@ let level_arg =
        & info [ "l"; "level" ] ~docv:"LEVEL"
            ~doc:"Where the guest under test runs: l0 (native), l1, l2 (nested).")
 
-let arch_conv =
-  let parse s =
-    match Svt_arch.Backend.of_string s with
-    | Ok k -> Ok k
-    | Error e -> Error (`Msg e)
-  in
-  Arg.conv (parse, fun ppf k -> Fmt.string ppf (Svt_arch.Backend.to_string k))
-
 let arch_arg =
   Arg.(value & opt arch_conv Svt_arch.Backend.X86
        & info [ "arch" ] ~docv:"ARCH"
@@ -68,173 +59,48 @@ let arch_arg =
                  or arm (NV/VHE, memory-backed system-register image; no \
                  shadow VMCS and no hw-svt mode).")
 
-let duration_ms =
-  Arg.(value & opt int 100
-       & info [ "duration-ms" ] ~docv:"MS" ~doc:"Run duration in simulated ms.")
-
-let make_sys ?(n_vcpus = 1) mode level = System.create ~mode ~level ~n_vcpus ()
-
-(* ---- cpuid ---- *)
-
-let cpuid_cmd =
-  let run mode level workload =
-    let sys = make_sys mode level in
-    let r = Svt_workloads.Microbench.measure_cpuid ~workload sys in
-    Printf.printf "cpuid at %s under %s: %.2f us/op (%d samples)\n"
-      (System.level_name level) (Mode.name mode) r.Svt_workloads.Microbench.per_op_us
-      r.Svt_workloads.Microbench.stats.Svt_stats.Convergence.samples_used;
-    List.iter
-      (fun (name, t, pct) ->
-        Printf.printf "  %-28s %10s  %5.1f%%\n" name (Time.to_string t) pct)
-      r.Svt_workloads.Microbench.breakdown
-  in
+(* The one spelling of a single campaign point on the command line: run,
+   trace and profile all build their Spec.point from this term. The
+   workload is an enum over [workloads], so an unknown name is a usage
+   error (exit 124) rather than an exception. *)
+let point_term workloads =
   let workload =
+    Arg.(value & opt (enum (List.map (fun w -> (w, w)) workloads)) "cpuid"
+         & info [ "w"; "workload" ] ~docv:"NAME"
+             ~doc:("Campaign registry workload: " ^ doc_alts workloads ^ "."))
+  in
+  let vcpus =
+    Arg.(value & opt int 1 & info [ "vcpus" ] ~docv:"N" ~doc:"Guest vCPUs.")
+  in
+  let seed =
     Arg.(value & opt int 0
-         & info [ "workload" ] ~docv:"N" ~doc:"Dependent increments per iteration.")
+         & info [ "seed" ] ~docv:"N"
+             ~doc:"Replication index, folded into the run id (and so into \
+                   every PRNG stream of the run, fault streams included).")
   in
-  Cmd.v
-    (Cmd.info "cpuid" ~doc:"The cpuid micro-benchmark (Table 1 / Figure 6).")
-    Term.(const run $ mode_arg $ level_arg $ workload)
-
-(* ---- network ---- *)
-
-let rr_cmd =
-  let run mode level transactions =
-    let sys = make_sys mode level in
-    let r = Svt_workloads.Netperf.run_rr ~transactions sys in
-    Printf.printf "TCP_RR (%s, %s): mean %.1f us, p99 %.1f us over %d transactions\n"
-      (System.level_name level) (Mode.name mode) r.Svt_workloads.Netperf.mean_rtt_us
-      r.Svt_workloads.Netperf.p99_rtt_us r.Svt_workloads.Netperf.transactions
+  let point arch mode level workload vcpus seed =
+    Spec.point ~arch ~level ~workload ~vcpus ~seed mode
   in
-  let transactions =
-    Arg.(value & opt int 300 & info [ "transactions" ] ~docv:"N" ~doc:"Round trips.")
-  in
-  Cmd.v
-    (Cmd.info "rr" ~doc:"netperf TCP_RR latency (Figure 7).")
-    Term.(const run $ mode_arg $ level_arg $ transactions)
+  Term.(const point $ arch_arg $ mode_arg $ level_arg $ workload $ vcpus
+        $ seed)
 
-let stream_cmd =
-  let run mode level ms =
-    let sys = make_sys mode level in
-    let r = Svt_workloads.Netperf.run_stream ~duration:(Time.of_ms ms) sys in
-    Printf.printf "TCP_STREAM (%s, %s): %.0f Mbps (%d packets)\n"
-      (System.level_name level) (Mode.name mode) r.Svt_workloads.Netperf.mbps
-      r.Svt_workloads.Netperf.packets
-  in
-  Cmd.v
-    (Cmd.info "stream" ~doc:"netperf TCP_STREAM throughput (Figure 7).")
-    Term.(const run $ mode_arg $ level_arg $ duration_ms)
-
-(* ---- disk ---- *)
-
-let op_conv =
-  let parse = function
-    | "randread" | "read" -> Ok Svt_workloads.Disk.Randread
-    | "randwrite" | "write" -> Ok Svt_workloads.Disk.Randwrite
-    | s -> Error (`Msg (Printf.sprintf "unknown op %S" s))
-  in
-  Arg.conv (parse, fun ppf o -> Fmt.string ppf (Svt_workloads.Disk.op_name o))
-
-let op_arg =
-  Arg.(value & opt op_conv Svt_workloads.Disk.Randread
-       & info [ "op" ] ~docv:"OP" ~doc:"randread or randwrite.")
-
-let ops_arg = Arg.(value & opt int 250 & info [ "ops" ] ~docv:"N" ~doc:"Operations.")
-
-let ioping_cmd =
-  let run mode level op ops =
-    let sys = make_sys mode level in
-    let r = Svt_workloads.Disk.run_ioping ~ops ~op sys in
-    Printf.printf "ioping %s (%s, %s): mean %.1f us, p99 %.1f us\n"
-      (Svt_workloads.Disk.op_name op) (System.level_name level) (Mode.name mode)
-      r.Svt_workloads.Disk.mean_us r.Svt_workloads.Disk.p99_us
-  in
-  Cmd.v
-    (Cmd.info "ioping" ~doc:"512 B disk latency at QD1 (Figure 7).")
-    Term.(const run $ mode_arg $ level_arg $ op_arg $ ops_arg)
-
-let fio_cmd =
-  let run mode level op ops depth =
-    let sys = make_sys mode level in
-    let r = Svt_workloads.Disk.run_fio ~ops ~depth ~op sys in
-    Printf.printf "fio %s QD%d (%s, %s): %.0f KB/s\n"
-      (Svt_workloads.Disk.op_name op) depth (System.level_name level)
-      (Mode.name mode) r.Svt_workloads.Disk.kb_per_sec
-  in
-  let depth = Arg.(value & opt int 8 & info [ "depth" ] ~docv:"N" ~doc:"Queue depth.") in
-  Cmd.v
-    (Cmd.info "fio" ~doc:"4 KB disk bandwidth (Figure 7).")
-    Term.(const run $ mode_arg $ level_arg $ op_arg $ ops_arg $ depth)
-
-(* ---- applications ---- *)
-
-let etc_cmd =
-  let run mode qps ms =
-    let sys = System.create ~mode ~level:System.L2_nested ~n_vcpus:2 () in
-    let r =
-      Svt_workloads.Etc_workload.run_point ~duration:(Time.of_ms ms)
-        ~qps:(float_of_int qps) sys
-    in
-    Printf.printf
-      "ETC at %d qps (%s): achieved %.0f qps, avg %.1f us, p99 %.1f us (%d requests)\n"
-      qps (Mode.name mode) r.Svt_workloads.Etc_workload.achieved_qps
-      r.Svt_workloads.Etc_workload.avg_us r.Svt_workloads.Etc_workload.p99_us
-      r.Svt_workloads.Etc_workload.requests
-  in
-  let qps = Arg.(value & opt int 15000 & info [ "qps" ] ~docv:"QPS" ~doc:"Offered load.") in
-  Cmd.v
-    (Cmd.info "etc" ~doc:"memcached with Facebook's ETC workload (Figure 8).")
-    Term.(const run $ mode_arg $ qps $ duration_ms)
-
-let tpcc_cmd =
-  let run mode ms =
-    let sys = make_sys mode System.L2_nested in
-    let r = Svt_workloads.Tpcc.run ~duration:(Time.of_ms ms) sys in
-    Printf.printf "TPC-C (%s): %.0f tpm (%d transactions, %d new-order)\n"
-      (Mode.name mode) r.Svt_workloads.Tpcc.tpm r.Svt_workloads.Tpcc.transactions
-      r.Svt_workloads.Tpcc.new_orders
-  in
-  Cmd.v
-    (Cmd.info "tpcc" ~doc:"TPC-C over the mini storage engine (Figure 9).")
-    Term.(const run $ mode_arg $ duration_ms)
-
-let video_cmd =
-  let run mode fps seconds =
-    let sys = make_sys mode System.L2_nested in
-    let r = Svt_workloads.Video.run ~seconds ~fps sys in
-    Printf.printf
-      "video %d fps for %ds (%s): %d dropped of %d frames (idle %.0f%%)\n" fps
-      seconds (Mode.name mode) r.Svt_workloads.Video.dropped
-      r.Svt_workloads.Video.frames
-      (100.0 *. r.Svt_workloads.Video.idle_fraction)
-  in
-  let fps = Arg.(value & opt int 120 & info [ "fps" ] ~docv:"FPS" ~doc:"Frame rate.") in
-  let seconds =
-    Arg.(value & opt int 300 & info [ "seconds" ] ~docv:"S" ~doc:"Playback length.")
-  in
-  Cmd.v
-    (Cmd.info "video" ~doc:"Soft-realtime video playback (Figure 10).")
-    Term.(const run $ mode_arg $ fps $ seconds)
+(* A point that spends its event fuel is a timeout, as in a sweep row:
+   print the fuel counters and exit 1. *)
+let exit_on_timeout f =
+  try f ()
+  with Simulator.Budget_exhausted { events; now; fuel } ->
+    Printf.printf "timeout %s\n"
+      (String.concat " "
+         (List.map
+            (fun (k, v) -> Printf.sprintf "%s=%.15g" k v)
+            (Runner.fuel_metrics ~events ~now fuel)));
+    exit 1
 
 (* ---- trace export ---- *)
 
 let trace_cmd =
-  let module Spec = Svt_campaign.Spec in
-  let module Runner = Svt_campaign.Runner in
   let module Recorder = Svt_obs.Recorder in
   let module Timeline = Svt_obs.Timeline in
-  let workload_arg =
-    Arg.(value & opt string "cpuid"
-         & info [ "w"; "workload" ] ~docv:"NAME"
-             ~doc:"Workload to drive (a campaign registry name: cpuid, rr, \
-                   stream, ioping, fio, etc, tpcc, video).")
-  in
-  let vcpus_arg =
-    Arg.(value & opt int 1 & info [ "vcpus" ] ~docv:"N" ~doc:"Guest vCPUs.")
-  in
-  let seed_arg =
-    Arg.(value & opt int 0 & info [ "seed" ] ~docv:"N" ~doc:"Replication index.")
-  in
   let out_arg =
     Arg.(value & opt string "trace.json"
          & info [ "o"; "out" ] ~docv:"PATH"
@@ -299,22 +165,24 @@ let trace_cmd =
         Printf.eprintf "trace: %s is not a JSON object\n" path;
         exit 1
   in
-  let run mode level workload vcpus seed out validate =
-    let p = Spec.point ~level ~workload ~vcpus ~seed mode in
-    let sys = Runner.make_system p in
+  let run (p : Spec.point) out validate =
+    let sys =
+      Runner.make_system ~max_sim_events:Runner.default_max_sim_events p
+    in
     let tl = Recorder.enable_timeline (System.obs sys) in
     let ct = Recorder.enable_chrome (System.obs sys) in
-    let metrics = Runner.workload_metrics p sys in
+    let metrics = exit_on_timeout (fun () -> Runner.workload_metrics p sys) in
     Svt_obs.Chrome_trace.write_file ct out;
-    Printf.printf "%s at %s under %s: %d spans -> %s\n" workload
-      (System.level_name level) (Mode.name mode) (Timeline.total_spans tl) out;
+    Printf.printf "%s at %s under %s: %d spans -> %s\n" p.Spec.workload
+      (System.level_name p.Spec.level) (Mode.name p.Spec.mode)
+      (Timeline.total_spans tl) out;
     if Svt_obs.Chrome_trace.dropped ct > 0 then
       Printf.printf "  (%d spans beyond the export limit were dropped)\n"
         (Svt_obs.Chrome_trace.dropped ct);
     Format.printf "%a@?" Timeline.pp tl;
     print_endline "workload metrics:";
     List.iter (fun (k, v) -> Printf.printf "  %-24s %g\n" k v) metrics;
-    if validate then validate_file level out
+    if validate then validate_file p.Spec.level out
   in
   Cmd.v
     (Cmd.info "trace"
@@ -326,29 +194,14 @@ let trace_cmd =
            `P "svt_sim trace --mode baseline --level l2 --out trace.json; \
                then open the file in https://ui.perfetto.dev";
          ])
-    Term.(const run $ mode_arg $ level_arg $ workload_arg $ vcpus_arg
-          $ seed_arg $ out_arg $ validate_arg)
+    Term.(const run $ point_term Runner.stack_workload_names $ out_arg
+          $ validate_arg)
 
 (* ---- self-profiling ---- *)
 
 let profile_cmd =
-  let module Spec = Svt_campaign.Spec in
-  let module Runner = Svt_campaign.Runner in
   let module Profiler = Svt_obs.Profiler in
   let module Probe = Svt_obs.Probe in
-  let module Simulator = Svt_engine.Simulator in
-  let workload_arg =
-    Arg.(value & opt string "cpuid"
-         & info [ "w"; "workload" ] ~docv:"NAME"
-             ~doc:"Workload to profile (a campaign registry name: cpuid, rr, \
-                   stream, ioping, fio, etc, tpcc, video).")
-  in
-  let vcpus_arg =
-    Arg.(value & opt int 1 & info [ "vcpus" ] ~docv:"N" ~doc:"Guest vCPUs.")
-  in
-  let seed_arg =
-    Arg.(value & opt int 0 & info [ "seed" ] ~docv:"N" ~doc:"Replication index.")
-  in
   let format_arg =
     Arg.(value & opt (enum [ ("folded", `Folded); ("table", `Table);
                              ("json", `Json) ])
@@ -428,14 +281,15 @@ let profile_cmd =
             (String.split_on_char '\n' folded)))
       (100.0 *. drift)
   in
-  let run mode level workload vcpus seed format metric out validate =
-    let p = Spec.point ~level ~workload ~vcpus ~seed mode in
-    let sys = Runner.make_system p in
+  let run (p : Spec.point) format metric out validate =
+    let sys =
+      Runner.make_system ~max_sim_events:Runner.default_max_sim_events p
+    in
     let prof = Profiler.create () in
     Probe.subscribe (System.probe sys) (Profiler.sink prof);
     Simulator.set_observer (System.sim sys) (Some (Profiler.observer prof));
     Profiler.start prof;
-    let metrics = Runner.workload_metrics p sys in
+    let metrics = exit_on_timeout (fun () -> Runner.workload_metrics p sys) in
     Profiler.stop prof;
     let q = Simulator.queue_stats (System.sim sys) in
     let extra =
@@ -457,7 +311,7 @@ let profile_cmd =
       Fmt.pf ppf
         "%s at %s under %s: %.3f ms wall, %d spans, %d events, %.0f KB \
          allocated (queue: %d adds, %d pops, peak %d live)"
-        workload (System.level_name level) (Mode.name mode)
+        p.Spec.workload (System.level_name p.Spec.level) (Mode.name p.Spec.mode)
         (1e3 *. Profiler.wall_s prof)
         (Profiler.spans prof) (Profiler.events prof)
         (Profiler.allocated_bytes prof /. 1024.0)
@@ -491,15 +345,13 @@ let profile_cmd =
            `P "svt_sim profile --format table | head -30 shows the hot \
                aggregate paths directly.";
          ])
-    Term.(const run $ mode_arg $ level_arg $ workload_arg $ vcpus_arg
-          $ seed_arg $ format_arg $ metric_arg $ out_arg $ validate_arg)
+    Term.(const run $ point_term Runner.stack_workload_names $ format_arg
+          $ metric_arg $ out_arg $ validate_arg)
 
 (* ---- campaign sweeps ---- *)
 
 let sweep_cmd =
-  let module Spec = Svt_campaign.Spec in
   let module Campaign = Svt_campaign.Campaign in
-  let module Runner = Svt_campaign.Runner in
   let axis_conv =
     let parse s =
       match Spec.parse_axis s with Ok a -> Ok a | Error e -> Error (`Msg e)
@@ -562,7 +414,7 @@ let sweep_cmd =
                    record it quarantined with its backtrace.")
   in
   let max_sim_events =
-    Arg.(value & opt int Svt_campaign.Runner.default_max_sim_events
+    Arg.(value & opt int Runner.default_max_sim_events
          & info [ "max-sim-events" ] ~docv:"N"
              ~doc:"Deterministic fuel budget: abort a run as status timeout \
                    after N simulator events.")
@@ -683,116 +535,6 @@ let sweep_diff_cmd =
        ~doc:"Diff two campaign ledgers run_id by run_id (exit 1 on drift).")
     Term.(const run $ old_arg $ new_arg)
 
-(* ---- fault injection ---- *)
-
-let faults_cmd =
-  let module Spec = Svt_campaign.Spec in
-  let module Runner = Svt_campaign.Runner in
-  let module Ledger = Svt_campaign.Ledger in
-  let module Plan = Svt_fault.Plan in
-  let mode_arg =
-    Arg.(value & opt mode_conv Mode.sw_svt_default
-         & info [ "m"; "mode" ] ~docv:"MODE"
-             ~doc:"Run mode (default sw-svt: the mode with the most \
-                   injection sites).")
-  in
-  let workload_arg =
-    Arg.(value & opt string "cpuid"
-         & info [ "w"; "workload" ] ~docv:"NAME"
-             ~doc:"Workload to drive under faults (campaign registry name).")
-  in
-  let vcpus_arg =
-    Arg.(value & opt int 1 & info [ "vcpus" ] ~docv:"N" ~doc:"Guest vCPUs.")
-  in
-  let seed_arg =
-    Arg.(value & opt int 0
-         & info [ "seed" ] ~docv:"N"
-             ~doc:"Replication index; the fault PRNG streams are derived \
-                   from it, so the same seed and plan replay the same \
-                   faults.")
-  in
-  let plan_arg =
-    Arg.(value & opt string ""
-         & info [ "plan" ] ~docv:"PLAN"
-             ~doc:"Fault plan: comma-separated kind:rate pairs, e.g. \
-                   drop-ring:0.01,corrupt-vmcs12:0.02. Kinds: drop-ring, \
-                   dup-ring, delay-ring, corrupt-ring, corrupt-vmcs12, \
-                   drop-irq, spurious-irq, stall-blocked. Empty means no \
-                   faults.")
-  in
-  let out_arg =
-    Arg.(value & opt (some string) None
-         & info [ "o"; "out" ] ~docv:"PATH"
-             ~doc:"Append the run's ledger row (JSONL) to PATH. Rows are \
-                   byte-deterministic for a given seed and plan, so two \
-                   ledgers from identical invocations diff empty.")
-  in
-  let run mode level workload vcpus seed plan_s out =
-    match Plan.of_string plan_s with
-    | Error e ->
-        Printf.eprintf "faults: %s\n" e;
-        exit 2
-    | Ok plan ->
-        let p =
-          Spec.point ~level ~workload ~vcpus ~seed
-            ~fault:(Plan.to_string plan) mode
-        in
-        let metrics = Runner.exec p in
-        Printf.printf "%s\n" (Spec.canonical_key p);
-        Printf.printf "run_id %s\n" (Spec.run_id p);
-        let faulty, plain =
-          List.partition
-            (fun (k, _) -> String.length k > 6 && String.sub k 0 6 = "fault.")
-            metrics
-        in
-        List.iter (fun (k, v) -> Printf.printf "  %-28s %g\n" k v) plain;
-        if Plan.is_empty plan then
-          print_endline "fault outcomes: (empty plan, injector inert)"
-        else begin
-          print_endline "fault outcomes:";
-          if faulty = [] then print_endline "  (no faults fired)"
-          else
-            List.iter
-              (fun (k, v) ->
-                Printf.printf "  %-28s %.0f\n"
-                  (String.sub k 6 (String.length k - 6)) v)
-              faulty
-        end;
-        match out with
-        | None -> ()
-        | Some path ->
-            (* wall_s is pinned to 0.0: it is the one nondeterministic
-               field, and this subcommand's ledger rows are byte-diffed
-               by `make fault-smoke`. *)
-            let entry =
-              {
-                Ledger.run_id = Spec.run_id p;
-                point = p;
-                status = "ok";
-                error = None;
-                attempts = 1;
-                wall_s = 0.0;
-                metrics;
-                data = [];
-              }
-            in
-            Ledger.write path [ entry ];
-            Printf.printf "ledger row -> %s\n" path
-  in
-  Cmd.v
-    (Cmd.info "faults"
-       ~doc:"Run one workload under a seeded fault-injection plan and \
-             report the typed fault outcomes."
-       ~man:
-         [
-           `S Manpage.s_examples;
-           `P "svt_sim faults --seed 7 --plan drop-ring:0.01; repeat with \
-               the same seed and plan and the ledger rows are \
-               byte-identical.";
-         ])
-    Term.(const run $ mode_arg $ level_arg $ workload_arg $ vcpus_arg
-          $ seed_arg $ plan_arg $ out_arg)
-
 (* ---- host consolidation (lib/sched) ---- *)
 
 let sched_cmd =
@@ -831,7 +573,7 @@ let sched_cmd =
               Some (String.sub s (i + 1) (String.length s - i - 1)) )
         | None -> (s, None)
       in
-      match Svt_campaign.Spec.mode_of_string mode_s with
+      match Mode.of_string mode_s with
       | Error e -> Error (`Msg e)
       | Ok mode -> (
           match policy_s with
@@ -841,10 +583,7 @@ let sched_cmd =
               | Ok p -> Ok (mode, p)
               | Error e -> Error (`Msg e)))
     in
-    Arg.conv
-      ( parse,
-        fun ppf (m, p) ->
-          Fmt.pf ppf "%s/%s" (Svt_campaign.Spec.mode_to_string m) (Policy.name p) )
+    Arg.conv (parse, fun ppf (m, p) -> Fmt.string ppf (Policy.label m p))
   in
   let configs_arg =
     Arg.(value & opt_all config_conv []
@@ -885,15 +624,7 @@ let sched_cmd =
     let failures = ref 0 in
     List.iter
       (fun (mode, policy) ->
-        let label =
-          (* the policy only means something for SW SVt stacks *)
-          match mode with
-          | Mode.Sw_svt _ ->
-              Printf.sprintf "%s/%s"
-                (Svt_campaign.Spec.mode_to_string mode)
-                (Svt_sched.Policy.name policy)
-          | _ -> Svt_campaign.Spec.mode_to_string mode
-        in
+        let label = Policy.label mode policy in
         let topology =
           Topology.create ~sockets:1 ~cores_per_socket:cores
             ~smt_per_core:smt ()
@@ -978,22 +709,11 @@ let cluster_cmd =
     Arg.(value & opt int 1 & info [ "vcpus" ] ~docv:"N" ~doc:"vCPUs per tenant.")
   in
   let mode_arg =
-    let mode_conv =
-      Arg.conv
-        ( (fun s ->
-            Result.map_error (fun e -> `Msg e)
-              (Svt_campaign.Spec.mode_of_string s)),
-          fun ppf m -> Fmt.string ppf (Svt_campaign.Spec.mode_to_string m) )
-    in
     Arg.(value & opt mode_conv Mode.sw_svt_default
          & info [ "mode" ] ~docv:"MODE" ~doc:"Tenant run mode.")
   in
   let policy_arg =
-    let policy_conv =
-      Arg.conv
-        ( (fun s -> Result.map_error (fun e -> `Msg e) (Policy.of_string s)),
-          fun ppf p -> Fmt.string ppf (Policy.name p) )
-    in
+    let policy_conv = conv_of_result Policy.of_string Policy.name in
     Arg.(value & opt policy_conv Policy.Dedicated_sibling
          & info [ "policy" ] ~docv:"POLICY"
              ~doc:"Requested SVt-thread policy (the controller may degrade \
@@ -1013,10 +733,7 @@ let cluster_cmd =
   in
   let strategy_arg =
     let strategy_conv =
-      Arg.conv
-        ( (fun s ->
-            Result.map_error (fun e -> `Msg e) (Admission.strategy_of_string s)),
-          Admission.pp_strategy )
+      conv_of_result Admission.strategy_of_string Admission.strategy_name
     in
     Arg.(value & opt strategy_conv Admission.Bin_pack
          & info [ "strategy" ] ~docv:"bin-pack|spread" ~doc:"Placement strategy.")
@@ -1119,7 +836,10 @@ let cluster_cmd =
    the event is serviced mid-episode. *)
 let blocked_demo_cmd =
   let run () =
-    let sys = make_sys Mode.sw_svt_default System.L2_nested in
+    let sys =
+      System.of_config
+        (System.Config.make ~mode:Mode.sw_svt_default ~level:System.L2_nested ())
+    in
     let vcpu = System.vcpu0 sys in
     let serviced_at = ref Time.zero in
     Vcpu.spawn_program vcpu (fun v ->
@@ -1246,7 +966,8 @@ let fuzz_cmd =
 (* The three-strategy comparison in one table: baseline reflection at
    every level, SVt acceleration (SW and HW), delegation (OoH) and the
    full-nesting upper bound. Everything in it is simulated, so two runs
-   produce byte-identical output — `make ooh-smoke` relies on that. *)
+   produce byte-identical output: `dune runtest` diffs the x86 and ARM
+   tables against test/expected. *)
 let fig6_cmd =
   let module Microbench = Svt_workloads.Microbench in
   let out_arg =
@@ -1273,8 +994,8 @@ let fig6_cmd =
       rows;
     (* Per-exit latency profile: nested baseline vs this backend's SVt,
        with the backend's own exit spellings. On ARM every baseline row
-       is costlier and every speedup larger — the claim the arm-smoke
-       gate pins byte-for-byte. *)
+       is costlier and every speedup larger — the claim
+       test/expected/arm-fig6.expected pins byte-for-byte. *)
     let exits = Microbench.per_exit_table ~arch () in
     Buffer.add_string buf
       (Printf.sprintf "\nper-exit L2 latency [%s]\n"
@@ -1307,27 +1028,56 @@ let fig6_cmd =
 (* ---- run one campaign point ---- *)
 
 let run_cmd =
-  let module Spec = Svt_campaign.Spec in
-  let workload_arg =
-    Arg.(value & opt string "cpuid"
-         & info [ "w"; "workload" ] ~docv:"NAME"
-             ~doc:"Workload from the campaign registry (cpuid, rr, stream, \
-                   ioping, fio, etc, tpcc, video, consolidate, ...).")
+  let module Ledger = Svt_campaign.Ledger in
+  let module Plan = Svt_fault.Plan in
+  let fault_arg =
+    let plan_conv =
+      (* canonicalised, so equivalent spellings share one run id *)
+      conv_of_result
+        (fun s -> Result.map Plan.to_string (Plan.of_string s))
+        Fun.id
+    in
+    Arg.(value & opt plan_conv ""
+         & info [ "fault" ] ~docv:"PLAN"
+             ~doc:"Stack fault plan: comma-separated kind:rate pairs, e.g. \
+                   drop-ring:0.01,corrupt-vmcs12:0.02. Kinds: drop-ring, \
+                   dup-ring, delay-ring, corrupt-ring, corrupt-vmcs12, \
+                   drop-irq, spurious-irq, stall-blocked. The fault streams \
+                   derive from the run id, so the same point and plan replay \
+                   the same faults; the fault.* metrics report the outcomes.")
   in
-  let vcpus_arg =
-    Arg.(value & opt int 1 & info [ "vcpus" ] ~docv:"N" ~doc:"Guest vCPUs.")
+  let out_arg =
+    Arg.(value & opt (some string) None
+         & info [ "o"; "out" ] ~docv:"PATH"
+             ~doc:"Append the run's ledger row (JSONL) to PATH. wall_s is \
+                   pinned to 0, so two identical invocations write \
+                   byte-identical rows.")
   in
-  let seed_arg =
-    Arg.(value & opt int 0 & info [ "seed" ] ~docv:"N" ~doc:"Workload seed.")
-  in
-  let run arch mode level workload vcpus seed =
-    let p = Spec.point ~arch ~level ~workload ~vcpus ~seed mode in
-    let metrics = Svt_campaign.Runner.exec p in
+  let run p fault out =
+    let p = { p with Spec.fault } in
+    let metrics = exit_on_timeout (fun () -> Runner.exec p) in
     Printf.printf "key    %s\n" (Spec.canonical_key p);
     Printf.printf "run_id %s\n" (Spec.run_id p);
     List.iter
       (fun (k, v) -> Printf.printf "%-32s %.6g\n" k v)
-      (List.sort (fun (a, _) (b, _) -> compare a b) metrics)
+      (List.sort (fun (a, _) (b, _) -> compare a b) metrics);
+    Option.iter
+      (fun path ->
+        Ledger.write path
+          [
+            {
+              Ledger.run_id = Spec.run_id p;
+              point = p;
+              status = "ok";
+              error = None;
+              attempts = 1;
+              wall_s = 0.0;
+              metrics;
+              data = [];
+            };
+          ];
+        Printf.printf "ledger row -> %s\n" path)
+      out
   in
   Cmd.v
     (Cmd.info "run"
@@ -1339,9 +1089,14 @@ let run_cmd =
            `P "svt_sim run --mode ooh; svt_sim run --mode ooh -w rr; \
                svt_sim run --arch arm --mode sw-svt; svt_sim run --mode \
                sw-svt -w consolidate";
+           `P "svt_sim run --mode sw-svt -w rr --seed 7 --fault \
+               drop-ring:0.01 --out faults.jsonl; repeat it and the \
+               ledger rows are byte-identical.";
+           `P "Exit status: 0 ok, 1 the run spent its event fuel (a \
+               timeout line with the fuel counters is printed), 124 usage \
+               error.";
          ])
-    Term.(const run $ arch_arg $ mode_arg $ level_arg $ workload_arg
-          $ vcpus_arg $ seed_arg)
+    Term.(const run $ point_term Runner.workload_names $ fault_arg $ out_arg)
 
 let default =
   Term.(ret (const (`Help (`Pager, None))))
@@ -1354,7 +1109,5 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group ~default info
-          [ cpuid_cmd; rr_cmd; stream_cmd; ioping_cmd; fio_cmd; etc_cmd;
-            tpcc_cmd; video_cmd; trace_cmd; profile_cmd; sweep_cmd;
-            sweep_diff_cmd; faults_cmd; fuzz_cmd; sched_cmd; cluster_cmd;
-            fig6_cmd; run_cmd; blocked_demo_cmd ]))
+          [ run_cmd; trace_cmd; profile_cmd; sweep_cmd; sweep_diff_cmd;
+            fuzz_cmd; sched_cmd; cluster_cmd; fig6_cmd; blocked_demo_cmd ]))

@@ -27,7 +27,9 @@ let guest_program vcpu =
   Guest.hlt vcpu (* sleeps until the TSC-deadline timer fires *)
 
 let run_mode mode =
-  let sys = System.create ~mode ~level:System.L2_nested () in
+  let sys =
+    System.of_config (System.Config.make ~mode ~level:System.L2_nested ())
+  in
   let vcpu = System.vcpu0 sys in
   Vcpu.spawn_program vcpu guest_program;
   System.run sys;

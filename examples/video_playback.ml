@@ -19,7 +19,8 @@ let () =
     (fun fps ->
       let run mode =
         Video.run ~seconds:300 ~fps
-          (System.create ~mode ~level:System.L2_nested ())
+          (System.of_config
+             (System.Config.make ~mode ~level:System.L2_nested ()))
       in
       let b = run Mode.Baseline in
       let s = run Mode.sw_svt_default in

@@ -33,10 +33,6 @@ let equal = ( = )
 let compare = Stdlib.compare
 let pp ppf k = Fmt.string ppf (to_string k)
 
-(* Deprecated aliases kept so pre-abstraction callers compile unchanged. *)
-let name = to_string
-let arch_of_string = of_string
-
 (* ---- the backend interface -------------------------------------------- *)
 
 module type S = sig

@@ -14,7 +14,6 @@
      produce bit-identical rows. *)
 
 module Simulator = Svt_engine.Simulator
-module Time = Svt_engine.Time
 
 type outcome = {
   results : Runner.result list;
@@ -53,17 +52,7 @@ let result_of_outcome point (o : (string * float) list Pool.outcome) =
     | Error (Simulator.Budget_exhausted { events; now; fuel }) ->
         (* Preemptive, deterministic timeout: the fuel counters become
            the row's metrics so the ledger records where it was cut. *)
-        ( Runner.Run_timeout,
-          [
-            ("sim_events", float_of_int events);
-            ("sim_now_us", Time.to_us_f now);
-          ]
-          @
-          match fuel with
-          | Simulator.Fuel_events n ->
-              [ ("budget.max_events", float_of_int n) ]
-          | Simulator.Fuel_time t -> [ ("budget.max_time_us", Time.to_us_f t) ]
-        )
+        (Runner.Run_timeout, Runner.fuel_metrics ~events ~now fuel)
     | Error e when o.Pool.quarantined ->
         (Runner.Run_quarantined (error_of_pool_outcome o e), [])
     | Error e -> (Runner.Run_failed (Printexc.to_string e), [])

@@ -36,15 +36,25 @@ type result = {
   metrics : (string * float) list;
 }
 
-let workload_names =
-  [ "cpuid"; "rr"; "stream"; "ioping"; "fio"; "etc"; "tpcc"; "video"; "spin";
-    "consolidate"; "cluster" ]
+let stack_workload_names =
+  [ "cpuid"; "rr"; "stream"; "ioping"; "fio"; "etc"; "tpcc"; "video"; "spin" ]
+
+let workload_names = stack_workload_names @ [ "consolidate"; "cluster" ]
 
 (* Default event fuel for campaign runs: far above any real workload
    (the largest sweep rows record ~10^5 events) but low enough that a
    runaway run is cut in seconds, deterministically, instead of wedging
    a worker domain until a wall-clock guess expires. *)
 let default_max_sim_events = 50_000_000
+
+let fuel_metrics ~events ~now fuel =
+  [ ("sim_events", float_of_int events); ("sim_now_us", Time.to_us_f now) ]
+  @
+  match fuel with
+  | Svt_engine.Simulator.Fuel_events n ->
+      [ ("budget.max_events", float_of_int n) ]
+  | Svt_engine.Simulator.Fuel_time t ->
+      [ ("budget.max_time_us", Time.to_us_f t) ]
 
 let make_system ?max_sim_events ?max_sim_time (p : Spec.point) =
   (* Derive the machine seed from the run hash: independent stream per
@@ -129,6 +139,12 @@ let workload_metrics (p : Spec.point) sys =
           done);
       System.run sys;
       [ ("iterations", nan) ]
+  | ("consolidate" | "cluster") as w ->
+      failwith
+        (Printf.sprintf
+           "workload %S is host-shaped: it builds its own hosts rather than \
+            driving one stack, so run it through exec (svt_sim run)"
+           w)
   | w ->
       failwith
         (Printf.sprintf "unknown workload %S (expected one of %s)" w

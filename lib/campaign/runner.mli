@@ -1,5 +1,7 @@
-(** Adapts one {!Spec.point} to the existing [System.create] / workload
-    entry points and returns a uniform result record for the ledger.
+(** Adapts one {!Spec.point} to {!Svt_core.System.of_config} and the
+    workload entry points, and returns a uniform result record for the
+    ledger. This registry is the one way to run a point: the sweep and
+    [svt_sim run]/[trace]/[profile] all go through it.
 
     Each run builds a fresh, fully independent system whose machine PRNG
     seed is derived from the point's {!Spec.run_hash} through
@@ -36,11 +38,28 @@ type result = {
 val workload_names : string list
 (** The registry: cpuid, rr, stream, ioping, fio, etc, tpcc, video,
     spin (a deliberately hung reflection loop for exercising the fuel
-    budget — never run it without one). *)
+    budget — never run it without one), and the host-shaped consolidate
+    and cluster. *)
+
+val stack_workload_names : string list
+(** The workloads that drive one stack, i.e. {!workload_names} without
+    consolidate and cluster: the ones {!make_system} +
+    {!workload_metrics} can run. *)
 
 val default_max_sim_events : int
 (** {!exec}'s default event fuel (50M): far above any real workload but
     low enough to cut a runaway run in seconds, deterministically. *)
+
+val fuel_metrics :
+  events:int ->
+  now:Svt_engine.Time.t ->
+  Svt_engine.Simulator.fuel ->
+  (string * float) list
+(** The metrics of a run cut by its fuel budget, from the
+    {!Svt_engine.Simulator.Budget_exhausted} payload: [sim_events],
+    [sim_now_us] and the spent limit ([budget.max_events] or
+    [budget.max_time_us]). A sweep records them as its timeout row; the
+    single-point subcommands print them on their timeout line. *)
 
 val make_system :
   ?max_sim_events:int ->
@@ -49,13 +68,16 @@ val make_system :
   Svt_core.System.t
 (** Build the point's system (content-addressed PRNG seed, paper
     config) without running anything — callers that want to install
-    observability sinks first (the [trace] subcommand) use this and
-    then {!workload_metrics}. The optional fuel budget is installed on
-    the system's simulator (default: none). *)
+    observability sinks first (the [trace] and [profile] subcommands)
+    use this and then {!workload_metrics}. The optional fuel budget is
+    installed on the system's simulator (default: none). *)
 
 val workload_metrics : Spec.point -> Svt_core.System.t -> (string * float) list
 (** Drive the point's workload on an already-built system and return
-    its metric list (without the [sim_*] extras {!exec} appends). *)
+    its metric list (without the [sim_*] extras {!exec} appends).
+    Raises [Failure] for a name outside {!stack_workload_names}: for
+    consolidate and cluster the message says they are host-shaped and
+    run through {!exec}. *)
 
 val exec :
   ?max_sim_events:int ->

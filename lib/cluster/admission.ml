@@ -30,8 +30,6 @@ let strategy_of_string = function
   | "spread" -> Ok Spread
   | s -> Error (Printf.sprintf "unknown placement strategy %S (bin-pack|spread)" s)
 
-let pp_strategy ppf s = Fmt.string ppf (strategy_name s)
-
 (* ---- configuration ---- *)
 
 type config = {

@@ -9,7 +9,6 @@ type strategy = Bin_pack | Spread
 
 val strategy_name : strategy -> string
 val strategy_of_string : string -> (strategy, string) result
-val pp_strategy : Format.formatter -> strategy -> unit
 
 type config = {
   strategy : strategy;

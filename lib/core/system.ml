@@ -405,13 +405,6 @@ let of_config (c : Config.t) =
       { machine; mode; level; l1_vm; guest_vm = l2_vm; vcpus; nested; script;
         injector; fabric = None }
 
-let create ?arch ?(config = Machine.paper_config) ?(n_vcpus = 1)
-    ?(shadow = Svt_vmcs.Shadow.hardware_shadowing_enabled)
-    ?(multiplex_contexts = false) ~mode ~level () =
-  of_config
-    (Config.make ?arch ~machine:config ~n_vcpus ~shadow ~multiplex_contexts
-       ~mode ~level ())
-
 let machine t = t.machine
 let arch t = Machine.arch t.machine
 let obs t = Machine.obs t.machine

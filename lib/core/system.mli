@@ -29,8 +29,10 @@ val l1_nic_vector : int
 val spurious_vector : int
 (** The vector the spurious-interrupt fault injects (no ISR handles it). *)
 
-(** A validated system configuration. {!Config.make} collects the knobs
-    with the old [create] defaults; {!Config.validate} rejects stacks
+(** A validated system configuration, and the only way to build a stack
+    ({!of_config}). {!Config.make} collects the knobs with the paper's
+    defaults (x86 paper machine, one vCPU, hardware VMCS shadowing, no
+    faults, no fuel budget); {!Config.validate} rejects stacks
     that cannot be wired soundly — most importantly an SVt mode on a
     machine without the SMT contexts its µ-registers need, the class of
     bug where a guest silently ran with unprogrammed SVt fields. *)
@@ -129,22 +131,6 @@ val of_config : Config.t -> t
     (§2.1); disabling it adds auxiliary traps.
 
     @raise Invalid_config when {!Config.validate} rejects it. *)
-
-val create :
-  ?arch:Svt_arch.Backend.kind ->
-  ?config:Svt_hyp.Machine.config ->
-  ?n_vcpus:int ->
-  ?shadow:Svt_vmcs.Shadow.t ->
-  ?multiplex_contexts:bool ->
-  mode:Mode.t ->
-  level:level ->
-  unit ->
-  t
-(** Deprecated shim for the pre-[Config] API, kept for one release so
-    callers can migrate; equivalent to
-    [of_config (Config.make ~machine:config ...)]. New code should use
-    {!Config.make} + {!of_config} (or pass [faults] through the config).
-    Will be removed in the next release. *)
 
 (** {2 Accessors} *)
 

@@ -1,6 +1,6 @@
 (** A fault plan: per-kind Bernoulli rates, parsed from the
-    [kind:rate[,kind:rate,...]] grammar shared by [svt_sim faults
-    --plan] and the campaign [fault] axis. *)
+    [kind:rate[,kind:rate,...]] grammar shared by [svt_sim run --fault]
+    and the campaign [fault] axis. *)
 
 type t
 

@@ -158,7 +158,7 @@ let speedup_rows_of_ledger entries =
                   {
                     Compare.metric =
                       Printf.sprintf "%s %s speedup" label
-                        (Spec.mode_to_string mode);
+                        (Svt_core.Mode.to_string mode);
                     paper;
                     measured = speedup v;
                     unit_ = "x";

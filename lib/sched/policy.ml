@@ -19,6 +19,13 @@ let default = Mode.default_svt_policy
 let name = Mode.svt_policy_name
 let of_string = Mode.svt_policy_of_string
 
+(* The policy only means something for SW SVt stacks. *)
+let label mode p =
+  match mode with
+  | Mode.Sw_svt _ -> Mode.to_string mode ^ "/" ^ name p
+  | Mode.Baseline | Mode.Hw_svt | Mode.Hw_full_nesting | Mode.Ooh ->
+      Mode.to_string mode
+
 type claim = {
   threads_per_vcpu : int;
   whole_core : bool;

@@ -11,6 +11,11 @@ val default : t
 val name : t -> string
 val of_string : string -> (t, string) result
 
+val label : Svt_core.Mode.t -> t -> string
+(** A (mode, policy) configuration's display label: ["sw-svt/POLICY"]
+    for SW SVt modes, the bare mode name otherwise (the policy places
+    SVt-threads, which only SW SVt runs). *)
+
 (** What one tenant's vCPU gang occupies under a (mode, policy) pair. *)
 type claim = {
   threads_per_vcpu : int;  (** hardware threads pinned per vCPU *)

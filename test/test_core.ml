@@ -25,6 +25,11 @@ let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 let cm = Cost_model.paper_machine
 
+let l2_stack ?arch ?shadow ?multiplex_contexts mode =
+  System.of_config
+    (System.Config.make ?arch ?shadow ?multiplex_contexts ~mode
+       ~level:System.L2_nested ())
+
 (* --- Mode / Wait ------------------------------------------------------------ *)
 
 let test_mode_names () =
@@ -197,7 +202,7 @@ let test_single_level_episode_costs () =
 (* --- Nested protocol -------------------------------------------------------------- *)
 
 let run_cpuid_once mode =
-  let sys = System.create ~mode ~level:System.L2_nested () in
+  let sys = l2_stack mode in
   let vcpu = System.vcpu0 sys in
   let value = ref None in
   Vcpu.spawn_program vcpu (fun v ->
@@ -236,7 +241,7 @@ let test_nested_cpuid_reply_correct () =
     ]
 
 let episode_us mode =
-  let sys = System.create ~mode ~level:System.L2_nested () in
+  let sys = l2_stack mode in
   let vcpu = System.vcpu0 sys in
   let out = ref 0.0 in
   Vcpu.spawn_program vcpu (fun v ->
@@ -262,7 +267,7 @@ let test_nested_figure6_shape () =
   checkb "HW SVt ~1.94x" true (Float.abs (hw_speedup -. 1.94) < 0.12)
 
 let test_nested_table1_breakdown () =
-  let sys = System.create ~mode:Mode.Baseline ~level:System.L2_nested () in
+  let sys = l2_stack Mode.Baseline in
   let vcpu = System.vcpu0 sys in
   Vcpu.spawn_program vcpu (fun v ->
       for _ = 1 to 4 do
@@ -289,7 +294,7 @@ let test_nested_table1_breakdown () =
   expect Breakdown.L1_handler 1.96
 
 let test_nested_hw_uses_hardware_contexts () =
-  let sys = System.create ~mode:Mode.Hw_svt ~level:System.L2_nested () in
+  let sys = l2_stack Mode.Hw_svt in
   let vcpu = System.vcpu0 sys in
   let core = Vcpu.core vcpu in
   Vcpu.spawn_program vcpu (fun v -> ignore (Guest.cpuid v ~leaf:1));
@@ -301,7 +306,7 @@ let test_nested_hw_uses_hardware_contexts () =
 let test_nested_sw_blocked_protocol () =
   (* An interrupt for L1 arriving while L0 waits on the SVt-thread must be
      serviced through the SVT_BLOCKED path instead of deadlocking (§5.3). *)
-  let sys = System.create ~mode:Mode.sw_svt_default ~level:System.L2_nested () in
+  let sys = l2_stack Mode.sw_svt_default in
   let vcpu = System.vcpu0 sys in
   let serviced = ref false in
   (* land the host event in the middle of an episode, while L0₀ blocks on
@@ -324,7 +329,7 @@ let test_nested_sw_blocked_protocol () =
    the SVt-thread. Without SVT_BLOCKED this deadlocks; with it, the IPI
    is serviced mid-episode and the shootdown completes. *)
 let test_nested_sw_tlb_shootdown_progress () =
-  let sys = System.create ~mode:Mode.sw_svt_default ~level:System.L2_nested () in
+  let sys = l2_stack Mode.sw_svt_default in
   let vcpu = System.vcpu0 sys in
   let sim = System.sim sys in
   let acked = Simulator.Ivar.create sim in
@@ -359,7 +364,7 @@ let test_nested_sw_tlb_shootdown_progress () =
    hardware — but the refusal surfaces to L1 as a failed VM entry (§2.1)
    rather than tearing the host down. *)
 let test_nested_malicious_l1_pointer_reflected () =
-  let sys = System.create ~mode:Mode.Baseline ~level:System.L2_nested () in
+  let sys = l2_stack Mode.Baseline in
   let vcpu = System.vcpu0 sys in
   let n = System.nested_path sys 0 in
   let completed = ref false in
@@ -378,9 +383,7 @@ let test_nested_malicious_l1_pointer_reflected () =
 
 let test_nested_shadowing_off_costs_more () =
   let measure shadow =
-    let sys =
-      System.create ~shadow ~mode:Mode.Baseline ~level:System.L2_nested ()
-    in
+    let sys = l2_stack ~shadow Mode.Baseline in
     let vcpu = System.vcpu0 sys in
     let out = ref Time.zero in
     Vcpu.spawn_program vcpu (fun v ->
@@ -401,10 +404,7 @@ let test_nested_shadowing_off_costs_more () =
    SVt still wins over the baseline but pays the shared-context reload. *)
 let test_hw_svt_multiplexed_contexts () =
   let t multiplex_contexts =
-    let sys =
-      System.create ~multiplex_contexts ~mode:Mode.Hw_svt
-        ~level:System.L2_nested ()
-    in
+    let sys = l2_stack ~multiplex_contexts Mode.Hw_svt in
     let vcpu = System.vcpu0 sys in
     let out = ref 0.0 in
     Vcpu.spawn_program vcpu (fun v ->
@@ -447,7 +447,7 @@ let test_ooh_delegation_position () =
 let test_ooh_delegated_residual_split () =
   (* cpuid is in the delegated set: every exit of a pure-cpuid run must
      take the direct path, none the residual one *)
-  let sys = System.create ~mode:Mode.Ooh ~level:System.L2_nested () in
+  let sys = l2_stack Mode.Ooh in
   let vcpu = System.vcpu0 sys in
   Vcpu.spawn_program vcpu (fun v ->
       for _ = 1 to 4 do
@@ -461,7 +461,7 @@ let test_ooh_delegated_residual_split () =
     (Svt_stats.Metrics.counter m "ooh_residual_exits");
   (* an external interrupt for L1 is residual: it reflects through L0 and
      pays the delegation re-arm on top of the baseline episode *)
-  let sys = System.create ~mode:Mode.Ooh ~level:System.L2_nested () in
+  let sys = l2_stack Mode.Ooh in
   let vcpu = System.vcpu0 sys in
   let serviced = ref false in
   Vcpu.spawn_program vcpu (fun v ->
@@ -480,7 +480,7 @@ let test_ooh_delegated_residual_split () =
     (Svt_stats.Metrics.counter m "ooh_residual_exits" >= 1)
 
 let test_nested_exit_metrics_recorded () =
-  let sys = System.create ~mode:Mode.Baseline ~level:System.L2_nested () in
+  let sys = l2_stack Mode.Baseline in
   let vcpu = System.vcpu0 sys in
   Vcpu.spawn_program vcpu (fun v ->
       ignore (Guest.cpuid v ~leaf:1);
@@ -493,7 +493,7 @@ let test_nested_exit_metrics_recorded () =
     (Svt_stats.Metrics.time m "l2_exit_time.CPUID" > Time.zero)
 
 let test_guest_hlt_and_timer () =
-  let sys = System.create ~mode:Mode.Baseline ~level:System.L2_nested () in
+  let sys = l2_stack Mode.Baseline in
   let vcpu = System.vcpu0 sys in
   let woke = ref Time.zero in
   Vcpu.spawn_program vcpu (fun v ->
@@ -507,7 +507,7 @@ let test_guest_hlt_and_timer () =
 let test_levels_ordering () =
   (* L0 < L1 < L2 for the same operation *)
   let t level =
-    let sys = System.create ~mode:Mode.Baseline ~level () in
+    let sys = System.of_config (System.Config.make ~mode:Mode.Baseline ~level ()) in
     let vcpu = System.vcpu0 sys in
     let out = ref Time.zero in
     Vcpu.spawn_program vcpu (fun v ->
@@ -524,7 +524,7 @@ let test_levels_ordering () =
   checkb "l2 >> l0 (two orders, Fig 6)" true (l2 > Time.scale l0 100.0)
 
 let test_vmcs_shadow_state_consistent () =
-  let sys = System.create ~mode:Mode.Baseline ~level:System.L2_nested () in
+  let sys = l2_stack Mode.Baseline in
   let vcpu = System.vcpu0 sys in
   Vcpu.spawn_program vcpu (fun v ->
       ignore (Guest.cpuid v ~leaf:1);
@@ -593,7 +593,7 @@ let test_arch_arm_collapses_shadow () =
    exceeds its x86 speedup. *)
 let test_arch_arm_speedup_exceeds_x86 () =
   let nested_us ?arch mode =
-    let sys = System.create ?arch ~mode ~level:System.L2_nested () in
+    let sys = l2_stack ?arch mode in
     let vcpu = System.vcpu0 sys in
     let out = ref Time.zero in
     Vcpu.spawn_program vcpu (fun v ->

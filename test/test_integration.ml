@@ -17,7 +17,9 @@ module Microbench = Svt_workloads.Microbench
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
-let sys ?(n_vcpus = 1) mode = System.create ~mode ~level:System.L2_nested ~n_vcpus ()
+let sys ?(n_vcpus = 1) mode =
+  System.of_config
+    (System.Config.make ~mode ~level:System.L2_nested ~n_vcpus ())
 
 (* --- network -------------------------------------------------------------- *)
 

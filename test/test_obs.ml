@@ -60,7 +60,9 @@ let test_wrap_tags_lazy () =
 (* --- span nesting / ordering on a real run ------------------------------ *)
 
 let run_small_nested mode =
-  let sys = System.create ~mode ~level:System.L2_nested () in
+  let sys =
+    System.of_config (System.Config.make ~mode ~level:System.L2_nested ())
+  in
   let tl = Recorder.enable_timeline (System.obs sys) in
   Svt_hyp.Vcpu.spawn_program (System.vcpu0 sys) (fun v ->
       for _ = 1 to 5 do

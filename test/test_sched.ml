@@ -62,7 +62,12 @@ let test_policy_parse_round_trip () =
     [ Policy.Dedicated_sibling;
       Policy.On_demand_donation;
       Policy.Shared_pool { threads = 3 } ];
-  checkb "garbage rejected" true (Result.is_error (Policy.of_string "frobnicate"))
+  checkb "garbage rejected" true (Result.is_error (Policy.of_string "frobnicate"));
+  (* the display label names the policy only where SW SVt places threads *)
+  Alcotest.(check string) "sw-svt label" "sw-svt/shared-pool:2"
+    (Policy.label Mode.sw_svt_default (Policy.Shared_pool { threads = 2 }));
+  Alcotest.(check string) "hw-svt label" "hw-svt"
+    (Policy.label Mode.Hw_svt Policy.On_demand_donation)
 
 let test_policy_claims () =
   let c = Policy.claim ~mode:Mode.Baseline Policy.Dedicated_sibling in
