@@ -1,15 +1,11 @@
-.PHONY: build test check fmt-check sweep-smoke trace-smoke fault-smoke \
-	resume-smoke sched-smoke cluster-smoke fuzz-smoke profile-smoke clean
+.PHONY: build test check fmt-check clean
 
-# The default verification bundle: tier-1 tests plus the end-to-end
-# trace-export, fault-injection, crash/resume, consolidation-scheduler,
-# cluster-fleet, fuzzing and self-profiling smoke runs. `dune runtest`
-# also diffs the CLI's golden outputs (test/expected: the x86 and ARM
-# fig6 tables and the cluster report) and runs the repo benchmark in
-# smoke mode (benchmark/svt_bench.exe --smoke), which checks its pinned
-# digests.
-check: test trace-smoke fault-smoke resume-smoke sched-smoke cluster-smoke \
-	fuzz-smoke profile-smoke
+# The verification bundle. `dune runtest` is the one gate harness: the
+# alcotest suites (determinism across jobs=1/2 and interrupt+resume
+# included), the CLI's golden outputs in test/expected, the trace and
+# profile --validate runs, and the repo benchmark's pinned digests
+# (benchmark/svt_bench.exe in smoke mode). See test/dune.
+check: test
 
 build:
 	dune build @all
@@ -26,133 +22,6 @@ fmt-check:
 	else \
 		echo "fmt-check: skipped (ocamlformat not installed)"; \
 	fi
-
-# Tiny end-to-end exercise of the campaign subsystem: a 4-point sweep
-# (2 modes x 2 levels) sharded over 2 worker domains, written to a JSONL
-# ledger under _build/.
-sweep-smoke: build
-	rm -f _build/sweep-smoke.jsonl
-	dune exec bin/svt_sim.exe -- sweep \
-		--axis mode=baseline,hw-svt --axis level=l1,l2 \
-		--jobs 2 --ledger _build/sweep-smoke.jsonl
-	@echo "sweep-smoke: ledger at _build/sweep-smoke.jsonl"
-
-# End-to-end exercise of the observability layer: run a small nested
-# workload with the trace sinks installed, export a Chrome trace, and
-# re-parse it requiring >=1 span of each expected kind (--validate
-# exits non-zero otherwise).
-trace-smoke: build
-	dune exec bin/svt_sim.exe -- trace \
-		--mode baseline --level l2 --out _build/trace-smoke.json --validate
-	@echo "trace-smoke: trace at _build/trace-smoke.json"
-
-# Determinism gate for the fault injector: the same seed and plan must
-# produce byte-identical ledger rows (run --out pins wall_s for exactly
-# this reason). A diff here means an injection point consumed
-# PRNG state or virtual time it should not have.
-FAULT_PLAN = drop-ring:0.05,corrupt-vmcs12:0.02,stall-blocked:0.1
-fault-smoke: build
-	rm -f _build/fault-smoke-a.jsonl _build/fault-smoke-b.jsonl
-	dune exec bin/svt_sim.exe -- run --mode sw-svt --workload rr \
-		--seed 7 --fault $(FAULT_PLAN) --out _build/fault-smoke-a.jsonl
-	dune exec bin/svt_sim.exe -- run --mode sw-svt --workload rr \
-		--seed 7 --fault $(FAULT_PLAN) --out _build/fault-smoke-b.jsonl
-	cmp _build/fault-smoke-a.jsonl _build/fault-smoke-b.jsonl
-	@echo "fault-smoke: ledgers byte-identical"
-
-# Crash-safety gate for the journaled ledger. One 9-point sweep runs
-# uninterrupted; a second is killed after 3 rows (--max-rows, exit 3),
-# then resumed. The resumed ledger must be byte-identical to the
-# uninterrupted one (--deterministic pins wall_s, the only wall-clock
-# field). The axes deliberately include the hung `spin` workload, which
-# only the simulator fuel budget (--max-sim-events) can terminate: it
-# must land in both ledgers as a bounded `timeout` row, which also makes
-# exit status 1 the *success* criterion for the full sweeps.
-RESUME_AXES = --axis mode=baseline,hw-svt,sw-svt \
-	--axis workload=cpuid,rr,spin --deterministic \
-	--max-sim-events 200000 --quiet
-resume-smoke: build
-	rm -f _build/resume-full.jsonl _build/resume-cut.jsonl
-	dune exec bin/svt_sim.exe -- sweep $(RESUME_AXES) \
-		--jobs 2 --ledger _build/resume-full.jsonl; \
-		test $$? -eq 1
-	dune exec bin/svt_sim.exe -- sweep $(RESUME_AXES) \
-		--jobs 2 --max-rows 3 --ledger _build/resume-cut.jsonl; \
-		test $$? -eq 3
-	dune exec bin/svt_sim.exe -- sweep $(RESUME_AXES) \
-		--jobs 2 --resume --ledger _build/resume-cut.jsonl; \
-		test $$? -eq 1
-	cmp _build/resume-full.jsonl _build/resume-cut.jsonl
-	@echo "resume-smoke: interrupted+resumed ledger byte-identical"
-
-# Determinism gate for the multi-tenant host scheduler (lib/sched): the
-# same consolidation sweep run with 1 and 2 worker domains must produce
-# byte-identical ledgers — virtual-time scheduling, SVt-thread placement
-# and debt charging may not depend on wall clock or worker interleaving.
-SCHED_AXES = --axis workload=consolidate \
-	--axis mode=baseline,sw-svt \
-	--axis policy=dedicated-sibling,on-demand-donation,shared-pool:2 \
-	--axis tenants=2,6 --axis cores=4 --deterministic
-sched-smoke: build
-	rm -f _build/sched-j1.jsonl _build/sched-j2.jsonl
-	dune exec bin/svt_sim.exe -- sweep $(SCHED_AXES) \
-		--jobs 1 --ledger _build/sched-j1.jsonl
-	dune exec bin/svt_sim.exe -- sweep $(SCHED_AXES) \
-		--jobs 2 --ledger _build/sched-j2.jsonl
-	cmp _build/sched-j1.jsonl _build/sched-j2.jsonl
-	@echo "sched-smoke: consolidation ledger byte-identical across jobs=1/2"
-
-# Determinism + fault-tolerance gate for the cluster layer (lib/cluster).
-# A cluster-workload sweep must be byte-identical across jobs=1/jobs=2,
-# and the same sweep killed after 2 rows (--max-rows, exit 3) and resumed
-# must match the uninterrupted ledger. A diff means fleet state leaked
-# into a PRNG stream, the placement scan, or the fault rolls. (The
-# fixed-seed fleet report is a golden file that `dune runtest` diffs.)
-CLUSTER_AXES = --axis workload=cluster --axis mode=baseline,sw-svt \
-	--axis hosts=2 --axis tenants=4 --axis fault=host-crash:0.05 \
-	--axis seed=0,1 --deterministic --quiet
-cluster-smoke: build
-	rm -f _build/cluster-j1.jsonl _build/cluster-j2.jsonl \
-		_build/cluster-cut.jsonl
-	dune exec bin/svt_sim.exe -- sweep $(CLUSTER_AXES) \
-		--jobs 1 --ledger _build/cluster-j1.jsonl
-	dune exec bin/svt_sim.exe -- sweep $(CLUSTER_AXES) \
-		--jobs 2 --ledger _build/cluster-j2.jsonl
-	cmp _build/cluster-j1.jsonl _build/cluster-j2.jsonl
-	dune exec bin/svt_sim.exe -- sweep $(CLUSTER_AXES) \
-		--jobs 2 --max-rows 2 --ledger _build/cluster-cut.jsonl; \
-		test $$? -eq 3
-	dune exec bin/svt_sim.exe -- sweep $(CLUSTER_AXES) \
-		--jobs 2 --resume --ledger _build/cluster-cut.jsonl
-	cmp _build/cluster-j1.jsonl _build/cluster-cut.jsonl
-	@echo "cluster-smoke: ledgers byte-identical across jobs=1/2 and interrupt+resume"
-
-# Determinism + soundness gate for the coverage-guided fuzzer (lib/fuzz):
-# the same fixed-seed batch run with 1 and 2 worker domains must produce
-# byte-identical corpus ledgers, keep a nonzero number of new-coverage
-# inputs, and report zero invariant violations (this seed/batch is
-# verified clean; a violation appearing here means a regression in the
-# stack, the harness, or determinism).
-FUZZ_ARGS = --seed 7 --batch 24 --quiet
-fuzz-smoke: build
-	rm -f _build/fuzz-j1.jsonl _build/fuzz-j2.jsonl
-	dune exec bin/svt_sim.exe -- fuzz $(FUZZ_ARGS) \
-		--jobs 1 --ledger _build/fuzz-j1.jsonl | tee _build/fuzz-smoke.out
-	dune exec bin/svt_sim.exe -- fuzz $(FUZZ_ARGS) \
-		--jobs 2 --ledger _build/fuzz-j2.jsonl
-	cmp _build/fuzz-j1.jsonl _build/fuzz-j2.jsonl
-	grep -q "violations=0" _build/fuzz-smoke.out
-	grep -q "kept=" _build/fuzz-smoke.out && ! grep -q "kept=0 " _build/fuzz-smoke.out
-	@echo "fuzz-smoke: corpus ledger byte-identical across jobs=1/2, no violations"
-
-# End-to-end exercise of the self-profiler: run the fig6 cpuid workload
-# with the profiler sink + dispatch observer armed, emit folded stacks,
-# and --validate them (non-empty, parseable, and exclusive-time totals
-# summing to the measured wall time within 5%; exit 1 otherwise).
-profile-smoke: build
-	dune exec bin/svt_sim.exe -- profile --mode sw-svt --level l2 \
-		--out _build/profile-smoke.folded --validate
-	@echo "profile-smoke: folded stacks at _build/profile-smoke.folded"
 
 clean:
 	dune clean

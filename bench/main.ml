@@ -7,7 +7,10 @@
        dune exec bench/main.exe -- jobs=4   # shard run matrices over domains
 
    Sections: table1 table2 table3 table4 fig6 fig7 fig8 fig9 fig10
-             channels ablation obs faults bechamel
+             channels ablation faults cluster
+
+   Any other argument (an unknown section, jobs=0, jobs=abc) is an error:
+   the valid sections go to stderr and the exit status is 2.
 
    The matrix-shaped sections (fig6, fig7, fig10) go through the
    lib/campaign worker pool: jobs=1 (the default) is the sequential
@@ -24,7 +27,6 @@ module Mode = Svt_core.Mode
 module System = Svt_core.System
 module Guest = Svt_core.Guest
 module Vcpu = Svt_hyp.Vcpu
-module Breakdown = Svt_hyp.Breakdown
 module Table = Svt_stats.Table
 module Metrics = Svt_stats.Metrics
 module Paper = Svt_report.Paper
@@ -38,26 +40,18 @@ module Channel_bench = Svt_workloads.Channel_bench
 module Spec = Svt_campaign.Spec
 module Campaign = Svt_campaign.Campaign
 
-let quick = Array.exists (fun a -> a = "quick") Sys.argv
+let args = List.tl (Array.to_list Sys.argv)
+let quick = List.mem "quick" args
 
-let is_flag a =
-  a = "quick" || (String.length a > 5 && String.sub a 0 5 = "jobs=")
+(* jobs=N with N >= 1; anything else spelled jobs=... is rejected. *)
+let jobs_of_arg a =
+  match String.split_on_char '=' a with
+  | [ "jobs"; n ] -> (
+      match int_of_string_opt n with Some n when n >= 1 -> Some n | _ -> None)
+  | _ -> None
 
 let jobs =
-  Array.fold_left
-    (fun acc a ->
-      if String.length a > 5 && String.sub a 0 5 = "jobs=" then
-        match int_of_string_opt (String.sub a 5 (String.length a - 5)) with
-        | Some n when n >= 1 -> n
-        | _ -> acc
-      else acc)
-    1 Sys.argv
-
-let wanted section =
-  let args =
-    Array.to_list Sys.argv |> List.tl |> List.filter (fun a -> not (is_flag a))
-  in
-  args = [] || List.mem section args
+  List.fold_left (fun acc a -> Option.value (jobs_of_arg a) ~default:acc) 1 args
 
 (* Run a bench matrix through the campaign pool and hand back a lookup
    by run_id; a failed point aborts the section like an uncaught
@@ -533,44 +527,6 @@ let ablation () =
       Printf.printf "   %-22s %6.2f us\n%!" label r.Microbench.per_op_us)
     [ ("3 contexts (proposal)", false); ("2 contexts (multiplexed)", true) ]
 
-(* -------------------------------------------------------------------- obs *)
-
-(* Host-side overhead of the tracing layer: the same nested cpuid run
-   with the probe disarmed, the default null-sink state, the timeline
-   sink, and both sinks. Simulated results are bit-identical in all
-   four (the overhead test suite asserts it); only host wall-clock may
-   move, and the first two rows should be indistinguishable. *)
-let obs_overhead () =
-  header "obs: tracing-layer overhead on the nested cpuid microbench";
-  let median_time prepare =
-    let reps = if quick then 3 else 9 in
-    let samples =
-      List.init reps (fun _ ->
-          let sys = nested Mode.Baseline in
-          prepare sys;
-          let t0 = Unix.gettimeofday () in
-          ignore (Microbench.measure_cpuid sys);
-          Unix.gettimeofday () -. t0)
-    in
-    let a = Array.of_list samples in
-    Array.sort compare a;
-    a.(Array.length a / 2)
-  in
-  List.iter
-    (fun (label, prepare) ->
-      Printf.printf "   %-26s %8.3f ms\n%!" label (1e3 *. median_time prepare))
-    [
-      ( "probe disarmed",
-        fun sys -> Svt_obs.Recorder.set_enabled (System.obs sys) false );
-      ("null sink (default)", fun _ -> ());
-      ( "timeline sink",
-        fun sys -> ignore (Svt_obs.Recorder.enable_timeline (System.obs sys)) );
-      ( "timeline + chrome sinks",
-        fun sys ->
-          ignore (Svt_obs.Recorder.enable_timeline (System.obs sys));
-          ignore (Svt_obs.Recorder.enable_chrome (System.obs sys)) );
-    ]
-
 (* ----------------------------------------------------------------- faults *)
 
 (* Graceful degradation under injected faults: latency of the SW SVt rr
@@ -610,56 +566,6 @@ let faults () =
       "drop-ring:0.05";
       "drop-ring:0.05,corrupt-vmcs12:0.02";
       "drop-ring:1";
-    ]
-
-(* ------------------------------------------------------------------ sched *)
-
-(* Whole-host consolidation: eight single-vCPU tenants (each a complete
-   nested stack) packed onto a 4-core x 2-SMT host under each SVt-thread
-   provisioning policy. The interesting shape: dedicating a sibling per
-   vCPU halves the schedulable slots (aggregate drops below plain SMT
-   sharing), on-demand donation recovers the slots at a per-episode wake
-   cost, and a shared pool lands in between. *)
-let sched () =
-  header "sched: 8-tenant consolidation on a 4-core x 2-SMT host";
-  let module Topology = Svt_sched.Topology in
-  let module Policy = Svt_sched.Policy in
-  let module Host = Svt_sched.Host in
-  let horizon = Svt_engine.Time.of_ms (if quick then 5 else 20) in
-  Printf.printf "   %-28s %9s %13s %10s %10s %9s\n" "configuration" "agg kops"
-    "per-exit(us)" "occupancy" "steal(ms)" "wake(us)";
-  List.iter
-    (fun (mode, policy) ->
-      let topology =
-        Topology.create ~sockets:1 ~cores_per_socket:4 ~smt_per_core:2 ()
-      in
-      let host = Host.create ~topology () in
-      for i = 0 to 7 do
-        match Host.add_tenant host (Host.tenant_spec ~policy ~seed:i mode) with
-        | Ok () -> ()
-        | Error es ->
-            failwith
-              (Fmt.str "tenant %d rejected: %a" i
-                 Fmt.(list ~sep:(any "; ") Svt_core.System.Config.pp_error)
-                 es)
-      done;
-      Host.run host ~horizon;
-      let r = Host.report host in
-      let sum f = List.fold_left (fun a tr -> a +. f tr) 0.0 r.Host.tenant_reports in
-      Printf.printf "   %-28s %9.1f %13.2f %9.1f%% %10.2f %9.1f\n%!"
-        (Policy.label mode policy)
-        r.Host.aggregate_kops
-        (sum (fun tr -> tr.Host.per_exit_us) /. float_of_int (max 1 (List.length r.Host.tenant_reports)))
-        (100.0 *. r.Host.occupancy)
-        (sum (fun tr -> tr.Host.steal_ms))
-        (sum (fun tr -> tr.Host.wake_penalty_us)))
-    [
-      (Mode.Baseline, Policy.default);
-      (Mode.sw_svt_default, Svt_core.Mode.Dedicated_sibling);
-      (Mode.sw_svt_default, Svt_core.Mode.On_demand_donation);
-      (Mode.sw_svt_default, Svt_core.Mode.Shared_pool { threads = 2 });
-      (Mode.Hw_svt, Policy.default);
-      (Mode.Ooh, Policy.default);
     ]
 
 (* ---------------------------------------------------------------- cluster *)
@@ -705,79 +611,38 @@ let cluster () =
       (Mode.Ooh, Policy.default);
     ]
 
-(* --------------------------------------------------------------- bechamel *)
-
-(* Wall-clock cost of the simulator itself: one Bechamel test per
-   table/figure driver (how long the host takes to simulate each unit). *)
-let bechamel () =
-  header "Bechamel: host-side cost of each experiment driver";
-  let open Bechamel in
-  let tests =
-    [
-      Test.make ~name:"table1+fig6: nested cpuid episode"
-        (Staged.stage (fun () ->
-             let sys = nested Mode.Baseline in
-             let vcpu = System.vcpu0 sys in
-             Vcpu.spawn_program vcpu (fun v -> ignore (Guest.cpuid v ~leaf:1));
-             System.run sys));
-      Test.make ~name:"fig7: one TCP_RR transaction"
-        (Staged.stage (fun () ->
-             ignore (Netperf.run_rr ~transactions:1 (nested Mode.Baseline))));
-      Test.make ~name:"fig7: one ioping read"
-        (Staged.stage (fun () ->
-             ignore (Disk.run_ioping ~ops:1 ~op:Disk.Randread (nested Mode.Baseline))));
-      Test.make ~name:"fig8: 2ms of ETC at 10k qps"
-        (Staged.stage (fun () ->
-             ignore
-               (Etc.run_point ~duration:(Svt_engine.Time.of_ms 2) ~qps:10_000.0
-                  (nested ~n_vcpus:2 Mode.Baseline))));
-      Test.make ~name:"fig9: 10ms of TPC-C"
-        (Staged.stage (fun () ->
-             ignore (Tpcc.run ~duration:(Svt_engine.Time.of_ms 10) (nested Mode.Baseline))));
-      Test.make ~name:"fig10: 1s of 120fps playback"
-        (Staged.stage (fun () ->
-             ignore (Video.run ~seconds:1 ~fps:120 (nested Mode.Baseline))));
-    ]
-  in
-  List.iter
-    (fun test ->
-      let results =
-        Benchmark.all
-          (Benchmark.cfg ~limit:20 ~quota:(Time.second 0.5) ())
-          [ Toolkit.Instance.monotonic_clock ]
-          test
-      in
-      let stats =
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-          Toolkit.Instance.monotonic_clock results
-      in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] ->
-              Printf.printf "  %-42s %10.3f ms/run\n%!" name (est /. 1e6)
-          | _ -> Printf.printf "  %-42s (no estimate)\n%!" name)
-        stats)
-    tests
+let sections =
+  [
+    ("table1", table1);
+    ("table2", table2);
+    ("table3", table3);
+    ("table4", table4);
+    ("fig6", fig6);
+    ("fig7", fig7);
+    ("fig8", fig8);
+    ("fig9", fig9);
+    ("fig10", fig10);
+    ("channels", channels);
+    ("ablation", ablation);
+    ("faults", faults);
+    ("cluster", cluster);
+  ]
 
 let () =
+  let known a =
+    a = "quick" || jobs_of_arg a <> None || List.mem_assoc a sections
+  in
+  (match List.filter (fun a -> not (known a)) args with
+  | [] -> ()
+  | bad ->
+      Printf.eprintf
+        "bench: bad argument %s\nusage: main.exe [quick] [jobs=N] \
+         [SECTION ...]\nsections: %s\n"
+        (String.concat " " bad)
+        (String.concat " " (List.map fst sections));
+      exit 2);
   Printf.printf "SVt reproduction bench harness%s\n"
     (if quick then " (quick mode)" else "");
-  if wanted "table1" then table1 ();
-  if wanted "table2" then table2 ();
-  if wanted "table3" then table3 ();
-  if wanted "table4" then table4 ();
-  if wanted "fig6" then fig6 ();
-  if wanted "fig7" then fig7 ();
-  if wanted "fig8" then fig8 ();
-  if wanted "fig9" then fig9 ();
-  if wanted "fig10" then fig10 ();
-  if wanted "channels" then channels ();
-  if wanted "ablation" then ablation ();
-  if wanted "obs" then obs_overhead ();
-  if wanted "faults" then faults ();
-  if wanted "sched" then sched ();
-  if wanted "cluster" then cluster ();
-  if wanted "bechamel" then bechamel ();
+  let wanted = List.filter (fun (name, _) -> List.mem name args) sections in
+  List.iter (fun (_, run) -> run ()) (if wanted = [] then sections else wanted);
   print_endline "\ndone."

@@ -113,8 +113,8 @@ let trace_cmd =
              ~doc:"Re-parse the exported JSON and require at least one span \
                    of each kind the run should produce; exit 1 on failure.")
   in
-  (* The span kinds a run at this level must produce (used by --validate
-     and the trace-smoke make target). *)
+  (* The span kinds a run at this level must produce (checked by
+     --validate). *)
   let required_kinds level =
     match level with
     | System.L2_nested -> [ "vm-exit"; "svt-resume"; "vmcs-transform" ]
@@ -430,7 +430,7 @@ let sweep_cmd =
     Arg.(value & flag
          & info [ "deterministic" ]
              ~doc:"Pin the per-row wall_s field to 0 so two ledgers of the \
-                   same campaign are byte-identical (used by resume-smoke).")
+                   same campaign are byte-identical.")
   in
   let telemetry_every =
     Arg.(value & opt int 0
@@ -748,14 +748,8 @@ let cluster_cmd =
     Arg.(value & opt int 8
          & info [ "quota" ] ~docv:"N" ~doc:"Largest admissible tenant (vCPUs).")
   in
-  let out_arg =
-    Arg.(value & opt (some string) None
-         & info [ "out" ] ~docv:"FILE"
-             ~doc:"Also write the report to FILE (byte-stable: the smoke \
-                   gate diffs it).")
-  in
   let run arch hosts cores smt tenants vcpus mode policy fault seed
-      horizon_ms strategy overcommit quota out =
+      horizon_ms strategy overcommit quota =
     let plan =
       match Svt_fault.Cluster_plan.of_string fault with
       | Ok p -> p
@@ -797,16 +791,7 @@ let cluster_cmd =
     done;
     Cluster.run cluster ~horizon:(Time.of_ms horizon_ms);
     let r = Cluster.report cluster in
-    let table = Fmt.str "@[<v>%a@]" Cluster.pp_report r in
-    print_string table;
-    print_newline ();
-    (match out with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc table;
-        output_char oc '\n';
-        close_out oc);
+    print_endline (Fmt.str "@[<v>%a@]" Cluster.pp_report r);
     if not r.Cluster.r_conserved then begin
       Printf.eprintf "cluster: conservation violated (tenant lost)\n";
       exit 1
@@ -827,7 +812,7 @@ let cluster_cmd =
     Term.(const run $ arch_arg $ hosts_arg $ cores_arg $ smt_arg
           $ tenants_arg $ vcpus_arg $ mode_arg $ policy_arg $ fault_arg
           $ seed_arg $ horizon_ms $ strategy_arg $ overcommit_arg
-          $ quota_arg $ out_arg)
+          $ quota_arg)
 
 (* ---- demos ---- *)
 
@@ -970,60 +955,40 @@ let fuzz_cmd =
    tables against test/expected. *)
 let fig6_cmd =
   let module Microbench = Svt_workloads.Microbench in
-  let out_arg =
-    Arg.(value & opt (some string) None
-         & info [ "o"; "out" ] ~docv:"FILE"
-             ~doc:"Write the table to FILE instead of stdout.")
-  in
-  let run arch out =
+  let run arch =
     let rows =
       Microbench.fig6 ~arch
         ~modes:
           [ Mode.sw_svt_default; Mode.Hw_svt; Mode.Ooh; Mode.Hw_full_nesting ]
         ()
     in
-    let buf = Buffer.create 256 in
-    Buffer.add_string buf
-      (Printf.sprintf "%-16s %10s %15s\n" "config" "time(us)"
-         "overhead-vs-L0");
+    Printf.printf "%-16s %10s %15s\n" "config" "time(us)" "overhead-vs-L0";
     List.iter
       (fun r ->
-        Buffer.add_string buf
-          (Printf.sprintf "%-16s %10.3f %14.2fx\n" r.Microbench.label
-             r.Microbench.time_us r.Microbench.overhead_vs_l0))
+        Printf.printf "%-16s %10.3f %14.2fx\n" r.Microbench.label
+          r.Microbench.time_us r.Microbench.overhead_vs_l0)
       rows;
     (* Per-exit latency profile: nested baseline vs this backend's SVt,
        with the backend's own exit spellings. On ARM every baseline row
        is costlier and every speedup larger — the claim
        test/expected/arm-fig6.expected pins byte-for-byte. *)
     let exits = Microbench.per_exit_table ~arch () in
-    Buffer.add_string buf
-      (Printf.sprintf "\nper-exit L2 latency [%s]\n"
-         (Svt_arch.Backend.display_name arch));
-    Buffer.add_string buf
-      (Printf.sprintf "%-16s %12s %10s %9s\n" "exit" "baseline(us)"
-         "svt(us)" "speedup");
+    Printf.printf "\nper-exit L2 latency [%s]\n"
+      (Svt_arch.Backend.display_name arch);
+    Printf.printf "%-16s %12s %10s %9s\n" "exit" "baseline(us)" "svt(us)"
+      "speedup";
     List.iter
       (fun r ->
-        Buffer.add_string buf
-          (Printf.sprintf "%-16s %12.3f %10.3f %8.2fx\n"
-             r.Microbench.exit_label r.Microbench.baseline_us
-             r.Microbench.svt_us r.Microbench.speedup))
-      exits;
-    match out with
-    | None -> print_string (Buffer.contents buf)
-    | Some path ->
-        let oc = open_out path in
-        output_string oc (Buffer.contents buf);
-        close_out oc
+        Printf.printf "%-16s %12.3f %10.3f %8.2fx\n" r.Microbench.exit_label
+          r.Microbench.baseline_us r.Microbench.svt_us r.Microbench.speedup)
+      exits
   in
   Cmd.v
     (Cmd.info "fig6"
        ~doc:"The Figure 6 cpuid table across all run modes (baseline \
              levels, SW/HW SVt, ooh, hw-full-nesting) plus the per-exit \
-             latency profile of the selected backend; byte-deterministic, \
-             for smoke-diffing.")
-    Term.(const run $ arch_arg $ out_arg)
+             latency profile of the selected backend; byte-deterministic.")
+    Term.(const run $ arch_arg)
 
 (* ---- run one campaign point ---- *)
 

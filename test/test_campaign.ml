@@ -545,7 +545,7 @@ let test_recover_truncation_property () =
 
 (* Ledger numbers must survive write -> parse -> write byte-stably:
    resume appends rows next to rows parsed back from disk, and the
-   resume-smoke cmp demands the bytes agree. *)
+   interrupt/resume cases demand the bytes agree. *)
 let test_number_round_trip () =
   let values =
     [
@@ -709,6 +709,44 @@ let test_resume_equivalence () =
   in
   checki "nothing re-run" 6 again.Campaign.reused;
   checks "idempotent resume" (read_file full_path) (read_file cut_path);
+  Sys.remove full_path;
+  Sys.remove cut_path
+
+(* The same equivalence over real simulator runs. The hung spin workload
+   spends its fuel on every mode, so a third of the rows are timeouts:
+   those never count as done, and resume must re-execute them to the
+   same bytes. Exit 1 (some run timed out) is the success criterion for
+   the complete sweeps. *)
+let test_resume_reruns_timeouts () =
+  let spec =
+    Spec.cartesian
+      ~modes:[ Mode.Baseline; Mode.Hw_svt; Mode.sw_svt_default ]
+      ~workloads:[ "cpuid"; "spin" ] ()
+  in
+  let run = Runner.exec ~max_sim_events:200_000 in
+  let full_path = temp_ledger () and cut_path = temp_ledger () in
+  Sys.remove full_path;
+  Sys.remove cut_path;
+  let full =
+    Campaign.execute ~jobs:2 ~deterministic:true ~ledger:full_path ~run spec
+  in
+  checki "spin rows time out" 3 full.Campaign.timeout;
+  checki "reference exit code" 1 (Campaign.exit_code full);
+  (* jobs=1 makes the cut deterministic: cpuid, spin, cpuid. *)
+  let cut =
+    Campaign.execute ~jobs:1 ~max_rows:3 ~deterministic:true ~ledger:cut_path
+      ~run spec
+  in
+  checki "interrupt exit code" 3 (Campaign.exit_code cut);
+  checki "the cut holds a timeout row" 1 cut.Campaign.timeout;
+  let resumed =
+    Campaign.execute ~jobs:2 ~resume:true ~deterministic:true ~ledger:cut_path
+      ~run spec
+  in
+  checki "resume exit code" 1 (Campaign.exit_code resumed);
+  checki "only the ok rows are reused" 2 resumed.Campaign.reused;
+  checks "resumed ledger == uninterrupted ledger" (read_file full_path)
+    (read_file cut_path);
   Sys.remove full_path;
   Sys.remove cut_path
 
@@ -935,6 +973,8 @@ let () =
             test_campaign_writes_ledger;
           Alcotest.test_case "interrupt/resume equivalence" `Quick
             test_resume_equivalence;
+          Alcotest.test_case "resume re-runs timeout rows" `Quick
+            test_resume_reruns_timeouts;
           Alcotest.test_case "resume survives torn tail" `Quick
             test_resume_survives_torn_tail;
           Alcotest.test_case "fuel budget cuts hung workload" `Quick

@@ -13,6 +13,7 @@ module Policy = Svt_sched.Policy
 module Host = Svt_sched.Host
 module Spec = Svt_campaign.Spec
 module Ledger = Svt_campaign.Ledger
+module Campaign = Svt_campaign.Campaign
 module Open_loop = Svt_workloads.Open_loop
 
 let checkb = Alcotest.(check bool)
@@ -398,6 +399,27 @@ let test_ledger_legacy_rows_parse () =
       checki "default tenants" 1 e.Ledger.point.Spec.tenants;
       checks "default policy" "" e.Ledger.point.Spec.policy
 
+(* Virtual-time scheduling, SVt-thread placement and debt charging may
+   not depend on wall clock or worker interleaving: the consolidation
+   sweep's ledger is byte-identical under one and two worker domains. *)
+let test_consolidate_jobs_deterministic () =
+  let spec =
+    Spec.cartesian ~workloads:[ "consolidate" ]
+      ~modes:[ Mode.Baseline; Mode.sw_svt_default ]
+      ~policies:[ "dedicated-sibling"; "on-demand-donation"; "shared-pool:2" ]
+      ~tenants:[ 2; 6 ] ~cores:[ 4 ] ()
+  in
+  let ledger jobs =
+    let path = Filename.temp_file "sched-ledger" ".jsonl" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        let o = Campaign.execute ~jobs ~deterministic:true ~ledger:path spec in
+        checki "all ok" (List.length spec) o.Campaign.ok;
+        In_channel.with_open_bin path In_channel.input_all)
+  in
+  checks "jobs=1 and jobs=2 ledgers byte-identical" (ledger 1) (ledger 2)
+
 let () =
   Alcotest.run "svt_sched"
     [
@@ -444,5 +466,7 @@ let () =
             test_ledger_schema_v2_round_trip;
           Alcotest.test_case "legacy ledger rows parse" `Quick
             test_ledger_legacy_rows_parse;
+          Alcotest.test_case "consolidate ledger jobs=1 = jobs=2" `Quick
+            test_consolidate_jobs_deterministic;
         ] );
     ]
