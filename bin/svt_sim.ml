@@ -35,6 +35,16 @@ let conv_of_result of_string to_string =
     ( (fun s -> Result.map_error (fun e -> `Msg e) (of_string s)),
       fun ppf v -> Fmt.string ppf (to_string v) )
 
+(* A count that must be at least 1. Zero or less is a usage error (exit
+   124) here, rather than an exception or a NaN row deeper in. *)
+let pos_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Fmt.int)
+
 let mode_conv = conv_of_result Mode.of_string Mode.to_string
 let level_conv = conv_of_result Spec.level_of_string Spec.level_to_string
 let arch_conv =
@@ -70,7 +80,7 @@ let point_term workloads =
              ~doc:("Campaign registry workload: " ^ doc_alts workloads ^ "."))
   in
   let vcpus =
-    Arg.(value & opt int 1 & info [ "vcpus" ] ~docv:"N" ~doc:"Guest vCPUs.")
+    Arg.(value & opt pos_int 1 & info [ "vcpus" ] ~docv:"N" ~doc:"Guest vCPUs.")
   in
   let seed =
     Arg.(value & opt int 0
@@ -542,14 +552,14 @@ let sched_cmd =
   let module Policy = Svt_sched.Policy in
   let module Host = Svt_sched.Host in
   let cores_arg =
-    Arg.(value & opt int 4 & info [ "cores" ] ~docv:"N" ~doc:"Host cores.")
+    Arg.(value & opt pos_int 4 & info [ "cores" ] ~docv:"N" ~doc:"Host cores.")
   in
   let smt_arg =
-    Arg.(value & opt int 2
+    Arg.(value & opt pos_int 2
          & info [ "smt" ] ~docv:"N" ~doc:"Hardware threads per core.")
   in
   let tenants_arg =
-    Arg.(value & opt int 8
+    Arg.(value & opt pos_int 8
          & info [ "tenants" ] ~docv:"N" ~doc:"Co-located guest stacks.")
   in
   let vcpus_arg =
@@ -560,7 +570,7 @@ let sched_cmd =
          & info [ "horizon-ms" ] ~docv:"MS" ~doc:"Host run length (virtual ms).")
   in
   let quantum_us =
-    Arg.(value & opt int 50
+    Arg.(value & opt pos_int 50
          & info [ "quantum-us" ] ~docv:"US" ~doc:"Scheduling quantum.")
   in
   let config_conv =
@@ -695,10 +705,10 @@ let cluster_cmd =
     Arg.(value & opt int 4 & info [ "hosts" ] ~docv:"N" ~doc:"Fleet size.")
   in
   let cores_arg =
-    Arg.(value & opt int 4 & info [ "cores" ] ~docv:"N" ~doc:"Cores per host.")
+    Arg.(value & opt pos_int 4 & info [ "cores" ] ~docv:"N" ~doc:"Cores per host.")
   in
   let smt_arg =
-    Arg.(value & opt int 2
+    Arg.(value & opt pos_int 2
          & info [ "smt" ] ~docv:"N" ~doc:"Hardware threads per core.")
   in
   let tenants_arg =
@@ -886,7 +896,7 @@ let fuzz_cmd =
                    resume testing.")
   in
   let budget_arg =
-    Arg.(value & opt int Fuzz.default_budget
+    Arg.(value & opt pos_int Fuzz.default_budget
          & info [ "budget" ] ~docv:"N"
              ~doc:"Per-mode simulator event budget; exhaustion is reported \
                    as a violation.")

@@ -30,8 +30,6 @@ let of_string = function
 let all = [ X86; Arm ]
 let default = X86
 let equal = ( = )
-let compare = Stdlib.compare
-let pp ppf k = Fmt.string ppf (to_string k)
 
 (* ---- the backend interface -------------------------------------------- *)
 
@@ -143,7 +141,3 @@ let has_shadow_vmcs k =
 let has_hw_svt k =
   let (module B) = of_kind k in
   B.has_hw_svt
-
-let nested_state_of k =
-  let (module B) = of_kind k in
-  B.nested_state

@@ -32,8 +32,6 @@ val default : kind
 (** [X86] — the arch every pre-v4 artifact implicitly carried. *)
 
 val equal : kind -> kind -> bool
-val compare : kind -> kind -> int
-val pp : Format.formatter -> kind -> unit
 
 (** The backend interface proper. *)
 module type S = sig
@@ -66,12 +64,9 @@ type t = (module S)
 module X86_backend : S
 module Arm_backend : S
 
-val of_kind : kind -> t
-
 (* Per-kind conveniences, so call sites need not unpack the module. *)
 val cost_of : kind -> Cost_model.t
 val exit_name : kind -> Exit_reason.t -> string
 val display_name : kind -> string
 val has_shadow_vmcs : kind -> bool
 val has_hw_svt : kind -> bool
-val nested_state_of : kind -> state_model

@@ -268,10 +268,6 @@ let arm_machine =
     per_reason = arm_profiles;
   }
 
-(* Number of VMCS fields each direction of a vmcs12↔vmcs02 transform
-   rewrites for a typical exit. *)
-let transform_fields = 16
-
 let transform_cost t ~fields =
   Time.add t.transform_base (Time.scale t.transform_per_field (float_of_int fields))
 

@@ -84,16 +84,11 @@ type t = {
   per_reason : Exit_reason.t -> profile;
 }
 
-val default_profile : profile
-
 val paper_profiles : Exit_reason.t -> profile
 (** The calibrated per-reason profiles of {!paper_machine}. *)
 
 val paper_machine : t
 (** Calibrated against the paper's Table 1 and §6.1 findings. *)
-
-val arm_profiles : Exit_reason.t -> profile
-(** The per-reason profiles of {!arm_machine}. *)
 
 val arm_machine : t
 (** ARM NV/VHE: nested state in memory-backed system registers (no
@@ -101,13 +96,7 @@ val arm_machine : t
     transforms, and direct sysreg-image access under SVt
     ([svt_sysreg_direct]). *)
 
-val transform_fields : int
-(** Fields a typical vmcs12↔vmcs02 transform direction rewrites. *)
-
 val transform_cost : t -> fields:int -> Svt_engine.Time.t
-
-val mss : int
-val frame_overhead : int
 
 val wire_serialize : t -> bytes:int -> Svt_engine.Time.t
 (** Serialization of [bytes] of payload on the NIC wire, including

@@ -36,8 +36,6 @@ let query t ~leaf ~subleaf =
   | Some r -> r
   | None -> { eax = 0L; ebx = 0L; ecx = 0L; edx = 0L }
 
-let set t ~leaf ~subleaf regs = Hashtbl.replace t.leaves (leaf, subleaf) regs
-
 (* Derive the view a hypervisor exposes to a guest. [expose_vmx] keeps the
    VMX bit (needed by a guest that will itself run VMs, i.e. L1). The
    hypervisor-present bit is always set for guests. *)
@@ -53,11 +51,3 @@ let guest_view t ~expose_vmx =
       Hashtbl.replace leaves (1, 0) { r with ecx }
   | None -> ());
   { leaves }
-
-let has_vmx t =
-  let r = query t ~leaf:1 ~subleaf:0 in
-  Int64.logand r.ecx ecx_vmx_bit <> 0L
-
-let has_hypervisor_bit t =
-  let r = query t ~leaf:1 ~subleaf:0 in
-  Int64.logand r.ecx ecx_hypervisor_bit <> 0L

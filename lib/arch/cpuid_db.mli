@@ -6,21 +6,13 @@
 type regs = { eax : int64; ebx : int64; ecx : int64; edx : int64 }
 type t
 
-val ecx_vmx_bit : int64
-val ecx_hypervisor_bit : int64
-
 val host : unit -> t
 (** Haswell-flavoured host leaves (vendor string, features incl. VMX). *)
 
 val query : t -> leaf:int -> subleaf:int -> regs
 (** Unknown leaves read as zeroes, as hardware does past the max leaf. *)
 
-val set : t -> leaf:int -> subleaf:int -> regs -> unit
-
 val guest_view : t -> expose_vmx:bool -> t
 (** Derive the view a hypervisor exposes to a guest: the hypervisor-
     present bit is set, and VMX is kept only when the guest will itself
     run VMs. *)
-
-val has_vmx : t -> bool
-val has_hypervisor_bit : t -> bool

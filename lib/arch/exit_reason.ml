@@ -125,7 +125,3 @@ let all =
     Vmwrite; Vmxoff; Vmxon; Cr_access; Dr_access; Io_instruction; Msr_read;
     Msr_write; Mwait_exit; Pause_exit; Ept_violation; Ept_misconfig; Invept;
     Preemption_timer; Apic_access; Apic_write; Eoi_induced; Wbinvd; Xsetbv ]
-
-let equal = ( = )
-let compare = Stdlib.compare
-let pp ppf r = Fmt.string ppf (name r)

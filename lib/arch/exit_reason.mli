@@ -47,7 +47,3 @@ val is_vmx_instruction : t -> bool
 
 val all : t list
 (** Every inhabitant, for per-backend exhaustiveness tests. *)
-
-val equal : t -> t -> bool
-val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit

@@ -68,9 +68,6 @@ let name m =
   | Ia32_pred_cmd -> "IA32_PRED_CMD"
   | Other n -> Printf.sprintf "MSR_%#x" n
 
-let equal = ( = )
-let pp ppf m = Fmt.string ppf (name m)
-
 (* A per-context MSR file. *)
 module File = struct
   type msr = t

@@ -24,8 +24,6 @@ val encode : t -> int
 
 val of_code : int -> t
 val name : t -> string
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 
 (** A per-context MSR value file. *)
 module File : sig
@@ -42,9 +40,6 @@ module Bitmap : sig
   type msr := t
   type t
 
-  val intercept_all : unit -> t
-  val allow_read : t -> msr -> unit
-  val allow_write : t -> msr -> unit
   val read_traps : t -> msr -> bool
   val write_traps : t -> msr -> bool
 

@@ -29,12 +29,3 @@ let delegated = function
   | Exit_reason.Vmcall ->
       true
   | _ -> false (* interrupts, I/O, APIC, timers, VMX instructions *)
-
-(* Residual = reflected through L0 under OoH: not delegated and not a VMX
-   instruction (those never reflect in any mode). *)
-let residual r = (not (delegated r)) && not (Exit_reason.is_vmx_instruction r)
-
-let reason_class r =
-  if Exit_reason.is_vmx_instruction r then "vmx"
-  else if delegated r then "delegated"
-  else "residual"

@@ -10,10 +10,3 @@ val delegated : Exit_reason.t -> bool
     emulation (cpuid, MSRs, CR/DR, invlpg, rdtsc, idle states), the
     guest's own EPT handling (violation + misconfig doorbells), and the
     L2→L1 hypercall. *)
-
-val residual : Exit_reason.t -> bool
-(** Reflected through L0 under OoH: not {!delegated} and not a VMX
-    instruction (those are handled inline by L0 in every mode). *)
-
-val reason_class : Exit_reason.t -> string
-(** ["delegated"], ["residual"] or ["vmx"] — for span tags and metrics. *)

@@ -71,7 +71,3 @@ let slot = function
   | Segment "tr" -> 28
   | Segment "ldtr" -> 29
   | Cr _ | Dr _ | Segment _ -> -1
-
-let compare = Stdlib.compare
-let equal = ( = )
-let pp ppf r = Fmt.string ppf (name r)

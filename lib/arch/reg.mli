@@ -16,9 +16,7 @@ type t =
   | Segment of string
 
 val all_gprs : gpr list
-val gpr_name : gpr -> string
 val name : t -> string
-val segments : string list
 
 val switched_set : t list
 (** Everything the hypervisor thunk plus KVM's lazy switching touch on a
@@ -29,7 +27,3 @@ val switched_count : int
 val slot : t -> int
 (** Index of a register in {!switched_set} ([0 .. switched_count - 1]),
     or [-1] for a register outside it. *)
-
-val compare : t -> t -> int
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -10,8 +10,7 @@
 
    The rename maps are dense: one flat int array holds every context's
    entries for the switched set, indexed by [Reg.slot]. Registers outside
-   the switched set only get an entry when renamed in, and live in a short
-   per-context association list. *)
+   the switched set have no entry. *)
 
 type phys_index = int
 
@@ -19,13 +18,8 @@ let slots = Reg.switched_count
 
 type t = {
   entries : int64 array;
-  (* Free physical entries as a FIFO ring: [free_count] of them, oldest
-     at [free_head]. Entries are conserved, so the ring never overflows. *)
-  ring : phys_index array;
-  mutable free_head : int;
-  mutable free_count : int;
+  contexts : int;
   maps : phys_index array; (* context [c]'s slot [s] at [c * slots + s] *)
-  extra : (Reg.t * phys_index) list array;
 }
 
 let create ~contexts ~physical_entries =
@@ -34,66 +28,24 @@ let create ~contexts ~physical_entries =
   (* Every context starts with the switched set mapped, as hardware does
      at reset: context [c] takes entries [c * slots ..], in
      [Reg.switched_set] order. *)
-  let mapped = contexts * slots in
   {
     entries = Array.make physical_entries 0L;
-    ring = Array.init physical_entries Fun.id;
-    free_head = (if mapped < physical_entries then mapped else 0);
-    free_count = physical_entries - mapped;
-    maps = Array.init mapped Fun.id;
-    extra = Array.make contexts [];
+    contexts;
+    maps = Array.init (contexts * slots) Fun.id;
   }
 
-let context_count t = Array.length t.extra
-
 let check_ctx t ctx =
-  if ctx < 0 || ctx >= Array.length t.extra then
+  if ctx < 0 || ctx >= t.contexts then
     invalid_arg "Regfile: bad context index"
 
 let phys_of t ~ctx reg =
   check_ctx t ctx;
   let s = Reg.slot reg in
   if s >= 0 then t.maps.((ctx * slots) + s)
-  else
-    match List.assoc_opt reg t.extra.(ctx) with
-    | Some idx -> idx
-    | None -> invalid_arg ("Regfile: unmapped register " ^ Reg.name reg)
+  else invalid_arg ("Regfile: unmapped register " ^ Reg.name reg)
 
 let read t ~ctx reg = t.entries.(phys_of t ~ctx reg)
 let write t ~ctx reg v = t.entries.(phys_of t ~ctx reg) <- v
-
-let push_free t idx =
-  let n = Array.length t.ring in
-  t.ring.((t.free_head + t.free_count) mod n) <- idx;
-  t.free_count <- t.free_count + 1
-
-(* Rename: allocate a fresh physical entry for [reg] in [ctx] (as an
-   out-of-order core would on each writing instruction), freeing the old
-   one to the back of the free list. Exercised by tests to show
-   cross-context reads still resolve through the current map. *)
-let rename t ~ctx reg =
-  check_ctx t ctx;
-  if t.free_count = 0 then None
-  else begin
-    let idx = t.ring.(t.free_head) in
-    t.free_head <- (t.free_head + 1) mod Array.length t.ring;
-    t.free_count <- t.free_count - 1;
-    let s = Reg.slot reg in
-    let old =
-      if s >= 0 then Some t.maps.((ctx * slots) + s)
-      else List.assoc_opt reg t.extra.(ctx)
-    in
-    (match old with
-    | Some o ->
-        t.entries.(idx) <- t.entries.(o);
-        push_free t o
-    | None -> ());
-    if s >= 0 then t.maps.((ctx * slots) + s) <- idx
-    else t.extra.(ctx) <- (reg, idx) :: List.remove_assoc reg t.extra.(ctx);
-    Some idx
-  end
-
-let free_entries t = t.free_count
 
 (* Copy the whole switched set between contexts through the register file
    (what SVt's ctxtld/ctxtst loop does when a hypervisor populates a

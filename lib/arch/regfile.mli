@@ -9,17 +9,10 @@ val create : contexts:int -> physical_entries:int -> t
 (** Raises if the physical file cannot back every context's architectural
     switched set. *)
 
-val context_count : t -> int
-
 val phys_of : t -> ctx:int -> Reg.t -> phys_index
 (** Current physical entry backing [reg] in context [ctx]. *)
 
 val read : t -> ctx:int -> Reg.t -> int64
 val write : t -> ctx:int -> Reg.t -> int64 -> unit
 
-val rename : t -> ctx:int -> Reg.t -> phys_index option
-(** Allocate a fresh physical entry for [reg] (carrying its value over),
-    as an OoO core does on writes; [None] when the free list is empty. *)
-
-val free_entries : t -> int
 val copy_switched_set : t -> from_ctx:int -> to_ctx:int -> unit

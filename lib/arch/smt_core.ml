@@ -151,8 +151,6 @@ let set_mode t m =
   t.mode <- m;
   if m = Smt_mode then Array.fill t.states 0 t.n_contexts Halted
 
-let mode t = t.mode
-
 let set_ctx_busy t ctx busy =
   check_ctx t ctx;
   (match t.mode with
@@ -160,9 +158,6 @@ let set_ctx_busy t ctx busy =
   | Svt_mode ->
       invalid_arg "Smt_core.set_ctx_busy: SVt cores fetch from one context");
   t.states.(ctx) <- (if busy then Active else Halted)
-
-let busy_contexts t =
-  Array.fold_left (fun n s -> if s = Active then n + 1 else n) 0 t.states
 
 let co_runner_slowdown = 0.30
 

@@ -81,19 +81,10 @@ val set_mode : t -> mode -> unit
 (** Switch the fetch model. Entering [Smt_mode] clears every context to
     [Halted] (no occupancy yet). *)
 
-val mode : t -> mode
-
 val set_ctx_busy : t -> int -> bool -> unit
 (** Mark a hardware thread as holding runnable work ([Active]) or idle
     ([Halted]) for the current scheduling quantum. Raises on SVt-mode
     cores, which fetch from exactly one context by construction. *)
-
-val busy_contexts : t -> int
-(** Number of [Active] contexts. *)
-
-val co_runner_slowdown : float
-(** Issue-slot loss per busy co-resident thread (0.30 — milder than the
-    0.35 of a spin-polling sibling). *)
 
 val co_runner_factor : t -> ctx:int -> float
 (** Slowdown multiplier seen by context [ctx] from busy siblings and

@@ -90,8 +90,9 @@ let execute ?jobs ?retries ?timeout_s ?quarantine_after ?max_rows
   let entry_of_result r =
     let e = Ledger.entry_of_result r in
     (* wall_s is the one nondeterministic field; pinning it makes two
-       ledgers of the same campaign byte-identical (resume-smoke cmp's
-       an interrupted-then-resumed sweep against an uninterrupted one) *)
+       ledgers of the same campaign byte-identical (test_campaign "resume
+       re-runs timeout rows" compares an interrupted-then-resumed sweep
+       with an uninterrupted one) *)
     if deterministic then { e with Ledger.wall_s = 0.0 } else e
   in
   (* ---- resume: salvage ok rows recorded by a previous attempt ---- *)

@@ -58,9 +58,9 @@ val execute :
 
     [max_rows] stops the campaign after that many rows complete
     (outcome is [interrupted]; exit code 3) — the crash-simulation hook
-    for resume-smoke. [resume] reads the ledger back via
-    {!Ledger.recover} before running and skips points whose latest row
-    is [ok]. [deterministic] pins the per-row [wall_s] field to [0.0]
+    of test_campaign "resume re-runs timeout rows". [resume] reads the
+    ledger back via {!Ledger.recover} before running and skips points
+    whose latest row is [ok]. [deterministic] pins the per-row [wall_s] field to [0.0]
     so two ledgers of the same campaign are byte-identical.
     {!Svt_engine.Simulator.Budget_exhausted} from the run function is
     fatal (never retried) and becomes a [timeout] row carrying the fuel

@@ -9,9 +9,6 @@
     marker naming the producing subsystem. [wall_s] is pinned to 0.0 so
     heartbeats never reintroduce a nondeterministic top-level field. *)
 
-val workload : string
-(** ["telemetry"] — reserved; not a runnable workload. *)
-
 val entry : source:string -> seq:int -> (string * float) list -> Ledger.entry
 (** Build heartbeat number [seq] (the sequence index doubles as the
     point seed, giving every heartbeat a distinct run_id) from a

@@ -14,7 +14,6 @@ type t = {
   oc : out_channel;
   checkpoint_every : int;
   mutable unflushed : int;
-  mutable rows : int;
 }
 
 let create ?(checkpoint_every = 1) ?(truncate = false) path =
@@ -26,24 +25,17 @@ let create ?(checkpoint_every = 1) ?(truncate = false) path =
     oc = open_out_gen flags 0o644 path;
     checkpoint_every = max 1 checkpoint_every;
     unflushed = 0;
-    rows = 0;
   }
 
 let append t e =
   output_string t.oc (Ledger.line_of_entry_crc e);
   output_char t.oc '\n';
-  t.rows <- t.rows + 1;
   t.unflushed <- t.unflushed + 1;
   if t.unflushed >= t.checkpoint_every then begin
     Stdlib.flush t.oc;
     t.unflushed <- 0
   end
 
-let flush t =
-  Stdlib.flush t.oc;
-  t.unflushed <- 0
-
-let rows t = t.rows
 let close t = close_out t.oc
 
 let with_journal ?checkpoint_every ?truncate path f =

@@ -17,8 +17,6 @@ val create : ?checkpoint_every:int -> ?truncate:bool -> string -> t
 val append : t -> Ledger.entry -> unit
 (** Append one CRC'd row, flushing if the checkpoint interval is due. *)
 
-val flush : t -> unit
-val rows : t -> int
 val close : t -> unit
 
 val with_journal :

@@ -495,9 +495,6 @@ let load path =
       in
       go 1 [])
 
-let load_exn path =
-  match load path with Ok es -> es | Error msg -> failwith msg
-
 (* ---- crash-tolerant reader ---- *)
 
 type recovery = {

@@ -61,9 +61,6 @@ val parse_json : string -> json
     tell an intact row from a torn or bit-flipped one. Lines without
     the field are accepted unchecked (legacy ledgers). *)
 
-val crc32 : string -> int32
-(** IEEE-reflected CRC-32 (the zlib/PNG polynomial). *)
-
 val line_of_entry_crc : entry -> string
 (** The entry's canonical JSON line with the checksum field appended. *)
 
@@ -74,26 +71,13 @@ val strip_crc : string -> (string, string) result
 
 (** {2 Writing} *)
 
-type writer
-
-val create : string -> writer
-(** Open [path] for appending (created if missing). *)
-
-val add : writer -> entry -> unit
-(** Append one line and flush it, so a killed campaign keeps every
-    completed run. *)
-
-val close : writer -> unit
-
 val write : string -> entry list -> unit
-(** [create]; [add] each; [close]. *)
+(** Append [entries] to the file at [path], one line each. *)
 
 (** {2 Reading} *)
 
 val load : string -> (entry list, string) result
 (** Parse a ledger file; [Error] names the first offending line. *)
-
-val load_exn : string -> entry list
 
 (** What {!recover} salvaged from a (possibly torn) journal. *)
 type recovery = {

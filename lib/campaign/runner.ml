@@ -129,9 +129,9 @@ let workload_metrics (p : Spec.point) sys =
       ]
   | "spin" ->
       (* Deliberately hung: an unbounded reflection loop (every cpuid is
-         a full nested exit episode), the resume-smoke / fuel-budget
-         victim. Only the simulator budget ends it — with no budget set
-         this never returns. *)
+         a full nested exit episode), the fuel-budget victim of
+         test_campaign "resume re-runs timeout rows". Only the simulator
+         budget ends it — with no budget set this never returns. *)
       let vcpu = System.vcpu0 sys in
       Svt_hyp.Vcpu.spawn_program vcpu (fun v ->
           while true do

@@ -102,8 +102,6 @@ let zip ?(merge = default_merge) a b =
     invalid_arg "Spec.zip: length mismatch";
   List.map2 merge a b
 
-let ( @+ ) = List.append
-
 (* ---- canonical naming ---- *)
 
 (* Mode and arch spellings come from [Svt_core.Mode] and [Svt_arch.Backend]
@@ -295,5 +293,3 @@ let of_axes axes =
       Ok
         (cartesian ~archs ~modes ~levels ~workloads ~vcpus ~seeds ~faults
            ~cores ~smts ~tenants ~policies ~hosts ()))
-
-let pp_point ppf p = Fmt.string ppf (canonical_key p)

@@ -76,9 +76,6 @@ val zip : ?merge:(point -> point -> point) -> t -> t -> t
     mismatch. Useful for pairing a mode×level matrix with a per-point
     workload/seed list. *)
 
-val ( @+ ) : t -> t -> t
-(** Concatenation (campaign union). *)
-
 (** {2 Stable identity} *)
 
 val canonical_key : point -> string
@@ -115,5 +112,3 @@ val of_axes : (string * string list) list -> (t, string) result
 (** Cartesian product of parsed axes; unknown keys, unparseable values
     and empty value lists are reported as [Error]. Repeated keys append
     to the same axis. *)
-
-val pp_point : Format.formatter -> point -> unit

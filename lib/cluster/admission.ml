@@ -65,16 +65,6 @@ let rejection_token = function
   | Retries_exhausted _ -> "retries"
   | Config_rejected _ -> "config"
 
-let pp_rejection ppf = function
-  | Quota_exceeded { quota; requested } ->
-      Fmt.pf ppf "quota exceeded: %d vCPUs requested, quota %d" requested quota
-  | Retries_exhausted { attempts } ->
-      Fmt.pf ppf "retries exhausted after %d placement attempts" attempts
-  | Config_rejected { errors } ->
-      Fmt.pf ppf "config rejected: %a"
-        (Fmt.list ~sep:Fmt.comma Svt_core.System.Config.pp_error)
-        errors
-
 (* ---- host selection ---- *)
 
 type host_view = { id : int; committed : int; capacity : int }

@@ -38,8 +38,6 @@ val rejection_token : rejection -> string
 (** Short stable token for ledgers and tables: ["quota"], ["retries"],
     ["config"]. *)
 
-val pp_rejection : Format.formatter -> rejection -> unit
-
 type host_view = { id : int; committed : int; capacity : int }
 (** A live host as the controller sees it: gang threads already
     committed vs. hardware threads. *)

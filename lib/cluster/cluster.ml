@@ -175,7 +175,6 @@ let create cfg =
       }
 
 let now t = t.clock
-let epochs t = t.epoch_idx
 let tenants t = List.rev t.tenants
 
 let find_tenant t name =

@@ -59,7 +59,6 @@ val run : t -> horizon:Svt_engine.Time.t -> unit
     Callable repeatedly. *)
 
 val now : t -> Svt_engine.Time.t
-val epochs : t -> int
 
 (** {2 Reporting} *)
 

@@ -49,7 +49,6 @@ type ring = {
   aspace : Aspace.t;
   base : Gpa.t;
   signal : Signal.t;
-  mutable posts : int;
 }
 
 type t = {
@@ -69,8 +68,7 @@ let make_ring sim aspace =
               / Svt_mem.Addr.page_size in
   { aspace;
     base = Aspace.alloc_guest_pages aspace pages;
-    signal = Signal.create sim;
-    posts = 0 }
+    signal = Signal.create sim }
 
 let create ?(vcpu_index = -1) ?injector ~machine ~aspace ~wait ~placement
     ~core () =
@@ -167,7 +165,6 @@ let publish ring cmd =
   let h = head ring in
   serialize ring h cmd;
   set_head ring (h + 1);
-  ring.posts <- ring.posts + 1;
   Signal.broadcast ring.signal
 
 (* Producer: serialize, publish, and ding the monitored line. Charged to
@@ -277,8 +274,5 @@ let recv t ring bd ?(on_idle = fun () -> ()) () =
 
 let to_svt t = t.to_svt
 let from_svt t = t.from_svt
-let posts ring = ring.posts
-let wait_mechanism t = t.wait
-let injector t = t.injector
 let ring_signal ring = ring.signal
 let pending_ring = pending

@@ -68,7 +68,6 @@ val post_retry : t -> ring -> Svt_hyp.Breakdown.t -> command -> unit
     [Backpressure_retry] fault outcome. Raises only once the backoff
     schedule (8 attempts) is exhausted. *)
 
-val pending : ring -> bool
 val pending_ring : ring -> bool
 
 val try_recv : t -> ring -> Svt_hyp.Breakdown.t -> command option
@@ -85,7 +84,3 @@ val charge_wake : t -> Svt_hyp.Breakdown.t -> unit
 
 val ring_signal : ring -> Svt_engine.Simulator.Signal.t
 (** The "monitored cache line": broadcast on every {!post}. *)
-
-val posts : ring -> int
-val wait_mechanism : t -> Mode.wait_mechanism
-val injector : t -> Svt_fault.Injector.t

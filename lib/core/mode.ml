@@ -81,10 +81,6 @@ let name = function
   | Hw_full_nesting -> "hw-full-nesting"
   | Ooh -> "ooh"
 
-let is_svt = function
-  | Baseline | Hw_full_nesting | Ooh -> false
-  | Sw_svt _ | Hw_svt -> true
-
 (* ---- the canonical string table ---------------------------------------
 
    One round-tripping table for every consumer (axis grammar, CLI, ledger,
@@ -150,5 +146,3 @@ let all =
           (fun placement -> Sw_svt { wait; placement })
           [ Smt_sibling; Same_numa_core; Cross_numa ])
       [ Polling; Mwait; Mutex ]
-
-let pp ppf t = Fmt.string ppf (name t)

@@ -65,9 +65,6 @@ val svt_policy_of_string : string -> (svt_policy, string) result
 val wait_name : wait_mechanism -> string
 val placement_name : placement -> string
 
-val wait_of_string : string -> wait_mechanism option
-val placement_of_string : string -> placement option
-
 val name : t -> string
 (** Pretty display form ("sw-svt(mwait)") — for tables and span tags,
     {e not} for identity. Use {!to_string} anywhere the string is parsed
@@ -86,9 +83,3 @@ val of_string : string -> (t, string) result
 val all : t list
 (** Every inhabitant (each [Sw_svt] wait × placement spelled out), for
     round-trip property tests. *)
-
-val is_svt : t -> bool
-(** Whether the mode uses the SVt mechanisms (excludes [Baseline],
-    [Hw_full_nesting] and [Ooh]). *)
-
-val pp : Format.formatter -> t -> unit

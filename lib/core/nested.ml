@@ -880,12 +880,6 @@ let interrupt_for_l1 t ~vector ~work =
 let at_entry_boundary t =
   Time.(Time.diff (Proc.now ()) t.last_episode_end <= Time.of_ns 1_000)
 
-let note_episode_end t = t.last_episode_end <- Proc.now ()
-
 let episodes t = t.episodes
 let blocked_injections t = t.blocked_injections
-let downgraded t = t.downgraded
-let injector t = t.injector
-let vmcs01 t = t.vmcs01
 let vmcs12 t = t.vmcs12
-let vmcs02 t = t.vmcs02

@@ -58,20 +58,10 @@ val at_entry_boundary : t -> bool
     a pending vector can be injected on the upcoming VM entry without
     forcing a fresh exit. *)
 
-val note_episode_end : t -> unit
-
 (** {2 Introspection} *)
 
 val episodes : t -> int
 val blocked_injections : t -> int
 (** SVT_BLOCKED events serviced while waiting on the SVt-thread (§5.3). *)
 
-val downgraded : t -> bool
-(** Whether the stall watchdog gave up on the SVt-thread and fell back to
-    baseline trap-and-emulate for the rest of the run. *)
-
-val injector : t -> Svt_fault.Injector.t
-
-val vmcs01 : t -> Svt_vmcs.Vmcs.t
 val vmcs12 : t -> Svt_vmcs.Vmcs.t
-val vmcs02 : t -> Svt_vmcs.Vmcs.t

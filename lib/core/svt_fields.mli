@@ -17,10 +17,6 @@ val invalid : int
 val set_contexts : Svt_vmcs.Vmcs.t -> visor:int -> vm:int -> nested:int -> unit
 (** Program a VMCS's SVt_visor / SVt_vm / SVt_nested fields. *)
 
-val visor : Svt_vmcs.Vmcs.t -> int
-val vm : Svt_vmcs.Vmcs.t -> int
-val nested : Svt_vmcs.Vmcs.t -> int
-
 val vmptrld : Svt_arch.Smt_core.t -> Svt_vmcs.Vmcs.t -> unit
 (** Load the VMCS: marks it current and copies its SVt fields into the
     core's cached µ-registers (§4 step Ⓑ). *)

@@ -405,19 +405,15 @@ let of_config (c : Config.t) =
       { machine; mode; level; l1_vm; guest_vm = l2_vm; vcpus; nested; script;
         injector; fabric = None }
 
-let machine t = t.machine
-let arch t = Machine.arch t.machine
 let obs t = Machine.obs t.machine
 let probe t = Machine.probe t.machine
 let sim t = Machine.sim t.machine
 let cost t = Machine.cost t.machine
-let mode t = t.mode
 let guest_vm t = t.guest_vm
 let vcpu t i = t.vcpus.(i)
 let vcpu0 t = t.vcpus.(0)
 let n_vcpus t = Array.length t.vcpus
 let nested_path t i = t.nested.(i)
-let l1_script t = t.script
 let metrics t = t.machine.Machine.metrics
 let injector t = t.injector
 

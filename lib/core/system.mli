@@ -24,10 +24,6 @@ val level_name : level -> string
 
 val net_vector : int
 val blk_vector : int
-val l1_nic_vector : int
-
-val spurious_vector : int
-(** The vector the spurious-interrupt fault injects (no ISR handles it). *)
 
 (** A validated system configuration, and the only way to build a stack
     ({!of_config}). {!Config.make} collects the knobs with the paper's
@@ -134,8 +130,6 @@ val of_config : Config.t -> t
 
 (** {2 Accessors} *)
 
-val machine : t -> Svt_hyp.Machine.t
-
 val obs : t -> Svt_obs.Recorder.t
 (** The machine's observability recorder (install sinks here). *)
 
@@ -145,10 +139,6 @@ val probe : t -> Svt_obs.Probe.t
 val sim : t -> Svt_engine.Simulator.t
 val cost : t -> Svt_arch.Cost_model.t
 
-val arch : t -> Svt_arch.Backend.kind
-(** The architecture backend this stack was built for. *)
-
-val mode : t -> Mode.t
 val guest_vm : t -> Svt_hyp.Vm.t
 val vcpu : t -> int -> Svt_hyp.Vcpu.t
 val vcpu0 : t -> Svt_hyp.Vcpu.t
@@ -156,10 +146,6 @@ val n_vcpus : t -> int
 
 val nested_path : t -> int -> Nested.t
 (** The nested trap path serving vCPU [i] (only when [level = L2_nested]). *)
-
-val l1_script : t -> Svt_hyp.L1_script.t
-(** The guest hypervisor's handler-script registry, for overriding the
-    behaviour of specific exit reasons (device wiring does this). *)
 
 val metrics : t -> Svt_stats.Metrics.t
 (** Exit counts and per-reason handler time (the §6.2/§6.3 profiles). *)
@@ -188,11 +174,6 @@ val run_slice : t -> until:Svt_engine.Time.t -> [ `Ran | `Idle ]
     slice (the stack slept through it) and nothing was run. *)
 
 (** {2 Devices} *)
-
-val charge_l1_exit : t -> Svt_arch.Exit_reason.t -> unit
-(** Charge one L1-level (single-level) exit inside a backend process —
-    what L1's vhost threads pay when poking their L0-provided devices.
-    Must be called from a simulator process. *)
 
 val attach_net :
   ?vcpu_index:int -> t -> Svt_virtio.Virtio_net.t * Svt_virtio.Fabric.t

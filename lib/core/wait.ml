@@ -29,7 +29,6 @@ module Kind = struct
   let of_string s =
     List.find_opt (fun k -> to_string k = s) all
 
-  let pp ppf t = Fmt.string ppf (to_string t)
 end
 
 (* Virtual-clock backoff schedules for fault recovery: bounded

@@ -11,7 +11,6 @@ module Kind : sig
   val all : t list
   val to_string : t -> string
   val of_string : string -> t option
-  val pp : Format.formatter -> t -> unit
 end
 
 val retry_backoff : attempt:int -> Svt_engine.Time.t

@@ -88,8 +88,6 @@ let cancel q e =
     q.cancels <- q.cancels + 1
   end
 
-let is_cancelled e = e.cancelled
-
 let pop_raw q =
   if q.size = 0 then None
   else begin

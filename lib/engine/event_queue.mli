@@ -24,8 +24,6 @@ val cancel : t -> handle -> unit
 (** Idempotent; a cancelled event is never returned by {!pop}. Safe on a
     handle whose event already fired (a no-op). *)
 
-val is_cancelled : handle -> bool
-
 val pop : t -> (Time.t * (unit -> unit)) option
 (** Remove and return the earliest live event. *)
 

@@ -84,7 +84,6 @@ let int_in_range g ~lo ~hi =
   if hi < lo then invalid_arg "Prng.int_in_range";
   lo + int g (hi - lo + 1)
 
-let bool g = Int64.logand (next_int64 g) 1L = 1L
 let bernoulli g p = float g < p
 
 let exponential g ~mean =

@@ -15,12 +15,6 @@ val split : t -> t
 (** Derive an independent stream (one per subsystem). Consumes parent
     state: the child depends on how many draws preceded it. *)
 
-val split_seed : int64 -> index:int -> int64
-(** Keyed splitting: the seed of child [index] of a parent seed. A pure
-    function of [(parent, index)] — sibling streams are independent of
-    each other and of creation order, so a subsystem can address child
-    [i] directly without materializing children [0..i-1]. *)
-
 val of_split : int64 -> index:int -> t
 (** [of_seed (split_seed parent ~index)]: the child stream itself. The
     fault injector keys its per-kind streams this way, and the fuzzer its
@@ -35,7 +29,6 @@ val int : t -> int -> int
 (** [int g bound] is uniform in [0, bound), without modulo bias. *)
 
 val int_in_range : t -> lo:int -> hi:int -> int
-val bool : t -> bool
 val bernoulli : t -> float -> bool
 
 val exponential : t -> mean:float -> float

@@ -23,7 +23,6 @@ type t = {
   queue : Event_queue.t;
   mutable error : exn option;
   mutable events_processed : int;
-  mutable spawned : int;
   mutable budget_events : int option;
   mutable budget_time : Time.t option;
   mutable observer : observer option;
@@ -61,7 +60,7 @@ type _ Effect.t +=
 
 let create () =
   { now = Time.zero; queue = Event_queue.create (); error = None;
-    events_processed = 0; spawned = 0; budget_events = None;
+    events_processed = 0; budget_events = None;
     budget_time = None; observer = None }
 
 let now t = t.now
@@ -75,8 +74,6 @@ let set_budget ?max_events ?max_time t =
   t.budget_events <- max_events;
   t.budget_time <- max_time
 
-let budget t = (t.budget_events, t.budget_time)
-
 let schedule t ~after run =
   if after < 0 then invalid_arg "Simulator.schedule: negative delay";
   Event_queue.add t.queue ~time:(Time.add t.now after) run
@@ -88,7 +85,6 @@ let schedule_at t ~time run =
 let cancel t h = Event_queue.cancel t.queue h
 
 let spawn t ?(name = "proc") f =
-  t.spawned <- t.spawned + 1;
   let body () =
     Effect.Deep.match_with f ()
       {
@@ -184,8 +180,6 @@ let run ?until ?(max_events = default_max_events) t =
   | _ -> ()
 
 let events_processed t = t.events_processed
-let processes_spawned t = t.spawned
-let pending_events t = Event_queue.length t.queue
 
 (* The instant of the earliest pending event. This is what lets an
    external scheduler share one clock across many simulators: a guest
@@ -201,7 +195,6 @@ module Proc = struct
     if span < 0 then invalid_arg "Proc.delay: negative span";
     if span = 0 then () else Effect.perform (E_delay span)
 
-  let yield () = Effect.perform (E_delay Time.zero)
   let suspend register = Effect.perform (E_suspend register)
 
   let spawn ?name f =
@@ -215,10 +208,6 @@ module Ivar = struct
   type 'a t = 'a ivar
 
   let create sim = { sim; state = Empty [] }
-
-  let create_here () =
-    let sim = Proc.sim () in
-    create sim
 
   let fill iv v =
     match iv.state with
@@ -250,18 +239,12 @@ module Signal = struct
 
   let create sim = { sim; waiters = [] }
 
-  let create_here () =
-    let sim = Proc.sim () in
-    create sim
-
   let broadcast s =
     let waiters = List.rev s.waiters in
     s.waiters <- [];
     List.iter
       (fun resume -> ignore (schedule s.sim ~after:Time.zero resume))
       waiters
-
-  let has_waiters s = s.waiters <> []
 
   let wait s =
     Proc.suspend (fun resume -> s.waiters <- (fun () -> resume ()) :: s.waiters)
@@ -316,10 +299,6 @@ module Mailbox = struct
 
   let create sim = { sim; items = Queue.create (); readers = [] }
 
-  let create_here () =
-    let sim = Proc.sim () in
-    create sim
-
   let send mb v =
     match mb.readers with
     | resume :: rest ->
@@ -334,5 +313,4 @@ module Mailbox = struct
   let try_recv mb =
     if Queue.is_empty mb.items then None else Some (Queue.pop mb.items)
 
-  let length mb = Queue.length mb.items
 end

@@ -18,7 +18,7 @@ exception Deadlock of string
 type fuel = Fuel_events of int | Fuel_time of Time.t
 
 exception Budget_exhausted of { events : int; now : Time.t; fuel : fuel }
-(** Raised from {!step}/{!run} when the simulation exceeds the budget set
+(** Raised from {!run} when the simulation exceeds the budget set
     with {!set_budget} (or [run]'s [max_events]). Deterministic: depends
     only on the event stream, never on the host clock, so a runaway run
     is cut at the same virtual instant on every machine. The payload is
@@ -54,9 +54,6 @@ val set_budget : ?max_events:int -> ?max_time:Time.t -> t -> unit
     replaces the budget. The check happens before an event is consumed,
     so the queue still holds the overrunning event. *)
 
-val budget : t -> int option * Time.t option
-(** The installed [(max_events, max_time)] budget. *)
-
 val schedule : t -> after:Time.t -> (unit -> unit) -> Event_queue.handle
 (** Run a callback [after] nanoseconds from now. Callbacks must not perform
     process effects; use {!spawn} for that. *)
@@ -66,7 +63,7 @@ val cancel : t -> Event_queue.handle -> unit
 
 val spawn : t -> ?name:string -> (unit -> unit) -> unit
 (** Start a process at the current instant. An exception escaping a process
-    aborts the whole run (re-raised from {!run}/{!step}, tagged with
+    aborts the whole run (re-raised from {!run}, tagged with
     [name]). *)
 
 val run : ?until:Time.t -> ?max_events:int -> t -> unit
@@ -75,13 +72,7 @@ val run : ?until:Time.t -> ?max_events:int -> t -> unit
     {!Budget_exhausted}, as a runaway guard). When [until] is given and
     the queue drains early, the clock still advances to [until]. *)
 
-val step : t -> bool
-(** Process one event; [false] if the queue was empty. Raises
-    {!Budget_exhausted} if the {!set_budget} fuel is spent. *)
-
 val events_processed : t -> int
-val processes_spawned : t -> int
-val pending_events : t -> int
 
 val next_event_time : t -> Time.t option
 (** The instant of the earliest pending event ([None] when the queue is
@@ -98,14 +89,6 @@ module Proc : sig
   val delay : Time.t -> unit
   (** Advance this process's clock by a span, letting other events run. *)
 
-  val yield : unit -> unit
-  (** Let already-queued events at the current instant run first. *)
-
-  val suspend : (('a -> unit) -> unit) -> 'a
-  (** [suspend register] parks the process; [register resume] must arrange
-      for [resume v] to be called exactly once later, which makes [suspend]
-      return [v]. *)
-
   val spawn : ?name:string -> (unit -> unit) -> unit
 end
 
@@ -114,9 +97,6 @@ module Ivar : sig
   type 'a t
 
   val create : sim -> 'a t
-
-  val create_here : unit -> 'a t
-  (** Like {!create} with the current process's simulator. *)
 
   val fill : 'a t -> 'a -> unit
   (** Fill the cell and wake all readers. Raises if already filled. *)
@@ -133,12 +113,9 @@ module Signal : sig
   type t
 
   val create : sim -> t
-  val create_here : unit -> t
 
   val broadcast : t -> unit
   (** Wake every currently-blocked waiter. *)
-
-  val has_waiters : t -> bool
 
   val wait : t -> unit
   (** Block (process-only) until the next {!broadcast}. *)
@@ -155,7 +132,6 @@ module Mailbox : sig
   type 'a t
 
   val create : sim -> 'a t
-  val create_here : unit -> 'a t
 
   val send : 'a t -> 'a -> unit
 
@@ -163,5 +139,4 @@ module Mailbox : sig
   (** Block (process-only) until an item is available. *)
 
   val try_recv : 'a t -> 'a option
-  val length : 'a t -> int
 end

@@ -9,10 +9,8 @@ let of_ns ns = ns
 let to_ns t = t
 let of_us us = us * 1_000
 let of_ms ms = ms * 1_000_000
-let of_sec s = s * 1_000_000_000
 let of_us_f us = int_of_float (us *. 1_000.0 +. 0.5)
 let of_ms_f ms = int_of_float (ms *. 1_000_000.0 +. 0.5)
-let of_sec_f s = int_of_float (s *. 1_000_000_000.0 +. 0.5)
 let to_us_f t = float_of_int t /. 1_000.0
 let to_ms_f t = float_of_int t /. 1_000_000.0
 let to_sec_f t = float_of_int t /. 1_000_000_000.0
@@ -21,7 +19,6 @@ let sub = ( - )
 let diff a b = a - b
 let scale t k = int_of_float (float_of_int t *. k +. 0.5)
 let compare = Int.compare
-let equal = Int.equal
 let ( <= ) : t -> t -> bool = Stdlib.( <= )
 let ( < ) : t -> t -> bool = Stdlib.( < )
 let ( >= ) : t -> t -> bool = Stdlib.( >= )

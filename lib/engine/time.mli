@@ -11,10 +11,8 @@ val zero : t
 val of_ns : int -> t
 val of_us : int -> t
 val of_ms : int -> t
-val of_sec : int -> t
 val of_us_f : float -> t
 val of_ms_f : float -> t
-val of_sec_f : float -> t
 
 (** {2 Observation} *)
 
@@ -35,7 +33,6 @@ val scale : t -> float -> t
 (** [scale t k] is [t * k], rounded to the nearest nanosecond. *)
 
 val compare : t -> t -> int
-val equal : t -> t -> bool
 val ( <= ) : t -> t -> bool
 val ( < ) : t -> t -> bool
 val ( >= ) : t -> t -> bool

@@ -43,5 +43,3 @@ let outage_epochs = function
    quantum: granted entitlement per round is divided by the factor. *)
 let degrade_epochs = 25
 let degrade_inflation = 4.0
-
-let pp ppf t = Fmt.string ppf (name t)

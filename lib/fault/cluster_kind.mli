@@ -27,5 +27,3 @@ val degrade_epochs : int
 val degrade_inflation : float
 (** Quantum-inflation factor of a degraded host: granted entitlement
     per round is divided by this. *)
-
-val pp : Format.formatter -> t -> unit

@@ -15,7 +15,6 @@ type t = (Cluster_kind.t * float) list
 
 let empty = []
 let is_empty t = t = []
-let entries t = t
 let rate t k = match List.assoc_opt k t with Some r -> r | None -> 0.0
 
 let canon entries =
@@ -110,5 +109,3 @@ let combined_to_string stack cluster =
   | "", c -> c
   | s, "" -> s
   | s, c -> s ^ "," ^ c
-
-let pp ppf t = Fmt.string ppf (to_string t)

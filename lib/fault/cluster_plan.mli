@@ -9,9 +9,6 @@ type t
 val empty : t
 val is_empty : t -> bool
 
-val entries : t -> (Cluster_kind.t * float) list
-(** Canonical order: by {!Cluster_kind.index}, zero rates dropped. *)
-
 val rate : t -> Cluster_kind.t -> float
 (** 0.0 for kinds not in the plan. *)
 
@@ -36,5 +33,3 @@ val split_of_string : string -> (Plan.t * t, string) result
 val combined_to_string : Plan.t -> t -> string
 (** Canonical combined form: stack entries first, then cluster
     entries. *)
-
-val pp : Format.formatter -> t -> unit

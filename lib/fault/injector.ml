@@ -37,7 +37,6 @@ let create ?(seed = 0L) plan =
 
 let none () = create Plan.empty
 let is_active t = t.active
-let plan t = t.plan
 let set_observer t f = t.observer <- Some f
 
 let record t outcome =

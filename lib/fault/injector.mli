@@ -12,7 +12,6 @@ val none : unit -> t
 (** Inert injector (empty plan). *)
 
 val is_active : t -> bool
-val plan : t -> Plan.t
 
 val set_observer : t -> (Outcome.t -> unit) -> unit
 (** Called on every {!record} (used to emit obs spans). *)
@@ -28,10 +27,5 @@ val pick : t -> Kind.t -> int -> int
 val record : t -> Outcome.t -> unit
 (** Count a degradation outcome (retry, downgrade, discard, ...). *)
 
-val count : t -> Outcome.t -> int
-
-val counts : t -> (string * int) list
-(** Nonzero outcome counts in {!Outcome.all} order. *)
-
 val fields : t -> (string * float) list
-(** {!counts} as [("fault." ^ name, count)] ledger fields. *)
+(** Per-outcome counts as [("fault." ^ name, count)] ledger fields. *)

@@ -42,12 +42,6 @@ let name = function
 
 let of_name s = List.find_opt (fun k -> name k = s) all
 
-let site = function
-  | Drop_ring | Dup_ring | Delay_ring | Corrupt_ring -> Site.Ring_send
-  | Corrupt_vmcs12 -> Site.Vmcs12
-  | Drop_irq | Spurious_irq -> Site.Irq
-  | Stall_blocked -> Site.Blocked
-
 (* Fixed virtual-clock magnitudes. A dropped IRQ is re-delivered only
    after the guest driver's own timeout/retransmit path kicks in, hence
    the much larger recovery span. *)
@@ -56,5 +50,3 @@ let param_ns = function
   | Stall_blocked -> 5_000
   | Drop_irq -> 50_000
   | Drop_ring | Dup_ring | Corrupt_ring | Corrupt_vmcs12 | Spurious_irq -> 0
-
-let pp ppf t = Fmt.string ppf (name t)

@@ -20,11 +20,8 @@ val index : t -> int
 
 val name : t -> string
 val of_name : string -> t option
-val site : t -> Site.t
 
 val param_ns : t -> int
 (** Fixed virtual-clock magnitude of the kind (delay/stall/recovery
     span); 0 for kinds without one. Part of the model, not of the plan,
     so plans stay comparable. *)
-
-val pp : Format.formatter -> t -> unit

@@ -47,5 +47,3 @@ let name = function
   | Corrupt_discarded -> "corrupt-discarded"
   | Irq_recovered -> "irq-recovered"
   | Delegation_fault_reflected -> "delegation-fault-reflected"
-
-let pp ppf t = Fmt.string ppf (name t)

@@ -29,5 +29,3 @@ val index : t -> int
 
 val name : t -> string
 (** Stable dashed name ("injected.drop-ring", "downgrade", ...). *)
-
-val pp : Format.formatter -> t -> unit

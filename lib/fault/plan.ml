@@ -112,5 +112,3 @@ let of_string_exn s =
 let to_string t =
   String.concat ","
     (List.map (fun (k, r) -> Printf.sprintf "%s:%g" (Kind.name k) r) t)
-
-let pp ppf t = Fmt.string ppf (to_string t)

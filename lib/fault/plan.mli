@@ -32,5 +32,3 @@ val mutate : Svt_engine.Prng.t -> t -> t
 val to_string : t -> string
 (** Canonical form: entries sorted by kind, zero rates dropped;
     round-trips through {!of_string}. *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,15 +1,1 @@
 (* Human-readable fault summary, deterministic (Outcome.all order). *)
-
-let pp ppf inj =
-  match Injector.counts inj with
-  | [] -> Fmt.pf ppf "no faults recorded"
-  | counts ->
-      Fmt.pf ppf "@[<v>";
-      List.iteri
-        (fun i (name, c) ->
-          if i > 0 then Fmt.cut ppf ();
-          Fmt.pf ppf "%-28s %d" name c)
-        counts;
-      Fmt.pf ppf "@]"
-
-let to_string inj = Fmt.str "%a" pp inj

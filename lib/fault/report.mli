@@ -1,5 +1,2 @@
 (** Deterministic, human-readable summary of an injector's outcome
     counts (stable {!Outcome.all} order). *)
-
-val pp : Format.formatter -> Injector.t -> unit
-val to_string : Injector.t -> string

@@ -5,15 +5,3 @@
    handshake of §5.3. *)
 
 type t = Ring_send | Ring_recv | Vmcs12 | Irq | Blocked
-
-let all = [ Ring_send; Ring_recv; Vmcs12; Irq; Blocked ]
-
-let name = function
-  | Ring_send -> "ring-send"
-  | Ring_recv -> "ring-recv"
-  | Vmcs12 -> "vmcs12"
-  | Irq -> "irq"
-  | Blocked -> "blocked"
-
-let of_name s = List.find_opt (fun x -> name x = s) all
-let pp ppf t = Fmt.string ppf (name t)

@@ -4,8 +4,3 @@
     one site. *)
 
 type t = Ring_send | Ring_recv | Vmcs12 | Irq | Blocked
-
-val all : t list
-val name : t -> string
-val of_name : string -> t option
-val pp : Format.formatter -> t -> unit

@@ -23,7 +23,6 @@ type t = { mutable inputs : Input.t array; mutable n : int }
 
 let create () = { inputs = Array.make 16 Input.empty; n = 0 }
 let size t = t.n
-let get t i = t.inputs.(i)
 
 let add t input =
   if t.n = Array.length t.inputs then begin

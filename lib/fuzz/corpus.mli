@@ -14,7 +14,6 @@ type t
 
 val create : unit -> t
 val size : t -> int
-val get : t -> int -> Input.t
 val add : t -> Input.t -> unit
 
 val pick : t -> Svt_engine.Prng.t -> Input.t option

@@ -22,10 +22,6 @@ type violation =
       (** re-executing the same input gave a different fingerprint or
           coverage map *)
 
-val violation_class : violation -> string
-(** The shrink oracle's equivalence: failure kind + mode, message text
-    free to vary as the input shrinks. *)
-
 val same_class : violation -> violation -> bool
 val violation_to_string : violation -> string
 
@@ -50,10 +46,6 @@ type exec_result = {
   events : int;  (** simulator events processed, summed across modes *)
   violation : violation option;
 }
-
-val input_seed : master:int64 -> Input.t -> int64
-(** The exec seed: a hash of (master, input bytes), so replay, resume
-    and every worker domain reconstruct the same machine. *)
 
 val exec : ?budget:int -> master:int64 -> Input.t -> exec_result
 

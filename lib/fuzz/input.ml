@@ -172,5 +172,3 @@ let steps t = List.length t.ops + List.length t.pokes
 
 let has_wait t =
   List.exists (function Sleep_us _ | Hlt -> true | _ -> false) t.ops
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -46,7 +46,6 @@ val fields : Svt_vmcs.Field.t array
 
 val n_fields : int
 val op_to_string : op -> string
-val op_of_string : string -> (op, string) result
 
 val to_string : t -> string
 (** One line: [ops|pokes|plan]. *)
@@ -62,5 +61,3 @@ val has_wait : t -> bool
 (** Whether the program contains a waiting op ([Sleep_us] or [Hlt]) —
     the generator must then keep [drop-irq] out of the plan, because a
     legitimately dropped wakeup is indistinguishable from a hang. *)
-
-val pp : Format.formatter -> t -> unit

@@ -13,9 +13,6 @@ type bucket =
   | Channel  (** SW SVt command rings and waits *)
   | Ctxt_access  (** HW SVt ctxtld/ctxtst *)
 
-val all_buckets : bucket list
-val bucket_name : bucket -> string
-
 type t
 
 val create : unit -> t

@@ -40,5 +40,3 @@ let reason_of_action = function
 
 let of_action ?(qualification = 0L) action =
   { reason = reason_of_action action; qualification; action }
-
-let pp ppf t = Fmt.pf ppf "exit:%s" (Exit_reason.name t.reason)

@@ -34,9 +34,5 @@ type info = {
   action : action;
 }
 
-val reason_of_action : action -> Svt_arch.Exit_reason.t
-
 val of_action : ?qualification:int64 -> action -> info
 (** Build the [info] with the architecturally matching exit reason. *)
-
-val pp : Format.formatter -> info -> unit

@@ -26,7 +26,6 @@ let create ?(shadow = Svt_vmcs.Shadow.hardware_shadowing_enabled) cost =
   { cost; overrides = Hashtbl.create 8; shadow }
 
 let override t reason f = Hashtbl.replace t.overrides reason f
-let shadow_policy t = t.shadow
 
 (* Alternate vmread/vmwrite for the aux traps, as a handler that first
    inspects exit state and then updates guest state would. *)

@@ -20,13 +20,7 @@ type t
 val create : ?shadow:Svt_vmcs.Shadow.t -> Svt_arch.Cost_model.t -> t
 
 val override : t -> Svt_arch.Exit_reason.t -> (Exit.info -> script) -> unit
-val shadow_policy : t -> Svt_vmcs.Shadow.t
 
-val aux_count : t -> Exit.info -> int
-(** How many auxiliary traps the handler for this exit takes, given the
-    shadowing policy. *)
-
-val default_script : t -> Exit.info -> apply:(unit -> unit) -> script
 val script_for : t -> Exit.info -> apply:(unit -> unit) -> script
 
 val reflects : Svt_arch.Exit_reason.t -> bool

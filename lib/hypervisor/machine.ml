@@ -31,8 +31,6 @@ let paper_config =
 let retarget kind config =
   { config with arch = kind; cost = Svt_arch.Backend.cost_of kind }
 
-let arm_config = retarget Svt_arch.Backend.Arm paper_config
-
 type t = {
   sim : Simulator.t;
   config : config;
@@ -71,11 +69,6 @@ let sim t = t.sim
 let cost t = t.cost
 let arch t = t.config.arch
 let core t i = t.cores.(i)
-let n_cores t = Array.length t.cores
-
-(* NUMA node of a core, for the channel-placement experiments. *)
-let numa_node t core_id = core_id / t.config.cores_per_socket
-let same_numa t a b = numa_node t a = numa_node t b
 
 let now t = Simulator.now t.sim
 

@@ -21,9 +21,6 @@ val retarget : Svt_arch.Backend.kind -> config -> config
 (** The same topology re-targeted at another ISA: [arch] and [cost]
     follow the backend, everything else is preserved. *)
 
-val arm_config : config
-(** {!paper_config} re-targeted at the ARM NV/VHE backend. *)
-
 type t = {
   sim : Svt_engine.Simulator.t;
   config : config;
@@ -44,12 +41,6 @@ val cost : t -> Svt_arch.Cost_model.t
 (** The machine's architecture backend. *)
 val arch : t -> Svt_arch.Backend.kind
 val core : t -> int -> Svt_arch.Smt_core.t
-val n_cores : t -> int
-
-val numa_node : t -> int -> int
-(** NUMA node of a core, for the channel-placement experiments. *)
-
-val same_numa : t -> int -> int -> bool
 val now : t -> Svt_engine.Time.t
 
 val obs : t -> Svt_obs.Recorder.t

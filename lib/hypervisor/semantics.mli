@@ -6,8 +6,6 @@
 val tsc_of_time : Svt_engine.Time.t -> int64
 (** The simulated TSC runs at 1 GHz: ticks == nanoseconds. *)
 
-val time_of_tsc : int64 -> Svt_engine.Time.t
-
 val apply : Vcpu.t -> Exit.action -> unit
 (** Complete the operation: answer CPUID from the VM's masked view, read/
     write MSRs (arming the LAPIC deadline on IA32_TSC_DEADLINE), dispatch

@@ -21,11 +21,6 @@ module Smt_core = Svt_arch.Smt_core
    reports Blocked during the architectural HLT wait. *)
 type run_state = Runnable | Running | Blocked
 
-let run_state_name = function
-  | Runnable -> "runnable"
-  | Running -> "running"
-  | Blocked -> "blocked"
-
 type t = {
   machine : Machine.t;
   vm : Vm.t;
@@ -38,14 +33,12 @@ type t = {
   wake : Signal.t;
   mutable halted : bool;
   mutable run_state : run_state;
-  mutable steal_ns : int; (* runnable but off-cpu, charged by the host *)
   mutable privileged : t -> Exit.info -> unit;
   mutable deliver_guest_irq : t -> int -> unit;
   mutable deliver_host_event : t -> vector:int -> work:(unit -> unit) -> unit;
   host_events : (int * (unit -> unit)) Queue.t;
   isr : (int, unit -> unit) Hashtbl.t;
   breakdown : Breakdown.t;
-  mutable guest_ns : int; (* nominal guest compute time *)
   mutable halted_ns : int; (* time spent idle in HLT *)
 }
 
@@ -77,19 +70,16 @@ let create ~machine ~vm ~index ~core_id ~hw_ctx =
       wake = Signal.create sim;
       halted = false;
       run_state = Running;
-      steal_ns = 0;
       privileged = default_privileged;
       deliver_guest_irq = default_deliver;
       deliver_host_event = default_deliver_host;
       host_events = Queue.create ();
       isr = Hashtbl.create 8;
       breakdown = Breakdown.create ();
-      guest_ns = 0;
       halted_ns = 0;
     }
   in
   Lapic.set_on_pending t.lapic (fun _vector -> Signal.broadcast t.wake);
-  Vm.add_vcpu_internal vm;
   t
 
 let machine t = t.machine
@@ -101,15 +91,10 @@ let hw_ctx t = t.hw_ctx
 let set_hw_ctx t ctx = t.hw_ctx <- ctx
 let lapic t = t.lapic
 let msrs t = t.msrs
-let msr_bitmap t = t.msr_bitmap
 let breakdown t = t.breakdown
-let is_halted t = t.halted
-let guest_time t = Time.of_ns t.guest_ns
 let halted_time t = Time.of_ns t.halted_ns
 let run_state t = t.run_state
 let set_run_state t s = t.run_state <- s
-let note_steal t span = t.steal_ns <- t.steal_ns + Time.to_ns span
-let steal_time t = Time.of_ns t.steal_ns
 let name t = Printf.sprintf "%s/vcpu%d" (Vm.name t.vm) t.index
 
 let set_privileged t f = t.privileged <- f
@@ -161,7 +146,6 @@ let rec drain t =
 let compute t span =
   if Time.(span > Time.zero) then begin
     let total = Smt_core.scale_compute (core t) span in
-    t.guest_ns <- t.guest_ns + Time.to_ns span;
     let rec go remaining =
       drain t;
       if Time.(remaining > Time.zero) then begin

@@ -17,8 +17,6 @@ type t
     reports [Blocked] for the duration of the architectural HLT wait. *)
 type run_state = Runnable | Running | Blocked
 
-val run_state_name : run_state -> string
-
 val create :
   machine:Machine.t ->
   vm:Vm.t ->
@@ -44,22 +42,15 @@ val hw_ctx : t -> int
 val set_hw_ctx : t -> int -> unit
 val lapic : t -> Svt_interrupt.Lapic.t
 val msrs : t -> Svt_arch.Msr.File.t
-val msr_bitmap : t -> Svt_arch.Msr.Bitmap.t
 
 val breakdown : t -> Breakdown.t
 (** Where every nanosecond of this vCPU's trap handling is charged. *)
 
-val is_halted : t -> bool
-val guest_time : t -> Svt_engine.Time.t
 val halted_time : t -> Svt_engine.Time.t
 
 val run_state : t -> run_state
 val set_run_state : t -> run_state -> unit
 
-val note_steal : t -> Svt_engine.Time.t -> unit
-(** Charge a span of runnable-but-off-cpu time (host scheduler only). *)
-
-val steal_time : t -> Svt_engine.Time.t
 val name : t -> string
 val wake_signal : t -> Svt_engine.Simulator.Signal.t
 
@@ -93,11 +84,6 @@ val compute : t -> Svt_engine.Time.t -> unit
 val wait_for_interrupt : t -> unit
 (** Idle (the architectural HLT state) until an interrupt or host event
     arrives, then drain it. *)
-
-val drain : t -> unit
-(** Deliver everything pending: host events first, then LAPIC vectors. *)
-
-val pending : t -> bool
 
 (** {2 Host-side events} *)
 

@@ -10,7 +10,6 @@ type t = {
   level : int; (* 1 = guest of L0, 2 = nested guest *)
   aspace : Svt_mem.Address_space.t;
   cpuid : Svt_arch.Cpuid_db.t;
-  mutable vcpu_count : int;
   mmio : (string, mmio_handler) Hashtbl.t; (* region name -> handler *)
   io_ports : (int, mmio_handler) Hashtbl.t;
   hypercalls : (int, int64 -> int64) Hashtbl.t;
@@ -24,7 +23,6 @@ let create ~machine ~name ~level ~ram_bytes ~cpuid =
       Svt_mem.Address_space.create ~mem:machine.Machine.mem
         ~alloc:machine.Machine.alloc ~ram_bytes;
     cpuid;
-    vcpu_count = 0;
     mmio = Hashtbl.create 8;
     io_ports = Hashtbl.create 8;
     hypercalls = Hashtbl.create 8;
@@ -59,5 +57,3 @@ let handle_hypercall t nr arg =
   | Some f -> Some (f arg)
   | None -> None
 
-let add_vcpu_internal t = t.vcpu_count <- t.vcpu_count + 1
-let vcpu_count t = t.vcpu_count

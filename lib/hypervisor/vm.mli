@@ -34,6 +34,3 @@ val register_hypercall : t -> nr:int -> (int64 -> int64) -> unit
 val handle_mmio : t -> Svt_mem.Addr.Gpa.t -> int64 -> int -> int64 option
 val handle_io : t -> int -> int64 -> int -> int64 option
 val handle_hypercall : t -> int -> int64 -> int64 option
-
-val add_vcpu_internal : t -> unit
-val vcpu_count : t -> int

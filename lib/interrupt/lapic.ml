@@ -19,14 +19,12 @@ type t = {
   isr : bool array; (* in-service register *)
   mutable on_pending : (int -> unit) option;
   mutable deadline_handle : Svt_engine.Event_queue.handle option;
-  mutable deadline : Time.t option;
-  mutable timer_vector : int;
-  mutable delivered : int;
-  mutable timer_fires : int;
-  mutable spurious : int;
 }
 
 let vectors = 256
+
+(* The vector the TSC-deadline timer raises. *)
+let timer_vector = 0xEF
 
 let create sim ~id =
   {
@@ -36,24 +34,16 @@ let create sim ~id =
     isr = Array.make vectors false;
     on_pending = None;
     deadline_handle = None;
-    deadline = None;
-    timer_vector = 0xEF;
-    delivered = 0;
-    timer_fires = 0;
-    spurious = 0;
   }
 
-let id t = t.id
 let set_on_pending t f = t.on_pending <- Some f
-let set_timer_vector t v = t.timer_vector <- v
 
 let check_vector v =
   if v < 16 || v >= vectors then invalid_arg "Lapic: bad vector"
 
 let raise_vector t v =
   check_vector v;
-  if t.irr.(v) then t.spurious <- t.spurious + 1
-  else begin
+  if not t.irr.(v) then begin
     t.irr.(v) <- true;
     match t.on_pending with Some f -> f v | None -> ()
   end
@@ -72,7 +62,6 @@ let ack t =
   | Some v ->
       t.irr.(v) <- false;
       t.isr.(v) <- true;
-      t.delivered <- t.delivered + 1;
       Some v
 
 let eoi t =
@@ -92,21 +81,12 @@ let arm_deadline t ~deadline =
   | Some h -> Simulator.cancel t.sim h
   | None -> ());
   t.deadline_handle <- None;
-  t.deadline <- None;
   if Time.(deadline > Time.zero) then begin
     let now = Simulator.now t.sim in
     let after = Time.max Time.zero (Time.diff deadline now) in
-    t.deadline <- Some deadline;
     t.deadline_handle <-
       Some
         (Simulator.schedule t.sim ~after (fun () ->
              t.deadline_handle <- None;
-             t.deadline <- None;
-             t.timer_fires <- t.timer_fires + 1;
-             raise_vector t t.timer_vector))
+             raise_vector t timer_vector))
   end
-
-let armed_deadline t = t.deadline
-let delivered_count t = t.delivered
-let timer_fire_count t = t.timer_fires
-let spurious_count t = t.spurious

@@ -10,19 +10,15 @@
 type t
 
 val create : Svt_engine.Simulator.t -> id:int -> t
-val id : t -> int
 
 val set_on_pending : t -> (int -> unit) -> unit
 (** Called once per vector transition to pending (coalesced re-raises
     don't fire it again). *)
 
-val set_timer_vector : t -> int -> unit
-
 val raise_vector : t -> int -> unit
 (** Assert a vector (16–255). Re-raising a pending vector coalesces. *)
 
 val has_pending : t -> bool
-val highest_pending : t -> int option
 
 val ack : t -> int option
 (** Accept the highest-priority pending vector for service. *)
@@ -35,8 +31,3 @@ val in_service : t -> int -> bool
 val arm_deadline : t -> deadline:Svt_engine.Time.t -> unit
 (** TSC-deadline semantics: a new write replaces the previous deadline;
     zero disarms; a past deadline fires immediately. *)
-
-val armed_deadline : t -> Svt_engine.Time.t option
-val delivered_count : t -> int
-val timer_fire_count : t -> int
-val spurious_count : t -> int

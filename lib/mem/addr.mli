@@ -6,7 +6,6 @@
 
 val page_shift : int
 val page_size : int
-val page_mask : int
 
 module type S = sig
   type t

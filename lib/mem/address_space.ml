@@ -39,7 +39,6 @@ let create ~mem ~alloc ~ram_bytes =
   t
 
 let ept t = t.ept
-let regions t = t.regions
 
 (* Carve a fresh MMIO region (device BAR): the EPT entries are marked
    misconfigured so guest accesses exit with EPT_MISCONFIG. *)
@@ -65,7 +64,7 @@ let region_of_gpa t gpa =
 let translate t ~gpa ~access = Ept.translate t.ept ~gpa ~access
 
 (* Guest-physical accessors through the EPT. Raise on faults: callers that
-   model faulting paths use [translate] directly. *)
+   model faulting paths use [Ept.translate] directly. *)
 let hpa_exn t gpa access =
   match translate t ~gpa ~access with
   | Ok hpa -> hpa
@@ -78,7 +77,6 @@ let write_u32 t gpa v = Phys_mem.write_u32 t.mem (hpa_exn t gpa Ept.Write) v
 let read_u16 t gpa = Phys_mem.read_u16 t.mem (hpa_exn t gpa Ept.Read)
 let write_u16 t gpa v = Phys_mem.write_u16 t.mem (hpa_exn t gpa Ept.Write) v
 let read_u8 t gpa = Phys_mem.read_u8 t.mem (hpa_exn t gpa Ept.Read)
-let write_u8 t gpa v = Phys_mem.write_u8 t.mem (hpa_exn t gpa Ept.Write) v
 
 (* Bulk copies go a page at a time, to honour per-page mappings: each 4 KB
    page is translated once through the EPT (so permission and

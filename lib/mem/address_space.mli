@@ -20,14 +20,12 @@ val create : mem:Phys_mem.t -> alloc:Frame_alloc.t -> ram_bytes:int -> t
     VMs avoid swapping). *)
 
 val ept : t -> Ept.t
-val regions : t -> region list
 
 val add_mmio_region : t -> name:string -> len:int -> Addr.Gpa.t
 (** Carve a fresh MMIO region (device BAR); returns its base. Guest
     accesses raise EPT_MISCONFIG tagged with [name]. *)
 
 val region_of_gpa : t -> Addr.Gpa.t -> region option
-val translate : t -> gpa:Addr.Gpa.t -> access:Ept.access -> (Addr.Hpa.t, Ept.fault) result
 
 (** {2 Guest-physical accessors (raise on faults)} *)
 
@@ -38,7 +36,6 @@ val write_u32 : t -> Addr.Gpa.t -> int -> unit
 val read_u16 : t -> Addr.Gpa.t -> int
 val write_u16 : t -> Addr.Gpa.t -> int -> unit
 val read_u8 : t -> Addr.Gpa.t -> int
-val write_u8 : t -> Addr.Gpa.t -> int -> unit
 val read_bytes : t -> Addr.Gpa.t -> int -> bytes
 (** Bulk copies are page-granular: one EPT translation (with its
     permission check) and one blit per 4 KB page. A faulting page raises

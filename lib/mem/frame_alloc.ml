@@ -6,7 +6,6 @@ type t = {
   mutable next_frame : int;
   limit_frames : int;
   mutable free : int list;
-  mutable allocated : int;
 }
 
 let create ~base ~size_bytes =
@@ -16,29 +15,20 @@ let create ~base ~size_bytes =
     next_frame = base lsr Addr.page_shift;
     limit_frames = (base + size_bytes) lsr Addr.page_shift;
     free = [];
-    allocated = 0;
   }
 
 let alloc t =
   match t.free with
   | f :: rest ->
       t.free <- rest;
-      t.allocated <- t.allocated + 1;
       Addr.Hpa.of_int (f lsl Addr.page_shift)
   | [] ->
       if t.next_frame >= t.limit_frames then failwith "Frame_alloc: out of memory";
       let f = t.next_frame in
       t.next_frame <- t.next_frame + 1;
-      t.allocated <- t.allocated + 1;
       Addr.Hpa.of_int (f lsl Addr.page_shift)
-
-let alloc_n t n = List.init n (fun _ -> alloc t)
 
 let free t hpa =
   if not (Addr.Hpa.is_page_aligned hpa) then
     invalid_arg "Frame_alloc.free: unaligned";
-  t.free <- (Addr.Hpa.to_int hpa lsr Addr.page_shift) :: t.free;
-  t.allocated <- t.allocated - 1
-
-let allocated t = t.allocated
-let remaining t = t.limit_frames - t.next_frame + List.length t.free
+  t.free <- (Addr.Hpa.to_int hpa lsr Addr.page_shift) :: t.free

@@ -10,7 +10,4 @@ val create : base:int -> size_bytes:int -> t
 val alloc : t -> Addr.Hpa.t
 (** Raises [Failure] when the pool is exhausted. *)
 
-val alloc_n : t -> int -> Addr.Hpa.t list
 val free : t -> Addr.Hpa.t -> unit
-val allocated : t -> int
-val remaining : t -> int

@@ -44,10 +44,6 @@ let read_u8 t hpa =
   let p = page_for t hpa in
   Char.code (Bytes.get p (Addr.Hpa.offset hpa))
 
-let write_u8 t hpa v =
-  let p = page_for t hpa in
-  Bytes.set p (Addr.Hpa.offset hpa) (Char.chr (v land 0xFF))
-
 (* Multi-byte accessors: an access within one page is one lookup and one
    load or store; the rare page-crossing access goes through a scratch
    buffer and the range copies. Each touches exactly its own bytes. *)

@@ -8,7 +8,6 @@ type t
 val create : unit -> t
 
 val read_u8 : t -> Addr.Hpa.t -> int
-val write_u8 : t -> Addr.Hpa.t -> int -> unit
 
 val read_u64 : t -> Addr.Hpa.t -> int64
 (** Multi-byte accessors are little-endian and handle page-crossing

@@ -26,7 +26,6 @@ let sink t (s : Span.t) =
   end
   else t.dropped <- t.dropped + 1
 
-let kept t = t.kept
 let dropped t = t.dropped
 
 (* JSON string escaping per RFC 8259 (control chars as \u00XX). *)

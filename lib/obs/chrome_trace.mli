@@ -14,7 +14,6 @@ val create : ?limit:int -> unit -> t
 val sink : t -> Span.t -> unit
 (** The subscriber to install on a probe. *)
 
-val kept : t -> int
 val dropped : t -> int
 
 val to_string : t -> string

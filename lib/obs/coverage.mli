@@ -18,8 +18,6 @@ val create : unit -> t
 val attach : t -> Probe.t -> unit
 (** Subscribe as a probe sink; each emitted span marks one slot. *)
 
-val observe : t -> Span.t -> unit
-
 val slot_of_span : Span.t -> int
 (** The slot a span hashes to (deterministic across processes). *)
 

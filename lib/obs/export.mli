@@ -2,9 +2,6 @@
     summaries into flat [(name, value)] metric fields, the shape the
     campaign ledger stores and [sweep-diff] compares across runs. *)
 
-val field_name : Span.kind -> string -> string
-(** [field_name Vm_exit "p99_ns"] is ["obs.vm-exit.p99_ns"]. *)
-
 val fields : Timeline.t -> (string * float) list
 (** count / mean_ns / p99_ns / total_ns per non-empty span kind, in
     kind order. *)

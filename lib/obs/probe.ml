@@ -26,8 +26,6 @@ let subscribe t sink =
   if t.sealed then invalid_arg "Probe.subscribe: the null probe is sealed";
   t.subs <- t.subs @ [ sink ]
 
-let subscriber_count t = List.length t.subs
-
 let emit t span = if is_on t then List.iter (fun sink -> sink span) t.subs
 
 (* Emit a span ending now. No-op (and no allocation beyond the already

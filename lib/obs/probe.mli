@@ -34,9 +34,6 @@ val subscribe : t -> (Span.t -> unit) -> unit
 (** Install a sink; called once per emitted span, in subscription
     order. *)
 
-val subscriber_count : t -> int
-val emit : t -> Span.t -> unit
-
 val span :
   t ->
   Span.kind ->

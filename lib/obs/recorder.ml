@@ -21,7 +21,6 @@ let create ~clock () =
   }
 
 let probe t = t.probe
-let now t = t.clock ()
 let set_enabled t flag = Probe.set_armed t.probe flag
 
 (* Install-once sink accessors: the first call creates and subscribes,
@@ -43,6 +42,3 @@ let enable_chrome ?limit t =
       Probe.subscribe t.probe (Chrome_trace.sink ct);
       t.chrome <- Some ct;
       ct
-
-let timeline t = t.timeline
-let chrome t = t.chrome

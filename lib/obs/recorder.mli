@@ -12,7 +12,6 @@ type t
 
 val create : clock:(unit -> Time.t) -> unit -> t
 val probe : t -> Probe.t
-val now : t -> Time.t
 
 val set_enabled : t -> bool -> unit
 (** Master switch: arms or disarms the probe. *)
@@ -22,6 +21,3 @@ val enable_timeline : ?capacity:int -> t -> Timeline.t
 
 val enable_chrome : ?limit:int -> t -> Chrome_trace.t
 (** Install (once) and return the Chrome trace-event sink. *)
-
-val timeline : t -> Timeline.t option
-val chrome : t -> Chrome_trace.t option

@@ -54,8 +54,6 @@ let kind_name = function
   | Fault -> "fault"
   | Sched_slice -> "sched-slice"
 
-let kind_of_name s = List.find_opt (fun k -> kind_name k = s) all_kinds
-
 type t = {
   kind : kind;
   vcpu : int; (* vCPU index; -1 when not tied to one *)
@@ -77,11 +75,3 @@ let tag s name = List.assoc_opt name s.tags
 
 (* [a] strictly encloses [b] on the shared virtual timeline. *)
 let encloses a b = Time.(a.start <= b.start) && Time.(b.stop <= a.stop)
-
-let pp ppf s =
-  Fmt.pf ppf "[%a..%a] %s vcpu%d/l%d%t%a" Time.pp s.start Time.pp s.stop
-    (kind_name s.kind) s.vcpu s.level
-    (fun ppf -> if has_lane s then Fmt.pf ppf " core%d.t%d" s.core (max 0 s.ctx))
-    (fun ppf tags ->
-      List.iter (fun (k, v) -> Fmt.pf ppf " %s=%s" k v) tags)
-    s.tags

@@ -29,8 +29,6 @@ val kind_name : kind -> string
 (** Stable dashed name ("vm-exit", "svt-resume", ...), used in Chrome
     trace events and ledger field names. *)
 
-val kind_of_name : string -> kind option
-
 type t = {
   kind : kind;
   vcpu : int;  (** vCPU index; -1 when not tied to one *)
@@ -46,11 +44,8 @@ val has_lane : t -> bool
 (** Whether the span carries a hardware lane ([core >= 0]); such spans
     land on a per-hardware-thread track in the Chrome-trace export. *)
 
-val duration : t -> Time.t
 val duration_ns : t -> int
 val tag : t -> string -> string option
 
 val encloses : t -> t -> bool
 (** [encloses a b]: [a]'s interval contains [b]'s. *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,28 +1,18 @@
-(* Live telemetry: a process-wide registry of named counters, gauges and
-   histograms that long runs (sweeps, fuzz campaigns) update as they go
-   and periodically snapshot into heartbeat rows, so an interrupted or
+(* Live telemetry: a process-wide registry of named counters and gauges
+   that long runs (sweeps, fuzz campaigns) update as they go and
+   periodically snapshot into heartbeat rows, so an interrupted or
    still-running campaign carries a health trace instead of being silent
    until it finishes.
 
    The registry is deliberately dumb — get-or-create by name, flat
    float snapshot — because the interesting policy (what to count, when
-   to snapshot, where rows go) belongs to the campaign layer. Histogram
-   observations are integers (latencies in ns, sizes) and ride on
-   Svt_stats.Histogram, expanding to .count/.mean/.p99 in snapshots. *)
+   to snapshot, where rows go) belongs to the campaign layer. *)
 
-module Histogram = Svt_stats.Histogram
-
-type cell =
-  | Counter of int ref
-  | Gauge of float ref
-  | Hist of Histogram.t
+type cell = Counter of int ref | Gauge of float ref
 
 type t = { cells : (string, cell) Hashtbl.t }
 
 let create () = { cells = Hashtbl.create 32 }
-
-(* The process-wide instance the CLI drivers share. *)
-let global = create ()
 
 let kind_mismatch name =
   invalid_arg (Printf.sprintf "Telemetry: %S already exists with another kind" name)
@@ -45,21 +35,11 @@ let gauge_ref t name =
       Hashtbl.add t.cells name (Gauge r);
       r
 
-let hist t name =
-  match Hashtbl.find_opt t.cells name with
-  | Some (Hist h) -> h
-  | Some _ -> kind_mismatch name
-  | None ->
-      let h = Histogram.create () in
-      Hashtbl.add t.cells name (Hist h);
-      h
-
 let incr ?(by = 1) t name =
   let r = counter_ref t name in
   r := !r + by
 
 let set t name v = gauge_ref t name := v
-let observe t name v = Histogram.add (hist t name) v
 
 let counter t name =
   match Hashtbl.find_opt t.cells name with Some (Counter r) -> !r | _ -> 0
@@ -67,23 +47,13 @@ let counter t name =
 let gauge t name =
   match Hashtbl.find_opt t.cells name with Some (Gauge r) -> !r | _ -> 0.0
 
-(* Flat, name-sorted snapshot; histograms expand to three derived
-   fields. Sorted so snapshot-bearing ledger rows are byte-stable for a
-   given registry state. *)
+(* Flat, name-sorted snapshot. Sorted so snapshot-bearing ledger rows are
+   byte-stable for a given registry state. *)
 let snapshot t =
   Hashtbl.fold
     (fun name cell acc ->
       match cell with
       | Counter r -> (name, float_of_int !r) :: acc
-      | Gauge r -> (name, !r) :: acc
-      | Hist h ->
-          if Histogram.count h = 0 then acc
-          else
-            (name ^ ".count", float_of_int (Histogram.count h))
-            :: (name ^ ".mean", Histogram.mean h)
-            :: (name ^ ".p99", float_of_int (Histogram.p99 h))
-            :: acc)
+      | Gauge r -> (name, !r) :: acc)
     t.cells []
   |> List.sort compare
-
-let reset t = Hashtbl.reset t.cells

@@ -1,7 +1,6 @@
-(** Process-wide telemetry registry: named counters, gauges and
-    histograms that long-running campaigns update as they go and
-    periodically snapshot into ledger heartbeat rows (see
-    [Svt_campaign.Heartbeat]).
+(** Process-wide telemetry registry: named counters and gauges that
+    long-running campaigns update as they go and periodically snapshot
+    into ledger heartbeat rows (see [Svt_campaign.Heartbeat]).
 
     Cells are created on first use; using one name with two different
     kinds raises [Invalid_argument]. *)
@@ -10,18 +9,11 @@ type t
 
 val create : unit -> t
 
-val global : t
-(** The shared instance the CLI drivers use. *)
-
 val incr : ?by:int -> t -> string -> unit
 (** Bump a counter (created at 0). *)
 
 val set : t -> string -> float -> unit
 (** Set a gauge. *)
-
-val observe : t -> string -> int -> unit
-(** Record one histogram sample (non-negative integer, e.g. a latency
-    in ns). *)
 
 val counter : t -> string -> int
 (** 0 when absent. *)
@@ -30,8 +22,5 @@ val gauge : t -> string -> float
 (** 0.0 when absent. *)
 
 val snapshot : t -> (string * float) list
-(** Flat, name-sorted view: counters and gauges verbatim; each non-empty
-    histogram as [name.count] / [name.mean] / [name.p99]. Sorted so
+(** Flat, name-sorted view of counters and gauges. Sorted so
     snapshot-bearing ledger rows are byte-stable for a given state. *)
-
-val reset : t -> unit

@@ -60,9 +60,6 @@ let sink t (s : Span.t) =
 
 let total_spans t = t.total_spans
 
-let vcpus t =
-  Hashtbl.fold (fun v _ acc -> v :: acc) t.rings [] |> List.sort compare
-
 let recorded t ~vcpu =
   match Hashtbl.find_opt t.rings vcpu with Some r -> r.recorded | None -> 0
 
@@ -85,7 +82,6 @@ let spans t ~vcpu =
 
 let histogram t kind = t.hists.(Span.kind_index kind)
 let count t kind = Histogram.count (histogram t kind)
-let total_time t kind = Time.of_ns t.totals.(Span.kind_index kind)
 
 let summary t kind =
   let h = histogram t kind in

@@ -26,24 +26,16 @@ val sink : t -> Span.t -> unit
 (** The subscriber to install on a probe. *)
 
 val total_spans : t -> int
-val vcpus : t -> int list
 
 val recorded : t -> vcpu:int -> int
 (** Spans ever recorded for this vCPU (≥ retained). *)
 
-val iter : t -> vcpu:int -> (Span.t -> unit) -> unit
-(** Retained spans of one vCPU, oldest first, without allocation. *)
-
 val spans : t -> vcpu:int -> Span.t list
 (** Retained spans of one vCPU, oldest first. *)
 
-val histogram : t -> Span.kind -> Histogram.t
 val count : t -> Span.kind -> int
-val total_time : t -> Span.kind -> Time.t
-val summary : t -> Span.kind -> summary
 
 val summaries : t -> summary list
 (** Non-empty kinds only, in kind order. *)
 
-val pp_summary : Format.formatter -> summary -> unit
 val pp : Format.formatter -> t -> unit

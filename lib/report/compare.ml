@@ -10,8 +10,6 @@ type row = {
 
 let ratio r = if r.paper = 0.0 then nan else r.measured /. r.paper
 
-let within r ~tolerance = Float.abs (ratio r -. 1.0) <= tolerance
-
 let to_table rows =
   let t =
     Svt_stats.Table.create

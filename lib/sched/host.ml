@@ -74,7 +74,6 @@ type tenant = {
   mutable steal : Time.t; (* runnable but not placed *)
   mutable slept : Time.t; (* quanta slept through *)
   mutable finished : bool;
-  mutable grants : int;
   mutable last_episodes : int;
   mutable last_svc : Time.t;
   mutable svc : Time.t; (* cumulative SVt-thread service demand *)
@@ -119,12 +118,9 @@ let create ?(quantum = Time.of_us 50) ~topology () =
   }
 
 let topology t = t.topo
-let quantum t = t.quantum
 let now t = !(t.clock)
 let rounds t = t.rounds
-let obs t = t.recorder
 let n_tenants t = t.n_tenants
-let throttle t = t.throttle
 
 (* Quantum inflation: a degraded host's quanta buy less tenant progress.
    [factor] multiplies every granted slice, so 0.25 means tenants
@@ -135,12 +131,6 @@ let set_throttle t factor =
   if (not (Float.is_finite factor)) || factor <= 0.0 || factor > 1.0 then
     invalid_arg "Host.set_throttle: factor must be in (0, 1]";
   t.throttle <- factor
-
-let events t =
-  List.fold_left
-    (fun acc tn ->
-      acc + Svt_engine.Simulator.events_processed (System.sim tn.sys))
-    0 t.tenants
 
 (* ---- admission ---- *)
 
@@ -254,7 +244,6 @@ let add_tenant t spec =
               steal = Time.zero;
               slept = Time.zero;
               finished = false;
-              grants = 0;
               last_episodes = 0;
               last_svc = Time.zero;
               svc = Time.zero;
@@ -440,10 +429,8 @@ let run_busy t ~horizon =
               | None ->
                   tn.steal <- Time.add tn.steal t.quantum;
                   each_vcpu tn (fun v ->
-                      if Vcpu.run_state v <> Vcpu.Blocked then begin
-                        Vcpu.set_run_state v Vcpu.Runnable;
-                        Vcpu.note_steal v t.quantum
-                      end)
+                      if Vcpu.run_state v <> Vcpu.Blocked then
+                        Vcpu.set_run_state v Vcpu.Runnable)
             end
     done;
     t.cursor <- (t.cursor + 1) mod n;
@@ -470,7 +457,6 @@ let run_busy t ~horizon =
         let pay = Time.min tn.debt slice in
         tn.debt <- Time.sub tn.debt pay;
         let eff = Time.sub slice pay in
-        tn.grants <- tn.grants + 1;
         tn.granted <- Time.add tn.granted eff;
         if Time.(eff > Time.zero) then begin
           tn.target <- Time.add tn.target eff;

@@ -81,8 +81,6 @@ val set_throttle : t -> float -> unit
     still accrue full quanta. Raises [Invalid_argument] outside
     (0, 1]. *)
 
-val throttle : t -> float
-
 type tenant_report = {
   tenant : string;
   t_mode : Svt_core.Mode.t;
@@ -123,17 +121,6 @@ val pp_report : Format.formatter -> report -> unit
 (** {2 Accessors} *)
 
 val topology : t -> Topology.t
-val quantum : t -> Svt_engine.Time.t
 val now : t -> Svt_engine.Time.t
 val rounds : t -> int
 val n_tenants : t -> int
-
-val events : t -> int
-(** Simulator events processed so far, summed over every tenant stack —
-    the whole-host work denominator the bench harness rates against
-    wall clock. *)
-
-val obs : t -> Svt_obs.Recorder.t
-(** The host's own recorder: [Sched_slice] spans tagged with the
-    hardware thread ([core]/[ctx]) of every granted slice land here —
-    enable the Chrome sink to get one Perfetto track per thread. *)

@@ -26,13 +26,6 @@ let create ?(sockets = 2) ?(cores_per_socket = 8) ?(smt_per_core = 2) () =
   in
   { sockets; cores_per_socket; smt_per_core; cores }
 
-let of_machine_config (mc : Svt_hyp.Machine.config) =
-  create ~sockets:mc.Svt_hyp.Machine.sockets
-    ~cores_per_socket:mc.Svt_hyp.Machine.cores_per_socket
-    ~smt_per_core:mc.Svt_hyp.Machine.smt_per_core ()
-
-let sockets t = t.sockets
-let cores_per_socket t = t.cores_per_socket
 let smt_per_core t = t.smt_per_core
 let n_cores t = Array.length t.cores
 let n_threads t = Array.length t.cores * t.smt_per_core
@@ -53,9 +46,3 @@ let placement t ~core_a ~core_b : Mode.placement =
   if core_a = core_b then Mode.Smt_sibling
   else if numa_node t core_a = numa_node t core_b then Mode.Same_numa_core
   else Mode.Cross_numa
-
-let pp ppf t =
-  Fmt.pf ppf "%d socket%s x %d cores x %d SMT (%d hardware threads)"
-    t.sockets
-    (if t.sockets = 1 then "" else "s")
-    t.cores_per_socket t.smt_per_core (n_threads t)

@@ -10,11 +10,6 @@ val create :
 (** Defaults are the paper testbed: 2 × 8 × 2 (32 hardware threads).
     Raises [Invalid_argument] on a dimension < 1. *)
 
-val of_machine_config : Svt_hyp.Machine.config -> t
-(** The same shape as a simulated machine's config. *)
-
-val sockets : t -> int
-val cores_per_socket : t -> int
 val smt_per_core : t -> int
 val n_cores : t -> int
 val n_threads : t -> int
@@ -28,5 +23,3 @@ val placement : t -> core_a:int -> core_b:int -> Svt_core.Mode.placement
 (** Relative distance of two cores in {!Svt_core.Mode.placement} terms
     (same core → [Smt_sibling], same socket → [Same_numa_core], else
     [Cross_numa]) — the scale {!Svt_core.Wait} prices wake-ups on. *)
-
-val pp : Format.formatter -> t -> unit

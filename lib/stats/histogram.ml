@@ -81,7 +81,6 @@ let percentile t p =
     scan 0 0
   end
 
-let median t = percentile t 50.0
 let p99 t = percentile t 99.0
 
 let merge_into ~dst ~src =

@@ -15,14 +15,12 @@ val add : t -> int -> unit
 
 val count : t -> int
 val mean : t -> float
-val min_value : t -> int
 val max_value : t -> int
 
 val percentile : t -> float -> int
 (** [percentile t 99.0] is an upper-bound estimate of the 99th
     percentile. *)
 
-val median : t -> int
 val p99 : t -> int
 val merge_into : dst:t -> src:t -> unit
 val reset : t -> unit

@@ -34,9 +34,6 @@ let add_time t name span =
   let r = timer_ref t name in
   r := !r + Svt_engine.Time.to_ns span
 
-let counter t name =
-  match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
-
 let time t name =
   match Hashtbl.find_opt t.timers name with
   | Some r -> Svt_engine.Time.of_ns !r
@@ -51,9 +48,6 @@ let times t =
     (fun k r acc -> (k, Svt_engine.Time.of_ns !r) :: acc)
     t.timers []
   |> List.sort compare
-
-let total_time t =
-  Hashtbl.fold (fun _ r acc -> acc + !r) t.timers 0 |> Svt_engine.Time.of_ns
 
 (* Share of a timer in the total, as a fraction of [whole] (in ns). *)
 let time_share t name ~whole =

@@ -7,15 +7,9 @@ type t
 val create : unit -> t
 val incr : ?by:int -> t -> string -> unit
 val add_time : t -> string -> Svt_engine.Time.t -> unit
-val counter : t -> string -> int
-(** 0 for unknown names. *)
-
 val time : t -> string -> Svt_engine.Time.t
 val counters : t -> (string * int) list
 (** Sorted by name. *)
-
-val times : t -> (string * Svt_engine.Time.t) list
-val total_time : t -> Svt_engine.Time.t
 
 val time_share : t -> string -> whole:Svt_engine.Time.t -> float
 (** Share of a timer in [whole] (0 when [whole] is zero). *)

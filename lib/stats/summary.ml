@@ -25,9 +25,6 @@ let count t = t.n
 let mean t = if t.n = 0 then nan else t.mean
 let variance t = if t.n < 2 then nan else t.m2 /. float_of_int (t.n - 1)
 let stddev t = sqrt (variance t)
-let min t = if t.n = 0 then nan else t.min_v
-let max t = if t.n = 0 then nan else t.max_v
-let total t = t.mean *. float_of_int t.n
 
 let stderr_of_mean t =
   if t.n < 2 then nan else stddev t /. sqrt (float_of_int t.n)
@@ -54,19 +51,3 @@ let of_list xs =
   let t = create () in
   List.iter (add t) xs;
   t
-
-let to_fields t =
-  [
-    ("n", float_of_int t.n);
-    ("mean", mean t);
-    ("stddev", stddev t);
-    ("min", min t);
-    ("max", max t);
-    ("total", total t);
-  ]
-
-let pp ppf t =
-  (* Fixed-width columns so rows stay aligned even when a value is
-     negative or nan (one extra character that %.4g would absorb). *)
-  Fmt.pf ppf "n=%-6d mean=%10.4g sd=%10.4g min=%10.4g max=%10.4g" t.n (mean t)
-    (stddev t) (min t) (max t)

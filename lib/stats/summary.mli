@@ -2,24 +2,9 @@
 
 type t
 
-val create : unit -> t
-val add : t -> float -> unit
 val count : t -> int
 val mean : t -> float
-val variance : t -> float
-(** Sample variance (n-1 denominator); [nan] when n < 2. *)
-
 val stddev : t -> float
-val min : t -> float
-val max : t -> float
-val total : t -> float
 val stderr_of_mean : t -> float
 val merge : t -> t -> t
 val of_list : float list -> t
-
-val to_fields : t -> (string * float) list
-(** Flat [(name, value)] export (n, mean, stddev, min, max, total) for
-    machine-readable sinks such as the campaign run ledger. *)
-
-val pp : Format.formatter -> t -> unit
-(** Fixed-width fields; negative and nan values keep columns aligned. *)

@@ -24,8 +24,6 @@ let add_row t cells =
     invalid_arg "Table.add_row: wrong number of cells";
   t.rows <- cells :: t.rows
 
-let add_rowf t fmts = add_row t fmts
-
 let widths t =
   let all = t.headers :: List.rev t.rows in
   List.mapi

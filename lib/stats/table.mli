@@ -10,6 +10,5 @@ val create : ?aligns:align list -> string list -> t
 val add_row : t -> string list -> unit
 (** Raises when the number of cells does not match the headers. *)
 
-val add_rowf : t -> string list -> unit
 val render : t -> string
 val print : t -> unit

@@ -18,8 +18,6 @@ type t = {
   b : endpoint;
   mutable busy_until_ab : Time.t;
   mutable busy_until_ba : Time.t;
-  mutable packets : int;
-  mutable bytes : int;
 }
 
 let create sim ~cost ~name_a ~name_b =
@@ -30,8 +28,6 @@ let create sim ~cost ~name_a ~name_b =
     b = { name = name_b; deliver = ignore };
     busy_until_ab = Time.zero;
     busy_until_ba = Time.zero;
-    packets = 0;
-    bytes = 0;
   }
 
 let endpoint_a t = t.a
@@ -40,8 +36,6 @@ let on_deliver ep f = ep.deliver <- f
 
 let send t ~from (pkt : Bytes.t) =
   let len = Bytes.length pkt in
-  t.packets <- t.packets + 1;
-  t.bytes <- t.bytes + len;
   let serialize = Svt_arch.Cost_model.wire_serialize t.cost ~bytes:len in
   let now = Simulator.now t.sim in
   let dest, start =
@@ -61,6 +55,3 @@ let send t ~from (pkt : Bytes.t) =
   in
   ignore
     (Simulator.schedule_at t.sim ~time:arrival (fun () -> dest.deliver pkt))
-
-let packets t = t.packets
-let bytes t = t.bytes

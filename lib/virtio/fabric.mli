@@ -22,6 +22,3 @@ val on_deliver : endpoint -> (bytes -> unit) -> unit
 val send : t -> from:endpoint -> bytes -> unit
 (** Transmit toward the other endpoint; returns immediately (the wire
     occupancy is tracked internally). *)
-
-val packets : t -> int
-val bytes : t -> int

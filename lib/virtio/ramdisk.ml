@@ -6,16 +6,12 @@
 type t = {
   sectors : int;
   store : (int, Bytes.t) Hashtbl.t; (* sector -> 512B payload *)
-  mutable reads : int;
-  mutable writes : int;
 }
 
 let sector_size = 512
 
 let create ~size_mb =
-  { sectors = size_mb * 2048; store = Hashtbl.create 4096; reads = 0; writes = 0 }
-
-let sectors t = t.sectors
+  { sectors = size_mb * 2048; store = Hashtbl.create 4096 }
 
 let check t sector count =
   if sector < 0 || count < 0 || sector + count > t.sectors then
@@ -23,7 +19,6 @@ let check t sector count =
 
 let read t ~sector ~count =
   check t sector count;
-  t.reads <- t.reads + 1;
   let out = Bytes.create (count * sector_size) in
   for i = 0 to count - 1 do
     match Hashtbl.find_opt t.store (sector + i) with
@@ -37,11 +32,7 @@ let write t ~sector (data : Bytes.t) =
   if Bytes.length data mod sector_size <> 0 then
     invalid_arg "Ramdisk.write: not sector-aligned";
   check t sector count;
-  t.writes <- t.writes + 1;
   for i = 0 to count - 1 do
     let s = Bytes.sub data (i * sector_size) sector_size in
     Hashtbl.replace t.store (sector + i) s
   done
-
-let read_count t = t.reads
-let write_count t = t.writes

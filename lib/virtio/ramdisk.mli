@@ -8,13 +8,9 @@ val sector_size : int
 (** 512 bytes. *)
 
 val create : size_mb:int -> t
-val sectors : t -> int
 
 val read : t -> sector:int -> count:int -> bytes
 (** Unwritten sectors read as zeroes. *)
 
 val write : t -> sector:int -> bytes -> unit
 (** [data] must be a whole number of sectors. *)
-
-val read_count : t -> int
-val write_count : t -> int

@@ -31,7 +31,6 @@ type t = {
   done_signal : Signal.t;
   mutable backend_asleep : bool;
   mutable raise_irq : unit -> unit;
-  mutable completed : int;
   (* extra service latency injected by the owning hypervisor's backend
      path (an L2 disk is a file on L1's disk, which is itself virtual) *)
   mutable nested_penalty : Time.t;
@@ -63,7 +62,6 @@ let create ~machine ~vm ~name ~disk =
       done_signal = Signal.create sim;
       backend_asleep = true;
       raise_irq = ignore;
-      completed = 0;
       nested_penalty = Time.zero;
       inflight = Hashtbl.create 64;
       pool =
@@ -72,7 +70,6 @@ let create ~machine ~vm ~name ~disk =
     }
   in
   Svt_hyp.Vm.register_mmio vm ~region:(doorbell_region name) (fun _ _ _ ->
-      Virtqueue.count_kick t.queue;
       Signal.broadcast t.kick;
       None);
   t
@@ -81,9 +78,6 @@ let doorbell_gpa t = t.doorbell
 let need_kick t = t.backend_asleep
 let set_raise_irq t f = t.raise_irq <- f
 let set_nested_penalty t p = t.nested_penalty <- p
-let completed t = t.completed
-let done_signal t = t.done_signal
-let kicks t = Virtqueue.kicks t.queue
 
 let aspace t = Svt_hyp.Vm.aspace t.vm
 
@@ -193,7 +187,6 @@ let start_backend t =
                   Ramdisk.write t.disk ~sector data
               | Flush -> ());
               Virtqueue.push_used t.queue ~id ~len;
-              t.completed <- t.completed + 1;
               Signal.broadcast t.done_signal;
               t.raise_irq ();
               drain ()

@@ -47,6 +47,3 @@ val driver_collect : t -> (int * req_kind * bytes option) option
 (** {2 Introspection} *)
 
 val service_time : t -> kind:req_kind -> bytes:int -> Svt_engine.Time.t
-val completed : t -> int
-val done_signal : t -> Svt_engine.Simulator.Signal.t
-val kicks : t -> int

@@ -30,9 +30,6 @@ type t = {
   mutable backend_asleep : bool;
   (* EVENT_IDX-style notification suppression: the driver only kicks when
      the backend has announced it is going to sleep *)
-  mutable tx_packets : int;
-  mutable rx_packets : int;
-  mutable dropped_rx : int;
   rx_buf_len : int;
   (* preallocated TX buffer pool, reused round-robin; the ring size caps
      the number in flight well below the pool size *)
@@ -63,9 +60,6 @@ let create ~machine ~vm ~name =
       backend_asleep = true;
       tx_sink = ignore;
       raise_irq = ignore;
-      tx_packets = 0;
-      rx_packets = 0;
-      dropped_rx = 0;
       rx_buf_len = rx_buffer_bytes;
       tx_pool =
         Array.init (2 * queue_size) (fun _ ->
@@ -76,7 +70,6 @@ let create ~machine ~vm ~name =
   (* The doorbell MMIO handler: runs as the semantic effect of the guest's
      trapped store and only wakes the backend. *)
   Svt_hyp.Vm.register_mmio vm ~region:(doorbell_region name) (fun _ _ _ ->
-      Virtqueue.count_kick t.tx;
       Signal.broadcast t.kick;
       None);
   t
@@ -84,11 +77,6 @@ let create ~machine ~vm ~name =
 let doorbell_gpa t = t.doorbell
 let set_tx_sink t f = t.tx_sink <- f
 let set_raise_irq t f = t.raise_irq <- f
-let tx_packets t = t.tx_packets
-let rx_packets t = t.rx_packets
-let dropped_rx t = t.dropped_rx
-let rx_ready_signal t = t.rx_ready
-let tx_kicks t = Virtqueue.kicks t.tx
 
 (* TX descriptors the backend has not consumed yet. *)
 let tx_backlog t = Virtqueue.avail_pending t.tx
@@ -156,13 +144,12 @@ let driver_receive t =
    no buffers (as real NICs do under overrun). *)
 let backend_deliver t (pkt : Bytes.t) =
   match Virtqueue.pop_avail t.rx with
-  | None -> t.dropped_rx <- t.dropped_rx + 1
+  | None -> ()
   | Some (id, addr, cap, _writable) ->
       let len = min (Bytes.length pkt) cap in
       let payload = if len < Bytes.length pkt then Bytes.sub pkt 0 len else pkt in
       Aspace.write_bytes (aspace t) addr payload;
       Virtqueue.push_used t.rx ~id ~len;
-      t.rx_packets <- t.rx_packets + 1;
       Signal.broadcast t.rx_ready;
       t.raise_irq ()
 
@@ -179,7 +166,6 @@ let start_backend t =
             Proc.delay t.cost.Svt_arch.Cost_model.virtio_queue_op;
             let pkt = Aspace.read_bytes (aspace t) addr len in
             Virtqueue.push_used t.tx ~id ~len;
-            t.tx_packets <- t.tx_packets + 1;
             t.tx_sink pkt;
             drain (n + 1)
       in

@@ -51,12 +51,3 @@ val driver_receive : t -> bytes option
 val backend_deliver : t -> bytes -> unit
 (** Deliver a packet from the outside into a posted RX buffer, complete
     it and raise the interrupt; drops on RX overrun as real NICs do. *)
-
-val rx_ready_signal : t -> Svt_engine.Simulator.Signal.t
-
-(** {2 Counters} *)
-
-val tx_packets : t -> int
-val rx_packets : t -> int
-val dropped_rx : t -> int
-val tx_kicks : t -> int

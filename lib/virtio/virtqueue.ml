@@ -22,8 +22,6 @@ type t = {
   mutable last_used : int; (* driver's completion cursor *)
   mutable free_head : int;
   free : bool array; (* descriptor allocation map (driver side) *)
-  mutable kicks : int;
-  mutable notifications : int;
   mutable last_used_addr_v : Gpa.t option;
 }
 
@@ -49,12 +47,8 @@ let create ~aspace ~size =
     last_used = 0;
     free_head = 0;
     free = Array.make size true;
-    kicks = 0;
-    notifications = 0;
     last_used_addr_v = None;
   }
-
-let size t = t.size
 
 let desc_addr t i = Gpa.add t.desc (i * desc_entry_size)
 
@@ -102,9 +96,6 @@ let push_avail t ~addr ~len ~device_writable =
       Aspace.write_u16 t.aspace (Gpa.add t.avail 2) t.avail_shadow;
       Some i
 
-let count_kick t = t.kicks <- t.kicks + 1
-let kicks t = t.kicks
-
 (* Device side: number of buffers the driver has made available. *)
 let avail_pending t =
   let idx = Aspace.read_u16 t.aspace (Gpa.add t.avail 2) in
@@ -128,8 +119,7 @@ let push_used t ~id ~len =
   let entry = Gpa.add t.used (4 + (8 * slot)) in
   Aspace.write_u32 t.aspace entry id;
   Aspace.write_u32 t.aspace (Gpa.add entry 4) len;
-  Aspace.write_u16 t.aspace (Gpa.add t.used 2) ((used_idx + 1) land 0xFFFF);
-  t.notifications <- t.notifications + 1
+  Aspace.write_u16 t.aspace (Gpa.add t.used 2) ((used_idx + 1) land 0xFFFF)
 
 (* Driver side: collect one completion. *)
 let pop_used t =
@@ -150,7 +140,3 @@ let pop_used t =
 (* Buffer address of the most recently collected completion; how a driver
    without a side table locates the payload. *)
 let last_used_addr t = t.last_used_addr_v
-
-let used_pending t =
-  let used_idx = Aspace.read_u16 t.aspace (Gpa.add t.used 2) in
-  (used_idx - t.last_used) land 0xFFFF

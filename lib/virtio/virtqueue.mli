@@ -9,8 +9,6 @@ val create : aspace:Svt_mem.Address_space.t -> size:int -> t
 (** [size] must be a power of two; the rings are allocated from fresh
     guest pages of [aspace]. *)
 
-val size : t -> int
-
 (** {2 Driver side} *)
 
 val push_avail :
@@ -25,8 +23,6 @@ val last_used_addr : t -> Svt_mem.Addr.Gpa.t option
 (** Buffer address of the most recently collected completion — how a
     driver without a side table locates the payload. *)
 
-val used_pending : t -> int
-
 (** {2 Device side} *)
 
 val avail_pending : t -> int
@@ -37,8 +33,3 @@ val pop_avail : t -> (int * Svt_mem.Addr.Gpa.t * int * bool) option
     [(id, buffer gpa, length, device-writable)]. *)
 
 val push_used : t -> id:int -> len:int -> unit
-
-(** {2 Accounting} *)
-
-val count_kick : t -> unit
-val kicks : t -> int

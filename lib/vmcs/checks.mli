@@ -28,12 +28,8 @@ val run :
     (the VMCS link pointer and the SVt µ-registers on ARM NV/VHE) are
     skipped, as is the x86-only CR4.VMXE host check. *)
 
-val default_value : Field.t -> int64
-(** The value {!init_minimal} gives a field — the known-good state the
-    repair path resets to (0 for fields it does not set). *)
-
 val repair : Vmcs.t -> failure -> unit
-(** Reset the failure's offending field to its {!default_value}. *)
+(** Reset the failure's offending field to its default value. *)
 
 val init_minimal : Vmcs.t -> unit
 (** Populate the fields a well-formed hypervisor always sets, so builders

@@ -190,4 +190,3 @@ let name f =
 
 let compare = Stdlib.compare
 let equal = ( = )
-let pp ppf f = Fmt.string ppf (name f)

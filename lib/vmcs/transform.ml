@@ -82,12 +82,6 @@ let exit ~vmcs02 ~vmcs12 =
   Vmcs.clean vmcs02;
   { fields_copied = !copied; pointers_translated = 0; controls_merged = 0 }
 
-(* Shadowing step ① of Figure 2: propagate one L1 write to vmcs01' into
-   vmcs12. In the baseline this happens inside a trap handler; under
-   hardware shadowing some fields skip the trap but the copy still
-   happens. *)
-let shadow_write ~vmcs12 field v = Vmcs.write vmcs12 field v
-
 (* Cost of a transform in the calibrated model, from the amount of work
    actually performed. *)
 let cost (cm : Svt_arch.Cost_model.t) result =

@@ -39,9 +39,6 @@ val exit : vmcs02:Vmcs.t -> vmcs12:Vmcs.t -> result
     into vmcs12 after an L2 exit, so L1 sees the trap as if its own
     hardware had taken it. *)
 
-val shadow_write : vmcs12:Vmcs.t -> Field.t -> int64 -> unit
-(** Propagate one L1 write to vmcs01' into its shadow (Figure 2 step ①). *)
-
 val cost : Svt_arch.Cost_model.t -> result -> Svt_engine.Time.t
 (** The calibrated cost of a transform, from the work actually done. *)
 

@@ -19,8 +19,6 @@ type t = {
   mutable dirty : Field.t list; (* fields written since last clean *)
   mutable launched : bool; (* VMLAUNCH happened (vs VMRESUME) *)
   mutable current : bool; (* loaded by VMPTRLD on some CPU *)
-  mutable writes : int; (* lifetime vmwrite count, for tests/metrics *)
-  mutable reads : int;
 }
 
 let label_for role =
@@ -39,35 +37,23 @@ let create ?label ~owner_level ~subject_level () =
     dirty = [];
     launched = false;
     current = false;
-    writes = 0;
-    reads = 0;
   }
 
-let role t = t.role
 let label t = t.label
 
-let read t f =
-  t.reads <- t.reads + 1;
-  Option.value ~default:0L (Fmap.find_opt f t.fields)
+let read t f = Option.value ~default:0L (Fmap.find_opt f t.fields)
 
-(* Read without counting (internal bookkeeping paths). *)
-let peek t f = Option.value ~default:0L (Fmap.find_opt f t.fields)
+(* The same read, for internal bookkeeping paths. *)
+let peek = read
 
 let write t f v =
-  t.writes <- t.writes + 1;
   t.fields <- Fmap.add f v t.fields;
   if not (List.exists (Field.equal f) t.dirty) then t.dirty <- f :: t.dirty
 
 let dirty_fields t = t.dirty
 let clean t = t.dirty <- []
 let set_launched t b = t.launched <- b
-let launched t = t.launched
 let set_current t b = t.current <- b
-let is_current t = t.current
-let write_count t = t.writes
-let read_count t = t.reads
-
-let fields_set t = Fmap.cardinal t.fields
 
 (* Record exit information, as the hardware does on a VM trap. *)
 let record_exit t ~reason ~qualification ~instruction_length =
@@ -75,10 +61,3 @@ let record_exit t ~reason ~qualification ~instruction_length =
     (Int64.of_int (Svt_arch.Exit_reason.basic_number reason));
   write t Field.Exit_qualification qualification;
   write t Field.Instruction_length (Int64.of_int instruction_length)
-
-let exit_reason_number t = Int64.to_int (peek t Field.Exit_reason)
-
-let pp ppf t =
-  Fmt.pf ppf "%s(owner=L%d subject=L%d fields=%d dirty=%d)" t.label
-    t.role.owner_level t.role.subject_level (Fmap.cardinal t.fields)
-    (List.length t.dirty)

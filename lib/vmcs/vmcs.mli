@@ -15,30 +15,23 @@ val create : ?label:string -> owner_level:int -> subject_level:int -> unit -> t
 (** [subject_level] must be below [owner_level]; the default label is
     ["vmcs<owner><subject>"]. *)
 
-val role : t -> role
 val label : t -> string
 
 val read : t -> Field.t -> int64
-(** Counted read (a guest hypervisor's vmread). Unset fields read 0. *)
+(** A guest hypervisor's vmread. Unset fields read 0. *)
 
 val peek : t -> Field.t -> int64
-(** Uncounted read for internal bookkeeping paths. *)
+(** Same as {!read}, for internal bookkeeping paths. *)
 
 val write : t -> Field.t -> int64 -> unit
-(** Counted write; marks the field dirty. *)
+(** Marks the field dirty. *)
 
 val dirty_fields : t -> Field.t list
 val clean : t -> unit
 val set_launched : t -> bool -> unit
-val launched : t -> bool
 
 val set_current : t -> bool -> unit
 (** Whether this VMCS is loaded (VMPTRLD) on some CPU. *)
-
-val is_current : t -> bool
-val write_count : t -> int
-val read_count : t -> int
-val fields_set : t -> int
 
 val record_exit :
   t ->
@@ -47,6 +40,3 @@ val record_exit :
   instruction_length:int ->
   unit
 (** Record exit information, as the hardware does on a VM trap. *)
-
-val exit_reason_number : t -> int
-val pp : Format.formatter -> t -> unit

@@ -11,13 +11,11 @@ type 'v node =
     }
   | Internal of { mutable keys : int array; mutable children : 'v node array }
 
-type 'v t = { mutable root : 'v node; order : int; mutable size : int }
+type 'v t = { mutable root : 'v node; order : int }
 
 let create ?(order = 32) () =
   if order < 4 then invalid_arg "Btree.create: order too small";
-  { root = Leaf { keys = [||]; values = [||]; next = None }; order; size = 0 }
-
-let size t = t.size
+  { root = Leaf { keys = [||]; values = [||]; next = None }; order }
 
 (* Index of the child to follow for [key] in an internal node. *)
 let child_index keys key =
@@ -54,12 +52,6 @@ let insert_at arr i x =
   Array.blit arr i out (i + 1) (n - i);
   out
 
-let remove_at arr i =
-  let n = Array.length arr in
-  let out = Array.sub arr 0 (n - 1) in
-  Array.blit arr (i + 1) out i (n - 1 - i);
-  out
-
 (* Insert into [node]; if it split, return (separator, right sibling). *)
 let rec insert_node t node key value =
   match node with
@@ -68,8 +60,7 @@ let rec insert_node t node key value =
       | Ok i -> l.values.(i) <- value
       | Error i ->
           l.keys <- insert_at l.keys i key;
-          l.values <- insert_at l.values i value;
-          t.size <- t.size + 1);
+          l.values <- insert_at l.values i value);
       if Array.length l.keys >= t.order then begin
         let mid = Array.length l.keys / 2 in
         let right =
@@ -118,20 +109,6 @@ let insert t key value =
   | Some (sep, right) ->
       t.root <- Internal { keys = [| sep |]; children = [| t.root; right |] }
 
-(* Delete without rebalancing (tolerates sparse leaves; fine for the
-   workload sizes here). *)
-let delete t key =
-  match find_node t.root key with
-  | Leaf l -> (
-      match leaf_search l.keys key with
-      | Ok i ->
-          l.keys <- remove_at l.keys i;
-          l.values <- remove_at l.values i;
-          t.size <- t.size - 1;
-          true
-      | Error _ -> false)
-  | Internal _ -> assert false
-
 let update t key f =
   match find_node t.root key with
   | Leaf { keys; values; _ } -> (
@@ -167,12 +144,6 @@ let fold_range t ~lo ~hi ~init ~f =
 
 let range t ~lo ~hi =
   List.rev (fold_range t ~lo ~hi ~init:[] ~f:(fun acc k v -> (k, v) :: acc))
-
-let rec depth_of = function
-  | Leaf _ -> 1
-  | Internal { children; _ } -> 1 + depth_of children.(0)
-
-let depth t = depth_of t.root
 
 (* Structural invariants, for property tests: key ordering inside nodes,
    separator discipline, and leaf-chain ordering. *)

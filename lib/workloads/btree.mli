@@ -7,14 +7,10 @@ type 'v t
 val create : ?order:int -> unit -> 'v t
 (** [order] (max children per node, default 32) must be at least 4. *)
 
-val size : 'v t -> int
 val insert : 'v t -> int -> 'v -> unit
 (** Overwrites an existing key in place. *)
 
 val find : 'v t -> int -> 'v option
-
-val delete : 'v t -> int -> bool
-(** Without rebalancing (tolerates sparse leaves). *)
 
 val update : 'v t -> int -> ('v -> 'v) -> bool
 (** In-place update; [false] when the key is absent. *)
@@ -23,7 +19,6 @@ val fold_range : 'v t -> lo:int -> hi:int -> init:'a -> f:('a -> int -> 'v -> 'a
 (** In-order fold over keys in [lo, hi], via the leaf chain. *)
 
 val range : 'v t -> lo:int -> hi:int -> (int * 'v) list
-val depth : 'v t -> int
 
 val check_invariants : 'v t -> bool
 (** Key ordering within nodes, separator discipline, arity, leaf-chain

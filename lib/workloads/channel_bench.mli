@@ -21,19 +21,6 @@ type sample = {
       (** compute-time inflation on the working thread (SMT interference) *)
 }
 
-val measure :
-  ?iterations:int ->
-  cm:Svt_arch.Cost_model.t ->
-  mechanism:mechanism ->
-  placement:Svt_core.Mode.placement ->
-  workload:int ->
-  unit ->
-  sample
-
-val default_workloads : int list
-val default_mechanisms : mechanism list
-val default_placements : Svt_core.Mode.placement list
-
 val sweep :
   ?cm:Svt_arch.Cost_model.t ->
   ?workloads:int list ->

@@ -17,8 +17,6 @@ module Ramdisk = Svt_virtio.Ramdisk
 
 type op = Randread | Randwrite
 
-let op_name = function Randread -> "randrd" | Randwrite -> "randwr"
-
 (* Submit one request; kick only when the backend has parked. *)
 let submit_and_kick sys vcpu blk ~kind ~sector ~count ?data () =
   let cost = System.cost sys in

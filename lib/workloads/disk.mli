@@ -5,8 +5,6 @@
 
 type op = Randread | Randwrite
 
-val op_name : op -> string
-
 type latency_result = { mean_us : float; p99_us : float; ops : int }
 
 val run_ioping : ?ops:int -> op:op -> Svt_core.System.t -> latency_result

@@ -7,14 +7,10 @@
     target load. The paper's SLA is the 99th percentile at 500 µs. *)
 
 val sla_us : float
-val key_space : int
-val get_ratio : float
 
 val value_size : Svt_engine.Prng.t -> int
 (** Draw from the ETC value-size mix (tens of bytes to a few KB, heavy
     tail). *)
-
-val key_of : int -> string
 
 type request = { is_get : bool; id : int; rank : int; vsize : int }
 

@@ -20,11 +20,6 @@ type t = {
   memory_cap : int; (* bytes of values; 0 = unlimited *)
   mutable lru_head : entry option; (* most recently used *)
   mutable lru_tail : entry option;
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-  mutable expired : int;
-  mutable sets : int;
 }
 
 let create ?(memory_cap = 0) ?(initial_buckets = 1024) () =
@@ -36,11 +31,6 @@ let create ?(memory_cap = 0) ?(initial_buckets = 1024) () =
     memory_cap;
     lru_head = None;
     lru_tail = None;
-    hits = 0;
-    misses = 0;
-    evictions = 0;
-    expired = 0;
-    sets = 0;
   }
 
 (* FNV-1a over the key (64-bit constants truncated to OCaml's 63-bit int;
@@ -134,7 +124,6 @@ let evict_lru t =
   | None -> false
   | Some victim ->
       remove_entry t victim;
-      t.evictions <- t.evictions + 1;
       true
 
 let enforce_cap t =
@@ -146,7 +135,6 @@ let enforce_cap t =
 (* --- public operations --- *)
 
 let set t ~now ?(ttl_ns = 0) key value =
-  t.sets <- t.sets + 1;
   let expires_at = if ttl_ns > 0 then now + ttl_ns else 0 in
   (match find_entry t key with
   | Some e ->
@@ -172,32 +160,14 @@ let get t ~now key =
   match find_entry t key with
   | Some e when e.expires_at <> 0 && e.expires_at <= now ->
       remove_entry t e;
-      t.expired <- t.expired + 1;
-      t.misses <- t.misses + 1;
       None
   | Some e ->
-      t.hits <- t.hits + 1;
       lru_touch t e;
       Some e.value
   | None ->
-      t.misses <- t.misses + 1;
       None
 
-let delete t key =
-  match find_entry t key with
-  | Some e ->
-      remove_entry t e;
-      true
-  | None -> false
-
-let mem t key = find_entry t key <> None
 let size t = t.size
-let memory_used t = t.memory_used
-let hits t = t.hits
-let misses t = t.misses
-let evictions t = t.evictions
-let expired_count t = t.expired
-let bucket_count t = Array.length t.buckets
 
 (* Walk the LRU from most to least recent (tests). *)
 let lru_keys t =

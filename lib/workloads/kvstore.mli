@@ -15,18 +15,9 @@ val get : t -> now:int -> string -> bytes option
 (** Hit moves the entry to the LRU front; a lazily-expired entry counts
     as a miss and is removed. *)
 
-val delete : t -> string -> bool
-val mem : t -> string -> bool
-
 (** {2 Introspection} *)
 
 val size : t -> int
-val memory_used : t -> int
-val hits : t -> int
-val misses : t -> int
-val evictions : t -> int
-val expired_count : t -> int
-val bucket_count : t -> int
 
 val lru_keys : t -> string list
 (** Most- to least-recently used (tests). *)

@@ -11,19 +11,6 @@ type result = {
       (** per-episode Table-1 rows *)
 }
 
-val measure :
-  ?policy:Svt_stats.Convergence.policy ->
-  ?workload:int ->
-  ?warmup:int ->
-  Svt_core.System.t ->
-  op:(Svt_hyp.Vcpu.t -> unit) ->
-  unit ->
-  result
-(** Measure one guest operation on the system's vCPU 0. [workload] is
-    the number of dependent increments around the operation. *)
-
-val cpuid_op : Svt_hyp.Vcpu.t -> unit
-
 val measure_cpuid :
   ?policy:Svt_stats.Convergence.policy ->
   ?workload:int ->
@@ -55,16 +42,11 @@ type exit_row = {
   speedup : float;
 }
 
-val exit_ops : (Svt_arch.Exit_reason.t * (Svt_hyp.Vcpu.t -> unit)) list
-(** The exit reasons the table can drive deterministically from a guest
-    loop (cpuid, wrmsr, port-I/O write, vmcall), with the operation that
-    produces each. *)
-
 val per_exit_table :
   ?arch:Svt_arch.Backend.kind ->
   ?svt:Svt_core.Mode.t ->
   unit ->
   exit_row list
 (** Nested (L2) per-exit latency under baseline vs [svt] (default SW
-    SVt) for every entry of {!exit_ops}, labelled with the backend's own
+    SVt) for cpuid, an MSR write, an I/O port write and vmcall, labelled with the backend's own
     exit spellings ({!Svt_arch.Backend.exit_name}). *)

@@ -3,9 +3,7 @@
     throughput of 16 KB sends with delayed ACKs. The client runs on the
     separate physical machine across the 10 GbE fabric. *)
 
-val rr_packet_bytes : int
 val stream_packet_bytes : int
-val ack_every : int
 
 type rr_result = { mean_rtt_us : float; p99_rtt_us : float; transactions : int }
 

@@ -31,13 +31,6 @@ type shape =
 let default_burst = Time.of_us 200
 let cpu_bound = Cpu_bound { burst = default_burst }
 
-let open_arrivals ?(mean_gap = Time.of_us 400) ?(burst = default_burst) () =
-  Open_arrivals { mean_gap; burst }
-
-let shape_name = function
-  | Cpu_bound _ -> "cpu-bound"
-  | Open_arrivals _ -> "open-arrivals"
-
 type counters = {
   mutable ops : int;
   latency : Histogram.t;

@@ -14,17 +14,8 @@ type shape =
       (** exponential inter-arrival gaps; idles (timer + hlt) between
           requests and records per-request latency *)
 
-val default_burst : Svt_engine.Time.t
-(** 200 µs of guest work per op. *)
-
 val cpu_bound : shape
-(** [Cpu_bound] at {!default_burst}. *)
-
-val open_arrivals :
-  ?mean_gap:Svt_engine.Time.t -> ?burst:Svt_engine.Time.t -> unit -> shape
-(** Defaults: 400 µs mean gap, {!default_burst} service time. *)
-
-val shape_name : shape -> string
+(** [Cpu_bound] with a 200 µs burst. *)
 
 (** Shared per-tenant progress counters; every vCPU of a tenant mutates
     the same record (single-threaded within one simulator). *)

@@ -21,14 +21,11 @@ type db = {
 }
 
 val n_items : int
-val n_customers : int
 val build_db : unit -> db
 
 type kind = New_order | Payment | Order_status | Delivery | Stock_level
 
 val pick_kind : Svt_engine.Prng.t -> kind
-val statements_of : kind -> int
-val is_read_write : kind -> bool
 
 val engine_work : db -> Svt_engine.Prng.t -> Wal.t -> kind -> unit
 (** Execute the engine-side work of one transaction (real B+tree traffic

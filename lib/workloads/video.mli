@@ -17,9 +17,6 @@ type result = {
 
 val heavy_frame_rate : float
 val decode_time : Svt_engine.Prng.t -> heavy:bool -> Svt_engine.Time.t
-val frames_per_read : int -> int
-val stall_exits : int
-val stall_period_seconds : int
 
 val run : ?seconds:int -> fps:int -> Svt_core.System.t -> result
 (** Play [seconds] of video at [fps] on the system's vCPU 0 (default the

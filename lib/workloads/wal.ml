@@ -20,21 +20,17 @@ type t = {
   mutable next_sector : int;
   log_start : int; (* first sector of the log area *)
   log_sectors : int;
-  mutable commits : int;
-  mutable records_written : int;
 }
 
 let create ~blk ~vcpu ?(log_start = 4096) ?(log_sectors = 65536) () =
   { blk; vcpu; next_lsn = 1; pending = []; next_sector = log_start;
-    log_start; log_sectors; commits = 0; records_written = 0 }
+    log_start; log_sectors }
 
 let append t payload =
   let r = { lsn = t.next_lsn; payload } in
   t.next_lsn <- t.next_lsn + 1;
   t.pending <- r :: t.pending;
   r.lsn
-
-let pending_count t = List.length t.pending
 
 let serialize records =
   let buf = Buffer.create 512 in
@@ -96,11 +92,5 @@ let commit t =
     in
     poll ();
     t.next_sector <- t.next_sector + sectors;
-    t.records_written <- t.records_written + List.length t.pending;
-    t.commits <- t.commits + 1;
     t.pending <- []
   end
-
-let commits t = t.commits
-let records_written t = t.records_written
-let last_lsn t = t.next_lsn - 1

@@ -17,12 +17,6 @@ val create :
 val append : t -> string -> int
 (** Buffer a record; returns its LSN. *)
 
-val pending_count : t -> int
-
 val commit : t -> unit
 (** Durably commit everything pending (write + kick + await + flush).
     Runs in the vCPU process; the circular log wraps when full. *)
-
-val commits : t -> int
-val records_written : t -> int
-val last_lsn : t -> int

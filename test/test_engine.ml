@@ -17,7 +17,6 @@ let checkb = Alcotest.(check bool)
 let test_time_units () =
   checki "us" 1_000 (Time.of_us 1);
   checki "ms" 1_000_000 (Time.of_ms 1);
-  checki "s" 1_000_000_000 (Time.of_sec 1);
   checki "us_f rounds" 1_500 (Time.of_us_f 1.5);
   check (Alcotest.float 1e-9) "to_us_f" 2.5 (Time.to_us_f 2_500)
 
@@ -78,7 +77,6 @@ let test_queue_cancel () =
   let h1 = Event_queue.add q ~time:1 (fun () -> incr hit) in
   let _h2 = Event_queue.add q ~time:2 (fun () -> incr hit) in
   Event_queue.cancel q h1;
-  checkb "is_cancelled" true (Event_queue.is_cancelled h1);
   checki "live count" 1 (Event_queue.length q);
   let rec drain () =
     match Event_queue.pop q with
@@ -216,7 +214,7 @@ let test_sim_max_events_guard () =
       checkb "events fuel" true (fuel = Simulator.Fuel_events 1000));
   (* The queue still holds the overrunning event: the abort is a clean
      truncation, not a corruption. *)
-  checkb "queue intact" true (Simulator.pending_events sim > 0)
+  checkb "queue intact" true (Simulator.next_event_time sim <> None)
 
 let test_sim_budget () =
   (* Event fuel installed on the simulator itself bounds any driver. *)
@@ -263,8 +261,7 @@ let test_sim_nested_spawn () =
           incr hits);
       incr hits);
   Simulator.run sim;
-  checki "both ran" 2 !hits;
-  checki "three spawns? no, two" 2 (Simulator.processes_spawned sim)
+  checki "both ran" 2 !hits
 
 (* --- Ivar / Signal / Mailbox --------------------------------------------- *)
 
@@ -371,7 +368,6 @@ let test_mailbox_try_recv () =
   let mb = Simulator.Mailbox.create sim in
   Alcotest.(check (option int)) "empty" None (Simulator.Mailbox.try_recv mb);
   Simulator.Mailbox.send mb 9;
-  checki "length" 1 (Simulator.Mailbox.length mb);
   Alcotest.(check (option int)) "pops" (Some 9) (Simulator.Mailbox.try_recv mb)
 
 (* --- PRNG ---------------------------------------------------------------- *)
@@ -392,12 +388,9 @@ let test_prng_split_independent () =
   checkb "parent and child differ" true (Prng.next_int64 g <> Prng.next_int64 h)
 
 let test_prng_keyed_split_stable () =
-  (* split_seed is a pure function of (parent, index): unlike [split] it
-     consumes no parent state, so replay can re-derive any child stream
-     at any time *)
-  let s1 = Prng.split_seed 42L ~index:7 in
-  let s2 = Prng.split_seed 42L ~index:7 in
-  Alcotest.(check int64) "pure in (parent, index)" s1 s2;
+  (* a keyed child is a pure function of (parent, index): unlike [split]
+     it consumes no parent state, so replay can re-derive any child
+     stream at any time *)
   let g = Prng.of_split 42L ~index:7 in
   let h = Prng.of_split 42L ~index:7 in
   for _ = 1 to 50 do
@@ -442,19 +435,19 @@ let test_prng_int_bounds () =
 
 let test_prng_exponential_mean () =
   let g = Prng.create 6 in
-  let s = Svt_stats.Summary.create () in
-  for _ = 1 to 20_000 do
-    Svt_stats.Summary.add s (Prng.exponential g ~mean:100.0)
-  done;
+  let s =
+    Svt_stats.Summary.of_list
+      (List.init 20_000 (fun _ -> Prng.exponential g ~mean:100.0))
+  in
   let m = Svt_stats.Summary.mean s in
   checkb "mean near 100" true (m > 95.0 && m < 105.0)
 
 let test_prng_normal_moments () =
   let g = Prng.create 7 in
-  let s = Svt_stats.Summary.create () in
-  for _ = 1 to 20_000 do
-    Svt_stats.Summary.add s (Prng.normal g ~mean:50.0 ~stddev:10.0)
-  done;
+  let s =
+    Svt_stats.Summary.of_list
+      (List.init 20_000 (fun _ -> Prng.normal g ~mean:50.0 ~stddev:10.0))
+  in
   checkb "mean" true (Float.abs (Svt_stats.Summary.mean s -. 50.0) < 0.5);
   checkb "stddev" true (Float.abs (Svt_stats.Summary.stddev s -. 10.0) < 0.5)
 

@@ -211,7 +211,7 @@ let test_ledger_round_trip () =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       Ledger.write path [ entry ];
-      let loaded = List.hd (Ledger.load_exn path) in
+      let loaded = List.hd (Result.get_ok (Ledger.load path)) in
       List.iter
         (fun (k, v) ->
           Alcotest.(check (float 1e-9)) k v (Ledger.metric loaded k))

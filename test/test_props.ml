@@ -206,7 +206,7 @@ let prop_cpuid_view_monotone =
       let view = Svt_arch.Cpuid_db.guest_view host ~expose_vmx in
       let h = Svt_arch.Cpuid_db.query host ~leaf:1 ~subleaf:0 in
       let g = Svt_arch.Cpuid_db.query view ~leaf:1 ~subleaf:0 in
-      let hv = Svt_arch.Cpuid_db.ecx_hypervisor_bit in
+      let hv = Int64.shift_left 1L 31 (* the hypervisor-present bit *) in
       let added =
         Int64.logand (Int64.logand g.Svt_arch.Cpuid_db.ecx (Int64.lognot h.Svt_arch.Cpuid_db.ecx))
           (Int64.lognot hv)

@@ -50,7 +50,6 @@ let test_vq_roundtrip_through_memory () =
       Virtqueue.push_used q ~id ~len
   | None -> Alcotest.fail "pop should succeed");
   (* driver: collect *)
-  checki "used pending" 1 (Virtqueue.used_pending q);
   match Virtqueue.pop_used q with
   | Some (_, len) -> checki "completion len" 8 len
   | None -> Alcotest.fail "completion expected"
@@ -61,7 +60,7 @@ let test_vq_fifo_order () =
   let bufs =
     List.init 3 (fun i ->
         let b = Aspace.alloc_guest_pages aspace 1 in
-        Aspace.write_u8 aspace b (100 + i);
+        Aspace.write_bytes aspace b (Bytes.make 1 (Char.chr (100 + i)));
         b)
   in
   List.iter
@@ -143,11 +142,11 @@ let test_fabric_serialization_queues () =
 let test_fabric_counts () =
   let sim = Simulator.create () in
   let f = make_fabric sim in
-  Fabric.on_deliver (Fabric.endpoint_a f) ignore;
+  let got = ref [] in
+  Fabric.on_deliver (Fabric.endpoint_a f) (fun pkt -> got := Bytes.length pkt :: !got);
   Fabric.send f ~from:(Fabric.endpoint_b f) (Bytes.make 100 'z');
   Simulator.run sim;
-  checki "packets" 1 (Fabric.packets f);
-  checki "bytes" 100 (Fabric.bytes f)
+  checkb "one 100-byte packet" true (!got = [ 100 ])
 
 (* --- Ramdisk --------------------------------------------------------------- *)
 
@@ -164,7 +163,7 @@ let test_ramdisk_rw () =
 let test_ramdisk_bounds () =
   let d = Ramdisk.create ~size_mb:1 in
   Alcotest.check_raises "oob" (Invalid_argument "Ramdisk: out of range")
-    (fun () -> ignore (Ramdisk.read d ~sector:(Ramdisk.sectors d) ~count:1))
+    (fun () -> ignore (Ramdisk.read d ~sector:2048 ~count:1))
 
 let test_ramdisk_unaligned_write () =
   let d = Ramdisk.create ~size_mb:1 in
@@ -193,8 +192,7 @@ let test_net_tx_reaches_sink () =
   (* poke the doorbell through the VM's MMIO dispatch, as the exit path does *)
   ignore (Vm.handle_mmio vm (Net.doorbell_gpa net) 1L 4);
   Simulator.run (Machine.sim machine);
-  checkb "payload" true (!sunk = [ "pkt-1" ]);
-  checki "tx count" 1 (Net.tx_packets net)
+  checkb "payload" true (!sunk = [ "pkt-1" ])
 
 let test_net_rx_roundtrip_with_irq () =
   let machine, vm = make_vm () in
@@ -206,8 +204,7 @@ let test_net_rx_roundtrip_with_irq () =
   checki "irq raised" 1 !irqs;
   (match Net.driver_receive net with
   | Some pkt -> checkb "payload intact" true (Bytes.to_string pkt = "hello-guest")
-  | None -> Alcotest.fail "packet expected");
-  checki "rx count" 1 (Net.rx_packets net)
+  | None -> Alcotest.fail "packet expected")
 
 let test_net_rx_overrun_drops () =
   let machine, vm = make_vm () in
@@ -215,7 +212,8 @@ let test_net_rx_overrun_drops () =
   ignore machine;
   (* no RX buffers posted *)
   Net.backend_deliver net (Bytes.of_string "lost");
-  checki "dropped" 1 (Net.dropped_rx net)
+  Net.driver_fill_rx net 1;
+  checkb "dropped, not queued" true (Net.driver_receive net = None)
 
 let test_net_rx_buffers_recycle () =
   let machine, vm = make_vm () in
@@ -229,9 +227,8 @@ let test_net_rx_buffers_recycle () =
     Net.backend_deliver net (Bytes.of_string (Printf.sprintf "p%d" i));
     match Net.driver_receive net with
     | Some _ -> ()
-    | None -> Alcotest.fail "receive expected"
-  done;
-  checki "no drops thanks to re-posting" 0 (Net.dropped_rx net)
+    | None -> Alcotest.fail "receive expected: no drops thanks to re-posting"
+  done
 
 let test_blk_read_write_flush () =
   let machine, vm = make_vm () in
@@ -247,7 +244,6 @@ let test_blk_read_write_flush () =
   | None -> Alcotest.fail "submit");
   ignore (Vm.handle_mmio vm (Blk.doorbell_gpa blk) 1L 4);
   Simulator.run (Machine.sim machine);
-  checki "write completed" 1 (Blk.completed blk);
   (match Blk.driver_collect blk with
   | Some (_, Blk.Write, None) -> ()
   | _ -> Alcotest.fail "write completion shape");
@@ -260,8 +256,7 @@ let test_blk_read_write_flush () =
   | Some (_, Blk.Read, Some data) ->
       checkb "read-after-write through the stack" true (data = payload)
   | _ -> Alcotest.fail "read completion shape");
-  checki "irqs per completion" 2 !irqs;
-  checkb "disk touched" true (Ramdisk.write_count disk = 1 && Ramdisk.read_count disk = 1)
+  checki "irqs per completion" 2 !irqs
 
 let test_blk_flush_cheaper_than_write () =
   let machine, vm = make_vm () in

@@ -21,9 +21,7 @@ let test_kv_set_get () =
   let s = Kvstore.create () in
   Kvstore.set s ~now:0 "k1" (Bytes.of_string "v1");
   checkb "hit" true (Kvstore.get s ~now:0 "k1" = Some (Bytes.of_string "v1"));
-  checkb "miss" true (Kvstore.get s ~now:0 "nope" = None);
-  checki "hits" 1 (Kvstore.hits s);
-  checki "misses" 1 (Kvstore.misses s)
+  checkb "miss" true (Kvstore.get s ~now:0 "nope" = None)
 
 let test_kv_overwrite () =
   let s = Kvstore.create () in
@@ -32,19 +30,11 @@ let test_kv_overwrite () =
   checki "size stays 1" 1 (Kvstore.size s);
   checkb "updated" true (Kvstore.get s ~now:0 "k" = Some (Bytes.of_string "newer"))
 
-let test_kv_delete () =
-  let s = Kvstore.create () in
-  Kvstore.set s ~now:0 "k" (Bytes.of_string "v");
-  checkb "deleted" true (Kvstore.delete s "k");
-  checkb "gone" false (Kvstore.mem s "k");
-  checkb "double delete" false (Kvstore.delete s "k")
-
 let test_kv_expiry () =
   let s = Kvstore.create () in
   Kvstore.set s ~now:0 ~ttl_ns:100 "k" (Bytes.of_string "v");
   checkb "alive before ttl" true (Kvstore.get s ~now:50 "k" <> None);
   checkb "expired" true (Kvstore.get s ~now:150 "k" = None);
-  checki "expiry counted" 1 (Kvstore.expired_count s);
   checki "entry removed" 0 (Kvstore.size s)
 
 let test_kv_lru_order_and_touch () =
@@ -62,17 +52,15 @@ let test_kv_eviction_under_cap () =
   Kvstore.set s ~now:0 "b" (Bytes.make 30 'x');
   (* third insert exceeds the cap: LRU victim (a) must go *)
   Kvstore.set s ~now:0 "c" (Bytes.make 30 'x');
-  checkb "evicted lru" false (Kvstore.mem s "a");
-  checkb "kept recent" true (Kvstore.mem s "b" && Kvstore.mem s "c");
-  checkb "evictions counted" true (Kvstore.evictions s >= 1);
-  checkb "under cap" true (Kvstore.memory_used s <= 64)
+  checkb "evicted lru" true (Kvstore.get s ~now:0 "a" = None);
+  checkb "kept recent" true
+    (Kvstore.get s ~now:0 "b" <> None && Kvstore.get s ~now:0 "c" <> None)
 
 let test_kv_resize_preserves_entries () =
   let s = Kvstore.create ~initial_buckets:4 () in
   for i = 1 to 500 do
     Kvstore.set s ~now:0 (Printf.sprintf "key-%d" i) (Bytes.of_string (string_of_int i))
   done;
-  checkb "buckets grew" true (Kvstore.bucket_count s > 4);
   checki "all present" 500 (Kvstore.size s);
   let ok = ref true in
   for i = 1 to 500 do
@@ -103,34 +91,25 @@ let prop_kv_model =
 
 (* --- Btree ---------------------------------------------------------------- *)
 
+(* Number of keys, through the leaf chain. *)
+let btree_size t = List.length (Btree.range t ~lo:min_int ~hi:max_int)
+
 let test_btree_insert_find () =
   let t = Btree.create () in
   for i = 1 to 1000 do
     Btree.insert t i (i * 10)
   done;
-  checki "size" 1000 (Btree.size t);
+  checki "size" 1000 (btree_size t);
   checkb "find" true (Btree.find t 500 = Some 5000);
   checkb "missing" true (Btree.find t 1001 = None);
-  checkb "invariants" true (Btree.check_invariants t);
-  checkb "depth grew" true (Btree.depth t > 1)
+  checkb "invariants" true (Btree.check_invariants t)
 
 let test_btree_overwrite () =
   let t = Btree.create () in
   Btree.insert t 5 "a";
   Btree.insert t 5 "b";
-  checki "no duplicate" 1 (Btree.size t);
+  checki "no duplicate" 1 (btree_size t);
   checkb "latest value" true (Btree.find t 5 = Some "b")
-
-let test_btree_delete () =
-  let t = Btree.create () in
-  for i = 1 to 100 do
-    Btree.insert t i i
-  done;
-  checkb "delete hit" true (Btree.delete t 50);
-  checkb "gone" true (Btree.find t 50 = None);
-  checkb "delete miss" false (Btree.delete t 50);
-  checki "size" 99 (Btree.size t);
-  checkb "invariants hold" true (Btree.check_invariants t)
 
 let test_btree_range () =
   let t = Btree.create ~order:8 () in
@@ -161,7 +140,8 @@ let prop_btree_mixed_ops_invariants =
     (fun ops ->
       let t = Btree.create ~order:4 () in
       List.iter
-        (fun (ins, k) -> if ins then Btree.insert t k k else ignore (Btree.delete t k))
+        (fun (ins, k) ->
+          if ins then Btree.insert t k k else ignore (Btree.update t k succ))
         ops;
       Btree.check_invariants t)
 
@@ -218,8 +198,7 @@ let test_tpcc_engine_consistency () =
     (fun (_, s) -> if s.Tpcc.s_quantity <= 0 then ok := false)
     (Btree.range db.Tpcc.stock ~lo:1 ~hi:Tpcc.n_items);
   checkb "stock invariant" true !ok;
-  checkb "orders recorded" true (Btree.size db.Tpcc.orders > 0);
-  checkb "wal accumulates" true (Svt_workloads.Wal.pending_count wal > 0)
+  checkb "orders recorded" true (btree_size db.Tpcc.orders > 0)
 
 (* --- Channel microbenchmark (§6.1 findings) -------------------------------------- *)
 
@@ -283,7 +262,6 @@ let () =
         [
           Alcotest.test_case "set/get" `Quick test_kv_set_get;
           Alcotest.test_case "overwrite" `Quick test_kv_overwrite;
-          Alcotest.test_case "delete" `Quick test_kv_delete;
           Alcotest.test_case "expiry" `Quick test_kv_expiry;
           Alcotest.test_case "lru order and touch" `Quick test_kv_lru_order_and_touch;
           Alcotest.test_case "eviction under cap" `Quick test_kv_eviction_under_cap;
@@ -295,7 +273,6 @@ let () =
         [
           Alcotest.test_case "insert/find" `Quick test_btree_insert_find;
           Alcotest.test_case "overwrite" `Quick test_btree_overwrite;
-          Alcotest.test_case "delete" `Quick test_btree_delete;
           Alcotest.test_case "range" `Quick test_btree_range;
           Alcotest.test_case "update in place" `Quick test_btree_update_in_place;
           QCheck_alcotest.to_alcotest prop_btree_sorted_matches_model;
