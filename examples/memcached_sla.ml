@@ -11,13 +11,14 @@
 module Time = Svt_engine.Time
 module Mode = Svt_core.Mode
 module Etc = Svt_workloads.Etc_workload
+module Paper = Svt_report.Paper
 
 let loads = [ 5_000.; 10_000.; 15_000.; 20_000. ]
 
 let () =
   Printf.printf
     "== memcached + ETC under a %.0f us p99 SLA (loads %s qps) ==\n\n"
-    Etc.sla_us
+    Paper.fig8_sla_us
     (String.concat ", " (List.map (fun l -> Printf.sprintf "%.0fk" (l /. 1000.)) loads));
   let capacities =
     List.map
@@ -29,9 +30,9 @@ let () =
             Printf.printf
               "  offered %8.0f qps | achieved %8.0f | avg %7.1f us | p99 %7.1f us %s\n"
               p.Etc.offered_qps p.Etc.achieved_qps p.Etc.avg_us p.Etc.p99_us
-              (if p.Etc.p99_us <= Etc.sla_us then "[within SLA]" else "[SLA violated]"))
+              (if p.Etc.p99_us <= Paper.fig8_sla_us then "[within SLA]" else "[SLA violated]"))
           points;
-        let cap = Etc.capacity_within_sla points in
+        let cap = Etc.capacity_within_sla ~sla_us:Paper.fig8_sla_us points in
         Printf.printf "  -> capacity within SLA: %.0f qps\n\n" cap;
         (mode, cap))
       [ Mode.Baseline; Mode.sw_svt_default ]
@@ -39,6 +40,6 @@ let () =
   match capacities with
   | [ (_, base); (_, svt) ] when base > 0.0 ->
       Printf.printf
-        "SVt serves %.2fx the load within the same SLA (paper: 2.20x).\n"
-        (svt /. base)
+        "SVt serves %.2fx the load within the same SLA (paper: %.2fx).\n"
+        (svt /. base) Paper.fig8_p99_speedup
   | _ -> ()

@@ -62,3 +62,8 @@ let render t =
   Buffer.contents buf
 
 let print t = print_string (render t)
+
+let print_rows ?aligns headers rows =
+  let t = create ?aligns headers in
+  List.iter (add_row t) rows;
+  print t

@@ -12,3 +12,6 @@ val add_row : t -> string list -> unit
 
 val render : t -> string
 val print : t -> unit
+
+val print_rows : ?aligns:align list -> string list -> string list list -> unit
+(** [create], one [add_row] per row, then [print]. *)

@@ -18,7 +18,6 @@ module Vcpu = Svt_hyp.Vcpu
 module Net = Svt_virtio.Virtio_net
 module Fabric = Svt_virtio.Fabric
 
-let sla_us = 500.0
 let key_space = 20_000
 let get_ratio = 0.95 (* ETC is dominated by GETs *)
 
@@ -196,7 +195,7 @@ let sweep ?(loads = [ 5_000.; 7_500.; 10_000.; 12_500.; 15_000.; 17_500.; 20_000
     loads
 
 (* Highest offered load whose p99 meets the SLA. *)
-let capacity_within_sla points =
+let capacity_within_sla ~sla_us points =
   List.fold_left
     (fun acc p -> if p.p99_us <= sla_us && p.requests > 0 then max acc p.offered_qps else acc)
     0.0 points

@@ -4,9 +4,7 @@
     The server runs a real {!Kvstore} inside the guest, one worker per
     vCPU with its own virtio-net queue; the client draws Zipfian keys and
     ETC value sizes and issues requests with exponential gaps at the
-    target load. The paper's SLA is the 99th percentile at 500 µs. *)
-
-val sla_us : float
+    target load. *)
 
 val value_size : Svt_engine.Prng.t -> int
 (** Draw from the ETC value-size mix (tens of bytes to a few KB, heavy
@@ -38,5 +36,5 @@ val sweep :
 (** The Figure 8 load sweep (5–22.5 k qps by default), each point on a
     fresh 2-vCPU system. *)
 
-val capacity_within_sla : point list -> float
-(** Highest offered load whose p99 met the SLA. *)
+val capacity_within_sla : sla_us:float -> point list -> float
+(** Highest offered load whose p99 met the SLA, a p99 bound in µs. *)

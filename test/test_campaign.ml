@@ -429,6 +429,47 @@ let test_ledger_rejects_garbage () =
   checkb "parse error reported" true (Result.is_error (Ledger.load path));
   Sys.remove path
 
+(* The sweep's measured-vs-paper footer compares only x86, fault-free
+   runs, each SVt run against the baseline run that differs from it in
+   mode alone: an ARM pair listed first and a fault-injected pair, each
+   complete with its baseline twin, must not leak into the paper
+   comparison. *)
+let test_paper_speedup_pairs () =
+  let entry ?arch ?(fault = "") ?(workload = "cpuid") mode metric v =
+    let point = Spec.point ?arch ~workload ~fault mode in
+    {
+      Ledger.run_id = Spec.run_id point;
+      point;
+      status = "ok";
+      error = None;
+      attempts = 1;
+      wall_s = 0.0;
+      metrics = [ (metric, v) ];
+      data = [];
+    }
+  in
+  let arm = Svt_arch.Backend.Arm in
+  let rows =
+    Svt_report.Paper.speedup_rows_of_ledger
+      [
+        entry ~arch:arm Mode.Baseline "per_op_us" 20.0;
+        entry ~arch:arm Mode.sw_svt_default "per_op_us" 8.5;
+        entry Mode.Baseline "per_op_us" 10.35;
+        entry Mode.sw_svt_default "per_op_us" 8.4;
+        entry ~workload:"rr" ~fault:"drop-ring:1" Mode.Baseline "mean_rtt_us"
+          150.0;
+        entry ~workload:"rr" ~fault:"drop-ring:1" Mode.sw_svt_default
+          "mean_rtt_us" 150.0;
+      ]
+  in
+  match rows with
+  | [ r ] ->
+      checks "the x86 cpuid pair" "cpuid latency sw-svt speedup"
+        r.Svt_report.Compare.metric;
+      checkb "x86 speedup" true
+        (Float.abs (r.Svt_report.Compare.measured -. (10.35 /. 8.4)) < 1e-9)
+  | rows -> checki "exactly one comparable pair" 1 (List.length rows)
+
 let test_ledger_diff () =
   let entries = List.map Ledger.entry_of_result (sample_results ()) in
   checki "self-diff is empty" 0 (List.length (Ledger.diff entries entries));
@@ -1000,6 +1041,8 @@ let () =
             test_ledger_arch_axis_jobs_deterministic;
           Alcotest.test_case "rejects garbage" `Quick test_ledger_rejects_garbage;
           Alcotest.test_case "diff" `Quick test_ledger_diff;
+          Alcotest.test_case "paper speedup pairs" `Quick
+            test_paper_speedup_pairs;
         ] );
       ( "journal",
         [
