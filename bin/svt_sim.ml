@@ -98,12 +98,12 @@ let point_term workloads =
    print the fuel counters and exit 1. *)
 let exit_on_timeout f =
   try f ()
-  with Simulator.Budget_exhausted { events; now; fuel } ->
+  with Simulator.Budget_exhausted { events; now; max_events } ->
     Printf.printf "timeout %s\n"
       (String.concat " "
          (List.map
             (fun (k, v) -> Printf.sprintf "%s=%.15g" k v)
-            (Runner.fuel_metrics ~events ~now fuel)));
+            (Runner.fuel_metrics ~events ~now ~max_events)));
     exit 1
 
 (* ---- trace export ---- *)
@@ -379,19 +379,13 @@ let sweep_cmd =
                    seed=0.")
   in
   let jobs =
-    Arg.(value & opt int (Svt_campaign.Pool.default_jobs ())
+    Arg.(value & opt pos_int (Svt_campaign.Pool.default_jobs ())
          & info [ "j"; "jobs" ] ~docv:"N"
              ~doc:"Worker domains. 1 forces the sequential, domain-free path.")
   in
   let retries =
     Arg.(value & opt int 1
          & info [ "retries" ] ~docv:"N" ~doc:"Extra attempts after a run fails.")
-  in
-  let timeout_s =
-    Arg.(value & opt (some float) None
-         & info [ "timeout-s" ] ~docv:"SECONDS"
-             ~doc:"Per-run wall-clock budget; overruns are recorded as \
-                   status timeout.")
   in
   let ledger =
     Arg.(value & opt string "sweep.jsonl"
@@ -411,30 +405,17 @@ let sweep_cmd =
              ~doc:"Stop after N rows complete (exit 3). Simulates a crash \
                    for resume testing.")
   in
-  let checkpoint =
-    Arg.(value & opt int 1
-         & info [ "checkpoint" ] ~docv:"N"
-             ~doc:"Flush the journal every N rows (1 = every row durable \
-                   immediately).")
-  in
   let quarantine_after =
-    Arg.(value & opt int Svt_campaign.Pool.default_quarantine_after
+    Arg.(value & opt pos_int Svt_campaign.Pool.default_quarantine_after
          & info [ "quarantine-after" ] ~docv:"K"
              ~doc:"Stop retrying a run after K consecutive failures and \
                    record it quarantined with its backtrace.")
   in
   let max_sim_events =
-    Arg.(value & opt int Runner.default_max_sim_events
+    Arg.(value & opt pos_int Runner.default_max_sim_events
          & info [ "max-sim-events" ] ~docv:"N"
              ~doc:"Deterministic fuel budget: abort a run as status timeout \
                    after N simulator events.")
-  in
-  let max_sim_ms =
-    Arg.(value & opt (some int) None
-         & info [ "max-sim-ms" ] ~docv:"MS"
-             ~doc:"Deterministic fuel budget on virtual time: abort a run \
-                   as status timeout once the simulation clock passes MS \
-                   milliseconds.")
   in
   let deterministic =
     Arg.(value & flag
@@ -453,22 +434,17 @@ let sweep_cmd =
   let quiet =
     Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"No stderr progress line.")
   in
-  let run axes jobs retries timeout_s ledger resume max_rows checkpoint
-      quarantine_after max_sim_events max_sim_ms deterministic
-      telemetry_every quiet =
+  let run axes jobs retries ledger resume max_rows quarantine_after
+      max_sim_events deterministic telemetry_every quiet =
     match Spec.of_axes axes with
     | Error e ->
         Printf.eprintf "sweep: %s\n" e;
         exit 2
     | Ok spec ->
-        let max_sim_time =
-          Option.map (fun ms -> Svt_engine.Time.of_ms ms) max_sim_ms
-        in
         let o =
-          Campaign.execute ~jobs ~retries ?timeout_s ~quarantine_after
-            ?max_rows ~checkpoint_every:checkpoint ~resume ~deterministic
-            ~progress:(not quiet) ~ledger ~telemetry_every
-            ~run:(fun p -> Runner.exec ~max_sim_events ?max_sim_time p)
+          Campaign.execute ~jobs ~retries ~quarantine_after ?max_rows ~resume
+            ~deterministic ~progress:(not quiet) ~ledger ~telemetry_every
+            ~run:(fun p -> Runner.exec ~max_sim_events p)
             spec
         in
         Svt_stats.Table.print (Campaign.summary_table o);
@@ -515,9 +491,9 @@ let sweep_cmd =
                timed out / was quarantined, 2 usage error, 3 interrupted \
                by --max-rows.";
          ])
-    Term.(const run $ axes $ jobs $ retries $ timeout_s $ ledger $ resume
-          $ max_rows $ checkpoint $ quarantine_after $ max_sim_events
-          $ max_sim_ms $ deterministic $ telemetry_every $ quiet)
+    Term.(const run $ axes $ jobs $ retries $ ledger $ resume $ max_rows
+          $ quarantine_after $ max_sim_events $ deterministic
+          $ telemetry_every $ quiet)
 
 let sweep_diff_cmd =
   let old_arg =
@@ -563,7 +539,8 @@ let sched_cmd =
          & info [ "tenants" ] ~docv:"N" ~doc:"Co-located guest stacks.")
   in
   let vcpus_arg =
-    Arg.(value & opt int 1 & info [ "vcpus" ] ~docv:"N" ~doc:"vCPUs per tenant.")
+    Arg.(value & opt pos_int 1
+         & info [ "vcpus" ] ~docv:"N" ~doc:"vCPUs per tenant.")
   in
   let horizon_ms =
     Arg.(value & opt int 20
@@ -716,7 +693,8 @@ let cluster_cmd =
          & info [ "tenants" ] ~docv:"N" ~doc:"Tenants submitted for admission.")
   in
   let vcpus_arg =
-    Arg.(value & opt int 1 & info [ "vcpus" ] ~docv:"N" ~doc:"vCPUs per tenant.")
+    Arg.(value & opt pos_int 1
+         & info [ "vcpus" ] ~docv:"N" ~doc:"vCPUs per tenant.")
   in
   let mode_arg =
     Arg.(value & opt mode_conv Mode.sw_svt_default

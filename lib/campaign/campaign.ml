@@ -1,9 +1,8 @@
 (* The orchestrator. Execution is crash-safe end-to-end:
 
    - while the pool runs, every completed row is appended to the ledger
-     through the CRC'd [Journal] (completion order, flushed every
-     [checkpoint_every] rows), so a kill or crash mid-sweep keeps every
-     checkpointed row;
+     through the CRC'd [Journal] (completion order, flushed per row), so
+     a kill or crash mid-sweep keeps every completed row;
    - on clean completion the journal is atomically rewritten in
      canonical spec order, so an uninterrupted campaign and an
      interrupted-then-resumed one converge on the same file;
@@ -44,15 +43,11 @@ let error_of_pool_outcome (o : 'b Pool.outcome) e =
 let result_of_outcome point (o : (string * float) list Pool.outcome) =
   let status, metrics =
     match o.Pool.result with
-    | Ok metrics when o.Pool.timed_out ->
-        (* Successful but over the wall-clock budget: record the timeout
-           without throwing the computed work away. *)
-        (Runner.Run_timeout, metrics)
     | Ok metrics -> (Runner.Run_ok, metrics)
-    | Error (Simulator.Budget_exhausted { events; now; fuel }) ->
-        (* Preemptive, deterministic timeout: the fuel counters become
-           the row's metrics so the ledger records where it was cut. *)
-        (Runner.Run_timeout, Runner.fuel_metrics ~events ~now fuel)
+    | Error (Simulator.Budget_exhausted { events; now; max_events }) ->
+        (* Deterministic timeout: the fuel counters become the row's
+           metrics so the ledger records where it was cut. *)
+        (Runner.Run_timeout, Runner.fuel_metrics ~events ~now ~max_events)
     | Error e when o.Pool.quarantined ->
         (Runner.Run_quarantined (error_of_pool_outcome o e), [])
     | Error e -> (Runner.Run_failed (Printexc.to_string e), [])
@@ -79,8 +74,8 @@ let result_of_reused (e : Ledger.entry) =
 
 let is_fatal = function Simulator.Budget_exhausted _ -> true | _ -> false
 
-let execute ?jobs ?retries ?timeout_s ?quarantine_after ?max_rows
-    ?(checkpoint_every = 1) ?(resume = false) ?(deterministic = false)
+let execute ?jobs ?retries ?quarantine_after ?max_rows ?(resume = false)
+    ?(deterministic = false)
     ?(progress = false) ?(progress_label = "sweep") ?ledger
     ?(telemetry_every = 0) ?(telemetry_source = "sweep")
     ?(run = fun p -> Runner.exec p) spec =
@@ -145,7 +140,7 @@ let execute ?jobs ?retries ?timeout_s ?quarantine_after ?max_rows
           (* Fresh campaign owns the file: stale rows of a previous
              sweep would defeat last-occurrence-wins on a later resume. *)
           Sys.remove path;
-        Journal.create ~checkpoint_every path)
+        Journal.create path)
       ledger
   in
   let prog =
@@ -232,7 +227,7 @@ let execute ?jobs ?retries ?timeout_s ?quarantine_after ?max_rows
       prog
   in
   let pool =
-    Pool.map ?jobs ?retries ?timeout_s ?quarantine_after ?stop_after:max_rows
+    Pool.map ?jobs ?retries ?quarantine_after ?stop_after:max_rows
       ~fatal:is_fatal ~on_result run todo
   in
   Option.iter Progress.finish prog;

@@ -6,9 +6,9 @@
     wall-clock fields (or exactly, with [deterministic]).
 
     Crash safety: while the pool runs, completed rows are appended in
-    completion order through {!Journal} (CRC per line, flushed every
-    [checkpoint_every] rows). On clean completion the file is atomically
-    rewritten in canonical spec order. A killed campaign leaves a
+    completion order through {!Journal} (CRC per line, flushed per row).
+    On clean completion the file is atomically rewritten in canonical
+    spec order. A killed campaign leaves a
     salvageable journal that [execute ~resume:true] recovers: rows
     recorded [ok] are reused verbatim, everything else re-runs —
     content-addressed run_ids make the union identical to an
@@ -18,7 +18,7 @@ type outcome = {
   results : Runner.result list;  (** in spec order; excludes skipped *)
   ok : int;
   failed : int;
-  timeout : int;  (** wall-clock or fuel-budget timeouts *)
+  timeout : int;  (** runs cut by the simulator's fuel budget *)
   quarantined : int;
   skipped : int;  (** points never attempted (early stop) *)
   reused : int;  (** ok rows salvaged from a previous journal *)
@@ -35,10 +35,8 @@ val exit_code : outcome -> int
 val execute :
   ?jobs:int ->
   ?retries:int ->
-  ?timeout_s:float ->
   ?quarantine_after:int ->
   ?max_rows:int ->
-  ?checkpoint_every:int ->
   ?resume:bool ->
   ?deterministic:bool ->
   ?progress:bool ->
@@ -51,10 +49,9 @@ val execute :
   outcome
 (** Run every point. Duplicated run_ids are executed once (the spec is
     {!Spec.dedup}ed first). Defaults: [jobs = Pool.default_jobs ()],
-    [retries = 1], no timeout, [quarantine_after = 3], no row limit,
-    [checkpoint_every = 1], no resume, no progress line, no ledger, and
-    [run = Runner.exec]. [jobs = 1] is the fully sequential,
-    domain-free path.
+    [retries = 1], [quarantine_after = 3], no row limit, no resume, no
+    progress line, no ledger, and [run = Runner.exec]. [jobs = 1] is
+    the fully sequential, domain-free path.
 
     [max_rows] stops the campaign after that many rows complete
     (outcome is [interrupted]; exit code 3) — the crash-simulation hook

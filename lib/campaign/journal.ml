@@ -1,45 +1,32 @@
 (* Crash-consistent ledger writer. Rows are appended in completion order
    with a per-line CRC32 ({!Ledger.line_of_entry_crc}) and the channel is
-   flushed every [checkpoint_every] rows, so a killed campaign leaves a
-   file whose longest intact prefix is exactly the checkpointed rows
-   (plus whatever later rows happened to reach the disk) — which is what
-   {!Ledger.recover} salvages and [sweep --resume] restarts from.
+   flushed after every row, so a killed campaign leaves a file whose
+   longest intact prefix is every row appended before the kill — which
+   is what {!Ledger.recover} salvages and [sweep --resume] restarts from.
 
    [rewrite] is the clean-completion path: the full row set is written to
    a temp file and renamed over the journal, so the final artifact is
    canonical (spec order, deduplicated) and the swap is atomic — a crash
    mid-rewrite leaves the old journal, never a half-written file. *)
 
-type t = {
-  oc : out_channel;
-  checkpoint_every : int;
-  mutable unflushed : int;
-}
+type t = out_channel
 
-let create ?(checkpoint_every = 1) ?(truncate = false) path =
+let create ?(truncate = false) path =
   let flags =
     [ Open_creat; Open_wronly ]
     @ if truncate then [ Open_trunc ] else [ Open_append ]
   in
-  {
-    oc = open_out_gen flags 0o644 path;
-    checkpoint_every = max 1 checkpoint_every;
-    unflushed = 0;
-  }
+  open_out_gen flags 0o644 path
 
-let append t e =
-  output_string t.oc (Ledger.line_of_entry_crc e);
-  output_char t.oc '\n';
-  t.unflushed <- t.unflushed + 1;
-  if t.unflushed >= t.checkpoint_every then begin
-    Stdlib.flush t.oc;
-    t.unflushed <- 0
-  end
+let append oc e =
+  output_string oc (Ledger.line_of_entry_crc e);
+  output_char oc '\n';
+  Stdlib.flush oc
 
-let close t = close_out t.oc
+let close = close_out
 
-let with_journal ?checkpoint_every ?truncate path f =
-  let t = create ?checkpoint_every ?truncate path in
+let with_journal ?truncate path f =
+  let t = create ?truncate path in
   Fun.protect ~finally:(fun () -> close t) (fun () -> f t)
 
 let rewrite path entries =

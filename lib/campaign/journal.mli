@@ -1,26 +1,23 @@
 (** Crash-consistent JSONL ledger writer.
 
     Every appended row carries a CRC32 of its canonical bytes
-    ({!Ledger.line_of_entry_crc}); the channel is flushed every
-    [checkpoint_every] rows. A campaign killed mid-sweep therefore
-    leaves a journal whose longest intact prefix {!Ledger.recover} can
-    salvage, and [sweep --resume] restarts from. *)
+    ({!Ledger.line_of_entry_crc}) and is flushed as soon as it is
+    written. A campaign killed mid-sweep therefore leaves a journal
+    whose longest intact prefix {!Ledger.recover} can salvage, and
+    [sweep --resume] restarts from. *)
 
 type t
 
-val create : ?checkpoint_every:int -> ?truncate:bool -> string -> t
+val create : ?truncate:bool -> string -> t
 (** Open [path] for appending (created if missing; [truncate] starts a
-    fresh journal instead). [checkpoint_every] (default 1: every row
-    durable immediately) trades crash-window size for write syscalls on
-    large sweeps. *)
+    fresh journal instead). *)
 
 val append : t -> Ledger.entry -> unit
-(** Append one CRC'd row, flushing if the checkpoint interval is due. *)
+(** Append one CRC'd row and flush it. *)
 
 val close : t -> unit
 
-val with_journal :
-  ?checkpoint_every:int -> ?truncate:bool -> string -> (t -> 'a) -> 'a
+val with_journal : ?truncate:bool -> string -> (t -> 'a) -> 'a
 (** [create]; run; [close] (which flushes) even on exceptions. *)
 
 val rewrite : string -> Ledger.entry list -> unit

@@ -16,7 +16,6 @@
 
 type 'b outcome = {
   result : ('b, exn) result;
-  timed_out : bool;
   quarantined : bool;
   backtrace : string option;
   attempts : int;
@@ -41,48 +40,32 @@ type 'b run = {
 let default_jobs () = min 8 (Domain.recommended_domain_count ())
 let default_quarantine_after = 3
 
-let attempt_once ?timeout_s f task =
-  let t0 = Unix.gettimeofday () in
-  let result = try Ok (f task) with e -> Error e in
-  let wall = Unix.gettimeofday () -. t0 in
-  let late =
-    match (result, timeout_s) with
-    | Ok _, Some limit -> wall > limit
-    | _ -> false
-  in
-  (result, late, wall)
-
-(* Run one task with bounded retry. A cooperative timeout is final (the
-   work succeeded, it was just too slow — rerunning cannot help) and the
-   computed value is retained. [fatal] exceptions (a deterministic fuel
-   exhaustion) are never retried either. [quarantine_after] consecutive
+(* Run one task with bounded retry. [fatal] exceptions (a deterministic
+   fuel exhaustion) are never retried. [quarantine_after] consecutive
    failures quarantine the task: retries stop even if some remain,
    because a task that deterministic-crashes K times in a row is not
    flaky, and the captured backtrace goes to the ledger. *)
-let run_task ?timeout_s ~retries ~quarantine_after ~fatal f task =
+let run_task ~retries ~quarantine_after ~fatal f task =
   let rec go attempt =
-    let result, late, wall = attempt_once ?timeout_s f task in
+    let t0 = Unix.gettimeofday () in
+    let result = try Ok (f task) with e -> Error e in
+    let wall_s = Unix.gettimeofday () -. t0 in
+    let finish ?backtrace quarantined =
+      { result; quarantined; backtrace; attempts = attempt; wall_s }
+    in
     match result with
-    | Ok _ ->
-        { result; timed_out = late; quarantined = false; backtrace = None;
-          attempts = attempt; wall_s = wall }
+    | Ok _ -> finish false
     | Error e ->
         let bt = Printexc.get_backtrace () in
         let backtrace = if bt = "" then None else Some bt in
-        if fatal e then
-          { result; timed_out = false; quarantined = false; backtrace;
-            attempts = attempt; wall_s = wall }
-        else if attempt >= quarantine_after then
-          { result; timed_out = false; quarantined = true; backtrace;
-            attempts = attempt; wall_s = wall }
+        if fatal e then finish ?backtrace false
+        else if attempt >= quarantine_after then finish ?backtrace true
         else if attempt <= retries then go (attempt + 1)
-        else
-          { result; timed_out = false; quarantined = false; backtrace;
-            attempts = attempt; wall_s = wall }
+        else finish ?backtrace false
   in
   go 1
 
-let map ?jobs ?(retries = 1) ?timeout_s
+let map ?jobs ?(retries = 1)
     ?(quarantine_after = default_quarantine_after) ?stop_after
     ?(fatal = fun _ -> false) ?on_result f tasks =
   if quarantine_after < 1 then invalid_arg "Pool.map: quarantine_after < 1";
@@ -117,12 +100,12 @@ let map ?jobs ?(retries = 1) ?timeout_s
     (* An exception escaping [finished] (a hostile on_result callback) is
        captured into the slot rather than killing the domain with slots
        unclaimed. *)
-    (try finished i (run_task ?timeout_s ~retries ~quarantine_after ~fatal f tasks.(i))
+    (try finished i (run_task ~retries ~quarantine_after ~fatal f tasks.(i))
      with e ->
        let bt = Printexc.get_backtrace () in
        results.(i) <-
          Some
-           { result = Error e; timed_out = false; quarantined = false;
+           { result = Error e; quarantined = false;
              backtrace = (if bt = "" then None else Some bt);
              attempts = 1; wall_s = 0.0 });
     w.tasks_run <- w.tasks_run + 1;

@@ -19,12 +19,6 @@
 
 type 'b outcome = {
   result : ('b, exn) result;
-  timed_out : bool;
-      (** the attempt succeeded but exceeded [timeout_s]; [result] still
-          holds the computed value so the work is not thrown away.
-          Cooperative: OCaml domains cannot be preempted, so the overrun
-          attempt runs to completion (use the simulator fuel budget for
-          preemptive, deterministic cut-offs). Never retried. *)
   quarantined : bool;
       (** the task failed [quarantine_after] consecutive times and was
           pulled from retry; [backtrace] has the last failure's trace *)
@@ -61,7 +55,6 @@ val default_quarantine_after : int
 val map :
   ?jobs:int ->
   ?retries:int ->
-  ?timeout_s:float ->
   ?quarantine_after:int ->
   ?stop_after:int ->
   ?fatal:(exn -> bool) ->
@@ -71,7 +64,7 @@ val map :
   'b run
 (** [map f tasks] applies [f] to every task and returns outcomes in
     input order. [retries] (default 1) is the number of *additional*
-    attempts after an exception; timeouts and [fatal] exceptions (e.g. a
+    attempts after an exception; [fatal] exceptions (e.g. a
     deterministic {!Svt_engine.Simulator.Budget_exhausted}) are never
     retried, and [quarantine_after] (default
     {!default_quarantine_after}) consecutive failures stop retrying
@@ -80,4 +73,4 @@ val map :
     still finish) — the campaign layer's row-limit / crash-simulation
     hook. [on_result] is invoked once per finished task under the
     pool's lock (safe to print from). Defaults: [jobs = default_jobs ()],
-    no timeout, no row limit, nothing fatal. *)
+    no row limit, nothing fatal. *)

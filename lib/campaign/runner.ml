@@ -43,20 +43,18 @@ let workload_names = stack_workload_names @ [ "consolidate"; "cluster" ]
 
 (* Default event fuel for campaign runs: far above any real workload
    (the largest sweep rows record ~10^5 events) but low enough that a
-   runaway run is cut in seconds, deterministically, instead of wedging
-   a worker domain until a wall-clock guess expires. *)
+   runaway run is cut within about a minute, at the same virtual instant
+   on every host. *)
 let default_max_sim_events = 50_000_000
 
-let fuel_metrics ~events ~now fuel =
-  [ ("sim_events", float_of_int events); ("sim_now_us", Time.to_us_f now) ]
-  @
-  match fuel with
-  | Svt_engine.Simulator.Fuel_events n ->
-      [ ("budget.max_events", float_of_int n) ]
-  | Svt_engine.Simulator.Fuel_time t ->
-      [ ("budget.max_time_us", Time.to_us_f t) ]
+let fuel_metrics ~events ~now ~max_events =
+  [
+    ("sim_events", float_of_int events);
+    ("sim_now_us", Time.to_us_f now);
+    ("budget.max_events", float_of_int max_events);
+  ]
 
-let make_system ?max_sim_events ?max_sim_time (p : Spec.point) =
+let make_system ?max_sim_events (p : Spec.point) =
   (* Derive the machine seed from the run hash: independent stream per
      run_id, stable across scheduling orders (Prng satellite). The fault
      seed is a further draw from the same stream, so it is equally
@@ -77,7 +75,7 @@ let make_system ?max_sim_events ?max_sim_time (p : Spec.point) =
   in
   System.of_config
     (System.Config.make ~arch:p.Spec.arch ~machine:config ~n_vcpus ~faults
-       ~fault_seed ?max_sim_events ?max_sim_time ~mode:p.Spec.mode
+       ~fault_seed ?max_sim_events ~mode:p.Spec.mode
        ~level:p.Spec.level ())
 
 let workload_metrics (p : Spec.point) sys =
@@ -247,11 +245,11 @@ let cluster_metrics (p : Spec.point) =
   Svt_cluster.Cluster.fields r
   @ [ ("sim_now_us", Time.to_us_f (Svt_cluster.Cluster.now cluster)) ]
 
-let exec ?(max_sim_events = default_max_sim_events) ?max_sim_time p =
+let exec ?(max_sim_events = default_max_sim_events) p =
   if p.Spec.workload = "consolidate" then consolidate_metrics p
   else if p.Spec.workload = "cluster" then cluster_metrics p
   else
-  let sys = make_system ~max_sim_events ?max_sim_time p in
+  let sys = make_system ~max_sim_events p in
   (* Per-span-kind summaries ride along in every ledger row, so
      sweep-diff can compare exit-path composition across revisions. The
      timeline sink never advances virtual time, so the workload metrics

@@ -13,10 +13,8 @@ type status =
   | Run_ok
   | Run_failed of string
   | Run_timeout
-      (** the run exceeded its budget — either the pool's cooperative
-          wall-clock timeout (metrics are still recorded: the work
-          finished, just too slowly) or the simulator's deterministic
-          fuel budget (the fuel counters become the metrics) *)
+      (** the run spent the simulator's deterministic fuel budget (the
+          fuel counters become the metrics) *)
   | Run_quarantined of string
       (** pulled from retry after K consecutive failures; the payload
           carries the final exception and its backtrace *)
@@ -48,29 +46,27 @@ val stack_workload_names : string list
 
 val default_max_sim_events : int
 (** {!exec}'s default event fuel (50M): far above any real workload but
-    low enough to cut a runaway run in seconds, deterministically. *)
+    low enough to cut a runaway run within about a minute,
+    deterministically. *)
 
 val fuel_metrics :
-  events:int ->
-  now:Svt_engine.Time.t ->
-  Svt_engine.Simulator.fuel ->
-  (string * float) list
+  events:int -> now:Svt_engine.Time.t -> max_events:int -> (string * float) list
 (** The metrics of a run cut by its fuel budget, from the
     {!Svt_engine.Simulator.Budget_exhausted} payload: [sim_events],
-    [sim_now_us] and the spent limit ([budget.max_events] or
-    [budget.max_time_us]). A sweep records them as its timeout row; the
-    single-point subcommands print them on their timeout line. *)
+    [sim_now_us] and the spent limit [budget.max_events]. A sweep
+    records them as its timeout row; the single-point subcommands print
+    them on their timeout line. *)
 
 val make_system :
   ?max_sim_events:int ->
-  ?max_sim_time:Svt_engine.Time.t ->
   Spec.point ->
   Svt_core.System.t
 (** Build the point's system (content-addressed PRNG seed, paper
     config) without running anything — callers that want to install
     observability sinks first (the [trace] and [profile] subcommands)
     use this and then {!workload_metrics}. The optional fuel budget is
-    installed on the system's simulator (default: none). *)
+    installed on the system's simulator (default: the simulator's own
+    runaway guard). *)
 
 val workload_metrics : Spec.point -> Svt_core.System.t -> (string * float) list
 (** Drive the point's workload on an already-built system and return
@@ -81,7 +77,6 @@ val workload_metrics : Spec.point -> Svt_core.System.t -> (string * float) list
 
 val exec :
   ?max_sim_events:int ->
-  ?max_sim_time:Svt_engine.Time.t ->
   Spec.point ->
   (string * float) list
 (** Run one point to completion and return its metrics; raises on

@@ -58,11 +58,11 @@ module Config = struct
     faults : Svt_fault.Plan.t;
     fault_seed : int64;
     max_sim_events : int option;
-    max_sim_time : Time.t option;
   }
 
   type error =
     | Invalid_vcpus of int
+    | Invalid_max_sim_events of int
     | Insufficient_cores of {
         n_vcpus : int;
         cores : int;
@@ -78,6 +78,8 @@ module Config = struct
 
   let pp_error ppf = function
     | Invalid_vcpus n -> Fmt.pf ppf "n_vcpus = %d (need at least 1)" n
+    | Invalid_max_sim_events n ->
+        Fmt.pf ppf "max_sim_events = %d (need at least 1)" n
     | Insufficient_cores { n_vcpus; cores; required_threads; available_threads }
       ->
         Fmt.pf ppf
@@ -127,7 +129,7 @@ module Config = struct
       ?(shadow = Svt_vmcs.Shadow.hardware_shadowing_enabled)
       ?(multiplex_contexts = false) ?(svt_policy = Mode.default_svt_policy)
       ?(faults = Svt_fault.Plan.empty) ?(fault_seed = 0xFA17L) ?max_sim_events
-      ?max_sim_time ~mode ~level () =
+      ~mode ~level () =
     let machine =
       match arch with
       | None -> machine
@@ -140,7 +142,7 @@ module Config = struct
       else Svt_vmcs.Shadow.no_shadowing
     in
     { arch; mode; level; n_vcpus; machine; shadow; multiplex_contexts;
-      svt_policy; faults; fault_seed; max_sim_events; max_sim_time }
+      svt_policy; faults; fault_seed; max_sim_events }
 
   (* Hardware threads the SVt-threads of this stack occupy, on top of the
      one thread per vCPU: the paper's dedicated sibling reserves one per
@@ -162,6 +164,9 @@ module Config = struct
     let errors = ref [] in
     let err e = errors := e :: !errors in
     if t.n_vcpus < 1 then err (Invalid_vcpus t.n_vcpus);
+    (match t.max_sim_events with
+    | Some n when n < 1 -> err (Invalid_max_sim_events n)
+    | _ -> ());
     let cores = t.machine.Machine.sockets * t.machine.Machine.cores_per_socket in
     let smt = t.machine.Machine.smt_per_core in
     let available_threads = cores * smt in
@@ -327,15 +332,14 @@ let of_config (c : Config.t) =
   in
   let { Config.arch = _; mode; level; n_vcpus; machine = config; shadow;
         multiplex_contexts = _; svt_policy = _; faults; fault_seed;
-        max_sim_events; max_sim_time } = c in
+        max_sim_events } = c in
   let machine = Machine.create ~config () in
   (* Fuel budget: installed on the fresh simulator so every entry point
-     that drives it (System.run, a workload's own run loop) is bounded. *)
-  (match (max_sim_events, max_sim_time) with
-  | None, None -> ()
-  | _ ->
-      Simulator.set_budget ?max_events:max_sim_events ?max_time:max_sim_time
-        (Machine.sim machine));
+     that drives it (System.run, a workload's own run loop) is bounded.
+     Without one the simulator keeps its own runaway guard. *)
+  Option.iter
+    (fun max_events -> Simulator.set_budget ~max_events (Machine.sim machine))
+    max_sim_events;
   let injector = Injector.create ~seed:fault_seed faults in
   (if Injector.is_active injector then
      let probe = Machine.probe machine in

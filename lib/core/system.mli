@@ -28,8 +28,8 @@ val blk_vector : int
 (** A validated system configuration, and the only way to build a stack
     ({!of_config}). {!Config.make} collects the knobs with the paper's
     defaults (x86 paper machine, one vCPU, hardware VMCS shadowing, no
-    faults, no fuel budget); {!Config.validate} rejects stacks
-    that cannot be wired soundly — most importantly an SVt mode on a
+    faults, the simulator's default fuel); {!Config.validate} rejects
+    stacks that cannot be wired soundly — most importantly an SVt mode on a
     machine without the SMT contexts its µ-registers need, the class of
     bug where a guest silently ran with unprogrammed SVt fields. *)
 module Config : sig
@@ -52,13 +52,13 @@ module Config : sig
     fault_seed : int64;
     max_sim_events : int option;
         (** fuel: abort the run with {!Svt_engine.Simulator.Budget_exhausted}
-            after this many processed events ([None] = unlimited) *)
-    max_sim_time : Svt_engine.Time.t option;
-        (** fuel: abort when an event past this virtual instant would run *)
+            after this many processed events ([None] = the simulator's
+            own runaway guard) *)
   }
 
   type error =
     | Invalid_vcpus of int
+    | Invalid_max_sim_events of int  (** a fuel budget below one event *)
     | Insufficient_cores of {
         n_vcpus : int;
         cores : int;
@@ -100,7 +100,6 @@ module Config : sig
     ?faults:Svt_fault.Plan.t ->
     ?fault_seed:int64 ->
     ?max_sim_events:int ->
-    ?max_sim_time:Svt_engine.Time.t ->
     mode:Mode.t ->
     level:level ->
     unit ->

@@ -23,8 +23,7 @@ type t = {
   queue : Event_queue.t;
   mutable error : exn option;
   mutable events_processed : int;
-  mutable budget_events : int option;
-  mutable budget_time : Time.t option;
+  mutable budget_events : int;
   mutable observer : observer option;
 }
 
@@ -36,20 +35,15 @@ exception Deadlock of string
    on the host clock, so the same run exhausts at the same instant on
    every machine. The payload records where the run stood when the fuel
    ran out (the campaign ledger keeps these counters). *)
-type fuel = Fuel_events of int | Fuel_time of Time.t
-
-exception Budget_exhausted of { events : int; now : Time.t; fuel : fuel }
+exception Budget_exhausted of { events : int; now : Time.t; max_events : int }
 
 let () =
   Printexc.register_printer (function
-    | Budget_exhausted { events; now; fuel } ->
+    | Budget_exhausted { events; now; max_events } ->
         Some
           (Printf.sprintf
-             "Simulator.Budget_exhausted: %s (at %d events, t=%s)"
-             (match fuel with
-             | Fuel_events n -> Printf.sprintf "max_events=%d" n
-             | Fuel_time t -> "max_time=" ^ Time.to_string t)
-             events (Time.to_string now))
+             "Simulator.Budget_exhausted: max_events=%d (at %d events, t=%s)"
+             max_events events (Time.to_string now))
     | _ -> None)
 
 type _ Effect.t +=
@@ -58,21 +52,22 @@ type _ Effect.t +=
   | E_suspend : (('a -> unit) -> unit) -> 'a Effect.t
   | E_sim : t Effect.t
 
+(* The runaway guard every simulator starts with: far above any real
+   run, so only a hung one ever spends it. *)
+let default_max_events = 200_000_000
+
 let create () =
   { now = Time.zero; queue = Event_queue.create (); error = None;
-    events_processed = 0; budget_events = None;
-    budget_time = None; observer = None }
+    events_processed = 0; budget_events = default_max_events;
+    observer = None }
 
 let now t = t.now
 let set_observer t ob = t.observer <- ob
 let queue_stats t = Event_queue.stats t.queue
 
-let set_budget ?max_events ?max_time t =
-  (match max_events with
-  | Some n when n < 1 -> invalid_arg "Simulator.set_budget: max_events < 1"
-  | _ -> ());
-  t.budget_events <- max_events;
-  t.budget_time <- max_time
+let set_budget ~max_events t =
+  if max_events < 1 then invalid_arg "Simulator.set_budget: max_events < 1";
+  t.budget_events <- max_events
 
 let schedule t ~after run =
   if after < 0 then invalid_arg "Simulator.schedule: negative delay";
@@ -115,28 +110,17 @@ let spawn t ?(name = "proc") f =
   in
   ignore (schedule t ~after:Time.zero body)
 
-let default_max_events = 200_000_000
-
 (* Fuel check, performed before an event is consumed: the queue still
    holds the event that would overrun, so a handler catching the
    exception sees a consistent (merely truncated) simulation. *)
-let check_budget t =
-  (match t.budget_events with
-  | Some limit
-    when t.events_processed >= limit && not (Event_queue.is_empty t.queue) ->
-      raise
-        (Budget_exhausted
-           { events = t.events_processed; now = t.now; fuel = Fuel_events limit })
-  | _ -> ());
-  match (t.budget_time, Event_queue.peek_time t.queue) with
-  | Some limit, Some next when Time.(limit < next) ->
-      raise
-        (Budget_exhausted
-           { events = t.events_processed; now = t.now; fuel = Fuel_time limit })
-  | _ -> ()
-
 let step t =
-  check_budget t;
+  if t.events_processed >= t.budget_events
+     && not (Event_queue.is_empty t.queue)
+  then
+    raise
+      (Budget_exhausted
+         { events = t.events_processed; now = t.now;
+           max_events = t.budget_events });
   match Event_queue.pop t.queue with
   | None -> false
   | Some (time, run) ->
@@ -156,7 +140,7 @@ let step t =
       (match t.error with Some e -> raise e | None -> ());
       true
 
-let run ?until ?(max_events = default_max_events) t =
+let run ?until t =
   let continue () =
     (match until with
     | Some limit -> (
@@ -165,13 +149,7 @@ let run ?until ?(max_events = default_max_events) t =
         | None -> false)
     | None -> not (Event_queue.is_empty t.queue))
   in
-  let before = t.events_processed in
   while continue () do
-    if t.events_processed - before >= max_events then
-      raise
-        (Budget_exhausted
-           { events = t.events_processed; now = t.now;
-             fuel = Fuel_events max_events });
     ignore (step t)
   done;
   match until with

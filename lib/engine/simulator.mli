@@ -14,15 +14,13 @@ type sim = t
 
 exception Deadlock of string
 
-(** Which fuel dimension ran out (with its configured limit). *)
-type fuel = Fuel_events of int | Fuel_time of Time.t
-
-exception Budget_exhausted of { events : int; now : Time.t; fuel : fuel }
-(** Raised from {!run} when the simulation exceeds the budget set
-    with {!set_budget} (or [run]'s [max_events]). Deterministic: depends
-    only on the event stream, never on the host clock, so a runaway run
-    is cut at the same virtual instant on every machine. The payload is
-    the run's fuel counters at the point of exhaustion. *)
+exception Budget_exhausted of { events : int; now : Time.t; max_events : int }
+(** Raised from {!run} when the simulator has processed its event
+    budget ({!set_budget}) and still has events queued. This is the one
+    thing that stops a run early. Deterministic: depends only on the
+    event stream, never on the host clock, so a runaway run is cut at
+    the same virtual instant on every machine. The payload is the run's
+    fuel counters at the point of exhaustion and the spent limit. *)
 
 (** Host-side dispatch hooks, called around every event callback while
     installed. Observers run on the host only: they must not schedule,
@@ -36,6 +34,9 @@ type observer = {
 }
 
 val create : unit -> t
+(** A fresh simulator at time zero, with a 200M-event budget as its
+    runaway guard. *)
+
 val now : t -> Time.t
 
 val set_observer : t -> observer option -> unit
@@ -47,12 +48,12 @@ val queue_stats : t -> Event_queue.stats
     peak live size). Deterministic: a pure function of the event
     stream. *)
 
-val set_budget : ?max_events:int -> ?max_time:Time.t -> t -> unit
-(** Install a run budget: processing more than [max_events] events, or
-    reaching an event scheduled past [max_time], raises
-    {!Budget_exhausted}. Omitted dimensions are unlimited; calling again
-    replaces the budget. The check happens before an event is consumed,
-    so the queue still holds the overrunning event. *)
+val set_budget : max_events:int -> t -> unit
+(** Replace the event budget: once [max_events] events have been
+    processed over the simulator's lifetime (across every {!run} call),
+    the next event raises {!Budget_exhausted}. The check happens before
+    an event is consumed, so the queue still holds the overrunning
+    event. Raises [Invalid_argument] when [max_events < 1]. *)
 
 val schedule : t -> after:Time.t -> (unit -> unit) -> Event_queue.handle
 (** Run a callback [after] nanoseconds from now. Callbacks must not perform
@@ -66,11 +67,11 @@ val spawn : t -> ?name:string -> (unit -> unit) -> unit
     aborts the whole run (re-raised from {!run}, tagged with
     [name]). *)
 
-val run : ?until:Time.t -> ?max_events:int -> t -> unit
-(** Process events until the queue drains, [until] is passed, or
-    [max_events] events have been processed by this call (which raises
-    {!Budget_exhausted}, as a runaway guard). When [until] is given and
-    the queue drains early, the clock still advances to [until]. *)
+val run : ?until:Time.t -> t -> unit
+(** Process events until the queue drains or [until] is passed; raises
+    {!Budget_exhausted} when the budget runs out first. When [until] is
+    given and the queue drains early, the clock still advances to
+    [until]. *)
 
 val events_processed : t -> int
 

@@ -28,8 +28,6 @@ let name = function
   | Host_degrade -> "host-degrade"
   | Host_flap -> "host-flap"
 
-let of_name s = List.find_opt (fun k -> name k = s) all
-
 (* Outage spans, in fleet epochs. A crash needs detection, reboot and
    rejoin (long); a flap is a blip that clears almost immediately — its
    danger is the repetition, which the failure-window quarantine exists

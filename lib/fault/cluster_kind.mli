@@ -15,7 +15,6 @@ val all : t list
 val n : int
 val index : t -> int
 val name : t -> string
-val of_name : string -> t option
 
 val outage_epochs : t -> int
 (** Fleet epochs a struck host stays down (0 for [Host_degrade]: the

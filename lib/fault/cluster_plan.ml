@@ -17,55 +17,9 @@ let empty = []
 let is_empty t = t = []
 let rate t k = match List.assoc_opt k t with Some r -> r | None -> 0.0
 
-let canon entries =
-  entries
-  |> List.filter (fun (_, r) -> r > 0.0)
-  |> List.sort (fun (a, _) (b, _) ->
-         compare (Cluster_kind.index a) (Cluster_kind.index b))
-
-let known_names =
-  String.concat ", " (List.map Cluster_kind.name Cluster_kind.all)
-
-let parse_item item =
-  let item = String.trim item in
-  match String.index_opt item ':' with
-  | None -> Error (Printf.sprintf "fault %S: expected kind:rate" item)
-  | Some i -> (
-      let kname = String.sub item 0 i in
-      let rate_s = String.sub item (i + 1) (String.length item - i - 1) in
-      match Cluster_kind.of_name kname with
-      | None ->
-          Error
-            (Printf.sprintf "unknown cluster fault kind %S (expected one of %s)"
-               kname known_names)
-      | Some k -> (
-          match float_of_string_opt rate_s with
-          | None ->
-              Error
-                (Printf.sprintf "fault %s: rate %S is not a number" kname rate_s)
-          | Some r when (not (Float.is_finite r)) || r < 0.0 || r > 1.0 ->
-              Error
-                (Printf.sprintf "fault %s: rate %s out of [0, 1]" kname rate_s)
-          | Some r -> Ok (k, r)))
-
-let of_string s =
-  if String.trim s = "" then Ok empty
-  else begin
-    let items =
-      String.split_on_char ',' s |> List.filter (fun x -> String.trim x <> "")
-    in
-    let rec go acc = function
-      | [] -> Ok (canon (List.rev acc))
-      | item :: rest -> (
-          match parse_item item with
-          | Error e -> Error e
-          | Ok (k, _) when List.mem_assoc k acc ->
-              Error
-                (Printf.sprintf "fault %s given twice" (Cluster_kind.name k))
-          | Ok kv -> go (kv :: acc) rest)
-    in
-    go [] items
-  end
+let of_string =
+  Plan.parse_rates ~what:"cluster fault" ~all:Cluster_kind.all
+    ~name:Cluster_kind.name ~index:Cluster_kind.index
 
 let of_string_exn s =
   match of_string s with Ok p -> p | Error e -> failwith e

@@ -1,4 +1,4 @@
-(** Fault kinds: what can go wrong at each {!Site.t}. The [name] of a
+(** Fault kinds: what can go wrong at each injection site. The [name] of a
     kind is its plan-grammar token ([drop-ring:0.01]). *)
 
 type t =

@@ -11,14 +11,14 @@ let is_empty t = t = []
 let entries t = t
 let rate t k = match List.assoc_opt k t with Some r -> r | None -> 0.0
 
-let known_names = String.concat ", " (List.map Kind.name Kind.all)
-
 (* Canonical form: kind order, zero rates dropped — the invariant every
    constructor below must restore so equal plans print equally. *)
-let canon entries =
+let canon_by index entries =
   entries
   |> List.filter (fun (_, r) -> r > 0.0)
-  |> List.sort (fun (a, _) (b, _) -> compare (Kind.index a) (Kind.index b))
+  |> List.sort (fun (a, _) (b, _) -> compare (index a) (index b))
+
+let canon = canon_by Kind.index
 
 (* --- seeded generation and mutation (the fuzzer's plan hooks) --------- *)
 
@@ -64,47 +64,52 @@ let mutate rng t =
   in
   canon entries
 
-let of_string s =
-  if String.trim s = "" then Ok empty
-  else begin
-    let items =
-      String.split_on_char ',' s |> List.filter (fun x -> String.trim x <> "")
-    in
-    let parse_item item =
-      let item = String.trim item in
-      match String.index_opt item ':' with
-      | None -> Error (Printf.sprintf "fault %S: expected kind:rate" item)
-      | Some i -> (
-          let kname = String.sub item 0 i in
-          let rate_s = String.sub item (i + 1) (String.length item - i - 1) in
-          match Kind.of_name kname with
-          | None ->
-              Error
-                (Printf.sprintf "unknown fault kind %S (expected one of %s)"
-                   kname known_names)
-          | Some k -> (
-              match float_of_string_opt rate_s with
-              | None ->
-                  Error
-                    (Printf.sprintf "fault %s: rate %S is not a number" kname
-                       rate_s)
-              | Some r when not (Float.is_finite r) || r < 0.0 || r > 1.0 ->
-                  Error
-                    (Printf.sprintf "fault %s: rate %s out of [0, 1]" kname
-                       rate_s)
-              | Some r -> Ok (k, r)))
-    in
-    let rec go acc = function
-      | [] -> Ok (canon (List.rev acc))
-      | item :: rest -> (
-          match parse_item item with
-          | Error e -> Error e
-          | Ok (k, _) when List.mem_assoc k acc ->
-              Error (Printf.sprintf "fault %s given twice" (Kind.name k))
-          | Ok kv -> go (kv :: acc) rest)
-    in
-    go [] items
-  end
+(* The [kind:rate[,...]] steps over one kind-name table, shared with
+   [Cluster_plan]: split on commas, trim, look the kind up, check the
+   rate is a number in [0, 1], reject a kind given twice, and return the
+   canonical list. [what] names the vocabulary in the unknown-kind
+   error. *)
+let parse_rates ~what ~all ~name ~index s =
+  let of_name kname = List.find_opt (fun k -> name k = kname) all in
+  let parse_item item =
+    let item = String.trim item in
+    match String.index_opt item ':' with
+    | None -> Error (Printf.sprintf "fault %S: expected kind:rate" item)
+    | Some i -> (
+        let kname = String.sub item 0 i in
+        let rate_s = String.sub item (i + 1) (String.length item - i - 1) in
+        match of_name kname with
+        | None ->
+            Error
+              (Printf.sprintf "unknown %s kind %S (expected one of %s)" what
+                 kname
+                 (String.concat ", " (List.map name all)))
+        | Some k -> (
+            match float_of_string_opt rate_s with
+            | None ->
+                Error
+                  (Printf.sprintf "fault %s: rate %S is not a number" kname
+                     rate_s)
+            | Some r when (not (Float.is_finite r)) || r < 0.0 || r > 1.0 ->
+                Error
+                  (Printf.sprintf "fault %s: rate %s out of [0, 1]" kname
+                     rate_s)
+            | Some r -> Ok (k, r)))
+  in
+  let rec go acc = function
+    | [] -> Ok (canon_by index (List.rev acc))
+    | item :: rest -> (
+        match parse_item item with
+        | Error e -> Error e
+        | Ok (k, _) when List.mem_assoc k acc ->
+            Error (Printf.sprintf "fault %s given twice" (name k))
+        | Ok kv -> go (kv :: acc) rest)
+  in
+  go []
+    (String.split_on_char ',' s |> List.filter (fun x -> String.trim x <> ""))
+
+let of_string =
+  parse_rates ~what:"fault" ~all:Kind.all ~name:Kind.name ~index:Kind.index
 
 let of_string_exn s =
   match of_string s with Ok p -> p | Error e -> failwith e

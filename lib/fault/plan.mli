@@ -19,6 +19,19 @@ val of_string : string -> (t, string) result
 
 val of_string_exn : string -> t
 
+val parse_rates :
+  what:string ->
+  all:'k list ->
+  name:('k -> string) ->
+  index:('k -> int) ->
+  string ->
+  (('k * float) list, string) result
+(** The [kind:rate[,...]] grammar over any kind-name table ([all] with
+    its [name]s): {!of_string} for {!Kind}, and {!Cluster_plan} for the
+    cluster kinds. Returns the entries in canonical form (sorted by
+    [index], zero rates dropped); [what] names the vocabulary in the
+    unknown-kind error. *)
+
 val gen : Svt_engine.Prng.t -> t
 (** Seeded random plan (0–3 kinds, centi-grid rates in (0, 0.2]) in
     canonical form: the fuzzer's plan generator. Rates on the centi-grid

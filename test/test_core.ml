@@ -633,6 +633,26 @@ let test_of_config_alloc_guard () =
   in
   checkb (Printf.sprintf "of_config allocates %.1f KB (bound 200)" kb) true (kb <= 200.0)
 
+(* A fuel budget below one event is a configuration error, reported
+   through the typed [Config.error] front door like every other bad knob
+   rather than as an [Invalid_argument] from the simulator. *)
+let test_zero_fuel_rejected () =
+  let cfg =
+    System.Config.make ~max_sim_events:0 ~mode:Mode.Baseline
+      ~level:System.L2_nested ()
+  in
+  (match System.Config.validate cfg with
+  | Ok _ -> Alcotest.fail "max_sim_events = 0 must not validate"
+  | Error errs ->
+      Alcotest.(check string)
+        "typed error" "max_sim_events = 0 (need at least 1)"
+        (String.concat "; "
+           (List.map (Fmt.str "%a" System.Config.pp_error) errs)));
+  checkb "of_config raises Invalid_config" true
+    (match System.of_config cfg with
+    | _ -> false
+    | exception System.Invalid_config _ -> true)
+
 let () =
   Alcotest.run "svt_core"
     [
@@ -640,6 +660,8 @@ let () =
         [
           Alcotest.test_case "of_config allocation guard" `Quick
             test_of_config_alloc_guard;
+          Alcotest.test_case "zero fuel budget rejected" `Quick
+            test_zero_fuel_rejected;
         ] );
       ( "mode-wait",
         [

@@ -200,56 +200,39 @@ let test_sim_process_exception_propagates () =
     (Failure "process \"boom\" raised: Failure(\"kaboom\")") (fun () ->
       Simulator.run sim)
 
-let test_sim_max_events_guard () =
-  let sim = Simulator.create () in
-  let rec forever () =
-    Proc.delay 1;
-    forever ()
-  in
-  Simulator.spawn sim forever;
-  (match Simulator.run ~max_events:1000 sim with
-  | () -> Alcotest.fail "runaway guard did not fire"
-  | exception Simulator.Budget_exhausted { events; fuel; _ } ->
-      checki "stopped at the limit" 1000 events;
-      checkb "events fuel" true (fuel = Simulator.Fuel_events 1000));
-  (* The queue still holds the overrunning event: the abort is a clean
-     truncation, not a corruption. *)
-  checkb "queue intact" true (Simulator.next_event_time sim <> None)
-
 let test_sim_budget () =
-  (* Event fuel installed on the simulator itself bounds any driver. *)
-  let sim = Simulator.create () in
-  let rec forever () =
-    Proc.delay 1;
-    forever ()
-  in
-  Simulator.spawn sim forever;
-  Simulator.set_budget ~max_events:500 sim;
-  (match Simulator.run sim with
-  | () -> Alcotest.fail "event budget did not fire"
-  | exception Simulator.Budget_exhausted { events; now; fuel } ->
-      checki "events counted" 500 events;
-      checkb "fuel kind" true (fuel = Simulator.Fuel_events 500);
-      checkb "clock within budget" true (now <= Time.of_ns 500));
-  (* Virtual-time fuel: the run is cut before the clock passes the limit,
-     and exhaustion is bit-deterministic across repeats. *)
-  let exhaust () =
+  (* The event budget installed on the simulator is the one thing that
+     stops a run early. It counts over the simulator's lifetime, so a
+     driver advancing in [run ~until] slices is cut exactly where a
+     single [run] is. *)
+  let exhaust drive =
     let sim = Simulator.create () in
     let rec forever () =
-      Proc.delay (Time.of_us 3);
+      Proc.delay 1;
       forever ()
     in
     Simulator.spawn sim forever;
-    Simulator.set_budget ~max_time:(Time.of_us 100) sim;
-    match Simulator.run sim with
-    | () -> Alcotest.fail "time budget did not fire"
-    | exception Simulator.Budget_exhausted { events; now; fuel } ->
-        checkb "time fuel" true (fuel = Simulator.Fuel_time (Time.of_us 100));
-        checkb "clock at or before limit" true (now <= Time.of_us 100);
+    Simulator.set_budget ~max_events:500 sim;
+    match drive sim with
+    | () -> Alcotest.fail "event budget did not fire"
+    | exception Simulator.Budget_exhausted { events; now; max_events } ->
+        checki "stopped at the limit" 500 events;
+        checki "limit reported" 500 max_events;
+        checkb "clock within budget" true (now <= Time.of_ns 500);
+        (* The queue still holds the overrunning event: the abort is a
+           clean truncation, not a corruption. *)
+        checkb "queue intact" true (Simulator.next_event_time sim <> None);
         (events, now)
   in
-  let a = exhaust () and b = exhaust () in
-  checkb "deterministic exhaustion" true (a = b)
+  let whole = exhaust (fun sim -> Simulator.run sim) in
+  checkb "exhaustion repeats identically" true
+    (exhaust (fun sim -> Simulator.run sim) = whole);
+  let sliced sim =
+    for i = 1 to 10 do
+      Simulator.run ~until:(Time.of_ns (i * 100)) sim
+    done
+  in
+  checkb "budget counts across run ~until calls" true (exhaust sliced = whole)
 
 let test_sim_nested_spawn () =
   let sim = Simulator.create () in
@@ -511,7 +494,6 @@ let () =
             test_sim_until_advances_when_drained;
           Alcotest.test_case "process exception propagates" `Quick
             test_sim_process_exception_propagates;
-          Alcotest.test_case "max_events guard" `Quick test_sim_max_events_guard;
           Alcotest.test_case "fuel budget" `Quick test_sim_budget;
           Alcotest.test_case "nested spawn" `Quick test_sim_nested_spawn;
         ] );
