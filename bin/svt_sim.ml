@@ -302,12 +302,14 @@ let profile_cmd =
     let metrics = exit_on_timeout (fun () -> Runner.workload_metrics p sys) in
     Profiler.stop prof;
     let q = Simulator.queue_stats (System.sim sys) in
+    let in_place = Simulator.delays_in_place (System.sim sys) in
     let extra =
       [
         ("queue_adds", float_of_int q.Svt_engine.Event_queue.adds);
         ("queue_pops", float_of_int q.Svt_engine.Event_queue.pops);
         ("queue_cancels", float_of_int q.Svt_engine.Event_queue.cancels);
         ("queue_peak_live", float_of_int q.Svt_engine.Event_queue.peak_live);
+        ("delays_in_place", float_of_int in_place);
       ]
       @ metrics
     in
@@ -320,13 +322,14 @@ let profile_cmd =
     let summary ppf () =
       Fmt.pf ppf
         "%s at %s under %s: %.3f ms wall, %d spans, %d events, %.0f KB \
-         allocated (queue: %d adds, %d pops, peak %d live)"
+         allocated (queue: %d adds, %d pops, peak %d live; %d delays in \
+         place)"
         p.Spec.workload (System.level_name p.Spec.level) (Mode.name p.Spec.mode)
         (1e3 *. Profiler.wall_s prof)
         (Profiler.spans prof) (Profiler.events prof)
         (Profiler.allocated_bytes prof /. 1024.0)
         q.Svt_engine.Event_queue.adds q.Svt_engine.Event_queue.pops
-        q.Svt_engine.Event_queue.peak_live
+        q.Svt_engine.Event_queue.peak_live in_place
     in
     (match out with
     | Some path ->

@@ -88,38 +88,34 @@ let cancel q e =
     q.cancels <- q.cancels + 1
   end
 
-let pop_raw q =
-  if q.size = 0 then None
-  else begin
-    let e = q.heap.(0) in
-    q.size <- q.size - 1;
-    q.heap.(0) <- q.heap.(q.size);
-    q.heap.(q.size) <- dummy_entry;
-    if q.size > 0 then sift_down q 0;
-    Some e
-  end
+let remove_head q =
+  q.size <- q.size - 1;
+  q.heap.(0) <- q.heap.(q.size);
+  q.heap.(q.size) <- dummy_entry;
+  if q.size > 0 then sift_down q 0
 
-(* Pop the next non-cancelled event, discarding cancelled ones. A popped
-   entry is marked cancelled so that a later [cancel] on its handle — a
-   watchdog calling [cancel] on a deadline that already fired — is a
-   no-op instead of corrupting the live count. *)
-let rec pop q =
-  match pop_raw q with
-  | None -> None
-  | Some e when e.cancelled -> pop q
-  | Some e ->
-      e.cancelled <- true;
-      q.live <- q.live - 1;
-      q.pops <- q.pops + 1;
-      Some (e.time, e.run)
-
-let rec peek_time q =
-  if q.size = 0 then None
-  else if q.heap.(0).cancelled then begin
-    ignore (pop_raw q);
-    peek_time q
+(* The earliest live entry, discarding cancelled ones at the head. *)
+let rec live_head q =
+  if q.size = 0 then invalid_arg "Event_queue: empty queue";
+  let e = q.heap.(0) in
+  if e.cancelled then begin
+    remove_head q;
+    live_head q
   end
-  else Some q.heap.(0).time
+  else e
+
+let next_time q = (live_head q).time
+
+(* A taken entry is marked cancelled so that a later [cancel] on its
+   handle — a watchdog calling [cancel] on a deadline that already
+   fired — is a no-op instead of corrupting the live count. *)
+let take q =
+  let e = live_head q in
+  remove_head q;
+  e.cancelled <- true;
+  q.live <- q.live - 1;
+  q.pops <- q.pops + 1;
+  e.run
 
 let is_empty q = q.live = 0
 let length q = q.live

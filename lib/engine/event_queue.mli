@@ -21,14 +21,16 @@ val add : t -> time:Time.t -> (unit -> unit) -> handle
 (** Enqueue [run] to fire at [time]. *)
 
 val cancel : t -> handle -> unit
-(** Idempotent; a cancelled event is never returned by {!pop}. Safe on a
+(** Idempotent; a cancelled event is never returned by {!take}. Safe on a
     handle whose event already fired (a no-op). *)
 
-val pop : t -> (Time.t * (unit -> unit)) option
-(** Remove and return the earliest live event. *)
+val next_time : t -> Time.t
+(** Time of the earliest live event. Raises [Invalid_argument] on an
+    empty queue, so check {!is_empty} first. *)
 
-val peek_time : t -> Time.t option
-(** Time of the earliest live event without removing it. *)
+val take : t -> (unit -> unit)
+(** Remove the earliest live event and return its callback. Raises
+    [Invalid_argument] on an empty queue. *)
 
 val is_empty : t -> bool
 

@@ -6,7 +6,13 @@
    by suspending until the event queue reaches the target instant, and
    [suspend] parks the process until some other party calls the provided
    resume function. Only one process runs at a time and control transfers
-   happen exclusively at these points, so simulations are deterministic. *)
+   happen exclusively at these points, so simulations are deterministic.
+
+   A delay whose wake-up would be the next event popped anyway skips the
+   queue: the process keeps running and the clock, event count and
+   dispatch hooks move exactly as the round trip would have moved them
+   (see [Proc.delay]). Nothing else could have run in between, so the
+   event stream is unchanged. *)
 
 (* Host-side dispatch hooks for the self-profiler: called around every
    event callback when installed. Observers must not touch virtual time
@@ -25,6 +31,9 @@ type t = {
   mutable events_processed : int;
   mutable budget_events : int;
   mutable observer : observer option;
+  mutable horizon : Time.t; (* the [until] of the run in progress *)
+  mutable in_process : bool; (* one of its processes is executing *)
+  mutable in_place : int; (* delays taken without a queue round trip *)
 }
 
 type sim = t
@@ -59,11 +68,22 @@ let default_max_events = 200_000_000
 let create () =
   { now = Time.zero; queue = Event_queue.create (); error = None;
     events_processed = 0; budget_events = default_max_events;
-    observer = None }
+    observer = None; horizon = max_int; in_process = false; in_place = 0 }
+
+(* The simulator whose [run] is in progress on this domain, or [idle]
+   outside every run. [run] sets it and restores the previous value on
+   the way out, exceptions included, so the many simulators lib/sched
+   steps in turn on one domain each see their own and a finished one is
+   not kept alive. Being domain-local, it is never shared between the
+   worker domains of a campaign. [idle] never runs a process, so its
+   [in_process] stays false. *)
+let idle = create ()
+let running = Domain.DLS.new_key (fun () -> idle)
 
 let now t = t.now
 let set_observer t ob = t.observer <- ob
 let queue_stats t = Event_queue.stats t.queue
+let delays_in_place t = t.in_place
 
 let set_budget ~max_events t =
   if max_events < 1 then invalid_arg "Simulator.set_budget: max_events < 1";
@@ -79,13 +99,23 @@ let schedule_at t ~time run =
 
 let cancel t h = Event_queue.cancel t.queue h
 
+(* [in_process] is set on every entry into a process (its start and
+   each resumption) and cleared on every exit (an effect that suspends
+   it, or the body returning or raising), so it is true only while
+   process code of [t] is the code running. *)
 let spawn t ?(name = "proc") f =
+  let resume k v =
+    t.in_process <- true;
+    Effect.Deep.continue k v
+  in
   let body () =
+    t.in_process <- true;
     Effect.Deep.match_with f ()
       {
-        retc = (fun () -> ());
+        retc = (fun () -> t.in_process <- false);
         exnc =
           (fun e ->
+            t.in_process <- false;
             if t.error = None then
               t.error <- Some (Failure (Printf.sprintf
                 "process %S raised: %s" name (Printexc.to_string e))));
@@ -97,11 +127,12 @@ let spawn t ?(name = "proc") f =
                     Effect.Deep.continue k t.now)
             | E_delay span ->
                 Some (fun (k : (a, _) Effect.Deep.continuation) ->
-                    ignore (schedule t ~after:span (fun () ->
-                        Effect.Deep.continue k ())))
+                    t.in_process <- false;
+                    ignore (schedule t ~after:span (fun () -> resume k ())))
             | E_suspend register ->
                 Some (fun (k : (a, _) Effect.Deep.continuation) ->
-                    register (fun v -> Effect.Deep.continue k v))
+                    t.in_process <- false;
+                    register (fun v -> resume k v))
             | E_sim ->
                 Some (fun (k : (a, _) Effect.Deep.continuation) ->
                     Effect.Deep.continue k t)
@@ -112,46 +143,47 @@ let spawn t ?(name = "proc") f =
 
 (* Fuel check, performed before an event is consumed: the queue still
    holds the event that would overrun, so a handler catching the
-   exception sees a consistent (merely truncated) simulation. *)
+   exception sees a consistent (merely truncated) simulation. The caller
+   guarantees the queue is not empty. *)
 let step t =
-  if t.events_processed >= t.budget_events
-     && not (Event_queue.is_empty t.queue)
-  then
+  if t.events_processed >= t.budget_events then
     raise
       (Budget_exhausted
          { events = t.events_processed; now = t.now;
            max_events = t.budget_events });
-  match Event_queue.pop t.queue with
-  | None -> false
-  | Some (time, run) ->
-      t.now <- time;
-      t.events_processed <- t.events_processed + 1;
-      (match t.observer with
-      | None -> run ()
-      | Some ob -> (
-          ob.on_event_start ();
-          (* the end hook fires even when the callback raises, so the
-             profiler's in-event segmentation cannot wedge open *)
-          match run () with
-          | () -> ob.on_event_end ()
-          | exception e ->
-              ob.on_event_end ();
-              raise e));
-      (match t.error with Some e -> raise e | None -> ());
-      true
+  t.now <- Event_queue.next_time t.queue;
+  let run = Event_queue.take t.queue in
+  t.events_processed <- t.events_processed + 1;
+  (match t.observer with
+  | None -> run ()
+  | Some ob -> (
+      ob.on_event_start ();
+      (* the end hook fires even when the callback raises, so the
+         profiler's in-event segmentation cannot wedge open *)
+      match run () with
+      | () -> ob.on_event_end ()
+      | exception e ->
+          ob.on_event_end ();
+          raise e));
+  match t.error with Some e -> raise e | None -> ()
 
 let run ?until t =
-  let continue () =
-    (match until with
-    | Some limit -> (
-        match Event_queue.peek_time t.queue with
-        | Some next -> Time.(next <= limit)
-        | None -> false)
-    | None -> not (Event_queue.is_empty t.queue))
-  in
-  while continue () do
-    ignore (step t)
-  done;
+  let limit = match until with Some l -> l | None -> max_int in
+  let outer = Domain.DLS.get running in
+  Domain.DLS.set running t;
+  t.horizon <- limit;
+  (match
+     while
+       (not (Event_queue.is_empty t.queue))
+       && Time.(Event_queue.next_time t.queue <= limit)
+     do
+       step t
+     done
+   with
+  | () -> Domain.DLS.set running outer
+  | exception e ->
+      Domain.DLS.set running outer;
+      raise e);
   match until with
   | Some limit when Time.(t.now < limit) && Event_queue.is_empty t.queue ->
       t.now <- limit
@@ -163,15 +195,55 @@ let events_processed t = t.events_processed
    external scheduler share one clock across many simulators: a guest
    whose next event lies beyond the scheduling horizon is asleep and can
    have its slice skipped without running (or perturbing) it. *)
-let next_event_time t = Event_queue.peek_time t.queue
+let next_event_time t =
+  if Event_queue.is_empty t.queue then None
+  else Some (Event_queue.next_time t.queue)
 
 module Proc = struct
-  let now () = Effect.perform E_now
-  let sim () = Effect.perform E_sim
+  (* Outside a process of the running simulator these fall back to the
+     effect, which a plain callback leaves unhandled: misuse raises
+     [Effect.Unhandled] instead of reading some other clock. *)
+  let now () =
+    let t = Domain.DLS.get running in
+    if t.in_process then t.now else Effect.perform E_now
 
+  let sim () =
+    let t = Domain.DLS.get running in
+    if t.in_process then t else Effect.perform E_sim
+
+  (* A delay whose wake-up would be the very next event popped is taken
+     in place: the clock advances, the event is counted and the dispatch
+     hooks fire exactly as a queue round trip would, but the process
+     never suspends. "Next popped" is exactly what [run] and [step]
+     would do after this event: the target lies within the run's
+     horizon, the budget has room, and the target is strictly earlier
+     than the queue head (at an equal time the head was enqueued first,
+     so FIFO order makes it go first). A pending process error needs no
+     check: the process that raised it has ended, and no other process
+     runs within the same event. *)
   let delay span =
     if span < 0 then invalid_arg "Proc.delay: negative span";
-    if span = 0 then () else Effect.perform (E_delay span)
+    if span > 0 then begin
+      let t = Domain.DLS.get running in
+      let target = Time.add t.now span in
+      if
+        t.in_process
+        && Time.(target <= t.horizon)
+        && t.events_processed < t.budget_events
+        && (Event_queue.is_empty t.queue
+           || Time.(target < Event_queue.next_time t.queue))
+      then begin
+        t.now <- target;
+        t.events_processed <- t.events_processed + 1;
+        t.in_place <- t.in_place + 1;
+        match t.observer with
+        | None -> ()
+        | Some ob ->
+            ob.on_event_end ();
+            ob.on_event_start ()
+      end
+      else Effect.perform (E_delay span)
+    end
 
   let suspend register = Effect.perform (E_suspend register)
 
@@ -266,29 +338,28 @@ module Signal = struct
 end
 
 module Mailbox = struct
-  (* Unbounded FIFO channel between processes. *)
+  (* Unbounded FIFO channel between processes. Blocked readers wake in
+     the order they blocked. *)
   type 'a mailbox = {
     sim : t;
     items : 'a Queue.t;
-    mutable readers : ('a -> unit) list; (* at most one in practice *)
+    readers : ('a -> unit) Queue.t;
   }
 
   type 'a t = 'a mailbox
 
-  let create sim = { sim; items = Queue.create (); readers = [] }
+  let create sim = { sim; items = Queue.create (); readers = Queue.create () }
 
   let send mb v =
-    match mb.readers with
-    | resume :: rest ->
-        mb.readers <- rest;
-        ignore (schedule mb.sim ~after:Time.zero (fun () -> resume v))
-    | [] -> Queue.push v mb.items
+    if Queue.is_empty mb.readers then Queue.push v mb.items
+    else
+      let resume = Queue.pop mb.readers in
+      ignore (schedule mb.sim ~after:Time.zero (fun () -> resume v))
 
   let recv mb =
     if not (Queue.is_empty mb.items) then Queue.pop mb.items
-    else Proc.suspend (fun resume -> mb.readers <- mb.readers @ [ resume ])
+    else Proc.suspend (fun resume -> Queue.push resume mb.readers)
 
   let try_recv mb =
     if Queue.is_empty mb.items then None else Some (Queue.pop mb.items)
-
 end

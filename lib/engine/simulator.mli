@@ -48,6 +48,11 @@ val queue_stats : t -> Event_queue.stats
     peak live size). Deterministic: a pure function of the event
     stream. *)
 
+val delays_in_place : t -> int
+(** Events taken in place by {!Proc.delay} rather than through the
+    queue. Every processed event is one or the other, so
+    [(queue_stats t).pops + delays_in_place t = events_processed t]. *)
+
 val set_budget : max_events:int -> t -> unit
 (** Replace the event budget: once [max_events] events have been
     processed over the simulator's lifetime (across every {!run} call),
@@ -82,13 +87,22 @@ val next_event_time : t -> Time.t option
     the current quantum) from a sleeping one, whose slice can be skipped
     without running it. *)
 
-(** Operations usable only inside a process spawned via {!spawn}. *)
+(** Operations usable only inside a process spawned via {!spawn}. Called
+    from a plain {!schedule} callback instead, they raise
+    [Effect.Unhandled]. *)
 module Proc : sig
   val now : unit -> Time.t
   val sim : unit -> sim
 
   val delay : Time.t -> unit
-  (** Advance this process's clock by a span, letting other events run. *)
+  (** Advance this process's clock by a span, letting other events run.
+      The wake-up counts as one event either way. When it would be the
+      next event popped — the target is strictly earlier than every
+      queued event, within the [until] of the {!run} in progress, and
+      the budget has room — the delay is taken in place: the clock
+      advances and the observer's hooks fire without the process
+      suspending. Otherwise the wake-up goes through the queue, and an
+      equal-time event queued earlier runs first. *)
 
   val spawn : ?name:string -> (unit -> unit) -> unit
 end

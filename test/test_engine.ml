@@ -37,6 +37,13 @@ let test_time_compare () =
 
 (* --- Event queue --------------------------------------------------------- *)
 
+(* Pop as the simulator does: read the head's time, then take it. *)
+let pop q =
+  if Event_queue.is_empty q then None
+  else
+    let time = Event_queue.next_time q in
+    Some (time, Event_queue.take q)
+
 let test_queue_order () =
   let q = Event_queue.create () in
   let out = ref [] in
@@ -45,7 +52,7 @@ let test_queue_order () =
   add 10 "a";
   add 20 "b";
   let rec drain () =
-    match Event_queue.pop q with
+    match pop q with
     | Some (_, run) ->
         run ();
         drain ()
@@ -61,7 +68,7 @@ let test_queue_fifo_same_time () =
     ignore (Event_queue.add q ~time:5 (fun () -> out := i :: !out))
   done;
   let rec drain () =
-    match Event_queue.pop q with
+    match pop q with
     | Some (_, run) ->
         run ();
         drain ()
@@ -79,7 +86,7 @@ let test_queue_cancel () =
   Event_queue.cancel q h1;
   checki "live count" 1 (Event_queue.length q);
   let rec drain () =
-    match Event_queue.pop q with
+    match pop q with
     | Some (_, run) ->
         run ();
         drain ()
@@ -96,20 +103,26 @@ let test_queue_cancel_after_fire () =
   let q = Event_queue.create () in
   let h = Event_queue.add q ~time:1 ignore in
   let _keep = Event_queue.add q ~time:2 ignore in
-  (match Event_queue.pop q with
+  (match pop q with
   | Some (t, _) -> checki "fired" 1 t
   | None -> Alcotest.fail "event expected");
   Event_queue.cancel q h;
   checki "live count intact" 1 (Event_queue.length q);
-  checkb "remaining event still delivered" true (Event_queue.pop q <> None)
+  checkb "remaining event still delivered" true (pop q <> None)
 
 let test_queue_peek () =
   let q = Event_queue.create () in
-  Alcotest.(check (option int)) "empty" None (Event_queue.peek_time q);
+  checkb "empty" true (Event_queue.is_empty q);
   let h = Event_queue.add q ~time:7 ignore in
-  Alcotest.(check (option int)) "peek" (Some 7) (Event_queue.peek_time q);
+  let _later = Event_queue.add q ~time:9 ignore in
+  checki "peek" 7 (Event_queue.next_time q);
   Event_queue.cancel q h;
-  Alcotest.(check (option int)) "peek skips cancelled" None (Event_queue.peek_time q)
+  checki "peek skips cancelled" 9 (Event_queue.next_time q);
+  let (_ : unit -> unit) = Event_queue.take q in
+  checkb "drained" true (Event_queue.is_empty q);
+  Alcotest.check_raises "no head when empty"
+    (Invalid_argument "Event_queue: empty queue") (fun () ->
+      ignore (Event_queue.next_time q))
 
 let test_queue_growth () =
   let q = Event_queue.create () in
@@ -120,7 +133,7 @@ let test_queue_growth () =
   (* drains in increasing time order *)
   let last = ref (-1) in
   let rec drain () =
-    match Event_queue.pop q with
+    match pop q with
     | Some (t, _) ->
         checkb "monotone" true (t >= !last);
         last := t;
@@ -136,7 +149,7 @@ let prop_heap_sorted =
       let q = Event_queue.create () in
       List.iter (fun t -> ignore (Event_queue.add q ~time:t ignore)) times;
       let rec drain acc =
-        match Event_queue.pop q with
+        match pop q with
         | Some (t, _) -> drain (t :: acc)
         | None -> List.rev acc
       in
@@ -233,6 +246,78 @@ let test_sim_budget () =
     done
   in
   checkb "budget counts across run ~until calls" true (exhaust sliced = whole)
+
+(* One process making 1,000 back-to-back delays: nearly every one is
+   taken in place, and the budget and the [until] horizon still cut the
+   chain exactly where a queue round trip per delay would. *)
+let delay_chain sim =
+  Simulator.spawn sim (fun () ->
+      for _ = 1 to 1_000 do
+        Proc.delay 3
+      done)
+
+let test_sim_delay_chain_budget () =
+  let sim = Simulator.create () in
+  delay_chain sim;
+  Simulator.set_budget ~max_events:500 sim;
+  match Simulator.run sim with
+  | () -> Alcotest.fail "event budget did not fire"
+  | exception Simulator.Budget_exhausted { events; now; max_events } ->
+      (* the spawn is event 1 at t=0, the k-th wake-up event k+1 at 3k *)
+      checki "events" 500 events;
+      checki "now" 1_497 now;
+      checki "max_events" 500 max_events;
+      checki "clock" 1_497 (Simulator.now sim);
+      Alcotest.(check (option int)) "overrunning wake-up still queued"
+        (Some 1_500) (Simulator.next_event_time sim)
+
+let test_sim_delay_chain_slices () =
+  let whole = Simulator.create () in
+  delay_chain whole;
+  Simulator.run whole;
+  checki "one run: clock" 3_000 (Simulator.now whole);
+  checki "one run: events" 1_001 (Simulator.events_processed whole);
+  let sliced = Simulator.create () in
+  delay_chain sliced;
+  for i = 1 to 9 do
+    Simulator.run ~until:((300 * i) + 1) sliced;
+    (* stopped at the last wake-up within the slice, not past it *)
+    checki "slice clock" (300 * i) (Simulator.now sliced);
+    checki "slice events" ((100 * i) + 1) (Simulator.events_processed sliced)
+  done;
+  Simulator.run ~until:3_000 sliced;
+  checki "ten slices: clock" (Simulator.now whole) (Simulator.now sliced);
+  checki "ten slices: events" (Simulator.events_processed whole)
+    (Simulator.events_processed sliced);
+  checki "every event popped or taken in place"
+    (Simulator.events_processed sliced)
+    ((Simulator.queue_stats sliced).Event_queue.pops
+    + Simulator.delays_in_place sliced)
+
+(* The process operations are for processes only. From a plain callback
+   they must fail loudly, even while a process of the same simulator is
+   mid-run, rather than move the clock. *)
+let test_sim_proc_ops_outside_process () =
+  let raises_unhandled what f =
+    match f () with
+    | () -> Alcotest.failf "%s: no exception" what
+    | exception Effect.Unhandled _ -> ()
+  in
+  raises_unhandled "delay outside any run" (fun () -> Proc.delay 5);
+  raises_unhandled "now outside any run" (fun () -> ignore (Proc.now ()));
+  let misuse op =
+    let sim = Simulator.create () in
+    Simulator.spawn sim (fun () ->
+        Proc.delay 10;
+        ignore (Simulator.schedule sim ~after:Time.zero op);
+        Proc.delay 10);
+    ignore (Simulator.schedule sim ~after:5 op);
+    raises_unhandled "from a callback" (fun () -> Simulator.run sim);
+    checki "clock unmoved" 5 (Simulator.now sim)
+  in
+  misuse (fun () -> Proc.delay 1);
+  misuse (fun () -> ignore (Proc.now ()));
+  misuse (fun () -> ignore (Proc.sim ()))
 
 let test_sim_nested_spawn () =
   let sim = Simulator.create () in
@@ -344,7 +429,25 @@ let test_mailbox_fifo () =
       Proc.delay 5;
       Simulator.Mailbox.send mb 3);
   Simulator.run sim;
-  check Alcotest.(list int) "fifo" [ 1; 2; 3 ] (List.rev !got)
+  check Alcotest.(list int) "fifo" [ 1; 2; 3 ] (List.rev !got);
+  (* three readers blocked at once wake in the order they blocked *)
+  let mb = Simulator.Mailbox.create sim in
+  let woke = ref [] in
+  List.iter
+    (fun name ->
+      Simulator.spawn sim ~name (fun () ->
+          let v = Simulator.Mailbox.recv mb in
+          woke := (name, v, Proc.now ()) :: !woke))
+    [ "r1"; "r2"; "r3" ];
+  Simulator.spawn sim ~name:"producer" (fun () ->
+      Proc.delay 5;
+      List.iter (Simulator.Mailbox.send mb) [ 10; 20; 30 ]);
+  Simulator.run sim;
+  check
+    Alcotest.(list (triple string int int))
+    "blocked readers in order"
+    [ ("r1", 10, 15); ("r2", 20, 15); ("r3", 30, 15) ]
+    (List.rev !woke)
 
 let test_mailbox_try_recv () =
   let sim = Simulator.create () in
@@ -496,6 +599,12 @@ let () =
             test_sim_process_exception_propagates;
           Alcotest.test_case "fuel budget" `Quick test_sim_budget;
           Alcotest.test_case "nested spawn" `Quick test_sim_nested_spawn;
+          Alcotest.test_case "delay chain under budget" `Quick
+            test_sim_delay_chain_budget;
+          Alcotest.test_case "delay chain in slices" `Quick
+            test_sim_delay_chain_slices;
+          Alcotest.test_case "proc ops outside a process" `Quick
+            test_sim_proc_ops_outside_process;
         ] );
       ( "sync",
         [

@@ -1,6 +1,8 @@
 (* Cross-cutting property tests on the protocol-critical data paths:
    channel command serialization, VMCS transform behaviour, the SMT-core
-   state machine, virtqueue operation sequences, and fabric ordering. *)
+   state machine, virtqueue operation sequences, and fabric ordering;
+   and of the event engine itself, against a list-based reference
+   scheduler. *)
 
 module Time = Svt_engine.Time
 module Simulator = Svt_engine.Simulator
@@ -213,6 +215,320 @@ let prop_cpuid_view_monotone =
       in
       added = 0L && g.Svt_arch.Cpuid_db.edx = h.Svt_arch.Cpuid_db.edx)
 
+(* --- The engine against a reference scheduler ----------------------------- *)
+
+(* A random process script. Spans are small so that equal-time ties
+   between processes, timers and wake-ups are common. *)
+type op =
+  | Delay of int
+  | Spawn of op list
+  | Wait_timeout of int * int (* signal, span *)
+  | Broadcast of int
+  | Timer of int (* a plain callback this far ahead *)
+  | Cancel_timer (* the process's latest timer, fired or not *)
+  | Fill of int (* the ivar, when it is still empty *)
+  | Read of int
+
+type scenario = {
+  scripts : op list list; (* spawned in order at time 0 *)
+  slices : int list; (* [run ~until] limits, then one unbounded [run] *)
+  budget : int;
+  observed : bool; (* with a dispatch observer installed *)
+}
+
+let n_signals = 2
+let n_ivars = 2
+
+let rec pp_op = function
+  | Delay d -> Printf.sprintf "delay %d" d
+  | Spawn ops -> "spawn [" ^ String.concat "; " (List.map pp_op ops) ^ "]"
+  | Wait_timeout (s, d) -> Printf.sprintf "wait s%d %d" s d
+  | Broadcast s -> Printf.sprintf "broadcast s%d" s
+  | Timer d -> Printf.sprintf "timer %d" d
+  | Cancel_timer -> "cancel"
+  | Fill i -> Printf.sprintf "fill iv%d" i
+  | Read i -> Printf.sprintf "read iv%d" i
+
+let pp_scenario sc =
+  Printf.sprintf "budget %d%s, slices [%s]\n%s" sc.budget
+    (if sc.observed then " observed" else "")
+    (String.concat "; " (List.map string_of_int sc.slices))
+    (String.concat "\n"
+       (List.map
+          (fun ops -> "  [" ^ String.concat "; " (List.map pp_op ops) ^ "]")
+          sc.scripts))
+
+let gen_scenario =
+  let open QCheck.Gen in
+  let span = frequency [ (3, int_range 0 3); (1, int_range 4 12) ] in
+  let rec gen_op depth =
+    frequency
+      ([
+         (6, map (fun d -> Delay d) span);
+         ( 2,
+           map2
+             (fun s d -> Wait_timeout (s, d))
+             (int_bound (n_signals - 1))
+             span );
+         (2, map (fun s -> Broadcast s) (int_bound (n_signals - 1)));
+         (2, map (fun d -> Timer d) span);
+         (1, return Cancel_timer);
+         (1, map (fun i -> Fill i) (int_bound (n_ivars - 1)));
+         (1, map (fun i -> Read i) (int_bound (n_ivars - 1)));
+       ]
+      @
+      if depth > 0 then
+        [
+          ( 1,
+            map
+              (fun ops -> Spawn ops)
+              (list_size (int_bound 4) (gen_op (depth - 1))) );
+        ]
+      else [])
+  in
+  let* scripts =
+    list_size (int_range 1 4) (list_size (int_bound 8) (gen_op 2))
+  in
+  let* gaps = list_size (int_bound 4) (int_bound 15) in
+  let slices =
+    List.rev
+      (snd
+         (List.fold_left
+            (fun (t, acc) d -> (t + d, (t + d) :: acc))
+            (0, []) gaps))
+  in
+  let* budget = frequency [ (1, int_range 1 12); (1, return 1_000_000) ] in
+  let+ observed = bool in
+  { scripts; slices; budget; observed }
+
+(* What a run shows: one entry per finished step, [(now, pid, step,
+   value)] with pid -1 for a timer firing; then [(now, events)] after
+   each slice; then the budget exhaustion, if any. *)
+type trace = {
+  steps : (int * int * int * int) list;
+  slice_ends : (int * int) list;
+  exhausted : (int * int * int) option;
+}
+
+(* The reference: the engine's semantics spelled out over a sorted list
+   of pending events, with processes written in continuation-passing
+   style. Every wake-up goes through the list. *)
+let reference sc =
+  let now = ref 0 and events = ref 0 and seq = ref 0 in
+  let pending = ref [] in
+  let add time run =
+    let h = !seq in
+    incr seq;
+    pending :=
+      List.merge
+        (fun (t1, s1, _) (t2, s2, _) -> compare (t1, s1) (t2, s2))
+        !pending [ (time, h, run) ];
+    h
+  in
+  let cancel h = pending := List.filter (fun (_, s, _) -> s <> h) !pending in
+  let steps = ref [] and pids = ref 0 and timers = ref 0 in
+  let signals = Array.make n_signals [] in
+  let ivars = Array.make n_ivars (Some []) (* [None] once filled *) in
+  let rec spawn ops =
+    let pid = !pids in
+    incr pids;
+    ignore (add !now (fun () -> exec pid (ref None) 0 ops))
+  and exec pid last_timer step = function
+    | [] -> ()
+    | op :: rest -> (
+        let next v =
+          steps := (!now, pid, step, v) :: !steps;
+          exec pid last_timer (step + 1) rest
+        in
+        match op with
+        | Delay 0 -> next 0
+        | Delay d -> ignore (add (!now + d) (fun () -> next 0))
+        | Spawn ops ->
+            spawn ops;
+            next 0
+        | Wait_timeout (s, d) ->
+            let settled = ref false in
+            let h =
+              add (!now + d) (fun () ->
+                  if not !settled then begin
+                    settled := true;
+                    next 1
+                  end)
+            in
+            signals.(s) <-
+              signals.(s)
+              @ [
+                  (fun () ->
+                    if not !settled then begin
+                      settled := true;
+                      cancel h;
+                      next 2
+                    end);
+                ]
+        | Broadcast s ->
+            let waiters = signals.(s) in
+            signals.(s) <- [];
+            List.iter (fun w -> ignore (add !now w)) waiters;
+            next 0
+        | Timer d ->
+            let id = !timers in
+            incr timers;
+            last_timer :=
+              Some
+                (add (!now + d) (fun () ->
+                     steps := (!now, -1, id, 3) :: !steps));
+            next 0
+        | Cancel_timer ->
+            Option.iter cancel !last_timer;
+            next 0
+        | Fill i ->
+            (match ivars.(i) with
+            | None -> ()
+            | Some waiters ->
+                ivars.(i) <- None;
+                List.iter (fun w -> ignore (add !now w)) waiters);
+            next 0
+        | Read i -> (
+            match ivars.(i) with
+            | None -> next 0
+            | Some waiters ->
+                ivars.(i) <- Some (waiters @ [ (fun () -> next 0) ])))
+  in
+  List.iter spawn sc.scripts;
+  let exception Exhausted of int * int * int in
+  (* [run ~until] when [until] is given, a plain [run] otherwise *)
+  let run until =
+    let limit = Option.value until ~default:max_int in
+    let rec loop () =
+      match !pending with
+      | (time, _, run) :: rest when time <= limit ->
+          if !events >= sc.budget then
+            raise (Exhausted (!events, !now, sc.budget));
+          pending := rest;
+          now := time;
+          incr events;
+          run ();
+          loop ()
+      | _ -> ()
+    in
+    loop ();
+    match until with
+    | Some until when !now < until && !pending = [] -> now := until
+    | _ -> ()
+  in
+  let slice_ends = ref [] in
+  let exhausted =
+    match
+      List.iter
+        (fun until ->
+          run until;
+          slice_ends := (!now, !events) :: !slice_ends)
+        (List.map Option.some sc.slices @ [ None ])
+    with
+    | () -> None
+    | exception Exhausted (e, n, m) -> Some (e, n, m)
+  in
+  { steps = List.rev !steps; slice_ends = List.rev !slice_ends; exhausted }
+
+let engine sc =
+  let sim = Simulator.create () in
+  Simulator.set_budget ~max_events:sc.budget sim;
+  let starts = ref 0 and ends = ref 0 in
+  if sc.observed then
+    Simulator.set_observer sim
+      (Some
+         {
+           Simulator.on_event_start = (fun () -> incr starts);
+           on_event_end = (fun () -> incr ends);
+         });
+  let steps = ref [] and pids = ref 0 and timers = ref 0 in
+  let signals = Array.init n_signals (fun _ -> Simulator.Signal.create sim) in
+  let ivars = Array.init n_ivars (fun _ -> Simulator.Ivar.create sim) in
+  let rec body pid ops () =
+    let last_timer = ref None in
+    List.iteri
+      (fun step op ->
+        let v =
+          match op with
+          | Delay d ->
+              Simulator.Proc.delay d;
+              0
+          | Spawn ops ->
+              let child = !pids in
+              incr pids;
+              Simulator.Proc.spawn (body child ops);
+              0
+          | Wait_timeout (s, d) -> (
+              match Simulator.Signal.wait_timeout signals.(s) d with
+              | `Timeout -> 1
+              | `Signaled -> 2)
+          | Broadcast s ->
+              Simulator.Signal.broadcast signals.(s);
+              0
+          | Timer d ->
+              let id = !timers in
+              incr timers;
+              last_timer :=
+                Some
+                  (Simulator.schedule sim ~after:d (fun () ->
+                       steps := (Simulator.now sim, -1, id, 3) :: !steps));
+              0
+          | Cancel_timer ->
+              Option.iter (Simulator.cancel sim) !last_timer;
+              0
+          | Fill i ->
+              if not (Simulator.Ivar.is_filled ivars.(i)) then
+                Simulator.Ivar.fill ivars.(i) ();
+              0
+          | Read i ->
+              Simulator.Ivar.read ivars.(i);
+              0
+        in
+        steps := (Simulator.Proc.now (), pid, step, v) :: !steps)
+      ops
+  in
+  List.iter
+    (fun ops ->
+      let pid = !pids in
+      incr pids;
+      Simulator.spawn sim (body pid ops))
+    sc.scripts;
+  let slice_ends = ref [] in
+  let exhausted =
+    match
+      List.iter
+        (fun until ->
+          (match until with
+          | Some until -> Simulator.run ~until sim
+          | None -> Simulator.run sim);
+          slice_ends :=
+            (Simulator.now sim, Simulator.events_processed sim) :: !slice_ends)
+        (List.map Option.some sc.slices @ [ None ])
+    with
+    | () -> None
+    | exception Simulator.Budget_exhausted { events; now; max_events } ->
+        Some (events, now, max_events)
+  in
+  let events = Simulator.events_processed sim in
+  let pops = (Simulator.queue_stats sim).Svt_engine.Event_queue.pops in
+  let accounted =
+    pops + Simulator.delays_in_place sim = events
+    && ((not sc.observed) || (!starts = events && !ends = events))
+  in
+  ( { steps = List.rev !steps; slice_ends = List.rev !slice_ends; exhausted },
+    accounted )
+
+(* Taking a delay in place must be invisible: the same steps at the
+   same instants in the same order, the same clock and event count after
+   every slice, the same budget exhaustion. Every event is either popped
+   or taken in place, and the dispatch hooks fire once per event. *)
+let prop_engine_matches_reference =
+  QCheck.Test.make ~name:"engine matches the reference scheduler" ~count:500
+    (QCheck.make ~print:pp_scenario gen_scenario)
+    (fun sc ->
+      let got, accounted = engine sc in
+      accounted && got = reference sc)
+
 let () =
   Alcotest.run "properties"
     [
@@ -227,4 +543,5 @@ let () =
             prop_fabric_ordering;
             prop_cpuid_view_monotone;
           ] );
+      ("engine", [ QCheck_alcotest.to_alcotest prop_engine_matches_reference ]);
     ]
