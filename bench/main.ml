@@ -57,7 +57,7 @@ let jobs =
    of one metric by point; a failed point aborts the section like an
    uncaught exception used to. *)
 let campaign_lookup ?run ~label spec =
-  let o = Campaign.execute ~jobs ~retries:0 ~progress_label:label ?run spec in
+  let o = Campaign.execute ~jobs ~progress_label:label ?run spec in
   let fail fmt = Printf.ksprintf failwith ("%s: " ^^ fmt) label in
   List.iter
     (fun (e : Svt_campaign.Ledger.entry) ->

@@ -386,10 +386,6 @@ let sweep_cmd =
          & info [ "j"; "jobs" ] ~docv:"N"
              ~doc:"Worker domains. 1 forces the sequential, domain-free path.")
   in
-  let retries =
-    Arg.(value & opt int 1
-         & info [ "retries" ] ~docv:"N" ~doc:"Extra attempts after a run fails.")
-  in
   let ledger =
     Arg.(value & opt string "sweep.jsonl"
          & info [ "ledger" ] ~docv:"PATH"
@@ -399,20 +395,14 @@ let sweep_cmd =
     Arg.(value & flag
          & info [ "resume" ]
              ~doc:"Recover the ledger first (tolerating a torn trailing \
-                   line) and skip runs already recorded ok; failed, timed \
-                   out, quarantined and missing runs re-execute.")
+                   line) and skip runs already recorded ok; every other \
+                   run re-executes.")
   in
   let max_rows =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some pos_int) None
          & info [ "max-rows" ] ~docv:"N"
              ~doc:"Stop after N rows complete (exit 3). Simulates a crash \
                    for resume testing.")
-  in
-  let quarantine_after =
-    Arg.(value & opt pos_int Svt_campaign.Pool.default_quarantine_after
-         & info [ "quarantine-after" ] ~docv:"K"
-             ~doc:"Stop retrying a run after K consecutive failures and \
-                   record it quarantined with its backtrace.")
   in
   let max_sim_events =
     Arg.(value & opt pos_int Runner.default_max_sim_events
@@ -426,37 +416,28 @@ let sweep_cmd =
              ~doc:"Pin the per-row wall_s field to 0 so two ledgers of the \
                    same campaign are byte-identical.")
   in
-  let telemetry_every =
-    Arg.(value & opt int 0
-         & info [ "telemetry-every" ] ~docv:"N"
-             ~doc:"Stream a telemetry heartbeat row into the ledger every N \
-                   completed rows (0 = off): rows completed, per-status \
-                   counts, aggregate sim events, and wall-clock rates \
-                   unless --deterministic.")
-  in
   let quiet =
     Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"No stderr progress line.")
   in
-  let run axes jobs retries ledger resume max_rows quarantine_after
-      max_sim_events deterministic telemetry_every quiet =
+  let run axes jobs ledger resume max_rows max_sim_events deterministic
+      quiet =
     match Spec.of_axes axes with
     | Error e ->
         Printf.eprintf "sweep: %s\n" e;
         exit 2
     | Ok spec ->
         let o =
-          Campaign.execute ~jobs ~retries ~quarantine_after ?max_rows ~resume
-            ~deterministic ~progress:(not quiet) ~ledger ~telemetry_every
+          Campaign.execute ~jobs ?max_rows ~resume ~deterministic
+            ~progress:(not quiet) ~ledger
             ~run:(fun p -> Runner.exec ~max_sim_events p)
             spec
         in
         Svt_stats.Table.print (Campaign.summary_table o);
         Printf.printf
-          "\n%d runs: %d ok, %d failed, %d timeout, %d quarantined%s%s in \
-           %.2f s (jobs=%d) -> %s\n"
+          "\n%d runs: %d ok, %d failed, %d timeout%s%s in %.2f s (jobs=%d) \
+           -> %s\n"
           (List.length o.Campaign.results)
           o.Campaign.ok o.Campaign.failed o.Campaign.timeout
-          o.Campaign.quarantined
           (if o.Campaign.reused > 0 then
              Printf.sprintf ", %d reused" o.Campaign.reused
            else "")
@@ -490,13 +471,11 @@ let sweep_cmd =
                level=l1,l2 --jobs 4";
            `P "Interrupted (or killed) campaigns resume without re-running \
                completed work: svt_sim sweep --resume --ledger sweep.jsonl \
-               [same axes]. Exit status: 0 all ok, 1 some run failed / \
-               timed out / was quarantined, 2 usage error, 3 interrupted \
-               by --max-rows.";
+               [same axes]. Exit status: 0 all ok, 1 some run failed or \
+               timed out, 2 usage error, 3 interrupted by --max-rows.";
          ])
-    Term.(const run $ axes $ jobs $ retries $ ledger $ resume $ max_rows
-          $ quarantine_after $ max_sim_events $ deterministic
-          $ telemetry_every $ quiet)
+    Term.(const run $ axes $ jobs $ ledger $ resume $ max_rows
+          $ max_sim_events $ deterministic $ quiet)
 
 let sweep_diff_cmd =
   let old_arg =
@@ -851,11 +830,11 @@ let fuzz_cmd =
                    byte-identical ledger, whatever --jobs says.")
   in
   let batch_arg =
-    Arg.(value & opt int 64
+    Arg.(value & opt pos_int 64
          & info [ "batch" ] ~docv:"N" ~doc:"Inputs to execute.")
   in
   let jobs_arg =
-    Arg.(value & opt int 1
+    Arg.(value & opt pos_int 1
          & info [ "jobs" ] ~docv:"N" ~doc:"Worker domains executing a round.")
   in
   let ledger_arg =
@@ -871,7 +850,7 @@ let fuzz_cmd =
                    rebuild the corpus from the kept rows, and continue.")
   in
   let max_rounds_arg =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some pos_int) None
          & info [ "max-rounds" ] ~docv:"N"
              ~doc:"Stop after N rounds (exit 3). Simulates a crash for \
                    resume testing.")
@@ -888,24 +867,15 @@ let fuzz_cmd =
              ~doc:"Let the generator emit the bare HLT op (a guaranteed \
                    hang the deadlock detector must catch).")
   in
-  let telemetry_every_arg =
-    Arg.(value & opt int 0
-         & info [ "telemetry-every" ] ~docv:"N"
-             ~doc:"Add a telemetry heartbeat row to the ledger every N \
-                   rounds (0 = off). Heartbeats carry only deterministic \
-                   fields, so ledgers stay byte-identical across --jobs \
-                   and --resume.")
-  in
   let quiet_arg =
     Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"No stderr progress lines.")
   in
-  let run seed batch jobs ledger resume max_rounds budget allow_hlt
-      telemetry_every quiet =
+  let run seed batch jobs ledger resume max_rounds budget allow_hlt quiet =
     let gen_cfg = { Svt_fuzz.Gen.default with Svt_fuzz.Gen.allow_hlt } in
     let log = if quiet then fun _ -> () else prerr_endline in
     let stats =
-      Fuzz.campaign ~gen_cfg ~budget ~jobs ?ledger ~resume ?max_rounds
-        ~telemetry_every ~log ~seed:(Int64.of_int seed) ~batch ()
+      Fuzz.campaign ~gen_cfg ~budget ~jobs ?ledger ~resume ?max_rounds ~log
+        ~seed:(Int64.of_int seed) ~batch ()
     in
     (* the summary is part of the deterministic surface: no wall clock *)
     Printf.printf
@@ -935,7 +905,7 @@ let fuzz_cmd =
          ])
     Term.(const run $ seed_arg $ batch_arg $ jobs_arg $ ledger_arg
           $ resume_arg $ max_rounds_arg $ budget_arg $ allow_hlt_arg
-          $ telemetry_every_arg $ quiet_arg)
+          $ quiet_arg)
 
 (* ---- the Figure 6 strategy table (byte-deterministic) ---- *)
 
@@ -1026,7 +996,6 @@ let run_cmd =
               point = p;
               status = "ok";
               error = None;
-              attempts = 1;
               wall_s = 0.0;
               metrics;
               data = [];

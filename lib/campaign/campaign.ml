@@ -8,9 +8,8 @@
      interrupted-then-resumed one converge on the same file;
    - [resume] recovers the journal ([Ledger.recover] tolerates the torn
      trailing line a crash leaves), reuses rows already recorded [ok]
-     (last occurrence wins) and re-runs failed/timeout/quarantined/
-     missing points — run_ids are content-addressed, so the re-runs
-     produce bit-identical rows. *)
+     (last occurrence wins) and re-runs every other point — run_ids
+     are content-addressed, so the re-runs produce bit-identical rows. *)
 
 module Simulator = Svt_engine.Simulator
 
@@ -19,26 +18,14 @@ type outcome = {
   ok : int;
   failed : int;
   timeout : int;
-  quarantined : int;
   skipped : int;
   reused : int;
   interrupted : bool;
-  workers : Pool.worker_stats list;
   wall_s : float;
 }
 
 let exit_code o =
-  if o.interrupted then 3
-  else if o.failed + o.timeout + o.quarantined > 0 then 1
-  else 0
-
-let error_of_pool_outcome (o : 'b Pool.outcome) e =
-  let base = Printexc.to_string e in
-  if o.Pool.quarantined then
-    match o.Pool.backtrace with
-    | Some bt when String.trim bt <> "" -> base ^ "\n" ^ String.trim bt
-    | _ -> base
-  else base
+  if o.interrupted then 3 else if o.failed + o.timeout > 0 then 1 else 0
 
 let result_of_outcome point (o : (string * float) list Pool.outcome) =
   let status, metrics =
@@ -48,15 +35,19 @@ let result_of_outcome point (o : (string * float) list Pool.outcome) =
         (* Deterministic timeout: the fuel counters become the row's
            metrics so the ledger records where it was cut. *)
         (Runner.Run_timeout, Runner.fuel_metrics ~events ~now ~max_events)
-    | Error e when o.Pool.quarantined ->
-        (Runner.Run_quarantined (error_of_pool_outcome o e), [])
-    | Error e -> (Runner.Run_failed (Printexc.to_string e), [])
+    | Error e ->
+        let msg =
+          match o.Pool.backtrace with
+          | Some bt when String.trim bt <> "" ->
+              Printexc.to_string e ^ "\n" ^ String.trim bt
+          | _ -> Printexc.to_string e
+        in
+        (Runner.Run_failed msg, [])
   in
   {
     Runner.point;
     run_id = Spec.run_id point;
     status;
-    attempts = o.Pool.attempts;
     wall_s = o.Pool.wall_s;
     metrics;
   }
@@ -67,19 +58,13 @@ let result_of_reused (e : Ledger.entry) =
     Runner.point = e.Ledger.point;
     run_id = e.Ledger.run_id;
     status = Runner.Run_ok;
-    attempts = e.Ledger.attempts;
     wall_s = e.Ledger.wall_s;
     metrics = e.Ledger.metrics;
   }
 
-let is_fatal = function Simulator.Budget_exhausted _ -> true | _ -> false
-
-let execute ?jobs ?retries ?quarantine_after ?max_rows ?(resume = false)
-    ?(deterministic = false)
+let execute ?jobs ?max_rows ?(resume = false) ?(deterministic = false)
     ?(progress = false) ?(progress_label = "sweep") ?ledger
-    ?(telemetry_every = 0) ?(telemetry_source = "sweep")
     ?(run = fun p -> Runner.exec p) spec =
-  let module Telemetry = Svt_obs.Telemetry in
   let points = Array.of_list (Spec.dedup spec) in
   let t0 = Unix.gettimeofday () in
   let entry_of_result r =
@@ -112,16 +97,12 @@ let execute ?jobs ?retries ?quarantine_after ?max_rows ?(resume = false)
              | _ -> ())
            points
      | _ -> ());
-  (* [todo_pos.(i)] is the spec-order position of [todo.(i)] in
-     [points]; the telemetry frontier below needs it. *)
-  let todo_pos =
-    let l = ref [] in
-    Array.iteri
-      (fun i p -> if not (Hashtbl.mem reused_ok (Spec.run_id p)) then l := i :: !l)
-      points;
-    Array.of_list (List.rev !l)
+  let todo =
+    Array.of_list
+      (List.filter
+         (fun p -> not (Hashtbl.mem reused_ok (Spec.run_id p)))
+         (Array.to_list points))
   in
-  let todo = Array.map (fun i -> points.(i)) todo_pos in
   (* ---- journal: reused rows first (atomically), then append ---- *)
   let journal =
     Option.map
@@ -148,88 +129,14 @@ let execute ?jobs ?retries ?quarantine_after ?max_rows ?(resume = false)
       Some (Progress.create ~label:progress_label ~total:(Array.length todo) ())
     else None
   in
-  (* ---- telemetry heartbeats (opt-in): one row per [telemetry_every]
-     points completed *in spec order*. Completion order varies with the
-     worker count, so results are folded into the campaign-local
-     registry along the spec-order frontier — heartbeat k is a pure
-     function of the first k*[telemetry_every] points' results, which
-     makes the health trace byte-identical across --jobs counts and
-     across interrupted/resumed runs (reused rows pre-fill the
-     frontier). Heartbeats are kept aside so the clean-completion
-     rewrite retains them. The deterministic path emits only fields
-     driven by the row stream; wall-clock rates are added otherwise. *)
-  let telem = Telemetry.create () in
-  let hb_seq = ref 0 in
-  let heartbeats = ref [] in
-  let heartbeat () =
-    let seq = !hb_seq in
-    incr hb_seq;
-    let metrics =
-      Telemetry.snapshot telem
-      @
-      if deterministic then []
-      else
-        let elapsed = Unix.gettimeofday () -. t0 in
-        let rows = float_of_int (Telemetry.counter telem "rows") in
-        let events = Telemetry.gauge telem "sim_events" in
-        let rate x = if elapsed > 0. then x /. elapsed else 0.0 in
-        [
-          ("elapsed_s", elapsed);
-          ("rows_per_sec", rate rows);
-          ("events_per_sec", rate events);
-        ]
-    in
-    let e = Heartbeat.entry ~source:telemetry_source ~seq metrics in
-    heartbeats := e :: !heartbeats;
-    Option.iter (fun j -> Journal.append j e) journal
-  in
-  let hb_buf = Array.make (max 1 (Array.length points)) None in
-  let hb_frontier = ref 0 in
-  let hb_fold (r : Runner.result) =
-    Telemetry.incr telem "rows";
-    Telemetry.incr telem (Runner.status_name r.Runner.status);
-    (match List.assoc_opt "sim_events" r.Runner.metrics with
-    | Some v ->
-        Telemetry.set telem "sim_events" (Telemetry.gauge telem "sim_events" +. v)
-    | None -> ());
-    if Telemetry.counter telem "rows" mod telemetry_every = 0 then heartbeat ()
-  in
-  let hb_drain () =
-    while
-      !hb_frontier < Array.length points
-      && hb_buf.(!hb_frontier) <> None
-    do
-      (match hb_buf.(!hb_frontier) with Some r -> hb_fold r | None -> ());
-      incr hb_frontier
-    done
-  in
-  if telemetry_every > 0 then begin
-    (* Reused rows seed the frontier, so a fully- or partially-resumed
-       campaign regenerates the same heartbeats the uninterrupted run
-       emitted over that prefix. *)
-    Array.iteri
-      (fun i p ->
-        match Hashtbl.find_opt reused_ok (Spec.run_id p) with
-        | Some e -> hb_buf.(i) <- Some (result_of_reused e)
-        | None -> ())
-      points;
-    hb_drain ()
-  end;
   let on_result ~index (o : (string * float) list Pool.outcome) =
     let r = result_of_outcome todo.(index) o in
     Option.iter (fun j -> Journal.append j (entry_of_result r)) journal;
-    if telemetry_every > 0 then begin
-      hb_buf.(todo_pos.(index)) <- Some r;
-      hb_drain ()
-    end;
     Option.iter
       (fun p -> Progress.step p ~ok:(r.Runner.status = Runner.Run_ok))
       prog
   in
-  let pool =
-    Pool.map ?jobs ?retries ?quarantine_after ?stop_after:max_rows
-      ~fatal:is_fatal ~on_result run todo
-  in
+  let pool = Pool.map ?jobs ?stop_after:max_rows ~on_result run todo in
   Option.iter Progress.finish prog;
   Option.iter Journal.close journal;
   (* ---- assemble results in spec order ---- *)
@@ -255,10 +162,7 @@ let execute ?jobs ?retries ?quarantine_after ?max_rows ?(resume = false)
      every row, spec order, atomically swapped in. *)
   (match ledger with
   | Some path when not interrupted ->
-      (* Heartbeats survive the canonicalising rewrite: result rows in
-         spec order first, then the health trace in emission order. *)
-      Journal.rewrite path
-        (List.map entry_of_result results @ List.rev !heartbeats)
+      Journal.rewrite path (List.map entry_of_result results)
   | _ -> ());
   let count f = List.length (List.filter f results) in
   let status_is s (r : Runner.result) = Runner.status_name r.Runner.status = s in
@@ -267,11 +171,9 @@ let execute ?jobs ?retries ?quarantine_after ?max_rows ?(resume = false)
     ok = count (status_is "ok");
     failed = count (status_is "failed");
     timeout = count (status_is "timeout");
-    quarantined = count (status_is "quarantined");
     skipped = Array.length points - List.length results;
     reused = Hashtbl.length reused_ok;
     interrupted;
-    workers = pool.Pool.workers;
     wall_s = Unix.gettimeofday () -. t0;
   }
 

@@ -19,57 +19,47 @@ type outcome = {
   ok : int;
   failed : int;
   timeout : int;  (** runs cut by the simulator's fuel budget *)
-  quarantined : int;
   skipped : int;  (** points never attempted (early stop) *)
   reused : int;  (** ok rows salvaged from a previous journal *)
   interrupted : bool;  (** stopped before every point ran ([max_rows]) *)
-  workers : Pool.worker_stats list;  (** per-worker supervision records *)
   wall_s : float;  (** whole-campaign wall clock *)
 }
 
 val exit_code : outcome -> int
 (** Process exit status for CLI drivers: [0] every point ok, [1] some
-    point failed / timed out / was quarantined, [3] interrupted before
-    completing (resume to finish). *)
+    point failed or timed out, [3] interrupted before completing
+    (resume to finish). *)
 
 val execute :
   ?jobs:int ->
-  ?retries:int ->
-  ?quarantine_after:int ->
   ?max_rows:int ->
   ?resume:bool ->
   ?deterministic:bool ->
   ?progress:bool ->
   ?progress_label:string ->
   ?ledger:string ->
-  ?telemetry_every:int ->
-  ?telemetry_source:string ->
   ?run:(Spec.point -> (string * float) list) ->
   Spec.t ->
   outcome
-(** Run every point. Duplicated run_ids are executed once (the spec is
-    {!Spec.dedup}ed first). Defaults: [jobs = Pool.default_jobs ()],
-    [retries = 1], [quarantine_after = 3], no row limit, no resume, no
-    progress line, no ledger, and [run = Runner.exec]. [jobs = 1] is
-    the fully sequential, domain-free path.
+(** Run every point once. Duplicated run_ids are executed once (the
+    spec is {!Spec.dedup}ed first). Defaults: [jobs =
+    Pool.default_jobs ()], no row limit, no resume, no progress line, no
+    ledger, and [run = Runner.exec]. [jobs = 1] is the fully
+    sequential, domain-free path.
+
+    A run that raises becomes one [failed] row whose error is the
+    exception followed by its backtrace; it is not retried, since a run
+    is a pure function of its point.
+    {!Svt_engine.Simulator.Budget_exhausted} becomes a [timeout] row
+    carrying the fuel counters as metrics.
 
     [max_rows] stops the campaign after that many rows complete
     (outcome is [interrupted]; exit code 3) — the crash-simulation hook
     of test_campaign "resume re-runs timeout rows". [resume] reads the
     ledger back via {!Ledger.recover} before running and skips points
-    whose latest row is [ok]. [deterministic] pins the per-row [wall_s] field to [0.0]
-    so two ledgers of the same campaign are byte-identical.
-    {!Svt_engine.Simulator.Budget_exhausted} from the run function is
-    fatal (never retried) and becomes a [timeout] row carrying the fuel
-    counters as metrics.
-
-    [telemetry_every = n] (default 0 = off) journals a {!Heartbeat} row
-    after every [n] completed rows: a snapshot of a campaign-local
-    {!Svt_obs.Telemetry} registry (rows completed, per-status counts,
-    aggregate sim events), plus wall-clock rates unless
-    [deterministic]. Heartbeats are retained by the clean-completion
-    rewrite, appended after the result rows, and marked with
-    [telemetry_source] (default ["sweep"]) in the row's [data] field. *)
+    whose latest row is [ok]. [deterministic] pins the per-row [wall_s]
+    field to [0.0] so two ledgers of the same campaign are
+    byte-identical. *)
 
 val summary_table : outcome -> Svt_stats.Table.t
 (** One row per run: run_id, point, status, headline metric, wall. *)

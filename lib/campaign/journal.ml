@@ -25,10 +25,6 @@ let append oc e =
 
 let close = close_out
 
-let with_journal ?truncate path f =
-  let t = create ?truncate path in
-  Fun.protect ~finally:(fun () -> close t) (fun () -> f t)
-
 let rewrite path entries =
   let tmp = path ^ ".tmp" in
   let oc = open_out_gen [ Open_creat; Open_wronly; Open_trunc ] 0o644 tmp in

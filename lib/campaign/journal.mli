@@ -17,9 +17,6 @@ val append : t -> Ledger.entry -> unit
 
 val close : t -> unit
 
-val with_journal : ?truncate:bool -> string -> (t -> 'a) -> 'a
-(** [create]; run; [close] (which flushes) even on exceptions. *)
-
 val rewrite : string -> Ledger.entry list -> unit
 (** Atomically replace [path] with exactly [entries] (CRC'd, one per
     line) via a temp file and rename: the clean-completion path that

@@ -9,7 +9,6 @@ type entry = {
   point : Spec.point;
   status : string;
   error : string option;
-  attempts : int;
   wall_s : float;
   metrics : (string * float) list;
   data : (string * string) list;
@@ -22,9 +21,8 @@ let entry_of_result (r : Runner.result) =
     status = Runner.status_name r.Runner.status;
     error =
       (match r.Runner.status with
-      | Runner.Run_failed msg | Runner.Run_quarantined msg -> Some msg
+      | Runner.Run_failed msg -> Some msg
       | Runner.Run_ok | Runner.Run_timeout -> None);
-    attempts = r.Runner.attempts;
     wall_s = r.Runner.wall_s;
     metrics = r.Runner.metrics;
     data = [];
@@ -40,22 +38,6 @@ type json =
   | Arr of json list
   | Obj of (string * json) list
 
-let buf_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
 let buf_num b x =
   if Float.is_integer x && Float.abs x < 1e15 then
     Buffer.add_string b (Printf.sprintf "%.0f" x)
@@ -65,7 +47,7 @@ let rec buf_json b = function
   | Null -> Buffer.add_string b "null"
   | Bool v -> Buffer.add_string b (if v then "true" else "false")
   | Num x -> if Float.is_finite x then buf_num b x else Buffer.add_string b "null"
-  | Str s -> buf_string b s
+  | Str s -> Svt_obs.Export.buf_json_string b s
   | Arr items ->
       Buffer.add_char b '[';
       List.iteri
@@ -79,7 +61,7 @@ let rec buf_json b = function
       List.iteri
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char b ',';
-          buf_string b k;
+          Svt_obs.Export.buf_json_string b k;
           Buffer.add_char b ':';
           buf_json b v)
         fields;
@@ -115,7 +97,9 @@ let json_of_entry e =
     @ [ ("status", Str e.status) ]
     @ (match e.error with None -> [] | Some m -> [ ("error", Str m) ])
     @ [
-        ("attempts", Num (float_of_int e.attempts));
+        (* every run is attempted once; the constant keeps rows
+           byte-identical to ledgers written when runs were retried *)
+        ("attempts", Num 1.0);
         ("wall_s", Num e.wall_s);
         ("metrics", Obj (List.map (fun (k, v) -> (k, Num v)) e.metrics));
       ]
@@ -401,7 +385,6 @@ let entry_of_json j =
   in
   let* status = str_field j "status" in
   let error = match field j "error" with Some (Str m) -> Some m | _ -> None in
-  let* attempts = num_field j "attempts" in
   let* wall_s = num_field j "wall_s" in
   let* metrics =
     match field j "metrics" with
@@ -449,7 +432,6 @@ let entry_of_json j =
         };
       status;
       error;
-      attempts = int_of_float attempts;
       wall_s;
       metrics;
       data;

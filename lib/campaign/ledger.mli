@@ -7,6 +7,12 @@
      "metrics":{"per_op_us":5.37,"samples":64.0,...}}
     v}
 
+    ["attempts"] is always [1]: every run is attempted exactly once,
+    and the constant is kept so rows stay byte-identical to ledgers
+    written when failed runs were retried. The reader ignores it, so
+    such older ledgers (with [2], or a ["quarantined"] status) still
+    load; resume re-runs every row that is not [ok].
+
     A ["fault"] string field (the point's canonical fault-plan) appears
     after ["seed"] only when the point has one, so fault-free ledgers
     stay byte-identical to the pre-fault-axis format.
@@ -19,10 +25,10 @@
 type entry = {
   run_id : string;
   point : Spec.point;
-  status : string;
-      (** "ok" | "failed" | "timeout" | "quarantined" (free-form on read) *)
-  error : string option;  (** failure detail when status <> "ok" *)
-  attempts : int;
+  status : string;  (** "ok" | "failed" | "timeout" (free-form on read) *)
+  error : string option;
+      (** failure detail when status = "failed": the exception and its
+          backtrace *)
   wall_s : float;
   metrics : (string * float) list;
   data : (string * string) list;

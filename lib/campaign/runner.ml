@@ -19,19 +19,16 @@ type status =
   | Run_ok
   | Run_failed of string
   | Run_timeout
-  | Run_quarantined of string
 
 let status_name = function
   | Run_ok -> "ok"
   | Run_failed _ -> "failed"
   | Run_timeout -> "timeout"
-  | Run_quarantined _ -> "quarantined"
 
 type result = {
   point : Spec.point;
   run_id : string;
   status : status;
-  attempts : int;
   wall_s : float;
   metrics : (string * float) list;
 }

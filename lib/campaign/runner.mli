@@ -12,22 +12,20 @@
 type status =
   | Run_ok
   | Run_failed of string
+      (** the run raised; the payload is the exception followed by its
+          backtrace *)
   | Run_timeout
       (** the run spent the simulator's deterministic fuel budget (the
           fuel counters become the metrics) *)
-  | Run_quarantined of string
-      (** pulled from retry after K consecutive failures; the payload
-          carries the final exception and its backtrace *)
 
 val status_name : status -> string
-(** "ok", "failed", "timeout", "quarantined". *)
+(** "ok", "failed", "timeout". *)
 
 type result = {
   point : Spec.point;
   run_id : string;
   status : status;
-  attempts : int;
-  wall_s : float;  (** host wall-clock of the final attempt *)
+  wall_s : float;  (** host wall-clock of the run *)
   metrics : (string * float) list;
       (** workload metrics plus [sim_events] and [sim_now_us];
           empty unless [status = Run_ok] *)

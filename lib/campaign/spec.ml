@@ -92,16 +92,6 @@ let cartesian ?(archs = [ Backend.X86 ]) ?(modes = [ Mode.Baseline ])
         modes)
     archs
 
-let default_merge a b =
-  { a with workload = b.workload; vcpus = b.vcpus; seed = b.seed;
-    fault = b.fault; cores = b.cores; smt = b.smt; tenants = b.tenants;
-    policy = b.policy; hosts = b.hosts }
-
-let zip ?(merge = default_merge) a b =
-  if List.length a <> List.length b then
-    invalid_arg "Spec.zip: length mismatch";
-  List.map2 merge a b
-
 (* ---- canonical naming ---- *)
 
 (* Mode and arch spellings come from [Svt_core.Mode] and [Svt_arch.Backend]

@@ -1,6 +1,6 @@
 (** Declarative description of an experiment campaign: a set of run
     points over the axes of the paper's design space (mode, level,
-    workload, vCPU count, seed), built with cartesian/zip combinators or
+    workload, vCPU count, seed), built with the cartesian combinator or
     parsed from the [svt_sim sweep] axis grammar.
 
     Every point has a stable [run_id] derived by hashing its contents,
@@ -68,13 +68,6 @@ val cartesian :
   t
 (** Full cross product of the given axes (singleton defaults as in
     {!point}). Order: archs outermost, hosts innermost. *)
-
-val zip : ?merge:(point -> point -> point) -> t -> t -> t
-(** Pointwise combination of two equal-length specs (no cross product):
-    [merge a b] defaults to taking mode and level from [a] and workload,
-    vcpus, seed and fault from [b]. Raises [Invalid_argument] on length
-    mismatch. Useful for pairing a mode×level matrix with a per-point
-    workload/seed list. *)
 
 (** {2 Stable identity} *)
 

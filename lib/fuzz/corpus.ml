@@ -51,7 +51,6 @@ let base_entry ~workload ~index ~fault ~status ~error ~metrics ~data =
     point = p;
     status;
     error;
-    attempts = 1;
     wall_s = 0.0;  (* pinned: fuzz ledgers must be byte-reproducible *)
     metrics;
     data;

@@ -26,8 +26,6 @@ module Gpa = Svt_mem.Addr.Gpa
 module Ledger = Svt_campaign.Ledger
 module Journal = Svt_campaign.Journal
 module Pool = Svt_campaign.Pool
-module Heartbeat = Svt_campaign.Heartbeat
-module Telemetry = Svt_obs.Telemetry
 
 (* --- violations ---------------------------------------------------------- *)
 
@@ -310,7 +308,7 @@ let harness_failure message =
   }
 
 let campaign ?(gen_cfg = Gen.default) ?(budget = default_budget) ?(jobs = 1)
-    ?ledger ?(resume = false) ?max_rounds ?(telemetry_every = 0)
+    ?ledger ?(resume = false) ?max_rounds
     ?(log = fun _ -> ()) ~seed ~batch () =
   let st =
     {
@@ -342,9 +340,7 @@ let campaign ?(gen_cfg = Gen.default) ?(budget = default_budget) ?(jobs = 1)
       let base = st.execs in
       let inputs = Array.init r (fun j -> gen_input ~gen_cfg ~seed st (base + j)) in
       let run =
-        Pool.map ~jobs ~retries:0
-          (fun input -> exec ~budget ~master:seed input)
-          inputs
+        Pool.map ~jobs (fun input -> exec ~budget ~master:seed input) inputs
       in
       let rows = ref [] in
       Array.iteri
@@ -405,30 +401,6 @@ let campaign ?(gen_cfg = Gen.default) ?(budget = default_budget) ?(jobs = 1)
               end)
         run.Pool.outcomes;
       st.execs <- st.execs + r;
-      (* Telemetry heartbeat, placed *before* the progress barrier so a
-         torn-journal restore (which truncates to the last complete
-         round) keeps it. Only deterministic fields — everything here is
-         a pure function of the folded round stream — so --jobs N and
-         resumed campaigns stay byte-identical with telemetry on. The
-         round ordinal is derived from [execs] (not the in-memory round
-         counter, which restarts on resume). *)
-      (let round_no = (st.execs + round_size - 1) / round_size in
-       if telemetry_every > 0 && round_no mod telemetry_every = 0 then begin
-         let telem = Telemetry.create () in
-         Telemetry.set telem "execs" (float_of_int st.execs);
-         Telemetry.set telem "kept" (float_of_int st.kept);
-         Telemetry.set telem "violations" (float_of_int st.violations);
-         Telemetry.set telem "cov_bits"
-           (float_of_int (Coverage.bits st.global));
-         Telemetry.set telem "events" (float_of_int st.events);
-         Telemetry.set telem "corpus_size"
-           (float_of_int (Corpus.size st.corpus));
-         Telemetry.set telem "rounds" (float_of_int round_no);
-         rows :=
-           Heartbeat.entry ~source:"fuzz" ~seq:round_no
-             (Telemetry.snapshot telem)
-           :: !rows
-       end);
       rows :=
         Corpus.progress_entry ~next_index:st.execs ~execs:st.execs
           ~kept:st.kept ~violations:st.violations

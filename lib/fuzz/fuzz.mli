@@ -74,7 +74,6 @@ val campaign :
   ?ledger:string ->
   ?resume:bool ->
   ?max_rounds:int ->
-  ?telemetry_every:int ->
   ?log:(string -> unit) ->
   seed:int64 ->
   batch:int ->
@@ -87,12 +86,4 @@ val campaign :
     rebuilds the corpus and global map from the kept rows without
     re-executing anything, and continues — producing a final ledger
     byte-identical to an uninterrupted run. Violating inputs are shrunk
-    in-line (deterministically) before their row is written.
-
-    [telemetry_every = n] (default 0 = off) adds a
-    {!Svt_campaign.Heartbeat} row every [n] rounds, just before the
-    round's progress barrier so torn-journal restore keeps it. Fuzz
-    heartbeats carry only fields that are pure functions of the folded
-    round stream (execs, kept, violations, cov_bits, events, corpus
-    size, round number), so ledgers stay byte-identical across [jobs]
-    and resume even with telemetry on. *)
+    in-line (deterministically) before their row is written. *)

@@ -28,23 +28,6 @@ let sink t (s : Span.t) =
 
 let dropped t = t.dropped
 
-(* JSON string escaping per RFC 8259 (control chars as \u00XX). *)
-let buf_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
 (* Microseconds with nanosecond resolution, the unit of the "ts"/"dur"
    fields. *)
 let buf_us b ns = Buffer.add_string b (Printf.sprintf "%.3f" (float_of_int ns /. 1e3))
@@ -59,7 +42,7 @@ let span_tid (s : Span.t) =
 
 let buf_event b (s : Span.t) =
   Buffer.add_string b "{\"name\":";
-  buf_string b (Span.kind_name s.Span.kind);
+  Export.buf_json_string b (Span.kind_name s.Span.kind);
   Buffer.add_string b ",\"cat\":\"svt\",\"ph\":\"X\",\"pid\":0,\"tid\":";
   Buffer.add_string b (string_of_int (span_tid s));
   Buffer.add_string b ",\"ts\":";
@@ -71,9 +54,9 @@ let buf_event b (s : Span.t) =
   List.iter
     (fun (k, v) ->
       Buffer.add_char b ',';
-      buf_string b k;
+      Export.buf_json_string b k;
       Buffer.add_char b ':';
-      buf_string b v)
+      Export.buf_json_string b v)
     s.Span.tags;
   Buffer.add_string b "}}"
 

@@ -322,25 +322,11 @@ let pp_table ?(limit = 40) ppf t =
   if List.length rows > limit then
     Format.fprintf ppf "  ... %d more paths@." (List.length rows - limit)
 
-let buf_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
 let to_json ?(extra = []) t =
   let b = Buffer.create 4096 in
   let rec node_json label (n : node) =
     Buffer.add_string b "{\"name\":";
-    buf_string b label;
+    Export.buf_json_string b label;
     Buffer.add_string b
       (Printf.sprintf ",\"calls\":%d,\"excl_ns\":%.0f,\"excl_bytes\":%.0f"
          n.calls (n.excl_s *. 1e9) (n.excl_w *. float_of_int word_bytes));
@@ -369,7 +355,7 @@ let to_json ?(extra = []) t =
   List.iter
     (fun (k, v) ->
       Buffer.add_char b ',';
-      buf_string b k;
+      Export.buf_json_string b k;
       Buffer.add_string b (Printf.sprintf ":%.17g" v))
     extra;
   Buffer.add_string b ",\"tree\":";

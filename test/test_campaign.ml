@@ -1,6 +1,6 @@
 (* Tests for the campaign subsystem: spec expansion and identity, the
-   worker pool's sequential/parallel equivalence and retry machinery,
-   and the JSONL ledger round trip. *)
+   worker pool's sequential/parallel equivalence and its one attempt per
+   task, and the JSONL ledger round trip. *)
 
 module Mode = Svt_core.Mode
 module System = Svt_core.System
@@ -30,21 +30,6 @@ let test_cartesian_counts () =
   in
   checki "1 x 2 workloads x 3 seeds" 6 (List.length spec2);
   checki "defaults are singletons" 1 (List.length (Spec.cartesian ()))
-
-let test_zip () =
-  let a = Spec.cartesian ~modes:[ Mode.Baseline; Mode.Hw_svt ] () in
-  let b =
-    [ Spec.point ~workload:"rr" Mode.Baseline;
-      Spec.point ~workload:"etc" ~vcpus:2 Mode.Baseline ]
-  in
-  let z = Spec.zip a b in
-  checki "zip length" 2 (List.length z);
-  let p1 = List.nth z 1 in
-  checkb "mode from left" true (p1.Spec.mode = Mode.Hw_svt);
-  checks "workload from right" "etc" p1.Spec.workload;
-  checki "vcpus from right" 2 p1.Spec.vcpus;
-  Alcotest.check_raises "length mismatch" (Invalid_argument "Spec.zip: length mismatch")
-    (fun () -> ignore (Spec.zip a [ Spec.point Mode.Baseline ]))
 
 let test_run_id_stable_across_orderings () =
   let spec =
@@ -128,45 +113,38 @@ let test_pool_orders_results () =
       | _ -> Alcotest.fail "unexpected pool failure")
     tasks
 
-let test_pool_retry () =
-  (* First attempt per task fails; the retry succeeds. Counters are keyed
-     per task so parallel workers never share a cell. *)
-  let attempts = Array.make 8 0 in
-  let mu = Mutex.create () in
-  let f i =
-    let n =
-      Mutex.protect mu (fun () ->
-          attempts.(i) <- attempts.(i) + 1;
-          attempts.(i))
-    in
-    if n = 1 then failwith "flaky";
-    i
-  in
-  let out = Pool.map ~jobs:2 ~retries:1 f (Array.init 8 Fun.id) in
-  Array.iteri
-    (fun i _ ->
-      let o = outcome out i in
-      checkb "retried to success" true (o.Pool.result = Ok i);
-      checki "two attempts" 2 o.Pool.attempts)
-    (Array.make 8 ());
-  (* Zero retries: the failure is final. *)
-  let always_fail _ = failwith "broken" in
-  let out = Pool.map ~jobs:1 ~retries:0 always_fail [| 0 |] in
-  checkb "failure recorded" true (Result.is_error (outcome out 0).Pool.result);
-  checki "single attempt" 1 (outcome out 0).Pool.attempts;
-  (* Exhausted retries: retries+1 attempts, still an error (keep the
-     quarantine threshold out of the way to observe pure retry). *)
-  let out = Pool.map ~jobs:1 ~retries:3 ~quarantine_after:10 always_fail [| 0 |] in
-  checki "retries exhausted" 4 (outcome out 0).Pool.attempts;
-  checkb "not quarantined below threshold" true
-    (not (outcome out 0).Pool.quarantined)
+let test_pool_one_attempt () =
+  (* Every task runs exactly once, failing or not, at any worker count.
+     Counters are keyed per task so parallel workers never share a
+     cell. *)
+  List.iter
+    (fun jobs ->
+      let calls = Array.make 8 0 in
+      let mu = Mutex.create () in
+      let f i =
+        Mutex.protect mu (fun () -> calls.(i) <- calls.(i) + 1);
+        if i mod 2 = 1 then failwith "broken";
+        i
+      in
+      let out = Pool.map ~jobs f (Array.init 8 Fun.id) in
+      Array.iteri
+        (fun i n ->
+          checki (Printf.sprintf "jobs=%d task %d called once" jobs i) 1 n;
+          let o = outcome out i in
+          if i mod 2 = 1 then begin
+            checkb "failure recorded" true (Result.is_error o.Pool.result);
+            checkb "backtrace recorded" true (o.Pool.backtrace <> None)
+          end
+          else checkb "value kept" true (o.Pool.result = Ok i))
+        calls)
+    [ 1; 2 ]
 
 let test_pool_progress_callback () =
   let seen = ref 0 in
   let fails = ref 0 in
   let f i = if i mod 3 = 0 then failwith "x" else i in
   let _ =
-    Pool.map ~jobs:4 ~retries:0
+    Pool.map ~jobs:4
       ~on_result:(fun ~index:_ o ->
         incr seen;
         if Result.is_error o.Pool.result then incr fails)
@@ -201,39 +179,44 @@ let test_seq_parallel_identical () =
       checks "byte-identical metrics" (serialize a) (serialize b))
     run1.Campaign.results run4.Campaign.results
 
-let test_campaign_retry_and_status () =
+let contains_sub s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+let test_campaign_failed_row () =
   let spec =
     Spec.cartesian ~modes:[ Mode.Baseline; Mode.Hw_svt ] ~seeds:[ 0; 1 ] ()
   in
-  (* Injected runner: every point fails once, one point fails always. *)
+  (* Injected runner: one point always fails, the others succeed. *)
   let mu = Mutex.create () in
-  let attempts = Hashtbl.create 8 in
+  let calls = Hashtbl.create 8 in
   let run (p : Spec.point) =
-    let id = Spec.run_id p in
-    let n =
-      Mutex.protect mu (fun () ->
-          let n = (try Hashtbl.find attempts id with Not_found -> 0) + 1 in
-          Hashtbl.replace attempts id n;
-          n)
-    in
+    Mutex.protect mu (fun () ->
+        let id = Spec.run_id p in
+        Hashtbl.replace calls id
+          (1 + Option.value (Hashtbl.find_opt calls id) ~default:0));
     if p.Spec.seed = 1 && p.Spec.mode = Mode.Hw_svt then failwith "always-broken";
-    if n = 1 then failwith "flaky-once";
     [ ("value", float_of_int p.Spec.seed) ]
   in
-  let o = Campaign.execute ~jobs:2 ~retries:1 ~run spec in
-  checki "three points recover" 3 o.Campaign.ok;
-  checki "one point stays failed" 1 o.Campaign.failed;
+  let o = Campaign.execute ~jobs:2 ~run spec in
+  List.iter
+    (fun p ->
+      checki "each point called once" 1 (Hashtbl.find calls (Spec.run_id p)))
+    spec;
+  checki "three points ok" 3 o.Campaign.ok;
+  checki "one point failed" 1 o.Campaign.failed;
+  checki "failed exit code" 1 (Campaign.exit_code o);
   List.iter
     (fun (r : Runner.result) ->
       match r.Runner.status with
-      | Runner.Run_ok -> checki "ok after retry" 2 r.Runner.attempts
+      | Runner.Run_ok -> ()
       | Runner.Run_failed msg ->
-          checkb "exhausted retries" true (r.Runner.attempts = 2);
-          checkb "message kept" true
-            (String.length msg > 0
-            && String.exists (fun _ -> true) msg)
-      | Runner.Run_timeout -> Alcotest.fail "unexpected timeout"
-      | Runner.Run_quarantined _ -> Alcotest.fail "unexpected quarantine")
+          checkb "message names the exception" true
+            (contains_sub msg "always-broken");
+          checkb "message carries the backtrace" true
+            (contains_sub msg "Raised at")
+      | Runner.Run_timeout -> Alcotest.fail "unexpected timeout")
     o.Campaign.results
 
 (* --- Ledger -------------------------------------------------------------- *)
@@ -267,7 +250,6 @@ let test_ledger_round_trip () =
           checks "run_id" a.Ledger.run_id b.Ledger.run_id;
           checkb "point" true (a.Ledger.point = b.Ledger.point);
           checks "status" a.Ledger.status b.Ledger.status;
-          checki "attempts" a.Ledger.attempts b.Ledger.attempts;
           checki "metric count" (List.length a.Ledger.metrics)
             (List.length b.Ledger.metrics);
           List.iter2
@@ -320,7 +302,6 @@ let test_ledger_mode_compat () =
       point;
       status = "ok";
       error = None;
-      attempts = 1;
       wall_s = 0.0;
       metrics = [ ("per_op_us", 2.4) ];
       data = [];
@@ -365,18 +346,12 @@ let test_ledger_arch_compat () =
       point;
       status = "ok";
       error = None;
-      attempts = 1;
       wall_s = 0.0;
       metrics = [ ("per_op_us", 2.4) ];
       data = [];
     }
   in
   (* x86 rows keep the v3 wire format byte-for-byte: no arch key *)
-  let contains_sub s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
   let x86_line = Ledger.line_of_entry_crc (entry x86) in
   checkb "x86 row has no arch field" false (contains_sub x86_line "arch");
   (* an ARM row round-trips byte-stably with its arch field *)
@@ -429,7 +404,6 @@ let test_paper_speedup_pairs () =
       point;
       status = "ok";
       error = None;
-      attempts = 1;
       wall_s = 0.0;
       metrics = [ (metric, v) ];
       data = [];
@@ -589,7 +563,6 @@ let test_number_round_trip () =
       point;
       status = "ok";
       error = None;
-      attempts = 1;
       wall_s = 0.125;
       metrics = List.mapi (fun i v -> (Printf.sprintf "m%02d" i, v)) values;
       data = [];
@@ -616,7 +589,9 @@ let test_journal_checkpointing () =
   let r = Ledger.recover path in
   checki "all rows durable after close" (List.length entries) r.Ledger.salvaged;
   (* Append mode: a second journal continues the file. *)
-  Journal.with_journal path (fun j -> List.iter (Journal.append j) entries);
+  let j = Journal.create path in
+  List.iter (Journal.append j) entries;
+  Journal.close j;
   checki "appended" (2 * List.length entries) (Ledger.recover path).Ledger.salvaged;
   (* Atomic rewrite replaces content. *)
   Journal.rewrite path entries;
@@ -626,34 +601,12 @@ let test_journal_checkpointing () =
 
 (* --- Pool supervision ----------------------------------------------------- *)
 
-let test_pool_quarantine () =
-  let always_fail _ = failwith "deterministic-crash" in
-  let out = Pool.map ~jobs:1 ~retries:10 ~quarantine_after:3 always_fail [| 0 |] in
-  let o = outcome out 0 in
-  checkb "error kept" true (Result.is_error o.Pool.result);
-  checkb "quarantined" true o.Pool.quarantined;
-  checki "pulled after K consecutive failures" 3 o.Pool.attempts
-
-let test_pool_fatal_not_retried () =
-  let fatal_exn = Svt_engine.Simulator.Budget_exhausted
-      { events = 7; now = Svt_engine.Time.zero;
-        max_events = 7 } in
-  let f _ = raise fatal_exn in
-  let out =
-    Pool.map ~jobs:1 ~retries:5
-      ~fatal:(function Svt_engine.Simulator.Budget_exhausted _ -> true | _ -> false)
-      f [| 0 |]
-  in
-  let o = outcome out 0 in
-  checki "fatal means one attempt" 1 o.Pool.attempts;
-  checkb "not quarantined" true (not o.Pool.quarantined)
-
 let test_pool_callback_crash_isolated () =
   (* A hostile on_result must not kill the worker domain (the old code
      deadlocked Domain.join) nor lose the other tasks' outcomes. *)
   let f x = x + 1 in
   let out =
-    Pool.map ~jobs:4 ~retries:0
+    Pool.map ~jobs:4
       ~on_result:(fun ~index o ->
         if index = 3 && o.Pool.result = Ok 4 then failwith "hostile callback")
       f (Array.init 12 Fun.id)
@@ -679,13 +632,7 @@ let test_pool_stop_after () =
   checki "no surplus rows" 5 !filled;
   (* A limit >= n is not an interruption. *)
   let out = Pool.map ~jobs:1 ~stop_after:20 Fun.id (Array.init 20 Fun.id) in
-  checkb "full run not early" true (not out.Pool.stopped_early);
-  (* Worker stats exist and carry heartbeats. *)
-  checkb "workers reported" true (out.Pool.workers <> []);
-  List.iter
-    (fun (w : Pool.worker_stats) ->
-      checkb "heartbeat stamped" true (w.Pool.last_beat > 0.0))
-    out.Pool.workers
+  checkb "full run not early" true (not out.Pool.stopped_early)
 
 (* --- Campaign: interrupt / resume equivalence ----------------------------- *)
 
@@ -807,6 +754,48 @@ let test_resume_survives_torn_tail () =
   | Error e -> Alcotest.fail e);
   Sys.remove path
 
+(* Rows pinned verbatim from ledgers written while failed runs were
+   retried and sweeps could stream heartbeats: a run quarantined after
+   two attempts, and a heartbeat row (workload "telemetry"). Both still
+   parse; resume re-runs the quarantined point and drops the heartbeat,
+   converging on the ledger of a fresh campaign. *)
+let legacy_quarantined =
+  {|{"run_id":"67ab1dfaa4d57223","mode":"baseline","level":"l2","workload":"nope","vcpus":1,"seed":0,"cores":1,"smt_per_core":2,"tenants":1,"hosts":1,"status":"quarantined","error":"Failure(\"unknown workload \\\"nope\\\" (expected one of cpuid, rr, stream, ioping, fio, etc, tpcc, video, spin, consolidate, cluster)\")\nRaised at Stdlib.failwith in file \"stdlib.ml\", line 29, characters 17-33\nCalled from Svt_campaign__Runner.exec in file \"lib/campaign/runner.ml\", line 258, characters 16-38\nCalled from Svt_campaign__Pool.run_task.go in file \"lib/campaign/pool.ml\", line 51, characters 24-32","attempts":2,"wall_s":0,"metrics":{},"crc":"7032ed53"}|}
+
+let legacy_heartbeat =
+  {|{"run_id":"d2031fb57bcf15f5","mode":"baseline","level":"l2","workload":"telemetry","vcpus":1,"seed":0,"cores":1,"smt_per_core":2,"tenants":1,"hosts":1,"status":"ok","attempts":1,"wall_s":0,"metrics":{"ok":1,"rows":1,"sim_events":1009},"data":{"telemetry":"sweep"},"crc":"ab663154"}|}
+
+let test_legacy_rows () =
+  let nope = Spec.point ~workload:"nope" Mode.Baseline in
+  (match Ledger.entry_of_line legacy_quarantined with
+  | Error e -> Alcotest.fail e
+  | Ok e ->
+      checks "quarantined status kept" "quarantined" e.Ledger.status;
+      checkb "point survives" true (e.Ledger.point = nope);
+      checks "run_id matches the point" (Spec.run_id nope) e.Ledger.run_id);
+  (match Ledger.entry_of_line legacy_heartbeat with
+  | Error e -> Alcotest.fail e
+  | Ok e ->
+      checks "heartbeat workload" "telemetry" e.Ledger.point.Spec.workload);
+  let spec = [ nope; Spec.point ~seed:1 Mode.Baseline ] in
+  let fresh = temp_ledger () and old = temp_ledger () in
+  Sys.remove fresh;
+  let _ =
+    Campaign.execute ~jobs:1 ~deterministic:true ~ledger:fresh ~run:det_run spec
+  in
+  let oc = open_out_bin old in
+  output_string oc (legacy_quarantined ^ "\n" ^ legacy_heartbeat ^ "\n");
+  close_out oc;
+  let resumed =
+    Campaign.execute ~jobs:1 ~resume:true ~deterministic:true ~ledger:old
+      ~run:det_run spec
+  in
+  checki "nothing reused" 0 resumed.Campaign.reused;
+  checki "quarantined point re-run" 2 resumed.Campaign.ok;
+  checks "resumed ledger == fresh ledger" (read_file fresh) (read_file old);
+  Sys.remove fresh;
+  Sys.remove old
+
 (* The deliberately hung workload: an unbounded reflection loop that only
    the simulator fuel budget can end, surfacing as a timeout row. *)
 let test_fuel_budget_cuts_hung_workload () =
@@ -814,9 +803,12 @@ let test_fuel_budget_cuts_hung_workload () =
     Spec.cartesian ~modes:[ Mode.Baseline ] ~workloads:[ "spin" ]
       ~levels:[ Svt_core.System.L2_nested ] ()
   in
+  let calls = ref 0 in
   let o =
-    Campaign.execute ~jobs:1 ~retries:3
-      ~run:(fun p -> Runner.exec ~max_sim_events:20_000 p)
+    Campaign.execute ~jobs:1
+      ~run:(fun p ->
+        incr calls;
+        Runner.exec ~max_sim_events:20_000 p)
       spec
   in
   checki "hung run recorded" 1 (List.length o.Campaign.results);
@@ -826,11 +818,34 @@ let test_fuel_budget_cuts_hung_workload () =
   (match r.Runner.status with
   | Runner.Run_timeout -> ()
   | s -> Alcotest.fail ("expected timeout, got " ^ Runner.status_name s));
-  checki "fuel exhaustion is fatal: no retries" 1 r.Runner.attempts;
+  checki "run once" 1 !calls;
   checkb "fuel counter in metrics" true
     (List.assoc "sim_events" r.Runner.metrics = 20_000.0);
   checkb "budget recorded" true
     (List.assoc "budget.max_events" r.Runner.metrics = 20_000.0)
+
+(* Failed rows carry a backtrace, and backtrace recording is per
+   domain: a real sweep with failing points (an unknown workload, and a
+   stack fault on the host-shaped cluster workload) must still write the
+   same ledger bytes at every worker count. *)
+let test_failed_rows_jobs_deterministic () =
+  let spec =
+    Spec.cartesian ~workloads:[ "nope"; "cluster"; "cpuid" ]
+      ~faults:[ ""; "drop-ring:0.1" ] ()
+  in
+  let ledger jobs =
+    let path = temp_ledger () in
+    Sys.remove path;
+    let o = Campaign.execute ~jobs ~deterministic:true ~ledger:path spec in
+    checki "failed rows" 3 o.Campaign.failed;
+    let s = read_file path in
+    Sys.remove path;
+    s
+  in
+  let j1 = ledger 1 in
+  checkb "backtraces recorded" true (contains_sub j1 "Raised at");
+  checks "jobs=2 ledger identical" j1 (ledger 2);
+  checks "jobs=4 ledger identical" j1 (ledger 4)
 
 (* trace and profile drive one stack, so they accept only the stack-shaped
    workloads; asking one stack to run a host-shaped workload says why. *)
@@ -849,104 +864,6 @@ let test_host_shaped_workloads () =
                ~prefix:(Printf.sprintf "workload %S is host-shaped" workload)
                msg))
     [ "consolidate"; "cluster" ]
-
-(* --- Telemetry heartbeats in the ledger ----------------------------------- *)
-
-module Heartbeat = Svt_campaign.Heartbeat
-
-(* Heartbeat rows are ordinary ledger entries (workload "telemetry") and
-   must survive the same crash-recovery path as result rows: write a mix
-   of run rows and heartbeats, tear the journal mid-line, and require
-   [Ledger.recover] to hand back every heartbeat whose line text survived
-   the cut — with source tag and metric payload intact. *)
-let test_heartbeat_recover_torn_journal () =
-  let path = temp_ledger () in
-  Sys.remove path;
-  let runs = List.map Ledger.entry_of_result (sample_results ()) in
-  let hb seq =
-    Heartbeat.entry ~source:"sweep" ~seq
-      [ ("rows", float_of_int (seq * 10)); ("ok", float_of_int (seq * 9)) ]
-  in
-  (* run; hb 0; run; hb 1 — heartbeats interleave with result rows. *)
-  let entries =
-    match runs with
-    | [ a; b ] -> [ a; hb 0; b; hb 1 ]
-    | _ -> Alcotest.fail "expected 2 sample results"
-  in
-  Journal.rewrite path entries;
-  (* Clean recovery first: both heartbeats parse back and identify. *)
-  let r = Ledger.recover path in
-  checki "all rows salvaged" 4 r.Ledger.salvaged;
-  let hbs = List.filter Heartbeat.is_heartbeat r.Ledger.entries in
-  checki "both heartbeats identified" 2 (List.length hbs);
-  List.iteri
-    (fun i (e : Ledger.entry) ->
-      checkb "source tag survives" true (Heartbeat.source e = Some "sweep");
-      checki "seq carried in seed" i e.Ledger.point.Spec.seed;
-      checkb "metrics survive" true
-        (Ledger.metric e "rows" = float_of_int (i * 10)
-        && Ledger.metric e "ok" = float_of_int (i * 9)))
-    hbs;
-  checkb "run rows not misclassified" true
-    (not (List.exists Heartbeat.is_heartbeat runs));
-  (* Tear the final heartbeat's line mid-row, as a crash would. *)
-  let bytes = read_file path in
-  let oc = open_out_bin path in
-  output_string oc (String.sub bytes 0 (String.length bytes - 9));
-  close_out oc;
-  let r = Ledger.recover path in
-  checki "torn row dropped, prefix kept" 3 r.Ledger.salvaged;
-  checkb "damage reported" true (r.Ledger.dropped_bytes > 0);
-  (match List.filter Heartbeat.is_heartbeat r.Ledger.entries with
-  | [ survivor ] ->
-      checkb "surviving heartbeat intact" true
-        (Heartbeat.source survivor = Some "sweep"
-        && Ledger.metric survivor "rows" = 0.0)
-  | hbs ->
-      Alcotest.fail
-        (Printf.sprintf "expected 1 surviving heartbeat, got %d"
-           (List.length hbs)));
-  Sys.remove path
-
-(* End-to-end: a deterministic sweep with --telemetry-every emits
-   heartbeat rows into the ledger, and the canonical clean-completion
-   rewrite keeps them after the result rows. *)
-let test_campaign_emits_heartbeats () =
-  let spec =
-    Spec.cartesian ~modes:[ Mode.Baseline; Mode.Hw_svt ] ~seeds:[ 0; 1 ] ()
-  in
-  let path = temp_ledger () in
-  Sys.remove path;
-  let o =
-    Campaign.execute ~jobs:1 ~deterministic:true ~ledger:path
-      ~telemetry_every:2 ~run:det_run spec
-  in
-  checki "all ok" 4 o.Campaign.ok;
-  (match Ledger.load path with
-  | Error e -> Alcotest.fail e
-  | Ok rows ->
-      let hbs, results = List.partition Heartbeat.is_heartbeat rows in
-      checki "result rows" 4 (List.length results);
-      checki "one heartbeat per 2 rows" 2 (List.length hbs);
-      List.iter
-        (fun (e : Ledger.entry) ->
-          checkb "tagged as sweep telemetry" true
-            (Heartbeat.source e = Some "sweep");
-          checkb "counts rows" true (Ledger.metric e "rows" > 0.0);
-          checkb "deterministic: no wall-clock fields" true
-            (Float.is_nan (Ledger.metric e "elapsed_s")))
-        hbs);
-  (* Heartbeats fold results along the spec-order frontier, so the
-     health trace must not depend on the worker count. *)
-  let path2 = temp_ledger () in
-  Sys.remove path2;
-  let _ =
-    Campaign.execute ~jobs:2 ~deterministic:true ~ledger:path2
-      ~telemetry_every:2 ~run:det_run spec
-  in
-  checks "heartbeats identical across jobs" (read_file path) (read_file path2);
-  Sys.remove path2;
-  Sys.remove path
 
 (* --- end-to-end: sweep writes a ledger the reader accepts ---------------- *)
 
@@ -971,7 +888,6 @@ let () =
       ( "spec",
         [
           Alcotest.test_case "cartesian counts" `Quick test_cartesian_counts;
-          Alcotest.test_case "zip" `Quick test_zip;
           Alcotest.test_case "run_id stability" `Quick
             test_run_id_stable_across_orderings;
           Alcotest.test_case "mode round trip" `Quick test_mode_round_trip;
@@ -980,13 +896,10 @@ let () =
       ( "pool",
         [
           Alcotest.test_case "ordered results" `Quick test_pool_orders_results;
-          Alcotest.test_case "retry" `Quick test_pool_retry;
+          Alcotest.test_case "one attempt per task" `Quick
+            test_pool_one_attempt;
           Alcotest.test_case "progress callback" `Quick
             test_pool_progress_callback;
-          Alcotest.test_case "quarantine after K failures" `Quick
-            test_pool_quarantine;
-          Alcotest.test_case "fatal errors skip retry" `Quick
-            test_pool_fatal_not_retried;
           Alcotest.test_case "callback crash isolated" `Quick
             test_pool_callback_crash_isolated;
           Alcotest.test_case "row limit stops early" `Quick
@@ -996,8 +909,10 @@ let () =
         [
           Alcotest.test_case "jobs=1 vs jobs=4 identical" `Quick
             test_seq_parallel_identical;
-          Alcotest.test_case "retry and status" `Quick
-            test_campaign_retry_and_status;
+          Alcotest.test_case "failed row, one call per point" `Quick
+            test_campaign_failed_row;
+          Alcotest.test_case "failed rows byte-identical across jobs" `Quick
+            test_failed_rows_jobs_deterministic;
           Alcotest.test_case "writes a loadable ledger" `Quick
             test_campaign_writes_ledger;
           Alcotest.test_case "interrupt/resume equivalence" `Quick
@@ -1011,13 +926,6 @@ let () =
           Alcotest.test_case "host-shaped workloads need exec" `Quick
             test_host_shaped_workloads;
         ] );
-      ( "telemetry",
-        [
-          Alcotest.test_case "heartbeats recover from torn journal" `Quick
-            test_heartbeat_recover_torn_journal;
-          Alcotest.test_case "sweep emits heartbeat rows" `Quick
-            test_campaign_emits_heartbeats;
-        ] );
       ( "ledger",
         [
           Alcotest.test_case "round trip" `Quick test_ledger_round_trip;
@@ -1025,6 +933,8 @@ let () =
             test_ledger_mode_compat;
           Alcotest.test_case "arch compat (schema v4)" `Quick
             test_ledger_arch_compat;
+          Alcotest.test_case "legacy quarantined and heartbeat rows" `Quick
+            test_legacy_rows;
           Alcotest.test_case "arch axis byte-deterministic across jobs" `Quick
             test_ledger_arch_axis_jobs_deterministic;
           Alcotest.test_case "rejects garbage" `Quick test_ledger_rejects_garbage;

@@ -406,7 +406,6 @@ let test_ledger_hosts_field () =
       point = fleet;
       status = "ok";
       error = None;
-      attempts = 1;
       wall_s = 0.0;
       metrics = [];
       data = [];

@@ -271,6 +271,46 @@ let test_campaign_resume_torn_journal () =
   Sys.remove full;
   Sys.remove torn
 
+(* Older fuzz journals carry a heartbeat row (workload "telemetry")
+   before each round's progress barrier. The line below is pinned
+   verbatim from such a journal (seed 7, round 1). Resume must skip it:
+   the corpus it rebuilds, and every row it writes after it, match an
+   uninterrupted campaign. *)
+let legacy_fuzz_heartbeat =
+  {|{"run_id":"43fdcb4457fbeda2","mode":"baseline","level":"l2","workload":"telemetry","vcpus":1,"seed":1,"cores":1,"smt_per_core":2,"tenants":1,"hosts":1,"status":"ok","attempts":1,"wall_s":0,"metrics":{"corpus_size":5,"cov_bits":59,"events":10876,"execs":8,"kept":5,"rounds":1,"violations":0},"data":{"telemetry":"fuzz"},"crc":"2cf3a034"}|}
+
+let test_campaign_resume_legacy_heartbeat () =
+  let full = tmp "hb-full.jsonl" and cut = tmp "hb-cut.jsonl" in
+  let s_full = Fuzz.campaign ~ledger:full ~seed:7L ~batch:24 () in
+  let _ = Fuzz.campaign ~ledger:cut ~seed:7L ~batch:24 ~max_rounds:1 () in
+  (* put the heartbeat where the older writer did: just before the
+     round's progress barrier, the journal's last line *)
+  let lines = String.split_on_char '\n' (String.trim (read_file cut)) in
+  let n = List.length lines in
+  let with_hb =
+    List.concat
+      (List.mapi
+         (fun i l -> if i = n - 1 then [ legacy_fuzz_heartbeat; l ] else [ l ])
+         lines)
+  in
+  let oc = open_out_bin cut in
+  List.iter (fun l -> output_string oc (l ^ "\n")) with_hb;
+  close_out oc;
+  let r = Fuzz.campaign ~ledger:cut ~resume:true ~seed:7L ~batch:24 () in
+  checki "same execs" s_full.Fuzz.execs r.Fuzz.execs;
+  checki "same kept" s_full.Fuzz.kept r.Fuzz.kept;
+  checki "same coverage" s_full.Fuzz.cov_bits r.Fuzz.cov_bits;
+  checki "same events" s_full.Fuzz.events r.Fuzz.events;
+  let without_hb =
+    String.split_on_char '\n' (read_file cut)
+    |> List.filter (fun l -> l <> legacy_fuzz_heartbeat)
+    |> String.concat "\n"
+  in
+  checks "rows after the heartbeat match an uninterrupted run"
+    (read_file full) without_hb;
+  Sys.remove full;
+  Sys.remove cut
+
 (* --- seeded violations end to end ------------------------------------------- *)
 
 let test_campaign_finds_and_shrinks_deadlock () =
@@ -377,6 +417,8 @@ let () =
             test_campaign_resume_deterministic;
           Alcotest.test_case "torn journal resume" `Quick
             test_campaign_resume_torn_journal;
+          Alcotest.test_case "resume skips legacy heartbeat" `Quick
+            test_campaign_resume_legacy_heartbeat;
           Alcotest.test_case "finds and shrinks deadlocks" `Quick
             test_campaign_finds_and_shrinks_deadlock;
           Alcotest.test_case "vmcs poke crash reproducer" `Quick

@@ -200,7 +200,6 @@ let test_ledger_round_trip () =
       point;
       status = "ok";
       error = None;
-      attempts = 1;
       wall_s = 0.01;
       metrics = ("per_op_us", 10.3) :: obs_fields;
       data = [];

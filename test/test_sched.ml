@@ -362,7 +362,6 @@ let test_ledger_schema_v2_round_trip () =
       point;
       status = "ok";
       error = None;
-      attempts = 1;
       wall_s = 0.0;
       metrics = [ ("sched.aggregate_kops", 21.5) ];
       data = [];
