@@ -299,8 +299,6 @@ let record_and_reflect t (info : Svt_hyp.Exit.info) =
 let baseline_completion t info ~effect =
   (* ③ load vmcs01, inject the trap for L1, prepare L1's world *)
   charge t Breakdown.L0_handler t.cost.vmptrld;
-  Vmcs.set_current t.vmcs02 false;
-  Vmcs.set_current t.vmcs01 true;
   charge t Breakdown.L0_handler t.cost.l0_inject_exit_info;
   charge t Breakdown.L0_handler
     (Time.of_ns (Time.to_ns t.cost.l0_ctx_mgmt_l1 / 2));
@@ -319,8 +317,6 @@ let baseline_completion t info ~effect =
   charge t Breakdown.L0_handler
     (Time.of_ns (Time.to_ns t.cost.l0_ctx_mgmt_l1 - Time.to_ns t.cost.l0_ctx_mgmt_l1 / 2));
   charge t Breakdown.L0_handler t.cost.vmptrld;
-  Vmcs.set_current t.vmcs01 false;
-  Vmcs.set_current t.vmcs02 true;
   charge t Breakdown.L0_handler
     (Time.of_ns (Time.to_ns t.cost.l0_ctx_mgmt_l2 - Time.to_ns t.cost.l0_ctx_mgmt_l2 / 2));
   (* ② vmcs12 → vmcs02 *)
@@ -558,7 +554,6 @@ let handle_hw_svt t info ~effect =
   record_and_reflect t info;
   charge t Breakdown.L0_handler t.cost.vmptrld;
   Svt_fields.vmptrld t.core t.vmcs01;
-  Vmcs.set_current t.vmcs02 false;
   charge t Breakdown.L0_handler t.cost.l0_inject_exit_info;
   (* ④ resume into L1's hardware context; when L1 and L2 multiplex one
      context (§3.1), its register state must be reloaded first *)
@@ -580,7 +575,6 @@ let handle_hw_svt t info ~effect =
   ctxt_access_bulk t;
   charge t Breakdown.L0_handler t.cost.vmptrld;
   Svt_fields.vmptrld t.core t.vmcs02;
-  Vmcs.set_current t.vmcs01 false;
   (* ② *)
   guarded_transform_entry t;
   (* ① resume L2's context *)
@@ -690,8 +684,6 @@ let create ?injector ~machine ~mode ~vcpu ~l1_vm ~script () =
   ignore
     (Transform.entry ~vmcs12 ~vmcs02 ~l1_ept:t.l1_ept
        ~l0_ept_pointer:t.l0_ept_pointer);
-  Vmcs.set_current vmcs02 true;
-  Vmcs.set_launched vmcs02 true;
   t
 
 (* Spawn the SVt-thread (SW SVt only); call once after [create]. *)

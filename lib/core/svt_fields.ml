@@ -54,6 +54,5 @@ let nested vmcs = Int64.to_int (Vmcs.peek vmcs Field.Svt_nested)
 
 (* VMPTRLD: load the cached µ-registers from the VMCS (paper §4 step B). *)
 let vmptrld core vmcs =
-  Vmcs.set_current vmcs true;
   Smt_core.load_svt_fields core ~visor:(visor vmcs) ~vm:(vm vmcs)
     ~nested:(nested vmcs)

@@ -67,20 +67,58 @@ let all =
     Guest_interruptibility; Guest_activity_state; Host_rip; Host_rsp;
     Host_cr0; Host_cr3; Host_cr4; Host_efer; Svt_visor; Svt_vm; Svt_nested ]
 
+(* The field's position in [all]; [Vmcs] stores field values in an array
+   at this index and its dirty set as a bitmask over it. *)
+let index = function
+  | Vpid -> 0
+  | Exit_reason -> 1
+  | Exit_qualification -> 2
+  | Exit_interrupt_info -> 3
+  | Entry_interrupt_info -> 4
+  | Instruction_length -> 5
+  | Pin_based_controls -> 6
+  | Cpu_based_controls -> 7
+  | Secondary_controls -> 8
+  | Exception_bitmap -> 9
+  | Entry_controls -> 10
+  | Exit_controls -> 11
+  | Preemption_timer_value -> 12
+  | Ept_pointer -> 13
+  | Io_bitmap_a -> 14
+  | Io_bitmap_b -> 15
+  | Msr_bitmap -> 16
+  | Apic_access_addr -> 17
+  | Virtual_apic_page -> 18
+  | Posted_interrupt_desc -> 19
+  | Vmcs_link_pointer -> 20
+  | Guest_rip -> 21
+  | Guest_rsp -> 22
+  | Guest_rflags -> 23
+  | Guest_cr0 -> 24
+  | Guest_cr3 -> 25
+  | Guest_cr4 -> 26
+  | Guest_efer -> 27
+  | Guest_gdtr_base -> 28
+  | Guest_idtr_base -> 29
+  | Guest_cs_base -> 30
+  | Guest_ss_base -> 31
+  | Guest_interruptibility -> 32
+  | Guest_activity_state -> 33
+  | Host_rip -> 34
+  | Host_rsp -> 35
+  | Host_cr0 -> 36
+  | Host_cr3 -> 37
+  | Host_cr4 -> 38
+  | Host_efer -> 39
+  | Svt_visor -> 40
+  | Svt_vm -> 41
+  | Svt_nested -> 42
+
 (* Encodings in the style of the Intel layout: index within a class plus
    width/class bits. The SVt fields slot into spare control-class indices,
    matching the paper's claim that "the current VMCS layout allows fitting
    our three fields" (§5.1). *)
-let encode f =
-  let idx =
-    let rec find i = function
-      | [] -> assert false
-      | g :: _ when g = f -> i
-      | _ :: rest -> find (i + 1) rest
-    in
-    find 0 all
-  in
-  0x2000 lor idx
+let encode f = 0x2000 lor index f
 
 (* Fields holding physical addresses that a guest hypervisor fills with
    *its* guest-physical values; L0 must translate them to host-physical
@@ -188,5 +226,4 @@ let name f =
   | Svt_vm -> "SVT_VM"
   | Svt_nested -> "SVT_NESTED"
 
-let compare = Stdlib.compare
-let equal = ( = )
+let equal a b = Int.equal (index a) (index b)

@@ -56,6 +56,9 @@ type t =
 
 val all : t list
 
+val index : t -> int
+(** The field's position in {!all}, from 0. *)
+
 val encode : t -> int
 (** Intel-style encoding: index within a class plus width/class bits. The
     SVt fields slot into spare control-class indices (§5.1). *)
@@ -78,5 +81,4 @@ val valid_for : Svt_arch.Backend.kind -> t -> bool
 (** Field validity on an architecture backend. *)
 
 val name : t -> string
-val compare : t -> t -> int
 val equal : t -> t -> bool

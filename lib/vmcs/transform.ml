@@ -67,20 +67,19 @@ let entry ~vmcs12 ~vmcs02 ~l1_ept ~l0_ept_pointer =
   { fields_copied = !copied; pointers_translated = !translated;
     controls_merged = !merged }
 
+(* The fields the exit transform reflects: exit information and guest
+   state, in [Field.all] order. *)
+let exit_fields =
+  List.filter (fun f -> Field.is_exit_info f || Field.is_guest_state f) Field.all
+
 (* Reflect hardware-written exit state from vmcs02 back into vmcs12 after
    an L2 exit (the "exit" transform, Algorithm 1 line 3), so L1 sees the
    trap as if its own hardware had taken it. *)
 let exit ~vmcs02 ~vmcs12 =
-  let copied = ref 0 in
-  List.iter
-    (fun f ->
-      if Field.is_exit_info f || Field.is_guest_state f then begin
-        Vmcs.write vmcs12 f (Vmcs.peek vmcs02 f);
-        incr copied
-      end)
-    Field.all;
+  List.iter (fun f -> Vmcs.write vmcs12 f (Vmcs.peek vmcs02 f)) exit_fields;
   Vmcs.clean vmcs02;
-  { fields_copied = !copied; pointers_translated = 0; controls_merged = 0 }
+  { fields_copied = List.length exit_fields; pointers_translated = 0;
+    controls_merged = 0 }
 
 (* Cost of a transform in the calibrated model, from the amount of work
    actually performed. *)

@@ -3,57 +3,58 @@
    vmcs01 (L0's descriptor for L1), vmcs01' (L1's own descriptor for L2,
    which L0 sees as vmcs12), and vmcs02 (L0's descriptor used to actually
    run L2). Dirty-field tracking feeds the transform cost model: only
-   fields written since the last transform need to be copied/translated. *)
+   fields written since the last transform need to be copied/translated.
 
-module Fmap = Map.Make (Field)
-
-type role = {
-  owner_level : int; (* hypervisor level managing this VMCS *)
-  subject_level : int; (* VM level it represents *)
-}
+   Field values live in an array indexed by [Field.index]. The dirty set
+   is kept twice: as a bitmask over the same index, for the membership
+   test on every write, and as a newest-first list, because that order is
+   the order the entry transform copies (and so validates) fields in. *)
 
 type t = {
-  role : role;
   label : string; (* e.g. "vmcs02" or "vmcs01'" *)
-  mutable fields : int64 Fmap.t;
-  mutable dirty : Field.t list; (* fields written since last clean *)
-  mutable launched : bool; (* VMLAUNCH happened (vs VMRESUME) *)
-  mutable current : bool; (* loaded by VMPTRLD on some CPU *)
+  values : int64 array;
+  mutable dirty : Field.t list; (* fields first written since last clean *)
+  mutable dirty_mask : int; (* bit [Field.index f] set iff [f] is in [dirty] *)
 }
 
-let label_for role =
-  Printf.sprintf "vmcs%d%d" role.owner_level role.subject_level
+let n_fields = List.length Field.all
 
 let create ?label ~owner_level ~subject_level () =
   (* vmcs01, vmcs12 describe the next level down; vmcs02 (owner 0,
      subject 2) is L0's descriptor that actually runs the nested VM. *)
   if subject_level <= owner_level then
     invalid_arg "Vmcs.create: subject level must be below the owner";
-  let role = { owner_level; subject_level } in
   {
-    role;
-    label = (match label with Some l -> l | None -> label_for role);
-    fields = Fmap.empty;
+    label =
+      (match label with
+      | Some l -> l
+      | None -> Printf.sprintf "vmcs%d%d" owner_level subject_level);
+    values = Array.make n_fields 0L;
     dirty = [];
-    launched = false;
-    current = false;
+    dirty_mask = 0;
   }
 
 let label t = t.label
 
-let read t f = Option.value ~default:0L (Fmap.find_opt f t.fields)
+let read t f = t.values.(Field.index f)
 
 (* The same read, for internal bookkeeping paths. *)
 let peek = read
 
 let write t f v =
-  t.fields <- Fmap.add f v t.fields;
-  if not (List.exists (Field.equal f) t.dirty) then t.dirty <- f :: t.dirty
+  let i = Field.index f in
+  t.values.(i) <- v;
+  let bit = 1 lsl i in
+  if t.dirty_mask land bit = 0 then begin
+    t.dirty_mask <- t.dirty_mask lor bit;
+    t.dirty <- f :: t.dirty
+  end
 
 let dirty_fields t = t.dirty
-let clean t = t.dirty <- []
-let set_launched t b = t.launched <- b
-let set_current t b = t.current <- b
+
+let clean t =
+  t.dirty <- [];
+  t.dirty_mask <- 0
 
 (* Record exit information, as the hardware does on a VM trap. *)
 let record_exit t ~reason ~qualification ~instruction_length =

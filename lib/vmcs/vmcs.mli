@@ -7,8 +7,6 @@
     feeds the transform cost model: only fields written since the last
     transform need copying. *)
 
-type role = { owner_level : int; subject_level : int }
-
 type t
 
 val create : ?label:string -> owner_level:int -> subject_level:int -> unit -> t
@@ -27,11 +25,9 @@ val write : t -> Field.t -> int64 -> unit
 (** Marks the field dirty. *)
 
 val dirty_fields : t -> Field.t list
-val clean : t -> unit
-val set_launched : t -> bool -> unit
+(** The fields first written since the last {!clean}, newest first. *)
 
-val set_current : t -> bool -> unit
-(** Whether this VMCS is loaded (VMPTRLD) on some CPU. *)
+val clean : t -> unit
 
 val record_exit :
   t ->

@@ -137,6 +137,81 @@ let prop_transform_incremental =
       in
       second.Svt_vmcs.Transform.fields_copied = 0 && copied_match)
 
+(* The flat VMCS against a list-based reference with the semantics of the
+   original map-backed one: an assoc list whose unset fields read 0, and a
+   newest-first dirty list holding each field first written since the last
+   clean. The dirty order is part of the contract: the entry transform
+   copies, and so validates, fields in that order. *)
+type vmcs_op =
+  | Write of Field.t * int64
+  | Clean
+  | Record_exit of Exit_reason.t * int64 * int
+  | Read of Field.t
+
+let pp_vmcs_op = function
+  | Write (f, v) -> Printf.sprintf "write %s %Ld" (Field.name f) v
+  | Clean -> "clean"
+  | Record_exit (r, q, l) ->
+      Printf.sprintf "record_exit %s %Ld %d" (Exit_reason.name r) q l
+  | Read f -> "read " ^ Field.name f
+
+let gen_vmcs_op =
+  let open QCheck.Gen in
+  let field = oneofl Field.all in
+  frequency
+    [
+      (6, map2 (fun f v -> Write (f, v)) field ui64);
+      (1, return Clean);
+      ( 1,
+        map3
+          (fun r q l -> Record_exit (r, q, l))
+          (oneofl Exit_reason.all) ui64 (int_bound 15) );
+      (2, map (fun f -> Read f) field);
+    ]
+
+module Ref_vmcs = struct
+  type t = { mutable fields : (Field.t * int64) list; mutable dirty : Field.t list }
+
+  let create () = { fields = []; dirty = [] }
+  let read t f = Option.value ~default:0L (List.assoc_opt f t.fields)
+
+  let write t f v =
+    t.fields <- (f, v) :: List.remove_assoc f t.fields;
+    if not (List.mem f t.dirty) then t.dirty <- f :: t.dirty
+
+  let clean t = t.dirty <- []
+
+  let record_exit t reason q len =
+    write t Field.Exit_reason (Int64.of_int (Exit_reason.basic_number reason));
+    write t Field.Exit_qualification q;
+    write t Field.Instruction_length (Int64.of_int len)
+end
+
+let prop_vmcs_matches_reference =
+  QCheck.Test.make ~name:"vmcs matches the list reference" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_vmcs_op ops))
+       QCheck.Gen.(list_size (int_range 0 60) gen_vmcs_op))
+    (fun ops ->
+      let v = Vmcs.create ~owner_level:1 ~subject_level:2 () in
+      let r = Ref_vmcs.create () in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Write (f, x) ->
+              Vmcs.write v f x;
+              Ref_vmcs.write r f x
+          | Clean ->
+              Vmcs.clean v;
+              Ref_vmcs.clean r
+          | Record_exit (reason, q, len) ->
+              Vmcs.record_exit v ~reason ~qualification:q ~instruction_length:len;
+              Ref_vmcs.record_exit r reason q len
+          | Read f -> ignore (Vmcs.read v f));
+          List.for_all (fun f -> Vmcs.read v f = Ref_vmcs.read r f) Field.all
+          && Vmcs.dirty_fields v = r.Ref_vmcs.dirty)
+        ops)
+
 (* Every virtqueue buffer posted is eventually collectable exactly once,
    and payloads survive the round trip, for arbitrary interleavings of
    post/serve operations. *)
@@ -539,6 +614,7 @@ let () =
             prop_channel_order;
             prop_core_single_active;
             prop_transform_incremental;
+            prop_vmcs_matches_reference;
             prop_virtqueue_conservation;
             prop_fabric_ordering;
             prop_cpuid_view_monotone;

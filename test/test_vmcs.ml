@@ -20,6 +20,9 @@ let test_field_encodings_unique () =
   let encs = List.map Field.encode Field.all in
   checki "unique" (List.length encs) (List.length (List.sort_uniq compare encs))
 
+let test_field_index () =
+  List.iteri (fun i f -> checki (Field.name f) i (Field.index f)) Field.all
+
 let test_field_classification () =
   checkb "ept pointer is physical" true (Field.is_physical_pointer Field.Ept_pointer);
   checkb "guest rip is guest state" true (Field.is_guest_state Field.Guest_rip);
@@ -62,6 +65,28 @@ let test_vmcs_record_exit () =
     ~instruction_length:2;
   check64 "reason number" 10L (Vmcs.peek v Field.Exit_reason);
   check64 "qualification" 7L (Vmcs.read v Field.Exit_qualification)
+
+(* Reads, and re-writes of fields that are already dirty, are the
+   per-exit VMCS traffic; none of it may allocate. *)
+let test_vmcs_access_allocates_nothing () =
+  let v = Vmcs.create ~owner_level:0 ~subject_level:2 () in
+  let fields = Array.of_list Field.all in
+  let values = Array.map (fun f -> Int64.of_int (0x1000 + Field.encode f)) fields in
+  let n = Array.length fields in
+  let pass () =
+    for i = 0 to 999 do
+      let k = i mod n in
+      Vmcs.write v fields.(k) (Vmcs.read v fields.((k + 1) mod n));
+      Vmcs.write v fields.(k) values.(k)
+    done
+  in
+  pass ();
+  let before = Gc.minor_words () in
+  pass ();
+  let words = Gc.minor_words () -. before in
+  checkb
+    (Printf.sprintf "1,000 reads and re-writes allocate %.0f minor words" words)
+    true (words < 16.)
 
 (* --- Shadowing ---------------------------------------------------------------- *)
 
@@ -282,6 +307,7 @@ let () =
         [
           Alcotest.test_case "encodings unique" `Quick test_field_encodings_unique;
           Alcotest.test_case "classification" `Quick test_field_classification;
+          Alcotest.test_case "index follows all" `Quick test_field_index;
         ] );
       ( "vmcs",
         [
@@ -290,6 +316,8 @@ let () =
           Alcotest.test_case "read/write and dirty tracking" `Quick
             test_vmcs_rw_and_dirty;
           Alcotest.test_case "record exit" `Quick test_vmcs_record_exit;
+          Alcotest.test_case "reads and dirty re-writes allocate nothing" `Quick
+            test_vmcs_access_allocates_nothing;
         ] );
       ( "shadow",
         [
