@@ -1,7 +1,7 @@
-(** Model-specific registers the workloads and hypervisors touch. Guest
-    accesses trap unless the MSR bitmap passes them through, which is
-    how timer re-arming (IA32_TSC_DEADLINE) becomes the MSR_WRITE exit
-    traffic the paper profiles (§6.3.1, §6.3.3). *)
+(** Model-specific registers the workloads and hypervisors touch. Every
+    guest rdmsr/wrmsr traps, which is how timer re-arming
+    (IA32_TSC_DEADLINE) becomes the MSR_WRITE exit traffic the paper
+    profiles (§6.3.1, §6.3.3). *)
 
 type t =
   | Ia32_tsc
@@ -19,12 +19,6 @@ type t =
   | Ia32_pred_cmd
   | Other of int
 
-val encode : t -> int
-(** The architectural MSR index. *)
-
-val of_code : int -> t
-val name : t -> string
-
 (** A per-context MSR value file. *)
 module File : sig
   type msr := t
@@ -33,16 +27,4 @@ module File : sig
   val create : unit -> t
   val read : t -> msr -> int64
   val write : t -> msr -> int64 -> unit
-end
-
-(** MSR intercept bitmap: which accesses trap. *)
-module Bitmap : sig
-  type msr := t
-  type t
-
-  val read_traps : t -> msr -> bool
-  val write_traps : t -> msr -> bool
-
-  val kvm_default : unit -> t
-  (** TSC reads (and GS base) pass through; everything else traps. *)
 end

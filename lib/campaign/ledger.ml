@@ -455,29 +455,7 @@ let write path entries =
   let w = create path in
   Fun.protect ~finally:(fun () -> close w) (fun () -> List.iter (add w) entries)
 
-(* ---- reader ---- *)
-
-let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let rec go lineno acc =
-        match In_channel.input_line ic with
-        | None -> Ok (List.rev acc)
-        | Some line when String.trim line = "" -> go (lineno + 1) acc
-        | Some line -> (
-            match
-              try entry_of_json (parse_json line)
-              with Parse_error msg -> Error msg
-            with
-            | Ok e -> go (lineno + 1) (e :: acc)
-            | Error msg ->
-                Error (Printf.sprintf "%s:%d: %s" path lineno msg))
-      in
-      go 1 [])
-
-(* ---- crash-tolerant reader ---- *)
+(* ---- readers ---- *)
 
 type recovery = {
   entries : entry list;
@@ -528,6 +506,13 @@ let recover path =
                   error = Some (Printf.sprintf "%s:%d: %s" path lineno msg) })
       in
       go 1 [])
+
+(* The strict reader: a ledger with any damaged line — torn, unparsable,
+   or failing its CRC — is rejected as a whole. *)
+let load path =
+  match recover path with
+  | { error = None; entries; _ } -> Ok entries
+  | { error = Some msg; _ } -> Error msg
 
 let find entries ~run_id = List.find_opt (fun e -> e.run_id = run_id) entries
 

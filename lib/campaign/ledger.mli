@@ -83,7 +83,10 @@ val write : string -> entry list -> unit
 (** {2 Reading} *)
 
 val load : string -> (entry list, string) result
-(** Parse a ledger file; [Error] names the first offending line. *)
+(** The strict form of {!recover}: [Ok] with every row when the whole
+    file is intact, otherwise [Error] naming the first damaged line
+    ([path:line: ...]) — a line that does not parse, is not a ledger
+    entry, or fails its CRC. Rows without a CRC load unchecked. *)
 
 (** What {!recover} salvaged from a (possibly torn) journal. *)
 type recovery = {

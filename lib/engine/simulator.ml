@@ -252,37 +252,6 @@ module Proc = struct
     spawn t ?name f
 end
 
-module Ivar = struct
-  type 'a state = Empty of ('a -> unit) list | Full of 'a
-  type 'a ivar = { sim : t; mutable state : 'a state }
-  type 'a t = 'a ivar
-
-  let create sim = { sim; state = Empty [] }
-
-  let fill iv v =
-    match iv.state with
-    | Full _ -> invalid_arg "Ivar.fill: already filled"
-    | Empty waiters ->
-        iv.state <- Full v;
-        (* Resume waiters at the current instant, in FIFO order. *)
-        List.iter
-          (fun resume -> ignore (schedule iv.sim ~after:Time.zero
-                                   (fun () -> resume v)))
-          (List.rev waiters)
-
-  let is_filled iv = match iv.state with Full _ -> true | Empty _ -> false
-  let peek iv = match iv.state with Full v -> Some v | Empty _ -> None
-
-  let read iv =
-    match iv.state with
-    | Full v -> v
-    | Empty _ ->
-        Proc.suspend (fun resume ->
-            match iv.state with
-            | Full v -> resume v
-            | Empty waiters -> iv.state <- Empty (resume :: waiters))
-end
-
 module Signal = struct
   (* Broadcast condition variable with optional timeout on wait. *)
   type nonrec t = { sim : t; mutable waiters : (unit -> unit) list }

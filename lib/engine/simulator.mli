@@ -3,7 +3,7 @@
     A simulation is a set of cooperative processes over a shared virtual
     clock. Processes are plain functions run with {!spawn}; inside a
     process, the operations in {!Proc} (and the synchronization primitives
-    {!Ivar}, {!Signal}, {!Mailbox}) are the only ways to interact with
+    {!Signal}, {!Mailbox}) are the only ways to interact with
     virtual time. Exactly one process runs at any instant and control only
     transfers at those operations, so runs are fully deterministic. *)
 
@@ -105,22 +105,6 @@ module Proc : sig
       equal-time event queued earlier runs first. *)
 
   val spawn : ?name:string -> (unit -> unit) -> unit
-end
-
-(** Write-once cell; readers block until it is filled. *)
-module Ivar : sig
-  type 'a t
-
-  val create : sim -> 'a t
-
-  val fill : 'a t -> 'a -> unit
-  (** Fill the cell and wake all readers. Raises if already filled. *)
-
-  val is_filled : 'a t -> bool
-  val peek : 'a t -> 'a option
-
-  val read : 'a t -> 'a
-  (** Block (process-only) until filled. *)
 end
 
 (** Broadcast condition variable. *)

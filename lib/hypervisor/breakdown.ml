@@ -41,22 +41,22 @@ let index = function
   | Channel -> 6
   | Ctxt_access -> 7
 
-type t = { acc : int array; mutable enabled : bool; mutable exits : int }
+type t = { acc : int array; mutable exits : int }
 
-let create () = { acc = Array.make 8 0; enabled = true; exits = 0 }
+let create () = { acc = Array.make 8 0; exits = 0 }
 
 (* Charge simulated time to a bucket: the vCPU process actually spends the
    span, and the accumulator records where it went. *)
 let charge t bucket span =
   if Time.(span > Time.zero) then begin
     Proc.delay span;
-    if t.enabled then t.acc.(index bucket) <- t.acc.(index bucket) + span
+    t.acc.(index bucket) <- t.acc.(index bucket) + span
   end
 
 (* Record time spent waiting (e.g. mwait) without a [Proc.delay] of its
    own — the wait already advanced the clock. *)
 let note t bucket span =
-  if t.enabled && Time.(span > Time.zero) then
+  if Time.(span > Time.zero) then
     t.acc.(index bucket) <- t.acc.(index bucket) + span
 
 let count_exit t = t.exits <- t.exits + 1
@@ -66,8 +66,6 @@ let total t = Time.of_ns (Array.fold_left ( + ) 0 t.acc)
 let reset t =
   Array.fill t.acc 0 (Array.length t.acc) 0;
   t.exits <- 0
-
-let set_enabled t b = t.enabled <- b
 
 (* Table-1-shaped rows: (part, time, percent). *)
 let rows t =

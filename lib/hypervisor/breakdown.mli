@@ -30,7 +30,6 @@ val exits : t -> int
 val time : t -> bucket -> Svt_engine.Time.t
 val total : t -> Svt_engine.Time.t
 val reset : t -> unit
-val set_enabled : t -> bool -> unit
 
 val rows : t -> (string * Svt_engine.Time.t * float) list
 (** Table-1-shaped rows: (part, time, percent). SVt-only buckets are

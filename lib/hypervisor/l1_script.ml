@@ -2,9 +2,7 @@
    exit, expressed as a script of steps. The default script is derived
    from the cost model's per-reason profile: the handler's pure emulation
    work interleaved with its auxiliary traps into L0 (vmread/vmwrite of
-   non-shadowed vmcs01' fields — Algorithm 1 lines 8–10). Device wiring
-   can override the script for specific reasons (e.g. to run a real vhost
-   backend at the semantic point). *)
+   non-shadowed vmcs01' fields — Algorithm 1 lines 8–10). *)
 
 module Time = Svt_engine.Time
 module Exit_reason = Svt_arch.Exit_reason
@@ -18,14 +16,11 @@ type script = step list
 
 type t = {
   cost : Svt_arch.Cost_model.t;
-  overrides : (Exit_reason.t, Exit.info -> script) Hashtbl.t;
   shadow : Svt_vmcs.Shadow.t;
 }
 
 let create ?(shadow = Svt_vmcs.Shadow.hardware_shadowing_enabled) cost =
-  { cost; overrides = Hashtbl.create 8; shadow }
-
-let override t reason f = Hashtbl.replace t.overrides reason f
+  { cost; shadow }
 
 (* Alternate vmread/vmwrite for the aux traps, as a handler that first
    inspects exit state and then updates guest state would. *)
@@ -43,21 +38,16 @@ let aux_count t (info : Exit.info) =
     profile.l1_aux_exits
   else profile.l1_aux_exits + unshadowed_extra_aux
 
-(* Default: half the pure work, the aux traps, the semantic effect, the
+(* Half the pure work, the aux traps, the semantic effect, the
    remaining work. The effect sits between reads (inspecting the trapped
    state) and the tail (updating vmcs01', advancing the guest RIP). *)
-let default_script t (info : Exit.info) ~apply =
+let script_for t (info : Exit.info) ~apply =
   let profile = Svt_arch.Cost_model.profile t.cost info.reason in
   let aux = List.init (aux_count t info) aux_reason in
   let half = Time.of_ns (Time.to_ns profile.l1_pure / 2) in
   let rest = Time.sub profile.l1_pure half in
   (Work half :: List.map (fun r -> Aux r) aux)
   @ [ Effect apply; Work rest ]
-
-let script_for t (info : Exit.info) ~apply =
-  match Hashtbl.find_opt t.overrides info.reason with
-  | Some f -> f info
-  | None -> default_script t info ~apply
 
 (* Whether L0 reflects this exit to L1: only the VMX instructions are L1's
    own operations on its (emulated) virtualization hardware, which L0

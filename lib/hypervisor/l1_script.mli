@@ -1,12 +1,10 @@
 (** What the L1 guest hypervisor's trap handler does for a reflected L2
     exit, expressed as a script of steps.
 
-    Default scripts derive from the cost model's per-reason profile: the
+    Scripts derive from the cost model's per-reason profile: the
     handler's pure emulation work interleaved with its auxiliary traps
     into L0 (vmread/vmwrite of non-shadowed vmcs01' fields — Algorithm 1
-    lines 8–10; more of them when hardware VMCS shadowing is disabled).
-    Device wiring can override the script per reason, e.g. to run a real
-    vhost backend at the semantic point. *)
+    lines 8–10; more of them when hardware VMCS shadowing is disabled). *)
 
 type step =
   | Work of Svt_engine.Time.t  (** pure L1 emulation work *)
@@ -18,8 +16,6 @@ type script = step list
 type t
 
 val create : ?shadow:Svt_vmcs.Shadow.t -> Svt_arch.Cost_model.t -> t
-
-val override : t -> Svt_arch.Exit_reason.t -> (Exit.info -> script) -> unit
 
 val script_for : t -> Exit.info -> apply:(unit -> unit) -> script
 

@@ -36,12 +36,10 @@ let apply (vcpu : Vcpu.t) (action : Exit.action) =
   | Mmio_read { gpa; size; reply } ->
       reply :=
         Some (Option.value ~default:0L (Vm.handle_mmio (Vcpu.vm vcpu) gpa 0L size))
-  | Io_write { port; value; size } ->
-      ignore (Vm.handle_io (Vcpu.vm vcpu) port value size)
-  | Io_read { port; size; reply } ->
-      reply :=
-        Some (Option.value ~default:0L (Vm.handle_io (Vcpu.vm vcpu) port 0L size))
-  | Vmcall { nr; arg; reply } ->
-      reply := Vm.handle_hypercall (Vcpu.vm vcpu) nr arg
+  (* No port-I/O device and no hypercall service is modelled: a PIO read
+     answers 0, a write is dropped, and a vmcall gets no reply. *)
+  | Io_read { reply; _ } -> reply := Some 0L
+  | Io_write _ -> ()
+  | Vmcall { reply; _ } -> reply := None
   | Eoi -> Lapic.eoi (Vcpu.lapic vcpu)
   | Page_fault _ | Halt | Interrupt_window | External_interrupt _ | Pause -> ()

@@ -9,4 +9,6 @@ val tsc_of_time : Svt_engine.Time.t -> int64
 val apply : Vcpu.t -> Exit.action -> unit
 (** Complete the operation: answer CPUID from the VM's masked view, read/
     write MSRs (arming the LAPIC deadline on IA32_TSC_DEADLINE), dispatch
-    MMIO/PIO to the owning device, run hypercalls, EOI the LAPIC. *)
+    MMIO to the owning device, EOI the LAPIC. No port-I/O device or
+    hypercall service is modelled: a PIO read answers 0, a PIO write is
+    dropped, and a vmcall's reply stays [None]. *)

@@ -29,7 +29,6 @@ type t = {
   mutable hw_ctx : int; (* hardware context hosting this level's state *)
   lapic : Lapic.t;
   msrs : Svt_arch.Msr.File.t;
-  msr_bitmap : Svt_arch.Msr.Bitmap.t;
   wake : Signal.t;
   mutable halted : bool;
   mutable run_state : run_state;
@@ -64,9 +63,8 @@ let create ~machine ~vm ~index ~core_id ~hw_ctx =
       index;
       core_id;
       hw_ctx;
-      lapic = Lapic.create sim ~id:((Vm.level vm * 100) + index);
+      lapic = Lapic.create sim;
       msrs = Svt_arch.Msr.File.create ();
-      msr_bitmap = Svt_arch.Msr.Bitmap.kvm_default ();
       wake = Signal.create sim;
       halted = false;
       run_state = Running;

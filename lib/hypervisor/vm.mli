@@ -1,5 +1,6 @@
-(** A virtual machine: its virtualization level, address space and device
-    dispatch tables. vCPUs register themselves on creation. *)
+(** A virtual machine: its virtualization level, address space and MMIO
+    dispatch table. A vCPU points at its VM; the VM keeps no vCPU
+    list. *)
 
 type mmio_handler = Svt_mem.Addr.Gpa.t -> int64 -> int -> int64 option
 (** [(gpa, value-or-zero-for-reads, size)] returning the reply for
@@ -28,9 +29,4 @@ val cpuid_db : t -> Svt_arch.Cpuid_db.t
 val register_mmio : t -> region:string -> mmio_handler -> unit
 (** Handle accesses to the named MMIO region of the address space. *)
 
-val register_io : t -> port:int -> mmio_handler -> unit
-val register_hypercall : t -> nr:int -> (int64 -> int64) -> unit
-
 val handle_mmio : t -> Svt_mem.Addr.Gpa.t -> int64 -> int -> int64 option
-val handle_io : t -> int -> int64 -> int -> int64 option
-val handle_hypercall : t -> int -> int64 -> int64 option

@@ -14,7 +14,6 @@ module Simulator = Svt_engine.Simulator
 
 type t = {
   sim : Simulator.t;
-  id : int; (* APIC id *)
   irr : bool array; (* interrupt request register, per vector *)
   isr : bool array; (* in-service register *)
   mutable on_pending : (int -> unit) option;
@@ -26,10 +25,9 @@ let vectors = 256
 (* The vector the TSC-deadline timer raises. *)
 let timer_vector = 0xEF
 
-let create sim ~id =
+let create sim =
   {
     sim;
-    id;
     irr = Array.make vectors false;
     isr = Array.make vectors false;
     on_pending = None;

@@ -9,7 +9,7 @@
 
 type t
 
-val create : Svt_engine.Simulator.t -> id:int -> t
+val create : Svt_engine.Simulator.t -> t
 
 val set_on_pending : t -> (int -> unit) -> unit
 (** Called once per vector transition to pending (coalesced re-raises

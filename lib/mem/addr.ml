@@ -18,7 +18,6 @@ module type S = sig
   val align_down : t -> t
   val is_page_aligned : t -> bool
   val compare : t -> t -> int
-  val equal : t -> t -> bool
   val pp : Format.formatter -> t -> unit
 end
 
@@ -38,7 +37,6 @@ end) : S = struct
   let align_down a = a land lnot page_mask
   let is_page_aligned a = a land page_mask = 0
   let compare = Int.compare
-  let equal = Int.equal
   let pp ppf a = Fmt.pf ppf "%s:%#x" Tag.name a
 end
 

@@ -20,7 +20,6 @@ module type S = sig
   val align_down : t -> t
   val is_page_aligned : t -> bool
   val compare : t -> t -> int
-  val equal : t -> t -> bool
   val pp : Format.formatter -> t -> unit
 end
 

@@ -37,7 +37,6 @@ type t = {
   root : node array;
   tags : (int, string) Hashtbl.t; (* guest page -> misconfig tag *)
   mutable mapped_pages : int;
-  mutable invalidations : int; (* INVEPT count *)
 }
 
 let levels = 4
@@ -75,7 +74,6 @@ let create () =
     root = Array.make fanout Empty;
     tags = Hashtbl.create 8;
     mapped_pages = 0;
-    invalidations = 0;
   }
 
 let page_index gpa = Addr.Gpa.page_of gpa land page_number_mask
@@ -168,8 +166,6 @@ let unmap t ~gpa =
   let l = leaves_of t.root page (levels - 1) ~create:false in
   if l != no_leaves then set t l (page land (fanout - 1)) page 0
 
-let invept t = t.invalidations <- t.invalidations + 1
-let invalidations t = t.invalidations
 let mapped_pages t = t.mapped_pages
 
 let pp_fault ppf = function

@@ -47,10 +47,6 @@ val translate : t -> gpa:Addr.Gpa.t -> access:access -> (Addr.Hpa.t, fault) resu
 
 val unmap : t -> gpa:Addr.Gpa.t -> unit
 
-val invept : t -> unit
-(** Record a TLB invalidation (cost is charged by the caller). *)
-
-val invalidations : t -> int
 val mapped_pages : t -> int
 (** Entries currently mapping a page (misconfigured entries excluded). *)
 

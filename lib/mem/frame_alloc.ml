@@ -1,12 +1,8 @@
-(* Bump + free-list allocator of host physical frames. Hypervisors draw
-   frames from here for guest RAM, VMCS pages, page-table pages and the
-   shared SW SVt rings. *)
+(* Bump allocator of host physical frames. Hypervisors draw frames from
+   here for guest RAM, VMCS pages, page-table pages and the shared SW SVt
+   rings; no frame is ever returned. *)
 
-type t = {
-  mutable next_frame : int;
-  limit_frames : int;
-  mutable free : int list;
-}
+type t = { mutable next_frame : int; limit_frames : int }
 
 let create ~base ~size_bytes =
   if not (Addr.Hpa.is_page_aligned (Addr.Hpa.of_int base)) then
@@ -14,21 +10,10 @@ let create ~base ~size_bytes =
   {
     next_frame = base lsr Addr.page_shift;
     limit_frames = (base + size_bytes) lsr Addr.page_shift;
-    free = [];
   }
 
 let alloc t =
-  match t.free with
-  | f :: rest ->
-      t.free <- rest;
-      Addr.Hpa.of_int (f lsl Addr.page_shift)
-  | [] ->
-      if t.next_frame >= t.limit_frames then failwith "Frame_alloc: out of memory";
-      let f = t.next_frame in
-      t.next_frame <- t.next_frame + 1;
-      Addr.Hpa.of_int (f lsl Addr.page_shift)
-
-let free t hpa =
-  if not (Addr.Hpa.is_page_aligned hpa) then
-    invalid_arg "Frame_alloc.free: unaligned";
-  t.free <- (Addr.Hpa.to_int hpa lsr Addr.page_shift) :: t.free
+  if t.next_frame >= t.limit_frames then failwith "Frame_alloc: out of memory";
+  let f = t.next_frame in
+  t.next_frame <- t.next_frame + 1;
+  Addr.Hpa.of_int (f lsl Addr.page_shift)

@@ -1,6 +1,6 @@
-(** Bump + free-list allocator of host physical frames. Hypervisors draw
-    frames from here for guest RAM, VMCS pages, page tables and the
-    shared SW SVt rings. *)
+(** Bump allocator of host physical frames. Hypervisors draw frames from
+    here for guest RAM, VMCS pages, page tables and the shared SW SVt
+    rings; no frame is ever returned. *)
 
 type t
 
@@ -9,5 +9,3 @@ val create : base:int -> size_bytes:int -> t
 
 val alloc : t -> Addr.Hpa.t
 (** Raises [Failure] when the pool is exhausted. *)
-
-val free : t -> Addr.Hpa.t -> unit

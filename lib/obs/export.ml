@@ -35,26 +35,3 @@ let fields_of_summary (s : Timeline.summary) =
    sweep-diff reports a field appearing/vanishing as a real change. *)
 let fields timeline =
   List.concat_map fields_of_summary (Timeline.summaries timeline)
-
-(* Recover the per-kind summaries from a flat metric list (e.g. a ledger
-   row read back from disk); inverse of [fields] up to float precision. *)
-let summaries_of_fields metrics =
-  List.filter_map
-    (fun kind ->
-      match List.assoc_opt (field_name kind "count") metrics with
-      | None -> None
-      | Some count ->
-          let get stat =
-            Option.value ~default:Float.nan
-              (List.assoc_opt (field_name kind stat) metrics)
-          in
-          Some
-            {
-              Timeline.kind;
-              count = int_of_float count;
-              mean_ns = get "mean_ns";
-              p99_ns = int_of_float (get "p99_ns");
-              max_ns = 0;
-              total_ns = int_of_float (get "total_ns");
-            })
-    Span.all_kinds

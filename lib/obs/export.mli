@@ -12,7 +12,3 @@ val buf_json_string : Buffer.t -> string -> unit
 val fields : Timeline.t -> (string * float) list
 (** count / mean_ns / p99_ns / total_ns per non-empty span kind, in
     kind order. *)
-
-val summaries_of_fields : (string * float) list -> Timeline.summary list
-(** Recover per-kind summaries from a flat metric list (e.g. a ledger
-    row read back); [max_ns] is not exported and reads as 0. *)

@@ -1,30 +1,17 @@
 (* The emitter side of the observability layer. A probe decouples the
    instrumented hot paths from whatever sinks are (or are not) installed:
-   emitters ask [is_on] — a single bool-and-list test — and skip all span
+   emitters ask [is_on] — a single list test — and skip all span
    construction when nobody listens, so the default (null-sink) state
    costs one branch per site and never perturbs the simulation. *)
 
 module Time = Svt_engine.Time
 
-type t = {
-  clock : unit -> Time.t;
-  mutable subs : (Span.t -> unit) list;
-  mutable armed : bool; (* master switch, independent of subscribers *)
-  sealed : bool; (* the shared null probe refuses subscribers *)
-}
+type t = { clock : unit -> Time.t; mutable subs : (Span.t -> unit) list }
 
-let create ~clock () = { clock; subs = []; armed = true; sealed = false }
-
-let null =
-  { clock = (fun () -> Time.zero); subs = []; armed = false; sealed = true }
-
-let is_on t = t.armed && t.subs <> []
+let create ~clock () = { clock; subs = [] }
+let is_on t = t.subs <> []
 let now t = t.clock ()
-let set_armed t flag = t.armed <- flag
-
-let subscribe t sink =
-  if t.sealed then invalid_arg "Probe.subscribe: the null probe is sealed";
-  t.subs <- t.subs @ [ sink ]
+let subscribe t sink = t.subs <- t.subs @ [ sink ]
 
 let emit t span = if is_on t then List.iter (fun sink -> sink span) t.subs
 

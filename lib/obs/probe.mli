@@ -15,20 +15,12 @@ val create : clock:(unit -> Time.t) -> unit -> t
 (** [clock] supplies span timestamps (normally the owning machine's
     simulator clock). *)
 
-val null : t
-(** A sealed, permanently-off probe; {!subscribe} on it raises. Useful
-    as a default for components constructed outside a machine. *)
-
 val is_on : t -> bool
-(** True iff armed and at least one subscriber is installed. Emitters
+(** True iff at least one subscriber is installed. Emitters
     use this to skip span/tag construction entirely. *)
 
 val now : t -> Time.t
-(** The probe's clock ([Time.zero] on {!null}). *)
-
-val set_armed : t -> bool -> unit
-(** Master switch: when disarmed the probe reports [is_on = false] even
-    with subscribers installed. *)
+(** The probe's clock. *)
 
 val subscribe : t -> (Span.t -> unit) -> unit
 (** Install a sink; called once per emitted span, in subscription

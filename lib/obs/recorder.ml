@@ -21,15 +21,14 @@ let create ~clock () =
   }
 
 let probe t = t.probe
-let set_enabled t flag = Probe.set_armed t.probe flag
 
 (* Install-once sink accessors: the first call creates and subscribes,
    later calls return the same sink. *)
-let enable_timeline ?capacity t =
+let enable_timeline t =
   match t.timeline with
   | Some tl -> tl
   | None ->
-      let tl = Timeline.create ?capacity () in
+      let tl = Timeline.create () in
       Probe.subscribe t.probe (Timeline.sink tl);
       t.timeline <- Some tl;
       tl

@@ -13,11 +13,8 @@ type t
 val create : clock:(unit -> Time.t) -> unit -> t
 val probe : t -> Probe.t
 
-val set_enabled : t -> bool -> unit
-(** Master switch: arms or disarms the probe. *)
-
-val enable_timeline : ?capacity:int -> t -> Timeline.t
-(** Install (once) and return the per-vCPU timeline sink. *)
+val enable_timeline : t -> Timeline.t
+(** Install (once) and return the timeline sink. *)
 
 val enable_chrome : ?limit:int -> t -> Chrome_trace.t
 (** Install (once) and return the Chrome trace-event sink. *)

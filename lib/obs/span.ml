@@ -72,6 +72,3 @@ let has_lane s = s.core >= 0
 let duration s = Time.diff s.stop s.start
 let duration_ns s = Time.to_ns (duration s)
 let tag s name = List.assoc_opt name s.tags
-
-(* [a] strictly encloses [b] on the shared virtual timeline. *)
-let encloses a b = Time.(a.start <= b.start) && Time.(b.stop <= a.stop)

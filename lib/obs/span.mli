@@ -46,6 +46,3 @@ val has_lane : t -> bool
 
 val duration_ns : t -> int
 val tag : t -> string -> string option
-
-val encloses : t -> t -> bool
-(** [encloses a b]: [a]'s interval contains [b]'s. *)

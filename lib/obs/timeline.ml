@@ -1,16 +1,8 @@
-(* Sink 1: per-vCPU span timelines plus per-span-kind latency histograms,
-   queryable at end of run. Each vCPU keeps a bounded ring of recent
-   spans (the assertion surface for ordering/nesting tests); histograms
-   and totals see every span regardless of ring wraparound. *)
+(* Sink 1: per-span-kind latency histograms and time totals over every
+   span, queryable at end of run. *)
 
 module Time = Svt_engine.Time
 module Histogram = Svt_stats.Histogram
-
-type ring = {
-  spans : Span.t option array;
-  mutable next : int;
-  mutable recorded : int;
-}
 
 type summary = {
   kind : Span.kind;
@@ -22,36 +14,20 @@ type summary = {
 }
 
 type t = {
-  capacity : int; (* per-vCPU ring capacity *)
-  rings : (int, ring) Hashtbl.t;
   hists : Histogram.t array; (* one per span kind *)
   totals : int array; (* accumulated ns per span kind *)
   mutable total_spans : int;
 }
 
-let create ?(capacity = 4096) () =
+let create () =
   {
-    capacity;
-    rings = Hashtbl.create 8;
     hists = Array.init Span.n_kinds (fun _ -> Histogram.create ());
     totals = Array.make Span.n_kinds 0;
     total_spans = 0;
   }
 
-let ring_for t vcpu =
-  match Hashtbl.find_opt t.rings vcpu with
-  | Some r -> r
-  | None ->
-      let r = { spans = Array.make t.capacity None; next = 0; recorded = 0 } in
-      Hashtbl.add t.rings vcpu r;
-      r
-
 (* The subscriber function to install on a probe. *)
 let sink t (s : Span.t) =
-  let r = ring_for t s.Span.vcpu in
-  r.spans.(r.next) <- Some s;
-  r.next <- (r.next + 1) mod Array.length r.spans;
-  r.recorded <- r.recorded + 1;
   let k = Span.kind_index s.Span.kind in
   let ns = Span.duration_ns s in
   Histogram.add t.hists.(k) (max 0 ns);
@@ -59,26 +35,6 @@ let sink t (s : Span.t) =
   t.total_spans <- t.total_spans + 1
 
 let total_spans t = t.total_spans
-
-let recorded t ~vcpu =
-  match Hashtbl.find_opt t.rings vcpu with Some r -> r.recorded | None -> 0
-
-(* Retained spans of one vCPU, oldest first (at most [capacity]). *)
-let iter t ~vcpu f =
-  match Hashtbl.find_opt t.rings vcpu with
-  | None -> ()
-  | Some r ->
-      let n = Array.length r.spans in
-      for i = 0 to n - 1 do
-        match r.spans.((r.next + i) mod n) with
-        | Some s -> f s
-        | None -> ()
-      done
-
-let spans t ~vcpu =
-  let acc = ref [] in
-  iter t ~vcpu (fun s -> acc := s :: !acc);
-  List.rev !acc
 
 let histogram t kind = t.hists.(Span.kind_index kind)
 let count t kind = Histogram.count (histogram t kind)

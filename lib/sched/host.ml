@@ -87,7 +87,6 @@ type t = {
   clock : Time.t ref; (* host virtual now *)
   recorder : Recorder.t;
   mutable tenants : tenant list; (* admission order *)
-  mutable n_tenants : int;
   mutable admitted : int; (* monotone admission counter, never decremented *)
   mutable throttle : float; (* grant scale in (0, 1]: degraded host < 1 *)
   mutable rounds : int;
@@ -107,7 +106,6 @@ let create ?(quantum = Time.of_us 50) ~topology () =
     clock;
     recorder = Recorder.create ~clock:(fun () -> !clock) ();
     tenants = [];
-    n_tenants = 0;
     admitted = 0;
     throttle = 1.0;
     rounds = 0;
@@ -120,7 +118,6 @@ let create ?(quantum = Time.of_us 50) ~topology () =
 let topology t = t.topo
 let now t = !(t.clock)
 let rounds t = t.rounds
-let n_tenants t = t.n_tenants
 
 (* Quantum inflation: a degraded host's quanta buy less tenant progress.
    [factor] multiplies every granted slice, so 0.25 means tenants
@@ -252,31 +249,8 @@ let add_tenant t spec =
             }
           in
           t.tenants <- t.tenants @ [ tn ];
-          t.n_tenants <- t.n_tenants + 1;
           t.admitted <- t.admitted + 1;
           Ok ())
-
-(* ---- departure ---- *)
-
-type churn_error = Unknown_tenant of { name : string }
-
-let pp_churn_error ppf (Unknown_tenant { name }) =
-  Fmt.pf ppf "no tenant named %S is admitted" name
-
-(* Departure frees the tenant's gang from the next round on (placement
-   is recomputed each round from the live tenant list); its simulator
-   and accounting are dropped with it. The returned spec is what the
-   caller needs to re-admit the tenant elsewhere — the cluster's
-   evacuation path. The auto-name counter never rewinds, so a tenant
-   admitted after a removal cannot collide with a live name or reuse a
-   departed tenant's PRNG stream. *)
-let remove_tenant t ~name =
-  match List.find_opt (fun tn -> tn.spec.name = name) t.tenants with
-  | None -> Error (Unknown_tenant { name })
-  | Some tn ->
-      t.tenants <- List.filter (fun x -> x.spec.name <> name) t.tenants;
-      t.n_tenants <- t.n_tenants - 1;
-      Ok tn.spec
 
 (* ---- the round loop ---- *)
 

@@ -52,19 +52,8 @@ val add_tenant : t -> tenant_spec -> (unit, Svt_core.System.Config.error list) r
     needs SMT ≥ 2) and the stack's own {!Svt_core.System.Config.validate}
     are both reported in the config-error vocabulary. Admission is legal
     at any point, including between {!run} calls: a late tenant starts
-    with zero entitlement at the current host clock. Auto-names count a
-    monotone admission index that never rewinds, so names and PRNG
-    streams stay unique across {!remove_tenant} churn. *)
-
-type churn_error = Unknown_tenant of { name : string }
-
-val remove_tenant : t -> name:string -> (tenant_spec, churn_error) result
-(** Remove the named tenant, freeing its gang from the next scheduling
-    round on and dropping its simulator state. Returns the departing
-    tenant's spec — what a cluster needs to re-admit it elsewhere after
-    an evacuation. *)
-
-val pp_churn_error : Format.formatter -> churn_error -> unit
+    with zero entitlement at the current host clock. Auto-names count
+    the admission index. *)
 
 val run : t -> horizon:Svt_engine.Time.t -> unit
 (** Advance the host clock to [horizon] (or until every tenant program
@@ -123,4 +112,3 @@ val pp_report : Format.formatter -> report -> unit
 val topology : t -> Topology.t
 val now : t -> Svt_engine.Time.t
 val rounds : t -> int
-val n_tenants : t -> int

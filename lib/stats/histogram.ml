@@ -82,18 +82,3 @@ let percentile t p =
   end
 
 let p99 t = percentile t 99.0
-
-let merge_into ~dst ~src =
-  if dst.sub_bits <> src.sub_bits then invalid_arg "Histogram.merge_into";
-  Array.iteri (fun i c -> dst.counts.(i) <- dst.counts.(i) + c) src.counts;
-  dst.total <- dst.total + src.total;
-  dst.sum <- dst.sum +. src.sum;
-  if src.max_v > dst.max_v then dst.max_v <- src.max_v;
-  if src.min_v < dst.min_v then dst.min_v <- src.min_v
-
-let reset t =
-  Array.fill t.counts 0 (Array.length t.counts) 0;
-  t.total <- 0;
-  t.sum <- 0.0;
-  t.max_v <- 0;
-  t.min_v <- max_int

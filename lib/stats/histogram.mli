@@ -22,5 +22,3 @@ val percentile : t -> float -> int
     percentile. *)
 
 val p99 : t -> int
-val merge_into : dst:t -> src:t -> unit
-val reset : t -> unit

@@ -43,12 +43,6 @@ let counters t =
   Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.counters []
   |> List.sort compare
 
-let times t =
-  Hashtbl.fold
-    (fun k r acc -> (k, Svt_engine.Time.of_ns !r) :: acc)
-    t.timers []
-  |> List.sort compare
-
 (* Share of a timer in the total, as a fraction of [whole] (in ns). *)
 let time_share t name ~whole =
   let whole_ns = Svt_engine.Time.to_ns whole in
@@ -56,13 +50,3 @@ let time_share t name ~whole =
   else
     float_of_int (Svt_engine.Time.to_ns (time t name))
     /. float_of_int whole_ns
-
-let reset t =
-  Hashtbl.reset t.counters;
-  Hashtbl.reset t.timers
-
-let pp ppf t =
-  List.iter (fun (k, v) -> Fmt.pf ppf "%-32s %d@." k v) (counters t);
-  List.iter
-    (fun (k, v) -> Fmt.pf ppf "%-32s %a@." k Svt_engine.Time.pp v)
-    (times t)

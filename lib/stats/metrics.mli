@@ -13,6 +13,3 @@ val counters : t -> (string * int) list
 
 val time_share : t -> string -> whole:Svt_engine.Time.t -> float
 (** Share of a timer in [whole] (0 when [whole] is zero). *)
-
-val reset : t -> unit
-val pp : Format.formatter -> t -> unit

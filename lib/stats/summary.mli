@@ -6,5 +6,4 @@ val count : t -> int
 val mean : t -> float
 val stddev : t -> float
 val stderr_of_mean : t -> float
-val merge : t -> t -> t
 val of_list : float list -> t

@@ -23,9 +23,3 @@ let hardware_shadowing_enabled =
 let no_shadowing = { shadowed = (fun _ -> false) }
 
 let shadowed t f = t.shadowed f
-
-(* Would this access by L1 trap into L0? SVt fields always trap: L0 must
-   virtualize context identifiers (paper §4). *)
-let access_traps t f = Field.is_svt f || not (t.shadowed f)
-
-let count_trapping t fields = List.length (List.filter (access_traps t) fields)

@@ -14,9 +14,3 @@ val no_shadowing : t
 (** Every access traps (pre-shadowing hardware; the ablation case). *)
 
 val shadowed : t -> Field.t -> bool
-
-val access_traps : t -> Field.t -> bool
-(** Whether an L1 access to the field traps into L0. SVt fields always
-    trap: L0 must virtualize context identifiers (§4). *)
-
-val count_trapping : t -> Field.t list -> int

@@ -33,25 +33,13 @@ let measure ?(policy = Convergence.paper_policy) ?(workload = 0)
         op v
       done;
       Breakdown.reset bd;
-      let samples = ref [] in
-      let count = ref 0 in
-      let batch = max policy.Convergence.min_samples 8 in
-      let finished = ref false in
-      while not !finished do
-        for _ = 1 to batch do
-          let t0 = Proc.now () in
-          Guest.dependent_increments v workload;
-          op v;
-          samples := Time.to_us_f (Time.diff (Proc.now ()) t0) :: !samples;
-          incr count
-        done;
-        let r = Convergence.summarize policy !samples in
-        if r.Convergence.converged || !count >= policy.Convergence.max_samples
-        then begin
-          finished := true;
-          outcome := Some r
-        end
-      done);
+      outcome :=
+        Some
+          (Convergence.run ~policy (fun () ->
+               let t0 = Proc.now () in
+               Guest.dependent_increments v workload;
+               op v;
+               Time.to_us_f (Time.diff (Proc.now ()) t0))));
   System.run sys;
   let stats = Option.get !outcome in
   let episodes = max 1 (Breakdown.exits bd) in

@@ -186,24 +186,11 @@ let prop_regfile_matches_model =
 
 (* --- MSRs ---------------------------------------------------------------- *)
 
-let test_msr_roundtrip_encoding () =
-  List.iter
-    (fun m -> checkb (Msr.name m) true (Msr.of_code (Msr.encode m) = m))
-    [ Msr.Ia32_tsc; Msr.Ia32_tsc_deadline; Msr.Ia32_efer; Msr.Ia32_lstar;
-      Msr.Ia32_spec_ctrl; Msr.Other 0x999 ]
-
 let test_msr_file () =
   let f = Msr.File.create () in
   check64 "default zero" 0L (Msr.File.read f Msr.Ia32_efer);
   Msr.File.write f Msr.Ia32_efer 0xD01L;
   check64 "written" 0xD01L (Msr.File.read f Msr.Ia32_efer)
-
-let test_msr_bitmap_kvm_default () =
-  let b = Msr.Bitmap.kvm_default () in
-  checkb "tsc reads pass" false (Msr.Bitmap.read_traps b Msr.Ia32_tsc);
-  checkb "tsc deadline writes trap" true
-    (Msr.Bitmap.write_traps b Msr.Ia32_tsc_deadline);
-  checkb "efer traps" true (Msr.Bitmap.read_traps b Msr.Ia32_efer)
 
 (* --- CPUID --------------------------------------------------------------- *)
 
@@ -501,9 +488,7 @@ let () =
         ] );
       ( "msr",
         [
-          Alcotest.test_case "encoding round trip" `Quick test_msr_roundtrip_encoding;
           Alcotest.test_case "msr file" `Quick test_msr_file;
-          Alcotest.test_case "kvm default bitmap" `Quick test_msr_bitmap_kvm_default;
         ] );
       ( "cpuid",
         [

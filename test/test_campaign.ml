@@ -391,6 +391,49 @@ let test_ledger_rejects_garbage () =
   checkb "parse error reported" true (Result.is_error (Ledger.load path));
   Sys.remove path
 
+(* A journaled row whose bytes no longer match its CRC (one digit of a
+   metric flipped) is damage, not data: the strict reader rejects the
+   ledger and names the line, while the intact row alone loads. *)
+let test_ledger_load_checks_crc () =
+  let row per_op_us =
+    let point = Spec.point ~workload:"cpuid" Mode.Baseline in
+    Ledger.line_of_entry_crc
+      {
+        Ledger.run_id = Spec.run_id point;
+        point;
+        status = "ok";
+        error = None;
+        wall_s = 0.0;
+        metrics = [ ("per_op_us", per_op_us) ];
+        data = [];
+      }
+  in
+  let intact = row 10.35 in
+  (* the 90.35 row's bytes followed by the 10.35 row's ,"crc":"..." *)
+  let damaged =
+    let crc_at l = String.rindex l ',' in
+    let good = row 90.35 in
+    String.sub good 0 (crc_at good)
+    ^ String.sub intact (crc_at intact) (String.length intact - crc_at intact)
+  in
+  checkb "the damaged row differs" true (damaged <> intact);
+  let path = temp_ledger () in
+  let write lines =
+    let oc = open_out path in
+    List.iter (fun l -> output_string oc (l ^ "\n")) lines;
+    close_out oc
+  in
+  write [ intact ];
+  checkb "intact row loads" true (Result.is_ok (Ledger.load path));
+  write [ intact; damaged ];
+  (match Ledger.load path with
+  | Ok _ -> Alcotest.fail "a row failing its CRC loaded"
+  | Error msg ->
+      let prefix = path ^ ":2:" in
+      checks "names the damaged line" prefix
+        (String.sub msg 0 (min (String.length msg) (String.length prefix))));
+  Sys.remove path
+
 (* The sweep's measured-vs-paper footer compares only x86, fault-free
    runs, each SVt run against the baseline run that differs from it in
    mode alone: an ARM pair listed first and a fault-injected pair, each
@@ -938,6 +981,8 @@ let () =
           Alcotest.test_case "arch axis byte-deterministic across jobs" `Quick
             test_ledger_arch_axis_jobs_deterministic;
           Alcotest.test_case "rejects garbage" `Quick test_ledger_rejects_garbage;
+          Alcotest.test_case "load checks the crc" `Quick
+            test_ledger_load_checks_crc;
           Alcotest.test_case "diff" `Quick test_ledger_diff;
           Alcotest.test_case "paper speedup pairs" `Quick
             test_paper_speedup_pairs;

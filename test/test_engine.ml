@@ -331,41 +331,7 @@ let test_sim_nested_spawn () =
   Simulator.run sim;
   checki "both ran" 2 !hits
 
-(* --- Ivar / Signal / Mailbox --------------------------------------------- *)
-
-let test_ivar_blocks_until_filled () =
-  let sim = Simulator.create () in
-  let iv = Simulator.Ivar.create sim in
-  let got = ref 0 in
-  let at = ref Time.zero in
-  Simulator.spawn sim ~name:"reader" (fun () ->
-      got := Simulator.Ivar.read iv;
-      at := Proc.now ());
-  Simulator.spawn sim ~name:"writer" (fun () ->
-      Proc.delay (Time.of_us 3);
-      Simulator.Ivar.fill iv 42);
-  Simulator.run sim;
-  checki "value" 42 !got;
-  checki "woke at fill time" (Time.of_us 3) !at
-
-let test_ivar_read_after_fill_immediate () =
-  let sim = Simulator.create () in
-  let iv = Simulator.Ivar.create sim in
-  Simulator.Ivar.fill iv "x";
-  checkb "filled" true (Simulator.Ivar.is_filled iv);
-  Alcotest.(check (option string)) "peek" (Some "x") (Simulator.Ivar.peek iv);
-  let got = ref "" in
-  Simulator.spawn sim (fun () -> got := Simulator.Ivar.read iv);
-  Simulator.run sim;
-  check Alcotest.string "read" "x" !got
-
-let test_ivar_double_fill_rejected () =
-  let sim = Simulator.create () in
-  let iv = Simulator.Ivar.create sim in
-  Simulator.Ivar.fill iv 1;
-  Alcotest.check_raises "double fill"
-    (Invalid_argument "Ivar.fill: already filled") (fun () ->
-      Simulator.Ivar.fill iv 2)
+(* --- Signal / Mailbox --------------------------------------------------- *)
 
 let test_signal_broadcast_wakes_all () =
   let sim = Simulator.create () in
@@ -608,12 +574,6 @@ let () =
         ] );
       ( "sync",
         [
-          Alcotest.test_case "ivar blocks until filled" `Quick
-            test_ivar_blocks_until_filled;
-          Alcotest.test_case "ivar read after fill" `Quick
-            test_ivar_read_after_fill_immediate;
-          Alcotest.test_case "ivar double fill rejected" `Quick
-            test_ivar_double_fill_rejected;
           Alcotest.test_case "signal broadcast wakes all" `Quick
             test_signal_broadcast_wakes_all;
           Alcotest.test_case "signal wait with timeout" `Quick

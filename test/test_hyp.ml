@@ -60,18 +60,6 @@ let test_vm_mmio_dispatch () =
   checkb "ram access no handler" true
     (Vm.handle_mmio vm (Svt_mem.Addr.Gpa.of_int 0x100) 0L 4 = None)
 
-let test_vm_hypercalls () =
-  let _, vm, _ = make () in
-  Vm.register_hypercall vm ~nr:42 (fun arg -> Int64.add arg 1L);
-  checkb "registered" true (Vm.handle_hypercall vm 42 9L = Some 10L);
-  checkb "unknown" true (Vm.handle_hypercall vm 7 0L = None)
-
-let test_vm_io_ports () =
-  let _, vm, _ = make () in
-  Vm.register_io vm ~port:0x3F8 (fun _ v _ -> Some v);
-  checkb "port echo" true (Vm.handle_io vm 0x3F8 55L 1 = Some 55L);
-  checkb "unknown port" true (Vm.handle_io vm 0x80 0L 1 = None)
-
 (* --- Vcpu ---------------------------------------------------------------------- *)
 
 let test_vcpu_compute_advances_time () =
@@ -165,16 +153,16 @@ let test_breakdown_charge_advances_clock () =
   Simulator.run (Machine.sim machine);
   checki "wall time spent" (Time.of_us 2) !at
 
-let test_breakdown_reset_and_disable () =
+let test_breakdown_reset () =
   let machine, _, vcpu = make () in
   let bd = Vcpu.breakdown vcpu in
   Vcpu.spawn_program vcpu (fun _ ->
+      Breakdown.count_exit bd;
       Breakdown.charge bd Breakdown.L1_handler (Time.of_ns 100);
-      Breakdown.reset bd;
-      Breakdown.set_enabled bd false;
-      Breakdown.charge bd Breakdown.L1_handler (Time.of_ns 100));
+      Breakdown.reset bd);
   Simulator.run (Machine.sim machine);
-  checki "disabled not recorded" 0 (Breakdown.time bd Breakdown.L1_handler)
+  checki "reset clears the bucket" 0 (Breakdown.time bd Breakdown.L1_handler);
+  checki "reset clears the exit count" 0 (Breakdown.exits bd)
 
 (* --- Semantics ------------------------------------------------------------------ *)
 
@@ -223,6 +211,17 @@ let test_semantics_eoi () =
   Semantics.apply vcpu Exit.Eoi;
   checkb "isr cleared" false (Lapic.in_service (Vcpu.lapic vcpu) 0x70)
 
+(* No port-I/O device or hypercall service is modelled. *)
+let test_semantics_pio_and_vmcall () =
+  let _, _, vcpu = make () in
+  let reply = ref None in
+  Semantics.apply vcpu (Exit.Io_write { port = 0x3F8; value = 55L; size = 1 });
+  Semantics.apply vcpu (Exit.Io_read { port = 0x3F8; size = 1; reply });
+  checkb "pio read answers 0" true (!reply = Some 0L);
+  let reply = ref (Some 1L) in
+  Semantics.apply vcpu (Exit.Vmcall { nr = 42; arg = 9L; reply });
+  checkb "vmcall gets no reply" true (!reply = None)
+
 (* --- L1 scripts --------------------------------------------------------------- *)
 
 let test_l1_script_default_shape () =
@@ -244,15 +243,6 @@ let test_l1_script_default_shape () =
   in
   checki "pure work" (Svt_arch.Cost_model.profile cm Exit_reason.Cpuid).l1_pure total
 
-let test_l1_script_override () =
-  let cm = Svt_arch.Cost_model.paper_machine in
-  let s = L1_script.create cm in
-  L1_script.override s Exit_reason.Hlt (fun _ -> [ L1_script.Work (Time.of_ns 1) ]);
-  let script =
-    L1_script.script_for s (Exit.of_action Exit.Halt) ~apply:(fun () -> ())
-  in
-  checki "override used" 1 (List.length script)
-
 let test_l1_script_reflection_policy () =
   checkb "cpuid reflects" true (L1_script.reflects Exit_reason.Cpuid);
   checkb "external interrupts reflect (L1's devices)" true
@@ -267,8 +257,6 @@ let () =
       ( "vm",
         [
           Alcotest.test_case "mmio dispatch" `Quick test_vm_mmio_dispatch;
-          Alcotest.test_case "hypercalls" `Quick test_vm_hypercalls;
-          Alcotest.test_case "io ports" `Quick test_vm_io_ports;
         ] );
       ( "vcpu",
         [
@@ -287,7 +275,7 @@ let () =
           Alcotest.test_case "charge and rows" `Quick test_breakdown_charge_and_rows;
           Alcotest.test_case "charge advances clock" `Quick
             test_breakdown_charge_advances_clock;
-          Alcotest.test_case "reset and disable" `Quick test_breakdown_reset_and_disable;
+          Alcotest.test_case "reset" `Quick test_breakdown_reset;
         ] );
       ( "semantics",
         [
@@ -298,11 +286,12 @@ let () =
           Alcotest.test_case "rdmsr tsc is virtual time" `Quick
             test_semantics_rdmsr_tsc_is_time;
           Alcotest.test_case "eoi" `Quick test_semantics_eoi;
+          Alcotest.test_case "pio and vmcall without devices" `Quick
+            test_semantics_pio_and_vmcall;
         ] );
       ( "l1-script",
         [
           Alcotest.test_case "default shape" `Quick test_l1_script_default_shape;
-          Alcotest.test_case "override" `Quick test_l1_script_override;
           Alcotest.test_case "reflection policy" `Quick test_l1_script_reflection_policy;
         ] );
     ]

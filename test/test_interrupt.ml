@@ -11,7 +11,7 @@ let checki = Alcotest.(check int)
 
 let make () =
   let sim = Simulator.create () in
-  (sim, Lapic.create sim ~id:0)
+  (sim, Lapic.create sim)
 
 (* Vectors in the order the LAPIC reported them pending. *)
 let notifications l =

@@ -1,7 +1,6 @@
 (* Tests for the observability layer: probe/null-sink semantics, span
-   nesting and ordering on a real nested run, ring wraparound of the
-   bounded timeline sink, Chrome-trace JSON escaping, the ledger bridge
-   round trip, and the null-sink overhead guard. *)
+   nesting and ordering on a real nested run, Chrome-trace JSON escaping,
+   the ledger bridge round trip, and the sinks-do-not-perturb guard. *)
 
 module Time = Svt_engine.Time
 module Span = Svt_obs.Span
@@ -28,21 +27,8 @@ let test_probe_off_by_default () =
   let hits = ref 0 in
   Probe.subscribe p (fun _ -> incr hits);
   checkb "subscriber -> on" true (Probe.is_on p);
-  Probe.set_armed p false;
-  checkb "disarmed -> off" false (Probe.is_on p);
   Probe.span p Span.Vm_exit ~vcpu:0 ~level:2 ~start:Time.zero ();
-  checki "disarmed emits nothing" 0 !hits;
-  Probe.set_armed p true;
-  Probe.span p Span.Vm_exit ~vcpu:0 ~level:2 ~start:Time.zero ();
-  checki "armed emits" 1 !hits
-
-let test_null_probe_sealed () =
-  checkb "null off" false (Probe.is_on Probe.null);
-  checkb "null subscribe raises" true
-    (try
-       Probe.subscribe Probe.null (fun _ -> ());
-       false
-     with _ -> true)
+  checki "subscriber sees the span" 1 !hits
 
 let test_wrap_tags_lazy () =
   let p = Probe.create ~clock:(fun () -> Time.zero) () in
@@ -59,11 +45,12 @@ let test_wrap_tags_lazy () =
 
 (* --- span nesting / ordering on a real run ------------------------------ *)
 
-let run_small_nested mode =
+let run_small_nested ?(prepare = ignore) mode =
   let sys =
     System.of_config (System.Config.make ~mode ~level:System.L2_nested ())
   in
   let tl = Recorder.enable_timeline (System.obs sys) in
+  prepare sys;
   Svt_hyp.Vcpu.spawn_program (System.vcpu0 sys) (fun v ->
       for _ = 1 to 5 do
         ignore (Guest.cpuid v ~leaf:1)
@@ -71,11 +58,20 @@ let run_small_nested mode =
   System.run sys;
   (sys, tl)
 
+(* [a]'s interval contains [b]'s on the shared virtual timeline. *)
+let encloses (a : Span.t) (b : Span.t) =
+  Time.(a.start <= b.start) && Time.(b.stop <= a.stop)
+
 let test_nesting_and_ordering () =
-  let _sys, tl = run_small_nested Mode.Baseline in
+  let seen = ref [] in
+  let collect sys =
+    Probe.subscribe (System.probe sys) (fun s ->
+        if s.Span.vcpu = 0 then seen := s :: !seen)
+  in
+  let _sys, tl = run_small_nested ~prepare:collect Mode.Baseline in
   checkb "saw vm-exits" true (Timeline.count tl Span.Vm_exit >= 5);
   checkb "saw transforms" true (Timeline.count tl Span.Vmcs_transform >= 10);
-  let spans = Timeline.spans tl ~vcpu:0 in
+  let spans = List.rev !seen in
   let exits = List.filter (fun s -> s.Span.kind = Span.Vm_exit) spans in
   (* every non-exit protocol span lies inside some vm-exit episode *)
   List.iter
@@ -85,7 +81,7 @@ let test_nesting_and_ordering () =
           checkb
             (Fmt.str "%s enclosed by a vm-exit" (Span.kind_name s.Span.kind))
             true
-            (List.exists (fun e -> Span.encloses e s) exits)
+            (List.exists (fun e -> encloses e s) exits)
       | _ -> ())
     spans;
   (* spans arrive in emission order: non-decreasing stop times *)
@@ -112,34 +108,6 @@ let test_sw_svt_ring_spans () =
   (* each episode posts CMD_VM_TRAP and receives CMD_VM_RESUME *)
   checkb "sends >= exits" true
     (Timeline.count tl Span.Ring_send >= Timeline.count tl Span.Vm_exit)
-
-(* --- ring wraparound ----------------------------------------------------- *)
-
-let synthetic_span i =
-  {
-    Span.kind = Span.Vm_exit;
-    vcpu = 0;
-    level = 2;
-    core = -1;
-    ctx = -1;
-    start = Time.of_ns (i * 100);
-    stop = Time.of_ns ((i * 100) + 50);
-    tags = [ ("i", string_of_int i) ];
-  }
-
-let test_ring_wraparound () =
-  let tl = Timeline.create ~capacity:4 () in
-  for i = 1 to 6 do
-    Timeline.sink tl (synthetic_span i)
-  done;
-  checki "recorded counts everything" 6 (Timeline.recorded tl ~vcpu:0);
-  checki "histograms see everything" 6 (Timeline.count tl Span.Vm_exit);
-  let retained = Timeline.spans tl ~vcpu:0 in
-  checki "ring keeps capacity" 4 (List.length retained);
-  Alcotest.(check (list string))
-    "oldest-first, oldest dropped"
-    [ "3"; "4"; "5"; "6" ]
-    (List.map (fun s -> Option.get (Span.tag s "i")) retained)
 
 (* --- Chrome trace JSON --------------------------------------------------- *)
 
@@ -214,18 +182,7 @@ let test_ledger_round_trip () =
       List.iter
         (fun (k, v) ->
           Alcotest.(check (float 1e-9)) k v (Ledger.metric loaded k))
-        obs_fields;
-      (* the flattened fields recover the original summaries *)
-      let recovered = Export.summaries_of_fields loaded.Ledger.metrics in
-      let original = Timeline.summaries tl in
-      checki "summary count" (List.length original) (List.length recovered);
-      List.iter2
-        (fun (o : Timeline.summary) (r : Timeline.summary) ->
-          checkb "kind" true (o.Timeline.kind = r.Timeline.kind);
-          checki "count" o.Timeline.count r.Timeline.count;
-          checki "p99" o.Timeline.p99_ns r.Timeline.p99_ns;
-          checki "total" o.Timeline.total_ns r.Timeline.total_ns)
-        original recovered)
+        obs_fields)
 
 (* --- coverage sink -------------------------------------------------------- *)
 
@@ -323,22 +280,19 @@ let test_coverage_attaches_to_probe () =
 
 (* --- overhead guard ------------------------------------------------------ *)
 
-(* The safety property: installing sinks never changes simulated results,
-   and the default null-sink probes cost nothing measurable next to a
-   probe-disarmed run. *)
+(* The safety property: installing sinks never changes simulated
+   results. *)
 
 let point = Spec.point ~workload:"cpuid" Mode.Baseline
 
 let run_with prepare =
   let sys = Runner.make_system point in
   prepare sys;
-  let t0 = Unix.gettimeofday () in
-  let metrics = Runner.workload_metrics point sys in
-  (metrics, Unix.gettimeofday () -. t0)
+  Runner.workload_metrics point sys
 
 let test_sinks_do_not_perturb () =
-  let bare, _ = run_with (fun _ -> ()) in
-  let observed, _ =
+  let bare = run_with (fun _ -> ()) in
+  let observed =
     run_with (fun sys ->
         ignore (Recorder.enable_timeline (System.obs sys));
         ignore (Recorder.enable_chrome (System.obs sys)))
@@ -349,27 +303,6 @@ let test_sinks_do_not_perturb () =
       Alcotest.(check string) "metric name" k k';
       checkb (k ^ " bit-identical") true (Float.equal v v'))
     bare observed
-
-let median xs =
-  let a = Array.of_list xs in
-  Array.sort compare a;
-  a.(Array.length a / 2)
-
-let test_null_sink_overhead () =
-  (* warm-up *)
-  ignore (run_with (fun _ -> ()));
-  let time prepare =
-    median (List.init 5 (fun _ -> snd (run_with prepare)))
-  in
-  let disarmed = time (fun sys -> Recorder.set_enabled (System.obs sys) false) in
-  let null_sink = time (fun _ -> ()) in
-  (* 5% relative budget plus absolute slack for timer noise on a
-     sub-millisecond workload *)
-  checkb
-    (Printf.sprintf "null sink %.4fs within budget of disarmed %.4fs"
-       null_sink disarmed)
-    true
-    (null_sink <= (disarmed *. 1.05) +. 0.005)
 
 (* --- wrap exception safety ----------------------------------------------- *)
 
@@ -502,9 +435,9 @@ let test_profiler_engine_buckets () =
   checkf "telescopes" (Profiler.wall_s prof) (Profiler.exclusive_total_s prof)
 
 let test_profiler_does_not_perturb () =
-  let bare, _ = run_with (fun _ -> ()) in
+  let bare = run_with (fun _ -> ()) in
   let prof = Profiler.create () in
-  let observed, _ =
+  let observed =
     run_with (fun sys ->
         Probe.subscribe (System.probe sys) (Profiler.sink prof);
         Simulator.set_observer (System.sim sys)
@@ -583,7 +516,6 @@ let () =
       ( "probe",
         [
           Alcotest.test_case "off by default" `Quick test_probe_off_by_default;
-          Alcotest.test_case "null sealed" `Quick test_null_probe_sealed;
           Alcotest.test_case "wrap tags lazy" `Quick test_wrap_tags_lazy;
         ] );
       ( "timeline",
@@ -591,7 +523,6 @@ let () =
           Alcotest.test_case "nesting and ordering" `Quick
             test_nesting_and_ordering;
           Alcotest.test_case "sw-svt ring spans" `Quick test_sw_svt_ring_spans;
-          Alcotest.test_case "ring wraparound" `Quick test_ring_wraparound;
         ] );
       ( "chrome",
         [ Alcotest.test_case "json escaping" `Quick test_chrome_json_escaping ] );
@@ -608,8 +539,6 @@ let () =
         [
           Alcotest.test_case "sinks do not perturb" `Quick
             test_sinks_do_not_perturb;
-          Alcotest.test_case "null sink overhead" `Quick
-            test_null_sink_overhead;
           Alcotest.test_case "counting-sink alloc budget" `Quick
             test_counting_sink_alloc_budget;
         ] );

@@ -301,8 +301,6 @@ type op =
   | Broadcast of int
   | Timer of int (* a plain callback this far ahead *)
   | Cancel_timer (* the process's latest timer, fired or not *)
-  | Fill of int (* the ivar, when it is still empty *)
-  | Read of int
 
 type scenario = {
   scripts : op list list; (* spawned in order at time 0 *)
@@ -312,7 +310,6 @@ type scenario = {
 }
 
 let n_signals = 2
-let n_ivars = 2
 
 let rec pp_op = function
   | Delay d -> Printf.sprintf "delay %d" d
@@ -321,8 +318,6 @@ let rec pp_op = function
   | Broadcast s -> Printf.sprintf "broadcast s%d" s
   | Timer d -> Printf.sprintf "timer %d" d
   | Cancel_timer -> "cancel"
-  | Fill i -> Printf.sprintf "fill iv%d" i
-  | Read i -> Printf.sprintf "read iv%d" i
 
 let pp_scenario sc =
   Printf.sprintf "budget %d%s, slices [%s]\n%s" sc.budget
@@ -348,8 +343,6 @@ let gen_scenario =
          (2, map (fun s -> Broadcast s) (int_bound (n_signals - 1)));
          (2, map (fun d -> Timer d) span);
          (1, return Cancel_timer);
-         (1, map (fun i -> Fill i) (int_bound (n_ivars - 1)));
-         (1, map (fun i -> Read i) (int_bound (n_ivars - 1)));
        ]
       @
       if depth > 0 then
@@ -403,7 +396,6 @@ let reference sc =
   let cancel h = pending := List.filter (fun (_, s, _) -> s <> h) !pending in
   let steps = ref [] and pids = ref 0 and timers = ref 0 in
   let signals = Array.make n_signals [] in
-  let ivars = Array.make n_ivars (Some []) (* [None] once filled *) in
   let rec spawn ops =
     let pid = !pids in
     incr pids;
@@ -455,19 +447,7 @@ let reference sc =
             next 0
         | Cancel_timer ->
             Option.iter cancel !last_timer;
-            next 0
-        | Fill i ->
-            (match ivars.(i) with
-            | None -> ()
-            | Some waiters ->
-                ivars.(i) <- None;
-                List.iter (fun w -> ignore (add !now w)) waiters);
-            next 0
-        | Read i -> (
-            match ivars.(i) with
-            | None -> next 0
-            | Some waiters ->
-                ivars.(i) <- Some (waiters @ [ (fun () -> next 0) ])))
+            next 0)
   in
   List.iter spawn sc.scripts;
   let exception Exhausted of int * int * int in
@@ -518,7 +498,6 @@ let engine sc =
          });
   let steps = ref [] and pids = ref 0 and timers = ref 0 in
   let signals = Array.init n_signals (fun _ -> Simulator.Signal.create sim) in
-  let ivars = Array.init n_ivars (fun _ -> Simulator.Ivar.create sim) in
   let rec body pid ops () =
     let last_timer = ref None in
     List.iteri
@@ -550,13 +529,6 @@ let engine sc =
               0
           | Cancel_timer ->
               Option.iter (Simulator.cancel sim) !last_timer;
-              0
-          | Fill i ->
-              if not (Simulator.Ivar.is_filled ivars.(i)) then
-                Simulator.Ivar.fill ivars.(i) ();
-              0
-          | Read i ->
-              Simulator.Ivar.read ivars.(i);
               0
         in
         steps := (Simulator.Proc.now (), pid, step, v) :: !steps)

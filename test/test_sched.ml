@@ -238,12 +238,12 @@ let test_deterministic_replay () =
       checkb (Printf.sprintf "field %s identical" ka) true (va = vb))
     fa fb
 
-(* --- Tenant churn & host degradation ------------------------------------- *)
+(* --- Late admission & host degradation ----------------------------------- *)
 
 let tenant_names (r : Host.report) =
   List.map (fun tr -> tr.Host.tenant) r.Host.tenant_reports
 
-let test_tenant_departure_and_readmission () =
+let test_mid_run_admission () =
   let topo = Topology.create ~sockets:1 ~cores_per_socket:4 ~smt_per_core:2 () in
   let host = Host.create ~topology:topo () in
   for i = 0 to 2 do
@@ -252,30 +252,14 @@ let test_tenant_departure_and_readmission () =
     | Error _ -> Alcotest.fail (Printf.sprintf "tenant %d rejected" i)
   done;
   Host.run host ~horizon:(Time.of_ms 2);
-  (* unknown departures are a typed error, not an exception *)
-  (match Host.remove_tenant host ~name:"nobody" with
-  | Ok _ -> Alcotest.fail "removed a tenant that was never admitted"
-  | Error (Host.Unknown_tenant { name }) -> checks "unknown name" "nobody" name);
-  checki "unknown departure changed nothing" 3 (Host.n_tenants host);
-  (* a real departure returns the spec the cluster re-admits elsewhere *)
-  (match Host.remove_tenant host ~name:"t1" with
-  | Error e -> Alcotest.fail (Fmt.str "%a" Host.pp_churn_error e)
-  | Ok spec ->
-      checks "departing spec name" "t1" spec.Host.name;
-      checki "departing spec seed" 1 spec.Host.seed);
-  checki "two tenants remain" 2 (Host.n_tenants host);
-  (* the run continues over the survivors *)
-  Host.run host ~horizon:(Time.of_ms 4);
-  checkb "survivors only in the report" true
-    (tenant_names (Host.report host) = [ "t0"; "t2" ]);
-  (* mid-run admission: the auto-name counter never rewinds, so the
-     newcomer is t3, not a second t2 *)
+  (* mid-run admission: the auto-name counts the admission index, so the
+     newcomer is t3 *)
   (match Host.add_tenant host (Host.tenant_spec ~seed:9 Mode.Baseline) with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "mid-run admission rejected");
-  Host.run host ~horizon:(Time.of_ms 6);
+  Host.run host ~horizon:(Time.of_ms 4);
   checkb "newcomer gets a fresh name" true
-    (tenant_names (Host.report host) = [ "t0"; "t2"; "t3" ])
+    (tenant_names (Host.report host) = [ "t0"; "t1"; "t2"; "t3" ])
 
 let test_idle_host_run_advances_clock () =
   let topo = Topology.create ~sockets:1 ~cores_per_socket:2 ~smt_per_core:2 () in
@@ -450,8 +434,7 @@ let () =
           Alcotest.test_case "per-exit ordering (fig6)" `Quick
             test_per_exit_ordering_matches_fig6;
           Alcotest.test_case "deterministic replay" `Quick test_deterministic_replay;
-          Alcotest.test_case "tenant departure and readmission" `Quick
-            test_tenant_departure_and_readmission;
+          Alcotest.test_case "mid-run admission" `Quick test_mid_run_admission;
           Alcotest.test_case "idle host run advances clock" `Quick
             test_idle_host_run_advances_clock;
           Alcotest.test_case "throttle inflates the quantum" `Quick
