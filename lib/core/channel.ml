@@ -49,6 +49,7 @@ type ring = {
   aspace : Aspace.t;
   base : Gpa.t;
   signal : Signal.t;
+  scratch : Bytes.t; (* one entry, built here and written in one copy *)
 }
 
 type t = {
@@ -63,12 +64,16 @@ type t = {
   injector : Injector.t;
 }
 
+(* A ring (8 + 16 x 152 = 2,440 bytes) fits in the page it starts on, so
+   no entry straddles a page: an entry is one EPT translation and one
+   blit. *)
 let make_ring sim aspace =
   let pages = (header_bytes + (ring_entries * entry_bytes) + Svt_mem.Addr.page_size - 1)
               / Svt_mem.Addr.page_size in
   { aspace;
     base = Aspace.alloc_guest_pages aspace pages;
-    signal = Signal.create sim }
+    signal = Signal.create sim;
+    scratch = Bytes.create entry_bytes }
 
 let create ?(vcpu_index = -1) ?injector ~machine ~aspace ~wait ~placement
     ~core () =
@@ -99,54 +104,52 @@ let code_of = function
   | Blocked -> 3
   | Corrupt _ -> invalid_arg "Channel: Corrupt commands cannot be posted"
 
-let serialize r i cmd =
-  let a = entry_addr r i in
-  Aspace.write_u32 r.aspace a (code_of cmd);
-  let reason_num, qual, seq, regs =
-    match cmd with
-    | Vm_trap { seq; reason; qual; regs } ->
-        (Svt_arch.Exit_reason.basic_number reason, qual, seq, regs)
-    | Vm_resume { seq; regs } -> (0, 0L, seq, regs)
-    | Blocked -> (0, 0L, 0, [||])
-    | Corrupt _ -> assert false
-  in
-  Aspace.write_u32 r.aspace (Gpa.add a 4) reason_num;
-  Aspace.write_u64 r.aspace (Gpa.add a 8) qual;
-  Aspace.write_u64 r.aspace (Gpa.add a 16) (Int64.of_int seq);
-  Array.iteri
-    (fun j v -> Aspace.write_u64 r.aspace (Gpa.add a (24 + (8 * j))) v)
-    (Array.sub regs 0 (min regs_count (Array.length regs)))
+(* Entry layout, little-endian: code u32 | reason u32 | qual u64 | seq u64
+   | regs u64 x 16. Fields a command does not carry are zero. *)
+let put_payload b seq regs =
+  Bytes.set_int64_le b 16 (Int64.of_int seq);
+  for j = 0 to Stdlib.min regs_count (Array.length regs) - 1 do
+    Bytes.set_int64_le b (24 + (8 * j)) regs.(j)
+  done
 
-let reason_table =
-  (* reverse mapping from basic exit numbers, for deserialization *)
-  let tbl = Hashtbl.create 64 in
+let serialize r i cmd =
+  let b = r.scratch in
+  Bytes.fill b 0 entry_bytes '\000';
+  Bytes.set_int32_le b 0 (Int32.of_int (code_of cmd));
+  (match cmd with
+  | Vm_trap { seq; reason; qual; regs } ->
+      Bytes.set_int32_le b 4
+        (Int32.of_int (Svt_arch.Exit_reason.basic_number reason));
+      Bytes.set_int64_le b 8 qual;
+      put_payload b seq regs
+  | Vm_resume { seq; regs } -> put_payload b seq regs
+  | Blocked | Corrupt _ -> ());
+  Aspace.write_bytes r.aspace (entry_addr r i) b
+
+(* Exit reasons by basic number, for deserialization; a number no reason
+   has reads back as [Vmcall]. *)
+let reason_of_number =
   let open Svt_arch.Exit_reason in
-  List.iter
-    (fun r -> Hashtbl.replace tbl (basic_number r) r)
-    [ Cpuid; Msr_read; Msr_write; Ept_misconfig; Ept_violation;
-      Io_instruction; Hlt; External_interrupt; Eoi_induced; Vmcall;
-      Apic_write; Apic_access; Pause_exit; Interrupt_window; Exception_nmi;
-      Preemption_timer; Mwait_exit ];
+  let top = List.fold_left (fun m r -> Stdlib.max m (basic_number r)) 0 all in
+  let tbl = Array.make (top + 1) Vmcall in
+  List.iter (fun r -> tbl.(basic_number r) <- r) all;
   tbl
 
+let get_u32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xFFFF_FFFF
+let get_seq b = Int64.to_int (Bytes.get_int64_le b 16)
+let get_regs b = Array.init regs_count (fun j -> Bytes.get_int64_le b (24 + (8 * j)))
+
 let deserialize r i =
-  let a = entry_addr r i in
-  let code = Aspace.read_u32 r.aspace a in
-  let reason_num = Aspace.read_u32 r.aspace (Gpa.add a 4) in
-  let qual = Aspace.read_u64 r.aspace (Gpa.add a 8) in
-  let seq = Int64.to_int (Aspace.read_u64 r.aspace (Gpa.add a 16)) in
-  let regs =
-    Array.init regs_count (fun j -> Aspace.read_u64 r.aspace (Gpa.add a (24 + (8 * j))))
-  in
-  match code with
+  let b = Aspace.read_bytes r.aspace (entry_addr r i) entry_bytes in
+  match get_u32 b 0 with
   | 1 ->
+      let n = get_u32 b 4 in
       let reason =
-        Option.value
-          (Hashtbl.find_opt reason_table reason_num)
-          ~default:Svt_arch.Exit_reason.Vmcall
+        if n < Array.length reason_of_number then reason_of_number.(n)
+        else Svt_arch.Exit_reason.Vmcall
       in
-      Vm_trap { seq; reason; qual; regs }
-  | 2 -> Vm_resume { seq; regs }
+      Vm_trap { seq = get_seq b; reason; qual = Bytes.get_int64_le b 8; regs = get_regs b }
+  | 2 -> Vm_resume { seq = get_seq b; regs = get_regs b }
   | 3 -> Blocked
   | n -> Corrupt n
 

@@ -37,7 +37,8 @@ type t = {
   cost : Svt_arch.Cost_model.t;
   mem : Svt_mem.Phys_mem.t;
   alloc : Svt_mem.Frame_alloc.t;
-  cores : Svt_arch.Smt_core.t array;
+  cores : Svt_arch.Smt_core.t option array;
+      (* each built on its first [core] call: a stack touches one or two *)
   host_cpuid : Svt_arch.Cpuid_db.t;
   metrics : Svt_stats.Metrics.t;
   obs : Svt_obs.Recorder.t;
@@ -56,9 +57,7 @@ let create ?(config = paper_config) () =
     alloc =
       Svt_mem.Frame_alloc.create ~base:(1 lsl 30)
         ~size_bytes:(config.ram_gb * (1 lsl 30));
-    cores =
-      Array.init n_cores (fun id ->
-          Svt_arch.Smt_core.create ~id ~n_contexts:config.smt_per_core ());
+    cores = Array.make n_cores None;
     host_cpuid = Svt_arch.Cpuid_db.host ();
     metrics = Svt_stats.Metrics.create ();
     obs = Svt_obs.Recorder.create ~clock:(fun () -> Simulator.now sim) ();
@@ -68,7 +67,15 @@ let create ?(config = paper_config) () =
 let sim t = t.sim
 let cost t = t.cost
 let arch t = t.config.arch
-let core t i = t.cores.(i)
+let core t i =
+  match t.cores.(i) with
+  | Some c -> c
+  | None ->
+      let c =
+        Svt_arch.Smt_core.create ~id:i ~n_contexts:t.config.smt_per_core ()
+      in
+      t.cores.(i) <- Some c;
+      c
 
 let now t = Simulator.now t.sim
 

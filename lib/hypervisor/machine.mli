@@ -27,7 +27,8 @@ type t = {
   cost : Svt_arch.Cost_model.t;
   mem : Svt_mem.Phys_mem.t;
   alloc : Svt_mem.Frame_alloc.t;
-  cores : Svt_arch.Smt_core.t array;
+  cores : Svt_arch.Smt_core.t option array;
+      (** built on demand: read them through {!core} *)
   host_cpuid : Svt_arch.Cpuid_db.t;
   metrics : Svt_stats.Metrics.t;
   obs : Svt_obs.Recorder.t;
@@ -38,9 +39,14 @@ val create : ?config:config -> unit -> t
 val sim : t -> Svt_engine.Simulator.t
 val cost : t -> Svt_arch.Cost_model.t
 
-(** The machine's architecture backend. *)
 val arch : t -> Svt_arch.Backend.kind
+(** The machine's architecture backend. *)
+
 val core : t -> int -> Svt_arch.Smt_core.t
+(** Core [i], built on its first call (a stack touches one or two of
+    them). Raises [Invalid_argument] unless [i] indexes one of the
+    [sockets * cores_per_socket] cores. *)
+
 val now : t -> Svt_engine.Time.t
 
 val obs : t -> Svt_obs.Recorder.t

@@ -31,7 +31,7 @@ let create ~mem ~alloc ~ram_bytes =
      configured to avoid swapping). *)
   let pages = (ram_bytes + Addr.page_size - 1) / Addr.page_size in
   Ept.map_range t.ept ~gpa:(Addr.Gpa.of_int 0) ~len:(pages * Addr.page_size)
-    ~perm:Ept.rwx ~frame:(fun _ -> Frame_alloc.alloc alloc);
+    ~perm:Ept.rwx ~hpa:(Frame_alloc.alloc alloc pages);
   t.regions <-
     [ { name = "ram"; base = Addr.Gpa.of_int 0; len = pages * Addr.page_size;
         kind = `Ram } ];
@@ -61,14 +61,18 @@ let region_of_gpa t gpa =
       && Addr.Gpa.to_int gpa < Addr.Gpa.to_int r.base + r.len)
     t.regions
 
-let translate t ~gpa ~access = Ept.translate t.ept ~gpa ~access
-
 (* Guest-physical accessors through the EPT. Raise on faults: callers that
-   model faulting paths use [Ept.translate] directly. *)
-let hpa_exn t gpa access =
-  match translate t ~gpa ~access with
-  | Ok hpa -> hpa
+   model faulting paths use [Ept.translate] directly. The hit path is
+   [Ept.resolve], which allocates nothing; only a fault builds the typed
+   [Ept.fault], for the message. *)
+let fault t gpa access =
+  match Ept.translate t.ept ~gpa ~access with
+  | Ok _ -> assert false
   | Error f -> failwith (Fmt.str "%a" Ept.pp_fault f)
+
+let hpa_exn t gpa access =
+  let h = Ept.resolve t.ept ~gpa ~access in
+  if h < 0 then fault t gpa access else Addr.Hpa.of_int h
 
 let read_u64 t gpa = Phys_mem.read_u64 t.mem (hpa_exn t gpa Ept.Read)
 let write_u64 t gpa v = Phys_mem.write_u64 t.mem (hpa_exn t gpa Ept.Write) v
@@ -107,7 +111,7 @@ let write_bytes t gpa data = copy_pages t gpa data Ept.Write Phys_mem.write_from
 let alloc_guest_pages t n =
   let base = t.alloc_cursor in
   Ept.map_range t.ept ~gpa:base ~len:(n * Addr.page_size) ~perm:Ept.rwx
-    ~frame:(fun _ -> Frame_alloc.alloc t.alloc);
+    ~hpa:(Frame_alloc.alloc t.alloc n);
   t.alloc_cursor <- Addr.Gpa.add base (n * Addr.page_size);
   t.regions <-
     { name = "alloc"; base; len = n * Addr.page_size; kind = `Ram } :: t.regions;

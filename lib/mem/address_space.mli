@@ -29,8 +29,12 @@ val region_of_gpa : t -> Addr.Gpa.t -> region option
 
 (** {2 Guest-physical accessors (raise on faults)} *)
 
-val read_u64 : t -> Addr.Gpa.t -> int64
-val write_u64 : t -> Addr.Gpa.t -> int64 -> unit
+val read_u64 : t -> Addr.Gpa.t -> int
+(** A 64-bit word as an OCaml int, as in {!Phys_mem.read_u64}. The
+    scalar accessors translate through {!Ept.resolve}: on a mapped page
+    they allocate nothing. *)
+
+val write_u64 : t -> Addr.Gpa.t -> int -> unit
 val read_u32 : t -> Addr.Gpa.t -> int
 val write_u32 : t -> Addr.Gpa.t -> int -> unit
 val read_u16 : t -> Addr.Gpa.t -> int

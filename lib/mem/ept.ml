@@ -110,31 +110,28 @@ let set t l i page e =
   if e land present <> 0 then t.mapped_pages <- t.mapped_pages + 1;
   l.(i) <- e
 
-(* Map a contiguous guest range: page [i] of it to host frame [frame i],
-   with [frame] called once per page in ascending order. One walk per
-   leaf table. *)
-let map_range t ~gpa ~len ~perm ~frame =
-  if not (Addr.Gpa.is_page_aligned gpa) then invalid_arg "Ept.map: unaligned";
+(* Map a contiguous guest range onto the contiguous host run from [hpa]:
+   one walk per leaf table, then an int loop over its entries. *)
+let map_range t ~gpa ~len ~perm ~hpa =
+  if not (Addr.Gpa.is_page_aligned gpa && Addr.Hpa.is_page_aligned hpa) then
+    invalid_arg "Ept.map: unaligned";
   let pages = (len + Addr.page_size - 1) / Addr.page_size in
   let bits = present lor perm_bits perm in
-  let first = page_index gpa in
+  let first = page_index gpa and first_frame = Addr.Hpa.page_of hpa in
   let i = ref 0 in
   while !i < pages do
     let page = (first + !i) land page_number_mask in
     let l = leaves_of t.root page (levels - 1) ~create:true in
     let lo = page land (fanout - 1) in
     let n = Stdlib.min (pages - !i) (fanout - lo) in
+    let e = bits lor ((first_frame + !i) lsl frame_shift) in
     for k = 0 to n - 1 do
-      let hpa = frame (!i + k) in
-      if not (Addr.Hpa.is_page_aligned hpa) then invalid_arg "Ept.map: unaligned";
-      set t l (lo + k) (page + k)
-        (bits lor ((Addr.Hpa.to_int hpa lsr Addr.page_shift) lsl frame_shift))
+      set t l (lo + k) (page + k) (e + (k lsl frame_shift))
     done;
     i := !i + n
   done
 
-let map t ~gpa ~hpa ~perm =
-  map_range t ~gpa ~len:Addr.page_size ~perm ~frame:(fun _ -> hpa)
+let map t ~gpa ~hpa ~perm = map_range t ~gpa ~len:Addr.page_size ~perm ~hpa
 
 let mark_misconfig t ~gpa ~tag =
   if not (Addr.Gpa.is_page_aligned gpa) then invalid_arg "Ept.mark_misconfig";
@@ -150,16 +147,25 @@ let lookup t gpa =
   else if e land misconfig <> 0 then Some (Misconfig { tag = Hashtbl.find t.tags page })
   else Some (Page { hpa = hpa_of_entry e; perm = perms.((e lsr 1) land 7) })
 
+(* The hit path of every guest-memory access: one walk, two bit tests, no
+   allocation. A misconfigured entry carries no access bits, so it fails
+   the permission test like an absent one. *)
+let resolve t ~gpa ~access =
+  let e = entry_at t (page_index gpa) in
+  if e land access_bit access <> 0 then
+    ((e lsr frame_shift) lsl Addr.page_shift) lor Addr.Gpa.offset gpa
+  else -1
+
 (* Translate a guest-physical address for a given access, returning either
    the host-physical address or the architectural fault. *)
 let translate t ~gpa ~access =
-  let page = page_index gpa in
-  let e = entry_at t page in
-  if e land misconfig <> 0 then
-    Error (Misconfiguration { gpa; tag = Hashtbl.find t.tags page })
-  else if e land access_bit access <> 0 then
-    Ok (Addr.Hpa.add (hpa_of_entry e) (Addr.Gpa.offset gpa))
-  else Error (Violation { gpa; access })
+  let h = resolve t ~gpa ~access in
+  if h >= 0 then Ok (Addr.Hpa.of_int h)
+  else
+    let page = page_index gpa in
+    if entry_at t page land misconfig <> 0 then
+      Error (Misconfiguration { gpa; tag = Hashtbl.find t.tags page })
+    else Error (Violation { gpa; access })
 
 let unmap t ~gpa =
   let page = page_index gpa in

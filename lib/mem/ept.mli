@@ -30,11 +30,11 @@ val map : t -> gpa:Addr.Gpa.t -> hpa:Addr.Hpa.t -> perm:perm -> unit
 (** Map one page (both addresses page-aligned). *)
 
 val map_range :
-  t -> gpa:Addr.Gpa.t -> len:int -> perm:perm -> frame:(int -> Addr.Hpa.t) -> unit
-(** Map the [len] bytes (rounded up to pages) from [gpa]: page [i] of the
-    range to host frame [frame i]. [frame] is called once per page, in
-    ascending order, so it may draw fresh frames from an allocator. One
-    table walk per 512-page leaf table; no allocation per page. *)
+  t -> gpa:Addr.Gpa.t -> len:int -> perm:perm -> hpa:Addr.Hpa.t -> unit
+(** Map the [len] bytes (rounded up to pages) from [gpa] onto the
+    contiguous host run from [hpa] (both page-aligned): page [i] of the
+    range to the host frame [i] pages above [hpa]. One table walk per
+    512-page leaf table; no allocation per page. *)
 
 val mark_misconfig : t -> gpa:Addr.Gpa.t -> tag:string -> unit
 (** Mark a page deliberately misconfigured (an MMIO doorbell). *)
@@ -44,6 +44,12 @@ val lookup : t -> Addr.Gpa.t -> entry option
 val translate : t -> gpa:Addr.Gpa.t -> access:access -> (Addr.Hpa.t, fault) result
 (** Translate for a given access, preserving the page offset, or return
     the architectural fault. *)
+
+val resolve : t -> gpa:Addr.Gpa.t -> access:access -> int
+(** {!translate} as a bare int, for the guest-memory accessors: the
+    host-physical address, or [-1] when the access faults ({!translate}
+    names the fault). Same permission and misconfiguration checks;
+    allocates nothing. *)
 
 val unmap : t -> gpa:Addr.Gpa.t -> unit
 

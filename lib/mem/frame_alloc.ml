@@ -12,8 +12,11 @@ let create ~base ~size_bytes =
     limit_frames = (base + size_bytes) lsr Addr.page_shift;
   }
 
-let alloc t =
-  if t.next_frame >= t.limit_frames then failwith "Frame_alloc: out of memory";
+(* A run of [n] frames is the next [n] of the bump: the same frames [n]
+   one-frame calls would hand out, in the same order. *)
+let alloc t n =
+  if n < 0 then invalid_arg "Frame_alloc.alloc";
+  if n > t.limit_frames - t.next_frame then failwith "Frame_alloc: out of memory";
   let f = t.next_frame in
-  t.next_frame <- t.next_frame + 1;
+  t.next_frame <- t.next_frame + n;
   Addr.Hpa.of_int (f lsl Addr.page_shift)

@@ -1,5 +1,6 @@
 (** Sparse host physical memory with byte-level contents (pages
-    materialize zero-filled on first touch). Real contents matter:
+    materialize zero-filled on first touch; a page is found by frame
+    number with two array loads). Real contents matter:
     virtqueue rings and the SW SVt command channels live here and are
     read and written by both guests and hypervisors. *)
 
@@ -9,11 +10,15 @@ val create : unit -> t
 
 val read_u8 : t -> Addr.Hpa.t -> int
 
-val read_u64 : t -> Addr.Hpa.t -> int64
+val read_u64 : t -> Addr.Hpa.t -> int
 (** Multi-byte accessors are little-endian and handle page-crossing
-    accesses; each touches exactly its own bytes. *)
+    accesses; each touches exactly its own bytes. A 64-bit word is an
+    OCaml int, as [Int64.to_int] gives it (bit 63 is dropped), so no
+    access boxes an [int64]. *)
 
-val write_u64 : t -> Addr.Hpa.t -> int64 -> unit
+val write_u64 : t -> Addr.Hpa.t -> int -> unit
+(** Stores [Int64.of_int v]. *)
+
 val read_u32 : t -> Addr.Hpa.t -> int
 val write_u32 : t -> Addr.Hpa.t -> int -> unit
 val read_u16 : t -> Addr.Hpa.t -> int

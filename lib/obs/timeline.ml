@@ -1,5 +1,6 @@
 (* Sink 1: per-span-kind latency histograms and time totals over every
-   span, queryable at end of run. *)
+   span, queryable at end of run. A kind's histogram (2,080 counts) is
+   made on its first span, so a kind a run never emits costs nothing. *)
 
 module Time = Svt_engine.Time
 module Histogram = Svt_stats.Histogram
@@ -14,14 +15,14 @@ type summary = {
 }
 
 type t = {
-  hists : Histogram.t array; (* one per span kind *)
+  hists : Histogram.t option array; (* per span kind, from its first span *)
   totals : int array; (* accumulated ns per span kind *)
   mutable total_spans : int;
 }
 
 let create () =
   {
-    hists = Array.init Span.n_kinds (fun _ -> Histogram.create ());
+    hists = Array.make Span.n_kinds None;
     totals = Array.make Span.n_kinds 0;
     total_spans = 0;
   }
@@ -30,17 +31,26 @@ let create () =
 let sink t (s : Span.t) =
   let k = Span.kind_index s.Span.kind in
   let ns = Span.duration_ns s in
-  Histogram.add t.hists.(k) (max 0 ns);
+  let h =
+    match t.hists.(k) with
+    | Some h -> h
+    | None ->
+        let h = Histogram.create () in
+        t.hists.(k) <- Some h;
+        h
+  in
+  Histogram.add h (max 0 ns);
   t.totals.(k) <- t.totals.(k) + ns;
   t.total_spans <- t.total_spans + 1
 
 let total_spans t = t.total_spans
 
-let histogram t kind = t.hists.(Span.kind_index kind)
-let count t kind = Histogram.count (histogram t kind)
+let count t kind =
+  match t.hists.(Span.kind_index kind) with
+  | Some h -> Histogram.count h
+  | None -> 0
 
-let summary t kind =
-  let h = histogram t kind in
+let summary t kind h =
   {
     kind;
     count = Histogram.count h;
@@ -53,7 +63,7 @@ let summary t kind =
 (* Non-empty kinds only, in kind order. *)
 let summaries t =
   List.filter_map
-    (fun k -> if count t k > 0 then Some (summary t k) else None)
+    (fun k -> Option.map (summary t k) t.hists.(Span.kind_index k))
     Span.all_kinds
 
 let pp_summary ppf s =

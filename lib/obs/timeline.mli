@@ -1,5 +1,7 @@
 (** Sink 1: per-span-kind latency histograms ({!Svt_stats.Histogram})
-    and time totals over every span, queryable at end of run. *)
+    and time totals over every span, queryable at end of run. A kind's
+    histogram is made on its first span, so {!create} is cheap enough
+    for every run. *)
 
 module Time = Svt_engine.Time
 module Histogram = Svt_stats.Histogram

@@ -9,7 +9,6 @@ type t = {
   mutable total : int;
   mutable sum : float;
   mutable max_v : int;
-  mutable min_v : int;
 }
 
 let buckets = 64
@@ -17,7 +16,7 @@ let buckets = 64
 let create ?(sub_bits = 5) () =
   { sub_bits;
     counts = Array.make ((buckets + 1) lsl sub_bits) 0;
-    total = 0; sum = 0.0; max_v = 0; min_v = max_int }
+    total = 0; sum = 0.0; max_v = 0 }
 
 (* Values in [2^k, 2^(k+1)) for k >= sub_bits are subdivided into
    2^sub_bits sub-buckets of width 2^(k - sub_bits); values below 2^sub_bits
@@ -54,21 +53,21 @@ let add t v =
   t.counts.(idx) <- t.counts.(idx) + 1;
   t.total <- t.total + 1;
   t.sum <- t.sum +. float_of_int v;
-  if v > t.max_v then t.max_v <- v;
-  if v < t.min_v then t.min_v <- v
+  if v > t.max_v then t.max_v <- v
 
 let count t = t.total
 let mean t = if t.total = 0 then nan else t.sum /. float_of_int t.total
 let max_value t = if t.total = 0 then 0 else t.max_v
-let min_value t = if t.total = 0 then 0 else t.min_v
 
+(* The rank is clamped to [1, total]: p <= 0 reads the lowest non-empty
+   bucket. *)
 let percentile t p =
   if t.total = 0 then 0
-  else if p <= 0.0 then min_value t
   else begin
     let rank =
-      Stdlib.min t.total
-        (int_of_float (ceil (p /. 100.0 *. float_of_int t.total)))
+      Stdlib.max 1
+        (Stdlib.min t.total
+           (int_of_float (ceil (p /. 100.0 *. float_of_int t.total))))
     in
     let rec scan idx seen =
       if idx >= Array.length t.counts then t.max_v

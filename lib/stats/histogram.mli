@@ -19,6 +19,9 @@ val max_value : t -> int
 
 val percentile : t -> float -> int
 (** [percentile t 99.0] is an upper-bound estimate of the 99th
-    percentile. *)
+    percentile: the upper bound of the bucket holding that rank, capped
+    at {!max_value}. The rank is clamped to at least 1, so any [p <= 0]
+    gives the bound of the lowest non-empty bucket (not the exact
+    minimum, which is not kept). 0 when empty. *)
 
 val p99 : t -> int

@@ -93,7 +93,7 @@ let driver_submit t ~kind ~sector ~count ?(data : Bytes.t option) () =
   let addr = t.pool.(t.pool_next) in
   t.pool_next <- (t.pool_next + 1) mod Array.length t.pool;
   Aspace.write_u32 (aspace t) addr (kind_code kind);
-  Aspace.write_u64 (aspace t) (Gpa.add addr 4) (Int64.of_int sector);
+  Aspace.write_u64 (aspace t) (Gpa.add addr 4) sector;
   Aspace.write_u32 (aspace t) (Gpa.add addr 12) count;
   (match (kind, data) with
   | Write, Some d -> Aspace.write_bytes (aspace t) (Gpa.add addr header_bytes) d
@@ -168,9 +168,7 @@ let start_backend t =
           | Some (id, addr, len, _) ->
               Proc.delay t.cost.Svt_arch.Cost_model.virtio_queue_op;
               let kind = kind_of_code (Aspace.read_u32 (aspace t) addr) in
-              let sector =
-                Int64.to_int (Aspace.read_u64 (aspace t) (Gpa.add addr 4))
-              in
+              let sector = Aspace.read_u64 (aspace t) (Gpa.add addr 4) in
               let count = Aspace.read_u32 (aspace t) (Gpa.add addr 12) in
               let bytes = count * Ramdisk.sector_size in
               Proc.delay (service_time t ~kind ~bytes);

@@ -54,14 +54,14 @@ let desc_addr t i = Gpa.add t.desc (i * desc_entry_size)
 
 let write_desc t i ~addr ~len ~flags ~next =
   let d = desc_addr t i in
-  Aspace.write_u64 t.aspace d (Int64.of_int (Gpa.to_int addr));
+  Aspace.write_u64 t.aspace d (Gpa.to_int addr);
   Aspace.write_u32 t.aspace (Gpa.add d 8) len;
   Aspace.write_u16 t.aspace (Gpa.add d 12) flags;
   Aspace.write_u16 t.aspace (Gpa.add d 14) next
 
 let read_desc t i =
   let d = desc_addr t i in
-  let addr = Gpa.of_int (Int64.to_int (Aspace.read_u64 t.aspace d)) in
+  let addr = Gpa.of_int (Aspace.read_u64 t.aspace d) in
   let len = Aspace.read_u32 t.aspace (Gpa.add d 8) in
   let flags = Aspace.read_u16 t.aspace (Gpa.add d 12) in
   let next = Aspace.read_u16 t.aspace (Gpa.add d 14) in

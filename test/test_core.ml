@@ -150,6 +150,87 @@ let test_channel_blocking_recv () =
   checkb "channel time charged" true
     (Breakdown.time bd Breakdown.Channel > Time.zero)
 
+(* The ring entry as a word-by-word writer lays it out: code u32 | reason
+   u32 | qual u64 | seq u64 | regs u64 x 16, little-endian, and the fields
+   a command does not carry are zero. *)
+let reference_entry cmd =
+  let b = Bytes.make 152 '\000' in
+  let u32 off v = Bytes.set_int32_le b off (Int32.of_int v) in
+  let u64 off v = Bytes.set_int64_le b off v in
+  let payload seq regs =
+    u64 16 (Int64.of_int seq);
+    Array.iteri (fun j r -> if j < 16 then u64 (24 + (8 * j)) r) regs
+  in
+  (match cmd with
+  | Channel.Vm_trap { seq; reason; qual; regs } ->
+      u32 0 1;
+      u32 4 (Exit_reason.basic_number reason);
+      u64 8 qual;
+      payload seq regs
+  | Channel.Vm_resume { seq; regs } ->
+      u32 0 2;
+      payload seq regs
+  | Channel.Blocked -> u32 0 3
+  | Channel.Corrupt _ -> assert false);
+  b
+
+let hex b =
+  String.concat ""
+    (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (Bytes.to_seq b)))
+
+(* The bytes in guest memory are the layout above, entry by entry, also
+   where a short command overwrites a full one after the ring wraps. *)
+let test_channel_entry_bytes () =
+  let machine = Svt_hyp.Machine.create () in
+  let vm =
+    Svt_hyp.Vm.create ~machine ~name:"l1" ~level:1 ~ram_bytes:(1 lsl 20)
+      ~cpuid:(Svt_arch.Cpuid_db.host ())
+  in
+  let aspace = Svt_hyp.Vm.aspace vm in
+  let ch =
+    Channel.create ~machine ~aspace ~wait:Mode.Mwait ~placement:Mode.Smt_sibling
+      ~core:(Svt_hyp.Machine.core machine 0) ()
+  in
+  let module Aspace = Svt_mem.Address_space in
+  let module Gpa = Svt_mem.Addr.Gpa in
+  (* the two rings are the first two pages carved after RAM; the one
+     whose head moves on a post to [to_svt] is that ring *)
+  let ring_pages = List.map (fun k -> Gpa.of_int ((1 lsl 20) + (k * 4096))) [ 0; 1 ] in
+  let base = ref (List.hd ring_pages) in
+  let full = Array.init 16 (fun i -> Int64.(logor min_int (of_int (i * 0x1010101)))) in
+  let cmds =
+    List.init 18 (fun i ->
+        match i mod 5 with
+        | 0 ->
+            Channel.Vm_trap
+              { seq = i; reason = Exit_reason.Ept_misconfig; qual = -1L; regs = full }
+        | 1 -> Channel.Vm_resume { seq = i; regs = Array.sub full 0 3 }
+        | 2 -> Channel.Blocked
+        | 3 ->
+            Channel.Vm_trap
+              { seq = -i; reason = Exit_reason.Xsetbv; qual = 0x1234L;
+                regs = Array.make 20 7L }
+        | _ -> Channel.Vm_resume { seq = i; regs = [||] })
+  in
+  let bd = Breakdown.create () in
+  Simulator.spawn (Svt_hyp.Machine.sim machine) (fun () ->
+      List.iteri
+        (fun i cmd ->
+          post_ok ch (Channel.to_svt ch) bd cmd;
+          if i = 0 then
+            base := List.find (fun g -> Aspace.read_u32 aspace g = 1) ring_pages;
+          let base = !base in
+          let entry = Gpa.add base (8 + (i mod 16 * 152)) in
+          Alcotest.(check string)
+            (Printf.sprintf "entry %d bytes" i)
+            (hex (reference_entry cmd))
+            (hex (Aspace.read_bytes aspace entry 152));
+          checki "head counts posts" (i + 1) (Aspace.read_u32 aspace base);
+          ignore (Channel.try_recv ch (Channel.to_svt ch) bd);
+          checki "tail counts receives" (i + 1) (Aspace.read_u32 aspace (Gpa.add base 4)))
+        cmds);
+  Simulator.run (Svt_hyp.Machine.sim machine)
+
 let test_channel_fifo_and_overflow () =
   let machine, ch = make_channel () in
   let bd = Breakdown.create () in
@@ -617,10 +698,10 @@ let test_arch_arm_speedup_exceeds_x86 () =
     (arm_base /. arm_svt > x86_base /. x86_svt)
 
 (* Allocation guard for stack construction: a default x86 L2 baseline
-   stack allocates about 131 KB. Construction is deterministic and the
-   count is exact, so the 200 KB bound needs no noise margin; a boxed
-   entry per mapped guest page, or another eagerly filled table of that
-   size, fails it. *)
+   stack allocates about 61 KB. Construction is deterministic and the
+   count is exact, so the 90 KB bound (about 1.5x) needs no noise margin;
+   a boxed entry per mapped guest page, the host's 16 cores built
+   eagerly, or another eagerly filled table of that size, fails it. *)
 let test_of_config_alloc_guard () =
   let cfg = System.Config.make ~mode:Mode.Baseline ~level:System.L2_nested () in
   ignore (System.of_config cfg : System.t) (* warm-up *);
@@ -631,7 +712,7 @@ let test_of_config_alloc_guard () =
     *. float_of_int (Sys.word_size / 8)
     /. 1024.0
   in
-  checkb (Printf.sprintf "of_config allocates %.1f KB (bound 200)" kb) true (kb <= 200.0)
+  checkb (Printf.sprintf "of_config allocates %.1f KB (bound 90)" kb) true (kb <= 90.0)
 
 (* A fuel budget below one event is a configuration error, reported
    through the typed [Config.error] front door like every other bad knob
@@ -682,6 +763,7 @@ let () =
           Alcotest.test_case "blocking recv with wake charges" `Quick
             test_channel_blocking_recv;
           Alcotest.test_case "fifo order" `Quick test_channel_fifo_and_overflow;
+          Alcotest.test_case "entry bytes" `Quick test_channel_entry_bytes;
         ] );
       ( "svt-fields",
         [

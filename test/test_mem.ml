@@ -10,7 +10,6 @@ module Aspace = Svt_mem.Address_space
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
-let check64 = Alcotest.(check int64)
 
 (* --- Addr ---------------------------------------------------------------- *)
 
@@ -36,14 +35,18 @@ let test_phys_mem_rw_widths () =
   checki "u16" 0xBEEF (Phys_mem.read_u16 m (Addr.Hpa.add a 2));
   Phys_mem.write_u32 m (Addr.Hpa.add a 4) 0xDEAD10CC;
   checki "u32" 0xDEAD10CC (Phys_mem.read_u32 m (Addr.Hpa.add a 4));
-  Phys_mem.write_u64 m (Addr.Hpa.add a 8) 0x0123456789ABCDEFL;
-  check64 "u64" 0x0123456789ABCDEFL (Phys_mem.read_u64 m (Addr.Hpa.add a 8))
+  Phys_mem.write_u64 m (Addr.Hpa.add a 8) 0x0123456789ABCDEF;
+  checki "u64" 0x0123456789ABCDEF (Phys_mem.read_u64 m (Addr.Hpa.add a 8));
+  Phys_mem.write_u64 m (Addr.Hpa.add a 16) (-2);
+  checki "u64 sign-extends" 0xFE (Phys_mem.read_u8 m (Addr.Hpa.add a 16));
+  checki "u64 top byte" 0xFF (Phys_mem.read_u8 m (Addr.Hpa.add a 23));
+  checki "u64 back" (-2) (Phys_mem.read_u64 m (Addr.Hpa.add a 16))
 
 let test_phys_mem_page_crossing () =
   let m = Phys_mem.create () in
   let a = Addr.Hpa.of_int (0x2000 - 4) in
-  Phys_mem.write_u64 m a 0x1122334455667788L;
-  check64 "crosses page" 0x1122334455667788L (Phys_mem.read_u64 m a)
+  Phys_mem.write_u64 m a 0x1122334455667788;
+  checki "crosses page" 0x1122334455667788 (Phys_mem.read_u64 m a)
 
 let test_phys_mem_bytes_roundtrip () =
   let m = Phys_mem.create () in
@@ -96,20 +99,48 @@ let test_phys_mem_sparse () =
   checki "materialized on touch" 1 (Phys_mem.resident_pages m);
   checki "zero fill" 0 (Phys_mem.read_u8 m (Addr.Hpa.of_int 0x5001))
 
+(* Pages are found through a directory of 512-page chunks that grows to
+   the highest page touched: far-apart frames, the two ends of a chunk
+   and a frame below earlier ones all keep their own contents. *)
+let test_phys_mem_frame_directory () =
+  let m = Phys_mem.create () in
+  let addrs =
+    [ 1 lsl 30; (1 lsl 30) + (511 * 4096); (1 lsl 30) + (512 * 4096);
+      (129 lsl 30) - 8; 0x3000 ]
+  in
+  List.iteri (fun i a -> Phys_mem.write_u64 m (Addr.Hpa.of_int a) (i + 1)) addrs;
+  List.iteri
+    (fun i a -> checki (Printf.sprintf "word %d" i) (i + 1) (Phys_mem.read_u64 m (Addr.Hpa.of_int a)))
+    addrs;
+  checki "one page each" 5 (Phys_mem.resident_pages m);
+  checki "a neighbour stays zero" 0 (Phys_mem.read_u8 m (Addr.Hpa.of_int ((1 lsl 30) + 4096)));
+  checki "and is now resident" 6 (Phys_mem.resident_pages m)
+
 (* --- Frame_alloc ---------------------------------------------------------- *)
 
 let test_frame_alloc_distinct_aligned () =
   let a = Frame_alloc.create ~base:0x10000 ~size_bytes:(64 * 4096) in
-  let f1 = Frame_alloc.alloc a and f2 = Frame_alloc.alloc a in
+  let f1 = Frame_alloc.alloc a 1 and f2 = Frame_alloc.alloc a 1 in
   checkb "aligned" true (Addr.Hpa.is_page_aligned f1);
   checkb "distinct" true (f1 <> f2)
 
+(* A run of n frames is what n one-frame calls would hand out. *)
+let test_frame_alloc_runs () =
+  let a = Frame_alloc.create ~base:0x10000 ~size_bytes:(64 * 4096) in
+  let run = Frame_alloc.alloc a 5 in
+  checki "first frame" 0x10000 (Addr.Hpa.to_int run);
+  checki "next frame follows the run" (0x10000 + (5 * 4096))
+    (Addr.Hpa.to_int (Frame_alloc.alloc a 1))
+
 let test_frame_alloc_exhaustion () =
-  let a = Frame_alloc.create ~base:0x10000 ~size_bytes:(2 * 4096) in
-  ignore (Frame_alloc.alloc a);
-  ignore (Frame_alloc.alloc a);
+  let a = Frame_alloc.create ~base:0x10000 ~size_bytes:(3 * 4096) in
+  ignore (Frame_alloc.alloc a 1);
   Alcotest.check_raises "oom" (Failure "Frame_alloc: out of memory") (fun () ->
-      ignore (Frame_alloc.alloc a))
+      ignore (Frame_alloc.alloc a 3));
+  (* a run that does not fit takes nothing *)
+  ignore (Frame_alloc.alloc a 2);
+  Alcotest.check_raises "oom" (Failure "Frame_alloc: out of memory") (fun () ->
+      ignore (Frame_alloc.alloc a 1))
 
 (* --- EPT ------------------------------------------------------------------ *)
 
@@ -168,8 +199,7 @@ let test_ept_sparse_high_addresses () =
 
 let test_ept_map_range () =
   let e = Ept.create () in
-  Ept.map_range e ~gpa:(gpa 0) ~len:(3 * 4096) ~perm:Ept.rwx
-    ~frame:(fun i -> Addr.Hpa.add (hpa 0x100000) (i * 4096));
+  Ept.map_range e ~gpa:(gpa 0) ~len:(3 * 4096) ~perm:Ept.rwx ~hpa:(hpa 0x100000);
   checki "three pages" 3 (Ept.mapped_pages e);
   match Ept.translate e ~gpa:(gpa 0x2ABC) ~access:Ept.Read with
   | Ok h -> checki "third page" 0x102ABC (Addr.Hpa.to_int h)
@@ -189,10 +219,13 @@ let prop_ept_translate_preserves_offset =
 (* Model-based check: random map / map_range / mark_misconfig / unmap
    sequences against an association list from guest page to entry.
    Pages cluster at leaf-table edges, around 512 GB and at the top of the
-   48-bit space (where ranges wrap); frames reach 129 GB. *)
+   48-bit space (where ranges wrap); frames reach 129 GB. [map_range]
+   takes a contiguous host run; a range of scattered frames (every third
+   one) is mapped page by page through [map]. *)
 type ept_op =
   | Ept_map of int * int * int (* page, frame, perm index *)
   | Ept_range of int * int * int * int (* page, pages, first frame, perm index *)
+  | Ept_scatter of int * int * int * int (* page, pages, first frame, perm index *)
   | Ept_misconfig of int * string
   | Ept_unmap of int
 
@@ -202,6 +235,7 @@ let perm_of_index i = { Ept.read = i land 1 <> 0; write = i land 2 <> 0; exec = 
 let ept_op_to_string = function
   | Ept_map (p, f, i) -> Printf.sprintf "map %#x->%#x perm%d" p f i
   | Ept_range (p, n, f, i) -> Printf.sprintf "range %#x+%d->%#x perm%d" p n f i
+  | Ept_scatter (p, n, f, i) -> Printf.sprintf "scatter %#x+%d->%#x/3 perm%d" p n f i
   | Ept_misconfig (p, tag) -> Printf.sprintf "misconfig %#x %s" p tag
   | Ept_unmap p -> Printf.sprintf "unmap %#x" p
 
@@ -226,6 +260,10 @@ let ept_ops =
             (fun (p, n) f i -> Ept_range (p, n, f, i))
             (pair page (frequency [ (4, int_range 1 40); (1, int_range 500 600) ]))
             frame perm );
+        ( 1,
+          map3
+            (fun (p, n) f i -> Ept_scatter (p, n, f, i))
+            (pair page (int_range 1 40)) frame perm );
         (2, map2 (fun p tag -> Ept_misconfig (p, tag)) page
              (oneofl [ "net-doorbell"; "blk-doorbell"; "console" ]));
         (2, map (fun p -> Ept_unmap p) page);
@@ -238,7 +276,7 @@ let prop_ept_matches_model =
     (QCheck.make ept_ops ~print:(fun ops -> String.concat "; " (List.map ept_op_to_string ops)))
     (fun ops ->
       let e = Ept.create () in
-      let model = ref [] and touched = ref [] and frames_in_order = ref true in
+      let model = ref [] and touched = ref [] in
       let set page entry =
         let page = page land (ept_page_space - 1) in
         touched := page :: !touched;
@@ -252,17 +290,18 @@ let prop_ept_matches_model =
               Ept.map e ~gpa:(page_gpa p) ~hpa:(hpa (f * 4096)) ~perm:(perm_of_index i);
               set p (Some (Ept.Page { hpa = hpa (f * 4096); perm = perm_of_index i }))
           | Ept_range (p, n, f, i) ->
-              let next = ref 0 in
               Ept.map_range e ~gpa:(page_gpa p) ~len:((n * 4096) - 7)
-                ~perm:(perm_of_index i)
-                ~frame:(fun k ->
-                  if k <> !next then frames_in_order := false;
-                  incr next;
-                  hpa ((f + (3 * k)) * 4096));
-              if !next <> n then frames_in_order := false;
+                ~perm:(perm_of_index i) ~hpa:(hpa (f * 4096));
               for k = 0 to n - 1 do
                 set (p + k)
-                  (Some (Ept.Page { hpa = hpa ((f + (3 * k)) * 4096); perm = perm_of_index i }))
+                  (Some (Ept.Page { hpa = hpa ((f + k) * 4096); perm = perm_of_index i }))
+              done
+          | Ept_scatter (p, n, f, i) ->
+              for k = 0 to n - 1 do
+                let page = (p + k) land (ept_page_space - 1) in
+                let h = hpa ((f + (3 * k)) * 4096) in
+                Ept.map e ~gpa:(page_gpa page) ~hpa:h ~perm:(perm_of_index i);
+                set page (Some (Ept.Page { hpa = h; perm = perm_of_index i }))
               done
           | Ept_misconfig (p, tag) ->
               Ept.mark_misconfig e ~gpa:(page_gpa p) ~tag;
@@ -302,7 +341,7 @@ let prop_ept_matches_model =
         List.length
           (List.filter (function _, Ept.Page _ -> true | _ -> false) !model)
       in
-      !frames_in_order && List.for_all agrees pages && Ept.mapped_pages e = mapped)
+      List.for_all agrees pages && Ept.mapped_pages e = mapped)
 
 (* --- Address space --------------------------------------------------------- *)
 
@@ -313,8 +352,8 @@ let make_aspace () =
 
 let test_aspace_ram_access () =
   let a = make_aspace () in
-  Aspace.write_u64 a (gpa 0x1000) 0x5151L;
-  check64 "rw" 0x5151L (Aspace.read_u64 a (gpa 0x1000))
+  Aspace.write_u64 a (gpa 0x1000) 0x5151;
+  checki "rw" 0x5151 (Aspace.read_u64 a (gpa 0x1000))
 
 let test_aspace_mmio_region_faults () =
   let a = make_aspace () in
@@ -334,7 +373,7 @@ let test_aspace_frames_follow_allocator () =
   let twin () =
     let a = Frame_alloc.create ~base:(1 lsl 30) ~size_bytes:(1 lsl 24) in
     for _ = 1 to 3 do
-      ignore (Frame_alloc.alloc a)
+      ignore (Frame_alloc.alloc a 1)
     done;
     a
   in
@@ -348,14 +387,33 @@ let test_aspace_frames_follow_allocator () =
   in
   for i = 0 to 599 do
     checki (Printf.sprintf "ram page %d" i)
-      (Addr.Hpa.to_int (Frame_alloc.alloc expected))
+      (Addr.Hpa.to_int (Frame_alloc.alloc expected 1))
       (frame_of (gpa (i * 4096)))
   done;
   for i = 0 to 4 do
     checki (Printf.sprintf "allocated page %d" i)
-      (Addr.Hpa.to_int (Frame_alloc.alloc expected))
+      (Addr.Hpa.to_int (Frame_alloc.alloc expected 1))
       (frame_of (Addr.Gpa.add extra (i * 4096)))
   done
+
+(* The scalar accessors are the per-word guest-memory traffic (virtqueue
+   indices and descriptors); on a mapped page none of them may allocate. *)
+let test_aspace_access_allocates_nothing () =
+  let a = make_aspace () in
+  let g = Aspace.alloc_guest_pages a 1 in
+  let pass () =
+    for i = 0 to 499 do
+      let w = Addr.Gpa.add g (8 * (i land 63)) in
+      Aspace.write_u32 a w (i + Aspace.read_u64 a w)
+    done
+  in
+  pass ();
+  let before = Gc.minor_words () in
+  pass ();
+  let words = Gc.minor_words () -. before in
+  checkb
+    (Printf.sprintf "1,000 read_u64/write_u32 calls allocate %.0f minor words" words)
+    true (words < 16.)
 
 let test_aspace_alloc_pages_mapped () =
   let a = make_aspace () in
@@ -433,11 +491,13 @@ let () =
           Alcotest.test_case "narrow page crossing" `Quick
             test_phys_mem_narrow_crossing;
           Alcotest.test_case "sparse materialization" `Quick test_phys_mem_sparse;
+          Alcotest.test_case "frame directory" `Quick test_phys_mem_frame_directory;
         ] );
       ( "frame-alloc",
         [
           Alcotest.test_case "distinct aligned frames" `Quick
             test_frame_alloc_distinct_aligned;
+          Alcotest.test_case "contiguous runs" `Quick test_frame_alloc_runs;
           Alcotest.test_case "exhaustion" `Quick test_frame_alloc_exhaustion;
         ] );
       ( "ept",
@@ -463,6 +523,8 @@ let () =
           Alcotest.test_case "frames follow the allocator" `Quick
             test_aspace_frames_follow_allocator;
           Alcotest.test_case "cross-page bytes" `Quick test_aspace_bytes_cross_page;
+          Alcotest.test_case "scalar access allocates nothing" `Quick
+            test_aspace_access_allocates_nothing;
           Alcotest.test_case "copy into mmio faults" `Quick
             test_aspace_copy_into_mmio_faults;
           QCheck_alcotest.to_alcotest prop_aspace_copy_roundtrip;

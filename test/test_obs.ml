@@ -109,6 +109,20 @@ let test_sw_svt_ring_spans () =
   checkb "sends >= exits" true
     (Timeline.count tl Span.Ring_send >= Timeline.count tl Span.Vm_exit)
 
+(* A timeline rides on every campaign run; creating one must cost a few
+   words per span kind, not a histogram per kind. A kind's histogram
+   appears with its first span. *)
+let test_timeline_create_is_small () =
+  ignore (Timeline.create ());
+  let before = Gc.minor_words () in
+  let tl = Timeline.create () in
+  let words = Gc.minor_words () -. before in
+  checkb
+    (Printf.sprintf "Timeline.create allocates %.0f words (bound 64)" words)
+    true (words <= 64.);
+  checki "no spans yet" 0 (Timeline.count tl Span.Vm_exit);
+  checki "no summaries" 0 (List.length (Timeline.summaries tl))
+
 (* --- Chrome trace JSON --------------------------------------------------- *)
 
 let json_str = function Ledger.Str s -> s | _ -> Alcotest.fail "expected Str"
@@ -523,6 +537,8 @@ let () =
           Alcotest.test_case "nesting and ordering" `Quick
             test_nesting_and_ordering;
           Alcotest.test_case "sw-svt ring spans" `Quick test_sw_svt_ring_spans;
+          Alcotest.test_case "create allocates little" `Quick
+            test_timeline_create_is_small;
         ] );
       ( "chrome",
         [ Alcotest.test_case "json escaping" `Quick test_chrome_json_escaping ] );

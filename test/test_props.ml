@@ -58,6 +58,59 @@ let prop_channel_roundtrip =
       Simulator.run (Svt_hyp.Machine.sim machine);
       !ok)
 
+(* Every command kind reads back as written, with [regs] as the ring
+   holds it: the first 16 registers, the rest of the 16 slots zero. *)
+let gen_command =
+  let open QCheck.Gen in
+  let regs = array_size (int_bound 20) (map Int64.of_int int) in
+  let seq = int in
+  frequency
+    [
+      ( 3,
+        map3
+          (fun (seq, reason) qual regs -> Channel.Vm_trap { seq; reason; qual; regs })
+          (pair seq (oneofl Exit_reason.all))
+          (map Int64.of_int int) regs );
+      (2, map2 (fun seq regs -> Channel.Vm_resume { seq; regs }) seq regs);
+      (1, return Channel.Blocked);
+    ]
+
+let print_command = function
+  | Channel.Vm_trap { seq; reason; qual; regs } ->
+      Printf.sprintf "trap seq=%d %s qual=%Ld regs=%d" seq
+        (Exit_reason.name reason) qual (Array.length regs)
+  | Channel.Vm_resume { seq; regs } ->
+      Printf.sprintf "resume seq=%d regs=%d" seq (Array.length regs)
+  | Channel.Blocked -> "blocked"
+  | Channel.Corrupt n -> Printf.sprintf "corrupt %d" n
+
+let as_ring_holds =
+  let pad regs = Array.init 16 (fun j -> if j < Array.length regs then regs.(j) else 0L) in
+  function
+  | Channel.Vm_trap r -> Channel.Vm_trap { r with regs = pad r.regs }
+  | Channel.Vm_resume r -> Channel.Vm_resume { r with regs = pad r.regs }
+  | c -> c
+
+let prop_channel_every_kind =
+  QCheck.Test.make ~name:"every command kind round trips" ~count:100
+    (QCheck.make ~print:(fun cs -> String.concat "; " (List.map print_command cs))
+       QCheck.Gen.(list_size (int_range 1 40) gen_command))
+    (fun cmds ->
+      let machine, ch = make_channel () in
+      let bd = Breakdown.create () in
+      let ok = ref true in
+      Simulator.spawn (Svt_hyp.Machine.sim machine) (fun () ->
+          (* one at a time, so a long list wraps the 16-entry ring *)
+          List.iter
+            (fun c ->
+              post_ok ch (Channel.to_svt ch) bd c;
+              match Channel.try_recv ch (Channel.to_svt ch) bd with
+              | Some got -> if got <> as_ring_holds c then ok := false
+              | None -> ok := false)
+            cmds);
+      Simulator.run (Svt_hyp.Machine.sim machine);
+      !ok)
+
 (* Pipelining many commands through the ring preserves order and count
    (up to the ring capacity). *)
 let prop_channel_order =
@@ -583,6 +636,7 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_channel_roundtrip;
+            prop_channel_every_kind;
             prop_channel_order;
             prop_core_single_active;
             prop_transform_incremental;

@@ -81,6 +81,19 @@ let test_histogram_clamps_overflow () =
   checkb "p99 <= max" true (Histogram.percentile h 99.0 <= max_int);
   checkb "p99 above the small sample" true (Histogram.percentile h 99.0 > 100)
 
+(* The rank is clamped to 1: p <= 0 reads the lowest non-empty bucket's
+   upper bound, which for a bucketed value is above the exact minimum. *)
+let test_histogram_percentile_floor () =
+  let h = Histogram.create () in
+  checki "empty" 0 (Histogram.percentile h 0.0);
+  List.iter (Histogram.add h) [ 1000; 7; 5000 ];
+  checki "p0 is the exact unit bucket" 7 (Histogram.percentile h 0.0);
+  checki "negative p clamps too" 7 (Histogram.percentile h (-5.0));
+  let h = Histogram.create () in
+  List.iter (Histogram.add h) [ 1000; 5000 ];
+  checki "p0 is the lowest bucket's bound" 1007 (Histogram.percentile h 0.0);
+  checkb "no lower than the smallest sample" true (Histogram.percentile h 0.0 >= 1000)
+
 let prop_histogram_percentile_error =
   QCheck.Test.make ~name:"p100 within 4% of true max" ~count:100
     QCheck.(list_of_size Gen.(int_range 1 100) (int_bound 1_000_000))
@@ -204,6 +217,8 @@ let () =
           Alcotest.test_case "percentiles monotone and accurate" `Quick
             test_histogram_percentile_monotone;
           Alcotest.test_case "large values" `Quick test_histogram_large_values;
+          Alcotest.test_case "p <= 0 reads the lowest bucket" `Quick
+            test_histogram_percentile_floor;
           Alcotest.test_case "clamps overflow" `Quick
             test_histogram_clamps_overflow;
           QCheck_alcotest.to_alcotest prop_histogram_percentile_error;
