@@ -140,9 +140,7 @@ let table4 () =
 let fig6 () =
   header "Figure 6: cpuid latency per level and mode";
   let rows =
-    Microbench.fig6
-      ~modes:[ Mode.sw_svt_default; Mode.Hw_svt; Mode.Ooh; Mode.Hw_full_nesting ]
-      ()
+    Microbench.fig6 ()
   in
   let l2_us = (List.find (fun (r : Microbench.fig6_row) -> r.label = "L2") rows).time_us in
   Table.print_rows

@@ -204,7 +204,7 @@ let trace_cmd =
            `P "svt_sim trace --mode baseline --level l2 --out trace.json; \
                then open the file in https://ui.perfetto.dev";
          ])
-    Term.(const run $ point_term Runner.stack_workload_names $ out_arg
+    Term.(const run $ point_term Spec.stack_workload_names $ out_arg
           $ validate_arg)
 
 (* ---- self-profiling ---- *)
@@ -316,7 +316,7 @@ let profile_cmd =
     let output =
       match format with
       | `Folded -> Profiler.folded ~metric prof
-      | `Table -> Fmt.str "%a" (Profiler.pp_table ?limit:None) prof
+      | `Table -> Fmt.str "%a" Profiler.pp_table prof
       | `Json -> Profiler.to_json ~extra prof
     in
     let summary ppf () =
@@ -358,7 +358,7 @@ let profile_cmd =
            `P "svt_sim profile --format table | head -30 shows the hot \
                aggregate paths directly.";
          ])
-    Term.(const run $ point_term Runner.stack_workload_names $ format_arg
+    Term.(const run $ point_term Spec.stack_workload_names $ format_arg
           $ metric_arg $ out_arg $ validate_arg)
 
 (* ---- campaign sweeps ---- *)
@@ -736,13 +736,7 @@ let cluster_cmd =
         smt_per_core = smt;
         plan;
         seed = Int64.of_int seed;
-        admission =
-          {
-            Admission.default_config with
-            strategy;
-            overcommit;
-            quota_vcpus = quota;
-          };
+        admission = { Admission.strategy; overcommit; quota_vcpus = quota };
       }
     in
     let cluster =
@@ -918,10 +912,7 @@ let fig6_cmd =
   let module Microbench = Svt_workloads.Microbench in
   let run arch =
     let rows =
-      Microbench.fig6 ~arch
-        ~modes:
-          [ Mode.sw_svt_default; Mode.Hw_svt; Mode.Ooh; Mode.Hw_full_nesting ]
-        ()
+      Microbench.fig6 ~arch ()
     in
     Printf.printf "%-16s %10s %15s\n" "config" "time(us)" "overhead-vs-L0";
     List.iter
@@ -1021,7 +1012,7 @@ let run_cmd =
                timeout line with the fuel counters is printed), 124 usage \
                error.";
          ])
-    Term.(const run $ point_term Runner.workload_names $ fault_arg $ out_arg)
+    Term.(const run $ point_term Spec.workload_names $ fault_arg $ out_arg)
 
 let default =
   Term.(ret (const (`Help (`Pager, None))))

@@ -33,7 +33,10 @@ type t = {
   mutable switches : int; (* stall/resume events, for tests/metrics *)
 }
 
-let create ?(n_contexts = 2) ?(physical_entries = 168) ~id () =
+(* Physical register file size, grown if the contexts need more. *)
+let physical_entries = 168
+
+let create ?(n_contexts = 2) ~id () =
   if n_contexts < 1 then invalid_arg "Smt_core.create";
   {
     id;

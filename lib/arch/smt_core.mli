@@ -16,7 +16,7 @@ val invalid_ctx : int
 
 type t
 
-val create : ?n_contexts:int -> ?physical_entries:int -> id:int -> unit -> t
+val create : ?n_contexts:int -> id:int -> unit -> t
 (** Defaults: 2-way SMT, a 168-entry physical register file (grown if the
     contexts need more). *)
 

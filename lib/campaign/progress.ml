@@ -1,43 +1,40 @@
+(* Redraws are rate-limited to one per [min_interval_s] of wall time,
+   plus always the final one. *)
+let min_interval_s = 0.1
+
 type t = {
-  out : out_channel;
-  min_interval_s : float;
   label : string;
   total : int;
   started_at : float;
   mutable done_ : int;
   mutable failed : int;
   mutable last_draw : float;
-  mutable drew_anything : bool;
 }
 
-let create ?(out = stderr) ?(min_interval_s = 0.1) ?(label = "sweep") ~total () =
+let create ?(label = "sweep") ~total () =
   {
-    out;
-    min_interval_s;
     label;
     total;
     started_at = Unix.gettimeofday ();
     done_ = 0;
     failed = 0;
     last_draw = 0.0;
-    drew_anything = false;
   }
 
 let draw t now =
   let elapsed = now -. t.started_at in
   let rate = if elapsed > 0.0 then float_of_int t.done_ /. elapsed else 0.0 in
-  Printf.fprintf t.out "\r%s: %*d/%d done, %d failed, %.1f runs/s%!" t.label
+  Printf.eprintf "\r%s: %*d/%d done, %d failed, %.1f runs/s%!" t.label
     (String.length (string_of_int t.total))
     t.done_ t.total t.failed rate;
-  t.last_draw <- now;
-  t.drew_anything <- true
+  t.last_draw <- now
 
 let step t ~ok =
   t.done_ <- t.done_ + 1;
   if not ok then t.failed <- t.failed + 1;
   let now = Unix.gettimeofday () in
-  if now -. t.last_draw >= t.min_interval_s || t.done_ = t.total then draw t now
+  if now -. t.last_draw >= min_interval_s || t.done_ = t.total then draw t now
 
 let finish t =
   draw t (Unix.gettimeofday ());
-  if t.drew_anything then Printf.fprintf t.out "\n%!"
+  Printf.eprintf "\n%!"

@@ -1,14 +1,13 @@
 (** Throttled single-line stderr progress for a running campaign:
     {v  sweep:  17/24 done, 1 failed, 12.3 runs/s  v}
-    Updates are rate-limited (default every 0.1 s of wall time, plus
-    always the final one) so a fast matrix does not flood the terminal.
+    Updates are rate-limited (every 0.1 s of wall time, plus always the
+    final one) so a fast matrix does not flood the terminal.
     [step] may be called from the pool's [on_result] callback (the pool
     already serializes those). *)
 
 type t
 
-val create :
-  ?out:out_channel -> ?min_interval_s:float -> ?label:string -> total:int -> unit -> t
+val create : ?label:string -> total:int -> unit -> t
 
 val step : t -> ok:bool -> unit
 (** Record one finished run and maybe redraw. *)

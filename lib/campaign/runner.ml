@@ -33,11 +33,6 @@ type result = {
   metrics : (string * float) list;
 }
 
-let stack_workload_names =
-  [ "cpuid"; "rr"; "stream"; "ioping"; "fio"; "etc"; "tpcc"; "video"; "spin" ]
-
-let workload_names = stack_workload_names @ [ "consolidate"; "cluster" ]
-
 (* Default event fuel for campaign runs: far above any real workload
    (the largest sweep rows record ~10^5 events) but low enough that a
    runaway run is cut within about a minute, at the same virtual instant
@@ -143,7 +138,7 @@ let workload_metrics (p : Spec.point) sys =
   | w ->
       failwith
         (Printf.sprintf "unknown workload %S (expected one of %s)" w
-           (String.concat ", " workload_names))
+           (String.concat ", " Spec.workload_names))
 
 (* The consolidation workload is host-shaped, not stack-shaped: it
    builds its own topology and tenant set from the point's cores / smt /

@@ -31,17 +31,6 @@ type result = {
           empty unless [status = Run_ok] *)
 }
 
-val workload_names : string list
-(** The registry: cpuid, rr, stream, ioping, fio, etc, tpcc, video,
-    spin (a deliberately hung reflection loop for exercising the fuel
-    budget — never run it without one), and the host-shaped consolidate
-    and cluster. *)
-
-val stack_workload_names : string list
-(** The workloads that drive one stack, i.e. {!workload_names} without
-    consolidate and cluster: the ones {!make_system} +
-    {!workload_metrics} can run. *)
-
 val default_max_sim_events : int
 (** {!exec}'s default event fuel (50M): far above any real workload but
     low enough to cut a runaway run within about a minute,
@@ -69,7 +58,7 @@ val make_system :
 val workload_metrics : Spec.point -> Svt_core.System.t -> (string * float) list
 (** Drive the point's workload on an already-built system and return
     its metric list (without the [sim_*] extras {!exec} appends).
-    Raises [Failure] for a name outside {!stack_workload_names}: for
+    Raises [Failure] for a name outside {!Spec.stack_workload_names}: for
     consolidate and cluster the message says they are host-shaped and
     run through {!exec}. *)
 

@@ -30,6 +30,11 @@ type point = {
 
 type t = point list
 
+let stack_workload_names =
+  [ "cpuid"; "rr"; "stream"; "ioping"; "fio"; "etc"; "tpcc"; "video"; "spin" ]
+
+let workload_names = stack_workload_names @ [ "consolidate"; "cluster" ]
+
 let point ?(arch = Backend.X86) ?(level = System.L2_nested)
     ?(workload = "cpuid") ?(vcpus = 1) ?(seed = 0) ?(fault = "") ?(cores = 1)
     ?(smt = 2) ?(tenants = 1) ?(policy = "") ?(hosts = 1) mode =
@@ -239,7 +244,16 @@ let of_axes axes =
       let* levels =
         map_result level_of_string (or_default [ "l2" ] (collect_axis axes "level"))
       in
-      let workloads = or_default [ "cpuid" ] (collect_axis axes "workload") in
+      let* workloads =
+        map_result
+          (fun w ->
+            if List.mem w workload_names then Ok w
+            else
+              Error
+                (Printf.sprintf "unknown workload %S (expected one of %s)" w
+                   (String.concat ", " workload_names)))
+          (or_default [ "cpuid" ] (collect_axis axes "workload"))
+      in
       let* vcpus =
         map_result (int_of_string_res "vcpus")
           (or_default [ "1" ] (collect_axis axes "vcpus"))

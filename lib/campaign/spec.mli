@@ -33,6 +33,17 @@ type point = {
 
 type t = point list
 
+val workload_names : string list
+(** The workload registry: cpuid, rr, stream, ioping, fio, etc, tpcc,
+    video, spin (a deliberately hung reflection loop for exercising the
+    fuel budget — never run it without one), and the host-shaped
+    consolidate and cluster. {!Runner} runs them. *)
+
+val stack_workload_names : string list
+(** The workloads that drive one stack, i.e. {!workload_names} without
+    consolidate and cluster: the ones {!Runner.make_system} +
+    {!Runner.workload_metrics} can run. *)
+
 val point :
   ?arch:Svt_arch.Backend.kind ->
   ?level:Svt_core.System.level ->
@@ -102,6 +113,7 @@ val parse_axis : string -> ((string * string list), string) result
     or ["default"]. *)
 
 val of_axes : (string * string list) list -> (t, string) result
-(** Cartesian product of parsed axes; unknown keys, unparseable values
-    and empty value lists are reported as [Error]. Repeated keys append
+(** Cartesian product of parsed axes; unknown keys, unparseable values,
+    workloads outside {!workload_names} and empty value lists are
+    reported as [Error]. Repeated keys append
     to the same axis. *)

@@ -36,19 +36,15 @@ type config = {
   strategy : strategy;
   overcommit : float; (* committed gang threads <= overcommit x threads *)
   quota_vcpus : int; (* largest gang one tenant may request *)
-  max_attempts : int; (* placement attempts before Retries_exhausted *)
 }
 
-let default_config =
-  { strategy = Bin_pack; overcommit = 1.5; quota_vcpus = 8; max_attempts = 10 }
+let default_config = { strategy = Bin_pack; overcommit = 1.5; quota_vcpus = 8 }
 
 let validate_config c =
   if (not (Float.is_finite c.overcommit)) || c.overcommit < 1.0 then
     Error (Printf.sprintf "overcommit %g must be >= 1" c.overcommit)
   else if c.quota_vcpus < 1 then
     Error (Printf.sprintf "quota %d must be >= 1 vCPU" c.quota_vcpus)
-  else if c.max_attempts < 1 then
-    Error (Printf.sprintf "max attempts %d must be >= 1" c.max_attempts)
   else Ok c
 
 (* ---- typed rejections ---- *)

@@ -16,13 +16,10 @@ type config = {
       (** committed gang threads on a host may not exceed
           [overcommit x hardware threads]; >= 1 *)
   quota_vcpus : int;  (** largest gang one tenant may request *)
-  max_attempts : int;
-      (** placement attempts before a queued tenant is rejected with
-          [Retries_exhausted] *)
 }
 
 val default_config : config
-(** bin-pack, overcommit 1.5, quota 8 vCPUs, 10 attempts. *)
+(** bin-pack, overcommit 1.5, quota 8 vCPUs. *)
 
 val validate_config : config -> (config, string) result
 

@@ -50,8 +50,6 @@ type config = {
   admission : Admission.config;
   plan : Cluster_plan.t;
   seed : int64; (* root of the per-kind fault streams *)
-  quarantine_failures : int; (* K failures ... *)
-  quarantine_window : int; (* ... within this many epochs => quarantined *)
 }
 
 let default_config =
@@ -65,21 +63,12 @@ let default_config =
     admission = Admission.default_config;
     plan = Cluster_plan.empty;
     seed = 1L;
-    quarantine_failures = 3;
-    quarantine_window = 40;
   }
 
 let validate_config c =
   if c.n_hosts < 1 then Error (Printf.sprintf "n_hosts %d must be >= 1" c.n_hosts)
   else if Time.(c.epoch < c.quantum) then
     Error "epoch must be at least one quantum"
-  else if c.quarantine_failures < 1 then
-    Error
-      (Printf.sprintf "quarantine_failures %d must be >= 1"
-         c.quarantine_failures)
-  else if c.quarantine_window < 1 then
-    Error
-      (Printf.sprintf "quarantine_window %d must be >= 1" c.quarantine_window)
   else
     Result.map (fun _ -> c) (Admission.validate_config c.admission)
 
@@ -256,12 +245,16 @@ let try_place t tn =
   in
   go steps
 
+(* Placement attempts before a queued tenant is rejected with
+   [Retries_exhausted]. *)
+let max_attempts = 10
+
 let place_failed t tn outcome =
   match outcome with
   | `Config errs ->
       tn.t_state <- Rejected (Admission.Config_rejected { errors = errs })
   | `No_capacity ->
-      if tn.attempts + 1 >= t.cfg.admission.Admission.max_attempts then
+      if tn.attempts + 1 >= max_attempts then
         tn.t_state <-
           Rejected (Admission.Retries_exhausted { attempts = tn.attempts + 1 })
       else begin
@@ -331,6 +324,11 @@ let evacuate t m =
     t.tenants;
   m.committed <- 0
 
+(* A host struck [quarantine_failures] times (crash or flap) within
+   [quarantine_window] epochs is quarantined for good. *)
+let quarantine_failures = 3
+let quarantine_window = 40
+
 (* A crash or flap: tenants evacuated, the Host value (and all its
    in-flight simulator state — work genuinely lost) discarded, strike
    recorded against the quarantine window. *)
@@ -338,10 +336,8 @@ let outage t m kind =
   evacuate t m;
   m.strikes <-
     t.epoch_idx
-    :: List.filter
-         (fun e -> e > t.epoch_idx - t.cfg.quarantine_window)
-         m.strikes;
-  if List.length m.strikes >= t.cfg.quarantine_failures then begin
+    :: List.filter (fun e -> e > t.epoch_idx - quarantine_window) m.strikes;
+  if List.length m.strikes >= quarantine_failures then begin
     m.state <- Quarantined;
     t.quarantines <- t.quarantines + 1
   end
@@ -420,7 +416,6 @@ type tenant_row = {
   tr_downgrades : int;
   tr_kops : float;
   tr_per_exit_us : float;
-  tr_p99_us : float;
 }
 
 type host_row = {
@@ -504,8 +499,6 @@ let report t =
         | None -> 0.0);
       tr_per_exit_us =
         (match placed_report with Some r -> r.Host.per_exit_us | None -> 0.0);
-      tr_p99_us =
-        (match placed_report with Some r -> r.Host.p99_latency_us | None -> 0.0);
     }
   in
   let tenant_rows = List.map tenant_row (tenants t) in

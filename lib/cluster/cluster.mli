@@ -25,17 +25,12 @@ type config = {
   admission : Admission.config;
   plan : Svt_fault.Cluster_plan.t;
   seed : int64;  (** root of the per-kind fault streams *)
-  quarantine_failures : int;
-  quarantine_window : int;
-      (** a host struck [quarantine_failures] times (crash or flap)
-          within [quarantine_window] epochs is quarantined for good —
-          the campaign worker-pool quarantine, at fleet scale *)
 }
 
 val default_config : config
 (** 4 hosts of 1×4×2, 50 µs quantum, 250 µs epoch, no faults,
-    {!Admission.default_config}, quarantine at 3 strikes in 40
-    epochs. *)
+    {!Admission.default_config}. A host struck 3 times (crash or flap)
+    within 40 epochs is quarantined for good. *)
 
 val validate_config : config -> (config, string) result
 
@@ -48,7 +43,8 @@ val submit : t -> Svt_sched.Host.tenant_spec -> string
 (** Enqueue a tenant for admission and return its fleet-unique name
     (auto-named ["t<n>"] by submission index when the spec's name is
     empty). Quota violations reject immediately (typed); everything
-    else is decided at the next epoch. Raises [Invalid_argument] on a
+    else is decided at the next epoch, and a tenant that fails 10
+    placement attempts is rejected with [Retries_exhausted]. Raises [Invalid_argument] on a
     duplicate name. *)
 
 val run : t -> horizon:Svt_engine.Time.t -> unit
@@ -72,7 +68,6 @@ type tenant_row = {
   tr_downgrades : int;
   tr_kops : float;
   tr_per_exit_us : float;
-  tr_p99_us : float;
 }
 
 type host_row = {

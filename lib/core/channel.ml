@@ -251,10 +251,8 @@ let charge_wake t bd =
   Breakdown.charge bd Breakdown.Channel
     (Wait.response_latency t.cost ~wait:t.wait ~placement:t.placement)
 
-(* Blocking receive with the full waiting-mechanism model. [on_idle] runs
-   each time the consumer wakes without a command present (used by L0 to
-   service interrupts for L1 while blocked — the SVT_BLOCKED protocol). *)
-let recv t ring bd ?(on_idle = fun () -> ()) () =
+(* Blocking receive with the full waiting-mechanism model. *)
+let recv t ring bd =
   Breakdown.charge bd Breakdown.Channel (Wait.enter_cost t.cost t.wait);
   if Wait.steals_cycles t.wait then
     Svt_arch.Smt_core.set_polling_siblings t.core 1;
@@ -265,13 +263,9 @@ let recv t ring bd ?(on_idle = fun () -> ()) () =
           Svt_arch.Smt_core.set_polling_siblings t.core 0;
         cmd
     | None ->
-        on_idle ();
-        if pending ring then loop ()
-        else begin
-          Signal.wait ring.signal;
-          charge_wake t bd;
-          loop ()
-        end
+        Signal.wait ring.signal;
+        charge_wake t bd;
+        loop ()
   in
   loop ()
 

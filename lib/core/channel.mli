@@ -73,11 +73,10 @@ val pending_ring : ring -> bool
 val try_recv : t -> ring -> Svt_hyp.Breakdown.t -> command option
 (** Consume the next command without waiting (charges the ring read). *)
 
-val recv :
-  t -> ring -> Svt_hyp.Breakdown.t -> ?on_idle:(unit -> unit) -> unit -> command
-(** Blocking receive with the full waiting-mechanism model. [on_idle]
-    runs on spurious wake-ups (L0 uses it to service interrupts for L1
-    while blocked — the SVT_BLOCKED protocol). *)
+val recv : t -> ring -> Svt_hyp.Breakdown.t -> command
+(** Blocking receive with the full waiting-mechanism model: wait on the
+    ring's signal until a command is present, paying the wait
+    mechanism's wake-up penalty per wake. *)
 
 val charge_wake : t -> Svt_hyp.Breakdown.t -> unit
 (** Pay the wake-up penalty of the configured wait mechanism. *)

@@ -488,7 +488,7 @@ let svt_thread_body t ch () =
       (Channel.Vm_resume { seq; regs = read_gprs t })
   in
   let rec loop () =
-    let cmd = Channel.recv ch (Channel.to_svt ch) bd () in
+    let cmd = Channel.recv ch (Channel.to_svt ch) bd in
     (match cmd with
     | Channel.Vm_trap { seq; _ } -> (
         match t.pending with
@@ -600,9 +600,9 @@ let create ?injector ~machine ~mode ~vcpu ~l1_vm ~script () =
   let ctx_l0 = 0 in
   let ctx_l1 = 1 in
   let ctx_l2 = if n_ctx > 2 then 2 else 1 in
-  let vmcs01 = Vmcs.create ~owner_level:0 ~subject_level:1 () in
-  let vmcs12 = Vmcs.create ~owner_level:1 ~subject_level:2 () in
-  let vmcs02 = Vmcs.create ~owner_level:0 ~subject_level:2 () in
+  let vmcs01 = Vmcs.create () in
+  let vmcs12 = Vmcs.create () in
+  let vmcs02 = Vmcs.create () in
   Svt_vmcs.Checks.init_minimal vmcs01;
   Svt_vmcs.Checks.init_minimal vmcs12;
   Svt_vmcs.Checks.init_minimal vmcs02;

@@ -54,7 +54,6 @@ module Config = struct
     machine : Machine.config;
     shadow : Svt_vmcs.Shadow.t;
     multiplex_contexts : bool;
-    svt_policy : Mode.svt_policy;
     faults : Svt_fault.Plan.t;
     fault_seed : int64;
     max_sim_events : int option;
@@ -73,7 +72,6 @@ module Config = struct
     | Sw_svt_needs_smt_sibling of { smt_per_core : int }
     | Dedicated_sibling_needs_smt of { smt_per_core : int }
     | Ooh_needs_guest_level of { level : level }
-    | Ooh_has_no_svt_thread of { policy : Mode.svt_policy }
     | Hw_svt_needs_shadow_vmcs of { arch : Svt_arch.Backend.kind }
 
   let pp_error ppf = function
@@ -107,11 +105,6 @@ module Config = struct
           "OoH delegates exits from a guest to its guest hypervisor, so it \
            needs a guest level (L1 or L2), but level = %s"
           (level_name level)
-    | Ooh_has_no_svt_thread { policy } ->
-        Fmt.pf ppf
-          "OoH runs no SVt service thread, so the %s SVt policy has \
-           nothing to place (drop the policy or pick an SVt mode)"
-          (Mode.svt_policy_name policy)
     | Hw_svt_needs_shadow_vmcs { arch } ->
         Fmt.pf ppf
           "HW SVt's per-level hardware contexts extend the VMCS-caching \
@@ -127,9 +120,8 @@ module Config = struct
      traps that make ARM's baseline nested exits dearer (§7). *)
   let make ?arch ?(machine = Machine.paper_config) ?(n_vcpus = 1)
       ?(shadow = Svt_vmcs.Shadow.hardware_shadowing_enabled)
-      ?(multiplex_contexts = false) ?(svt_policy = Mode.default_svt_policy)
-      ?(faults = Svt_fault.Plan.empty) ?(fault_seed = 0xFA17L) ?max_sim_events
-      ~mode ~level () =
+      ?(multiplex_contexts = false) ?(faults = Svt_fault.Plan.empty)
+      ?(fault_seed = 0xFA17L) ?max_sim_events ~mode ~level () =
     let machine =
       match arch with
       | None -> machine
@@ -142,19 +134,15 @@ module Config = struct
       else Svt_vmcs.Shadow.no_shadowing
     in
     { arch; mode; level; n_vcpus; machine; shadow; multiplex_contexts;
-      svt_policy; faults; fault_seed; max_sim_events }
+      faults; fault_seed; max_sim_events }
 
   (* Hardware threads the SVt-threads of this stack occupy, on top of the
      one thread per vCPU: the paper's dedicated sibling reserves one per
-     vCPU, a shared pool reserves its K service threads, and on-demand
-     donation reserves none (the sibling runs other work and is woken per
-     trap). Only SW SVt runs SVt-threads at all. *)
+     vCPU. Only SW SVt runs SVt-threads at all. *)
   let svt_thread_demand t =
-    match (t.mode, t.svt_policy) with
-    | Mode.Sw_svt _, Mode.Dedicated_sibling -> t.n_vcpus
-    | Mode.Sw_svt _, Mode.Shared_pool { threads } -> threads
-    | Mode.Sw_svt _, Mode.On_demand_donation -> 0
-    | (Mode.Baseline | Mode.Hw_svt | Mode.Hw_full_nesting | Mode.Ooh), _ -> 0
+    match t.mode with
+    | Mode.Sw_svt _ -> t.n_vcpus
+    | Mode.Baseline | Mode.Hw_svt | Mode.Hw_full_nesting | Mode.Ooh -> 0
 
   (* Reject stacks that cannot be wired soundly; normalize the ones that
      can. The SVt-context rules are the load-bearing part: without them a
@@ -173,7 +161,7 @@ module Config = struct
     let required_threads = t.n_vcpus + svt_thread_demand t in
     (* Topology-aware capacity check: every vCPU needs its own core (the
        pinning invariant), and vCPUs plus SVt-threads together must fit
-       the machine's hardware threads under the chosen policy. *)
+       the machine's hardware threads. *)
     if t.n_vcpus >= 1
        && (t.n_vcpus > cores || required_threads > available_threads)
     then
@@ -193,21 +181,16 @@ module Config = struct
     | Mode.Sw_svt { placement = Mode.Smt_sibling; _ }, _ when smt < 2 ->
         err (Sw_svt_needs_smt_sibling { smt_per_core = smt })
     | _ -> ());
-    (match (t.mode, t.svt_policy) with
-    | Mode.Sw_svt _, Mode.Dedicated_sibling when smt < 2 ->
+    (* The paper's dedicated sibling reserves an SMT sibling per SW SVt
+       vCPU, whatever the placement. *)
+    (match t.mode with
+    | Mode.Sw_svt _ when smt < 2 ->
         err (Dedicated_sibling_needs_smt { smt_per_core = smt })
     | _ -> ());
-    (* OoH rules, mirroring [Svt_context_unprogrammable]: delegation only
-       makes sense when there is a guest hypervisor to delegate to, and it
-       runs no SVt service thread, so an explicit SVt placement policy is
-       a configuration contradiction (the default dedicated-sibling value
-       every config carries is fine — it is simply unused). *)
+    (* OoH rule, mirroring [Svt_context_unprogrammable]: delegation only
+       makes sense when there is a guest hypervisor to delegate to. *)
     (match (t.mode, t.level) with
     | Mode.Ooh, L0_native -> err (Ooh_needs_guest_level { level = t.level })
-    | _ -> ());
-    (match (t.mode, t.svt_policy) with
-    | Mode.Ooh, (Mode.Shared_pool _ | Mode.On_demand_donation) ->
-        err (Ooh_has_no_svt_thread { policy = t.svt_policy })
     | _ -> ());
     match List.rev !errors with
     | [] ->
@@ -331,7 +314,7 @@ let of_config (c : Config.t) =
     | Error es -> raise (Invalid_config es)
   in
   let { Config.arch = _; mode; level; n_vcpus; machine = config; shadow;
-        multiplex_contexts = _; svt_policy = _; faults; fault_seed;
+        multiplex_contexts = _; faults; fault_seed;
         max_sim_events } = c in
   let machine = Machine.create ~config () in
   (* Fuel budget: installed on the fresh simulator so every entry point
@@ -534,8 +517,8 @@ let attach_net ?(vcpu_index = 0) t =
 (* Attach a virtio-blk device. For a nested guest the backend path runs
    through L1's own virtualized disk, modeled as a fixed nested service
    penalty on top of the tmpfs latency. *)
-let attach_blk ?(disk_mb = 256) t =
-  let disk = Svt_virtio.Ramdisk.create ~size_mb:disk_mb in
+let attach_blk t =
+  let disk = Svt_virtio.Ramdisk.create ~size_mb:256 in
   let blk =
     Svt_virtio.Virtio_blk.create ~machine:t.machine ~vm:t.guest_vm ~name:"blk0" ~disk
   in

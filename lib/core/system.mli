@@ -45,9 +45,6 @@ module Config : sig
     machine : Svt_hyp.Machine.config;
     shadow : Svt_vmcs.Shadow.t;
     multiplex_contexts : bool;
-    svt_policy : Mode.svt_policy;
-        (** how a host provisions SVt-threads for this stack's SW SVt
-            vCPUs; bears on the thread-capacity validation *)
     faults : Svt_fault.Plan.t;
     fault_seed : int64;
     max_sim_events : int option;
@@ -66,22 +63,18 @@ module Config : sig
         available_threads : int;
       }
         (** topology-aware capacity check: each vCPU needs its own core,
-            and vCPUs + SVt-threads (per the policy) must fit the
-            machine's hardware threads *)
+            and vCPUs + SVt-threads (one dedicated sibling per SW SVt
+            vCPU) must fit the machine's hardware threads *)
     | Svt_context_unprogrammable of { mode : Mode.t; smt_per_core : int }
         (** an SVt mode on a core without the hardware contexts its
             µ-registers address *)
     | Sw_svt_needs_smt_sibling of { smt_per_core : int }
     | Dedicated_sibling_needs_smt of { smt_per_core : int }
-        (** a [Dedicated_sibling] SVt policy on a machine with
-            [smt_per_core = 1]: there is no sibling to reserve *)
+        (** SW SVt on a machine with [smt_per_core = 1]: the stack's
+            dedicated SVt sibling has no sibling to reserve *)
     | Ooh_needs_guest_level of { level : level }
         (** OoH at [L0_native]: delegation needs a guest hypervisor to
             delegate to, so the mode only makes sense at L1/L2 *)
-    | Ooh_has_no_svt_thread of { policy : Mode.svt_policy }
-        (** OoH with an explicit SVt placement policy ([Shared_pool] or
-            [On_demand_donation]): the mode runs no SVt service thread,
-            so there is nothing for the policy to place *)
     | Hw_svt_needs_shadow_vmcs of { arch : Svt_arch.Backend.kind }
         (** HW SVt on a backend whose nested state is a memory image
             rather than a cached VMCS (ARM NV/VHE): the per-level
@@ -96,7 +89,6 @@ module Config : sig
     ?n_vcpus:int ->
     ?shadow:Svt_vmcs.Shadow.t ->
     ?multiplex_contexts:bool ->
-    ?svt_policy:Mode.svt_policy ->
     ?faults:Svt_fault.Plan.t ->
     ?fault_seed:int64 ->
     ?max_sim_events:int ->
@@ -181,7 +173,6 @@ val attach_net :
     a nested guest) to a 10 GbE fabric whose other endpoint is the
     separate client machine. *)
 
-val attach_blk :
-  ?disk_mb:int -> t -> Svt_virtio.Virtio_blk.t * Svt_virtio.Ramdisk.t
-(** Attach a virtio-blk device over a fresh ramdisk; for a nested guest
-    the backend pays the L1-vhost nested service path. *)
+val attach_blk : t -> Svt_virtio.Virtio_blk.t * Svt_virtio.Ramdisk.t
+(** Attach a virtio-blk device over a fresh 256 MB ramdisk; for a nested
+    guest the backend pays the L1-vhost nested service path. *)

@@ -8,7 +8,6 @@ type config = {
   sockets : int;
   cores_per_socket : int;
   smt_per_core : int;
-  ram_gb : int;
   seed : int;
   arch : Svt_arch.Backend.kind;
   cost : Svt_arch.Cost_model.t;
@@ -19,15 +18,14 @@ let paper_config =
     sockets = 2;
     cores_per_socket = 8;
     smt_per_core = 2;
-    ram_gb = 128;
     seed = 0x5EED;
     arch = Svt_arch.Backend.X86;
     cost = Svt_arch.Cost_model.paper_machine;
   }
 
 (* The same testbed topology re-targeted at another ISA: the cost table
-   follows the backend, everything else (sockets, seed, RAM) is the
-   caller's to keep. *)
+   follows the backend, everything else (sockets, seed) is the caller's
+   to keep. *)
 let retarget kind config =
   { config with arch = kind; cost = Svt_arch.Backend.cost_of kind }
 
@@ -45,6 +43,8 @@ type t = {
   rng : Svt_engine.Prng.t;
 }
 
+let ram_gb = 128
+
 let create ?(config = paper_config) () =
   let sim = Simulator.create () in
   let n_cores = config.sockets * config.cores_per_socket in
@@ -56,7 +56,7 @@ let create ?(config = paper_config) () =
     (* Reserve low memory for the host; guests draw frames above 1 GB. *)
     alloc =
       Svt_mem.Frame_alloc.create ~base:(1 lsl 30)
-        ~size_bytes:(config.ram_gb * (1 lsl 30));
+        ~size_bytes:(ram_gb * (1 lsl 30));
     cores = Array.make n_cores None;
     host_cpuid = Svt_arch.Cpuid_db.host ();
     metrics = Svt_stats.Metrics.create ();

@@ -7,7 +7,6 @@ type config = {
   sockets : int;
   cores_per_socket : int;
   smt_per_core : int;
-  ram_gb : int;
   seed : int;  (** PRNG seed: equal seeds give bit-identical simulations *)
   arch : Svt_arch.Backend.kind;
   cost : Svt_arch.Cost_model.t;

@@ -11,16 +11,18 @@
 module Time = Svt_engine.Time
 
 type t = {
-  limit : int;
   mutable spans : Span.t list; (* newest first *)
   mutable kept : int;
   mutable dropped : int;
 }
 
-let create ?(limit = 1_000_000) () = { limit; spans = []; kept = 0; dropped = 0 }
+(* Spans retained; later ones are counted in [dropped]. *)
+let limit = 1_000_000
+
+let create () = { spans = []; kept = 0; dropped = 0 }
 
 let sink t (s : Span.t) =
-  if t.kept < t.limit then begin
+  if t.kept < limit then begin
     t.spans <- s :: t.spans;
     t.kept <- t.kept + 1
   end

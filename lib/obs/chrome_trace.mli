@@ -1,15 +1,14 @@
 (** Sink 2: Chrome trace-event JSON export.
 
-    Collects spans (bounded by [limit]; overflow is counted, not
-    silently ignored) and serializes them as complete ("ph":"X") events
+    Collects up to 1,000,000 spans (overflow is counted in {!dropped},
+    not silently ignored) and serializes them as complete ("ph":"X") events
     loadable in Perfetto / chrome://tracing: pid 0 is the simulated
     machine, tid [vcpu+1] one row per vCPU, "ts"/"dur" in microseconds
     of virtual time, span tags under "args". *)
 
 type t
 
-val create : ?limit:int -> unit -> t
-(** [limit] caps retained spans (default 1_000_000). *)
+val create : unit -> t
 
 val sink : t -> Span.t -> unit
 (** The subscriber to install on a probe. *)

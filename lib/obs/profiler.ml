@@ -309,7 +309,10 @@ let rows t =
   walk [] t.root;
   List.sort (fun a b -> compare b.excl_ns a.excl_ns) !acc
 
-let pp_table ?(limit = 40) ppf t =
+(* Rows the table prints; the rest are summarized in one line. *)
+let limit = 40
+
+let pp_table ppf t =
   let rows = rows t in
   let shown = List.filteri (fun i _ -> i < limit) rows in
   Format.fprintf ppf "%12s %12s %9s %12s  %s@." "excl (us)" "incl (us)"

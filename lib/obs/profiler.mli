@@ -90,7 +90,9 @@ type row = {
 val rows : t -> row list
 (** Flat per-path rows, sorted by exclusive time descending. *)
 
-val pp_table : ?limit:int -> Format.formatter -> t -> unit
+val pp_table : Format.formatter -> t -> unit
+(** The 40 paths with the most exclusive time, then a count of the
+    rest. *)
 
 val to_json : ?extra:(string * float) list -> t -> string
 (** Summary header (wall/excl totals, span/event counts, allocation,

@@ -33,11 +33,11 @@ let enable_timeline t =
       t.timeline <- Some tl;
       tl
 
-let enable_chrome ?limit t =
+let enable_chrome t =
   match t.chrome with
   | Some ct -> ct
   | None ->
-      let ct = Chrome_trace.create ?limit () in
+      let ct = Chrome_trace.create () in
       Probe.subscribe t.probe (Chrome_trace.sink ct);
       t.chrome <- Some ct;
       ct

@@ -16,5 +16,5 @@ val probe : t -> Probe.t
 val enable_timeline : t -> Timeline.t
 (** Install (once) and return the timeline sink. *)
 
-val enable_chrome : ?limit:int -> t -> Chrome_trace.t
+val enable_chrome : t -> Chrome_trace.t
 (** Install (once) and return the Chrome trace-event sink. *)

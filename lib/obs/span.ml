@@ -18,11 +18,10 @@ type kind =
   | Irq_inject (* interrupt injection sequence into a guest *)
   | Halt (* vCPU idle in the architectural HLT state *)
   | Fault (* an injected fault or its degradation outcome *)
-  | Sched_slice (* one scheduling quantum granted on a hardware thread *)
 
 let all_kinds =
   [ Vm_exit; World_switch; Svt_trap; Svt_stall; Svt_resume; Vmcs_transform;
-    Ring_send; Ring_recv; Irq_inject; Halt; Fault; Sched_slice ]
+    Ring_send; Ring_recv; Irq_inject; Halt; Fault ]
 
 let n_kinds = List.length all_kinds
 
@@ -38,7 +37,6 @@ let kind_index = function
   | Irq_inject -> 8
   | Halt -> 9
   | Fault -> 10
-  | Sched_slice -> 11
 
 let kind_name = function
   | Vm_exit -> "vm-exit"
@@ -52,7 +50,6 @@ let kind_name = function
   | Irq_inject -> "irq-inject"
   | Halt -> "halt"
   | Fault -> "fault"
-  | Sched_slice -> "sched-slice"
 
 type t = {
   kind : kind;

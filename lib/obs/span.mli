@@ -17,7 +17,6 @@ type kind =
   | Irq_inject  (** interrupt injection sequence into a guest *)
   | Halt  (** vCPU idle in the architectural HLT state *)
   | Fault  (** an injected fault or its degradation outcome *)
-  | Sched_slice  (** one scheduling quantum granted on a hardware thread *)
 
 val all_kinds : kind list
 val n_kinds : int

@@ -41,10 +41,6 @@ module Machine = Svt_hyp.Machine
 module Vcpu = Svt_hyp.Vcpu
 module Breakdown = Svt_hyp.Breakdown
 module Open_loop = Svt_workloads.Open_loop
-module Histogram = Svt_stats.Histogram
-module Recorder = Svt_obs.Recorder
-module Probe = Svt_obs.Probe
-module Span = Svt_obs.Span
 
 type tenant_spec = {
   name : string;
@@ -52,18 +48,15 @@ type tenant_spec = {
   mode : Mode.t;
   policy : Policy.t;
   n_vcpus : int;
-  shape : Open_loop.shape;
   seed : int;
 }
 
 let tenant_spec ?(name = "") ?(arch = Svt_arch.Backend.X86)
-    ?(policy = Policy.default) ?(n_vcpus = 1) ?(shape = Open_loop.cpu_bound)
-    ?(seed = 0) mode =
-  { name; arch; mode; policy; n_vcpus; shape; seed }
+    ?(policy = Policy.default) ?(n_vcpus = 1) ?(seed = 0) mode =
+  { name; arch; mode; policy; n_vcpus; seed }
 
 type tenant = {
   spec : tenant_spec;
-  index : int;
   sys : System.t;
   claim : Policy.claim;
   wake_cost : Time.t;
@@ -84,8 +77,7 @@ type tenant = {
 type t = {
   topo : Topology.t;
   quantum : Time.t;
-  clock : Time.t ref; (* host virtual now *)
-  recorder : Recorder.t;
+  mutable clock : Time.t; (* host virtual now *)
   mutable tenants : tenant list; (* admission order *)
   mutable admitted : int; (* monotone admission counter, never decremented *)
   mutable throttle : float; (* grant scale in (0, 1]: degraded host < 1 *)
@@ -99,12 +91,10 @@ type t = {
 let create ?(quantum = Time.of_us 50) ~topology () =
   if Time.(quantum <= Time.zero) then
     invalid_arg "Host.create: quantum must be positive";
-  let clock = ref Time.zero in
   {
     topo = topology;
     quantum;
-    clock;
-    recorder = Recorder.create ~clock:(fun () -> !clock) ();
+    clock = Time.zero;
     tenants = [];
     admitted = 0;
     throttle = 1.0;
@@ -116,7 +106,7 @@ let create ?(quantum = Time.of_us 50) ~topology () =
   }
 
 let topology t = t.topo
-let now t = !(t.clock)
+let now t = t.clock
 let rounds t = t.rounds
 
 (* Quantum inflation: a degraded host's quanta buy less tenant progress.
@@ -197,8 +187,7 @@ let build_system t spec =
        Host-level feasibility of spec.policy is checked in
        [host_errors], against the host topology. *)
     System.Config.make ~arch:spec.arch ~machine ~n_vcpus:spec.n_vcpus
-      ~svt_policy:Mode.default_svt_policy ~mode:spec.mode
-      ~level:System.L2_nested ()
+      ~mode:spec.mode ~level:System.L2_nested ()
   in
   match System.Config.validate cfg with
   | Error errs -> Error errs
@@ -206,9 +195,7 @@ let build_system t spec =
       let sys = System.of_config cfg in
       let counters = Open_loop.counters () in
       for i = 0 to spec.n_vcpus - 1 do
-        Open_loop.spawn ~shape:spec.shape
-          ~seed:(Prng.int rng (1 lsl 30))
-          counters (System.vcpu sys i)
+        Open_loop.spawn counters (System.vcpu sys i)
       done;
       Ok (sys, counters)
 
@@ -227,7 +214,6 @@ let add_tenant t spec =
           let tn =
             {
               spec = { spec with name };
-              index = t.admitted;
               sys;
               claim;
               wake_cost =
@@ -329,7 +315,7 @@ let episodes_total tn =
    back-entitlement for the idle stretch. Rounds are not counted while
    idle (occupancy is over scheduled rounds). *)
 let run_idle t ~horizon =
-  if Time.(now t < horizon) then t.clock := horizon
+  if Time.(now t < horizon) then t.clock <- horizon
 
 let run_busy t ~horizon =
   let topo = t.topo in
@@ -339,7 +325,6 @@ let run_busy t ~horizon =
   let tenants = Array.of_list t.tenants in
   let n = Array.length tenants in
   let free = Array.init n_cores (fun _ -> Array.make smt true) in
-  let probe = Recorder.probe t.recorder in
   let pool =
     Array.fold_left
       (fun acc tn -> max acc tn.claim.Policy.pool_threads)
@@ -485,25 +470,8 @@ let run_busy t ~horizon =
         (List.length pool_slots) granted
     in
     t.busy_thread_quanta <- t.busy_thread_quanta + held;
-    (* advance the host clock, then stamp the round's slices *)
-    t.clock := Time.add round_start t.quantum;
-    t.rounds <- t.rounds + 1;
-    if Probe.is_on probe then
-      List.iter
-        (fun (tn, slots) ->
-          List.iter
-            (fun (c, x) ->
-              Probe.span probe Span.Sched_slice ~vcpu:tn.index ~level:0
-                ~core:c ~ctx:x
-                ~tags:
-                  [
-                    ("tenant", tn.spec.name);
-                    ("mode", Mode.name tn.spec.mode);
-                    ("policy", Policy.name tn.spec.policy);
-                  ]
-                ~start:round_start ())
-            slots)
-        granted
+    t.clock <- Time.add round_start t.quantum;
+    t.rounds <- t.rounds + 1
   done
 
 let run t ~horizon =
@@ -525,7 +493,6 @@ type tenant_report = {
   slept_ms : float;
   wake_penalty_us : float;
   queue_penalty_us : float;
-  p99_latency_us : float;
 }
 
 type report = {
@@ -567,10 +534,6 @@ let tenant_report elapsed_s tn =
     slept_ms = Time.to_ms_f tn.slept;
     wake_penalty_us = Time.to_us_f tn.wake_penalty;
     queue_penalty_us = Time.to_us_f tn.queue_penalty;
-    p99_latency_us =
-      (if Histogram.count tn.counters.Open_loop.latency > 0 then
-         float_of_int (Histogram.p99 tn.counters.Open_loop.latency) /. 1000.0
-       else 0.0);
   }
 
 let report t =

@@ -25,7 +25,6 @@ type tenant_spec = {
   mode : Svt_core.Mode.t;
   policy : Policy.t;
   n_vcpus : int;
-  shape : Svt_workloads.Open_loop.shape;
   seed : int;
 }
 
@@ -34,12 +33,12 @@ val tenant_spec :
   ?arch:Svt_arch.Backend.kind ->
   ?policy:Policy.t ->
   ?n_vcpus:int ->
-  ?shape:Svt_workloads.Open_loop.shape ->
   ?seed:int ->
   Svt_core.Mode.t ->
   tenant_spec
 (** Defaults: auto name ("t<index>" at admission), x86, [Policy.default],
-    1 vCPU, {!Svt_workloads.Open_loop.cpu_bound}, seed 0. *)
+    1 vCPU, seed 0. Every vCPU runs {!Svt_workloads.Open_loop}'s
+    CPU-bound program. *)
 
 type t
 
@@ -57,7 +56,7 @@ val add_tenant : t -> tenant_spec -> (unit, Svt_core.System.Config.error list) r
 
 val run : t -> horizon:Svt_engine.Time.t -> unit
 (** Advance the host clock to [horizon] (or until every tenant program
-    finishes — the standard shapes never do). Callable repeatedly to
+    finishes — the CPU-bound program never does). Callable repeatedly to
     extend the run. With no tenants admitted the host idles: the clock
     jumps to [horizon] without counting rounds, keeping a revived
     fleet member's clock in lockstep so later admissions collect no
@@ -84,7 +83,6 @@ type tenant_report = {
   slept_ms : float;  (** quanta slept through *)
   wake_penalty_us : float;  (** donation wake debt charged *)
   queue_penalty_us : float;  (** shared-pool queueing debt charged *)
-  p99_latency_us : float;  (** open-arrival request latency (0 if none) *)
 }
 
 type report = {

@@ -4,17 +4,11 @@
    confidence. We reproduce it literally so micro-benchmarks report means
    with the same statistical discipline. *)
 
-type policy = {
-  target_rel_error : float; (* CI half-width / mean threshold *)
-  confidence_sigma : float; (* z for the CI, 2.0 in the paper *)
-  outlier_sigma : float;    (* rejection threshold, 4.0 in the paper *)
-  min_samples : int;
-  max_samples : int;
-}
-
-let paper_policy =
-  { target_rel_error = 0.01; confidence_sigma = 2.0; outlier_sigma = 4.0;
-    min_samples = 16; max_samples = 100_000 }
+let target_rel_error = 0.01 (* CI half-width / mean threshold *)
+let confidence_sigma = 2.0 (* z for the CI *)
+let outlier_sigma = 4.0 (* rejection threshold *)
+let min_samples = 16
+let max_samples = 100_000
 
 type result = {
   mean : float;
@@ -24,42 +18,42 @@ type result = {
   converged : bool;
 }
 
-let reject_outliers policy samples =
+let reject_outliers samples =
   let s = Summary.of_list samples in
   let mu = Summary.mean s and sd = Summary.stddev s in
   if Float.is_nan sd || sd = 0.0 then (samples, 0)
   else begin
-    let keep x = Float.abs (x -. mu) <= policy.outlier_sigma *. sd in
+    let keep x = Float.abs (x -. mu) <= outlier_sigma *. sd in
     let kept = List.filter keep samples in
     (kept, List.length samples - List.length kept)
   end
 
-let summarize policy samples =
-  let kept, rejected = reject_outliers policy samples in
+let summarize samples =
+  let kept, rejected = reject_outliers samples in
   let s = Summary.of_list kept in
   let mu = Summary.mean s in
-  let half_width = policy.confidence_sigma *. Summary.stderr_of_mean s in
+  let half_width = confidence_sigma *. Summary.stderr_of_mean s in
   let converged =
-    Summary.count s >= policy.min_samples
+    Summary.count s >= min_samples
     && (not (Float.is_nan half_width))
     && mu <> 0.0
-    && Float.abs (half_width /. mu) <= policy.target_rel_error
+    && Float.abs (half_width /. mu) <= target_rel_error
   in
   { mean = mu; stddev = Summary.stddev s; samples_used = Summary.count s;
     samples_rejected = rejected; converged }
 
-(* Repeatedly run [sample] in batches until converged per [policy]. *)
-let run ?(policy = paper_policy) sample =
+(* Repeatedly run [sample] in batches until converged. *)
+let run sample =
   let samples = ref [] in
   let count = ref 0 in
-  let batch = Stdlib.max policy.min_samples 8 in
+  let batch = Stdlib.max min_samples 8 in
   let result = ref None in
   while !result = None do
     for _ = 1 to batch do
       samples := sample () :: !samples;
       incr count
     done;
-    let r = summarize policy !samples in
-    if r.converged || !count >= policy.max_samples then result := Some r
+    let r = summarize !samples in
+    if r.converged || !count >= max_samples then result := Some r
   done;
   Option.get !result

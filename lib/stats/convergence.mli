@@ -1,16 +1,7 @@
 (** The paper's measurement discipline: repeat until the 2σ confidence
     interval of the mean is within 1% of the mean, after 4σ outlier
-    rejection (§2.3, §6.1). *)
-
-type policy = {
-  target_rel_error : float;
-  confidence_sigma : float;
-  outlier_sigma : float;
-  min_samples : int;
-  max_samples : int;
-}
-
-val paper_policy : policy
+    rejection (§2.3, §6.1). A result needs at least 16 samples to count
+    as converged; sampling stops at 100,000 either way. *)
 
 type result = {
   mean : float;
@@ -20,10 +11,10 @@ type result = {
   converged : bool;
 }
 
-val reject_outliers : policy -> float list -> float list * int
+val reject_outliers : float list -> float list * int
 (** Returns kept samples and the number rejected. *)
 
-val summarize : policy -> float list -> result
+val summarize : float list -> result
 
-val run : ?policy:policy -> (unit -> float) -> result
-(** Draw samples in batches until converged (or [max_samples]). *)
+val run : (unit -> float) -> result
+(** Draw samples in batches until converged (or 100,000 samples). *)

@@ -4,7 +4,6 @@
    paper's tail-latency (99th percentile) reporting. *)
 
 type t = {
-  sub_bits : int; (* log2 of sub-buckets per doubling *)
   counts : int array;
   mutable total : int;
   mutable sum : float;
@@ -13,17 +12,19 @@ type t = {
 
 let buckets = 64
 
-let create ?(sub_bits = 5) () =
-  { sub_bits;
-    counts = Array.make ((buckets + 1) lsl sub_bits) 0;
+(* log2 of sub-buckets per doubling: 32 per doubling, ≈3% worst-case
+   relative error *)
+let sb = 5
+
+let create () =
+  { counts = Array.make ((buckets + 1) lsl sb) 0;
     total = 0; sum = 0.0; max_v = 0 }
 
-(* Values in [2^k, 2^(k+1)) for k >= sub_bits are subdivided into
-   2^sub_bits sub-buckets of width 2^(k - sub_bits); values below 2^sub_bits
-   get exact unit buckets. *)
-let index t v =
+(* Values in [2^k, 2^(k+1)) for k >= sb are subdivided into 2^sb
+   sub-buckets of width 2^(k - sb); values below 2^sb get exact unit
+   buckets. *)
+let index v =
   if v < 0 then invalid_arg "Histogram.add: negative value";
-  let sb = t.sub_bits in
   let sub = 1 lsl sb in
   if v < sub then v
   else begin
@@ -34,8 +35,7 @@ let index t v =
   end
 
 (* Upper-bound value for a bucket index. *)
-let value_of_index t idx =
-  let sb = t.sub_bits in
+let value_of_index idx =
   let sub = 1 lsl sb in
   if idx < sub then idx
   else begin
@@ -49,7 +49,7 @@ let add t v =
   (* Values beyond the top bucket are clamped into it rather than
      dropped: count/mean/max must see every sample, and the percentile
      scan already caps bucket upper bounds at the observed max. *)
-  let idx = Stdlib.min (index t v) (Array.length t.counts - 1) in
+  let idx = Stdlib.min (index v) (Array.length t.counts - 1) in
   t.counts.(idx) <- t.counts.(idx) + 1;
   t.total <- t.total + 1;
   t.sum <- t.sum +. float_of_int v;
@@ -73,7 +73,7 @@ let percentile t p =
       if idx >= Array.length t.counts then t.max_v
       else begin
         let seen = seen + t.counts.(idx) in
-        if seen >= rank then Stdlib.min (value_of_index t idx) t.max_v
+        if seen >= rank then Stdlib.min (value_of_index idx) t.max_v
         else scan (idx + 1) seen
       end
     in

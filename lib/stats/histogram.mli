@@ -4,9 +4,8 @@
 
 type t
 
-val create : ?sub_bits:int -> unit -> t
-(** [sub_bits] controls precision: [2^sub_bits] buckets per doubling
-    (default 5, ≈3% worst-case relative error). *)
+val create : unit -> t
+(** 32 buckets per doubling: ≈3% worst-case relative error. *)
 
 val add : t -> int -> unit
 (** Record one sample. Values beyond the top bucket are clamped into it

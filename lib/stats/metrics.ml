@@ -26,9 +26,7 @@ let timer_ref t name =
       Hashtbl.add t.timers name r;
       r
 
-let incr ?(by = 1) t name =
-  let r = counter_ref t name in
-  r := !r + by
+let incr t name = Stdlib.incr (counter_ref t name)
 
 let add_time t name span =
   let r = timer_ref t name in

@@ -5,7 +5,9 @@
 type t
 
 val create : unit -> t
-val incr : ?by:int -> t -> string -> unit
+val incr : t -> string -> unit
+(** Add one to a counter (a missing counter starts at 0). *)
+
 val add_time : t -> string -> Svt_engine.Time.t -> unit
 val time : t -> string -> Svt_engine.Time.t
 val counters : t -> (string * int) list

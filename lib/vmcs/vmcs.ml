@@ -11,7 +11,6 @@
    the order the entry transform copies (and so validates) fields in. *)
 
 type t = {
-  label : string; (* e.g. "vmcs02" or "vmcs01'" *)
   values : int64 array;
   mutable dirty : Field.t list; (* fields first written since last clean *)
   mutable dirty_mask : int; (* bit [Field.index f] set iff [f] is in [dirty] *)
@@ -19,22 +18,7 @@ type t = {
 
 let n_fields = List.length Field.all
 
-let create ?label ~owner_level ~subject_level () =
-  (* vmcs01, vmcs12 describe the next level down; vmcs02 (owner 0,
-     subject 2) is L0's descriptor that actually runs the nested VM. *)
-  if subject_level <= owner_level then
-    invalid_arg "Vmcs.create: subject level must be below the owner";
-  {
-    label =
-      (match label with
-      | Some l -> l
-      | None -> Printf.sprintf "vmcs%d%d" owner_level subject_level);
-    values = Array.make n_fields 0L;
-    dirty = [];
-    dirty_mask = 0;
-  }
-
-let label t = t.label
+let create () = { values = Array.make n_fields 0L; dirty = []; dirty_mask = 0 }
 
 let read t f = t.values.(Field.index f)
 

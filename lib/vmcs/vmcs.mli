@@ -9,11 +9,8 @@
 
 type t
 
-val create : ?label:string -> owner_level:int -> subject_level:int -> unit -> t
-(** [subject_level] must be below [owner_level]; the default label is
-    ["vmcs<owner><subject>"]. *)
-
-val label : t -> string
+val create : unit -> t
+(** A descriptor with every field 0 and nothing dirty. *)
 
 val read : t -> Field.t -> int64
 (** A guest hypervisor's vmread. Unset fields read 0. *)

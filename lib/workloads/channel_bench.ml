@@ -39,9 +39,12 @@ type sample = {
    increments, then requests a tiny service from a "server" thread and
    waits for the reply; the server waits for requests using the mechanism
    under test. The reported latency is the full round trip minus the
-   workload itself. *)
-let measure ?(iterations = 200) ~(cm : Cost_model.t) ~mechanism ~placement
-    ~workload () =
+   workload itself, averaged over [iterations] round trips on the paper
+   machine. *)
+let iterations = 200
+let cm = Cost_model.paper_machine
+
+let measure ~mechanism ~placement ~workload =
   let sim = Simulator.create () in
   let core = Smt_core.create ~id:0 () in
   (* nominal cycle time at 2.4 GHz *)
@@ -108,24 +111,18 @@ let measure ?(iterations = 200) ~(cm : Cost_model.t) ~mechanism ~placement
         worker_slowdown = Smt_core.interference_factor core;
       }
 
-let default_workloads = [ 0; 100; 1_000; 10_000; 100_000 ]
-
-let default_mechanisms =
-  [ Function_call; Wait Mode.Polling; Wait Mode.Mwait; Wait Mode.Mutex ]
-
-let default_placements =
-  [ Mode.Smt_sibling; Mode.Same_numa_core; Mode.Cross_numa ]
+let workloads = [ 0; 100; 1_000; 10_000; 100_000 ]
+let mechanisms = [ Function_call; Wait Mode.Polling; Wait Mode.Mwait; Wait Mode.Mutex ]
+let placements = [ Mode.Smt_sibling; Mode.Same_numa_core; Mode.Cross_numa ]
 
 (* The full sweep. *)
-let sweep ?(cm = Cost_model.paper_machine) ?(workloads = default_workloads)
-    ?(mechanisms = default_mechanisms) ?(placements = default_placements) () =
+let sweep () =
   List.concat_map
     (fun mechanism ->
       List.concat_map
         (fun placement ->
           List.map
-            (fun workload ->
-              measure ~cm ~mechanism ~placement ~workload ())
+            (fun workload -> measure ~mechanism ~placement ~workload)
             workloads)
         (match mechanism with
         | Function_call -> [ Mode.Smt_sibling ] (* placement is moot *)

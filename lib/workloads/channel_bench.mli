@@ -21,13 +21,10 @@ type sample = {
       (** compute-time inflation on the working thread (SMT interference) *)
 }
 
-val sweep :
-  ?cm:Svt_arch.Cost_model.t ->
-  ?workloads:int list ->
-  ?mechanisms:mechanism list ->
-  ?placements:Svt_core.Mode.placement list ->
-  unit ->
-  sample list
+val sweep : unit -> sample list
+(** Every mechanism × placement (placement is moot for a function call)
+    × workload of 0, 100, 1,000, 10,000 and 100,000 increments, on the
+    paper machine. *)
 
 val effective_cost_us : sample -> workload_us:float -> float
 (** Round trip plus the interference the waiter inflicts on the worker's

@@ -83,20 +83,17 @@ let server_worker sys store net vcpu =
           | Some pkt ->
               Guest.syscall v cost;
               let req = decode_request pkt in
-              let now = Time.to_ns (Proc.now ()) in
               (* the actual store operation, plus its compute time *)
               let payload =
                 if req.is_get then (
-                  match Kvstore.get store ~now (key_of req.rank) with
+                  match Kvstore.get store (key_of req.rank) with
                   | Some value -> Bytes.length value
                   | None ->
                       (* miss: populate as a cache would after a DB fetch *)
-                      Kvstore.set store ~now (key_of req.rank)
-                        (Bytes.make req.vsize 'v');
+                      Kvstore.set store (key_of req.rank) (Bytes.make req.vsize 'v');
                       req.vsize)
                 else begin
-                  Kvstore.set store ~now (key_of req.rank)
-                    (Bytes.make req.vsize 'v');
+                  Kvstore.set store (key_of req.rank) (Bytes.make req.vsize 'v');
                   0
                 end
               in
@@ -129,9 +126,8 @@ let run_point ?(duration = Time.of_ms 60) ~qps sys =
         (net, fabric))
   in
   (* pre-warm the store so GETs mostly hit, as in steady-state ETC *)
-  let now0 = 0 in
   for rank = 1 to key_space do
-    Kvstore.set store ~now:now0 (key_of rank) (Bytes.make (value_size rng) 'v')
+    Kvstore.set store (key_of rank) (Bytes.make (value_size rng) 'v')
   done;
   let lat = Svt_stats.Histogram.create () in
   let sent = ref 0 and received = ref 0 in

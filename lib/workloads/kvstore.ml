@@ -1,13 +1,12 @@
 (* A memcached-like in-memory key-value store: separate-chaining hash
-   table with incremental resizing, LRU eviction under a memory cap, and
-   per-entry expiry. This is a real data structure — the ETC workload
+   table with incremental resizing and LRU eviction under a memory cap.
+   This is a real data structure — the ETC workload
    (Figure 8) executes genuine get/set operations against it, and the
    tests assert its behaviour directly. *)
 
 type entry = {
   key : string;
   mutable value : bytes;
-  mutable expires_at : int; (* ns since epoch; 0 = never *)
   mutable lru_prev : entry option;
   mutable lru_next : entry option;
   mutable chain_next : entry option;
@@ -22,8 +21,9 @@ type t = {
   mutable lru_tail : entry option;
 }
 
-let create ?(memory_cap = 0) ?(initial_buckets = 1024) () =
-  if initial_buckets <= 0 then invalid_arg "Kvstore.create";
+let initial_buckets = 1024
+
+let create ?(memory_cap = 0) () =
   {
     buckets = Array.make initial_buckets None;
     size = 0;
@@ -134,19 +134,16 @@ let enforce_cap t =
 
 (* --- public operations --- *)
 
-let set t ~now ?(ttl_ns = 0) key value =
-  let expires_at = if ttl_ns > 0 then now + ttl_ns else 0 in
+let set t key value =
   (match find_entry t key with
   | Some e ->
       t.memory_used <- t.memory_used - Bytes.length e.value + Bytes.length value;
       e.value <- value;
-      e.expires_at <- expires_at;
       lru_touch t e
   | None ->
       if t.size >= 3 * Array.length t.buckets / 4 then resize t;
       let e =
-        { key; value; expires_at; lru_prev = None; lru_next = None;
-          chain_next = None }
+        { key; value; lru_prev = None; lru_next = None; chain_next = None }
       in
       let b = bucket_of t key in
       e.chain_next <- t.buckets.(b);
@@ -156,16 +153,12 @@ let set t ~now ?(ttl_ns = 0) key value =
       t.memory_used <- t.memory_used + Bytes.length value + String.length key);
   enforce_cap t
 
-let get t ~now key =
+let get t key =
   match find_entry t key with
-  | Some e when e.expires_at <> 0 && e.expires_at <= now ->
-      remove_entry t e;
-      None
   | Some e ->
       lru_touch t e;
       Some e.value
-  | None ->
-      None
+  | None -> None
 
 let size t = t.size
 

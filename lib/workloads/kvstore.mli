@@ -1,19 +1,19 @@
 (** A memcached-like in-memory key-value store: separate-chaining hash
-    table with incremental resizing, LRU eviction under a memory cap, and
-    per-entry expiry. A real data structure — the ETC workload (Figure 8)
+    table with incremental resizing and LRU eviction under a memory cap.
+    A real data structure — the ETC workload (Figure 8)
     executes genuine get/set operations against it. *)
 
 type t
 
-val create : ?memory_cap:int -> ?initial_buckets:int -> unit -> t
-(** [memory_cap] in bytes of keys+values; 0 (default) = unlimited. *)
+val create : ?memory_cap:int -> unit -> t
+(** [memory_cap] in bytes of keys+values; 0 (default) = unlimited. The
+    table starts at 1,024 buckets and doubles at 3/4 load. *)
 
-val set : t -> now:int -> ?ttl_ns:int -> string -> bytes -> unit
+val set : t -> string -> bytes -> unit
 (** Insert or overwrite; evicts from the LRU tail while over the cap. *)
 
-val get : t -> now:int -> string -> bytes option
-(** Hit moves the entry to the LRU front; a lazily-expired entry counts
-    as a miss and is removed. *)
+val get : t -> string -> bytes option
+(** Hit moves the entry to the LRU front. *)
 
 (** {2 Introspection} *)
 

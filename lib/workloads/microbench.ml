@@ -1,8 +1,7 @@
 (* Micro-benchmarks (paper §2.3 and §6.1): a loop containing the operation
-   under scrutiny surrounded by a chain of dependent register increments
-   simulating a variable workload, repeated until the paper's convergence
-   criterion holds (stddev and overhead below 1% of mean at 2σ, outliers
-   removed at 4σ). *)
+   under scrutiny, repeated until the paper's convergence criterion holds
+   (stddev and overhead below 1% of mean at 2σ, outliers removed at
+   4σ). *)
 
 module Time = Svt_engine.Time
 module Proc = Svt_engine.Simulator.Proc
@@ -19,25 +18,24 @@ type result = {
   breakdown : (string * Time.t * float) list; (* per-episode bucket rows *)
 }
 
-(* Measure one guest operation under the convergence policy. [workload] is
-   the number of dependent increments around the operation. *)
-let measure ?(policy = Convergence.paper_policy) ?(workload = 0)
-    ?(warmup = 32) sys ~op () =
+(* Operations run before measuring, to populate shadow structures and
+   software caches. *)
+let warmup = 32
+
+(* Measure one guest operation under the convergence policy. *)
+let measure sys ~op =
   let vcpu = System.vcpu0 sys in
   let bd = Vcpu.breakdown vcpu in
   let outcome = ref None in
   Vcpu.spawn_program vcpu (fun v ->
-      (* Warm up: populate shadow structures, software caches. *)
       for _ = 1 to warmup do
-        Guest.dependent_increments v workload;
         op v
       done;
       Breakdown.reset bd;
       outcome :=
         Some
-          (Convergence.run ~policy (fun () ->
+          (Convergence.run (fun () ->
                let t0 = Proc.now () in
-               Guest.dependent_increments v workload;
                op v;
                Time.to_us_f (Time.diff (Proc.now ()) t0))));
   System.run sys;
@@ -56,17 +54,15 @@ let measure ?(policy = Convergence.paper_policy) ?(workload = 0)
 (* The canonical instance: a cpuid in the guest under test. *)
 let cpuid_op v = ignore (Guest.cpuid v ~leaf:1)
 
-let measure_cpuid ?policy ?workload sys =
-  measure ?policy ?workload sys ~op:cpuid_op ()
+let measure_cpuid sys = measure sys ~op:cpuid_op
 
 (* Figure 6: cpuid latency at every level and mode. *)
 type fig6_row = { label : string; time_us : float; overhead_vs_l0 : float }
 
-let fig6 ?arch ?(modes = [ Svt_core.Mode.sw_svt_default; Svt_core.Mode.Hw_svt ])
-    () =
+let fig6 ?arch () =
   (* HW SVt's design point does not exist on a backend without a shadow
-     VMCS (ARM NV/VHE): drop it from the default bar set rather than
-     asking the caller to know the capability table. *)
+     VMCS (ARM NV/VHE): drop it from the bar set rather than asking the
+     caller to know the capability table. *)
   let kind =
     match arch with Some k -> k | None -> Svt_arch.Backend.default
   in
@@ -75,7 +71,8 @@ let fig6 ?arch ?(modes = [ Svt_core.Mode.sw_svt_default; Svt_core.Mode.Hw_svt ])
       (function
         | Svt_core.Mode.Hw_svt -> Svt_arch.Backend.has_hw_svt kind
         | _ -> true)
-      modes
+      Svt_core.Mode.
+        [ sw_svt_default; Hw_svt; Ooh; Hw_full_nesting ]
   in
   let run ~mode ~level label =
     let sys = System.of_config (System.Config.make ?arch ~mode ~level ()) in
@@ -133,7 +130,7 @@ type exit_row = {
    backend's own exit spelling. This is the table the ARM claim rests
    on — baseline nested exits are uniformly costlier there, and the
    SVt-relative speedup uniformly larger. *)
-let per_exit_table ?arch ?(svt = Svt_core.Mode.sw_svt_default) () =
+let per_exit_table ?arch () =
   let kind =
     match arch with Some k -> k | None -> Svt_arch.Backend.default
   in
@@ -142,12 +139,12 @@ let per_exit_table ?arch ?(svt = Svt_core.Mode.sw_svt_default) () =
       System.of_config
         (System.Config.make ?arch ~mode ~level:System.L2_nested ())
     in
-    (measure sys ~op ()).per_op_us
+    (measure sys ~op).per_op_us
   in
   List.map
     (fun (reason, op) ->
       let baseline_us = one ~mode:Svt_core.Mode.Baseline op in
-      let svt_us = one ~mode:svt op in
+      let svt_us = one ~mode:Svt_core.Mode.sw_svt_default op in
       {
         reason;
         exit_label = Svt_arch.Backend.exit_name kind reason;

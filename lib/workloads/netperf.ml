@@ -55,7 +55,7 @@ type rr_result = {
 
 (* TCP_RR: client on the fabric's far end, server in the guest. The client
    ACKs every response (interrupt coalescing off, as for latency runs). *)
-let run_rr ?(transactions = 400) ?(think = Time.zero) sys =
+let run_rr ?(transactions = 400) sys =
   let vcpu = System.vcpu0 sys in
   let net, fabric = System.attach_net sys in
   let sim = System.sim sys in
@@ -92,8 +92,7 @@ let run_rr ?(transactions = 400) ?(think = Time.zero) sys =
           if Bytes.length pkt > 0 && Bytes.get pkt 0 = 'S' then () else await ()
         in
         await ();
-        Svt_stats.Histogram.add rtts (Time.to_ns (Time.diff (Proc.now ()) t0));
-        if Time.(think > Time.zero) then Proc.delay think
+        Svt_stats.Histogram.add rtts (Time.to_ns (Time.diff (Proc.now ()) t0))
       done;
       finished := true;
       (* wake the server so its loop can observe the flag and finish *)

@@ -7,10 +7,10 @@ val stream_packet_bytes : int
 
 type rr_result = { mean_rtt_us : float; p99_rtt_us : float; transactions : int }
 
-val run_rr :
-  ?transactions:int -> ?think:Svt_engine.Time.t -> Svt_core.System.t -> rr_result
+val run_rr : ?transactions:int -> Svt_core.System.t -> rr_result
 (** Attach a net device, run the server loop in the guest and the client
-    on the fabric's far end; returns client-observed round-trip times. *)
+    on the fabric's far end, back to back with no think time; returns
+    client-observed round-trip times. *)
 
 type stream_result = { mbps : float; packets : int }
 

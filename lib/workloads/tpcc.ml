@@ -151,13 +151,16 @@ type result = {
    parses/executes/responds; read-write transactions end with a WAL
    commit. Statement round trips ride the same virtio-net path as every
    other network workload. *)
-let run ?(duration = Time.of_ms 400) ?(query_cost = Time.of_us 95) sys =
+(* Guest time to parse, plan and execute one statement. *)
+let query_cost = Time.of_us 95
+
+let run ?(duration = Time.of_ms 400) sys =
   let vcpu = System.vcpu0 sys in
   let net, fabric = System.attach_net sys in
   let blk, _disk = System.attach_blk sys in
   let db = build_db () in
   let rng = Prng.create 11 in
-  let wal = Wal.create ~blk ~vcpu () in
+  let wal = Wal.create ~blk ~vcpu in
   let txns = ref 0 and new_orders = ref 0 in
   let finished = ref false in
   let elapsed = ref Time.zero in

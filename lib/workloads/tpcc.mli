@@ -38,10 +38,6 @@ type result = {
   elapsed : Svt_engine.Time.t;
 }
 
-val run :
-  ?duration:Svt_engine.Time.t ->
-  ?query_cost:Svt_engine.Time.t ->
-  Svt_core.System.t ->
-  result
+val run : ?duration:Svt_engine.Time.t -> Svt_core.System.t -> result
 (** One sysbench connection against a fresh database on the given nested
-    system. *)
+    system; the guest spends 95 µs executing each statement. *)

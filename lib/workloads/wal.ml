@@ -18,13 +18,14 @@ type t = {
   mutable next_lsn : int;
   mutable pending : record list; (* newest first *)
   mutable next_sector : int;
-  log_start : int; (* first sector of the log area *)
-  log_sectors : int;
 }
 
-let create ~blk ~vcpu ?(log_start = 4096) ?(log_sectors = 65536) () =
-  { blk; vcpu; next_lsn = 1; pending = []; next_sector = log_start;
-    log_start; log_sectors }
+(* The circular log area: [log_sectors] sectors from [log_start]. *)
+let log_start = 4096
+let log_sectors = 65536
+
+let create ~blk ~vcpu =
+  { blk; vcpu; next_lsn = 1; pending = []; next_sector = log_start }
 
 let append t payload =
   let r = { lsn = t.next_lsn; payload } in
@@ -55,8 +56,8 @@ let commit t =
     let padded = Bytes.make (sectors * Ramdisk.sector_size) '\000' in
     Bytes.blit_string data 0 padded 0
       (min (String.length data) (Bytes.length padded));
-    if t.next_sector + sectors >= t.log_start + t.log_sectors then
-      t.next_sector <- t.log_start (* wrap the circular log *);
+    if t.next_sector + sectors >= log_start + log_sectors then
+      t.next_sector <- log_start (* wrap the circular log *);
     (match
        Blk.driver_submit t.blk ~kind:Blk.Write ~sector:t.next_sector
          ~count:sectors ~data:padded ()

@@ -6,13 +6,9 @@
 
 type t
 
-val create :
-  blk:Svt_virtio.Virtio_blk.t ->
-  vcpu:Svt_hyp.Vcpu.t ->
-  ?log_start:int ->
-  ?log_sectors:int ->
-  unit ->
-  t
+val create : blk:Svt_virtio.Virtio_blk.t -> vcpu:Svt_hyp.Vcpu.t -> t
+(** An empty log whose circular area is the 65,536 sectors from sector
+    4,096. *)
 
 val append : t -> string -> int
 (** Buffer a record; returns its LSN. *)

@@ -86,6 +86,8 @@ let test_axis_grammar () =
     (Result.is_error (Spec.of_axes [ ("mode", [ "warp-drive" ]) ]));
   checkb "bad vcpus rejected" true
     (Result.is_error (Spec.of_axes [ ("vcpus", [ "zero" ]) ]));
+  checkb "unknown workload rejected" true
+    (Result.is_error (Spec.of_axes [ ("workload", [ "netperf-rr" ]) ]));
   checkb "missing = rejected" true (Result.is_error (Spec.parse_axis "mode"))
 
 (* --- Pool ---------------------------------------------------------------- *)
@@ -894,8 +896,8 @@ let test_failed_rows_jobs_deterministic () =
    workloads; asking one stack to run a host-shaped workload says why. *)
 let test_host_shaped_workloads () =
   checkb "registry = stack-shaped + host-shaped" true
-    (Runner.workload_names
-    = Runner.stack_workload_names @ [ "consolidate"; "cluster" ]);
+    (Spec.workload_names
+    = Spec.stack_workload_names @ [ "consolidate"; "cluster" ]);
   List.iter
     (fun workload ->
       let p = Spec.point ~workload Mode.Baseline in

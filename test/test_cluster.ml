@@ -251,7 +251,8 @@ let test_quota_and_retries_exhausted () =
   | [ tr ] -> checks "typed quota token" "quota" tr.Cluster.tr_state
   | _ -> Alcotest.fail "expected one tenant row");
   (* retries: a 1-thread fleet can hold one baseline tenant; the second
-     burns its capped backoff schedule and lands in Retries_exhausted *)
+     burns its capped backoff schedule (1+2+...+64+64+64 = 255 epochs of
+     250 us over its 10 attempts) and lands in Retries_exhausted *)
   let cluster =
     Cluster.create
       {
@@ -259,16 +260,11 @@ let test_quota_and_retries_exhausted () =
         Cluster.n_hosts = 1;
         cores_per_socket = 1;
         smt_per_core = 1;
-        admission =
-          {
-            Admission.default_config with
-            Admission.overcommit = 1.0;
-            max_attempts = 3;
-          };
+        admission = { Admission.default_config with Admission.overcommit = 1.0 };
       }
   in
   submit_n cluster ~n:2 ~mode:Mode.Baseline ~policy:Policy.default;
-  Cluster.run cluster ~horizon:(Time.of_ms 5);
+  Cluster.run cluster ~horizon:(Time.of_ms 70);
   let r = Cluster.report cluster in
   checkb "conserved" true r.Cluster.r_conserved;
   checki "one placed" 1 r.Cluster.r_placed;

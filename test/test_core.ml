@@ -138,7 +138,7 @@ let test_channel_blocking_recv () =
   let sim = Svt_hyp.Machine.sim machine in
   let got = ref None in
   Simulator.spawn sim ~name:"svt-thread" (fun () ->
-      got := Some (Channel.recv ch (Channel.to_svt ch) bd ()));
+      got := Some (Channel.recv ch (Channel.to_svt ch) bd));
   Simulator.spawn sim ~name:"l0" (fun () ->
       Proc.delay (Time.of_us 5);
       post_ok ch (Channel.to_svt ch) bd
@@ -261,7 +261,7 @@ let test_table2_inventory () =
     (List.length (List.filter (( = ) Svt_fields.Instruction) kinds))
 
 let test_svt_fields_vmptrld_loads_uregs () =
-  let vmcs = Svt_vmcs.Vmcs.create ~owner_level:0 ~subject_level:1 () in
+  let vmcs = Svt_vmcs.Vmcs.create () in
   Svt_fields.set_contexts vmcs ~visor:0 ~vm:1 ~nested:Svt_fields.invalid;
   let core = Svt_arch.Smt_core.create ~id:0 ~n_contexts:2 () in
   Svt_fields.vmptrld core vmcs;

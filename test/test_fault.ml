@@ -396,29 +396,128 @@ let test_config_rejects_ooh_misuse () =
                  level = System.L0_native
              | _ -> false)
            es));
-  (* ooh runs no SVt service thread: an explicit placement policy is a
-     contradiction, not a silently ignored knob *)
-  let cfg =
-    System.Config.make ~svt_policy:Mode.On_demand_donation ~mode:Mode.Ooh
-      ~level:System.L2_nested ()
-  in
-  (match System.Config.validate cfg with
-  | Ok _ -> Alcotest.fail "ooh with an SVt placement policy must be rejected"
-  | Error es ->
-      checkb "pinned error" true
-        (List.exists
-           (function
-             | System.Config.Ooh_has_no_svt_thread
-                 { policy = Mode.On_demand_donation } ->
-                 true
-             | _ -> false)
-           es));
   (* the mode needs no SMT sibling: a 1-thread-per-core machine is fine *)
   let cfg =
     System.Config.make ~machine:smt1 ~mode:Mode.Ooh ~level:System.L2_nested ()
   in
   checkb "ooh validates without SMT" true
     (Result.is_ok (System.Config.validate cfg))
+
+(* Every verdict of [System.Config.validate] over the whole design grid:
+   each mode (every SW SVt wait x placement) x level x arch x SMT width
+   x vCPU count, on a one-core machine. The expected error lists follow
+   the rules in order: capacity (each vCPU needs its own core; SW SVt
+   adds a dedicated sibling thread per vCPU), HW SVt needs a shadow VMCS
+   (no ARM), HW SVt at L1/L2 and SW SVt on the SMT sibling need a
+   second context, SW SVt's dedicated sibling needs SMT, and OoH needs
+   a guest level. The per-rule counts at the end pin the grid itself. *)
+let test_config_validate_table () =
+  let module C = System.Config in
+  let cores = 1 in
+  let machine smt =
+    {
+      Svt_hyp.Machine.paper_config with
+      sockets = 1;
+      cores_per_socket = cores;
+      smt_per_core = smt;
+    }
+  in
+  let modes =
+    [ Mode.Baseline; Mode.Hw_svt; Mode.Hw_full_nesting; Mode.Ooh ]
+    @ List.concat_map
+        (fun wait ->
+          List.map
+            (fun placement -> Mode.Sw_svt { wait; placement })
+            [ Mode.Smt_sibling; Mode.Same_numa_core; Mode.Cross_numa ])
+        [ Mode.Polling; Mode.Mwait; Mode.Mutex ]
+  in
+  (* (rule name, error) in the order validate reports them *)
+  let expected ~arch ~mode ~level ~smt ~n =
+    let svt_threads = match mode with Mode.Sw_svt _ -> n | _ -> 0 in
+    let required_threads = n + svt_threads and available_threads = cores * smt in
+    List.concat
+      [
+        (if n > cores || required_threads > available_threads then
+           [
+             ( "cores",
+               C.Insufficient_cores
+                 { n_vcpus = n; cores; required_threads; available_threads } );
+           ]
+         else []);
+        (match (mode, arch) with
+        | Mode.Hw_svt, Svt_arch.Backend.Arm ->
+            [ ("shadow", C.Hw_svt_needs_shadow_vmcs { arch }) ]
+        | _ -> []);
+        (match (mode, level) with
+        | Mode.Hw_svt, (System.L1_leaf | System.L2_nested) when smt < 2 ->
+            [ ("context", C.Svt_context_unprogrammable { mode; smt_per_core = smt }) ]
+        | Mode.Sw_svt { placement = Mode.Smt_sibling; _ }, _ when smt < 2 ->
+            [ ("sibling", C.Sw_svt_needs_smt_sibling { smt_per_core = smt }) ]
+        | _ -> []);
+        (match mode with
+        | Mode.Sw_svt _ when smt < 2 ->
+            [ ("dedicated", C.Dedicated_sibling_needs_smt { smt_per_core = smt }) ]
+        | _ -> []);
+        (match (mode, level) with
+        | Mode.Ooh, System.L0_native -> [ ("ooh-level", C.Ooh_needs_guest_level { level }) ]
+        | _ -> []);
+      ]
+  in
+  let counts = Hashtbl.create 8 in
+  let bump k = Hashtbl.replace counts k (1 + Option.value ~default:0 (Hashtbl.find_opt counts k)) in
+  let cases = ref 0 in
+  List.iter
+    (fun mode ->
+      List.iter
+        (fun level ->
+          List.iter
+            (fun arch ->
+              List.iter
+                (fun smt ->
+                  List.iter
+                    (fun n ->
+                      incr cases;
+                      let cfg =
+                        C.make ~arch ~machine:(machine smt) ~n_vcpus:n ~mode ~level ()
+                      in
+                      let label =
+                        Printf.sprintf "%s %s %s smt=%d vcpus=%d"
+                          (Mode.to_string mode) (System.level_name level)
+                          (Svt_arch.Backend.to_string arch) smt n
+                      in
+                      let show es = Fmt.str "%a" Fmt.(list ~sep:(any "; ") C.pp_error) es in
+                      match (C.validate cfg, expected ~arch ~mode ~level ~smt ~n) with
+                      | Ok c, [] ->
+                          bump "ok";
+                          let smt' =
+                            match (mode, level) with
+                            | Mode.Hw_svt, System.L2_nested -> max smt 3
+                            | _ -> smt
+                          in
+                          checki (label ^ ": normalized SMT") smt'
+                            c.C.machine.Svt_hyp.Machine.smt_per_core
+                      | Ok _, want ->
+                          Alcotest.failf "%s: accepted, want [%s]" label
+                            (show (List.map snd want))
+                      | Error got, want ->
+                          checkb
+                            (Printf.sprintf "%s: got [%s], want [%s]" label (show got)
+                               (show (List.map snd want)))
+                            true
+                            (got = List.map snd want);
+                          List.iter (fun (rule, _) -> bump rule) want)
+                    [ 1; cores + 1 ])
+                [ 1; 2; 3 ])
+            [ Svt_arch.Backend.X86; Svt_arch.Backend.Arm ])
+        [ System.L0_native; System.L1_leaf; System.L2_nested ])
+    modes;
+  checki "grid size" (13 * 3 * 2 * 3 * 2) !cases;
+  let tally =
+    Hashtbl.fold (fun k v acc -> Printf.sprintf "%s=%d" k v :: acc) counts []
+    |> List.sort compare |> String.concat " "
+  in
+  checks "verdicts per rule"
+    "context=8 cores=288 dedicated=108 ok=163 ooh-level=12 shadow=18 sibling=36" tally
 
 let () =
   Alcotest.run "svt_fault"
@@ -482,6 +581,7 @@ let () =
             test_config_of_config_raises_typed;
           Alcotest.test_case "normalizes third context" `Quick
             test_config_normalizes_third_context;
+          Alcotest.test_case "validate table" `Quick test_config_validate_table;
           Alcotest.test_case "rejects ooh misuse" `Quick
             test_config_rejects_ooh_misuse;
         ] );

@@ -39,15 +39,7 @@ let test_claims_table () =
         (c.status <> Known_deviation ""))
     Claims.all
 
-(* --- microbenchmark plumbing ------------------------------------------------------ *)
-
-let test_microbench_workload_scales () =
-  let r0 = Microbench.measure_cpuid ~workload:0 (sys Mode.Baseline) in
-  let r1 = Microbench.measure_cpuid ~workload:10_000 (sys Mode.Baseline) in
-  (* 10k dependent increments at 2.4GHz ~ 4.2us *)
-  checkb "workload adds its compute" true
-    (r1.Microbench.per_op_us -. r0.Microbench.per_op_us > 3.5);
-  checkb "converged" true r0.Microbench.stats.Svt_stats.Convergence.converged
+(* --- plumbing ------------------------------------------------------------------- *)
 
 let test_multi_vcpu_isolated_breakdowns () =
   let s = sys ~n_vcpus:2 Mode.Baseline in
@@ -82,8 +74,6 @@ let () =
     @ [
         ( "plumbing",
           [
-            Alcotest.test_case "microbench workload scaling" `Slow
-              test_microbench_workload_scales;
             Alcotest.test_case "multi-vcpu breakdown isolation" `Quick
               test_multi_vcpu_isolated_breakdowns;
             Alcotest.test_case "end-to-end determinism" `Slow

@@ -170,8 +170,8 @@ let prop_transform_incremental =
   QCheck.Test.make ~name:"entry transform is incremental" ~count:100
     QCheck.(list_of_size Gen.(int_range 0 10) (pair (int_bound 3) int64))
     (fun writes ->
-      let vmcs12 = Vmcs.create ~owner_level:1 ~subject_level:2 () in
-      let vmcs02 = Vmcs.create ~owner_level:0 ~subject_level:2 () in
+      let vmcs12 = Vmcs.create () in
+      let vmcs02 = Vmcs.create () in
       let l1_ept = Svt_mem.Ept.create () in
       let fields = [| Field.Guest_rip; Field.Guest_rsp; Field.Guest_cr3;
                       Field.Guest_rflags |] in
@@ -246,7 +246,7 @@ let prop_vmcs_matches_reference =
        ~print:(fun ops -> String.concat "; " (List.map pp_vmcs_op ops))
        QCheck.Gen.(list_size (int_range 0 60) gen_vmcs_op))
     (fun ops ->
-      let v = Vmcs.create ~owner_level:1 ~subject_level:2 () in
+      let v = Vmcs.create () in
       let r = Ref_vmcs.create () in
       List.for_all
         (fun op ->

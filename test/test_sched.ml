@@ -14,7 +14,6 @@ module Host = Svt_sched.Host
 module Spec = Svt_campaign.Spec
 module Ledger = Svt_campaign.Ledger
 module Campaign = Svt_campaign.Campaign
-module Open_loop = Svt_workloads.Open_loop
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)

@@ -35,21 +35,8 @@ let test_field_classification () =
 
 (* --- Vmcs objects ------------------------------------------------------------ *)
 
-let test_vmcs_naming () =
-  let v01 = Vmcs.create ~owner_level:0 ~subject_level:1 () in
-  Alcotest.(check string) "vmcs01" "vmcs01" (Vmcs.label v01);
-  let v12 = Vmcs.create ~owner_level:1 ~subject_level:2 () in
-  Alcotest.(check string) "vmcs12" "vmcs12" (Vmcs.label v12);
-  let v02 = Vmcs.create ~owner_level:0 ~subject_level:2 () in
-  Alcotest.(check string) "vmcs02" "vmcs02" (Vmcs.label v02)
-
-let test_vmcs_invalid_role () =
-  Alcotest.check_raises "subject above owner"
-    (Invalid_argument "Vmcs.create: subject level must be below the owner")
-    (fun () -> ignore (Vmcs.create ~owner_level:2 ~subject_level:1 ()))
-
 let test_vmcs_rw_and_dirty () =
-  let v = Vmcs.create ~owner_level:0 ~subject_level:1 () in
+  let v = Vmcs.create () in
   check64 "unset reads zero" 0L (Vmcs.read v Field.Guest_rip);
   Vmcs.write v Field.Guest_rip 0x400000L;
   Vmcs.write v Field.Guest_rsp 0x7FFF00L;
@@ -60,7 +47,7 @@ let test_vmcs_rw_and_dirty () =
   check64 "value persists" 0x400002L (Vmcs.read v Field.Guest_rip)
 
 let test_vmcs_record_exit () =
-  let v = Vmcs.create ~owner_level:0 ~subject_level:1 () in
+  let v = Vmcs.create () in
   Vmcs.record_exit v ~reason:Svt_arch.Exit_reason.Cpuid ~qualification:7L
     ~instruction_length:2;
   check64 "reason number" 10L (Vmcs.peek v Field.Exit_reason);
@@ -69,7 +56,7 @@ let test_vmcs_record_exit () =
 (* Reads, and re-writes of fields that are already dirty, are the
    per-exit VMCS traffic; none of it may allocate. *)
 let test_vmcs_access_allocates_nothing () =
-  let v = Vmcs.create ~owner_level:0 ~subject_level:2 () in
+  let v = Vmcs.create () in
   let fields = Array.of_list Field.all in
   let values = Array.map (fun f -> Int64.of_int (0x1000 + Field.encode f)) fields in
   let n = Array.length fields in
@@ -118,8 +105,8 @@ let make_l1_ept () =
   e
 
 let test_transform_entry_translates_pointers () =
-  let vmcs12 = Vmcs.create ~owner_level:1 ~subject_level:2 () in
-  let vmcs02 = Vmcs.create ~owner_level:0 ~subject_level:2 () in
+  let vmcs12 = Vmcs.create () in
+  let vmcs02 = Vmcs.create () in
   let l1_ept = make_l1_ept () in
   Vmcs.write vmcs12 Field.Msr_bitmap 0x3000L;
   Vmcs.write vmcs12 Field.Guest_rip 0x1234L;
@@ -134,8 +121,8 @@ let test_transform_entry_translates_pointers () =
   checki "vmcs12 cleaned" 0 (List.length (Vmcs.dirty_fields vmcs12))
 
 let test_transform_entry_replaces_ept_pointer () =
-  let vmcs12 = Vmcs.create ~owner_level:1 ~subject_level:2 () in
-  let vmcs02 = Vmcs.create ~owner_level:0 ~subject_level:2 () in
+  let vmcs12 = Vmcs.create () in
+  let vmcs02 = Vmcs.create () in
   let l1_ept = make_l1_ept () in
   Vmcs.write vmcs12 Field.Ept_pointer 0x5000L;
   ignore (Transform.entry ~vmcs12 ~vmcs02 ~l1_ept ~l0_ept_pointer:0x7EF0000L);
@@ -144,8 +131,8 @@ let test_transform_entry_replaces_ept_pointer () =
   check64 "shadow ept" 0x7EF0000L (Vmcs.peek vmcs02 Field.Ept_pointer)
 
 let test_transform_entry_merges_controls () =
-  let vmcs12 = Vmcs.create ~owner_level:1 ~subject_level:2 () in
-  let vmcs02 = Vmcs.create ~owner_level:0 ~subject_level:2 () in
+  let vmcs12 = Vmcs.create () in
+  let vmcs02 = Vmcs.create () in
   let l1_ept = make_l1_ept () in
   (* L1 asks for no intercepts at all; L0 still forces its own *)
   Vmcs.write vmcs12 Field.Cpu_based_controls 0L;
@@ -157,8 +144,8 @@ let test_transform_entry_merges_controls () =
     = Transform.l0_forced_controls)
 
 let test_transform_entry_invalid_pointer_raises () =
-  let vmcs12 = Vmcs.create ~owner_level:1 ~subject_level:2 () in
-  let vmcs02 = Vmcs.create ~owner_level:0 ~subject_level:2 () in
+  let vmcs12 = Vmcs.create () in
+  let vmcs02 = Vmcs.create () in
   let l1_ept = Ept.create () (* empty: nothing maps *) in
   Vmcs.write vmcs12 Field.Msr_bitmap 0x3000L;
   checkb "raises Invalid_pointer" true
@@ -169,8 +156,8 @@ let test_transform_entry_invalid_pointer_raises () =
        Field.equal f Field.Msr_bitmap && v = 0x3000L)
 
 let test_transform_exit_reflects_state () =
-  let vmcs12 = Vmcs.create ~owner_level:1 ~subject_level:2 () in
-  let vmcs02 = Vmcs.create ~owner_level:0 ~subject_level:2 () in
+  let vmcs12 = Vmcs.create () in
+  let vmcs02 = Vmcs.create () in
   Vmcs.record_exit vmcs02 ~reason:Svt_arch.Exit_reason.Hlt ~qualification:0L
     ~instruction_length:1;
   Vmcs.write vmcs02 Field.Guest_rip 0xABCDL;
@@ -180,8 +167,8 @@ let test_transform_exit_reflects_state () =
   check64 "guest rip reflected" 0xABCDL (Vmcs.peek vmcs12 Field.Guest_rip)
 
 let test_transform_only_dirty_copied () =
-  let vmcs12 = Vmcs.create ~owner_level:1 ~subject_level:2 () in
-  let vmcs02 = Vmcs.create ~owner_level:0 ~subject_level:2 () in
+  let vmcs12 = Vmcs.create () in
+  let vmcs02 = Vmcs.create () in
   let l1_ept = make_l1_ept () in
   Vmcs.write vmcs12 Field.Guest_rip 1L;
   ignore (Transform.entry ~vmcs12 ~vmcs02 ~l1_ept ~l0_ept_pointer:0L);
@@ -192,12 +179,12 @@ let test_transform_only_dirty_copied () =
 (* --- Checks ---------------------------------------------------------------------- *)
 
 let test_checks_minimal_passes () =
-  let v = Vmcs.create ~owner_level:0 ~subject_level:1 () in
+  let v = Vmcs.create () in
   Checks.init_minimal v;
   checkb "passes" true (Checks.run v = Ok ())
 
 let test_checks_detect_bad_guest_state () =
-  let v = Vmcs.create ~owner_level:0 ~subject_level:1 () in
+  let v = Vmcs.create () in
   Checks.init_minimal v;
   Vmcs.write v Field.Guest_cr0 0L;
   match Checks.run v with
@@ -205,13 +192,13 @@ let test_checks_detect_bad_guest_state () =
   | Ok () -> Alcotest.fail "must fail with PG/PE clear"
 
 let test_checks_detect_bad_host () =
-  let v = Vmcs.create ~owner_level:0 ~subject_level:1 () in
+  let v = Vmcs.create () in
   Checks.init_minimal v;
   Vmcs.write v Field.Host_rip 0L;
   checkb "fails" true (Checks.run v <> Ok ())
 
 let test_checks_svt_context_range () =
-  let v = Vmcs.create ~owner_level:0 ~subject_level:1 () in
+  let v = Vmcs.create () in
   Checks.init_minimal v;
   Vmcs.write v Field.Svt_vm 5L (* out of range on a 2-context core *);
   checkb "rejects bad context" true (Checks.run ~n_hw_contexts:2 v <> Ok ());
@@ -219,7 +206,7 @@ let test_checks_svt_context_range () =
   checkb "accepts valid context" true (Checks.run ~n_hw_contexts:2 v = Ok ())
 
 let test_checks_visor_vm_must_differ () =
-  let v = Vmcs.create ~owner_level:0 ~subject_level:1 () in
+  let v = Vmcs.create () in
   Checks.init_minimal v;
   Vmcs.write v Field.Svt_visor 1L;
   Vmcs.write v Field.Svt_vm 1L;
@@ -232,7 +219,7 @@ let test_checks_visor_vm_must_differ () =
   | Ok () -> Alcotest.fail "visor == vm must be rejected"
 
 let test_checks_link_pointer_alignment () =
-  let v = Vmcs.create ~owner_level:0 ~subject_level:1 () in
+  let v = Vmcs.create () in
   Checks.init_minimal v;
   Vmcs.write v Field.Vmcs_link_pointer 0x1001L;
   checkb "unaligned link rejected" true (Checks.run v <> Ok ())
@@ -241,7 +228,7 @@ let test_checks_link_pointer_alignment () =
    the failure constructor and offending field the rule must report. *)
 let test_checks_every_rule () =
   let expect name field value ~failure =
-    let v = Vmcs.create ~owner_level:0 ~subject_level:1 () in
+    let v = Vmcs.create () in
     Checks.init_minimal v;
     Vmcs.write v field value;
     match Checks.run ~n_hw_contexts:2 v with
@@ -270,7 +257,7 @@ let test_checks_every_rule () =
   expect "svt_vm" Field.Svt_vm 7L ~failure:svt;
   expect "svt_nested" Field.Svt_nested 3L ~failure:svt;
   (* visor = vm clash needs two writes, so it is spelled out *)
-  let v = Vmcs.create ~owner_level:0 ~subject_level:1 () in
+  let v = Vmcs.create () in
   Checks.init_minimal v;
   Vmcs.write v Field.Svt_visor 0L;
   Vmcs.write v Field.Svt_vm 0L;
@@ -286,7 +273,7 @@ let test_checks_every_rule () =
    default turns any combination of rejections back into a passing
    config. *)
 let test_checks_repair_restores_validity () =
-  let v = Vmcs.create ~owner_level:0 ~subject_level:1 () in
+  let v = Vmcs.create () in
   Checks.init_minimal v;
   Vmcs.write v Field.Guest_cr0 0L;
   Vmcs.write v Field.Host_rip 0L;
@@ -311,8 +298,6 @@ let () =
         ] );
       ( "vmcs",
         [
-          Alcotest.test_case "naming convention" `Quick test_vmcs_naming;
-          Alcotest.test_case "invalid role rejected" `Quick test_vmcs_invalid_role;
           Alcotest.test_case "read/write and dirty tracking" `Quick
             test_vmcs_rw_and_dirty;
           Alcotest.test_case "record exit" `Quick test_vmcs_record_exit;

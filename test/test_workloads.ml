@@ -19,59 +19,54 @@ let checki = Alcotest.(check int)
 
 let test_kv_set_get () =
   let s = Kvstore.create () in
-  Kvstore.set s ~now:0 "k1" (Bytes.of_string "v1");
-  checkb "hit" true (Kvstore.get s ~now:0 "k1" = Some (Bytes.of_string "v1"));
-  checkb "miss" true (Kvstore.get s ~now:0 "nope" = None)
+  Kvstore.set s "k1" (Bytes.of_string "v1");
+  checkb "hit" true (Kvstore.get s "k1" = Some (Bytes.of_string "v1"));
+  checkb "miss" true (Kvstore.get s "nope" = None)
 
 let test_kv_overwrite () =
   let s = Kvstore.create () in
-  Kvstore.set s ~now:0 "k" (Bytes.of_string "old");
-  Kvstore.set s ~now:0 "k" (Bytes.of_string "newer");
+  Kvstore.set s "k" (Bytes.of_string "old");
+  Kvstore.set s "k" (Bytes.of_string "newer");
   checki "size stays 1" 1 (Kvstore.size s);
-  checkb "updated" true (Kvstore.get s ~now:0 "k" = Some (Bytes.of_string "newer"))
-
-let test_kv_expiry () =
-  let s = Kvstore.create () in
-  Kvstore.set s ~now:0 ~ttl_ns:100 "k" (Bytes.of_string "v");
-  checkb "alive before ttl" true (Kvstore.get s ~now:50 "k" <> None);
-  checkb "expired" true (Kvstore.get s ~now:150 "k" = None);
-  checki "entry removed" 0 (Kvstore.size s)
+  checkb "updated" true (Kvstore.get s "k" = Some (Bytes.of_string "newer"))
 
 let test_kv_lru_order_and_touch () =
   let s = Kvstore.create () in
-  Kvstore.set s ~now:0 "a" (Bytes.of_string "1");
-  Kvstore.set s ~now:0 "b" (Bytes.of_string "2");
-  Kvstore.set s ~now:0 "c" (Bytes.of_string "3");
+  Kvstore.set s "a" (Bytes.of_string "1");
+  Kvstore.set s "b" (Bytes.of_string "2");
+  Kvstore.set s "c" (Bytes.of_string "3");
   checkb "most recent first" true (Kvstore.lru_keys s = [ "c"; "b"; "a" ]);
-  ignore (Kvstore.get s ~now:0 "a");
+  ignore (Kvstore.get s "a");
   checkb "get touches" true (Kvstore.lru_keys s = [ "a"; "c"; "b" ])
 
 let test_kv_eviction_under_cap () =
   let s = Kvstore.create ~memory_cap:64 () in
-  Kvstore.set s ~now:0 "a" (Bytes.make 30 'x');
-  Kvstore.set s ~now:0 "b" (Bytes.make 30 'x');
+  Kvstore.set s "a" (Bytes.make 30 'x');
+  Kvstore.set s "b" (Bytes.make 30 'x');
   (* third insert exceeds the cap: LRU victim (a) must go *)
-  Kvstore.set s ~now:0 "c" (Bytes.make 30 'x');
-  checkb "evicted lru" true (Kvstore.get s ~now:0 "a" = None);
+  Kvstore.set s "c" (Bytes.make 30 'x');
+  checkb "evicted lru" true (Kvstore.get s "a" = None);
   checkb "kept recent" true
-    (Kvstore.get s ~now:0 "b" <> None && Kvstore.get s ~now:0 "c" <> None)
+    (Kvstore.get s "b" <> None && Kvstore.get s "c" <> None)
 
 let test_kv_resize_preserves_entries () =
-  let s = Kvstore.create ~initial_buckets:4 () in
-  for i = 1 to 500 do
-    Kvstore.set s ~now:0 (Printf.sprintf "key-%d" i) (Bytes.of_string (string_of_int i))
+  (* 2,000 keys cross the 3/4-load mark of 1,024 and then 2,048 buckets:
+     two resizes *)
+  let s = Kvstore.create () in
+  for i = 1 to 2000 do
+    Kvstore.set s (Printf.sprintf "key-%d" i) (Bytes.of_string (string_of_int i))
   done;
-  checki "all present" 500 (Kvstore.size s);
+  checki "all present" 2000 (Kvstore.size s);
   let ok = ref true in
-  for i = 1 to 500 do
-    if Kvstore.get s ~now:0 (Printf.sprintf "key-%d" i)
+  for i = 1 to 2000 do
+    if Kvstore.get s (Printf.sprintf "key-%d" i)
        <> Some (Bytes.of_string (string_of_int i))
     then ok := false
   done;
   checkb "all readable after resize" true !ok
 
 let prop_kv_model =
-  (* model-based: the store behaves like an association list (no cap/ttl) *)
+  (* model-based: the store behaves like an association list (no cap) *)
   QCheck.Test.make ~name:"kvstore matches a model" ~count:100
     QCheck.(list (pair (int_bound 20) (string_of_size (Gen.return 3))))
     (fun ops ->
@@ -80,12 +75,12 @@ let prop_kv_model =
       List.iter
         (fun (k, v) ->
           let key = "k" ^ string_of_int k in
-          Kvstore.set s ~now:0 key (Bytes.of_string v);
+          Kvstore.set s key (Bytes.of_string v);
           Hashtbl.replace model key v)
         ops;
       Hashtbl.fold
         (fun k v acc ->
-          acc && Kvstore.get s ~now:0 k = Some (Bytes.of_string v))
+          acc && Kvstore.get s k = Some (Bytes.of_string v))
         model true
       && Kvstore.size s = Hashtbl.length model)
 
@@ -188,7 +183,7 @@ let test_tpcc_engine_consistency () =
   let vcpu = Svt_hyp.Vcpu.create ~machine ~vm ~index:0 ~core_id:0 ~hw_ctx:0 in
   let disk = Svt_virtio.Ramdisk.create ~size_mb:64 in
   let blk = Svt_virtio.Virtio_blk.create ~machine ~vm ~name:"b" ~disk in
-  let wal = Svt_workloads.Wal.create ~blk ~vcpu () in
+  let wal = Svt_workloads.Wal.create ~blk ~vcpu in
   for _ = 1 to 200 do
     Tpcc.engine_work db rng wal (Tpcc.pick_kind rng)
   done;
@@ -203,7 +198,7 @@ let test_tpcc_engine_consistency () =
 (* --- Channel microbenchmark (§6.1 findings) -------------------------------------- *)
 
 let test_channel_bench_findings () =
-  let samples = Channel_bench.sweep ~workloads:[ 0; 100_000 ] () in
+  let samples = Channel_bench.sweep () in
   let find mech placement wl =
     List.find
       (fun s ->
@@ -262,7 +257,6 @@ let () =
         [
           Alcotest.test_case "set/get" `Quick test_kv_set_get;
           Alcotest.test_case "overwrite" `Quick test_kv_overwrite;
-          Alcotest.test_case "expiry" `Quick test_kv_expiry;
           Alcotest.test_case "lru order and touch" `Quick test_kv_lru_order_and_touch;
           Alcotest.test_case "eviction under cap" `Quick test_kv_eviction_under_cap;
           Alcotest.test_case "resize preserves entries" `Quick
