@@ -47,6 +47,15 @@ let phys_of t ~ctx reg =
 let read t ~ctx reg = t.entries.(phys_of t ~ctx reg)
 let write t ~ctx reg v = t.entries.(phys_of t ~ctx reg) <- v
 
+let gpr_slots = Array.of_list (List.map (fun g -> Reg.slot (Reg.Gpr g)) Reg.all_gprs)
+
+let blit_gprs t ~ctx b ~off =
+  check_ctx t ctx;
+  let base = ctx * slots in
+  for j = 0 to Array.length gpr_slots - 1 do
+    Bytes.set_int64_le b (off + (8 * j)) t.entries.(t.maps.(base + gpr_slots.(j)))
+  done
+
 (* Copy the whole switched set between contexts through the register file
    (what SVt's ctxtld/ctxtst loop does when a hypervisor populates a
    subordinate VM's context). *)

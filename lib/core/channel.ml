@@ -5,7 +5,10 @@
    CMD_VM_TRAP with the trap identifier and general-purpose register
    payload; the SVt-thread in L1 answers with CMD_VM_RESUME. Entries are
    serialized into simulated memory for real — the payload travels through
-   the same bytes both sides map.
+   the same bytes both sides map. The 16 GPRs go from the L2 vCPU's
+   hardware context straight into the entry's bytes; no consumer of this
+   model reads them back, so receiving decodes only the command code,
+   reason, qualification and sequence number.
 
    Waiting is modeled per the chosen mechanism (polling / mwait / mutex)
    and placement: the consumer pays the response latency on wake-up, and a
@@ -30,13 +33,8 @@ module Probe = Svt_obs.Probe
 module Injector = Svt_fault.Injector
 
 type command =
-  | Vm_trap of {
-      seq : int;
-      reason : Svt_arch.Exit_reason.t;
-      qual : int64;
-      regs : int64 array;
-    }
-  | Vm_resume of { seq : int; regs : int64 array }
+  | Vm_trap of { seq : int; reason : Svt_arch.Exit_reason.t; qual : int64 }
+  | Vm_resume of { seq : int }
   | Blocked (* SVT_BLOCKED injection notification (§5.3) *)
   | Corrupt of int (* unparseable entry: the raw command code *)
 
@@ -49,7 +47,7 @@ type ring = {
   aspace : Aspace.t;
   base : Gpa.t;
   signal : Signal.t;
-  scratch : Bytes.t; (* one entry, built here and written in one copy *)
+  scratch : Bytes.t; (* one entry, built or read here in one copy *)
 }
 
 type t = {
@@ -57,6 +55,7 @@ type t = {
   wait : Mode.wait_mechanism;
   placement : Mode.placement;
   core : Svt_arch.Smt_core.t; (* core whose sibling a poller would slow *)
+  ctx : int; (* hardware context of [core] holding the L2 vCPU's GPRs *)
   to_svt : ring; (* L0 -> SVt-thread *)
   from_svt : ring; (* SVt-thread -> L0 *)
   probe : Probe.t;
@@ -76,13 +75,14 @@ let make_ring sim aspace =
     scratch = Bytes.create entry_bytes }
 
 let create ?(vcpu_index = -1) ?injector ~machine ~aspace ~wait ~placement
-    ~core () =
+    ~core ~ctx () =
   let sim = Svt_hyp.Machine.sim machine in
   {
     cost = Svt_hyp.Machine.cost machine;
     wait;
     placement;
     core;
+    ctx;
     to_svt = make_ring sim aspace;
     from_svt = make_ring sim aspace;
     probe = Svt_hyp.Machine.probe machine;
@@ -105,24 +105,24 @@ let code_of = function
   | Corrupt _ -> invalid_arg "Channel: Corrupt commands cannot be posted"
 
 (* Entry layout, little-endian: code u32 | reason u32 | qual u64 | seq u64
-   | regs u64 x 16. Fields a command does not carry are zero. *)
-let put_payload b seq regs =
+   | regs u64 x 16. Fields a command does not carry are zero. The regs are
+   the GPRs of the channel's context at the moment of posting. *)
+let put_payload t b seq =
   Bytes.set_int64_le b 16 (Int64.of_int seq);
-  for j = 0 to Stdlib.min regs_count (Array.length regs) - 1 do
-    Bytes.set_int64_le b (24 + (8 * j)) regs.(j)
-  done
+  Svt_arch.Regfile.blit_gprs (Svt_arch.Smt_core.regfile t.core) ~ctx:t.ctx b
+    ~off:24
 
-let serialize r i cmd =
+let serialize t r i cmd =
   let b = r.scratch in
   Bytes.fill b 0 entry_bytes '\000';
   Bytes.set_int32_le b 0 (Int32.of_int (code_of cmd));
   (match cmd with
-  | Vm_trap { seq; reason; qual; regs } ->
+  | Vm_trap { seq; reason; qual } ->
       Bytes.set_int32_le b 4
         (Int32.of_int (Svt_arch.Exit_reason.basic_number reason));
       Bytes.set_int64_le b 8 qual;
-      put_payload b seq regs
-  | Vm_resume { seq; regs } -> put_payload b seq regs
+      put_payload t b seq
+  | Vm_resume { seq } -> put_payload t b seq
   | Blocked | Corrupt _ -> ());
   Aspace.write_bytes r.aspace (entry_addr r i) b
 
@@ -137,10 +137,10 @@ let reason_of_number =
 
 let get_u32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xFFFF_FFFF
 let get_seq b = Int64.to_int (Bytes.get_int64_le b 16)
-let get_regs b = Array.init regs_count (fun j -> Bytes.get_int64_le b (24 + (8 * j)))
 
 let deserialize r i =
-  let b = Aspace.read_bytes r.aspace (entry_addr r i) entry_bytes in
+  let b = r.scratch in
+  Aspace.read_into r.aspace (entry_addr r i) b;
   match get_u32 b 0 with
   | 1 ->
       let n = get_u32 b 4 in
@@ -148,8 +148,8 @@ let deserialize r i =
         if n < Array.length reason_of_number then reason_of_number.(n)
         else Svt_arch.Exit_reason.Vmcall
       in
-      Vm_trap { seq = get_seq b; reason; qual = Bytes.get_int64_le b 8; regs = get_regs b }
-  | 2 -> Vm_resume { seq = get_seq b; regs = get_regs b }
+      Vm_trap { seq = get_seq b; reason; qual = Bytes.get_int64_le b 8 }
+  | 2 -> Vm_resume { seq = get_seq b }
   | 3 -> Blocked
   | n -> Corrupt n
 
@@ -164,9 +164,9 @@ let direction_name t ring = if ring == t.to_svt then "to-svt" else "from-svt"
 let full ring = (head ring - tail ring) land 0xFFFF >= ring_entries
 
 (* Publish [cmd] at the current head. Precondition: not [full]. *)
-let publish ring cmd =
+let publish t ring cmd =
   let h = head ring in
-  serialize ring h cmd;
+  serialize t ring h cmd;
   set_head ring (h + 1);
   Signal.broadcast ring.signal
 
@@ -185,7 +185,7 @@ let post t ring bd cmd =
       Injector.is_active inj && Injector.roll inj Svt_fault.Kind.Drop_ring
     in
     if not dropped then begin
-      publish ring cmd;
+      publish t ring cmd;
       (* corruption smashes the command code of the entry just written *)
       if Injector.is_active inj && Injector.roll inj Svt_fault.Kind.Corrupt_ring
       then
@@ -196,7 +196,7 @@ let post t ring bd cmd =
         Injector.is_active inj
         && Injector.roll inj Svt_fault.Kind.Dup_ring
         && not (full ring)
-      then publish ring cmd
+      then publish t ring cmd
     end;
     if Probe.is_on t.probe then
       Probe.span t.probe Svt_obs.Span.Ring_send ~vcpu:t.vcpu_index ~level:0

@@ -4,7 +4,11 @@
     (simulated) guest memory: L0 posts [CMD_VM_TRAP] with the trap
     identifier and register payload, and the SVt-thread answers with
     [CMD_VM_RESUME]. Commands are serialized into the ring bytes for
-    real, so payloads genuinely travel through shared memory. Waiting is
+    real, so payloads genuinely travel through shared memory: both
+    commands carry the 16 GPRs of the L2 vCPU's hardware context, copied
+    from the register file into the entry as it is posted. Nothing in
+    the model reads them back, so a received command holds the fields
+    below only. Waiting is
     charged per the configured mechanism and placement ({!Wait}), and a
     polling consumer slows its SMT sibling down while it spins.
 
@@ -16,13 +20,9 @@
     duplicated or re-posted commands from fresh ones. *)
 
 type command =
-  | Vm_trap of {
-      seq : int;
-      reason : Svt_arch.Exit_reason.t;
-      qual : int64;
-      regs : int64 array;
-    }  (** L0 → SVt-thread: handle this L2 exit *)
-  | Vm_resume of { seq : int; regs : int64 array }
+  | Vm_trap of { seq : int; reason : Svt_arch.Exit_reason.t; qual : int64 }
+      (** L0 → SVt-thread: handle this L2 exit *)
+  | Vm_resume of { seq : int }
       (** SVt-thread → L0: handling complete, restart L2 *)
   | Blocked
       (** L0 → L1₀: the SVT_BLOCKED injection notification (§5.3) *)
@@ -41,10 +41,13 @@ val create :
   wait:Mode.wait_mechanism ->
   placement:Mode.placement ->
   core:Svt_arch.Smt_core.t ->
+  ctx:int ->
   unit ->
   t
 (** Allocate both rings in [aspace] (the ivshmem-style shared pages of
-    §5.2). [core] is the core whose sibling a polling waiter would slow;
+    §5.2). [core] is the core whose sibling a polling waiter would slow,
+    and [ctx] the hardware context of [core] whose GPRs the [Vm_trap]
+    and [Vm_resume] entries carry;
     [vcpu_index] tags the ring-send/ring-recv observability spans with
     the L2 vCPU these rings serve (default [-1], untagged). [injector]
     defaults to the inert injector (no faults, zero overhead). *)

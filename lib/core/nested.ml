@@ -46,7 +46,6 @@ module Field = Svt_vmcs.Field
 module Transform = Svt_vmcs.Transform
 module Exit_reason = Svt_arch.Exit_reason
 module Vcpu = Svt_hyp.Vcpu
-module Reg = Svt_arch.Reg
 module Probe = Svt_obs.Probe
 module Obs_span = Svt_obs.Span
 module Injector = Svt_fault.Injector
@@ -104,15 +103,6 @@ let leg t kind tags f =
 let ctxt_access_bulk t =
   charge t Breakdown.Ctxt_access
     (Time.scale t.cost.ctxt_reg_access (float_of_int t.cost.ctxt_regs_per_switch))
-
-(* Read the guest's GPRs out of its hardware context, for the SW SVt
-   command payload. *)
-let read_gprs t =
-  let rf = Smt_core.regfile t.core in
-  Array.of_list
-    (List.map
-       (fun g -> Svt_arch.Regfile.read rf ~ctx:(Vcpu.hw_ctx t.vcpu) (Reg.Gpr g))
-       Reg.all_gprs)
 
 (* --- the L1 handler body, shared by every mode ------------------------- *)
 
@@ -370,12 +360,12 @@ let handle_sw_svt t ch info ~effect =
   charge t Breakdown.L0_handler
     (Time.of_ns (Time.to_ns t.cost.l0_ctx_mgmt_l2 / 2));
   record_and_reflect t info;
-  (* CMD_VM_TRAP to the SVt-thread with the register payload *)
+  (* CMD_VM_TRAP to the SVt-thread; the channel adds the register
+     payload from L2's hardware context *)
   t.seq <- t.seq + 1;
   let seq = t.seq in
   let trap_cmd =
-    Channel.Vm_trap
-      { seq; reason = info.reason; qual = info.qualification; regs = read_gprs t }
+    Channel.Vm_trap { seq; reason = info.reason; qual = info.qualification }
   in
   t.pending <- Some (info, effect);
   Channel.post_retry ch (Channel.to_svt ch) bd trap_cmd;
@@ -484,8 +474,7 @@ let handle_sw_svt t ch info ~effect =
 let svt_thread_body t ch () =
   let bd = Vcpu.breakdown t.vcpu in
   let answer seq =
-    Channel.post_retry ch (Channel.from_svt ch) bd
-      (Channel.Vm_resume { seq; regs = read_gprs t })
+    Channel.post_retry ch (Channel.from_svt ch) bd (Channel.Vm_resume { seq })
   in
   let rec loop () =
     let cmd = Channel.recv ch (Channel.to_svt ch) bd in
@@ -648,7 +637,8 @@ let create ?injector ~machine ~mode ~vcpu ~l1_vm ~script () =
     | Mode.Sw_svt { wait; placement } ->
         Some
           (Channel.create ~vcpu_index:(Vcpu.index vcpu) ~injector ~machine
-             ~aspace:l1_aspace ~wait ~placement ~core ())
+             ~aspace:l1_aspace ~wait ~placement ~core
+             ~ctx:(Vcpu.hw_ctx vcpu) ())
     | _ -> None
   in
   let t =
@@ -795,13 +785,28 @@ let handle_ooh t (info : Svt_hyp.Exit.info) ~effect =
 
 (* --- entry points ------------------------------------------------------- *)
 
+(* The per-reason metric names, built once rather than concatenated on
+   every exit: [exit_key reason] is ["l2_exit." ^ name] and
+   [exit_time_key reason] is ["l2_exit_time." ^ name]. *)
+let reason_keys prefix =
+  let top =
+    List.fold_left (fun m r -> max m (Exit_reason.basic_number r)) 0 Exit_reason.all
+  in
+  let keys = Array.make (top + 1) "" in
+  List.iter
+    (fun r -> keys.(Exit_reason.basic_number r) <- prefix ^ Exit_reason.name r)
+    Exit_reason.all;
+  fun r -> keys.(Exit_reason.basic_number r)
+
+let exit_key = reason_keys "l2_exit."
+let exit_time_key = reason_keys "l2_exit_time."
+
 let handle t (info : Svt_hyp.Exit.info) =
   let bd = Vcpu.breakdown t.vcpu in
   Breakdown.count_exit bd;
   t.episodes <- t.episodes + 1;
   t.in_flight <- true;
-  Svt_stats.Metrics.incr t.metrics
-    ("l2_exit." ^ Exit_reason.name info.reason);
+  Svt_stats.Metrics.incr t.metrics (exit_key info.reason);
   let started = Proc.now () in
   let effect () = Svt_hyp.Semantics.apply t.vcpu info.action in
   (if Svt_hyp.L1_script.reflects info.reason then
@@ -823,8 +828,7 @@ let handle t (info : Svt_hyp.Exit.info) =
    end);
   t.in_flight <- false;
   t.last_episode_end <- Proc.now ();
-  Svt_stats.Metrics.add_time t.metrics
-    ("l2_exit_time." ^ Exit_reason.name info.reason)
+  Svt_stats.Metrics.add_time t.metrics (exit_time_key info.reason)
     (Time.diff (Proc.now ()) started);
   let p = probe t in
   if Probe.is_on p then

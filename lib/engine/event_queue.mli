@@ -1,10 +1,28 @@
 (** Cancellable min-priority queue of timed events.
 
     Events with equal times are delivered in insertion (FIFO) order, which
-    makes simulations deterministic. *)
+    makes simulations deterministic.
+
+    The queue is a pool of slots held as parallel arrays (a time, a
+    sequence number and a payload per slot) under a binary heap of slot
+    ids, so queueing an event allocates nothing beyond its payload. A
+    {!handle} is a plain int naming the slot and the sequence number of
+    the event in it: cancelling is O(1), and a handle whose event
+    already fired or was cancelled, even one whose slot a newer event
+    has since reused, is recognised and ignored. *)
 
 type t
+
 type handle
+(** Names one event for {!cancel}. An immediate value: it costs no
+    allocation to hold. *)
+
+(** What a slot holds: a callback to run, or a process continuation to
+    resume (a queued [Simulator.Proc.delay]), stored as it is with no
+    wrapping closure. *)
+type payload =
+  | Call of (unit -> unit)
+  | Wake of (unit, unit) Effect.Deep.continuation
 
 (** Lifetime op counts of a queue: enqueues, live (non-cancelled) pops,
     cancellations, and the high-water mark of live entries. Driven only
@@ -14,22 +32,25 @@ type handle
 type stats = { adds : int; pops : int; cancels : int; peak_live : int }
 
 val create : unit -> t
+(** An empty queue of 16 slots; it doubles whenever every slot is
+    taken. *)
 
 val stats : t -> stats
 
-val add : t -> time:Time.t -> (unit -> unit) -> handle
-(** Enqueue [run] to fire at [time]. *)
+val add : t -> time:Time.t -> payload -> handle
+(** Enqueue [payload] to fire at [time]. *)
 
 val cancel : t -> handle -> unit
-(** Idempotent; a cancelled event is never returned by {!take}. Safe on a
-    handle whose event already fired (a no-op). *)
+(** Idempotent; a cancelled event is never returned by {!take}. A no-op
+    on a handle whose event already fired, also after its slot has been
+    reused. *)
 
 val next_time : t -> Time.t
 (** Time of the earliest live event. Raises [Invalid_argument] on an
     empty queue, so check {!is_empty} first. *)
 
-val take : t -> (unit -> unit)
-(** Remove the earliest live event and return its callback. Raises
+val take : t -> payload
+(** Remove the earliest live event and return its payload. Raises
     [Invalid_argument] on an empty queue. *)
 
 val is_empty : t -> bool

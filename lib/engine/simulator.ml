@@ -5,8 +5,10 @@
    only through the [Proc] operations below: [delay] advances its own clock
    by suspending until the event queue reaches the target instant, and
    [suspend] parks the process until some other party calls the provided
-   resume function. Only one process runs at a time and control transfers
-   happen exclusively at these points, so simulations are deterministic.
+   resume function. A suspended delay parks the process's continuation
+   itself in a queue slot ([Event_queue.Wake]), and [step] resumes it.
+   Only one process runs at a time and control transfers happen
+   exclusively at these points, so simulations are deterministic.
 
    A delay whose wake-up would be the next event popped anyway skips the
    queue: the process keeps running and the clock, event count and
@@ -34,6 +36,7 @@ type t = {
   mutable horizon : Time.t; (* the [until] of the run in progress *)
   mutable in_process : bool; (* one of its processes is executing *)
   mutable in_place : int; (* delays taken without a queue round trip *)
+  mutable delay_target : Time.t; (* the wake-up of the [E_delay] performed *)
 }
 
 type sim = t
@@ -57,7 +60,7 @@ let () =
 
 type _ Effect.t +=
   | E_now : Time.t Effect.t
-  | E_delay : Time.t -> unit Effect.t
+  | E_delay : unit Effect.t (* to [delay_target] of the running simulator *)
   | E_suspend : (('a -> unit) -> unit) -> 'a Effect.t
   | E_sim : t Effect.t
 
@@ -68,7 +71,8 @@ let default_max_events = 200_000_000
 let create () =
   { now = Time.zero; queue = Event_queue.create (); error = None;
     events_processed = 0; budget_events = default_max_events;
-    observer = None; horizon = max_int; in_process = false; in_place = 0 }
+    observer = None; horizon = max_int; in_process = false; in_place = 0;
+    delay_target = Time.zero }
 
 (* The simulator whose [run] is in progress on this domain, or [idle]
    outside every run. [run] sets it and restores the previous value on
@@ -91,22 +95,33 @@ let set_budget ~max_events t =
 
 let schedule t ~after run =
   if after < 0 then invalid_arg "Simulator.schedule: negative delay";
-  Event_queue.add t.queue ~time:(Time.add t.now after) run
+  Event_queue.add t.queue ~time:(Time.add t.now after) (Event_queue.Call run)
 
 let schedule_at t ~time run =
   if Time.(time < t.now) then invalid_arg "Simulator.schedule_at: past time";
-  Event_queue.add t.queue ~time run
+  Event_queue.add t.queue ~time (Event_queue.Call run)
 
 let cancel t h = Event_queue.cancel t.queue h
 
 (* [in_process] is set on every entry into a process (its start and
    each resumption) and cleared on every exit (an effect that suspends
    it, or the body returning or raising), so it is true only while
-   process code of [t] is the code running. *)
+   process code of [t] is the code running. A queued delay's continuation
+   is resumed by [step], which sets it the same way.
+
+   The handler's answer to [E_delay] is built once per process, so a
+   delay that suspends allocates nothing but the continuation and its
+   [Wake] payload. *)
 let spawn t ?(name = "proc") f =
   let resume k v =
     t.in_process <- true;
     Effect.Deep.continue k v
+  in
+  let on_delay =
+    Some
+      (fun (k : (unit, unit) Effect.Deep.continuation) ->
+        t.in_process <- false;
+        ignore (Event_queue.add t.queue ~time:t.delay_target (Event_queue.Wake k)))
   in
   let body () =
     t.in_process <- true;
@@ -125,10 +140,7 @@ let spawn t ?(name = "proc") f =
             | E_now ->
                 Some (fun (k : (a, _) Effect.Deep.continuation) ->
                     Effect.Deep.continue k t.now)
-            | E_delay span ->
-                Some (fun (k : (a, _) Effect.Deep.continuation) ->
-                    t.in_process <- false;
-                    ignore (schedule t ~after:span (fun () -> resume k ())))
+            | E_delay -> on_delay
             | E_suspend register ->
                 Some (fun (k : (a, _) Effect.Deep.continuation) ->
                     t.in_process <- false;
@@ -141,6 +153,14 @@ let spawn t ?(name = "proc") f =
   in
   ignore (schedule t ~after:Time.zero body)
 
+(* Run one popped event: call a callback, or resume a parked process,
+   marking it running as [resume] in [spawn] does. *)
+let dispatch t = function
+  | Event_queue.Call f -> f ()
+  | Event_queue.Wake k ->
+      t.in_process <- true;
+      Effect.Deep.continue k ()
+
 (* Fuel check, performed before an event is consumed: the queue still
    holds the event that would overrun, so a handler catching the
    exception sees a consistent (merely truncated) simulation. The caller
@@ -152,15 +172,15 @@ let step t =
          { events = t.events_processed; now = t.now;
            max_events = t.budget_events });
   t.now <- Event_queue.next_time t.queue;
-  let run = Event_queue.take t.queue in
+  let payload = Event_queue.take t.queue in
   t.events_processed <- t.events_processed + 1;
   (match t.observer with
-  | None -> run ()
+  | None -> dispatch t payload
   | Some ob -> (
       ob.on_event_start ();
       (* the end hook fires even when the callback raises, so the
          profiler's in-event segmentation cannot wedge open *)
-      match run () with
+      match dispatch t payload with
       | () -> ob.on_event_end ()
       | exception e ->
           ob.on_event_end ();
@@ -242,7 +262,10 @@ module Proc = struct
             ob.on_event_end ();
             ob.on_event_start ()
       end
-      else Effect.perform (E_delay span)
+      else begin
+        t.delay_target <- target;
+        Effect.perform E_delay
+      end
     end
 
   let suspend register = Effect.perform (E_suspend register)
@@ -266,7 +289,7 @@ module Signal = struct
       waiters
 
   let wait s =
-    Proc.suspend (fun resume -> s.waiters <- (fun () -> resume ()) :: s.waiters)
+    Proc.suspend (fun resume -> s.waiters <- resume :: s.waiters)
 
   (* Block until any of the given signals broadcasts. Waiter closures left
      registered on the other signals are guarded by a settled flag, so a

@@ -62,10 +62,14 @@ val set_budget : max_events:int -> t -> unit
 
 val schedule : t -> after:Time.t -> (unit -> unit) -> Event_queue.handle
 (** Run a callback [after] nanoseconds from now. Callbacks must not perform
-    process effects; use {!spawn} for that. *)
+    process effects; use {!spawn} for that. The handle is an immediate
+    int, so keeping it costs nothing. *)
 
 val schedule_at : t -> time:Time.t -> (unit -> unit) -> Event_queue.handle
+
 val cancel : t -> Event_queue.handle -> unit
+(** Drop a scheduled callback. A no-op once it has fired or been
+    cancelled ({!Event_queue.cancel}). *)
 
 val spawn : t -> ?name:string -> (unit -> unit) -> unit
 (** Start a process at the current instant. An exception escaping a process
@@ -102,7 +106,10 @@ module Proc : sig
       the budget has room — the delay is taken in place: the clock
       advances and the observer's hooks fire without the process
       suspending. Otherwise the wake-up goes through the queue, and an
-      equal-time event queued earlier runs first. *)
+      equal-time event queued earlier runs first: the process's
+      continuation is parked in a queue slot as it is (an
+      {!Event_queue.Wake} payload, no closure around it) and resumed when
+      that slot is popped. *)
 
   val spawn : ?name:string -> (unit -> unit) -> unit
 end

@@ -7,7 +7,11 @@
    Delivery is two-phase like hardware: [raise_vector] sets the IRR bit
    and notifies the owner (a vCPU run loop) through [on_pending]; the
    owner later [ack]s the highest-priority vector (moving IRR→ISR) and
-   finally signals [eoi]. *)
+   finally signals [eoi].
+
+   Each register keeps a count of its set bits, so the queries and
+   updates that find nothing set (the common case on every vCPU run-loop
+   turn) return without scanning 256 vectors. *)
 
 module Time = Svt_engine.Time
 module Simulator = Svt_engine.Simulator
@@ -16,6 +20,8 @@ type t = {
   sim : Simulator.t;
   irr : bool array; (* interrupt request register, per vector *)
   isr : bool array; (* in-service register *)
+  mutable irr_count : int; (* vectors set in [irr] *)
+  mutable isr_count : int; (* vectors set in [isr] *)
   mutable on_pending : (int -> unit) option;
   mutable deadline_handle : Svt_engine.Event_queue.handle option;
 }
@@ -30,6 +36,8 @@ let create sim =
     sim;
     irr = Array.make vectors false;
     isr = Array.make vectors false;
+    irr_count = 0;
+    isr_count = 0;
     on_pending = None;
     deadline_handle = None;
   }
@@ -43,32 +51,39 @@ let raise_vector t v =
   check_vector v;
   if not t.irr.(v) then begin
     t.irr.(v) <- true;
+    t.irr_count <- t.irr_count + 1;
     match t.on_pending with Some f -> f v | None -> ()
   end
 
-let has_pending t = Array.exists Fun.id t.irr
+let has_pending t = t.irr_count > 0
 
-let highest_pending t =
-  (* Higher vector number = higher priority, as in hardware. *)
-  let rec scan v = if v < 16 then None else if t.irr.(v) then Some v else scan (v - 1) in
-  scan (vectors - 1)
+(* The highest set vector of a register that has at least one set.
+   Higher vector number = higher priority, as in hardware. *)
+let highest reg =
+  let v = ref (vectors - 1) in
+  while not reg.(!v) do
+    decr v
+  done;
+  !v
 
 (* Accept the highest-priority pending interrupt for service. *)
 let ack t =
-  match highest_pending t with
-  | None -> None
-  | Some v ->
-      t.irr.(v) <- false;
-      t.isr.(v) <- true;
-      Some v
+  if t.irr_count = 0 then None
+  else begin
+    let v = highest t.irr in
+    t.irr.(v) <- false;
+    t.irr_count <- t.irr_count - 1;
+    if not t.isr.(v) then t.isr_count <- t.isr_count + 1;
+    t.isr.(v) <- true;
+    Some v
+  end
 
+(* Clear the highest in-service vector. *)
 let eoi t =
-  (* Clear the highest in-service vector. *)
-  let rec scan v =
-    if v >= 16 then
-      if t.isr.(v) then t.isr.(v) <- false else scan (v - 1)
-  in
-  scan (vectors - 1)
+  if t.isr_count > 0 then begin
+    t.isr.(highest t.isr) <- false;
+    t.isr_count <- t.isr_count - 1
+  end
 
 let in_service t v = t.isr.(v)
 

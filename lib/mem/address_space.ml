@@ -88,21 +88,21 @@ let read_u8 t gpa = Phys_mem.read_u8 t.mem (hpa_exn t gpa Ept.Read)
    touched) and then blitted straight between host memory and [buf]. *)
 let copy_pages t gpa buf access copy =
   let len = Bytes.length buf in
-  let rec go done_ =
-    if done_ < len then begin
-      let gpa' = Addr.Gpa.add gpa done_ in
-      let in_page =
-        Stdlib.min (len - done_) (Addr.page_size - Addr.Gpa.offset gpa')
-      in
-      copy t.mem (hpa_exn t gpa' access) buf ~off:done_ ~len:in_page;
-      go (done_ + in_page)
-    end
-  in
-  go 0
+  let done_ = ref 0 in
+  while !done_ < len do
+    let gpa' = Addr.Gpa.add gpa !done_ in
+    let in_page =
+      Stdlib.min (len - !done_) (Addr.page_size - Addr.Gpa.offset gpa')
+    in
+    copy t.mem (hpa_exn t gpa' access) buf ~off:!done_ ~len:in_page;
+    done_ := !done_ + in_page
+  done
+
+let read_into t gpa buf = copy_pages t gpa buf Ept.Read Phys_mem.read_into
 
 let read_bytes t gpa len =
   let out = Bytes.create len in
-  copy_pages t gpa out Ept.Read Phys_mem.read_into;
+  read_into t gpa out;
   out
 
 let write_bytes t gpa data = copy_pages t gpa data Ept.Write Phys_mem.write_from

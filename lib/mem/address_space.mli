@@ -45,6 +45,9 @@ val read_bytes : t -> Addr.Gpa.t -> int -> bytes
     permission check) and one blit per 4 KB page. A faulting page raises
     before it is touched; pages before it have already been copied. *)
 
+val read_into : t -> Addr.Gpa.t -> bytes -> unit
+(** {!read_bytes} into a caller's buffer, filling all of it. *)
+
 val write_bytes : t -> Addr.Gpa.t -> bytes -> unit
 
 val alloc_guest_pages : t -> int -> Addr.Gpa.t

@@ -103,9 +103,17 @@ let make_channel () =
     Channel.create ~machine ~aspace:(Svt_hyp.Vm.aspace vm) ~wait:Mode.Mwait
       ~placement:Mode.Smt_sibling
       ~core:(Svt_hyp.Machine.core machine 0)
-      ()
+      ~ctx:0 ()
   in
   (machine, ch)
+
+(* Load the 16 GPRs of context 0 of core 0, the context the test
+   channels copy into their entries. *)
+let set_gprs machine regs =
+  let rf = Svt_arch.Smt_core.regfile (Svt_hyp.Machine.core machine 0) in
+  List.iteri
+    (fun j g -> Svt_arch.Regfile.write rf ~ctx:0 (Svt_arch.Reg.Gpr g) regs.(j))
+    Svt_arch.Reg.all_gprs
 
 (* Most channel tests post into a ring with known free space; a
    backpressure result there is a test bug, not a scenario. *)
@@ -119,17 +127,15 @@ let test_channel_payload_roundtrip () =
   let bd = Breakdown.create () in
   let got = ref None in
   Simulator.spawn (Svt_hyp.Machine.sim machine) (fun () ->
-      let regs = Array.init 16 (fun i -> Int64.of_int (1000 + i)) in
       post_ok ch (Channel.to_svt ch) bd
-        (Channel.Vm_trap { seq = 1; reason = Exit_reason.Cpuid; qual = 7L; regs });
+        (Channel.Vm_trap { seq = 1; reason = Exit_reason.Cpuid; qual = 7L });
       got := Channel.try_recv ch (Channel.to_svt ch) bd);
   Simulator.run (Svt_hyp.Machine.sim machine);
   match !got with
-  | Some (Channel.Vm_trap { seq; reason; qual; regs }) ->
+  | Some (Channel.Vm_trap { seq; reason; qual }) ->
       checki "seq survives memory" 1 seq;
       checkb "reason survives memory" true (reason = Exit_reason.Cpuid);
-      checkb "qual" true (qual = 7L);
-      checkb "regs payload" true (regs.(15) = 1015L)
+      checkb "qual" true (qual = 7L)
   | _ -> Alcotest.fail "expected the trap command back"
 
 let test_channel_blocking_recv () =
@@ -142,7 +148,7 @@ let test_channel_blocking_recv () =
   Simulator.spawn sim ~name:"l0" (fun () ->
       Proc.delay (Time.of_us 5);
       post_ok ch (Channel.to_svt ch) bd
-        (Channel.Vm_resume { seq = 1; regs = [||] }));
+        (Channel.Vm_resume { seq = 1 }));
   Simulator.run sim;
   checkb "received" true
     (match !got with Some (Channel.Vm_resume _) -> true | _ -> false);
@@ -152,24 +158,25 @@ let test_channel_blocking_recv () =
 
 (* The ring entry as a word-by-word writer lays it out: code u32 | reason
    u32 | qual u64 | seq u64 | regs u64 x 16, little-endian, and the fields
-   a command does not carry are zero. *)
-let reference_entry cmd =
+   a command does not carry are zero. [regs] are the GPRs the trap and
+   resume commands carry. *)
+let reference_entry cmd regs =
   let b = Bytes.make 152 '\000' in
   let u32 off v = Bytes.set_int32_le b off (Int32.of_int v) in
   let u64 off v = Bytes.set_int64_le b off v in
-  let payload seq regs =
+  let payload seq =
     u64 16 (Int64.of_int seq);
-    Array.iteri (fun j r -> if j < 16 then u64 (24 + (8 * j)) r) regs
+    Array.iteri (fun j r -> u64 (24 + (8 * j)) r) regs
   in
   (match cmd with
-  | Channel.Vm_trap { seq; reason; qual; regs } ->
+  | Channel.Vm_trap { seq; reason; qual } ->
       u32 0 1;
       u32 4 (Exit_reason.basic_number reason);
       u64 8 qual;
-      payload seq regs
-  | Channel.Vm_resume { seq; regs } ->
+      payload seq
+  | Channel.Vm_resume { seq } ->
       u32 0 2;
-      payload seq regs
+      payload seq
   | Channel.Blocked -> u32 0 3
   | Channel.Corrupt _ -> assert false);
   b
@@ -178,8 +185,9 @@ let hex b =
   String.concat ""
     (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (Bytes.to_seq b)))
 
-(* The bytes in guest memory are the layout above, entry by entry, also
-   where a short command overwrites a full one after the ring wraps. *)
+(* The bytes in guest memory are the layout above, entry by entry, with
+   the GPRs the register file held when each was posted, also where a
+   short command overwrites a full one after the ring wraps. *)
 let test_channel_entry_bytes () =
   let machine = Svt_hyp.Machine.create () in
   let vm =
@@ -189,7 +197,7 @@ let test_channel_entry_bytes () =
   let aspace = Svt_hyp.Vm.aspace vm in
   let ch =
     Channel.create ~machine ~aspace ~wait:Mode.Mwait ~placement:Mode.Smt_sibling
-      ~core:(Svt_hyp.Machine.core machine 0) ()
+      ~core:(Svt_hyp.Machine.core machine 0) ~ctx:0 ()
   in
   let module Aspace = Svt_mem.Address_space in
   let module Gpa = Svt_mem.Addr.Gpa in
@@ -197,25 +205,26 @@ let test_channel_entry_bytes () =
      whose head moves on a post to [to_svt] is that ring *)
   let ring_pages = List.map (fun k -> Gpa.of_int ((1 lsl 20) + (k * 4096))) [ 0; 1 ] in
   let base = ref (List.hd ring_pages) in
-  let full = Array.init 16 (fun i -> Int64.(logor min_int (of_int (i * 0x1010101)))) in
+  (* every byte of every register set, sign bit included, and a
+     different set before each post *)
+  let regs i =
+    Array.init 16 (fun j -> Int64.(logor min_int (of_int ((i + 1) * (j + 1) * 0x1010101))))
+  in
   let cmds =
     List.init 18 (fun i ->
         match i mod 5 with
         | 0 ->
-            Channel.Vm_trap
-              { seq = i; reason = Exit_reason.Ept_misconfig; qual = -1L; regs = full }
-        | 1 -> Channel.Vm_resume { seq = i; regs = Array.sub full 0 3 }
+            Channel.Vm_trap { seq = i; reason = Exit_reason.Ept_misconfig; qual = -1L }
+        | 1 -> Channel.Vm_resume { seq = i }
         | 2 -> Channel.Blocked
-        | 3 ->
-            Channel.Vm_trap
-              { seq = -i; reason = Exit_reason.Xsetbv; qual = 0x1234L;
-                regs = Array.make 20 7L }
-        | _ -> Channel.Vm_resume { seq = i; regs = [||] })
+        | 3 -> Channel.Vm_trap { seq = -i; reason = Exit_reason.Xsetbv; qual = 0x1234L }
+        | _ -> Channel.Vm_resume { seq = max_int })
   in
   let bd = Breakdown.create () in
   Simulator.spawn (Svt_hyp.Machine.sim machine) (fun () ->
       List.iteri
         (fun i cmd ->
+          set_gprs machine (regs i);
           post_ok ch (Channel.to_svt ch) bd cmd;
           if i = 0 then
             base := List.find (fun g -> Aspace.read_u32 aspace g = 1) ring_pages;
@@ -223,7 +232,7 @@ let test_channel_entry_bytes () =
           let entry = Gpa.add base (8 + (i mod 16 * 152)) in
           Alcotest.(check string)
             (Printf.sprintf "entry %d bytes" i)
-            (hex (reference_entry cmd))
+            (hex (reference_entry cmd (regs i)))
             (hex (Aspace.read_bytes aspace entry 152));
           checki "head counts posts" (i + 1) (Aspace.read_u32 aspace base);
           ignore (Channel.try_recv ch (Channel.to_svt ch) bd);
@@ -239,8 +248,7 @@ let test_channel_fifo_and_overflow () =
       for i = 1 to 3 do
         post_ok ch (Channel.to_svt ch) bd
           (Channel.Vm_trap
-             { seq = i; reason = Exit_reason.Cpuid; qual = Int64.of_int i;
-               regs = [||] })
+             { seq = i; reason = Exit_reason.Cpuid; qual = Int64.of_int i })
       done;
       for i = 1 to 3 do
         match Channel.try_recv ch (Channel.to_svt ch) bd with

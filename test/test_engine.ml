@@ -37,17 +37,22 @@ let test_time_compare () =
 
 (* --- Event queue --------------------------------------------------------- *)
 
-(* Pop as the simulator does: read the head's time, then take it. *)
+(* Queue a callback, and pop as the simulator does: read the head's
+   time, then take it. *)
+let add q ~time f = Event_queue.add q ~time (Event_queue.Call f)
+
 let pop q =
   if Event_queue.is_empty q then None
   else
     let time = Event_queue.next_time q in
-    Some (time, Event_queue.take q)
+    match Event_queue.take q with
+    | Event_queue.Call run -> Some (time, run)
+    | Event_queue.Wake _ -> Alcotest.fail "no process was parked"
 
 let test_queue_order () =
   let q = Event_queue.create () in
   let out = ref [] in
-  let add time tag = ignore (Event_queue.add q ~time (fun () -> out := tag :: !out)) in
+  let add time tag = ignore (add q ~time (fun () -> out := tag :: !out)) in
   add 30 "c";
   add 10 "a";
   add 20 "b";
@@ -65,7 +70,7 @@ let test_queue_fifo_same_time () =
   let q = Event_queue.create () in
   let out = ref [] in
   for i = 1 to 20 do
-    ignore (Event_queue.add q ~time:5 (fun () -> out := i :: !out))
+    ignore (add q ~time:5 (fun () -> out := i :: !out))
   done;
   let rec drain () =
     match pop q with
@@ -81,8 +86,8 @@ let test_queue_fifo_same_time () =
 let test_queue_cancel () =
   let q = Event_queue.create () in
   let hit = ref 0 in
-  let h1 = Event_queue.add q ~time:1 (fun () -> incr hit) in
-  let _h2 = Event_queue.add q ~time:2 (fun () -> incr hit) in
+  let h1 = add q ~time:1 (fun () -> incr hit) in
+  let _h2 = add q ~time:2 (fun () -> incr hit) in
   Event_queue.cancel q h1;
   checki "live count" 1 (Event_queue.length q);
   let rec drain () =
@@ -101,8 +106,8 @@ let test_queue_cancel () =
    early (the fault watchdog cancels fired deadlines routinely). *)
 let test_queue_cancel_after_fire () =
   let q = Event_queue.create () in
-  let h = Event_queue.add q ~time:1 ignore in
-  let _keep = Event_queue.add q ~time:2 ignore in
+  let h = add q ~time:1 ignore in
+  let _keep = add q ~time:2 ignore in
   (match pop q with
   | Some (t, _) -> checki "fired" 1 t
   | None -> Alcotest.fail "event expected");
@@ -110,15 +115,45 @@ let test_queue_cancel_after_fire () =
   checki "live count intact" 1 (Event_queue.length q);
   checkb "remaining event still delivered" true (pop q <> None)
 
+(* A slot freed by a fired or cancelled event is reused by the next add.
+   The old event's handle must then match nothing: cancelling it leaves
+   the newer event in the slot queued and live. *)
+let test_queue_stale_handle () =
+  let q = Event_queue.create () in
+  let fired = add q ~time:1 ignore in
+  (match pop q with
+  | Some (t, _) -> checki "first event fired" 1 t
+  | None -> Alcotest.fail "event expected");
+  let ran = ref [] in
+  let newer = add q ~time:2 (fun () -> ran := 2 :: !ran) in
+  Event_queue.cancel q fired;
+  checki "newer event still live" 1 (Event_queue.length q);
+  (* a cancelled event's slot is freed when it surfaces, then reused *)
+  Event_queue.cancel q newer;
+  Event_queue.cancel q newer;
+  checki "cancel is idempotent" 0 (Event_queue.length q);
+  checkb "cancelled event never popped" true (pop q = None);
+  let _reused = add q ~time:3 (fun () -> ran := 3 :: !ran) in
+  Event_queue.cancel q newer;
+  Event_queue.cancel q fired;
+  (match pop q with
+  | Some (t, run) ->
+      checki "newest event fires at its time" 3 t;
+      run ()
+  | None -> Alcotest.fail "the newest event was lost to a stale handle");
+  check Alcotest.(list int) "only the newest ran" [ 3 ] !ran;
+  checki "adds" 3 (Event_queue.stats q).adds;
+  checki "cancels" 1 (Event_queue.stats q).cancels
+
 let test_queue_peek () =
   let q = Event_queue.create () in
   checkb "empty" true (Event_queue.is_empty q);
-  let h = Event_queue.add q ~time:7 ignore in
-  let _later = Event_queue.add q ~time:9 ignore in
+  let h = add q ~time:7 ignore in
+  let _later = add q ~time:9 ignore in
   checki "peek" 7 (Event_queue.next_time q);
   Event_queue.cancel q h;
   checki "peek skips cancelled" 9 (Event_queue.next_time q);
-  let (_ : unit -> unit) = Event_queue.take q in
+  let (_ : Event_queue.payload) = Event_queue.take q in
   checkb "drained" true (Event_queue.is_empty q);
   Alcotest.check_raises "no head when empty"
     (Invalid_argument "Event_queue: empty queue") (fun () ->
@@ -127,7 +162,7 @@ let test_queue_peek () =
 let test_queue_growth () =
   let q = Event_queue.create () in
   for i = 0 to 999 do
-    ignore (Event_queue.add q ~time:(1000 - i) ignore)
+    ignore (add q ~time:(1000 - i) ignore)
   done;
   checki "all live" 1000 (Event_queue.length q);
   (* drains in increasing time order *)
@@ -147,7 +182,7 @@ let prop_heap_sorted =
     QCheck.(list (int_bound 10_000))
     (fun times ->
       let q = Event_queue.create () in
-      List.iter (fun t -> ignore (Event_queue.add q ~time:t ignore)) times;
+      List.iter (fun t -> ignore (add q ~time:t ignore)) times;
       let rec drain acc =
         match pop q with
         | Some (t, _) -> drain (t :: acc)
@@ -293,6 +328,34 @@ let test_sim_delay_chain_slices () =
     (Simulator.events_processed sliced)
     ((Simulator.queue_stats sliced).Event_queue.pops
     + Simulator.delays_in_place sliced)
+
+(* Three processes whose delays interleave, so that no wake-up is ever
+   the next event at the moment it is requested: every delay suspends
+   and parks its continuation in a queue slot. That path allocates the
+   continuation and its [Wake] payload, 32 B per event, and nothing
+   beyond them; wrapping the continuation in a closure again, as the
+   engine once did (184 B per event), fails the 48 B bound. *)
+let test_sim_queued_delay_allocation () =
+  let sim = Simulator.create () in
+  let rounds = 10_000 in
+  for i = 1 to 3 do
+    Simulator.spawn sim (fun () ->
+        Proc.delay i;
+        for _ = 1 to rounds do
+          Proc.delay 3
+        done)
+  done;
+  Gc.minor ();
+  let before = Gc.minor_words () in
+  Simulator.run sim;
+  Gc.minor ();
+  let words = Gc.minor_words () -. before in
+  let events = Simulator.events_processed sim in
+  checki "every delay went through the queue" 0 (Simulator.delays_in_place sim);
+  checki "events" (3 * (rounds + 2)) events;
+  let bytes_per_event = words *. 8. /. float_of_int events in
+  if bytes_per_event > 48. then
+    Alcotest.failf "%.1f B per queued delay (at most 48)" bytes_per_event
 
 (* The process operations are for processes only. From a plain callback
    they must fail loudly, even while a process of the same simulator is
@@ -549,6 +612,8 @@ let () =
           Alcotest.test_case "cancellation" `Quick test_queue_cancel;
           Alcotest.test_case "cancel after fire" `Quick
             test_queue_cancel_after_fire;
+          Alcotest.test_case "stale handle after slot reuse" `Quick
+            test_queue_stale_handle;
           Alcotest.test_case "peek" `Quick test_queue_peek;
           Alcotest.test_case "growth and drain order" `Quick test_queue_growth;
           QCheck_alcotest.to_alcotest prop_heap_sorted;
@@ -569,6 +634,8 @@ let () =
             test_sim_delay_chain_budget;
           Alcotest.test_case "delay chain in slices" `Quick
             test_sim_delay_chain_slices;
+          Alcotest.test_case "queued delays allocate little" `Quick
+            test_sim_queued_delay_allocation;
           Alcotest.test_case "proc ops outside a process" `Quick
             test_sim_proc_ops_outside_process;
         ] );

@@ -102,6 +102,64 @@ let test_lapic_past_deadline_fires_now () =
   Simulator.run sim;
   checki "fired at once" (Time.of_us 100) !fired_at
 
+(* The LAPIC against a plain model: two 256-slot registers that every
+   query scans in full. Vectors are drawn from a narrow band half the
+   time, so re-raises, acks of an in-service vector and EOIs of an empty
+   ISR all come up. *)
+type lapic_op = Raise of int | Ack | Eoi
+
+let gen_lapic_op =
+  QCheck.Gen.(
+    frequency
+      [ (3, map (fun v -> Raise v) (oneof [ int_range 16 255; int_range 30 33 ]));
+        (2, return Ack);
+        (2, return Eoi) ])
+
+let print_lapic_op = function
+  | Raise v -> Printf.sprintf "raise %d" v
+  | Ack -> "ack"
+  | Eoi -> "eoi"
+
+let prop_lapic_matches_scan =
+  QCheck.Test.make ~name:"lapic matches a 256-slot scan" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map print_lapic_op ops))
+       QCheck.Gen.(list_size (int_range 1 80) gen_lapic_op))
+    (fun ops ->
+      let _, l = make () in
+      let irr = Array.make 256 false and isr = Array.make 256 false in
+      let highest reg =
+        let rec scan v = if v < 0 then None else if reg.(v) then Some v else scan (v - 1) in
+        scan 255
+      in
+      List.for_all
+        (fun op ->
+          let same_result =
+            match op with
+            | Raise v ->
+                Lapic.raise_vector l v;
+                irr.(v) <- true;
+                true
+            | Ack ->
+                let expected = highest irr in
+                Option.iter
+                  (fun v ->
+                    irr.(v) <- false;
+                    isr.(v) <- true)
+                  expected;
+                Lapic.ack l = expected
+            | Eoi ->
+                Option.iter (fun v -> isr.(v) <- false) (highest isr);
+                Lapic.eoi l;
+                true
+          in
+          same_result
+          && Lapic.has_pending l = Array.exists Fun.id irr
+          && List.for_all
+               (fun v -> Lapic.in_service l v = isr.(v))
+               (List.init 256 Fun.id))
+        ops)
+
 let () =
   Alcotest.run "svt_interrupt"
     [
@@ -112,6 +170,7 @@ let () =
           Alcotest.test_case "coalescing" `Quick test_lapic_coalescing;
           Alcotest.test_case "pending callback" `Quick test_lapic_on_pending_callback;
           Alcotest.test_case "bad vector" `Quick test_lapic_bad_vector;
+          QCheck_alcotest.to_alcotest prop_lapic_matches_scan;
         ] );
       ( "tsc-deadline",
         [

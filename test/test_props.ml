@@ -14,17 +14,24 @@ module Smt_core = Svt_arch.Smt_core
 module Vmcs = Svt_vmcs.Vmcs
 module Field = Svt_vmcs.Field
 
-let make_channel () =
+(* A channel in a fresh 1 MB L1, copying the GPRs of context 0 of core
+   0, and the address space its rings live in. *)
+let channel_in_aspace () =
   let machine = Svt_hyp.Machine.create () in
   let vm =
     Svt_hyp.Vm.create ~machine ~name:"l1" ~level:1 ~ram_bytes:(1 lsl 20)
       ~cpuid:(Svt_arch.Cpuid_db.host ())
   in
+  let aspace = Svt_hyp.Vm.aspace vm in
   ( machine,
-    Channel.create ~machine ~aspace:(Svt_hyp.Vm.aspace vm) ~wait:Mode.Mwait
-      ~placement:Mode.Smt_sibling
+    aspace,
+    Channel.create ~machine ~aspace ~wait:Mode.Mwait ~placement:Mode.Smt_sibling
       ~core:(Svt_hyp.Machine.core machine 0)
-      () )
+      ~ctx:0 () )
+
+let make_channel () =
+  let machine, _, ch = channel_in_aspace () in
+  (machine, ch)
 
 (* These properties never fill the ring, so a backpressure result is a
    property violation in its own right. *)
@@ -37,59 +44,67 @@ let reasons =
   [| Exit_reason.Cpuid; Exit_reason.Msr_write; Exit_reason.Ept_misconfig;
      Exit_reason.Hlt; Exit_reason.External_interrupt; Exit_reason.Eoi_induced |]
 
-(* Serializing a command through the shared-memory ring and reading it
-   back yields the same command, for arbitrary payloads. *)
+(* Serializing a trap through the shared-memory ring and reading it back
+   yields the same command, for arbitrary qualifications; the GPRs in the
+   register file land in the entry's bytes as they are. The rings are the
+   two pages after the 1 MB of RAM, and the first post to [to_svt] is
+   entry 0 of the one whose head then reads 1. *)
 let prop_channel_roundtrip =
   QCheck.Test.make ~name:"channel commands survive shared memory" ~count:100
     QCheck.(pair (int_bound 5) (array_of_size (Gen.return 16) int64))
     (fun (ri, regs) ->
-      let machine, ch = make_channel () in
+      (* a shrunk array leaves the remaining registers zero *)
+      let regs = Array.init 16 (fun j -> if j < Array.length regs then regs.(j) else 0L) in
+      let machine, aspace, ch = channel_in_aspace () in
+      let rf = Smt_core.regfile (Svt_hyp.Machine.core machine 0) in
+      List.iteri
+        (fun j g -> Svt_arch.Regfile.write rf ~ctx:0 (Svt_arch.Reg.Gpr g) regs.(j))
+        Svt_arch.Reg.all_gprs;
       let bd = Breakdown.create () in
       let ok = ref false in
       let reason = reasons.(ri) in
       Simulator.spawn (Svt_hyp.Machine.sim machine) (fun () ->
           post_ok ch (Channel.to_svt ch) bd
-            (Channel.Vm_trap { seq = 1; reason; qual = regs.(0); regs });
+            (Channel.Vm_trap { seq = 1; reason; qual = regs.(0) });
           match Channel.try_recv ch (Channel.to_svt ch) bd with
           | Some (Channel.Vm_trap r) ->
-              ok :=
-                r.reason = reason && r.qual = regs.(0) && r.regs = regs
+              ok := r.seq = 1 && r.reason = reason && r.qual = regs.(0)
           | _ -> ok := false);
       Simulator.run (Svt_hyp.Machine.sim machine);
-      !ok)
+      let module Aspace = Svt_mem.Address_space in
+      let ring =
+        List.find
+          (fun g -> Aspace.read_u32 aspace g = 1)
+          (List.map (fun k -> Svt_mem.Addr.Gpa.of_int ((1 lsl 20) + (k * 4096))) [ 0; 1 ])
+      in
+      let entry = Aspace.read_bytes aspace (Svt_mem.Addr.Gpa.add ring 8) 152 in
+      !ok
+      && Array.for_all Fun.id
+           (Array.mapi (fun j r -> Bytes.get_int64_le entry (24 + (8 * j)) = r) regs))
 
-(* Every command kind reads back as written, with [regs] as the ring
-   holds it: the first 16 registers, the rest of the 16 slots zero. *)
+(* Every command kind reads back as written: sequence number, reason and
+   qualification. The register bytes are pinned by test_core's "entry
+   bytes". *)
 let gen_command =
   let open QCheck.Gen in
-  let regs = array_size (int_bound 20) (map Int64.of_int int) in
   let seq = int in
   frequency
     [
       ( 3,
-        map3
-          (fun (seq, reason) qual regs -> Channel.Vm_trap { seq; reason; qual; regs })
+        map2
+          (fun (seq, reason) qual -> Channel.Vm_trap { seq; reason; qual })
           (pair seq (oneofl Exit_reason.all))
-          (map Int64.of_int int) regs );
-      (2, map2 (fun seq regs -> Channel.Vm_resume { seq; regs }) seq regs);
+          (map Int64.of_int int) );
+      (2, map (fun seq -> Channel.Vm_resume { seq }) seq);
       (1, return Channel.Blocked);
     ]
 
 let print_command = function
-  | Channel.Vm_trap { seq; reason; qual; regs } ->
-      Printf.sprintf "trap seq=%d %s qual=%Ld regs=%d" seq
-        (Exit_reason.name reason) qual (Array.length regs)
-  | Channel.Vm_resume { seq; regs } ->
-      Printf.sprintf "resume seq=%d regs=%d" seq (Array.length regs)
+  | Channel.Vm_trap { seq; reason; qual } ->
+      Printf.sprintf "trap seq=%d %s qual=%Ld" seq (Exit_reason.name reason) qual
+  | Channel.Vm_resume { seq } -> Printf.sprintf "resume seq=%d" seq
   | Channel.Blocked -> "blocked"
   | Channel.Corrupt n -> Printf.sprintf "corrupt %d" n
-
-let as_ring_holds =
-  let pad regs = Array.init 16 (fun j -> if j < Array.length regs then regs.(j) else 0L) in
-  function
-  | Channel.Vm_trap r -> Channel.Vm_trap { r with regs = pad r.regs }
-  | Channel.Vm_resume r -> Channel.Vm_resume { r with regs = pad r.regs }
-  | c -> c
 
 let prop_channel_every_kind =
   QCheck.Test.make ~name:"every command kind round trips" ~count:100
@@ -105,7 +120,7 @@ let prop_channel_every_kind =
             (fun c ->
               post_ok ch (Channel.to_svt ch) bd c;
               match Channel.try_recv ch (Channel.to_svt ch) bd with
-              | Some got -> if got <> as_ring_holds c then ok := false
+              | Some got -> if got <> c then ok := false
               | None -> ok := false)
             cmds);
       Simulator.run (Svt_hyp.Machine.sim machine);
@@ -126,7 +141,7 @@ let prop_channel_order =
               post_ok ch (Channel.from_svt ch) bd
                 (Channel.Vm_trap
                    { seq = i + 1; reason = Exit_reason.Cpuid;
-                     qual = Int64.of_int q; regs = [||] }))
+                     qual = Int64.of_int q }))
             quals;
           let rec drain () =
             match Channel.try_recv ch (Channel.from_svt ch) bd with
