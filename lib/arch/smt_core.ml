@@ -78,11 +78,13 @@ let load_svt_fields t ~visor ~vm ~nested =
   t.svt_vm <- vm;
   t.svt_nested <- nested
 
+(* A loop rather than [Array.iteri]: the closure would be allocated on
+   every context switch of an HW SVt exit. *)
 let activate t ctx =
   check_ctx t ctx;
-  Array.iteri
-    (fun i s -> if i <> ctx && s = Active then t.states.(i) <- Stalled)
-    t.states;
+  for i = 0 to Array.length t.states - 1 do
+    if i <> ctx && t.states.(i) = Active then t.states.(i) <- Stalled
+  done;
   if t.svt_current <> ctx then t.switches <- t.switches + 1;
   t.svt_current <- ctx;
   t.states.(ctx) <- Active

@@ -80,25 +80,42 @@ type t = {
   mutable episodes : int;
   mutable blocked_injections : int; (* SVT_BLOCKED events serviced (§5.3) *)
   metrics : Svt_stats.Metrics.t;
+  (* the [l2_exit.<REASON>] counter and [l2_exit_time.<REASON>] timer
+     cells, by basic exit number; [no_cell] until the reason is first
+     taken, so a reason never taken still has no counter *)
+  exit_counts : int ref array;
+  exit_times : int ref array;
 }
 
 let charge t bucket span = Breakdown.charge (Vcpu.breakdown t.vcpu) bucket span
 
 (* --- observability ------------------------------------------------------ *)
 
+let no_cell = ref 0
+
+let n_basic_numbers =
+  1 + List.fold_left (fun m r -> max m (Exit_reason.basic_number r)) 0 Exit_reason.all
+
 let probe t = Svt_hyp.Machine.probe t.machine
 
-(* Wrap one protocol leg in a span of [kind]; the off path (no sink
-   installed) pays a single branch and builds nothing. *)
-let leg t kind tags f =
+(* A protocol leg is bracketed by [leg_start] and [leg_end], which emit
+   a span of [kind] over it; the off path (no sink installed) pays a
+   branch at each end and builds nothing. *)
+let leg_start t =
   let p = probe t in
-  if not (Probe.is_on p) then f ()
-  else begin
-    let start = Probe.now p in
-    f ();
+  if Probe.is_on p then Probe.now p else Time.zero
+
+let leg_end t kind tags start =
+  let p = probe t in
+  if Probe.is_on p then
     Probe.span p kind ~vcpu:(Vcpu.index t.vcpu) ~level:2
       ~core:(Smt_core.id t.core) ~ctx:(Smt_core.current t.core) ~tags ~start ()
-  end
+
+(* The common leg: one charge. *)
+let leg t kind tags bucket span =
+  let start = leg_start t in
+  charge t bucket span;
+  leg_end t kind tags start
 
 let ctxt_access_bulk t =
   charge t Breakdown.Ctxt_access
@@ -106,43 +123,44 @@ let ctxt_access_bulk t =
 
 (* --- the L1 handler body, shared by every mode ------------------------- *)
 
-(* Execute the L1 trap handler's script. [aux_bucket] is where auxiliary
-   L1→L0 traps are charged (⑤, as in the paper). Under SW SVt, writes to
-   vmcs01' must additionally be propagated from L0₁ to L0₀ through the
-   channel (§5.2: "L0₁ then propagates the necessary information into
-   L0₀"). *)
-let run_l1_script t (info : Svt_hyp.Exit.info) ~(effect : unit -> unit) =
+(* Run L1's trap handler for [info] (see [Svt_hyp.L1_script]): half its
+   pure work, its aux traps, the semantic [effect], the rest of the work.
+   [aux t reason] performs one aux trap; each path passes a top-level
+   function, so a handler run builds nothing. *)
+let run_l1_handler t (info : Svt_hyp.Exit.info) ~(effect : unit -> unit) ~aux =
+  let script = t.script and reason = info.reason in
+  charge t Breakdown.L1_handler (Svt_hyp.L1_script.head_work script reason);
+  for i = 0 to Svt_hyp.L1_script.aux_count script reason - 1 do
+    aux t (Svt_hyp.L1_script.aux_reason i)
+  done;
+  effect ();
+  charge t Breakdown.L1_handler (Svt_hyp.L1_script.tail_work script reason)
+
+(* An aux trap taken into L0, charged to ⑤ as in the paper. Under SW SVt,
+   writes to vmcs01' must additionally be propagated from L0₁ to L0₀
+   through the channel (§5.2: "L0₁ then propagates the necessary
+   information into L0₀"). *)
+let aux_trap t reason =
   let bd = Vcpu.breakdown t.vcpu in
-  let steps =
-    Svt_hyp.L1_script.script_for t.script info ~apply:effect
-  in
-  List.iter
-    (fun step ->
-      match step with
-      | Svt_hyp.L1_script.Work w -> Breakdown.charge bd Breakdown.L1_handler w
-      | Svt_hyp.L1_script.Effect f -> f ()
-      | Svt_hyp.L1_script.Aux reason ->
-          Single_level.aux_round_trip ~cost:t.cost ~mode:t.mode ~breakdown:bd
-            ~bucket:Breakdown.L1_handler ~core:t.core
-            ~hypervisor_ctx:t.ctx_l0 ~guest_ctx:t.ctx_l1 reason;
-          (* the aux trap's architectural effect on the shadow VMCS *)
-          (match reason with
-          | Exit_reason.Vmread -> ignore (Vmcs.read t.vmcs12 Field.Guest_rip)
-          | Exit_reason.Vmwrite ->
-              Vmcs.write t.vmcs12 Field.Guest_rip
-                (Int64.add (Vmcs.peek t.vmcs12 Field.Guest_rip) 2L)
-          | Exit_reason.Invept ->
-              (* §5.2: handlers that assume L1 and L2 share a hardware
-                 context (e.g. INVEPT) must propagate state from L0₁ back
-                 to L0₀ through the rings *)
-              (match (t.mode, t.channel) with
-              | Mode.Sw_svt _, Some ch ->
-                  Breakdown.charge bd Breakdown.Channel
-                    (Time.add t.cost.ring_write t.cost.ring_read);
-                  ignore ch
-              | _ -> ())
-          | _ -> ()))
-    steps
+  Single_level.aux_round_trip ~cost:t.cost ~mode:t.mode ~breakdown:bd
+    ~bucket:Breakdown.L1_handler ~core:t.core ~hypervisor_ctx:t.ctx_l0
+    ~guest_ctx:t.ctx_l1 reason;
+  (* the aux trap's architectural effect on the shadow VMCS *)
+  match reason with
+  | Exit_reason.Vmread -> ignore (Vmcs.read t.vmcs12 Field.Guest_rip)
+  | Exit_reason.Vmwrite ->
+      Vmcs.write t.vmcs12 Field.Guest_rip
+        (Int64.add (Vmcs.peek t.vmcs12 Field.Guest_rip) 2L)
+  | Exit_reason.Invept -> (
+      (* §5.2: handlers that assume L1 and L2 share a hardware context
+         (e.g. INVEPT) must propagate state from L0₁ back to L0₀ through
+         the rings *)
+      match (t.mode, t.channel) with
+      | Mode.Sw_svt _, Some _ ->
+          Breakdown.charge bd Breakdown.Channel
+            (Time.add t.cost.ring_write t.cost.ring_read)
+      | _ -> ())
+  | _ -> ()
 
 (* --- transforms -------------------------------------------------------- *)
 
@@ -180,16 +198,14 @@ let reflect_entry_failure t =
   Injector.record t.injector Fault_outcome.Entry_fail_reflected;
   leg t Obs_span.World_switch
     [ ("leg", "l0-l1"); ("cause", "entry-fail") ]
-    (fun () ->
-      Breakdown.charge bd Breakdown.Switch_l0_l1
-        (Time.add t.cost.resume_hw t.cost.l1_world_extra));
+    Breakdown.Switch_l0_l1
+    (Time.add t.cost.resume_hw t.cost.l1_world_extra);
   (* L1's entry-failure handler inspects and corrects vmcs01' *)
   Breakdown.charge bd Breakdown.L1_handler (Time.of_us 2);
   leg t Obs_span.World_switch
     [ ("leg", "l1-l0"); ("cause", "entry-fail") ]
-    (fun () ->
-      Breakdown.charge bd Breakdown.Switch_l0_l1
-        (Time.add t.cost.trap_hw t.cost.l1_world_extra))
+    Breakdown.Switch_l0_l1
+    (Time.add t.cost.trap_hw t.cost.l1_world_extra)
 
 (* OoH: the hardware's delegation checks caught a bad *delegated* field
    at an L1-issued entry. The fault is delivered straight to L1 — no L0
@@ -202,9 +218,7 @@ let reflect_delegation_fault t =
   Injector.record t.injector Fault_outcome.Delegation_fault_reflected;
   leg t Obs_span.World_switch
     [ ("leg", "l2-l1"); ("cause", "delegation-fault") ]
-    (fun () ->
-      Breakdown.charge bd Breakdown.Switch_l0_l1
-        t.cost.ooh_delegated_dispatch);
+    Breakdown.Switch_l0_l1 t.cost.ooh_delegated_dispatch;
   (* L1's delegation-fault handler inspects and repairs the field *)
   Breakdown.charge bd Breakdown.L1_handler (Time.of_us 1);
   Breakdown.charge bd Breakdown.L1_handler t.cost.ooh_delegation_setup
@@ -227,6 +241,29 @@ let reflect_check_failures t es =
   if l0_owned <> [] then reflect_entry_failure t;
   List.iter (Svt_vmcs.Checks.repair t.vmcs12) es
 
+(* Check vmcs12, then transform it, reflecting each failure to L1 and
+   retrying up to [budget] times. *)
+let rec checked_transform_entry t budget =
+  if budget = 0 then
+    failwith "Nested: vmcs12 still invalid after repeated entry failures";
+  match
+    Svt_vmcs.Checks.run
+      ~arch:(Svt_hyp.Machine.arch t.machine)
+      ~n_hw_contexts:(Smt_core.n_contexts t.core) t.vmcs12
+  with
+  | Error es ->
+      (* the failure handler resets the offending fields, then retries *)
+      reflect_check_failures t es;
+      checked_transform_entry t (budget - 1)
+  | Ok () -> (
+      match transform_entry t with
+      | () -> ()
+      | exception Transform.Invalid_pointer (f, _) ->
+          reflect_entry_failure t;
+          (* L1 clears the dangling pointer field and retries *)
+          Vmcs.write t.vmcs12 f 0L;
+          checked_transform_entry t (budget - 1))
+
 (* ② vmcs12 → vmcs02, guarded: L0 validates L1's vmcs12 (and the
    transform's pointer translation) before trusting it. Invalid state is
    not fatal — per §2.1 the entry fails back into L1, which repairs its
@@ -245,29 +282,7 @@ let guarded_transform_entry t =
     in
     Vmcs.write t.vmcs12 field value
   end;
-  let n_ctx = Smt_core.n_contexts t.core in
-  let rec attempt budget =
-    if budget = 0 then
-      failwith "Nested: vmcs12 still invalid after repeated entry failures";
-    match
-      Svt_vmcs.Checks.run
-        ~arch:(Svt_hyp.Machine.arch t.machine)
-        ~n_hw_contexts:n_ctx t.vmcs12
-    with
-    | Error es ->
-        (* the failure handler resets the offending fields, then retries *)
-        reflect_check_failures t es;
-        attempt (budget - 1)
-    | Ok () -> (
-        match transform_entry t with
-        | () -> ()
-        | exception Transform.Invalid_pointer (f, _) ->
-            reflect_entry_failure t;
-            (* L1 clears the dangling pointer field and retries *)
-            Vmcs.write t.vmcs12 f 0L;
-            attempt (budget - 1))
-  in
-  attempt 3
+  checked_transform_entry t 3
 
 (* Record the trap in vmcs02 as hardware does, then reflect it into vmcs12
    so L1 sees it (②③ of Algorithm 1). *)
@@ -293,15 +308,13 @@ let baseline_completion t info ~effect =
   charge t Breakdown.L0_handler
     (Time.of_ns (Time.to_ns t.cost.l0_ctx_mgmt_l1 / 2));
   (* ④ VM resume into L1 *)
-  leg t Obs_span.World_switch [ ("leg", "l0-l1") ] (fun () ->
-      charge t Breakdown.Switch_l0_l1
-        (Time.add t.cost.resume_hw t.cost.l1_world_extra));
+  leg t Obs_span.World_switch [ ("leg", "l0-l1") ] Breakdown.Switch_l0_l1
+    (Time.add t.cost.resume_hw t.cost.l1_world_extra);
   (* ⑤ L1 handles the trap against vmcs01' *)
-  run_l1_script t info ~effect;
+  run_l1_handler t info ~effect ~aux:aux_trap;
   (* ④ L1's VMRESUME traps into L0 *)
-  leg t Obs_span.World_switch [ ("leg", "l1-l0") ] (fun () ->
-      charge t Breakdown.Switch_l0_l1
-        (Time.add t.cost.trap_hw t.cost.l1_world_extra));
+  leg t Obs_span.World_switch [ ("leg", "l1-l0") ] Breakdown.Switch_l0_l1
+    (Time.add t.cost.trap_hw t.cost.l1_world_extra);
   (* ③ emulate the VM entry, restore the L2 world *)
   charge t Breakdown.L0_handler t.cost.l0_emulate_vmentry;
   charge t Breakdown.L0_handler
@@ -312,13 +325,13 @@ let baseline_completion t info ~effect =
   (* ② vmcs12 → vmcs02 *)
   guarded_transform_entry t;
   (* ① resume L2 *)
-  leg t Obs_span.Svt_resume [ ("leg", "l0-l2") ] (fun () ->
-      charge t Breakdown.Switch_l2_l0 t.cost.resume_hw)
+  leg t Obs_span.Svt_resume [ ("leg", "l0-l2") ] Breakdown.Switch_l2_l0
+    t.cost.resume_hw
 
 let handle_baseline t info ~effect =
   (* ① L2 → L0 *)
-  leg t Obs_span.World_switch [ ("leg", "l2-l0") ] (fun () ->
-      charge t Breakdown.Switch_l2_l0 t.cost.trap_hw);
+  leg t Obs_span.World_switch [ ("leg", "l2-l0") ] Breakdown.Switch_l2_l0
+    t.cost.trap_hw;
   (* ③ decide to reflect; save the L2-world state the handler will need *)
   charge t Breakdown.L0_handler t.cost.l0_reflect_decision;
   charge t Breakdown.L0_handler
@@ -351,6 +364,83 @@ let service_blocked_event t ch event =
   Breakdown.charge bd Breakdown.Switch_l0_l1
     (Time.add t.cost.trap_hw t.cost.l1_world_extra)
 
+(* Wait for CMD_VM_RESUME, servicing interrupts for L1₀ meanwhile. Both
+   waits are top-level functions, so an episode allocates no closure for
+   the one it does not take. *)
+let rec wait_resume t ch bd =
+  match Channel.try_recv ch (Channel.from_svt ch) bd with
+  | Some (Channel.Vm_resume _) -> ()
+  | Some _ -> wait_resume t ch bd
+  | None -> (
+      match Vcpu.take_host_event t.vcpu with
+      | Some ev ->
+          service_blocked_event t ch ev;
+          wait_resume t ch bd
+      | None ->
+          Simulator.Signal.wait_any
+            [ Channel.ring_signal (Channel.from_svt ch); Vcpu.wake_signal t.vcpu ];
+          if Channel.pending_ring (Channel.from_svt ch) then
+            Channel.charge_wake ch bd;
+          wait_resume t ch bd)
+
+(* Same wait, under a stall watchdog: if the resume does not arrive by the
+   (virtual-clock) deadline, re-post the command; after the backoff
+   schedule is exhausted, give the episode up and fall back to baseline
+   reflection for the rest of the run. Only armed when faults can
+   actually occur — the clean path schedules no events. *)
+let wait_resume_watchdog t ch bd trap_cmd ~seq =
+  let sim = Svt_hyp.Machine.sim t.machine in
+  let wd = Simulator.Signal.create sim in
+  let rec await attempt =
+    let expired = ref false in
+    let deadline =
+      Simulator.schedule sim
+        ~after:(Wait.watchdog_timeout ~attempt)
+        (fun () ->
+          expired := true;
+          Simulator.Signal.broadcast wd)
+    in
+    let finish r =
+      Simulator.cancel sim deadline;
+      r
+    in
+    let rec drain () =
+      match Channel.try_recv ch (Channel.from_svt ch) bd with
+      | Some (Channel.Vm_resume { seq = s; _ }) when s = seq ->
+          finish `Resumed
+      | Some (Channel.Vm_resume _) ->
+          Injector.record t.injector Fault_outcome.Stale_ignored;
+          drain ()
+      | Some (Channel.Corrupt _) ->
+          Injector.record t.injector Fault_outcome.Corrupt_discarded;
+          drain ()
+      | Some _ -> drain ()
+      | None -> (
+          match Vcpu.take_host_event t.vcpu with
+          | Some ev ->
+              service_blocked_event t ch ev;
+              drain ()
+          | None ->
+              if !expired then
+                if attempt >= 2 then finish `Downgraded
+                else begin
+                  Injector.record t.injector Fault_outcome.Resume_retry;
+                  Channel.post_retry ch (Channel.to_svt ch) bd trap_cmd;
+                  await (attempt + 1)
+                end
+              else begin
+                Simulator.Signal.wait_any
+                  [ Channel.ring_signal (Channel.from_svt ch);
+                    Vcpu.wake_signal t.vcpu; wd ];
+                if Channel.pending_ring (Channel.from_svt ch) then
+                  Channel.charge_wake ch bd;
+                drain ()
+              end)
+    in
+    drain ()
+  in
+  await 0
+
 let handle_sw_svt t ch info ~effect =
   let bd = Vcpu.breakdown t.vcpu in
   (* ① and the L2-side half of ③ are unchanged: L2 still exits through the
@@ -369,97 +459,25 @@ let handle_sw_svt t ch info ~effect =
   in
   t.pending <- Some (info, effect);
   Channel.post_retry ch (Channel.to_svt ch) bd trap_cmd;
-  (* wait for CMD_VM_RESUME, servicing interrupts for L1₀ meanwhile *)
-  let rec wait_resume () =
-    match Channel.try_recv ch (Channel.from_svt ch) bd with
-    | Some (Channel.Vm_resume _) -> ()
-    | Some _ -> wait_resume ()
-    | None ->
-        if Vcpu.take_host_event t.vcpu
-             (fun ev -> service_blocked_event t ch ev)
-        then wait_resume ()
-        else begin
-          Simulator.Signal.wait_any
-            [ Channel.ring_signal (Channel.from_svt ch);
-              Vcpu.wake_signal t.vcpu ];
-          if Channel.pending_ring (Channel.from_svt ch) then
-            Channel.charge_wake ch bd;
-          wait_resume ()
-        end
+  let start = leg_start t in
+  let outcome =
+    if Injector.is_active t.injector then
+      wait_resume_watchdog t ch bd trap_cmd ~seq
+    else begin
+      wait_resume t ch bd;
+      `Resumed
+    end
   in
-  (* Same wait, under a stall watchdog: if the resume does not arrive by
-     the (virtual-clock) deadline, re-post the command; after the backoff
-     schedule is exhausted, give the episode up and fall back to baseline
-     reflection for the rest of the run. Only armed when faults can
-     actually occur — the clean path schedules no events. *)
-  let wait_resume_watchdog () =
-    let sim = Svt_hyp.Machine.sim t.machine in
-    let wd = Simulator.Signal.create sim in
-    let rec await attempt =
-      let expired = ref false in
-      let deadline =
-        Simulator.schedule sim
-          ~after:(Wait.watchdog_timeout ~attempt)
-          (fun () ->
-            expired := true;
-            Simulator.Signal.broadcast wd)
-      in
-      let finish r =
-        Simulator.cancel sim deadline;
-        r
-      in
-      let rec drain () =
-        match Channel.try_recv ch (Channel.from_svt ch) bd with
-        | Some (Channel.Vm_resume { seq = s; _ }) when s = seq ->
-            finish `Resumed
-        | Some (Channel.Vm_resume _) ->
-            Injector.record t.injector Fault_outcome.Stale_ignored;
-            drain ()
-        | Some (Channel.Corrupt _) ->
-            Injector.record t.injector Fault_outcome.Corrupt_discarded;
-            drain ()
-        | Some _ -> drain ()
-        | None ->
-            if Vcpu.take_host_event t.vcpu
-                 (fun ev -> service_blocked_event t ch ev)
-            then drain ()
-            else if !expired then
-              if attempt >= 2 then finish `Downgraded
-              else begin
-                Injector.record t.injector Fault_outcome.Resume_retry;
-                Channel.post_retry ch (Channel.to_svt ch) bd trap_cmd;
-                await (attempt + 1)
-              end
-            else begin
-              Simulator.Signal.wait_any
-                [ Channel.ring_signal (Channel.from_svt ch);
-                  Vcpu.wake_signal t.vcpu; wd ];
-              if Channel.pending_ring (Channel.from_svt ch) then
-                Channel.charge_wake ch bd;
-              drain ()
-            end
-      in
-      drain ()
-    in
-    await 0
-  in
-  let outcome = ref `Resumed in
-  leg t Obs_span.Svt_stall [ ("on", "svt-thread") ] (fun () ->
-      outcome :=
-        if Injector.is_active t.injector then wait_resume_watchdog ()
-        else begin
-          wait_resume ();
-          `Resumed
-        end);
-  match !outcome with
+  leg_end t Obs_span.Svt_stall [ ("on", "svt-thread") ] start;
+  match outcome with
   | `Resumed ->
       (* restart L2 through the pre-existing path *)
       charge t Breakdown.L0_handler t.cost.sw_prepare_resume;
       charge t Breakdown.L0_handler
         (Time.of_ns (Time.to_ns t.cost.l0_ctx_mgmt_l2 - Time.to_ns t.cost.l0_ctx_mgmt_l2 / 2));
       guarded_transform_entry t;
-      leg t Obs_span.Svt_resume [ ("leg", "l0-l2") ] (fun () ->
-          charge t Breakdown.Switch_l2_l0 t.cost.resume_hw)
+      leg t Obs_span.Svt_resume [ ("leg", "l0-l2") ] Breakdown.Switch_l2_l0
+        t.cost.resume_hw
   | `Downgraded ->
       (* the SVt-thread is wedged: abandon the round trip and finish this
          (and every later) episode through classic reflection *)
@@ -483,7 +501,7 @@ let svt_thread_body t ch () =
         match t.pending with
         | Some (info, effect) when seq = t.seq ->
             t.pending <- None;
-            run_l1_script t info ~effect;
+            run_l1_handler t info ~effect ~aux:aux_trap;
             t.thread_last_done <- seq;
             answer seq
         | Some _ ->
@@ -533,9 +551,10 @@ let charge_multiplex_reload t =
 
 let handle_hw_svt t info ~effect =
   (* ① VM trap = stall L2's context, fetch from SVt_visor's *)
-  leg t Obs_span.Svt_trap [ ("leg", "l2-l0") ] (fun () ->
-      Smt_core.vm_trap t.core;
-      charge t Breakdown.Switch_l2_l0 t.cost.thread_switch);
+  let start = leg_start t in
+  Smt_core.vm_trap t.core;
+  charge t Breakdown.Switch_l2_l0 t.cost.thread_switch;
+  leg_end t Obs_span.Svt_trap [ ("leg", "l2-l0") ] start;
   (* ③ the handler reads L2's registers through ctxtld instead of a
      memory save/restore *)
   ctxt_access_bulk t;
@@ -546,17 +565,19 @@ let handle_hw_svt t info ~effect =
   charge t Breakdown.L0_handler t.cost.l0_inject_exit_info;
   (* ④ resume into L1's hardware context; when L1 and L2 multiplex one
      context (§3.1), its register state must be reloaded first *)
-  leg t Obs_span.Svt_resume [ ("leg", "l0-l1") ] (fun () ->
-      charge_multiplex_reload t;
-      Smt_core.vm_resume t.core;
-      charge t Breakdown.Switch_l0_l1 t.cost.thread_switch);
+  let start = leg_start t in
+  charge_multiplex_reload t;
+  Smt_core.vm_resume t.core;
+  charge t Breakdown.Switch_l0_l1 t.cost.thread_switch;
+  leg_end t Obs_span.Svt_resume [ ("leg", "l0-l1") ] start;
   (* ⑤ L1 handles; its cross-context accesses to L2's registers resolve
      through SVt_nested (context virtualization, §4) *)
-  run_l1_script t info ~effect;
+  run_l1_handler t info ~effect ~aux:aux_trap;
   (* ④ L1's VMRESUME traps into L0's context *)
-  leg t Obs_span.Svt_trap [ ("leg", "l1-l0") ] (fun () ->
-      Smt_core.vm_trap t.core;
-      charge t Breakdown.Switch_l0_l1 t.cost.thread_switch);
+  let start = leg_start t in
+  Smt_core.vm_trap t.core;
+  charge t Breakdown.Switch_l0_l1 t.cost.thread_switch;
+  leg_end t Obs_span.Svt_trap [ ("leg", "l1-l0") ] start;
   (* ... and the shared context must be reloaded with L2's state *)
   charge_multiplex_reload t;
   (* ③ emulate the entry; restore goes through ctxtst *)
@@ -567,9 +588,10 @@ let handle_hw_svt t info ~effect =
   (* ② *)
   guarded_transform_entry t;
   (* ① resume L2's context *)
-  leg t Obs_span.Svt_resume [ ("leg", "l0-l2") ] (fun () ->
-      Smt_core.vm_resume t.core;
-      charge t Breakdown.Switch_l2_l0 t.cost.thread_switch)
+  let start = leg_start t in
+  Smt_core.vm_resume t.core;
+  charge t Breakdown.Switch_l2_l0 t.cost.thread_switch;
+  leg_end t Obs_span.Svt_resume [ ("leg", "l0-l2") ] start
 
 (* --- construction ------------------------------------------------------- *)
 
@@ -668,6 +690,8 @@ let create ?injector ~machine ~mode ~vcpu ~l1_vm ~script () =
       episodes = 0;
       blocked_injections = 0;
       metrics = machine.Svt_hyp.Machine.metrics;
+      exit_counts = Array.make n_basic_numbers no_cell;
+      exit_times = Array.make n_basic_numbers no_cell;
     }
   in
   (* Prime vmcs02 from the initial vmcs12 state (the first VMLAUNCH). *)
@@ -687,29 +711,38 @@ let start t =
 
 (* --- full hardware nesting (the alternative design point, §3) ------------ *)
 
+(* Under full nesting an aux access is a plain VMCS access on real
+   hardware. *)
+let aux_hw_access t _ = charge t Breakdown.L1_handler (Time.of_ns 50)
+
 (* Architectural support for nested delivery: the hardware walks the VMCS
    hierarchy itself and delivers the L2 trap straight into L1. No L0
    involvement, no transforms — and L1's vmread/vmwrite hit real hardware
    state, so the auxiliary traps vanish too. The price the paper argues
    against is hardware complexity, not performance. *)
 let handle_full_nesting t (info : Svt_hyp.Exit.info) ~effect =
-  let bd = Vcpu.breakdown t.vcpu in
   charge t Breakdown.Switch_l0_l1 t.cost.trap_hw;
   charge t Breakdown.L1_handler t.cost.ctx_mgmt_single;
-  let steps = Svt_hyp.L1_script.script_for t.script info ~apply:effect in
-  List.iter
-    (fun step ->
-      match step with
-      | Svt_hyp.L1_script.Work w -> Breakdown.charge bd Breakdown.L1_handler w
-      | Svt_hyp.L1_script.Effect f -> f ()
-      | Svt_hyp.L1_script.Aux _ ->
-          (* a plain VMCS access on real hardware *)
-          Breakdown.charge bd Breakdown.L1_handler (Time.of_ns 50))
-    steps;
-  leg t Obs_span.Svt_resume [ ("leg", "l1-l2") ] (fun () ->
-      charge t Breakdown.Switch_l0_l1 t.cost.resume_hw)
+  run_l1_handler t info ~effect ~aux:aux_hw_access;
+  leg t Obs_span.Svt_resume [ ("leg", "l1-l2") ] Breakdown.Switch_l0_l1
+    t.cost.resume_hw
 
 (* --- Out-of-Hypervisor delegation (PAPERS.md) --------------------------- *)
+
+(* Check the delegated vmcs12 fields, reflecting each failure and
+   retrying up to [budget] times. *)
+let rec delegated_checks t budget =
+  if budget = 0 then
+    failwith "Nested: vmcs12 still invalid after repeated delegation faults";
+  match
+    Svt_vmcs.Checks.run
+      ~arch:(Svt_hyp.Machine.arch t.machine)
+      ~n_hw_contexts:(Smt_core.n_contexts t.core) t.vmcs12
+  with
+  | Error es ->
+      reflect_check_failures t es;
+      delegated_checks t (budget - 1)
+  | Ok () -> ()
 
 (* The L1-issued VM entry on the delegated path: hardware validates the
    delegated fields as it launches L2, with no L0 transform in between.
@@ -730,21 +763,11 @@ let ooh_delegated_entry t =
     in
     Vmcs.write t.vmcs12 field value
   end;
-  let n_ctx = Smt_core.n_contexts t.core in
-  let rec attempt budget =
-    if budget = 0 then
-      failwith "Nested: vmcs12 still invalid after repeated delegation faults";
-    match
-      Svt_vmcs.Checks.run
-        ~arch:(Svt_hyp.Machine.arch t.machine)
-        ~n_hw_contexts:n_ctx t.vmcs12
-    with
-    | Error es ->
-        reflect_check_failures t es;
-        attempt (budget - 1)
-    | Ok () -> ()
-  in
-  attempt 3
+  delegated_checks t 3
+
+(* Under OoH an aux access is a direct access to a delegated VMCS
+   field. *)
+let aux_delegated_access t _ = charge t Breakdown.L1_handler t.cost.ooh_vmcs_access
 
 (* Delegated exits go straight into L1: one hardware dispatch, the L1
    handler running against the delegated VMCS fields (each auxiliary
@@ -754,27 +777,17 @@ let ooh_delegated_entry t =
    full baseline reflection, plus L0 re-arming the delegation controls
    before handing the core back. *)
 let handle_ooh t (info : Svt_hyp.Exit.info) ~effect =
-  let bd = Vcpu.breakdown t.vcpu in
   if Svt_arch.Ooh.delegated info.reason then begin
     Svt_stats.Metrics.incr t.metrics "ooh_delegated_exits";
     leg t Obs_span.World_switch
       [ ("leg", "l2-l1"); ("via", "ooh") ]
-      (fun () -> charge t Breakdown.Switch_l0_l1 t.cost.trap_hw);
+      Breakdown.Switch_l0_l1 t.cost.trap_hw;
     charge t Breakdown.L1_handler t.cost.ooh_delegated_dispatch;
     charge t Breakdown.L1_handler t.cost.ctx_mgmt_single;
-    let steps = Svt_hyp.L1_script.script_for t.script info ~apply:effect in
-    List.iter
-      (fun step ->
-        match step with
-        | Svt_hyp.L1_script.Work w -> Breakdown.charge bd Breakdown.L1_handler w
-        | Svt_hyp.L1_script.Effect f -> f ()
-        | Svt_hyp.L1_script.Aux _ ->
-            (* a direct access to a delegated VMCS field *)
-            Breakdown.charge bd Breakdown.L1_handler t.cost.ooh_vmcs_access)
-      steps;
+    run_l1_handler t info ~effect ~aux:aux_delegated_access;
     ooh_delegated_entry t;
-    leg t Obs_span.Svt_resume [ ("leg", "l1-l2") ] (fun () ->
-        charge t Breakdown.Switch_l0_l1 t.cost.resume_hw)
+    leg t Obs_span.Svt_resume [ ("leg", "l1-l2") ] Breakdown.Switch_l0_l1
+      t.cost.resume_hw
   end
   else begin
     Svt_stats.Metrics.incr t.metrics "ooh_residual_exits";
@@ -785,28 +798,26 @@ let handle_ooh t (info : Svt_hyp.Exit.info) ~effect =
 
 (* --- entry points ------------------------------------------------------- *)
 
-(* The per-reason metric names, built once rather than concatenated on
-   every exit: [exit_key reason] is ["l2_exit." ^ name] and
-   [exit_time_key reason] is ["l2_exit_time." ^ name]. *)
-let reason_keys prefix =
-  let top =
-    List.fold_left (fun m r -> max m (Exit_reason.basic_number r)) 0 Exit_reason.all
-  in
-  let keys = Array.make (top + 1) "" in
-  List.iter
-    (fun r -> keys.(Exit_reason.basic_number r) <- prefix ^ Exit_reason.name r)
-    Exit_reason.all;
-  fun r -> keys.(Exit_reason.basic_number r)
-
-let exit_key = reason_keys "l2_exit."
-let exit_time_key = reason_keys "l2_exit_time."
+(* The per-reason metric cells of [t], looked up by name on a reason's
+   first exit only: the counter ["l2_exit." ^ name] and the timer
+   ["l2_exit_time." ^ name]. Returns the reason's basic number, which
+   indexes both cell arrays. *)
+let exit_cells t reason =
+  let i = Exit_reason.basic_number reason in
+  if t.exit_counts.(i) == no_cell then begin
+    let name = Exit_reason.name reason in
+    t.exit_counts.(i) <- Svt_stats.Metrics.counter_ref t.metrics ("l2_exit." ^ name);
+    t.exit_times.(i) <- Svt_stats.Metrics.timer_ref t.metrics ("l2_exit_time." ^ name)
+  end;
+  i
 
 let handle t (info : Svt_hyp.Exit.info) =
   let bd = Vcpu.breakdown t.vcpu in
   Breakdown.count_exit bd;
   t.episodes <- t.episodes + 1;
   t.in_flight <- true;
-  Svt_stats.Metrics.incr t.metrics (exit_key info.reason);
+  let slot = exit_cells t info.reason in
+  incr t.exit_counts.(slot);
   let started = Proc.now () in
   let effect () = Svt_hyp.Semantics.apply t.vcpu info.action in
   (if Svt_hyp.L1_script.reflects info.reason then
@@ -828,8 +839,8 @@ let handle t (info : Svt_hyp.Exit.info) =
    end);
   t.in_flight <- false;
   t.last_episode_end <- Proc.now ();
-  Svt_stats.Metrics.add_time t.metrics (exit_time_key info.reason)
-    (Time.diff (Proc.now ()) started);
+  let timer = t.exit_times.(slot) in
+  timer := !timer + Time.to_ns (Time.diff (Proc.now ()) started);
   let p = probe t in
   if Probe.is_on p then
     Probe.span p Obs_span.Vm_exit ~vcpu:(Vcpu.index t.vcpu) ~level:2
@@ -848,7 +859,7 @@ let interrupt_for_l1 t ~vector ~work =
   let info =
     Svt_hyp.Exit.of_action (Svt_hyp.Exit.External_interrupt { vector })
   in
-  let effect () = work () in
+  let effect = work in
   let started = Proc.now () in
   (match (t.mode, t.channel) with
   | Mode.Baseline, _ -> handle_baseline t info ~effect

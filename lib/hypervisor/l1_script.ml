@@ -1,18 +1,14 @@
 (* What the L1 guest hypervisor's trap handler does for a reflected L2
-   exit, expressed as a script of steps. The default script is derived
-   from the cost model's per-reason profile: the handler's pure emulation
-   work interleaved with its auxiliary traps into L0 (vmread/vmwrite of
-   non-shadowed vmcs01' fields — Algorithm 1 lines 8–10). *)
+   exit, read straight from the cost model's per-reason profile: half the
+   handler's pure emulation work, its auxiliary traps into L0
+   (vmread/vmwrite of non-shadowed vmcs01' fields — Algorithm 1 lines
+   8–10), the semantic effect, then the remaining work. The effect sits
+   between reads (inspecting the trapped state) and the tail (updating
+   vmcs01', advancing the guest RIP). The trap paths run that sequence
+   themselves, so no per-exit script is built. *)
 
 module Time = Svt_engine.Time
 module Exit_reason = Svt_arch.Exit_reason
-
-type step =
-  | Work of Time.t (* pure L1 emulation work *)
-  | Aux of Exit_reason.t (* a trap from L1 into L0 during handling *)
-  | Effect of (unit -> unit) (* semantic side effect, zero cost here *)
-
-type script = step list
 
 type t = {
   cost : Svt_arch.Cost_model.t;
@@ -32,22 +28,19 @@ let aux_reason i = if i mod 2 = 0 then Exit_reason.Vmread else Exit_reason.Vmwri
    them. *)
 let unshadowed_extra_aux = 6
 
-let aux_count t (info : Exit.info) =
-  let profile = Svt_arch.Cost_model.profile t.cost info.reason in
+let aux_count t reason =
+  let profile = Svt_arch.Cost_model.profile t.cost reason in
   if Svt_vmcs.Shadow.shadowed t.shadow Svt_vmcs.Field.Guest_rip then
     profile.l1_aux_exits
   else profile.l1_aux_exits + unshadowed_extra_aux
 
-(* Half the pure work, the aux traps, the semantic effect, the
-   remaining work. The effect sits between reads (inspecting the trapped
-   state) and the tail (updating vmcs01', advancing the guest RIP). *)
-let script_for t (info : Exit.info) ~apply =
-  let profile = Svt_arch.Cost_model.profile t.cost info.reason in
-  let aux = List.init (aux_count t info) aux_reason in
-  let half = Time.of_ns (Time.to_ns profile.l1_pure / 2) in
-  let rest = Time.sub profile.l1_pure half in
-  (Work half :: List.map (fun r -> Aux r) aux)
-  @ [ Effect apply; Work rest ]
+let head_work t reason =
+  let profile = Svt_arch.Cost_model.profile t.cost reason in
+  Time.of_ns (Time.to_ns profile.l1_pure / 2)
+
+let tail_work t reason =
+  let profile = Svt_arch.Cost_model.profile t.cost reason in
+  Time.sub profile.l1_pure (head_work t reason)
 
 (* Whether L0 reflects this exit to L1: only the VMX instructions are L1's
    own operations on its (emulated) virtualization hardware, which L0

@@ -116,13 +116,11 @@ let enqueue_host_event t ~vector work =
   Signal.broadcast t.wake
 
 (* Pop one raw host event for a caller that wants to service it through a
-   special path (the SW SVt blocked-wait loop); [false] when none. *)
-let take_host_event t service =
-  match Queue.take_opt t.host_events with
-  | Some (_vector, work) ->
-      service work;
-      true
-  | None -> false
+   special path (the SW SVt blocked-wait loop); [None] when none, which
+   allocates nothing. *)
+let take_host_event t =
+  if Queue.is_empty t.host_events then None
+  else Some (snd (Queue.take t.host_events))
 
 (* Drain pending work: host events first (they model higher-priority
    physical interrupts), then guest-visible LAPIC vectors. *)

@@ -91,10 +91,9 @@ val enqueue_host_event : t -> vector:int -> (unit -> unit) -> unit
 (** Queue work that needs this vCPU's physical CPU (e.g. an external
     interrupt destined for L1); runs at the next interruptible point. *)
 
-val take_host_event : t -> ((unit -> unit) -> unit) -> bool
-(** Pop one raw host event and hand it to [service] (the SW SVt blocked-
-    wait loop uses this to run events through the SVT_BLOCKED path);
-    [false] when none is pending. *)
+val take_host_event : t -> (unit -> unit) option
+(** Pop one raw host event's work, for the SW SVt blocked-wait loop to
+    run through the SVT_BLOCKED path; [None] when none is pending. *)
 
 val spawn_program : t -> (t -> unit) -> unit
 (** Start the guest program as this vCPU's simulator process. *)

@@ -30,10 +30,13 @@ let cpuid_db t = t.cpuid
 
 let register_mmio t ~region handler = Hashtbl.replace t.mmio region handler
 
+(* An MMIO page is EPT-misconfigured with its region's name as the tag,
+   so one EPT walk finds the handler, however many regions the guest
+   has. RAM and unmapped pages carry no tag and reach no handler. *)
 let handle_mmio t gpa value size =
-  match Svt_mem.Address_space.region_of_gpa t.aspace gpa with
-  | Some r -> (
-      match Hashtbl.find_opt t.mmio r.Svt_mem.Address_space.name with
+  match Svt_mem.Ept.lookup (Svt_mem.Address_space.ept t.aspace) gpa with
+  | Some (Svt_mem.Ept.Misconfig { tag }) -> (
+      match Hashtbl.find_opt t.mmio tag with
       | Some h -> h gpa value size
       | None -> None)
-  | None -> None
+  | Some (Svt_mem.Ept.Page _) | None -> None

@@ -6,17 +6,9 @@
    is how hypervisor and device code touch guest memory (vrings, command
    channels) exactly as real DMA/copy paths would. *)
 
-type region = {
-  name : string;
-  base : Addr.Gpa.t;
-  len : int;
-  kind : [ `Ram | `Mmio ];
-}
-
 type t = {
   ept : Ept.t;
   mem : Phys_mem.t; (* host memory backing RAM regions *)
-  mutable regions : region list;
   alloc : Frame_alloc.t;
   mutable alloc_cursor : Addr.Gpa.t; (* next free GPA for dynamic regions *)
 }
@@ -24,24 +16,22 @@ type t = {
 let create ~mem ~alloc ~ram_bytes =
   if ram_bytes <= 0 then invalid_arg "Address_space.create";
   let t =
-    { ept = Ept.create (); mem; regions = []; alloc;
-      alloc_cursor = Addr.Gpa.of_int 0 }
+    { ept = Ept.create (); mem; alloc; alloc_cursor = Addr.Gpa.of_int 0 }
   in
   (* Back all of guest RAM with host frames up front (the paper's VMs are
      configured to avoid swapping). *)
   let pages = (ram_bytes + Addr.page_size - 1) / Addr.page_size in
   Ept.map_range t.ept ~gpa:(Addr.Gpa.of_int 0) ~len:(pages * Addr.page_size)
     ~perm:Ept.rwx ~hpa:(Frame_alloc.alloc alloc pages);
-  t.regions <-
-    [ { name = "ram"; base = Addr.Gpa.of_int 0; len = pages * Addr.page_size;
-        kind = `Ram } ];
   t.alloc_cursor <- Addr.Gpa.of_int (pages * Addr.page_size);
   t
 
 let ept t = t.ept
 
 (* Carve a fresh MMIO region (device BAR): the EPT entries are marked
-   misconfigured so guest accesses exit with EPT_MISCONFIG. *)
+   misconfigured so guest accesses exit with EPT_MISCONFIG. The region's
+   name is each page's misconfiguration tag, so the EPT alone says which
+   region a guest address falls in: no region list is kept. *)
 let add_mmio_region t ~name ~len =
   let base = t.alloc_cursor in
   let pages = (len + Addr.page_size - 1) / Addr.page_size in
@@ -51,15 +41,7 @@ let add_mmio_region t ~name ~len =
       ~tag:name
   done;
   t.alloc_cursor <- Addr.Gpa.add base (pages * Addr.page_size);
-  t.regions <- { name; base; len = pages * Addr.page_size; kind = `Mmio } :: t.regions;
   base
-
-let region_of_gpa t gpa =
-  List.find_opt
-    (fun r ->
-      Addr.Gpa.to_int gpa >= Addr.Gpa.to_int r.base
-      && Addr.Gpa.to_int gpa < Addr.Gpa.to_int r.base + r.len)
-    t.regions
 
 (* Guest-physical accessors through the EPT. Raise on faults: callers that
    model faulting paths use [Ept.translate] directly. The hit path is
@@ -113,6 +95,4 @@ let alloc_guest_pages t n =
   Ept.map_range t.ept ~gpa:base ~len:(n * Addr.page_size) ~perm:Ept.rwx
     ~hpa:(Frame_alloc.alloc t.alloc n);
   t.alloc_cursor <- Addr.Gpa.add base (n * Addr.page_size);
-  t.regions <-
-    { name = "alloc"; base; len = n * Addr.page_size; kind = `Ram } :: t.regions;
   base

@@ -6,13 +6,6 @@
     hypervisor and device code touch guest memory (virtqueues, command
     rings) exactly as real DMA/copy paths would. *)
 
-type region = {
-  name : string;
-  base : Addr.Gpa.t;
-  len : int;
-  kind : [ `Ram | `Mmio ];
-}
-
 type t
 
 val create : mem:Phys_mem.t -> alloc:Frame_alloc.t -> ram_bytes:int -> t
@@ -23,9 +16,8 @@ val ept : t -> Ept.t
 
 val add_mmio_region : t -> name:string -> len:int -> Addr.Gpa.t
 (** Carve a fresh MMIO region (device BAR); returns its base. Guest
-    accesses raise EPT_MISCONFIG tagged with [name]. *)
-
-val region_of_gpa : t -> Addr.Gpa.t -> region option
+    accesses raise EPT_MISCONFIG tagged with [name]: {!Ept.lookup} of any
+    page of the region answers [Misconfig {tag = name}]. *)
 
 (** {2 Guest-physical accessors (raise on faults)} *)
 

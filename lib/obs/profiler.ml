@@ -20,25 +20,35 @@
    (vm-exit episodes, halts) fold into the aggregate tree under a
    per-vCPU root once the pending list outgrows its cap, and at [stop].
 
+   The sink's own bookkeeping (the span's node, its adoption of pending
+   spans, its label) is a segment of its own, closed when the sink
+   returns and charged to [engine;profiler], so it inflates no simulator
+   frame.
+
    Allocation is charged per segment from the minor-allocation counter
    ([Gc.minor_words], exact at any point); whole-run totals including
    major-heap words come from [allocated_words] at [start]/[stop]. *)
 
 module Simulator = Svt_engine.Simulator
 
+(* Host seconds and allocated words (minor counter). A record of floats
+   only is stored flat, so adding to one allocates nothing: a segment
+   close leaves almost no garbage of its own to charge to the next. *)
+type meter = { mutable secs : float; mutable alloc : float }
+
 type node = {
   mutable calls : int;
-  mutable excl_s : float; (* exclusive host seconds *)
-  mutable excl_w : float; (* exclusive allocated words (minor counter) *)
+  excl : meter; (* exclusive cost *)
   kids : (string, node) Hashtbl.t;
 }
 
-let new_node () = { calls = 0; excl_s = 0.0; excl_w = 0.0; kids = Hashtbl.create 4 }
+let new_node () =
+  { calls = 0; excl = { secs = 0.0; alloc = 0.0 }; kids = Hashtbl.create 4 }
 
 let rec merge_into ~(dst : node) (src : node) =
   dst.calls <- dst.calls + src.calls;
-  dst.excl_s <- dst.excl_s +. src.excl_s;
-  dst.excl_w <- dst.excl_w +. src.excl_w;
+  dst.excl.secs <- dst.excl.secs +. src.excl.secs;
+  dst.excl.alloc <- dst.excl.alloc +. src.excl.alloc;
   Hashtbl.iter (fun label kid -> attach dst label kid) src.kids
 
 and attach parent label kid =
@@ -57,11 +67,11 @@ type t = {
   engine_queue : node; (* between-event engine bookkeeping *)
   engine_dispatch : node; (* in-event work after the last span close *)
   engine_other : node; (* outside the event loop (setup, metric assembly) *)
+  engine_profiler : node; (* the sink's own bookkeeping *)
   pending : (int, pitem list ref) Hashtbl.t; (* per vcpu, arrival order *)
   mutable running : bool;
   mutable in_event : bool;
-  mutable seg_clock : float;
-  mutable seg_words : float;
+  seg : meter; (* clock and words counter at the current segment's start *)
   mutable t_start : float;
   mutable t_stop : float;
   mutable words_at_start : float;
@@ -86,9 +96,10 @@ let create ?(clock = default_clock) ?(words = default_words) () =
       engine_queue = new_node ();
       engine_dispatch = new_node ();
       engine_other = new_node ();
+      engine_profiler = new_node ();
       pending = Hashtbl.create 8;
       running = false; in_event = false;
-      seg_clock = 0.0; seg_words = 0.0;
+      seg = { secs = 0.0; alloc = 0.0 };
       t_start = 0.0; t_stop = 0.0;
       words_at_start = 0.0; alloc_words = 0.0;
       spans = 0; events = 0;
@@ -99,6 +110,7 @@ let create ?(clock = default_clock) ?(words = default_words) () =
   attach engine "queue" t.engine_queue;
   attach engine "dispatch" t.engine_dispatch;
   attach engine "other" t.engine_other;
+  attach engine "profiler" t.engine_profiler;
   t
 
 (* Close the current host-time segment, charging it exclusively to
@@ -107,10 +119,10 @@ let create ?(clock = default_clock) ?(words = default_words) () =
 let segment t node =
   let now = t.clock () in
   let w = t.words () in
-  node.excl_s <- node.excl_s +. (now -. t.seg_clock);
-  node.excl_w <- node.excl_w +. (w -. t.seg_words);
-  t.seg_clock <- now;
-  t.seg_words <- w
+  node.excl.secs <- node.excl.secs +. (now -. t.seg.secs);
+  node.excl.alloc <- node.excl.alloc +. (w -. t.seg.alloc);
+  t.seg.secs <- now;
+  t.seg.alloc <- w
 
 (* The discriminating tags that name a handler path (the same set the
    coverage map keys on); numeric payload tags are deliberately not
@@ -182,7 +194,10 @@ let sink t (sp : Span.t) =
       List.iter (fun p -> fold_root t sp.Span.vcpu p) folded;
       lst := List.filteri (fun i _ -> i >= overflow) rest
     end
-    else lst := rest
+    else lst := rest;
+    (* the bookkeeping above is the profiler's own work: charge it to
+       its own frame rather than to whichever segment closes next *)
+    segment t t.engine_profiler
   end
 
 let observer t =
@@ -214,15 +229,15 @@ let allocated_words () =
 let start t =
   t.words_at_start <- allocated_words ();
   t.t_start <- t.clock ();
-  t.seg_clock <- t.t_start;
-  t.seg_words <- t.words ();
+  t.seg.secs <- t.t_start;
+  t.seg.alloc <- t.words ();
   t.running <- true
 
 let stop t =
   if t.running then begin
     segment t t.engine_other;
     t.running <- false;
-    t.t_stop <- t.seg_clock;
+    t.t_stop <- t.seg.secs;
     t.alloc_words <- allocated_words () -. t.words_at_start;
     Hashtbl.iter
       (fun vcpu lst ->
@@ -237,7 +252,7 @@ let wall_s t =
   (if t.running then t.clock () else t.t_stop) -. t.t_start
 
 let rec excl_total_s (n : node) =
-  Hashtbl.fold (fun _ kid acc -> acc +. excl_total_s kid) n.kids n.excl_s
+  Hashtbl.fold (fun _ kid acc -> acc +. excl_total_s kid) n.kids n.excl.secs
 
 let exclusive_total_s t = excl_total_s t.root
 let spans t = t.spans
@@ -257,8 +272,8 @@ let folded ?(metric = Mtime) t =
   let b = Buffer.create 4096 in
   let value (n : node) =
     match metric with
-    | Mtime -> Float.round (n.excl_s *. 1e9)
-    | Malloc -> Float.round (n.excl_w *. float_of_int word_bytes)
+    | Mtime -> Float.round (n.excl.secs *. 1e9)
+    | Malloc -> Float.round (n.excl.alloc *. float_of_int word_bytes)
   in
   let rec walk path n =
     let v = value n in
@@ -299,9 +314,9 @@ let rows t =
         {
           path = String.concat ";" (List.rev path);
           calls = n.calls;
-          excl_ns = n.excl_s *. 1e9;
+          excl_ns = n.excl.secs *. 1e9;
           incl_ns = incl *. 1e9;
-          excl_bytes = n.excl_w *. float_of_int word_bytes;
+          excl_bytes = n.excl.alloc *. float_of_int word_bytes;
         }
         :: !acc;
     Hashtbl.iter (fun label kid -> walk (label :: path) kid) n.kids
@@ -332,7 +347,7 @@ let to_json ?(extra = []) t =
     Export.buf_json_string b label;
     Buffer.add_string b
       (Printf.sprintf ",\"calls\":%d,\"excl_ns\":%.0f,\"excl_bytes\":%.0f"
-         n.calls (n.excl_s *. 1e9) (n.excl_w *. float_of_int word_bytes));
+         n.calls (n.excl.secs *. 1e9) (n.excl.alloc *. float_of_int word_bytes));
     let kids =
       Hashtbl.fold (fun l kid acc -> (l, kid) :: acc) n.kids []
       |> List.sort (fun (a, _) (b, _) -> compare a b)

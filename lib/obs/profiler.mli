@@ -12,7 +12,9 @@
     close, or a dispatch hook — is charged exclusively to the span
     closing the segment; engine bookkeeping between events lands under
     [engine;queue], post-span event tails under [engine;dispatch], and
-    everything outside the event loop under [engine;other]. Segment
+    everything outside the event loop under [engine;other], and the
+    sink's own bookkeeping after each span close under
+    [engine;profiler]. Segment
     boundaries share single clock reads, so the exclusive totals
     telescope to exactly the measured wall time of the profiled region.
 

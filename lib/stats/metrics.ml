@@ -28,10 +28,6 @@ let timer_ref t name =
 
 let incr t name = Stdlib.incr (counter_ref t name)
 
-let add_time t name span =
-  let r = timer_ref t name in
-  r := !r + Svt_engine.Time.to_ns span
-
 let time t name =
   match Hashtbl.find_opt t.timers name with
   | Some r -> Svt_engine.Time.of_ns !r

@@ -8,7 +8,14 @@ val create : unit -> t
 val incr : t -> string -> unit
 (** Add one to a counter (a missing counter starts at 0). *)
 
-val add_time : t -> string -> Svt_engine.Time.t -> unit
+val counter_ref : t -> string -> int ref
+(** The counter's cell, created at 0 if missing: a caller that bumps the
+    same counter on a hot path looks it up once and increments the
+    cell. *)
+
+val timer_ref : t -> string -> int ref
+(** The timer's cell, in nanoseconds, created at 0 if missing. *)
+
 val time : t -> string -> Svt_engine.Time.t
 val counters : t -> (string * int) list
 (** Sorted by name. *)

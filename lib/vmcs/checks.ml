@@ -30,6 +30,20 @@ let offending_field = function
 
 let check_bit v bit = Int64.logand v (Int64.shift_left 1L bit) <> 0L
 
+(* The rules add their failures newest-first to a list threaded through
+   them ([|>] is applied in place, and a failure with constant arguments
+   is a static constant), so a clean entry builds nothing and returns
+   the constant [Ok ()]. *)
+let fail_if cond failure errs = if cond then failure :: errs else errs
+
+let svt_context_errors ~n_hw_contexts vmcs name f errs =
+  let v = Int64.to_int (Vmcs.peek vmcs f) in
+  if v <> -1 && (v < 0 || v >= n_hw_contexts) then
+    Invalid_svt_context
+      (f, Printf.sprintf "%s = %d out of range [0, %d)" name v n_hw_contexts)
+    :: errs
+  else errs
+
 (* CR0.PE (bit 0) and CR0.PG (bit 31) must be set for long-mode guests;
    CR4.VMXE (bit 13) must be set on hosts that run VMX. Field validity is
    queried through the backend ([Field.valid_for]): on ARM NV/VHE the
@@ -38,51 +52,46 @@ let check_bit v bit = Int64.logand v (Int64.shift_left 1L bit) <> 0L
    backend's own EL2-enable gate (HCR_EL2.NV, modelled at world switch
    rather than here). *)
 let run ?(arch = Svt_arch.Backend.default) ?(n_hw_contexts = 2) vmcs =
-  let errors = ref [] in
-  let err e = errors := e :: !errors in
   let guest_cr0 = Vmcs.peek vmcs Field.Guest_cr0 in
-  if not (check_bit guest_cr0 0) then
-    err (Invalid_guest_state (Field.Guest_cr0, "CR0.PE clear"));
-  if not (check_bit guest_cr0 31) then
-    err (Invalid_guest_state (Field.Guest_cr0, "CR0.PG clear"));
-  (match arch with
-  | Svt_arch.Backend.X86 ->
-      let host_cr4 = Vmcs.peek vmcs Field.Host_cr4 in
-      if not (check_bit host_cr4 13) then
-        err (Invalid_host_state (Field.Host_cr4, "CR4.VMXE clear"))
-  | Svt_arch.Backend.Arm -> ());
-  if Vmcs.peek vmcs Field.Host_rip = 0L then
-    err (Invalid_host_state (Field.Host_rip, "HOST_RIP is null"));
-  if Field.valid_for arch Field.Vmcs_link_pointer then begin
-    let link = Vmcs.peek vmcs Field.Vmcs_link_pointer in
-    if link <> 0L && Int64.logand link 0xFFFL <> 0L then
-      err
-        (Invalid_control
-           (Field.Vmcs_link_pointer, "VMCS link pointer not page-aligned"))
-  end;
+  let link = Vmcs.peek vmcs Field.Vmcs_link_pointer in
+  let errs =
+    []
+    |> fail_if (not (check_bit guest_cr0 0))
+         (Invalid_guest_state (Field.Guest_cr0, "CR0.PE clear"))
+    |> fail_if (not (check_bit guest_cr0 31))
+         (Invalid_guest_state (Field.Guest_cr0, "CR0.PG clear"))
+    |> fail_if
+         (arch = Svt_arch.Backend.X86
+         && not (check_bit (Vmcs.peek vmcs Field.Host_cr4) 13))
+         (Invalid_host_state (Field.Host_cr4, "CR4.VMXE clear"))
+    |> fail_if (Vmcs.peek vmcs Field.Host_rip = 0L)
+         (Invalid_host_state (Field.Host_rip, "HOST_RIP is null"))
+    |> fail_if
+         (Field.valid_for arch Field.Vmcs_link_pointer
+         && link <> 0L
+         && Int64.logand link 0xFFFL <> 0L)
+         (Invalid_control
+            (Field.Vmcs_link_pointer, "VMCS link pointer not page-aligned"))
+  in
   (* SVt fields: target contexts must be within the core or the invalid
      sentinel (all-ones in the field encoding; we use -1). *)
-  if Field.valid_for arch Field.Svt_visor then begin
-    let check_svt_field name f =
-      let v = Int64.to_int (Vmcs.peek vmcs f) in
-      if v <> -1 && (v < 0 || v >= n_hw_contexts) then
-        err
-          (Invalid_svt_context
-             ( f,
-               Printf.sprintf "%s = %d out of range [0, %d)" name v
-                 n_hw_contexts ))
-    in
-    check_svt_field "SVt_visor" Field.Svt_visor;
-    check_svt_field "SVt_vm" Field.Svt_vm;
-    check_svt_field "SVt_nested" Field.Svt_nested;
-    (* SVt_visor and SVt_vm must differ when both valid: a VM cannot share
-       a hardware context with its hypervisor. *)
-    let visor = Int64.to_int (Vmcs.peek vmcs Field.Svt_visor) in
-    let vm = Int64.to_int (Vmcs.peek vmcs Field.Svt_vm) in
-    if visor <> -1 && vm <> -1 && visor = vm then
-      err (Invalid_svt_context (Field.Svt_vm, "SVt_visor equals SVt_vm"))
-  end;
-  match !errors with [] -> Ok () | es -> Error (List.rev es)
+  let errs =
+    if Field.valid_for arch Field.Svt_visor then begin
+      let visor = Int64.to_int (Vmcs.peek vmcs Field.Svt_visor) in
+      let vm = Int64.to_int (Vmcs.peek vmcs Field.Svt_vm) in
+      errs
+      |> svt_context_errors ~n_hw_contexts vmcs "SVt_visor" Field.Svt_visor
+      |> svt_context_errors ~n_hw_contexts vmcs "SVt_vm" Field.Svt_vm
+      |> svt_context_errors ~n_hw_contexts vmcs "SVt_nested" Field.Svt_nested
+      (* SVt_visor and SVt_vm must differ when both valid: a VM cannot
+         share a hardware context with its hypervisor. *)
+      |> fail_if
+           (visor <> -1 && vm <> -1 && visor = vm)
+           (Invalid_svt_context (Field.Svt_vm, "SVt_visor equals SVt_vm"))
+    end
+    else errs
+  in
+  match errs with [] -> Ok () | es -> Error (List.rev es)
 
 (* The value [init_minimal] would give the offending field: the known-good
    state the repair path resets to. *)

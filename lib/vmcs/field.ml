@@ -114,6 +114,9 @@ let index = function
   | Svt_vm -> 41
   | Svt_nested -> 42
 
+let by_index = Array.of_list all
+let of_index i = by_index.(i)
+
 (* Encodings in the style of the Intel layout: index within a class plus
    width/class bits. The SVt fields slot into spare control-class indices,
    matching the paper's claim that "the current VMCS layout allows fitting

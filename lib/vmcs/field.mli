@@ -59,6 +59,9 @@ val all : t list
 val index : t -> int
 (** The field's position in {!all}, from 0. *)
 
+val of_index : int -> t
+(** The field at position [i] of {!all}: the inverse of {!index}. *)
+
 val encode : t -> int
 (** Intel-style encoding: index within a class plus width/class bits. The
     SVt fields slot into spare control-class indices (§5.1). *)

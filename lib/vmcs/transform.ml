@@ -22,64 +22,92 @@ type result = {
 
 exception Invalid_pointer of Field.t * int64
 
-(* Translate a guest-physical pointer field through [l1_ept]. *)
-let translate_pointer ~l1_ept field v =
-  if v = 0L then 0L
-  else begin
-    let gpa = Addr.Gpa.of_int (Int64.to_int v) in
-    match Ept.translate l1_ept ~gpa ~access:Ept.Read with
-    | Ok hpa -> Int64.of_int (Addr.Hpa.to_int hpa)
-    | Error _ -> raise (Invalid_pointer (field, v))
-  end
+(* How the entry transform treats a field, by [Field.index]. *)
+type kind = Plain | Ept_ptr | Pointer | Control
+
+let kinds =
+  Array.of_list
+    (List.map
+       (fun f ->
+         if Field.equal f Field.Ept_pointer then Ept_ptr
+         else if Field.is_physical_pointer f then Pointer
+         else if Field.is_control f then Control
+         else Plain)
+       Field.all)
 
 (* Controls L0 always forces on in vmcs02 regardless of vmcs12 (bit
    positions are internal to this model). *)
 let l0_forced_controls = 0x5L (* intercept TSC-deadline MSR + ext-int exits *)
 
+(* Translate a guest-physical pointer field through [l1_ept], with
+   [Ept.resolve] (which decides exactly as [Ept.translate]). A negative
+   pointer is no address at all and raises [Invalid_argument] from
+   [Addr.Gpa.of_int]. The result is mostly the value vmcs02 already holds
+   ([current]), so it is compared unboxed with that first, and a fresh
+   box is made only for a new value; [merge_controls] does the same. *)
+let translate_pointer ~l1_ept ~current field (v : int64) =
+  if v = 0L then 0L
+  else begin
+    let gpa = Addr.Gpa.of_int (Int64.to_int v) in
+    let h = Ept.resolve l1_ept ~gpa ~access:Ept.Read in
+    if h < 0 then raise (Invalid_pointer (field, v));
+    if (current : int64) = Int64.of_int h then current else Int64.of_int h
+  end
+
+let merge_controls ~current (v : int64) =
+  if (current : int64) = Int64.logor v l0_forced_controls then current
+  else Int64.logor v l0_forced_controls
+
 (* Build/refresh vmcs02 from vmcs12 before resuming L2 (the "entry"
-   transform, Algorithm 1 line 14). Only dirty vmcs12 fields are copied.
-   [l0_ept_pointer] replaces L1's EPT pointer with the shadow EPT L0
-   maintains for L2. *)
+   transform, Algorithm 1 line 14). Only dirty vmcs12 fields are copied,
+   newest first. [l0_ept_pointer] replaces L1's EPT pointer with the
+   shadow EPT L0 maintains for L2. *)
 let entry ~vmcs12 ~vmcs02 ~l1_ept ~l0_ept_pointer =
-  let copied = ref 0 and translated = ref 0 and merged = ref 0 in
-  List.iter
-    (fun f ->
-      let v = Vmcs.peek vmcs12 f in
-      let v' =
-        if Field.equal f Field.Ept_pointer then begin
-          incr translated;
-          l0_ept_pointer
-        end
-        else if Field.is_physical_pointer f then begin
-          incr translated;
-          translate_pointer ~l1_ept f v
-        end
-        else if Field.is_control f then begin
-          incr merged;
-          Int64.logor v l0_forced_controls
-        end
-        else v
-      in
-      Vmcs.write vmcs02 f v';
-      incr copied)
-    (Vmcs.dirty_fields vmcs12);
+  let n = Vmcs.dirty_count vmcs12 in
+  let translated = ref 0 and merged = ref 0 in
+  for k = n - 1 downto 0 do
+    let i = Vmcs.dirty_index vmcs12 k in
+    let f = Field.of_index i in
+    let v = Vmcs.peek vmcs12 f in
+    (* one write per branch: a value bound by a match whose other
+       branches box would be unboxed, and so re-boxed on a plain copy *)
+    match kinds.(i) with
+    | Plain -> Vmcs.write vmcs02 f v
+    | Ept_ptr ->
+        incr translated;
+        Vmcs.write vmcs02 f l0_ept_pointer
+    | Pointer ->
+        incr translated;
+        Vmcs.write vmcs02 f
+          (translate_pointer ~l1_ept ~current:(Vmcs.peek vmcs02 f) f v)
+    | Control ->
+        incr merged;
+        Vmcs.write vmcs02 f (merge_controls ~current:(Vmcs.peek vmcs02 f) v)
+  done;
   Vmcs.clean vmcs12;
-  { fields_copied = !copied; pointers_translated = !translated;
+  { fields_copied = n; pointers_translated = !translated;
     controls_merged = !merged }
 
 (* The fields the exit transform reflects: exit information and guest
    state, in [Field.all] order. *)
 let exit_fields =
-  List.filter (fun f -> Field.is_exit_info f || Field.is_guest_state f) Field.all
+  Array.of_list
+    (List.filter (fun f -> Field.is_exit_info f || Field.is_guest_state f) Field.all)
+
+let exit_result =
+  { fields_copied = Array.length exit_fields; pointers_translated = 0;
+    controls_merged = 0 }
 
 (* Reflect hardware-written exit state from vmcs02 back into vmcs12 after
    an L2 exit (the "exit" transform, Algorithm 1 line 3), so L1 sees the
    trap as if its own hardware had taken it. *)
 let exit ~vmcs02 ~vmcs12 =
-  List.iter (fun f -> Vmcs.write vmcs12 f (Vmcs.peek vmcs02 f)) exit_fields;
+  for k = 0 to Array.length exit_fields - 1 do
+    let f = exit_fields.(k) in
+    Vmcs.write vmcs12 f (Vmcs.peek vmcs02 f)
+  done;
   Vmcs.clean vmcs02;
-  { fields_copied = List.length exit_fields; pointers_translated = 0;
-    controls_merged = 0 }
+  exit_result
 
 (* Cost of a transform in the calibrated model, from the amount of work
    actually performed. *)

@@ -30,9 +30,10 @@ val entry :
   l0_ept_pointer:int64 ->
   result
 (** Build/refresh vmcs02 from vmcs12 before resuming L2: copy the dirty
-    fields, translating pointers through [l1_ept], installing
-    [l0_ept_pointer] (the shadow EPT L0 maintains for L2) and merging
-    controls. Cleans vmcs12. *)
+    fields newest first (so of several invalid pointer fields, the
+    newest raises {!Invalid_pointer}), translating pointers through
+    [l1_ept], installing [l0_ept_pointer] (the shadow EPT L0 maintains
+    for L2) and merging controls. Cleans vmcs12. *)
 
 val exit : vmcs02:Vmcs.t -> vmcs12:Vmcs.t -> result
 (** Reflect hardware-written exit information and guest state from vmcs02

@@ -7,18 +7,23 @@
 
    Field values live in an array indexed by [Field.index]. The dirty set
    is kept twice: as a bitmask over the same index, for the membership
-   test on every write, and as a newest-first list, because that order is
-   the order the entry transform copies (and so validates) fields in. *)
+   test on every write, and as a stack of field indices in first-write
+   order, because newest-first is the order the entry transform copies
+   (and so validates) fields in. Each field enters the stack at most once
+   per clean, so it never holds more than [n_fields] entries. *)
 
 type t = {
   values : int64 array;
-  mutable dirty : Field.t list; (* fields first written since last clean *)
-  mutable dirty_mask : int; (* bit [Field.index f] set iff [f] is in [dirty] *)
+  dirty : int array; (* field indices, oldest first; [n_dirty] live *)
+  mutable n_dirty : int;
+  mutable dirty_mask : int; (* bit [Field.index f] set iff [f] is dirty *)
 }
 
 let n_fields = List.length Field.all
 
-let create () = { values = Array.make n_fields 0L; dirty = []; dirty_mask = 0 }
+let create () =
+  { values = Array.make n_fields 0L; dirty = Array.make n_fields 0;
+    n_dirty = 0; dirty_mask = 0 }
 
 let read t f = t.values.(Field.index f)
 
@@ -31,13 +36,18 @@ let write t f v =
   let bit = 1 lsl i in
   if t.dirty_mask land bit = 0 then begin
     t.dirty_mask <- t.dirty_mask lor bit;
-    t.dirty <- f :: t.dirty
+    t.dirty.(t.n_dirty) <- i;
+    t.n_dirty <- t.n_dirty + 1
   end
 
-let dirty_fields t = t.dirty
+let dirty_count t = t.n_dirty
+let dirty_index t k = t.dirty.(k)
+
+let dirty_fields t =
+  List.init t.n_dirty (fun k -> Field.of_index t.dirty.(t.n_dirty - 1 - k))
 
 let clean t =
-  t.dirty <- [];
+  t.n_dirty <- 0;
   t.dirty_mask <- 0
 
 (* Record exit information, as the hardware does on a VM trap. *)

@@ -24,6 +24,14 @@ val write : t -> Field.t -> int64 -> unit
 val dirty_fields : t -> Field.t list
 (** The fields first written since the last {!clean}, newest first. *)
 
+val dirty_count : t -> int
+(** How many fields are dirty: {!dirty_fields} without the list. *)
+
+val dirty_index : t -> int -> int
+(** [dirty_index t k] is the {!Field.index} of the [k]-th field first
+    written since the last {!clean}, from 0 (the oldest) to
+    [dirty_count t - 1] (the newest). *)
+
 val clean : t -> unit
 
 val record_exit :

@@ -722,6 +722,34 @@ let test_of_config_alloc_guard () =
   in
   checkb (Printf.sprintf "of_config allocates %.1f KB (bound 90)" kb) true (kb <= 90.0)
 
+(* Allocation guard for the nested exit: a baseline L2 MSR_WRITE exit
+   runs the reflection protocol end to end (the exit and entry
+   transforms, the entry checks, the L1 handler with its six aux round
+   trips, every charged leg) and allocates 45 words, the guest's own exit
+   record and the boxed vmcs field values included; under HW SVt, with
+   its 16 hardware-context switches, 49. A closure per leg reads 69
+   words, a script list per exit 134 and a closure per context switch
+   145, so the bound is 60. *)
+let test_nested_exit_alloc_guard () =
+  let exits = 2_000 in
+  List.iter
+    (fun mode ->
+      let sys = l2_stack mode in
+      let words = ref 0. in
+      Vcpu.spawn_program (System.vcpu0 sys) (fun v ->
+          let wrmsr () = Guest.wrmsr v Svt_arch.Msr.Ia32_star 1L in
+          for _ = 1 to 50 do wrmsr () done;
+          Gc.minor ();
+          let before = Gc.minor_words () in
+          for _ = 1 to exits do wrmsr () done;
+          words := Gc.minor_words () -. before);
+      System.run sys;
+      let per_exit = !words /. float_of_int exits in
+      if per_exit > 60. then
+        Alcotest.failf "%.1f words per %s MSR_WRITE exit (at most 60)" per_exit
+          (Mode.name mode))
+    [ Mode.Baseline; Mode.Hw_svt ]
+
 (* A fuel budget below one event is a configuration error, reported
    through the typed [Config.error] front door like every other bad knob
    rather than as an [Invalid_argument] from the simulator. *)
@@ -749,6 +777,8 @@ let () =
         [
           Alcotest.test_case "of_config allocation guard" `Quick
             test_of_config_alloc_guard;
+          Alcotest.test_case "nested exit allocation guard" `Quick
+            test_nested_exit_alloc_guard;
           Alcotest.test_case "zero fuel budget rejected" `Quick
             test_zero_fuel_rejected;
         ] );

@@ -60,6 +60,66 @@ let test_vm_mmio_dispatch () =
   checkb "ram access no handler" true
     (Vm.handle_mmio vm (Svt_mem.Addr.Gpa.of_int 0x100) 0L 4 = None)
 
+(* MMIO dispatch finds the region from the EPT tag of the page, however
+   many regions the address space holds: 600 allocations of 1-3 pages
+   around two BARs, every page of each BAR reaching its own handler, and
+   every other address (RAM, allocated, unmapped) answering None, as a
+   linear scan over the regions recorded here says. *)
+let test_vm_mmio_dispatch_many_regions () =
+  let _, vm, _ = make () in
+  let aspace = Vm.aspace vm in
+  let page = Svt_mem.Addr.page_size in
+  (* (name, base, pages, is_mmio), RAM first *)
+  let regions = ref [ ("ram", 0, (1 lsl 20) / page, false) ] in
+  let alloc i =
+    let pages = 1 + (i mod 3) in
+    let base = Svt_mem.Address_space.alloc_guest_pages aspace pages in
+    regions := ("alloc", Svt_mem.Addr.Gpa.to_int base, pages, false) :: !regions
+  in
+  let bar name pages =
+    let base =
+      Svt_mem.Address_space.add_mmio_region aspace ~name ~len:((pages - 1) * page + 1)
+    in
+    regions := (name, Svt_mem.Addr.Gpa.to_int base, pages, true) :: !regions;
+    Vm.register_mmio vm ~region:name (fun _ value _ ->
+        Some (Int64.add value (Int64.of_int (Hashtbl.hash name))));
+    Svt_mem.Addr.Gpa.to_int base
+  in
+  for i = 1 to 300 do alloc i done;
+  let bar0 = bar "bar0" 3 in
+  for i = 301 to 500 do alloc i done;
+  let bar1 = bar "bar1" 2 in
+  for i = 501 to 600 do alloc i done;
+  let reply name = Some (Int64.add 7L (Int64.of_int (Hashtbl.hash name))) in
+  let dispatch a = Vm.handle_mmio vm (Svt_mem.Addr.Gpa.of_int a) 7L 4 in
+  List.iter
+    (fun (name, base, pages) ->
+      for p = 0 to pages - 1 do
+        List.iter
+          (fun off ->
+            checkb (Printf.sprintf "%s page %d +%#x" name p off) true
+              (dispatch (base + (p * page) + off) = reply name))
+          [ 0; 0x10; page - 4 ]
+      done)
+    [ ("bar0", bar0, 3); ("bar1", bar1, 2) ];
+  let scan a =
+    match
+      List.find_opt (fun (_, base, pages, _) -> a >= base && a < base + (pages * page)) !regions
+    with
+    | Some (name, _, _, true) -> reply name
+    | Some (_, _, _, false) | None -> None
+  in
+  let top = List.fold_left (fun m (_, b, p, _) -> max m (b + (p * page))) 0 !regions in
+  let probes = ref 0 in
+  let a = ref 0x100 in
+  while !a < top + (64 * page) do
+    incr probes;
+    checkb (Printf.sprintf "gpa %#x" !a) true (dispatch !a = scan !a);
+    a := !a + 1021
+  done;
+  checki "regions recorded" 603 (List.length !regions);
+  checkb "probes cover the space" true (!probes > 1000)
+
 (* --- Vcpu ---------------------------------------------------------------------- *)
 
 let test_vcpu_compute_advances_time () =
@@ -224,24 +284,33 @@ let test_semantics_pio_and_vmcall () =
 
 (* --- L1 scripts --------------------------------------------------------------- *)
 
+(* The handler's shape, read from the profile: its two work slices add
+   up to the profile's pure work, it takes the profile's aux traps (six
+   more without VMCS shadowing), and those alternate vmread/vmwrite. *)
 let test_l1_script_default_shape () =
   let cm = Svt_arch.Cost_model.paper_machine in
   let s = L1_script.create cm in
-  let info = Exit.of_action (Exit.Emulate_cpuid { leaf = 1; subleaf = 0; reply = ref None }) in
-  let script = L1_script.script_for s info ~apply:(fun () -> ()) in
-  let works = List.filter (function L1_script.Work _ -> true | _ -> false) script in
-  let auxes = List.filter (function L1_script.Aux _ -> true | _ -> false) script in
-  let effects = List.filter (function L1_script.Effect _ -> true | _ -> false) script in
-  checki "two work slices" 2 (List.length works);
-  checki "cpuid: one aux" 1 (List.length auxes);
-  checki "one effect" 1 (List.length effects);
-  (* total pure work equals the profile *)
-  let total =
-    List.fold_left
-      (fun acc -> function L1_script.Work w -> acc + w | _ -> acc)
-      0 script
-  in
-  checki "pure work" (Svt_arch.Cost_model.profile cm Exit_reason.Cpuid).l1_pure total
+  let unshadowed = L1_script.create ~shadow:Svt_vmcs.Shadow.no_shadowing cm in
+  List.iter
+    (fun r ->
+      let profile = Svt_arch.Cost_model.profile cm r in
+      let name = Exit_reason.name r in
+      checki (name ^ ": head is half the pure work") (profile.l1_pure / 2)
+        (L1_script.head_work s r);
+      checki (name ^ ": head + tail is the pure work") profile.l1_pure
+        (L1_script.head_work s r + L1_script.tail_work s r);
+      checki (name ^ ": aux traps") profile.l1_aux_exits (L1_script.aux_count s r);
+      checki (name ^ ": unshadowed aux traps") (profile.l1_aux_exits + 6)
+        (L1_script.aux_count unshadowed r))
+    Exit_reason.all;
+  checki "cpuid: one aux" 1 (L1_script.aux_count s Exit_reason.Cpuid);
+  checki "msr write: six aux" 6 (L1_script.aux_count s Exit_reason.Msr_write);
+  checki "cpuid pure work" 900
+    (L1_script.head_work s Exit_reason.Cpuid + L1_script.tail_work s Exit_reason.Cpuid);
+  List.iteri
+    (fun i r ->
+      checkb (Printf.sprintf "aux %d" i) true (L1_script.aux_reason i = r))
+    Exit_reason.[ Vmread; Vmwrite; Vmread; Vmwrite; Vmread ]
 
 let test_l1_script_reflection_policy () =
   checkb "cpuid reflects" true (L1_script.reflects Exit_reason.Cpuid);
@@ -257,6 +326,8 @@ let () =
       ( "vm",
         [
           Alcotest.test_case "mmio dispatch" `Quick test_vm_mmio_dispatch;
+          Alcotest.test_case "mmio dispatch among many regions" `Quick
+            test_vm_mmio_dispatch_many_regions;
         ] );
       ( "vcpu",
         [

@@ -357,14 +357,21 @@ let test_aspace_ram_access () =
 
 let test_aspace_mmio_region_faults () =
   let a = make_aspace () in
-  let bar = Aspace.add_mmio_region a ~name:"net-doorbell" ~len:4096 in
+  let bar = Aspace.add_mmio_region a ~name:"net-doorbell" ~len:(2 * 4096 + 1) in
   (match Ept.translate (Aspace.ept a) ~gpa:bar ~access:Ept.Write with
   | Error (Ept.Misconfiguration { tag; _ }) ->
       Alcotest.(check string) "tag" "net-doorbell" tag
   | _ -> Alcotest.fail "doorbell store must misconfig");
-  match Aspace.region_of_gpa a bar with
-  | Some r -> Alcotest.(check string) "region" "net-doorbell" r.Aspace.name
-  | None -> Alcotest.fail "region must exist"
+  (* the region is rounded up to three pages, each tagged with its name,
+     and the page past it is not part of it *)
+  for page = 0 to 2 do
+    match Ept.lookup (Aspace.ept a) (Addr.Gpa.add bar ((page * 4096) + 8)) with
+    | Some (Ept.Misconfig { tag }) ->
+        Alcotest.(check string) "region" "net-doorbell" tag
+    | _ -> Alcotest.failf "page %d of the region must be tagged" page
+  done;
+  checkb "past the region" true
+    (Ept.lookup (Aspace.ept a) (Addr.Gpa.add bar (3 * 4096)) = None)
 
 (* Guest RAM and allocated pages take exactly the frames a per-page
    [Frame_alloc.alloc] sequence hands out. A twin allocator driven

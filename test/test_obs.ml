@@ -448,6 +448,38 @@ let test_profiler_engine_buckets () =
   checkf "other bucket" 1_000.0 (find_row prof "engine;other").Profiler.excl_ns;
   checkf "telescopes" (Profiler.wall_s prof) (Profiler.exclusive_total_s prof)
 
+(* The sink's own bookkeeping is a segment of its own. A fake clock that
+   ticks 1 us and a fake counter that counts 7 words on every read make
+   each read the end of one unit of work: a span close reads both twice,
+   once to close the span's segment and once when its bookkeeping ends,
+   so that one tick per span lands in engine;profiler and nowhere else. *)
+let test_profiler_charges_itself () =
+  let now = ref 0.0 and words = ref 0.0 in
+  let clock () = now := !now +. 1e-6; !now in
+  let count () = words := !words +. 7.0; !words in
+  let prof = Profiler.create ~clock ~words:count () in
+  let ob = Profiler.observer prof in
+  Profiler.start prof;
+  ob.Simulator.on_event_start ();
+  Profiler.sink prof
+    (timed_span Span.Vmcs_transform ~start:100 ~stop:200 ~tags:[ ("leg", "entry") ]);
+  Profiler.sink prof
+    (timed_span Span.Vm_exit ~start:0 ~stop:500 ~tags:[ ("reason", "cpuid") ]);
+  ob.Simulator.on_event_end ();
+  Profiler.stop prof;
+  let self = find_row prof "engine;profiler" in
+  checkf "one tick per span" 2_000.0 self.Profiler.excl_ns;
+  checkf "its words"
+    (2.0 *. 7.0 *. float_of_int (Sys.word_size / 8))
+    self.Profiler.excl_bytes;
+  (* the segment after each span close starts when its bookkeeping ends *)
+  checkf "span after the event start" 1_000.0
+    (find_row prof "vcpu0;vm-exit:cpuid;vmcs-transform:entry").Profiler.excl_ns;
+  checkf "span after the first span's bookkeeping" 1_000.0
+    (find_row prof "vcpu0;vm-exit:cpuid").Profiler.excl_ns;
+  checkf "dispatch tail" 1_000.0 (find_row prof "engine;dispatch").Profiler.excl_ns;
+  checkf "telescopes" (Profiler.wall_s prof) (Profiler.exclusive_total_s prof)
+
 let test_profiler_does_not_perturb () =
   let bare = run_with (fun _ -> ()) in
   let prof = Profiler.create () in
@@ -568,6 +600,8 @@ let () =
             test_profiler_attribution;
           Alcotest.test_case "engine buckets" `Quick
             test_profiler_engine_buckets;
+          Alcotest.test_case "charges its own bookkeeping" `Quick
+            test_profiler_charges_itself;
           Alcotest.test_case "does not perturb" `Quick
             test_profiler_does_not_perturb;
           Alcotest.test_case "allocation total exact" `Quick

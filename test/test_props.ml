@@ -223,17 +223,23 @@ let pp_vmcs_op = function
       Printf.sprintf "record_exit %s %Ld %d" (Exit_reason.name r) q l
   | Read f -> "read " ^ Field.name f
 
+(* Field values over the whole int64 range, with its edges drawn often. *)
+let gen_field_value =
+  QCheck.Gen.(
+    frequency
+      [ (1, oneofl [ 0L; 1L; -1L; Int64.min_int; Int64.max_int ]); (3, int64) ])
+
 let gen_vmcs_op =
   let open QCheck.Gen in
   let field = oneofl Field.all in
   frequency
     [
-      (6, map2 (fun f v -> Write (f, v)) field ui64);
+      (6, map2 (fun f v -> Write (f, v)) field gen_field_value);
       (1, return Clean);
       ( 1,
         map3
           (fun r q l -> Record_exit (r, q, l))
-          (oneofl Exit_reason.all) ui64 (int_bound 15) );
+          (oneofl Exit_reason.all) gen_field_value (int_bound 15) );
       (2, map (fun f -> Read f) field);
     ]
 
@@ -278,6 +284,164 @@ let prop_vmcs_matches_reference =
           | Read f -> ignore (Vmcs.read v f));
           List.for_all (fun f -> Vmcs.read v f = Ref_vmcs.read r f) Field.all
           && Vmcs.dirty_fields v = r.Ref_vmcs.dirty)
+        ops)
+
+(* The vmcs12 <-> vmcs02 transforms over the flat VMCS against the
+   list-based transforms they replaced, run on [Ref_vmcs]: the same
+   dirty fields copied newest first, the same pointer translation
+   through the L1 EPT, the same control merge, the same three counts,
+   and the same failure on the same field. Pointer fields are written
+   with mapped, unmapped, MMIO, null and negative addresses, so one
+   entry often holds several invalid pointers and the copy order decides
+   which one raises. *)
+module Ref_transform = struct
+  module Ept = Svt_mem.Ept
+  module Addr = Svt_mem.Addr
+
+  let translate_pointer ~l1_ept field v =
+    if v = 0L then 0L
+    else begin
+      let gpa = Addr.Gpa.of_int (Int64.to_int v) in
+      match Ept.translate l1_ept ~gpa ~access:Ept.Read with
+      | Ok hpa -> Int64.of_int (Addr.Hpa.to_int hpa)
+      | Error _ -> raise (Svt_vmcs.Transform.Invalid_pointer (field, v))
+    end
+
+  let entry ~vmcs12 ~vmcs02 ~l1_ept ~l0_ept_pointer =
+    let copied = ref 0 and translated = ref 0 and merged = ref 0 in
+    List.iter
+      (fun f ->
+        let v = Ref_vmcs.read vmcs12 f in
+        let v' =
+          if Field.equal f Field.Ept_pointer then begin
+            incr translated;
+            l0_ept_pointer
+          end
+          else if Field.is_physical_pointer f then begin
+            incr translated;
+            translate_pointer ~l1_ept f v
+          end
+          else if Field.is_control f then begin
+            incr merged;
+            Int64.logor v Svt_vmcs.Transform.l0_forced_controls
+          end
+          else v
+        in
+        Ref_vmcs.write vmcs02 f v';
+        incr copied)
+      vmcs12.Ref_vmcs.dirty;
+    Ref_vmcs.clean vmcs12;
+    (!copied, !translated, !merged)
+
+  let exit_fields =
+    List.filter (fun f -> Field.is_exit_info f || Field.is_guest_state f) Field.all
+
+  let exit ~vmcs02 ~vmcs12 =
+    List.iter (fun f -> Ref_vmcs.write vmcs12 f (Ref_vmcs.read vmcs02 f)) exit_fields;
+    Ref_vmcs.clean vmcs02;
+    (List.length exit_fields, 0, 0)
+end
+
+type transform_op =
+  | Write12 of Field.t * int64
+  | Write02 of Field.t * int64
+  | Entry
+  | Exit
+
+let pp_transform_op = function
+  | Write12 (f, v) -> Printf.sprintf "vmcs12 %s=%Ld" (Field.name f) v
+  | Write02 (f, v) -> Printf.sprintf "vmcs02 %s=%Ld" (Field.name f) v
+  | Entry -> "entry"
+  | Exit -> "exit"
+
+(* An L1 address space of 16 RAM pages, two allocated pages above them
+   and a one-page MMIO region above those. *)
+let transform_l1 () =
+  let mem = Svt_mem.Phys_mem.create () in
+  let alloc = Svt_mem.Frame_alloc.create ~base:(1 lsl 30) ~size_bytes:(1 lsl 24) in
+  let a = Svt_mem.Address_space.create ~mem ~alloc ~ram_bytes:(16 * 4096) in
+  ignore (Svt_mem.Address_space.alloc_guest_pages a 2);
+  ignore (Svt_mem.Address_space.add_mmio_region a ~name:"bar" ~len:4096);
+  Svt_mem.Address_space.ept a
+
+let gen_transform_op =
+  let open QCheck.Gen in
+  let pointer_fields = List.filter Field.is_physical_pointer Field.all in
+  let pointer =
+    frequency
+      [
+        (3, map (fun p -> Int64.of_int ((p * 4096) + 64)) (int_bound 17));
+        (1, return (Int64.of_int (18 * 4096))) (* the MMIO page *);
+        (1, map (fun p -> Int64.of_int ((19 + p) * 4096)) (int_bound 100))
+        (* unmapped *);
+        (1, oneofl [ 0L; -1L; Int64.min_int ]);
+      ]
+  in
+  let write12 =
+    frequency
+      [
+        (2, pair (oneofl pointer_fields) pointer);
+        (3, pair (oneofl Field.all) gen_field_value);
+      ]
+  in
+  frequency
+    [
+      (6, map (fun (f, v) -> Write12 (f, v)) write12);
+      (2, map2 (fun f v -> Write02 (f, v)) (oneofl Field.all) gen_field_value);
+      (2, return Entry);
+      (1, return Exit);
+    ]
+
+let prop_transform_matches_reference =
+  QCheck.Test.make ~name:"transforms match the list-based reference" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_transform_op ops))
+       QCheck.Gen.(list_size (int_range 1 40) gen_transform_op))
+    (fun ops ->
+      let l1_ept = transform_l1 () in
+      let l0_ept_pointer = 0x7EF0000L in
+      let v12 = Vmcs.create () and v02 = Vmcs.create () in
+      let r12 = Ref_vmcs.create () and r02 = Ref_vmcs.create () in
+      let same v r =
+        List.for_all (fun f -> Vmcs.read v f = Ref_vmcs.read r f) Field.all
+        && Vmcs.dirty_fields v = r.Ref_vmcs.dirty
+      in
+      let outcome f =
+        match f () with
+        | counts -> Ok counts
+        | exception Svt_vmcs.Transform.Invalid_pointer (fld, v) ->
+            Error (Field.name fld ^ "=" ^ Int64.to_string v)
+        | exception Invalid_argument msg -> Error msg
+      in
+      let counts (r : Svt_vmcs.Transform.result) =
+        (r.fields_copied, r.pointers_translated, r.controls_merged)
+      in
+      List.for_all
+        (fun op ->
+          let agree =
+            match op with
+            | Write12 (f, v) ->
+                Vmcs.write v12 f v;
+                Ref_vmcs.write r12 f v;
+                true
+            | Write02 (f, v) ->
+                Vmcs.write v02 f v;
+                Ref_vmcs.write r02 f v;
+                true
+            | Entry ->
+                outcome (fun () ->
+                    counts
+                      (Svt_vmcs.Transform.entry ~vmcs12:v12 ~vmcs02:v02 ~l1_ept
+                         ~l0_ept_pointer))
+                = outcome (fun () ->
+                      Ref_transform.entry ~vmcs12:r12 ~vmcs02:r02 ~l1_ept
+                        ~l0_ept_pointer)
+            | Exit ->
+                outcome (fun () ->
+                    counts (Svt_vmcs.Transform.exit ~vmcs02:v02 ~vmcs12:v12))
+                = outcome (fun () -> Ref_transform.exit ~vmcs02:r02 ~vmcs12:r12)
+          in
+          agree && same v12 r12 && same v02 r02)
         ops)
 
 (* Every virtqueue buffer posted is eventually collectable exactly once,
@@ -656,6 +820,7 @@ let () =
             prop_core_single_active;
             prop_transform_incremental;
             prop_vmcs_matches_reference;
+            prop_transform_matches_reference;
             prop_virtqueue_conservation;
             prop_fabric_ordering;
             prop_cpuid_view_monotone;
