@@ -57,20 +57,19 @@ let page_for t hpa =
   else materialize t pn
 
 (* Range copies between host memory and a caller's buffer: one page lookup
-   and one blit per 4 KB page. *)
+   and one blit per 4 KB page, and no allocation. *)
 let blit_range ~name ~into_buf t hpa buf ~off ~len =
   if off < 0 || len < 0 || off > Bytes.length buf - len then invalid_arg name;
-  let rec go hpa off len =
-    if len > 0 then begin
-      let po = Addr.Hpa.offset hpa in
-      let n = Stdlib.min len (Addr.page_size - po) in
-      let page = page_for t hpa in
-      if into_buf then Bytes.blit page po buf off n
-      else Bytes.blit buf off page po n;
-      go (Addr.Hpa.add hpa n) (off + n) (len - n)
-    end
-  in
-  go hpa off len
+  let copied = ref 0 in
+  while !copied < len do
+    let h = Addr.Hpa.add hpa !copied in
+    let po = Addr.Hpa.offset h in
+    let n = Stdlib.min (len - !copied) (Addr.page_size - po) in
+    let page = page_for t h in
+    if into_buf then Bytes.blit page po buf (off + !copied) n
+    else Bytes.blit buf (off + !copied) page po n;
+    copied := !copied + n
+  done
 
 let read_into t hpa buf ~off ~len =
   blit_range ~name:"Phys_mem.read_into" ~into_buf:true t hpa buf ~off ~len

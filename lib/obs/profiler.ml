@@ -64,6 +64,7 @@ type t = {
   clock : unit -> float; (* host seconds *)
   words : unit -> float; (* allocated words so far (monotonic) *)
   root : node;
+  engine_setup : node; (* from [start] to the first event *)
   engine_queue : node; (* between-event engine bookkeeping *)
   engine_dispatch : node; (* in-event work after the last span close *)
   engine_other : node; (* outside the event loop (setup, metric assembly) *)
@@ -93,6 +94,7 @@ let create ?(clock = default_clock) ?(words = default_words) () =
     {
       clock; words;
       root = new_node ();
+      engine_setup = new_node ();
       engine_queue = new_node ();
       engine_dispatch = new_node ();
       engine_other = new_node ();
@@ -107,6 +109,7 @@ let create ?(clock = default_clock) ?(words = default_words) () =
   in
   let engine = new_node () in
   attach t.root "engine" engine;
+  attach engine "setup" t.engine_setup;
   attach engine "queue" t.engine_queue;
   attach engine "dispatch" t.engine_dispatch;
   attach engine "other" t.engine_other;
@@ -205,7 +208,9 @@ let observer t =
     Simulator.on_event_start =
       (fun () ->
         if t.running then begin
-          segment t t.engine_queue;
+          (* before the first event the region is still building the
+             run (devices, guest programs), not serving the queue *)
+          segment t (if t.events = 0 then t.engine_setup else t.engine_queue);
           t.in_event <- true;
           t.events <- t.events + 1
         end);

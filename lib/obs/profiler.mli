@@ -10,7 +10,8 @@
     Attribution is segment-based: the host time (and minor-heap
     allocation) between two consecutive transition points — a span
     close, or a dispatch hook — is charged exclusively to the span
-    closing the segment; engine bookkeeping between events lands under
+    closing the segment; the work from {!start} to the first event
+    lands under [engine;setup], engine bookkeeping between events under
     [engine;queue], post-span event tails under [engine;dispatch], and
     everything outside the event loop under [engine;other], and the
     sink's own bookkeeping after each span close under

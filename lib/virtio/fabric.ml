@@ -8,7 +8,7 @@ module Time = Svt_engine.Time
 
 type endpoint = {
   name : string;
-  mutable deliver : Bytes.t -> unit; (* invoked at arrival time *)
+  mutable deliver : string -> unit; (* invoked at arrival time *)
 }
 
 type t = {
@@ -34,22 +34,18 @@ let endpoint_a t = t.a
 let endpoint_b t = t.b
 let on_deliver ep f = ep.deliver <- f
 
-let send t ~from (pkt : Bytes.t) =
-  let len = Bytes.length pkt in
+let send t ~from (pkt : string) =
+  let len = String.length pkt in
   let serialize = Svt_arch.Cost_model.wire_serialize t.cost ~bytes:len in
   let now = Simulator.now t.sim in
-  let dest, start =
-    if from == t.a then begin
-      let s = Time.max now t.busy_until_ab in
-      t.busy_until_ab <- Time.add s serialize;
-      (t.b, s)
-    end
-    else begin
-      let s = Time.max now t.busy_until_ba in
-      t.busy_until_ba <- Time.add s serialize;
-      (t.a, s)
-    end
+  let a_to_b = from == t.a in
+  let start =
+    Time.max now (if a_to_b then t.busy_until_ab else t.busy_until_ba)
   in
+  let busy_until = Time.add start serialize in
+  if a_to_b then t.busy_until_ab <- busy_until
+  else t.busy_until_ba <- busy_until;
+  let dest = if a_to_b then t.b else t.a in
   let arrival =
     Time.add (Time.add start serialize) t.cost.Svt_arch.Cost_model.nic_wire_latency
   in

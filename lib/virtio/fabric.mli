@@ -16,9 +16,11 @@ val create :
 val endpoint_a : t -> endpoint
 val endpoint_b : t -> endpoint
 
-val on_deliver : endpoint -> (bytes -> unit) -> unit
+val on_deliver : endpoint -> (string -> unit) -> unit
 (** Callback invoked at arrival time (scheduler context, not a process). *)
 
-val send : t -> from:endpoint -> bytes -> unit
+val send : t -> from:endpoint -> string -> unit
 (** Transmit toward the other endpoint; returns immediately (the wire
-    occupancy is tracked internally). *)
+    occupancy is tracked internally). Packets are immutable, so one
+    packet may be in flight many times over and no receiver can change
+    what another event still holds. *)

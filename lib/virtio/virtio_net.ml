@@ -25,20 +25,23 @@ type t = {
   doorbell : Gpa.t;
   kick : Signal.t;
   rx_ready : Signal.t; (* completion arrived for the driver *)
-  mutable tx_sink : Bytes.t -> unit;
+  mutable tx_sink : string -> unit;
   mutable raise_irq : unit -> unit;
   mutable backend_asleep : bool;
   (* EVENT_IDX-style notification suppression: the driver only kicks when
      the backend has announced it is going to sleep *)
   rx_buf_len : int;
-  (* preallocated TX buffer pool, reused round-robin; the ring size caps
-     the number in flight well below the pool size *)
-  tx_pool : Gpa.t array;
-  mutable tx_pool_next : int;
+  (* one TX buffer per descriptor: a buffer is rewritten only after its
+     descriptor has completed *)
+  tx_bufs : Gpa.t array;
+  (* vhost's read buffer, and the last packet it sent *)
+  mutable tx_scratch : Bytes.t;
+  mutable tx_last : string;
 }
 
 let queue_size = 256
 let rx_buffer_bytes = 2048
+let tx_buffer_pages = 4 (* up to 16 KB frames *)
 
 let doorbell_region name = name ^ "-doorbell"
 
@@ -61,10 +64,11 @@ let create ~machine ~vm ~name =
       tx_sink = ignore;
       raise_irq = ignore;
       rx_buf_len = rx_buffer_bytes;
-      tx_pool =
-        Array.init (2 * queue_size) (fun _ ->
-            Aspace.alloc_guest_pages aspace 4 (* up to 16 KB frames *));
-      tx_pool_next = 0;
+      tx_bufs =
+        Array.init queue_size (fun _ ->
+            Aspace.alloc_guest_pages aspace tx_buffer_pages);
+      tx_scratch = Bytes.empty;
+      tx_last = "";
     }
   in
   (* The doorbell MMIO handler: runs as the semantic effect of the guest's
@@ -102,14 +106,16 @@ let rec driver_reclaim_tx t =
 let driver_transmit t (pkt : Bytes.t) =
   driver_reclaim_tx t;
   let len = Bytes.length pkt in
-  if len > 4 * Svt_mem.Addr.page_size then
+  if len > tx_buffer_pages * Svt_mem.Addr.page_size then
     invalid_arg "virtio-net: packet larger than a TX buffer";
-  let addr = t.tx_pool.(t.tx_pool_next) in
-  t.tx_pool_next <- (t.tx_pool_next + 1) mod Array.length t.tx_pool;
-  Aspace.write_bytes (aspace t) addr pkt;
-  match Virtqueue.push_avail t.tx ~addr ~len ~device_writable:false with
-  | Some _ -> true
+  match Virtqueue.next_free t.tx with
   | None -> false
+  | Some d -> (
+      let addr = t.tx_bufs.(d) in
+      Aspace.write_bytes (aspace t) addr pkt;
+      match Virtqueue.push_avail t.tx ~addr ~len ~device_writable:false with
+      | Some i when i = d -> true
+      | Some _ | None -> assert false)
 
 (* Post [n] empty RX buffers for the device to fill. *)
 let driver_fill_rx t n =
@@ -142,16 +148,36 @@ let driver_receive t =
 (* Deliver a packet from the outside into the guest: fill a posted RX
    buffer, complete it and raise the interrupt. Drops when the guest has
    no buffers (as real NICs do under overrun). *)
-let backend_deliver t (pkt : Bytes.t) =
+let backend_deliver t (pkt : string) =
   match Virtqueue.pop_avail t.rx with
   | None -> ()
   | Some (id, addr, cap, _writable) ->
-      let len = min (Bytes.length pkt) cap in
-      let payload = if len < Bytes.length pkt then Bytes.sub pkt 0 len else pkt in
-      Aspace.write_bytes (aspace t) addr payload;
+      let len = min (String.length pkt) cap in
+      let payload = if len < String.length pkt then String.sub pkt 0 len else pkt in
+      (* [write_bytes] only reads its source, so the packet stays intact *)
+      Aspace.write_bytes (aspace t) addr (Bytes.unsafe_of_string payload);
       Virtqueue.push_used t.rx ~id ~len;
       Signal.broadcast t.rx_ready;
       t.raise_irq ()
+
+(* Read the [len]-byte TX packet at [addr] as a wire packet. The bytes
+   land in the reused scratch buffer; when they equal the last packet
+   sent, that same string goes out again, so a bulk stream of identical
+   payloads reads every packet into one buffer and allocates nothing. A
+   new payload keeps the buffer it was read into as its string (it is
+   never written again), and the next read makes a fresh scratch. *)
+let read_tx t addr len =
+  let buf =
+    if Bytes.length t.tx_scratch = len then t.tx_scratch else Bytes.create len
+  in
+  Aspace.read_into (aspace t) addr buf;
+  let pkt = Bytes.unsafe_to_string buf in
+  if String.equal pkt t.tx_last then t.tx_scratch <- buf
+  else begin
+    t.tx_last <- pkt;
+    t.tx_scratch <- Bytes.empty
+  end;
+  t.tx_last
 
 (* The vhost worker process: waits for kicks and drains the TX ring,
    paying the host-side costs, then forwards each packet to the sink. *)
@@ -164,7 +190,7 @@ let start_backend t =
         | None -> ignore n
         | Some (id, addr, len, _) ->
             Proc.delay t.cost.Svt_arch.Cost_model.virtio_queue_op;
-            let pkt = Aspace.read_bytes (aspace t) addr len in
+            let pkt = read_tx t addr len in
             Virtqueue.push_used t.tx ~id ~len;
             t.tx_sink pkt;
             drain (n + 1)

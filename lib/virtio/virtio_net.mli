@@ -18,9 +18,11 @@ val create : machine:Svt_hyp.Machine.t -> vm:Svt_hyp.Vm.t -> name:string -> t
 
 val doorbell_gpa : t -> Svt_mem.Addr.Gpa.t
 
-val set_tx_sink : t -> (bytes -> unit) -> unit
+val set_tx_sink : t -> (string -> unit) -> unit
 (** Where transmitted packets go (the fabric, or L1's forwarding path).
-    Runs in the backend process, so it may delay. *)
+    Runs in the backend process, so it may delay. Packets are immutable
+    wire packets: a TX payload equal to the one before it is handed over
+    as the same string. *)
 
 val set_raise_irq : t -> (unit -> unit) -> unit
 (** Completion interrupt into the guest. *)
@@ -31,9 +33,10 @@ val start_backend : t -> unit
 (** {2 Guest driver side} *)
 
 val driver_transmit : t -> bytes -> bool
-(** Queue a packet on TX (reclaiming completed descriptors first); the
-    caller must then kick the doorbell if {!need_kick}. [false] when the
-    ring is full. *)
+(** Queue a packet on TX (reclaiming completed descriptors first): it is
+    copied into the guest buffer of the descriptor it takes, one 16 KB
+    buffer per descriptor. The caller must then kick the doorbell if
+    {!need_kick}. [false] when the ring is full. *)
 
 val need_kick : t -> bool
 (** Whether the backend has parked and needs a doorbell. *)
@@ -48,6 +51,6 @@ val driver_receive : t -> bytes option
 
 (** {2 Backend side} *)
 
-val backend_deliver : t -> bytes -> unit
+val backend_deliver : t -> string -> unit
 (** Deliver a packet from the outside into a posted RX buffer, complete
     it and raise the interrupt; drops on RX overrun as real NICs do. *)

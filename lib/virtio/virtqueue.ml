@@ -22,7 +22,7 @@ type t = {
   mutable last_used : int; (* driver's completion cursor *)
   mutable free_head : int;
   free : bool array; (* descriptor allocation map (driver side) *)
-  mutable last_used_addr_v : Gpa.t option;
+  mutable last_used_addr_v : int; (* a gpa; -1 before any completion *)
 }
 
 let desc_entry_size = 16
@@ -47,7 +47,7 @@ let create ~aspace ~size =
     last_used = 0;
     free_head = 0;
     free = Array.make size true;
-    last_used_addr_v = None;
+    last_used_addr_v = -1;
   }
 
 let desc_addr t i = Gpa.add t.desc (i * desc_entry_size)
@@ -59,26 +59,21 @@ let write_desc t i ~addr ~len ~flags ~next =
   Aspace.write_u16 t.aspace (Gpa.add d 12) flags;
   Aspace.write_u16 t.aspace (Gpa.add d 14) next
 
-let read_desc t i =
-  let d = desc_addr t i in
-  let addr = Gpa.of_int (Aspace.read_u64 t.aspace d) in
-  let len = Aspace.read_u32 t.aspace (Gpa.add d 8) in
-  let flags = Aspace.read_u16 t.aspace (Gpa.add d 12) in
-  let next = Aspace.read_u16 t.aspace (Gpa.add d 14) in
-  (addr, len, flags, next)
+(* Driver side: the descriptor the next [push_avail] will take. *)
+let rec find_free t i n =
+  if n = 0 then None
+  else if t.free.(i) then Some i
+  else find_free t ((i + 1) mod t.size) (n - 1)
+
+let next_free t = find_free t t.free_head t.size
 
 let alloc_desc t =
-  let rec find i n =
-    if n = 0 then None
-    else if t.free.(i) then Some i
-    else find ((i + 1) mod t.size) (n - 1)
-  in
-  match find t.free_head t.size with
+  match next_free t with
   | None -> None
-  | Some i ->
+  | Some i as d ->
       t.free.(i) <- false;
       t.free_head <- (i + 1) mod t.size;
-      Some i
+      d
 
 let free_desc t i = t.free.(i) <- true
 
@@ -87,14 +82,14 @@ let free_desc t i = t.free.(i) <- true
 let push_avail t ~addr ~len ~device_writable =
   match alloc_desc t with
   | None -> None
-  | Some i ->
+  | Some i as d ->
       let flags = if device_writable then 2 (* VRING_DESC_F_WRITE *) else 0 in
       write_desc t i ~addr ~len ~flags ~next:0;
       let slot = t.avail_shadow land (t.size - 1) in
       Aspace.write_u16 t.aspace (Gpa.add t.avail (4 + (2 * slot))) i;
       t.avail_shadow <- (t.avail_shadow + 1) land 0xFFFF;
       Aspace.write_u16 t.aspace (Gpa.add t.avail 2) t.avail_shadow;
-      Some i
+      d
 
 (* Device side: number of buffers the driver has made available. *)
 let avail_pending t =
@@ -108,7 +103,10 @@ let pop_avail t =
     let slot = t.last_avail land (t.size - 1) in
     let i = Aspace.read_u16 t.aspace (Gpa.add t.avail (4 + (2 * slot))) in
     t.last_avail <- (t.last_avail + 1) land 0xFFFF;
-    let addr, len, flags, _ = read_desc t i in
+    let d = desc_addr t i in
+    let addr = Gpa.of_int (Aspace.read_u64 t.aspace d) in
+    let len = Aspace.read_u32 t.aspace (Gpa.add d 8) in
+    let flags = Aspace.read_u16 t.aspace (Gpa.add d 12) in
     Some (i, addr, len, flags land 2 <> 0)
   end
 
@@ -131,12 +129,12 @@ let pop_used t =
     let id = Aspace.read_u32 t.aspace entry in
     let len = Aspace.read_u32 t.aspace (Gpa.add entry 4) in
     t.last_used <- (t.last_used + 1) land 0xFFFF;
-    let addr, _, _, _ = read_desc t id in
-    t.last_used_addr_v <- Some addr;
+    t.last_used_addr_v <- Aspace.read_u64 t.aspace (desc_addr t id);
     free_desc t id;
     Some (id, len)
   end
 
 (* Buffer address of the most recently collected completion; how a driver
    without a side table locates the payload. *)
-let last_used_addr t = t.last_used_addr_v
+let last_used_addr t =
+  if t.last_used_addr_v < 0 then None else Some (Gpa.of_int t.last_used_addr_v)

@@ -16,6 +16,11 @@ val push_avail :
 (** Expose a buffer to the device; returns the descriptor index, or
     [None] when the ring is full. *)
 
+val next_free : t -> int option
+(** The descriptor the next {!push_avail} will take, or [None] when the
+    ring is full. A driver that keeps one buffer per descriptor writes
+    the packet into that descriptor's buffer before pushing it. *)
+
 val pop_used : t -> (int * int) option
 (** Collect one completion as [(descriptor id, written length)]. *)
 

@@ -39,7 +39,7 @@ let encode_request ~is_get ~id ~rank ~vsize =
   Bytes.set_int32_le b 1 (Int32.of_int id);
   Bytes.set_int32_le b 5 (Int32.of_int rank);
   Bytes.set_int32_le b 9 (Int32.of_int vsize);
-  b
+  Bytes.unsafe_to_string b
 
 type request = { is_get : bool; id : int; rank : int; vsize : int }
 
@@ -136,8 +136,8 @@ let run_point ?(duration = Time.of_ms 60) ~qps sys =
   Array.iter
     (fun (_, fabric) ->
       Fabric.on_deliver (Fabric.endpoint_b fabric) (fun pkt ->
-          if Bytes.length pkt >= 5 && Bytes.get pkt 0 = 'R' then begin
-            let id = Int32.to_int (Bytes.get_int32_le pkt 1) in
+          if String.length pkt >= 5 && pkt.[0] = 'R' then begin
+            let id = Int32.to_int (String.get_int32_le pkt 1) in
             match Hashtbl.find_opt in_flight id with
             | Some t0 ->
                 Hashtbl.remove in_flight id;

@@ -12,7 +12,7 @@ val value_size : Svt_engine.Prng.t -> int
 
 type request = { is_get : bool; id : int; rank : int; vsize : int }
 
-val encode_request : is_get:bool -> id:int -> rank:int -> vsize:int -> bytes
+val encode_request : is_get:bool -> id:int -> rank:int -> vsize:int -> string
 val decode_request : bytes -> request
 
 type point = {

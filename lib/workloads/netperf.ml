@@ -21,6 +21,10 @@ let rr_packet_bytes = 1
 let stream_packet_bytes = 16 * 1024
 let ack_every = 8 (* delayed-ACK ratio for streams (GRO-grade coalescing) *)
 
+(* The client's packets never change, so each is one immutable value. *)
+let rr_request = String.make rr_packet_bytes 'R'
+let ack = "A"
+
 (* Transmit one packet from the guest: socket write, ring push, and a
    doorbell kick only when the device backend has parked (EVENT_IDX
    notification suppression). *)
@@ -85,18 +89,18 @@ let run_rr ?(transactions = 400) sys =
   Simulator.spawn sim ~name:"netperf-client" (fun () ->
       for _ = 1 to transactions do
         let t0 = Proc.now () in
-        Fabric.send fabric ~from:client (Bytes.make rr_packet_bytes 'R');
+        Fabric.send fabric ~from:client rr_request;
         (* skip the server's pure TCP ACK; the response payload is 'S' *)
         let rec await () =
           let pkt = Simulator.Mailbox.recv response in
-          if Bytes.length pkt > 0 && Bytes.get pkt 0 = 'S' then () else await ()
+          if String.length pkt > 0 && pkt.[0] = 'S' then () else await ()
         in
         await ();
         Svt_stats.Histogram.add rtts (Time.to_ns (Time.diff (Proc.now ()) t0))
       done;
       finished := true;
       (* wake the server so its loop can observe the flag and finish *)
-      Fabric.send fabric ~from:client (Bytes.make rr_packet_bytes 'A'));
+      Fabric.send fabric ~from:client ack);
   System.run sys;
   {
     mean_rtt_us = Svt_stats.Histogram.mean rtts /. 1000.0;
@@ -120,13 +124,13 @@ let run_stream ?(duration = Time.of_ms 30) sys =
   let client = Fabric.endpoint_b fabric in
   let unacked = ref 0 in
   Fabric.on_deliver client (fun pkt ->
-      received := !received + Bytes.length pkt;
+      received := !received + String.length pkt;
       incr packets;
       last_delivery := Svt_engine.Simulator.now (System.sim sys);
       incr unacked;
       if !unacked >= ack_every then begin
         unacked := 0;
-        Fabric.send fabric ~from:client (Bytes.make 1 'A')
+        Fabric.send fabric ~from:client ack
       end);
   let started = ref Time.zero in
   Vcpu.spawn_program vcpu (fun v ->

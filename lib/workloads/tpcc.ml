@@ -168,6 +168,8 @@ let run ?(duration = Time.of_ms 400) sys =
   Vcpu.register_isr vcpu ~vector:System.blk_vector (fun () -> ());
   (* client: issues statements back-to-back (sysbench with 1 thread) *)
   let to_server pkt = Fabric.send fabric ~from:(Fabric.endpoint_b fabric) pkt in
+  (* statements are fixed 64-byte packets: one immutable value each *)
+  let query = String.make 64 'Q' and commit = String.make 64 'C' in
   let responses = Simulator.Mailbox.create (System.sim sys) in
   Fabric.on_deliver (Fabric.endpoint_b fabric) (fun pkt ->
       Simulator.Mailbox.send responses pkt);
@@ -209,20 +211,20 @@ let run ?(duration = Time.of_ms 400) sys =
         let kind = pick_kind rng in
         let stmts = statements_of kind in
         for _ = 1 to stmts - 1 do
-          to_server (Bytes.make 64 'Q');
+          to_server query;
           ignore (Simulator.Mailbox.recv responses)
         done;
         (* engine work happens server-side; we account it under the last
            statement by running it here before the commit exchange *)
         engine_work db rng wal kind;
-        to_server (Bytes.make 64 (if is_read_write kind then 'C' else 'Q'));
+        to_server (if is_read_write kind then commit else query);
         ignore (Simulator.Mailbox.recv responses);
         incr txns;
         if kind = New_order then incr new_orders
       done;
       elapsed := Time.diff (Proc.now ()) t0;
       finished := true;
-      to_server (Bytes.make 64 'Q') (* wake the server to observe the flag *));
+      to_server query (* wake the server to observe the flag *));
   System.run sys;
   let minutes = Time.to_sec_f !elapsed /. 60.0 in
   {

@@ -439,13 +439,50 @@ let test_profiler_engine_buckets () =
   ob.Simulator.on_event_start ();
   now := 5e-6;
   ob.Simulator.on_event_end ();
-  now := 6e-6;
+  now := 7e-6;
+  ob.Simulator.on_event_start ();
+  now := 8e-6;
+  ob.Simulator.on_event_end ();
+  now := 9e-6;
   Profiler.stop prof;
-  checki "events counted" 1 (Profiler.events prof);
+  checki "events counted" 2 (Profiler.events prof);
+  checkf "setup bucket" 2_000.0 (find_row prof "engine;setup").Profiler.excl_ns;
   checkf "queue bucket" 2_000.0 (find_row prof "engine;queue").Profiler.excl_ns;
-  checkf "dispatch bucket" 3_000.0
+  checkf "dispatch bucket" 4_000.0
     (find_row prof "engine;dispatch").Profiler.excl_ns;
   checkf "other bucket" 1_000.0 (find_row prof "engine;other").Profiler.excl_ns;
+  checkf "telescopes" (Profiler.wall_s prof) (Profiler.exclusive_total_s prof)
+
+(* The work between [start] and the first event builds the run (devices,
+   guest programs); it lands in engine;setup, and engine;queue gets only
+   the gaps between events. *)
+let test_profiler_setup_bucket () =
+  let now = ref 0.0 and words = ref 0.0 in
+  let prof =
+    Profiler.create ~clock:(fun () -> !now) ~words:(fun () -> !words) ()
+  in
+  let ob = Profiler.observer prof in
+  Profiler.start prof;
+  now := 40e-6;
+  words := 500.0;
+  ob.Simulator.on_event_start ();
+  now := 41e-6;
+  words := 510.0;
+  ob.Simulator.on_event_end ();
+  now := 43e-6;
+  words := 514.0;
+  ob.Simulator.on_event_start ();
+  now := 44e-6;
+  ob.Simulator.on_event_end ();
+  Profiler.stop prof;
+  let word_bytes = float_of_int (Sys.word_size / 8) in
+  let setup = find_row prof "engine;setup" in
+  checkf "ticks before the first event" 40_000.0 setup.Profiler.excl_ns;
+  checkf "words before the first event" (500.0 *. word_bytes)
+    setup.Profiler.excl_bytes;
+  let queue = find_row prof "engine;queue" in
+  checkf "queue: the gap between the events" 2_000.0 queue.Profiler.excl_ns;
+  checkf "queue words" (4.0 *. word_bytes) queue.Profiler.excl_bytes;
   checkf "telescopes" (Profiler.wall_s prof) (Profiler.exclusive_total_s prof)
 
 (* The sink's own bookkeeping is a segment of its own. A fake clock that
@@ -600,6 +637,8 @@ let () =
             test_profiler_attribution;
           Alcotest.test_case "engine buckets" `Quick
             test_profiler_engine_buckets;
+          Alcotest.test_case "set-up before the first event" `Quick
+            test_profiler_setup_bucket;
           Alcotest.test_case "charges its own bookkeeping" `Quick
             test_profiler_charges_itself;
           Alcotest.test_case "does not perturb" `Quick

@@ -144,7 +144,7 @@ let prop_btree_mixed_ops_invariants =
 
 let test_etc_request_codec () =
   let b = Etc.encode_request ~is_get:true ~id:4242 ~rank:17 ~vsize:300 in
-  let r = Etc.decode_request b in
+  let r = Etc.decode_request (Bytes.of_string b) in
   checkb "get" true r.Etc.is_get;
   checki "id" 4242 r.Etc.id;
   checki "rank" 17 r.Etc.rank;
