@@ -9,11 +9,10 @@
        svt_sim run -w rr --mode sw-svt --seed 7 --fault drop-ring:0.05
        svt_sim trace -w etc --mode sw-svt --out etc.json
        svt_sim sweep --axis mode=baseline,sw-svt,hw-svt --axis level=l1,l2
-       svt_sim fig6 --arch arm
+       svt_sim paper fig6 --arch arm
        svt_sim blocked-demo
 
-   (The bench harness `bench/main.exe` drives the same code to regenerate
-   the paper's tables and figures wholesale.) *)
+   `paper` regenerates the paper's tables and figures (bin/paper.ml). *)
 
 open Cmdliner
 module Time = Svt_engine.Time
@@ -901,46 +900,31 @@ let fuzz_cmd =
           $ resume_arg $ max_rounds_arg $ budget_arg $ allow_hlt_arg
           $ quiet_arg)
 
-(* ---- the Figure 6 strategy table (byte-deterministic) ---- *)
+(* ---- the paper's tables and figures ---- *)
 
-(* The three-strategy comparison in one table: baseline reflection at
-   every level, SVt acceleration (SW and HW), delegation (OoH) and the
-   full-nesting upper bound. Everything in it is simulated, so two runs
-   produce byte-identical output: `dune runtest` diffs the x86 and ARM
-   tables against test/expected. *)
-let fig6_cmd =
-  let module Microbench = Svt_workloads.Microbench in
-  let run arch =
-    let rows =
-      Microbench.fig6 ~arch ()
-    in
-    Printf.printf "%-16s %10s %15s\n" "config" "time(us)" "overhead-vs-L0";
-    List.iter
-      (fun r ->
-        Printf.printf "%-16s %10.3f %14.2fx\n" r.Microbench.label
-          r.Microbench.time_us r.Microbench.overhead_vs_l0)
-      rows;
-    (* Per-exit latency profile: nested baseline vs this backend's SVt,
-       with the backend's own exit spellings. On ARM every baseline row
-       is costlier and every speedup larger — the claim
-       test/expected/arm-fig6.expected pins byte-for-byte. *)
-    let exits = Microbench.per_exit_table ~arch () in
-    Printf.printf "\nper-exit L2 latency [%s]\n"
-      (Svt_arch.Backend.display_name arch);
-    Printf.printf "%-16s %12s %10s %9s\n" "exit" "baseline(us)" "svt(us)"
-      "speedup";
-    List.iter
-      (fun r ->
-        Printf.printf "%-16s %12.3f %10.3f %8.2fx\n" r.Microbench.exit_label
-          r.Microbench.baseline_us r.Microbench.svt_us r.Microbench.speedup)
-      exits
+let paper_cmd =
+  let sections =
+    Arg.(value & pos_all (enum (List.map (fun (n, _) -> (n, n)) Paper.sections)) []
+         & info [] ~docv:"SECTION"
+             ~doc:("Sections to run, in table order (default: all): "
+                   ^ doc_alts (List.map fst Paper.sections) ^ "."))
   in
+  let quick =
+    Arg.(value & flag
+         & info [ "quick" ] ~doc:"Shorter runs for fig7, fig8, fig9 and fig10.")
+  in
+  let jobs =
+    Arg.(value & opt pos_int 1
+         & info [ "j"; "jobs" ] ~docv:"N"
+             ~doc:"Worker domains for the fig7 and fig10 run matrices; the \
+                   results do not depend on it.")
+  in
+  let run sections quick jobs arch = Paper.run { Paper.quick; jobs; arch } sections in
   Cmd.v
-    (Cmd.info "fig6"
-       ~doc:"The Figure 6 cpuid table across all run modes (baseline \
-             levels, SW/HW SVt, ooh, hw-full-nesting) plus the per-exit \
-             latency profile of the selected backend; byte-deterministic.")
-    Term.(const run $ arch_arg)
+    (Cmd.info "paper"
+       ~doc:"Reproduce the paper's tables and figures (section 6), measured \
+             beside the published values. --arch selects the fig6 backend.")
+    Term.(const run $ sections $ quick $ jobs $ arch_arg)
 
 (* ---- run one campaign point ---- *)
 
@@ -1026,4 +1010,4 @@ let () =
     (Cmd.eval
        (Cmd.group ~default info
           [ run_cmd; trace_cmd; profile_cmd; sweep_cmd; sweep_diff_cmd;
-            fuzz_cmd; sched_cmd; cluster_cmd; fig6_cmd; blocked_demo_cmd ]))
+            fuzz_cmd; sched_cmd; cluster_cmd; paper_cmd; blocked_demo_cmd ]))

@@ -4,7 +4,7 @@
     {!Paper}, measures the reproduction at claim scale and states how
     close is close enough. The measurements are short runs; each run is
     made once and shared by every row that reads it. The regression
-    tests make one test case per row, and [bench/main.exe claims] prints
+    tests make one test case per row, and [svt_sim paper claims] prints
     the same rows as a scorecard. *)
 
 type predicate =

@@ -20,8 +20,8 @@ type t = {
   mutable avail_shadow : int; (* driver's private next avail idx *)
   mutable last_avail : int; (* device's consumption cursor *)
   mutable last_used : int; (* driver's completion cursor *)
-  mutable free_head : int;
-  free : bool array; (* descriptor allocation map (driver side) *)
+  free : int array; (* free descriptors, a stack: the top is free.(n_free - 1) *)
+  mutable n_free : int;
   mutable last_used_addr_v : int; (* a gpa; -1 before any completion *)
 }
 
@@ -45,8 +45,9 @@ let create ~aspace ~size =
     avail_shadow = 0;
     last_avail = 0;
     last_used = 0;
-    free_head = 0;
-    free = Array.make size true;
+    (* 0 on top, so a fresh queue hands out 0, 1, 2, ... *)
+    free = Array.init size (fun k -> size - 1 - k);
+    n_free = size;
     last_used_addr_v = -1;
   }
 
@@ -59,23 +60,20 @@ let write_desc t i ~addr ~len ~flags ~next =
   Aspace.write_u16 t.aspace (Gpa.add d 12) flags;
   Aspace.write_u16 t.aspace (Gpa.add d 14) next
 
-(* Driver side: the descriptor the next [push_avail] will take. *)
-let rec find_free t i n =
-  if n = 0 then None
-  else if t.free.(i) then Some i
-  else find_free t ((i + 1) mod t.size) (n - 1)
-
-let next_free t = find_free t t.free_head t.size
+(* Driver side: the descriptor the next [push_avail] will take, the one
+   freed last. *)
+let next_free t = if t.n_free = 0 then None else Some t.free.(t.n_free - 1)
 
 let alloc_desc t =
   match next_free t with
   | None -> None
-  | Some i as d ->
-      t.free.(i) <- false;
-      t.free_head <- (i + 1) mod t.size;
+  | d ->
+      t.n_free <- t.n_free - 1;
       d
 
-let free_desc t i = t.free.(i) <- true
+let free_desc t i =
+  t.free.(t.n_free) <- i;
+  t.n_free <- t.n_free + 1
 
 (* Driver side: expose a buffer to the device. Returns the descriptor
    index, or None when the ring is full. *)

@@ -18,7 +18,8 @@ val push_avail :
 
 val next_free : t -> int option
 (** The descriptor the next {!push_avail} will take, or [None] when the
-    ring is full. A driver that keeps one buffer per descriptor writes
+    ring is full: the one completed last (a fresh queue hands out 0, 1,
+    2, ...). A driver that keeps one buffer per descriptor writes
     the packet into that descriptor's buffer before pushing it. *)
 
 val pop_used : t -> (int * int) option

@@ -106,6 +106,27 @@ let test_vq_descriptor_recycling () =
   done;
   checki "empty at the end" 0 (Virtqueue.avail_pending q)
 
+(* Free descriptors are a stack: a fresh queue hands out 0, 1, 2, ...,
+   and the descriptor completed last is the next one taken. *)
+let test_vq_freed_reused_first () =
+  let aspace = make_aspace () in
+  let q = Virtqueue.create ~aspace ~size:8 in
+  let buf = Aspace.alloc_guest_pages aspace 1 in
+  let push () =
+    match Virtqueue.push_avail q ~addr:buf ~len:1 ~device_writable:false with
+    | Some id -> id
+    | None -> Alcotest.fail "push"
+  in
+  let fresh = List.init 3 (fun _ -> push ()) in
+  checkb "fresh order" true (fresh = [ 0; 1; 2 ]);
+  ignore (Virtqueue.pop_avail q);
+  ignore (Virtqueue.pop_avail q);
+  Virtqueue.push_used q ~id:1 ~len:1;
+  checkb "descriptor 1 completes" true (Virtqueue.pop_used q = Some (1, 1));
+  checkb "next_free is the freed one" true (Virtqueue.next_free q = Some 1);
+  checki "freed descriptor taken next" 1 (push ());
+  checki "then the fresh ones" 3 (push ())
+
 (* --- Fabric --------------------------------------------------------------- *)
 
 let make_fabric sim =
@@ -275,6 +296,26 @@ let test_net_tx_bulk_allocation () =
     true
     (per_packet <= tx_alloc_budget_bytes_per_packet)
 
+(* A TX loop that never has more than 32 packets in flight reuses the
+   same few descriptors, so it touches only their buffers: far fewer guest
+   pages than the ring's 256 descriptors x 4 pages of TX buffers. *)
+let test_net_tx_touches_buffers_in_flight () =
+  let machine, vm = make_vm () in
+  let sim = Machine.sim machine in
+  let net = Net.create ~machine ~vm ~name:"n0" in
+  Net.set_tx_sink net ignore;
+  Net.start_backend net;
+  let payload = Bytes.make 16384 'D' in
+  for i = 1 to 1000 do
+    if not (Net.driver_transmit net payload) then Alcotest.fail "TX ring full";
+    if i mod 32 = 0 then begin
+      if Net.need_kick net then ignore (Vm.handle_mmio vm (Net.doorbell_gpa net) 1L 4);
+      Simulator.run sim
+    end
+  done;
+  let resident = Svt_mem.Phys_mem.resident_pages machine.Machine.mem in
+  checkb (Printf.sprintf "%d resident pages, want < 256" resident) true (resident < 256)
+
 let test_blk_read_write_flush () =
   let machine, vm = make_vm () in
   let disk = Ramdisk.create ~size_mb:4 in
@@ -323,6 +364,8 @@ let () =
             test_vq_roundtrip_through_memory;
           Alcotest.test_case "fifo order" `Quick test_vq_fifo_order;
           Alcotest.test_case "ring full" `Quick test_vq_ring_full;
+          Alcotest.test_case "freed descriptor reused first" `Quick
+            test_vq_freed_reused_first;
           Alcotest.test_case "descriptor recycling" `Quick
             test_vq_descriptor_recycling;
         ] );
@@ -345,6 +388,8 @@ let () =
           Alcotest.test_case "rx with interrupt" `Quick test_net_rx_roundtrip_with_irq;
           Alcotest.test_case "rx overrun drops" `Quick test_net_rx_overrun_drops;
           Alcotest.test_case "rx buffers recycle" `Quick test_net_rx_buffers_recycle;
+          Alcotest.test_case "bulk tx touches only the buffers in flight" `Quick
+            test_net_tx_touches_buffers_in_flight;
           Alcotest.test_case "bulk tx allocates no buffer per packet" `Quick
             test_net_tx_bulk_allocation;
         ] );
