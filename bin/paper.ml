@@ -47,16 +47,14 @@ let campaign_lookup ~jobs ~run ~label spec =
       if e.status <> "ok" then
         fail "%s %s: %s" (Spec.canonical_key e.point) e.status
           (Option.value e.error ~default:""))
-    (List.map Svt_campaign.Ledger.entry_of_result o.Campaign.results);
+    o.Campaign.results;
   fun point metric ->
     match
-      List.find_opt
-        (fun (r : Svt_campaign.Runner.result) -> r.run_id = Spec.run_id point)
-        o.Campaign.results
+      Svt_campaign.Ledger.find o.Campaign.results ~run_id:(Spec.run_id point)
     with
     | None -> fail "missing point %s" (Spec.canonical_key point)
-    | Some r -> (
-        match List.assoc_opt metric r.metrics with
+    | Some e -> (
+        match List.assoc_opt metric e.metrics with
         | Some v -> v
         | None -> fail "no metric %S" metric)
 

@@ -50,19 +50,19 @@ let arch_conv =
   conv_of_result Svt_arch.Backend.of_string Svt_arch.Backend.to_string
 
 let mode_arg =
-  Arg.(value & opt mode_conv Mode.Baseline
+  Arg.(value & opt mode_conv Spec.default.mode
        & info [ "m"; "mode" ] ~docv:"MODE"
            ~doc:
              "Run mode: baseline, sw-svt, sw-svt-polling, sw-svt-mutex, \
               hw-svt, hw-full-nesting, ooh (Out-of-Hypervisor delegation).")
 
 let level_arg =
-  Arg.(value & opt level_conv System.L2_nested
+  Arg.(value & opt level_conv Spec.default.level
        & info [ "l"; "level" ] ~docv:"LEVEL"
            ~doc:"Where the guest under test runs: l0 (native), l1, l2 (nested).")
 
 let arch_arg =
-  Arg.(value & opt arch_conv Svt_arch.Backend.X86
+  Arg.(value & opt arch_conv Spec.default.arch
        & info [ "arch" ] ~docv:"ARCH"
            ~doc:"Architecture backend: x86 (VMX, cached-VMCS nested state) \
                  or arm (NV/VHE, memory-backed system-register image; no \
@@ -74,15 +74,17 @@ let arch_arg =
    error (exit 124) rather than an exception. *)
 let point_term workloads =
   let workload =
-    Arg.(value & opt (enum (List.map (fun w -> (w, w)) workloads)) "cpuid"
+    Arg.(value & opt (enum (List.map (fun w -> (w, w)) workloads))
+           Spec.default.workload
          & info [ "w"; "workload" ] ~docv:"NAME"
              ~doc:("Campaign registry workload: " ^ doc_alts workloads ^ "."))
   in
   let vcpus =
-    Arg.(value & opt pos_int 1 & info [ "vcpus" ] ~docv:"N" ~doc:"Guest vCPUs.")
+    Arg.(value & opt pos_int Spec.default.vcpus
+         & info [ "vcpus" ] ~docv:"N" ~doc:"Guest vCPUs.")
   in
   let seed =
-    Arg.(value & opt int 0
+    Arg.(value & opt int Spec.default.seed
          & info [ "seed" ] ~docv:"N"
              ~doc:"Replication index, folded into the run id (and so into \
                    every PRNG stream of the run, fault streams included).")
@@ -108,7 +110,7 @@ let exit_on_timeout f =
 (* ---- trace export ---- *)
 
 let trace_cmd =
-  let module Recorder = Svt_obs.Recorder in
+  let module Probe = Svt_obs.Probe in
   let module Timeline = Svt_obs.Timeline in
   let out_arg =
     Arg.(value & opt string "trace.json"
@@ -178,8 +180,9 @@ let trace_cmd =
     let sys =
       Runner.make_system ~max_sim_events:Runner.default_max_sim_events p
     in
-    let tl = Recorder.enable_timeline (System.obs sys) in
-    let ct = Recorder.enable_chrome (System.obs sys) in
+    let tl = Timeline.create () and ct = Svt_obs.Chrome_trace.create () in
+    Probe.subscribe (System.probe sys) (Timeline.sink tl);
+    Probe.subscribe (System.probe sys) (Svt_obs.Chrome_trace.sink ct);
     let metrics = exit_on_timeout (fun () -> Runner.workload_metrics p sys) in
     Svt_obs.Chrome_trace.write_file ct out;
     Printf.printf "%s at %s under %s: %d spans -> %s\n" p.Spec.workload
@@ -374,11 +377,13 @@ let sweep_cmd =
   let axes =
     Arg.(value & opt_all axis_conv []
          & info [ "a"; "axis" ] ~docv:"KEY=V1,V2,..."
-             ~doc:"One campaign axis (repeatable): arch, mode, level, \
-                   workload, vcpus or seed. The sweep is the cartesian \
-                   product of all axes; omitted axes default to arch=x86, \
-                   mode=baseline, level=l2, workload=cpuid, vcpus=1, \
-                   seed=0.")
+             ~doc:("One campaign axis (repeatable); KEY is "
+                   ^ doc_alts (List.map fst Spec.axis_defaults)
+                   ^ ". The sweep is the cartesian product of all axes; \
+                      omitted axes default to "
+                   ^ String.concat ", "
+                       (List.map (fun (k, v) -> k ^ "=" ^ v) Spec.axis_defaults)
+                   ^ "."))
   in
   let jobs =
     Arg.(value & opt pos_int (Svt_campaign.Pool.default_jobs ())
@@ -449,10 +454,7 @@ let sweep_cmd =
             "campaign interrupted; finish it with: svt_sim sweep --resume \
              --ledger %s ...\n"
             ledger;
-        let entries =
-          List.map Svt_campaign.Ledger.entry_of_result o.Campaign.results
-        in
-        (match Svt_report.Paper.speedup_rows_of_ledger entries with
+        (match Svt_report.Paper.speedup_rows_of_ledger o.Campaign.results with
         | [] -> ()
         | rows ->
             print_endline "\nmeasured-vs-paper speedups derivable from this sweep:";
@@ -919,12 +921,26 @@ let paper_cmd =
              ~doc:"Worker domains for the fig7 and fig10 run matrices; the \
                    results do not depend on it.")
   in
-  let run sections quick jobs arch = Paper.run { Paper.quick; jobs; arch } sections in
+  (* Only fig6 has an ARM variant: any other section would silently
+     print its x86 numbers, so asking for one with a non-x86 --arch is
+     a usage error (exit 124). *)
+  let run sections quick jobs arch =
+    let chosen = if sections = [] then List.map fst Paper.sections else sections in
+    match List.find_opt (( <> ) "fig6") chosen with
+    | Some s when arch <> Svt_arch.Backend.X86 ->
+        `Error
+          (true,
+           Printf.sprintf "--arch %s applies to fig6 only, not to %s"
+             (Svt_arch.Backend.to_string arch) s)
+    | _ -> `Ok (Paper.run { Paper.quick; jobs; arch } sections)
+  in
   Cmd.v
     (Cmd.info "paper"
        ~doc:"Reproduce the paper's tables and figures (section 6), measured \
-             beside the published values. --arch selects the fig6 backend.")
-    Term.(const run $ sections $ quick $ jobs $ arch_arg)
+             beside the published values. --arch selects the fig6 backend; \
+             with any other section selected, a non-x86 --arch is a usage \
+             error.")
+    Term.(ret (const run $ sections $ quick $ jobs $ arch_arg))
 
 (* ---- run one campaign point ---- *)
 
@@ -938,7 +954,7 @@ let run_cmd =
         (fun s -> Result.map Plan.to_string (Plan.of_string s))
         Fun.id
     in
-    Arg.(value & opt plan_conv ""
+    Arg.(value & opt plan_conv Spec.default.fault
          & info [ "fault" ] ~docv:"PLAN"
              ~doc:"Stack fault plan: comma-separated kind:rate pairs, e.g. \
                    drop-ring:0.01,corrupt-vmcs12:0.02. Kinds: drop-ring, \
@@ -964,18 +980,18 @@ let run_cmd =
       (List.sort (fun (a, _) (b, _) -> compare a b) metrics);
     Option.iter
       (fun path ->
-        Ledger.write path
-          [
-            {
-              Ledger.run_id = Spec.run_id p;
-              point = p;
-              status = "ok";
-              error = None;
-              wall_s = 0.0;
-              metrics;
-              data = [];
-            };
-          ];
+        let w = Ledger.writer ~crc:false path in
+        Ledger.append w
+          {
+            Ledger.run_id = Spec.run_id p;
+            point = p;
+            status = "ok";
+            error = None;
+            wall_s = 0.0;
+            metrics;
+            data = [];
+          };
+        Ledger.close w;
         Printf.printf "ledger row -> %s\n" path)
       out
   in

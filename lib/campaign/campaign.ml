@@ -1,8 +1,8 @@
 (* The orchestrator. Execution is crash-safe end-to-end:
 
    - while the pool runs, every completed row is appended to the ledger
-     through the CRC'd [Journal] (completion order, flushed per row), so
-     a kill or crash mid-sweep keeps every completed row;
+     with its CRC ([Ledger.append], completion order, flushed per row),
+     so a kill or crash mid-sweep keeps every completed row;
    - on clean completion the journal is atomically rewritten in
      canonical spec order, so an uninterrupted campaign and an
      interrupted-then-resumed one converge on the same file;
@@ -14,7 +14,7 @@
 module Simulator = Svt_engine.Simulator
 
 type outcome = {
-  results : Runner.result list;
+  results : Ledger.entry list;
   ok : int;
   failed : int;
   timeout : int;
@@ -27,14 +27,14 @@ type outcome = {
 let exit_code o =
   if o.interrupted then 3 else if o.failed + o.timeout > 0 then 1 else 0
 
-let result_of_outcome point (o : (string * float) list Pool.outcome) =
-  let status, metrics =
+let entry_of_outcome point (o : (string * float) list Pool.outcome) =
+  let status, error, metrics =
     match o.Pool.result with
-    | Ok metrics -> (Runner.Run_ok, metrics)
+    | Ok metrics -> ("ok", None, metrics)
     | Error (Simulator.Budget_exhausted { events; now; max_events }) ->
         (* Deterministic timeout: the fuel counters become the row's
            metrics so the ledger records where it was cut. *)
-        (Runner.Run_timeout, Runner.fuel_metrics ~events ~now ~max_events)
+        ("timeout", None, Runner.fuel_metrics ~events ~now ~max_events)
     | Error e ->
         let msg =
           match o.Pool.backtrace with
@@ -42,143 +42,108 @@ let result_of_outcome point (o : (string * float) list Pool.outcome) =
               Printexc.to_string e ^ "\n" ^ String.trim bt
           | _ -> Printexc.to_string e
         in
-        (Runner.Run_failed msg, [])
+        ("failed", Some msg, [])
   in
-  {
-    Runner.point;
-    run_id = Spec.run_id point;
-    status;
-    wall_s = o.Pool.wall_s;
-    metrics;
-  }
-
-(* A reused ledger row, replayed as a result (only [ok] rows qualify). *)
-let result_of_reused (e : Ledger.entry) =
-  {
-    Runner.point = e.Ledger.point;
-    run_id = e.Ledger.run_id;
-    status = Runner.Run_ok;
-    wall_s = e.Ledger.wall_s;
-    metrics = e.Ledger.metrics;
-  }
+  { Ledger.run_id = Spec.run_id point; point; status; error;
+    wall_s = o.Pool.wall_s; metrics; data = [] }
 
 let execute ?jobs ?max_rows ?(resume = false) ?(deterministic = false)
     ?(progress = false) ?(progress_label = "sweep") ?ledger
     ?(run = fun p -> Runner.exec p) spec =
-  let points = Array.of_list (Spec.dedup spec) in
+  let points = Spec.dedup spec in
   let t0 = Unix.gettimeofday () in
-  let entry_of_result r =
-    let e = Ledger.entry_of_result r in
-    (* wall_s is the one nondeterministic field; pinning it makes two
-       ledgers of the same campaign byte-identical (test_campaign "resume
-       re-runs timeout rows" compares an interrupted-then-resumed sweep
-       with an uninterrupted one) *)
+  (* wall_s is the one nondeterministic field; pinning it in the written
+     rows makes two ledgers of the same campaign byte-identical
+     (test_campaign "resume re-runs timeout rows" compares an
+     interrupted-then-resumed sweep with an uninterrupted one) *)
+  let pinned (e : Ledger.entry) =
     if deterministic then { e with Ledger.wall_s = 0.0 } else e
   in
-  (* ---- resume: salvage ok rows recorded by a previous attempt ---- *)
-  let reused_ok = Hashtbl.create 64 in
-  (if resume then
-     match ledger with
-     | Some path when Sys.file_exists path ->
-         let r = Ledger.recover path in
-         (* Last occurrence wins: a journal may hold a failed row later
-            superseded by a resumed re-run's ok row. *)
-         let latest = Hashtbl.create 64 in
-         List.iter
-           (fun (e : Ledger.entry) ->
-             Hashtbl.replace latest e.Ledger.run_id e)
-           r.Ledger.entries;
-         Array.iter
-           (fun p ->
-             let id = Spec.run_id p in
-             match Hashtbl.find_opt latest id with
-             | Some e when e.Ledger.status = "ok" ->
-                 Hashtbl.replace reused_ok id e
-             | _ -> ())
-           points
-     | _ -> ());
-  let todo =
-    Array.of_list
-      (List.filter
-         (fun p -> not (Hashtbl.mem reused_ok (Spec.run_id p)))
-         (Array.to_list points))
+  (* ---- resume: reuse the ok rows of a previous attempt ---- *)
+  (* Last occurrence wins: a journal may hold a failed row later
+     superseded by a resumed re-run's ok row. *)
+  let latest = Hashtbl.create 64 in
+  (match ledger with
+  | Some path when resume && Sys.file_exists path ->
+      List.iter
+        (fun (e : Ledger.entry) -> Hashtbl.replace latest e.Ledger.run_id e)
+        (Ledger.recover path).Ledger.entries
+  | _ -> ());
+  let reused p =
+    match Hashtbl.find_opt latest (Spec.run_id p) with
+    | Some (e : Ledger.entry) when e.Ledger.status = "ok" -> Some e
+    | _ -> None
   in
-  (* ---- journal: reused rows first (atomically), then append ---- *)
+  let prefix = List.filter_map reused points in
+  let todo =
+    Array.of_list (List.filter (fun p -> Option.is_none (reused p)) points)
+  in
+  (* ---- journal: the reused rows, atomically, then appends ---- *)
+  (* Re-found ok rows become the new journal prefix and stale
+     failed/duplicate rows are dropped; the rewrite is atomic, so
+     interrupting the resume still cannot lose them. A fresh campaign
+     (no reused rows) owns the file: stale rows of a previous sweep
+     would defeat last-occurrence-wins on a later resume. *)
   let journal =
     Option.map
       (fun path ->
-        let reused_entries =
-          List.filter_map
-            (fun p -> Hashtbl.find_opt reused_ok (Spec.run_id p))
-            (Array.to_list points)
-        in
-        if resume && Sys.file_exists path then
-          (* Re-found ok rows become the new journal prefix; stale
-             failed/duplicate rows are dropped. The rewrite is atomic,
-             so interrupting the resume still cannot lose them. *)
-          Journal.rewrite path reused_entries
-        else if reused_entries = [] && Sys.file_exists path then
-          (* Fresh campaign owns the file: stale rows of a previous
-             sweep would defeat last-occurrence-wins on a later resume. *)
-          Sys.remove path;
-        Journal.create path)
+        Ledger.rewrite path prefix;
+        Ledger.writer ~crc:true path)
       ledger
   in
   let prog =
     if progress && Array.length todo > 0 then
-      Some (Progress.create ~label:progress_label ~total:(Array.length todo) ())
+      Some (Progress.create ~label:progress_label ~total:(Array.length todo))
     else None
   in
   let on_result ~index (o : (string * float) list Pool.outcome) =
-    let r = result_of_outcome todo.(index) o in
-    Option.iter (fun j -> Journal.append j (entry_of_result r)) journal;
-    Option.iter
-      (fun p -> Progress.step p ~ok:(r.Runner.status = Runner.Run_ok))
-      prog
+    let e = entry_of_outcome todo.(index) o in
+    Option.iter (fun j -> Ledger.append j (pinned e)) journal;
+    Option.iter (fun p -> Progress.step p ~ok:(e.Ledger.status = "ok")) prog
   in
   let pool = Pool.map ?jobs ?stop_after:max_rows ~on_result run todo in
   Option.iter Progress.finish prog;
-  Option.iter Journal.close journal;
+  Option.iter Ledger.close journal;
   (* ---- assemble results in spec order ---- *)
   let ran = Hashtbl.create 64 in
   Array.iteri
     (fun i o ->
+      let p = todo.(i) in
       Option.iter
-        (fun o ->
-          Hashtbl.replace ran (Spec.run_id todo.(i)) (result_of_outcome todo.(i) o))
+        (fun o -> Hashtbl.replace ran (Spec.run_id p) (entry_of_outcome p o))
         o)
     pool.Pool.outcomes;
   let results =
     List.filter_map
       (fun p ->
-        let id = Spec.run_id p in
-        match Hashtbl.find_opt reused_ok id with
-        | Some e -> Some (result_of_reused e)
-        | None -> Hashtbl.find_opt ran id)
-      (Array.to_list points)
+        match reused p with
+        | None -> Hashtbl.find_opt ran (Spec.run_id p)
+        | reused -> reused)
+      points
   in
   let interrupted = pool.Pool.stopped_early in
   (* On clean completion, converge the journal to the canonical file:
      every row, spec order, atomically swapped in. *)
   (match ledger with
   | Some path when not interrupted ->
-      Journal.rewrite path (List.map entry_of_result results)
+      Ledger.rewrite path (List.map pinned results)
   | _ -> ());
-  let count f = List.length (List.filter f results) in
-  let status_is s (r : Runner.result) = Runner.status_name r.Runner.status = s in
+  let count s =
+    List.length (List.filter (fun (e : Ledger.entry) -> e.Ledger.status = s) results)
+  in
   {
     results;
-    ok = count (status_is "ok");
-    failed = count (status_is "failed");
-    timeout = count (status_is "timeout");
-    skipped = Array.length points - List.length results;
-    reused = Hashtbl.length reused_ok;
+    ok = count "ok";
+    failed = count "failed";
+    timeout = count "timeout";
+    skipped = List.length points - List.length results;
+    reused = List.length prefix;
     interrupted;
     wall_s = Unix.gettimeofday () -. t0;
   }
 
-let headline_metric (r : Runner.result) =
-  match r.Runner.metrics with
+let headline_metric (e : Ledger.entry) =
+  match e.Ledger.metrics with
   | [] -> "-"
   | (name, v) :: _ -> Printf.sprintf "%s=%.4g" name v
 
@@ -190,14 +155,14 @@ let summary_table o =
       [ "run_id"; "point"; "status"; "metric"; "wall (s)" ]
   in
   List.iter
-    (fun (r : Runner.result) ->
+    (fun (e : Ledger.entry) ->
       Table.add_row t
         [
-          r.Runner.run_id;
-          Spec.canonical_key r.Runner.point;
-          Runner.status_name r.Runner.status;
-          headline_metric r;
-          Printf.sprintf "%.3f" r.Runner.wall_s;
+          e.Ledger.run_id;
+          Spec.canonical_key e.Ledger.point;
+          e.Ledger.status;
+          headline_metric e;
+          Printf.sprintf "%.3f" e.Ledger.wall_s;
         ])
     o.results;
   t

@@ -1,21 +1,24 @@
 (** The orchestrator: shard a {!Spec.t} across the {!Pool}, adapt each
     point with {!Runner.exec} (or an injected run function), stream a
-    {!Progress} line, and journal every result crash-safely to a
-    {!Ledger}. Results come back in spec order regardless of how the
-    pool interleaved them, so ledgers are reproducible files modulo
-    wall-clock fields (or exactly, with [deterministic]).
+    {!Progress} line, and journal every run's {!Ledger.entry} row
+    crash-safely to a ledger. Rows come back in spec order regardless
+    of how the pool interleaved them, so ledgers are reproducible files
+    modulo wall-clock fields (or exactly, with [deterministic]).
 
     Crash safety: while the pool runs, completed rows are appended in
-    completion order through {!Journal} (CRC per line, flushed per row).
-    On clean completion the file is atomically rewritten in canonical
-    spec order. A killed campaign leaves a
+    completion order through {!Ledger.append} (CRC per line, flushed per
+    row). On clean completion the file is atomically rewritten in
+    canonical spec order ({!Ledger.rewrite}). A killed campaign leaves a
     salvageable journal that [execute ~resume:true] recovers: rows
     recorded [ok] are reused verbatim, everything else re-runs —
     content-addressed run_ids make the union identical to an
     uninterrupted campaign. *)
 
 type outcome = {
-  results : Runner.result list;  (** in spec order; excludes skipped *)
+  results : Ledger.entry list;
+      (** in spec order; excludes skipped. [wall_s] is the host wall
+          clock even under [deterministic], which pins only the written
+          rows. *)
   ok : int;
   failed : int;
   timeout : int;  (** runs cut by the simulator's fuel budget *)

@@ -14,20 +14,6 @@ type entry = {
   data : (string * string) list;
 }
 
-let entry_of_result (r : Runner.result) =
-  {
-    run_id = r.Runner.run_id;
-    point = r.Runner.point;
-    status = Runner.status_name r.Runner.status;
-    error =
-      (match r.Runner.status with
-      | Runner.Run_failed msg -> Some msg
-      | Runner.Run_ok | Runner.Run_timeout -> None);
-    wall_s = r.Runner.wall_s;
-    metrics = r.Runner.metrics;
-    data = [];
-  }
-
 (* ---- JSON values ---- *)
 
 type json =
@@ -43,57 +29,58 @@ let buf_num b x =
     Buffer.add_string b (Printf.sprintf "%.0f" x)
   else Buffer.add_string b (Printf.sprintf "%.17g" x)
 
+let buf_seq b opening closing item items =
+  Buffer.add_char b opening;
+  List.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_char b ',';
+      item x)
+    items;
+  Buffer.add_char b closing
+
 let rec buf_json b = function
   | Null -> Buffer.add_string b "null"
   | Bool v -> Buffer.add_string b (if v then "true" else "false")
   | Num x -> if Float.is_finite x then buf_num b x else Buffer.add_string b "null"
   | Str s -> Svt_obs.Export.buf_json_string b s
-  | Arr items ->
-      Buffer.add_char b '[';
-      List.iteri
-        (fun i v ->
-          if i > 0 then Buffer.add_char b ',';
-          buf_json b v)
-        items;
-      Buffer.add_char b ']'
+  | Arr items -> buf_seq b '[' ']' (buf_json b) items
   | Obj fields ->
-      Buffer.add_char b '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char b ',';
+      buf_seq b '{' '}'
+        (fun (k, v) ->
           Svt_obs.Export.buf_json_string b k;
           Buffer.add_char b ':';
           buf_json b v)
-        fields;
-      Buffer.add_char b '}'
+        fields
 
 let json_of_entry e =
+  let p = e.point and d = Spec.default in
+  let unless_default name json v dv = if v = dv then [] else [ (name, json v) ] in
+  let str s = Str s and int n = Num (float_of_int n) in
   Obj
     ([
        ("run_id", Str e.run_id);
-       ("mode", Str (Svt_core.Mode.to_string e.point.Spec.mode));
-       ("level", Str (Spec.level_to_string e.point.Spec.level));
-       ("workload", Str e.point.Spec.workload);
-       ("vcpus", Num (float_of_int e.point.Spec.vcpus));
-       ("seed", Num (float_of_int e.point.Spec.seed));
-       (* the consolidation topology rides on every row (schema v2);
-          old ledgers parse back with the single-stack defaults 1/2/1.
-          Schema v3 adds the fleet size the same way (default 1). *)
-       ("cores", Num (float_of_int e.point.Spec.cores));
-       ("smt_per_core", Num (float_of_int e.point.Spec.smt));
-       ("tenants", Num (float_of_int e.point.Spec.tenants));
-       ("hosts", Num (float_of_int e.point.Spec.hosts));
+       ("mode", Str (Svt_core.Mode.to_string p.mode));
+       ("level", Str (Spec.level_to_string p.level));
+       ("workload", Str p.workload);
+       ("vcpus", int p.vcpus);
+       ("seed", int p.seed);
+       (* the consolidation topology rides on every row (schema v2),
+          the fleet size too (v3); older rows parse back with the
+          Spec.default values *)
+       ("cores", int p.cores);
+       ("smt_per_core", int p.smt);
+       ("tenants", int p.tenants);
+       ("hosts", int p.hosts);
      ]
-    @ (* emitted only when set, so fault-free ledgers stay byte-identical
-         to the pre-fault-axis format. Schema v4 adds the arch the same
-         way: x86 rows (the only kind that existed before the axis) keep
-         their historical byte format, and legacy rows parse back as
-         x86. *)
-    (match e.point.Spec.fault with "" -> [] | f -> [ ("fault", Str f) ])
-    @ (match e.point.Spec.policy with "" -> [] | s -> [ ("policy", Str s) ])
-    @ (match e.point.Spec.arch with
-      | Svt_arch.Backend.X86 -> []
-      | a -> [ ("arch", Str (Svt_arch.Backend.to_string a)) ])
+    @ (* emitted only away from Spec.default, so rows of points that
+         do not use these axes keep the format that predates them (the
+         arch came with schema v4); a row without one parses back at
+         the default *)
+    unless_default "fault" str p.fault d.fault
+    @ unless_default "policy" str p.policy d.policy
+    @ unless_default "arch"
+        (fun a -> Str (Svt_arch.Backend.to_string a))
+        p.arch d.arch
     @ [ ("status", Str e.status) ]
     @ (match e.error with None -> [] | Some m -> [ ("error", Str m) ])
     @ [
@@ -110,48 +97,35 @@ let json_of_entry e =
     | [] -> []
     | kvs -> [ ("data", Obj (List.map (fun (k, v) -> (k, Str v)) kvs)) ]))
 
-let line_of_entry e =
-  let b = Buffer.create 256 in
-  buf_json b (json_of_entry e);
-  Buffer.contents b
-
 (* ---- per-line CRC32 (IEEE, reflected — the zlib/PNG polynomial) ---- *)
 
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
-let crc32 s =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
+let crc_hex s =
+  let c = ref 0xFFFFFFFF in
   String.iter
-    (fun ch ->
-      let i =
-        Int32.to_int
-          (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl)
-      in
-      c := Int32.logxor table.(i) (Int32.shift_right_logical !c 8))
+    (fun ch -> c := crc_table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8))
     s;
-  Int32.logxor !c 0xFFFFFFFFl
-
-let crc_hex s = Printf.sprintf "%08lx" (crc32 s)
+  Printf.sprintf "%08x" (!c lxor 0xFFFFFFFF)
 
 (* The checksum covers the bytes of the plain canonical line; the hex
    digest rides as a final "crc" field so every journal line stays valid
    JSON and CRC-free legacy ledgers keep loading. *)
-let line_of_entry_crc e =
-  let plain = line_of_entry e in
-  Printf.sprintf "%s,\"crc\":\"%s\"}"
-    (String.sub plain 0 (String.length plain - 1))
-    (crc_hex plain)
+let line ~crc e =
+  let b = Buffer.create 256 in
+  buf_json b (json_of_entry e);
+  let plain = Buffer.contents b in
+  if not crc then plain
+  else
+    Printf.sprintf "%s,\"crc\":\"%s\"}"
+      (String.sub plain 0 (String.length plain - 1))
+      (crc_hex plain)
 
 let is_hex c = match c with '0' .. '9' | 'a' .. 'f' -> true | _ -> false
 
@@ -166,11 +140,7 @@ let strip_crc line =
     && String.sub line (len - 18) 8 = ",\"crc\":\""
     && line.[len - 2] = '"'
     && line.[len - 1] = '}'
-    && (let ok = ref true in
-        for i = len - 10 to len - 3 do
-          if not (is_hex line.[i]) then ok := false
-        done;
-        !ok)
+    && String.for_all is_hex (String.sub line (len - 10) 8)
   then begin
     let hex = String.sub line (len - 10) 8 in
     let plain = String.sub line 0 (len - 18) ^ "}" in
@@ -220,14 +190,10 @@ let parse_json line =
       | Some '\\' -> (
           advance ();
           match peek () with
-          | Some '"' -> Buffer.add_char b '"'; advance (); go ()
-          | Some '\\' -> Buffer.add_char b '\\'; advance (); go ()
-          | Some '/' -> Buffer.add_char b '/'; advance (); go ()
-          | Some 'n' -> Buffer.add_char b '\n'; advance (); go ()
-          | Some 'r' -> Buffer.add_char b '\r'; advance (); go ()
-          | Some 't' -> Buffer.add_char b '\t'; advance (); go ()
-          | Some 'b' -> Buffer.add_char b '\b'; advance (); go ()
-          | Some 'f' -> Buffer.add_char b '\012'; advance (); go ()
+          | Some c when String.contains "\"\\/nrtbf" c ->
+              Buffer.add_char b "\"\\/\n\r\t\b\012".[String.index "\"\\/nrtbf" c];
+              advance ();
+              go ()
           | Some 'u' ->
               advance ();
               if !pos + 4 > len then fail "truncated \\u escape";
@@ -274,57 +240,42 @@ let parse_json line =
     | Some x -> x
     | None -> fail "bad number"
   in
+  (* the comma-separated items up to [closing], the opening bracket
+     being next *)
+  let seq closing item =
+    advance ();
+    skip_ws ();
+    if peek () = Some closing then begin
+      advance ();
+      []
+    end
+    else
+      let rec items acc =
+        let x = item () in
+        skip_ws ();
+        match peek () with
+        | Some ',' ->
+            advance ();
+            items (x :: acc)
+        | Some c when c = closing ->
+            advance ();
+            List.rev (x :: acc)
+        | _ -> fail (Printf.sprintf "expected ',' or '%c'" closing)
+      in
+      items []
+  in
   let rec parse_value () =
     skip_ws ();
     match peek () with
     | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let rec fields acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                fields ((k, v) :: acc)
-            | Some '}' ->
-                advance ();
-                List.rev ((k, v) :: acc)
-            | _ -> fail "expected ',' or '}'"
-          in
-          Obj (fields [])
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Arr []
-        end
-        else begin
-          let rec items acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                items (v :: acc)
-            | Some ']' ->
-                advance ();
-                List.rev (v :: acc)
-            | _ -> fail "expected ',' or ']'"
-          in
-          Arr (items [])
-        end
+        Obj
+          (seq '}' (fun () ->
+               skip_ws ();
+               let k = parse_string () in
+               skip_ws ();
+               expect ':';
+               (k, parse_value ())))
+    | Some '[' -> Arr (seq ']' parse_value)
     | Some '"' -> Str (parse_string ())
     | Some 't' -> literal "true" (Bool true)
     | Some 'f' -> literal "false" (Bool false)
@@ -358,112 +309,94 @@ let num_field obj name =
 let entry_of_json j =
   let ( let* ) = Result.bind in
   let* run_id = str_field j "run_id" in
-  let* mode_s = str_field j "mode" in
-  let* mode = Svt_core.Mode.of_string mode_s in
-  let* level_s = str_field j "level" in
-  let* level = Spec.level_of_string level_s in
+  let* mode = Result.bind (str_field j "mode") Svt_core.Mode.of_string in
+  let* level = Result.bind (str_field j "level") Spec.level_of_string in
   let* workload = str_field j "workload" in
   let* vcpus = num_field j "vcpus" in
   let* seed = num_field j "seed" in
-  let fault = match field j "fault" with Some (Str f) -> f | _ -> "" in
-  (* pre-consolidation rows lack the topology fields: single-stack
-     defaults keep their run_ids intact *)
-  let int_or d name =
-    match field j name with Some (Num x) -> int_of_float x | _ -> d
+  (* rows written before an axis existed lack its field: its default
+     keeps their run_ids intact *)
+  let d = Spec.default in
+  let str_or dv name = match field j name with Some (Str s) -> s | _ -> dv in
+  let int_or dv name =
+    match field j name with Some (Num x) -> int_of_float x | _ -> dv
   in
-  let cores = int_or 1 "cores" in
-  let smt = int_or 2 "smt_per_core" in
-  let tenants = int_or 1 "tenants" in
-  let hosts = int_or 1 "hosts" in
-  let policy = match field j "policy" with Some (Str s) -> s | _ -> "" in
-  (* schema-v3 rows (and older) carry no arch field: they all ran on the
-     x86 backend, the only one that existed *)
   let* arch =
     match field j "arch" with
     | Some (Str s) -> Svt_arch.Backend.of_string s
-    | _ -> Ok Svt_arch.Backend.X86
+    | _ -> Ok d.arch
   in
   let* status = str_field j "status" in
   let error = match field j "error" with Some (Str m) -> Some m | _ -> None in
   let* wall_s = num_field j "wall_s" in
+  let members conv fields =
+    List.fold_right
+      (fun (k, v) acc ->
+        let* rest = acc in
+        let* x = conv k v in
+        Ok ((k, x) :: rest))
+      fields (Ok [])
+  in
   let* metrics =
     match field j "metrics" with
     | Some (Obj fields) ->
-        List.fold_right
-          (fun (k, v) acc ->
-            let* rest = acc in
-            match v with
-            | Num x -> Ok ((k, x) :: rest)
-            | Null -> Ok ((k, nan) :: rest)
+        members
+          (fun k -> function
+            | Num x -> Ok x
+            | Null -> Ok nan
             | _ -> Error (Printf.sprintf "metric %S is not a number" k))
-          fields (Ok [])
+          fields
     | _ -> Error "missing object field \"metrics\""
   in
   let* data =
     match field j "data" with
     | None -> Ok []
     | Some (Obj fields) ->
-        List.fold_right
-          (fun (k, v) acc ->
-            let* rest = acc in
-            match v with
-            | Str s -> Ok ((k, s) :: rest)
+        members
+          (fun k -> function
+            | Str s -> Ok s
             | _ -> Error (Printf.sprintf "data field %S is not a string" k))
-          fields (Ok [])
+          fields
     | Some _ -> Error "field \"data\" is not an object"
   in
-  Ok
-    {
-      run_id;
-      point =
-        {
-          Spec.arch;
-          mode;
-          level;
-          workload;
-          vcpus = int_of_float vcpus;
-          seed = int_of_float seed;
-          fault;
-          cores;
-          smt;
-          tenants;
-          policy;
-          hosts;
-        };
-      status;
-      error;
-      wall_s;
-      metrics;
-      data;
-    }
+  let point =
+    { Spec.arch; mode; level; workload; vcpus = int_of_float vcpus;
+      seed = int_of_float seed; fault = str_or d.fault "fault";
+      cores = int_or d.cores "cores"; smt = int_or d.smt "smt_per_core";
+      tenants = int_or d.tenants "tenants"; policy = str_or d.policy "policy";
+      hosts = int_or d.hosts "hosts" }
+  in
+  Ok { run_id; point; status; error; wall_s; metrics; data }
 
-(* ---- writer ---- *)
+(* ---- writers ---- *)
 
-type writer = { oc : out_channel }
+(* Flushed per row: a killed process keeps every row appended before
+   the kill, the prefix that [recover] salvages. *)
+type writer = { oc : out_channel; crc : bool }
 
-let create path =
-  { oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path }
+let writer ~crc path =
+  { oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path; crc }
 
-let add w e =
-  output_string w.oc (line_of_entry e);
+let append w e =
+  output_string w.oc (line ~crc:w.crc e);
   output_char w.oc '\n';
   flush w.oc
 
 let close w = close_out w.oc
 
-let write path entries =
-  let w = create path in
-  Fun.protect ~finally:(fun () -> close w) (fun () -> List.iter (add w) entries)
+(* The clean-completion path: the full row set goes to a temp file that
+   is renamed over [path], so a crash mid-rewrite leaves the old file,
+   never a half-written one. *)
+let rewrite path entries =
+  let tmp = path ^ ".tmp" in
+  if Sys.file_exists tmp then Sys.remove tmp;
+  let w = writer ~crc:true tmp in
+  Fun.protect ~finally:(fun () -> close w) (fun () -> List.iter (append w) entries);
+  Sys.rename tmp path
 
 (* ---- readers ---- *)
 
-type recovery = {
-  entries : entry list;
-  salvaged : int;
-  dropped_lines : int;
-  dropped_bytes : int;
-  error : string option;
-}
+type recovery = { entries : entry list; error : string option }
 
 let entry_of_line line =
   match strip_crc line with
@@ -483,26 +416,15 @@ let recover path =
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () ->
-      let total = in_channel_length ic in
       let rec go lineno acc =
-        let start = pos_in ic in
         match In_channel.input_line ic with
-        | None ->
-            { entries = List.rev acc; salvaged = List.length acc;
-              dropped_lines = 0; dropped_bytes = 0; error = None }
+        | None -> { entries = List.rev acc; error = None }
         | Some line when String.trim line = "" -> go (lineno + 1) acc
         | Some line -> (
             match entry_of_line line with
             | Ok e -> go (lineno + 1) (e :: acc)
             | Error msg ->
-                let rec remaining n =
-                  match In_channel.input_line ic with
-                  | None -> n
-                  | Some _ -> remaining (n + 1)
-                in
-                { entries = List.rev acc; salvaged = List.length acc;
-                  dropped_lines = remaining 1;
-                  dropped_bytes = total - start;
+                { entries = List.rev acc;
                   error = Some (Printf.sprintf "%s:%d: %s" path lineno msg) })
       in
       go 1 [])

@@ -7,15 +7,20 @@
      "metrics":{"per_op_us":5.37,"samples":64.0,...}}
     v}
 
+    The row's field order and the elision of the optional fields below
+    are a pinned byte format (test_campaign "identity pinned").
+
     ["attempts"] is always [1]: every run is attempted exactly once,
     and the constant is kept so rows stay byte-identical to ledgers
     written when failed runs were retried. The reader ignores it, so
     such older ledgers (with [2], or a ["quarantined"] status) still
     load; resume re-runs every row that is not [ok].
 
-    A ["fault"] string field (the point's canonical fault-plan) appears
-    after ["seed"] only when the point has one, so fault-free ledgers
-    stay byte-identical to the pre-fault-axis format.
+    The ["fault"], ["policy"] and ["arch"] fields appear (after
+    ["hosts"]) only away from their {!Spec.default}, so ledgers of
+    points that do not use those axes stay byte-identical to the
+    formats that predate them; the reader fills a missing field with
+    its default.
 
     Non-finite metric values are encoded as [null] (JSON has no nan) and
     read back as [nan]. The reader accepts any JSONL produced by the
@@ -38,8 +43,6 @@ type entry = {
           inputs and coverage maps here. *)
 }
 
-val entry_of_result : Runner.result -> entry
-
 (** {2 JSON}
 
     The ledger's own minimal JSON representation and parser, exposed so
@@ -60,25 +63,37 @@ exception Parse_error of string
 val parse_json : string -> json
 (** Parse one JSON value from a string; raises {!Parse_error}. *)
 
-(** {2 Line checksums}
+(** {2 Writing}
 
     A journaled row carries a CRC32 of its own canonical bytes as a
     final ["crc"] field ([{...,"crc":"9a3f04d1"}]), so {!recover} can
     tell an intact row from a torn or bit-flipped one. Lines without
     the field are accepted unchecked (legacy ledgers). *)
 
-val line_of_entry_crc : entry -> string
-(** The entry's canonical JSON line with the checksum field appended. *)
+val line : crc:bool -> entry -> string
+(** The entry's canonical JSON line, with the checksum field appended
+    when [crc]. *)
 
-val strip_crc : string -> (string, string) result
-(** Verify and remove a trailing ["crc"] field: [Ok plain] (the bytes
-    the checksum covered, or the unchanged line if it carried no
-    checksum), or [Error] on mismatch. *)
+type writer
+(** An open ledger file: the one append path, for a campaign's or the
+    fuzzer's journal (with [crc]) and for [svt_sim run --out] (plain). *)
 
-(** {2 Writing} *)
+val writer : crc:bool -> string -> writer
+(** Open [path] for appending (created if missing). *)
 
-val write : string -> entry list -> unit
-(** Append [entries] to the file at [path], one line each. *)
+val append : writer -> entry -> unit
+(** Append the entry's {!line} and flush it: a crash after the call
+    keeps the row, and one during it leaves at worst a torn last line,
+    which {!recover} drops. *)
+
+val close : writer -> unit
+
+val rewrite : string -> entry list -> unit
+(** Atomically replace [path] with exactly [entries] (CRC'd, one per
+    line) via a temp file and rename: the clean-completion path that
+    turns a completion-ordered journal into the canonical spec-ordered
+    ledger, and the start of a fresh one ([rewrite path []]). A crash
+    mid-rewrite leaves the old file intact. *)
 
 (** {2 Reading} *)
 
@@ -91,10 +106,9 @@ val load : string -> (entry list, string) result
 (** What {!recover} salvaged from a (possibly torn) journal. *)
 type recovery = {
   entries : entry list;  (** the intact prefix rows, in file order *)
-  salvaged : int;  (** [List.length entries] *)
-  dropped_lines : int;  (** lines at or after the first damaged one *)
-  dropped_bytes : int;  (** bytes from the first damaged line to EOF *)
-  error : string option;  (** what stopped the scan; [None] if clean *)
+  error : string option;
+      (** the first damaged line ([path:line: ...]), where the scan
+          stopped; [None] if the whole file is intact *)
 }
 
 val entry_of_line : string -> (entry, string) result

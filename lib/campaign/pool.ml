@@ -58,30 +58,23 @@ let map ?jobs ?stop_after ?on_result f tasks =
   (* Backtrace recording is per domain: set it in every domain that runs
      tasks, so a failure's recorded trace does not depend on [jobs]. *)
   Printexc.record_backtrace true;
-  if jobs = 1 || n <= 1 then begin
-    let i = ref 0 in
-    while !i < n && not (Atomic.get stop) do
-      run_one !i;
-      incr i
-    done
-  end
-  else begin
-    let next = Atomic.make 0 in
-    let rec worker () =
-      if not (Atomic.get stop) then begin
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          run_one i;
-          worker ()
-        end
+  let next = Atomic.make 0 in
+  let rec worker () =
+    if not (Atomic.get stop) then begin
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        run_one i;
+        worker ()
       end
-    in
+    end
+  in
+  if jobs = 1 || n <= 1 then worker ()
+  else
     List.init (min jobs n) (fun _ ->
         Domain.spawn (fun () ->
             Printexc.record_backtrace true;
             worker ()))
-    |> List.iter Domain.join
-  end;
+    |> List.iter Domain.join;
   {
     outcomes = results;
     completed = !completed;

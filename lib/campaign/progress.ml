@@ -11,7 +11,7 @@ type t = {
   mutable last_draw : float;
 }
 
-let create ?(label = "sweep") ~total () =
+let create ~label ~total =
   {
     label;
     total;

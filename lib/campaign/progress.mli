@@ -7,7 +7,7 @@
 
 type t
 
-val create : ?label:string -> total:int -> unit -> t
+val create : label:string -> total:int -> t
 
 val step : t -> ok:bool -> unit
 (** Record one finished run and maybe redraw. *)

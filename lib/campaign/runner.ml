@@ -15,24 +15,6 @@ module Etc = Svt_workloads.Etc_workload
 module Tpcc = Svt_workloads.Tpcc
 module Video = Svt_workloads.Video
 
-type status =
-  | Run_ok
-  | Run_failed of string
-  | Run_timeout
-
-let status_name = function
-  | Run_ok -> "ok"
-  | Run_failed _ -> "failed"
-  | Run_timeout -> "timeout"
-
-type result = {
-  point : Spec.point;
-  run_id : string;
-  status : status;
-  wall_s : float;
-  metrics : (string * float) list;
-}
-
 (* Default event fuel for campaign runs: far above any real workload
    (the largest sweep rows record ~10^5 events) but low enough that a
    runaway run is cut within about a minute, at the same virtual instant
@@ -45,6 +27,12 @@ let fuel_metrics ~events ~now ~max_events =
     ("sim_now_us", Time.to_us_f now);
     ("budget.max_events", float_of_int max_events);
   ]
+
+(* A point whose fault plan or policy does not parse fails its row,
+   naming the run. *)
+let parsed (p : Spec.point) = function
+  | Ok v -> v
+  | Error e -> failwith (Printf.sprintf "run %s: %s" (Spec.run_id p) e)
 
 let make_system ?max_sim_events (p : Spec.point) =
   (* Derive the machine seed from the run hash: independent stream per
@@ -60,11 +48,7 @@ let make_system ?max_sim_events (p : Spec.point) =
        floor for it so the Figure 8 shape survives a 1-vCPU axis. *)
     if p.Spec.workload = "etc" then max 2 p.Spec.vcpus else p.Spec.vcpus
   in
-  let faults =
-    match Svt_fault.Plan.of_string p.Spec.fault with
-    | Ok plan -> plan
-    | Error e -> failwith (Printf.sprintf "run %s: %s" (Spec.run_id p) e)
-  in
+  let faults = parsed p (Svt_fault.Plan.of_string p.Spec.fault) in
   System.of_config
     (System.Config.make ~arch:p.Spec.arch ~machine:config ~n_vcpus ~faults
        ~fault_seed ?max_sim_events ~mode:p.Spec.mode
@@ -140,61 +124,57 @@ let workload_metrics (p : Spec.point) sys =
         (Printf.sprintf "unknown workload %S (expected one of %s)" w
            (String.concat ", " Spec.workload_names))
 
-(* The consolidation workload is host-shaped, not stack-shaped: it
-   builds its own topology and tenant set from the point's cores / smt /
-   tenants / policy axes and time-slices [tenants] copies of the mode
-   under the scheduler. Bounded by the horizon, not by event fuel. *)
-let consolidate_horizon = Time.of_ms 20
+(* The host-shaped workloads build their own hosts instead of driving
+   one stack, and are bounded by a horizon of virtual time, not by event
+   fuel. Both place [tenants] copies of the point's mode, policy and
+   vCPU count, each seeded by a draw from the run's content-addressed
+   stream. *)
+let host_horizon = Time.of_ms 20
 
-let consolidate_metrics (p : Spec.point) =
+let tenant_specs (p : Spec.point) =
+  let policy =
+    match p.Spec.policy with
+    | "" -> Svt_sched.Policy.default
+    | s -> parsed p (Svt_sched.Policy.of_string s)
+  in
   let rng = Prng.of_seed (Spec.run_hash p) in
+  List.init p.Spec.tenants (fun i ->
+      Svt_sched.Host.tenant_spec
+        ~name:(Printf.sprintf "t%d" i)
+        ~arch:p.Spec.arch ~policy ~n_vcpus:p.Spec.vcpus
+        ~seed:(Prng.int rng (1 lsl 30))
+        p.Spec.mode)
+
+(* Consolidation: the tenants time-sliced on one host of the point's
+   cores x smt topology under the scheduler. *)
+let consolidate_metrics (p : Spec.point) =
   let topology =
     Svt_sched.Topology.create ~sockets:1 ~cores_per_socket:p.Spec.cores
       ~smt_per_core:p.Spec.smt ()
   in
   let host = Svt_sched.Host.create ~topology () in
-  let policy =
-    match p.Spec.policy with
-    | "" -> Svt_sched.Policy.default
-    | s -> (
-        match Svt_sched.Policy.of_string s with
-        | Ok pol -> pol
-        | Error e -> failwith (Printf.sprintf "run %s: %s" (Spec.run_id p) e))
-  in
-  for i = 0 to p.Spec.tenants - 1 do
-    let spec =
-      Svt_sched.Host.tenant_spec
-        ~name:(Printf.sprintf "t%d" i)
-        ~arch:p.Spec.arch ~policy ~n_vcpus:p.Spec.vcpus
-        ~seed:(Prng.int rng (1 lsl 30))
-        p.Spec.mode
-    in
-    match Svt_sched.Host.add_tenant host spec with
-    | Ok () -> ()
-    | Error errs ->
-        failwith
-          (Fmt.str "run %s: tenant %d rejected: %a" (Spec.run_id p) i
-             (Fmt.list ~sep:Fmt.comma System.Config.pp_error)
-             errs)
-  done;
-  Svt_sched.Host.run host ~horizon:consolidate_horizon;
+  List.iteri
+    (fun i spec ->
+      match Svt_sched.Host.add_tenant host spec with
+      | Ok () -> ()
+      | Error errs ->
+          failwith
+            (Fmt.str "run %s: tenant %d rejected: %a" (Spec.run_id p) i
+               (Fmt.list ~sep:Fmt.comma System.Config.pp_error)
+               errs))
+    (tenant_specs p);
+  Svt_sched.Host.run host ~horizon:host_horizon;
   let r = Svt_sched.Host.report host in
   Svt_sched.Host.fields r
   @ [ ("sim_now_us", Time.to_us_f (Svt_sched.Host.now host)) ]
 
-(* The fleet workload: [hosts] Sched.Hosts behind the admission
-   controller, [tenants] submissions of the point's mode/policy/vcpus,
-   cluster-scope faults from the point's plan. Like consolidate it is
-   horizon-bounded and host-shaped; the stack half of the fault axis
-   must be empty (stack faults strike inside one System — there is no
-   single System here to strike). *)
-let cluster_horizon = Time.of_ms 20
-
+(* The fleet: [hosts] such hosts behind the admission controller, the
+   tenants submitted to it, and the cluster-scope faults of the point's
+   plan. The stack half of the fault axis must be empty (stack faults
+   strike inside one System, and there is no single System here). *)
 let cluster_metrics (p : Spec.point) =
   let stack_plan, cluster_plan =
-    match Svt_fault.Cluster_plan.split_of_string p.Spec.fault with
-    | Ok sp -> sp
-    | Error e -> failwith (Printf.sprintf "run %s: %s" (Spec.run_id p) e)
+    parsed p (Svt_fault.Cluster_plan.split_of_string p.Spec.fault)
   in
   if not (Svt_fault.Plan.is_empty stack_plan) then
     failwith
@@ -202,14 +182,7 @@ let cluster_metrics (p : Spec.point) =
          "run %s: cluster workload takes cluster-scope faults only (got %s)"
          (Spec.run_id p)
          (Svt_fault.Plan.to_string stack_plan));
-  let policy =
-    match p.Spec.policy with
-    | "" -> Svt_sched.Policy.default
-    | s -> (
-        match Svt_sched.Policy.of_string s with
-        | Ok pol -> pol
-        | Error e -> failwith (Printf.sprintf "run %s: %s" (Spec.run_id p) e))
-  in
+  let tenants = tenant_specs p in
   let cluster =
     Svt_cluster.Cluster.create
       {
@@ -222,17 +195,8 @@ let cluster_metrics (p : Spec.point) =
         seed = Spec.run_hash p;
       }
   in
-  let rng = Prng.of_seed (Spec.run_hash p) in
-  for i = 0 to p.Spec.tenants - 1 do
-    ignore
-      (Svt_cluster.Cluster.submit cluster
-         (Svt_sched.Host.tenant_spec
-            ~name:(Printf.sprintf "t%d" i)
-            ~arch:p.Spec.arch ~policy ~n_vcpus:p.Spec.vcpus
-            ~seed:(Prng.int rng (1 lsl 30))
-            p.Spec.mode))
-  done;
-  Svt_cluster.Cluster.run cluster ~horizon:cluster_horizon;
+  List.iter (fun t -> ignore (Svt_cluster.Cluster.submit cluster t)) tenants;
+  Svt_cluster.Cluster.run cluster ~horizon:host_horizon;
   let r = Svt_cluster.Cluster.report cluster in
   Svt_cluster.Cluster.fields r
   @ [ ("sim_now_us", Time.to_us_f (Svt_cluster.Cluster.now cluster)) ]
@@ -246,7 +210,8 @@ let exec ?(max_sim_events = default_max_sim_events) p =
      sweep-diff can compare exit-path composition across revisions. The
      timeline sink never advances virtual time, so the workload metrics
      are identical with or without it. *)
-  let tl = Svt_obs.Recorder.enable_timeline (System.obs sys) in
+  let tl = Svt_obs.Timeline.create () in
+  Svt_obs.Probe.subscribe (System.probe sys) (Svt_obs.Timeline.sink tl);
   let metrics = workload_metrics p sys in
   let sim = System.sim sys in
   let inj = System.injector sys in

@@ -1,6 +1,6 @@
 (** Adapts one {!Spec.point} to {!Svt_core.System.of_config} and the
-    workload entry points, and returns a uniform result record for the
-    ledger. This registry is the one way to run a point: the sweep and
+    workload entry points, and returns its flat metric list. This
+    registry is the one way to run a point: the sweep and
     [svt_sim run]/[trace]/[profile] all go through it.
 
     Each run builds a fresh, fully independent system whose machine PRNG
@@ -8,28 +8,6 @@
     {!Svt_engine.Prng.of_seed}, so a given run_id produces bit-identical
     metrics whether it executes sequentially, on a worker domain, or in
     a re-run campaign. *)
-
-type status =
-  | Run_ok
-  | Run_failed of string
-      (** the run raised; the payload is the exception followed by its
-          backtrace *)
-  | Run_timeout
-      (** the run spent the simulator's deterministic fuel budget (the
-          fuel counters become the metrics) *)
-
-val status_name : status -> string
-(** "ok", "failed", "timeout". *)
-
-type result = {
-  point : Spec.point;
-  run_id : string;
-  status : status;
-  wall_s : float;  (** host wall-clock of the run *)
-  metrics : (string * float) list;
-      (** workload metrics plus [sim_events] and [sim_now_us];
-          empty unless [status = Run_ok] *)
-}
 
 val default_max_sim_events : int
 (** {!exec}'s default event fuel (50M): far above any real workload but
@@ -44,10 +22,7 @@ val fuel_metrics :
     records them as its timeout row; the single-point subcommands print
     them on their timeout line. *)
 
-val make_system :
-  ?max_sim_events:int ->
-  Spec.point ->
-  Svt_core.System.t
+val make_system : ?max_sim_events:int -> Spec.point -> Svt_core.System.t
 (** Build the point's system (content-addressed PRNG seed, paper
     config) without running anything — callers that want to install
     observability sinks first (the [trace] and [profile] subcommands)
@@ -62,10 +37,7 @@ val workload_metrics : Spec.point -> Svt_core.System.t -> (string * float) list
     consolidate and cluster the message says they are host-shaped and
     run through {!exec}. *)
 
-val exec :
-  ?max_sim_events:int ->
-  Spec.point ->
-  (string * float) list
+val exec : ?max_sim_events:int -> Spec.point -> (string * float) list
 (** Run one point to completion and return its metrics; raises on
     unknown workload or simulation failure, and
     {!Svt_engine.Simulator.Budget_exhausted} when the fuel budget

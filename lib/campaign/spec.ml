@@ -12,20 +12,18 @@ module System = Svt_core.System
 module Backend = Svt_arch.Backend
 
 type point = {
-  arch : Backend.kind; (* architecture backend; X86 = pre-arch-axis runs *)
+  arch : Backend.kind;
   mode : Mode.t;
   level : System.level;
   workload : string;
   vcpus : int;
   seed : int;
   fault : string; (* canonical fault-plan string; "" = no faults *)
-  (* host-consolidation axes (lib/sched); the defaults describe the
-     single-stack runs that predate them *)
-  cores : int; (* host cores available to the scheduler *)
+  cores : int; (* host cores available to the scheduler (lib/sched) *)
   smt : int; (* hardware threads per host core *)
   tenants : int; (* co-located guest stacks *)
   policy : string; (* canonical svt_policy name; "" = scheduler default *)
-  hosts : int; (* fleet size (lib/cluster); 1 = single host, pre-fleet *)
+  hosts : int; (* fleet size (lib/cluster) *)
 }
 
 type t = point list
@@ -35,67 +33,53 @@ let stack_workload_names =
 
 let workload_names = stack_workload_names @ [ "consolidate"; "cluster" ]
 
-let point ?(arch = Backend.X86) ?(level = System.L2_nested)
-    ?(workload = "cpuid") ?(vcpus = 1) ?(seed = 0) ?(fault = "") ?(cores = 1)
-    ?(smt = 2) ?(tenants = 1) ?(policy = "") ?(hosts = 1) mode =
+(* Every axis default, stated once: the single-stack x86 point that
+   predates the axes added later (arch, fault, the consolidation
+   topology, policy, hosts), which is why each of those is elided from
+   the canonical key and the ledger row while it sits at its default. *)
+let default =
+  { arch = Backend.X86; mode = Mode.Baseline; level = System.L2_nested;
+    workload = "cpuid"; vcpus = 1; seed = 0; fault = ""; cores = 1; smt = 2;
+    tenants = 1; policy = ""; hosts = 1 }
+
+let point ?(arch = default.arch) ?(level = default.level)
+    ?(workload = default.workload) ?(vcpus = default.vcpus)
+    ?(seed = default.seed) ?(fault = default.fault) ?(cores = default.cores)
+    ?(smt = default.smt) ?(tenants = default.tenants)
+    ?(policy = default.policy) ?(hosts = default.hosts) mode =
   { arch; mode; level; workload; vcpus; seed; fault; cores; smt; tenants;
     policy; hosts }
 
-let cartesian ?(archs = [ Backend.X86 ]) ?(modes = [ Mode.Baseline ])
-    ?(levels = [ System.L2_nested ]) ?(workloads = [ "cpuid" ])
-    ?(vcpus = [ 1 ]) ?(seeds = [ 0 ]) ?(faults = [ "" ]) ?(cores = [ 1 ])
-    ?(smts = [ 2 ]) ?(tenants = [ 1 ]) ?(policies = [ "" ]) ?(hosts = [ 1 ])
-    () =
-  List.concat_map
-    (fun arch ->
-      List.concat_map
-        (fun mode ->
-          List.concat_map
-            (fun level ->
-              List.concat_map
-                (fun workload ->
-                  List.concat_map
-                    (fun n ->
-                      List.concat_map
-                        (fun seed ->
-                          List.concat_map
-                            (fun fault ->
-                              List.concat_map
-                                (fun c ->
-                                  List.concat_map
-                                    (fun s ->
-                                      List.concat_map
-                                        (fun tn ->
-                                          List.concat_map
-                                            (fun policy ->
-                                              List.map
-                                                (fun h ->
-                                                  {
-                                                    arch;
-                                                    mode;
-                                                    level;
-                                                    workload;
-                                                    vcpus = n;
-                                                    seed;
-                                                    fault;
-                                                    cores = c;
-                                                    smt = s;
-                                                    tenants = tn;
-                                                    policy;
-                                                    hosts = h;
-                                                  })
-                                                hosts)
-                                            policies)
-                                        tenants)
-                                    smts)
-                                cores)
-                            faults)
-                        seeds)
-                    vcpus)
-                workloads)
-            levels)
-        modes)
-    archs
+(* The cross product of axes, each given as one setter per value, the
+   first axis outermost; an axis left out keeps its default. *)
+let product axes =
+  List.fold_left
+    (fun points setters ->
+      List.concat_map (fun p -> List.map (fun set -> set p) setters) points)
+    [ default ] axes
+
+let cartesian ?archs ?modes ?levels ?workloads ?vcpus ?seeds ?faults ?cores
+    ?smts ?tenants ?policies ?hosts () =
+  let axis set = function
+    | None -> []
+    | Some values -> [ List.map (fun v p -> set p v) values ]
+  in
+  product
+    (List.concat
+       [
+         axis (fun p arch -> { p with arch }) archs;
+         axis (fun p mode -> { p with mode }) modes;
+         axis (fun p level -> { p with level }) levels;
+         axis (fun p workload -> { p with workload }) workloads;
+         axis (fun p vcpus -> { p with vcpus }) vcpus;
+         axis (fun p seed -> { p with seed }) seeds;
+         axis (fun p fault -> { p with fault }) faults;
+         axis (fun p cores -> { p with cores }) cores;
+         axis (fun p smt -> { p with smt }) smts;
+         axis (fun p tenants -> { p with tenants }) tenants;
+         axis (fun p policy -> { p with policy }) policies;
+         axis (fun p hosts -> { p with hosts }) hosts;
+       ])
 
 (* ---- canonical naming ---- *)
 
@@ -113,29 +97,28 @@ let level_of_string = function
   | "l2" | "nested" -> Ok System.L2_nested
   | s -> Error (Printf.sprintf "unknown level %S" s)
 
-(* The fault and consolidation suffixes appear only when set away from
-   their defaults, so pre-existing points keep the run_ids (and derived
-   PRNG streams) they had before each axis existed. The arch suffix
-   follows the same rule: x86 (the only backend that existed before the
-   axis) is elided, so every historical x86 run_id is preserved. *)
+(* The first five fields are always present; every later axis appears
+   only away from its default, so pre-existing points keep the run_ids
+   (and derived PRNG streams) they had before each axis existed. The
+   arch suffix comes last: x86, the only backend before the axis, is
+   elided, so every historical x86 run_id is preserved. *)
 let canonical_key p =
-  let base =
-    Printf.sprintf "mode=%s;level=%s;workload=%s;vcpus=%d;seed=%d"
-      (Mode.to_string p.mode) (level_to_string p.level) p.workload p.vcpus
-      p.seed
-  in
-  let base = if p.fault = "" then base else base ^ ";fault=" ^ p.fault in
-  let base = if p.cores = 1 then base else Printf.sprintf "%s;cores=%d" base p.cores in
-  let base = if p.smt = 2 then base else Printf.sprintf "%s;smt=%d" base p.smt in
-  let base =
-    if p.tenants = 1 then base else Printf.sprintf "%s;tenants=%d" base p.tenants
-  in
-  let base = if p.policy = "" then base else base ^ ";policy=" ^ p.policy in
-  let base =
-    if p.hosts = 1 then base else Printf.sprintf "%s;hosts=%d" base p.hosts
-  in
-  if Backend.equal p.arch Backend.X86 then base
-  else base ^ ";arch=" ^ Backend.to_string p.arch
+  let unless_default name show v d = if v = d then [] else [ name ^ "=" ^ show v ] in
+  String.concat ";"
+    ([
+       "mode=" ^ Mode.to_string p.mode;
+       "level=" ^ level_to_string p.level;
+       "workload=" ^ p.workload;
+       "vcpus=" ^ string_of_int p.vcpus;
+       "seed=" ^ string_of_int p.seed;
+     ]
+    @ unless_default "fault" Fun.id p.fault default.fault
+    @ unless_default "cores" string_of_int p.cores default.cores
+    @ unless_default "smt" string_of_int p.smt default.smt
+    @ unless_default "tenants" string_of_int p.tenants default.tenants
+    @ unless_default "policy" Fun.id p.policy default.policy
+    @ unless_default "hosts" string_of_int p.hosts default.hosts
+    @ unless_default "arch" Backend.to_string p.arch default.arch)
 
 (* FNV-1a over the canonical key, then a splitmix64 finalizer for
    diffusion (FNV alone keeps low-byte correlations between nearby keys,
@@ -171,19 +154,14 @@ let dedup points =
 
 (* ---- axis grammar ---- *)
 
-let split_commas s = String.split_on_char ',' s |> List.filter (( <> ) "")
-
 let parse_axis arg =
   match String.index_opt arg '=' with
   | None -> Error (Printf.sprintf "axis %S: expected key=v1,v2,..." arg)
   | Some i ->
-      let key = String.sub arg 0 i in
-      let values = split_commas (String.sub arg (i + 1) (String.length arg - i - 1)) in
-      if values = [] then Error (Printf.sprintf "axis %S: no values" arg)
-      else Ok (key, values)
-
-let collect_axis axes key =
-  List.concat_map (fun (k, vs) -> if k = key then vs else []) axes
+      let values = String.sub arg (i + 1) (String.length arg - i - 1) in
+      match List.filter (( <> ) "") (String.split_on_char ',' values) with
+      | [] -> Error (Printf.sprintf "axis %S: no values" arg)
+      | values -> Ok (String.sub arg 0 i, values)
 
 let map_result f values =
   List.fold_right
@@ -194,10 +172,22 @@ let map_result f values =
       | Ok rest, Ok x -> Ok (x :: rest))
     values (Ok [])
 
-let int_of_string_res what s =
+let int_value name s =
   match int_of_string_opt s with
   | Some n -> Ok n
-  | None -> Error (Printf.sprintf "%s: %S is not an integer" what s)
+  | None -> Error (Printf.sprintf "%s: %S is not an integer" name s)
+
+let count name s =
+  Result.bind (int_value name s) (fun n ->
+      if n < 1 then Error (Printf.sprintf "%s must be >= 1 (got %d)" name n)
+      else Ok n)
+
+let workload_of_string w =
+  if List.mem w workload_names then Ok w
+  else
+    Error
+      (Printf.sprintf "unknown workload %S (expected one of %s)" w
+         (String.concat ", " workload_names))
 
 (* Parse and canonicalize one fault-plan axis value, so equivalent
    spellings ("drop-ring:0.010" vs "drop-ring:0.01") share a run_id.
@@ -221,79 +211,55 @@ let policy_of_string s =
   if s = "" || s = "default" then Ok ""
   else Result.map Mode.svt_policy_name (Mode.svt_policy_of_string s)
 
-let of_axes axes =
-  let known =
-    [ "arch"; "mode"; "level"; "workload"; "vcpus"; "seed"; "fault"; "cores";
-      "smt"; "tenants"; "policy"; "hosts" ]
+(* The axis grammar, in expansion order: each axis's name, the parser of
+   one value into a setter, and the spelling of a point's value that the
+   parser reads back. *)
+let axes =
+  let axis name parse set show =
+    (name, (fun s -> Result.map (fun v p -> set p v) (parse s)), show)
   in
-  match List.find_opt (fun (k, _) -> not (List.mem k known)) axes with
+  [
+    axis "arch" Backend.of_string (fun p arch -> { p with arch })
+      (fun p -> Backend.to_string p.arch);
+    axis "mode" Mode.of_string (fun p mode -> { p with mode })
+      (fun p -> Mode.to_string p.mode);
+    axis "level" level_of_string (fun p level -> { p with level })
+      (fun p -> level_to_string p.level);
+    axis "workload" workload_of_string (fun p workload -> { p with workload })
+      (fun p -> p.workload);
+    axis "vcpus" (count "vcpus") (fun p vcpus -> { p with vcpus })
+      (fun p -> string_of_int p.vcpus);
+    axis "seed" (int_value "seed") (fun p seed -> { p with seed })
+      (fun p -> string_of_int p.seed);
+    axis "fault" fault_of_string (fun p fault -> { p with fault })
+      (fun p -> if p.fault = "" then "none" else p.fault);
+    axis "cores" (count "cores") (fun p cores -> { p with cores })
+      (fun p -> string_of_int p.cores);
+    axis "smt" (count "smt") (fun p smt -> { p with smt })
+      (fun p -> string_of_int p.smt);
+    axis "tenants" (count "tenants") (fun p tenants -> { p with tenants })
+      (fun p -> string_of_int p.tenants);
+    axis "policy" policy_of_string (fun p policy -> { p with policy })
+      (fun p -> if p.policy = "" then "default" else p.policy);
+    axis "hosts" (count "hosts") (fun p hosts -> { p with hosts })
+      (fun p -> string_of_int p.hosts);
+  ]
+
+let axis_defaults = List.map (fun (name, _, show) -> (name, show default)) axes
+
+let of_axes given =
+  let names = List.map fst axis_defaults in
+  match List.find_opt (fun (k, _) -> not (List.mem k names)) given with
   | Some (k, _) ->
       Error
         (Printf.sprintf "unknown axis %S (expected one of %s)" k
-           (String.concat ", " known))
-  | None -> (
-      let or_default d = function [] -> d | vs -> vs in
-      let ( let* ) = Result.bind in
-      let* archs =
-        map_result Backend.of_string
-          (or_default [ "x86" ] (collect_axis axes "arch"))
+           (String.concat ", " names))
+  | None ->
+      (* repeated keys append to one axis *)
+      let values name =
+        List.concat_map (fun (k, vs) -> if k = name then vs else []) given
       in
-      let* modes =
-        map_result Mode.of_string (or_default [ "baseline" ] (collect_axis axes "mode"))
-      in
-      let* levels =
-        map_result level_of_string (or_default [ "l2" ] (collect_axis axes "level"))
-      in
-      let* workloads =
-        map_result
-          (fun w ->
-            if List.mem w workload_names then Ok w
-            else
-              Error
-                (Printf.sprintf "unknown workload %S (expected one of %s)" w
-                   (String.concat ", " workload_names)))
-          (or_default [ "cpuid" ] (collect_axis axes "workload"))
-      in
-      let* vcpus =
-        map_result (int_of_string_res "vcpus")
-          (or_default [ "1" ] (collect_axis axes "vcpus"))
-      in
-      let* seeds =
-        map_result (int_of_string_res "seed")
-          (or_default [ "0" ] (collect_axis axes "seed"))
-      in
-      let* faults =
-        map_result fault_of_string (or_default [ "" ] (collect_axis axes "fault"))
-      in
-      let* cores =
-        map_result (int_of_string_res "cores")
-          (or_default [ "1" ] (collect_axis axes "cores"))
-      in
-      let* smts =
-        map_result (int_of_string_res "smt")
-          (or_default [ "2" ] (collect_axis axes "smt"))
-      in
-      let* tenants =
-        map_result (int_of_string_res "tenants")
-          (or_default [ "1" ] (collect_axis axes "tenants"))
-      in
-      let* policies =
-        map_result policy_of_string (or_default [ "" ] (collect_axis axes "policy"))
-      in
-      let* hosts =
-        map_result (int_of_string_res "hosts")
-          (or_default [ "1" ] (collect_axis axes "hosts"))
-      in
-      let positive what vs =
-        match List.find_opt (fun n -> n < 1) vs with
-        | Some n -> Error (Printf.sprintf "%s must be >= 1 (got %d)" what n)
-        | None -> Ok vs
-      in
-      let* vcpus = positive "vcpus" vcpus in
-      let* cores = positive "cores" cores in
-      let* smts = positive "smt" smts in
-      let* tenants = positive "tenants" tenants in
-      let* hosts = positive "hosts" hosts in
-      Ok
-        (cartesian ~archs ~modes ~levels ~workloads ~vcpus ~seeds ~faults
-           ~cores ~smts ~tenants ~policies ~hosts ()))
+      Result.map product
+        (map_result
+           (fun (name, parse, _) -> map_result parse (values name))
+           (List.filter (fun (name, _, _) -> values name <> []) axes))

@@ -1,7 +1,8 @@
 (** Declarative description of an experiment campaign: a set of run
-    points over the axes of the paper's design space (mode, level,
-    workload, vCPU count, seed), built with the cartesian combinator or
-    parsed from the [svt_sim sweep] axis grammar.
+    points over the twelve axes of the design space (arch, mode, level,
+    workload, vcpus, seed, fault, cores, smt, tenants, policy, hosts),
+    built with the cartesian combinator or parsed from the
+    [svt_sim sweep] axis grammar.
 
     Every point has a stable [run_id] derived by hashing its contents,
     so per-run PRNG seeding (via {!Svt_engine.Prng.of_seed}) is
@@ -9,9 +10,7 @@
     domain executes them. *)
 
 type point = {
-  arch : Svt_arch.Backend.kind;
-      (** architecture backend; [X86] is the default and is elided from
-          {!canonical_key}, so pre-arch-axis run_ids are preserved *)
+  arch : Svt_arch.Backend.kind;  (** architecture backend *)
   mode : Svt_core.Mode.t;
   level : Svt_core.System.level;
   workload : string;  (** registry name, e.g. ["cpuid"], ["rr"] *)
@@ -19,17 +18,19 @@ type point = {
   seed : int;  (** user-chosen replication index, folded into the hash *)
   fault : string;
       (** canonical fault-plan string ({!Svt_fault.Plan.to_string});
-          [""] means no faults and keeps pre-fault-axis run_ids *)
-  cores : int;  (** host cores available to the scheduler (default 1) *)
-  smt : int;  (** hardware threads per host core (default 2) *)
-  tenants : int;  (** co-located guest stacks (default 1) *)
+          [""] means no faults *)
+  cores : int;  (** host cores available to the scheduler *)
+  smt : int;  (** hardware threads per host core *)
+  tenants : int;  (** co-located guest stacks *)
   policy : string;
       (** canonical {!Svt_core.Mode.svt_policy} name; [""] = scheduler
-          default, and keeps pre-consolidation run_ids *)
-  hosts : int;
-      (** fleet size for the cluster workload (lib/cluster); 1 = one
-          host, and keeps pre-fleet run_ids *)
+          default *)
+  hosts : int;  (** fleet size for the cluster workload (lib/cluster) *)
 }
+(** One run point. [arch] and every axis after [seed] are elided from
+    {!canonical_key} (and from the ledger row, where they are optional)
+    while at their {!default}, so points that predate an axis keep
+    their run_ids. *)
 
 type t = point list
 
@@ -43,6 +44,11 @@ val stack_workload_names : string list
 (** The workloads that drive one stack, i.e. {!workload_names} without
     consolidate and cluster: the ones {!Runner.make_system} +
     {!Runner.workload_metrics} can run. *)
+
+val default : point
+(** Every axis at its default, the one place the defaults are stated:
+    x86, baseline, [L2_nested], ["cpuid"], 1 vCPU, seed 0, no faults,
+    1 host core x 2 SMT, 1 tenant, default policy, 1 host. *)
 
 val point :
   ?arch:Svt_arch.Backend.kind ->
@@ -58,9 +64,7 @@ val point :
   ?hosts:int ->
   Svt_core.Mode.t ->
   point
-(** A single point; defaults: x86, [L2_nested], ["cpuid"], 1 vCPU,
-    seed 0, no faults, 1 host core x 2 SMT, 1 tenant, default policy,
-    1 host. *)
+(** A single point; an omitted axis takes its value from {!default}. *)
 
 val cartesian :
   ?archs:Svt_arch.Backend.kind list ->
@@ -77,8 +81,8 @@ val cartesian :
   ?hosts:int list ->
   unit ->
   t
-(** Full cross product of the given axes (singleton defaults as in
-    {!point}). Order: archs outermost, hosts innermost. *)
+(** Full cross product of the given axes; an omitted axis keeps its
+    {!default}. Order: archs outermost, hosts innermost. *)
 
 (** {2 Stable identity} *)
 
@@ -112,8 +116,13 @@ val parse_axis : string -> ((string * string list), string) result
     policy value is a {!Svt_core.Mode.svt_policy} name (canonicalized),
     or ["default"]. *)
 
+val axis_defaults : (string * string) list
+(** Every axis key of the grammar, in {!cartesian} order, with the
+    spelling of its {!default} value (["none"] for no faults,
+    ["default"] for the scheduler's policy). *)
+
 val of_axes : (string * string list) list -> (t, string) result
-(** Cartesian product of parsed axes; unknown keys, unparseable values,
-    workloads outside {!workload_names} and empty value lists are
-    reported as [Error]. Repeated keys append
+(** Cartesian product of parsed axes, in {!cartesian} order; unknown
+    keys, unparseable values, counts below 1 and workloads outside
+    {!workload_names} are reported as [Error]. Repeated keys append
     to the same axis. *)

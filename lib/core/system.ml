@@ -392,7 +392,6 @@ let of_config (c : Config.t) =
       { machine; mode; level; l1_vm; guest_vm = l2_vm; vcpus; nested; script;
         injector; fabric = None }
 
-let obs t = Machine.obs t.machine
 let probe t = Machine.probe t.machine
 let sim t = Machine.sim t.machine
 let cost t = Machine.cost t.machine

@@ -121,11 +121,9 @@ val of_config : Config.t -> t
 
 (** {2 Accessors} *)
 
-val obs : t -> Svt_obs.Recorder.t
-(** The machine's observability recorder (install sinks here). *)
-
 val probe : t -> Svt_obs.Probe.t
-(** The machine's probe (the emitter side of the obs layer). *)
+(** The machine's probe (the emitter side of the obs layer): install a
+    sink with {!Svt_obs.Probe.subscribe}. *)
 
 val sim : t -> Svt_engine.Simulator.t
 val cost : t -> Svt_arch.Cost_model.t

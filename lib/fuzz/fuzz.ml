@@ -24,7 +24,6 @@ module Vmcs = Svt_vmcs.Vmcs
 module Coverage = Svt_obs.Coverage
 module Gpa = Svt_mem.Addr.Gpa
 module Ledger = Svt_campaign.Ledger
-module Journal = Svt_campaign.Journal
 module Pool = Svt_campaign.Pool
 
 (* --- violations ---------------------------------------------------------- *)
@@ -281,7 +280,7 @@ let restore st path =
       | _ -> ())
     entries;
   let prefix = List.filteri (fun i _ -> i <= !last_progress) entries in
-  Journal.rewrite path prefix;
+  Ledger.rewrite path prefix;
   List.iter
     (fun e ->
       match Corpus.classify e with
@@ -321,14 +320,12 @@ let campaign ?(gen_cfg = Gen.default) ?(budget = default_budget) ?(jobs = 1)
     }
   in
   let journal =
-    match ledger with
-    | None -> None
-    | Some path ->
-        if resume && Sys.file_exists path then begin
-          restore st path;
-          Some (Journal.create path)
-        end
-        else Some (Journal.create ~truncate:true path)
+    Option.map
+      (fun path ->
+        if resume && Sys.file_exists path then restore st path
+        else Ledger.rewrite path [];
+        Ledger.writer ~crc:true path)
+      ledger
   in
   let rounds = ref 0 in
   let interrupted = ref false in
@@ -406,16 +403,14 @@ let campaign ?(gen_cfg = Gen.default) ?(budget = default_budget) ?(jobs = 1)
           ~kept:st.kept ~violations:st.violations
           ~cov_bits:(Coverage.bits st.global) ~events:st.events
         :: !rows;
-      (match journal with
-      | Some j -> List.iter (Journal.append j) (List.rev !rows)
-      | None -> ());
+      Option.iter (fun j -> List.iter (Ledger.append j) (List.rev !rows)) journal;
       incr rounds;
       log
         (Printf.sprintf "round %d: execs=%d kept=%d cov=%d violations=%d"
            !rounds st.execs st.kept (Coverage.bits st.global) st.violations)
     end
   done;
-  (match journal with Some j -> Journal.close j | None -> ());
+  Option.iter Ledger.close journal;
   {
     execs = st.execs;
     kept = st.kept;

@@ -39,7 +39,7 @@ type t = {
       (* each built on its first [core] call: a stack touches one or two *)
   host_cpuid : Svt_arch.Cpuid_db.t;
   metrics : Svt_stats.Metrics.t;
-  obs : Svt_obs.Recorder.t;
+  probe : Svt_obs.Probe.t;
   rng : Svt_engine.Prng.t;
 }
 
@@ -60,7 +60,7 @@ let create ?(config = paper_config) () =
     cores = Array.make n_cores None;
     host_cpuid = Svt_arch.Cpuid_db.host ();
     metrics = Svt_stats.Metrics.create ();
-    obs = Svt_obs.Recorder.create ~clock:(fun () -> Simulator.now sim) ();
+    probe = Svt_obs.Probe.create ~clock:(fun () -> Simulator.now sim) ();
     rng = Svt_engine.Prng.create config.seed;
   }
 
@@ -79,5 +79,4 @@ let core t i =
 
 let now t = Simulator.now t.sim
 
-let obs t = t.obs
-let probe t = Svt_obs.Recorder.probe t.obs
+let probe t = t.probe

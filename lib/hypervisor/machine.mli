@@ -30,7 +30,7 @@ type t = {
       (** built on demand: read them through {!core} *)
   host_cpuid : Svt_arch.Cpuid_db.t;
   metrics : Svt_stats.Metrics.t;
-  obs : Svt_obs.Recorder.t;
+  probe : Svt_obs.Probe.t;
   rng : Svt_engine.Prng.t;
 }
 
@@ -48,10 +48,8 @@ val core : t -> int -> Svt_arch.Smt_core.t
 
 val now : t -> Svt_engine.Time.t
 
-val obs : t -> Svt_obs.Recorder.t
-(** The machine's observability recorder (no sinks installed by
-    default). *)
-
 val probe : t -> Svt_obs.Probe.t
-(** Shorthand for [Svt_obs.Recorder.probe (obs t)] — what the
-    instrumented trap paths emit spans through. *)
+(** The machine's probe, what the instrumented trap paths emit spans
+    through. It has no subscriber until a sink is installed with
+    {!Svt_obs.Probe.subscribe}, and with none every probe site
+    short-circuits (the null-sink state). *)

@@ -90,6 +90,76 @@ let test_axis_grammar () =
     (Result.is_error (Spec.of_axes [ ("workload", [ "netperf-rr" ]) ]));
   checkb "missing = rejected" true (Result.is_error (Spec.parse_axis "mode"))
 
+(* Identity is a pinned byte format: the canonical key, the run_id hashed
+   from it and the ledger line (plain and CRC'd) of one point with every
+   axis off its default and of the all-default point, captured as
+   literals. A refactor of Spec or Ledger must leave every byte alone. *)
+let plain_line (e : Svt_campaign.Ledger.entry) =
+  let path = Filename.temp_file "svt_pin" ".jsonl" in
+  Sys.remove path;
+  let w = Svt_campaign.Ledger.writer ~crc:false path in
+  Svt_campaign.Ledger.append w e;
+  Svt_campaign.Ledger.close w;
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove path;
+  String.sub s 0 (String.length s - 1)
+
+let crc_line e = Svt_campaign.Ledger.line ~crc:true e
+
+let test_identity_pinned () =
+  let off =
+    Spec.point ~arch:Svt_arch.Backend.Arm ~level:System.L1_leaf ~workload:"rr"
+      ~vcpus:2 ~seed:7 ~fault:"drop-ring:0.05" ~cores:2 ~smt:1 ~tenants:3
+      ~policy:"shared-pool:2" ~hosts:4 Mode.Ooh
+  in
+  let dflt = Spec.point Mode.Baseline in
+  let entry point status error metrics data =
+    {
+      Ledger.run_id = Spec.run_id point;
+      point;
+      status;
+      error;
+      wall_s = 0.25;
+      metrics;
+      data;
+    }
+  in
+  let e_off =
+    entry off "failed" (Some "Failure(\"boom\")") [ ("per_op_us", 5.37) ]
+      [ ("input", "a\"b") ]
+  in
+  let e_dflt =
+    entry dflt "ok" None
+      [ ("per_op_us", 10.35); ("samples", 64.0); ("not_a_number", nan) ]
+      []
+  in
+  checks "off-default key"
+    {|mode=ooh;level=l1;workload=rr;vcpus=2;seed=7;fault=drop-ring:0.05;cores=2;smt=1;tenants=3;policy=shared-pool:2;hosts=4;arch=arm|}
+    (Spec.canonical_key off);
+  checks "off-default run_id"
+    {|df685c71368ea87a|}
+    (Spec.run_id off);
+  checks "off-default plain line"
+    {|{"run_id":"df685c71368ea87a","mode":"ooh","level":"l1","workload":"rr","vcpus":2,"seed":7,"cores":2,"smt_per_core":1,"tenants":3,"hosts":4,"fault":"drop-ring:0.05","policy":"shared-pool:2","arch":"arm","status":"failed","error":"Failure(\"boom\")","attempts":1,"wall_s":0.25,"metrics":{"per_op_us":5.3700000000000001},"data":{"input":"a\"b"}}|}
+    (plain_line e_off);
+  checks "off-default crc line"
+    {|{"run_id":"df685c71368ea87a","mode":"ooh","level":"l1","workload":"rr","vcpus":2,"seed":7,"cores":2,"smt_per_core":1,"tenants":3,"hosts":4,"fault":"drop-ring:0.05","policy":"shared-pool:2","arch":"arm","status":"failed","error":"Failure(\"boom\")","attempts":1,"wall_s":0.25,"metrics":{"per_op_us":5.3700000000000001},"data":{"input":"a\"b"},"crc":"40d8c714"}|}
+    (crc_line e_off);
+  checks "default key"
+    {|mode=baseline;level=l2;workload=cpuid;vcpus=1;seed=0|}
+    (Spec.canonical_key dflt);
+  checks "default run_id"
+    {|93b3fca55c1983a5|}
+    (Spec.run_id dflt);
+  checks "default plain line"
+    {|{"run_id":"93b3fca55c1983a5","mode":"baseline","level":"l2","workload":"cpuid","vcpus":1,"seed":0,"cores":1,"smt_per_core":2,"tenants":1,"hosts":1,"status":"ok","attempts":1,"wall_s":0.25,"metrics":{"per_op_us":10.35,"samples":64,"not_a_number":null}}|}
+    (plain_line e_dflt);
+  checks "default crc line"
+    {|{"run_id":"93b3fca55c1983a5","mode":"baseline","level":"l2","workload":"cpuid","vcpus":1,"seed":0,"cores":1,"smt_per_core":2,"tenants":1,"hosts":1,"status":"ok","attempts":1,"wall_s":0.25,"metrics":{"per_op_us":10.35,"samples":64,"not_a_number":null},"crc":"a6b61f4f"}|}
+    (crc_line e_dflt)
+
 (* --- Pool ---------------------------------------------------------------- *)
 
 (* Unwrap the outcome of task [i]; fails the test if it never ran. *)
@@ -169,14 +239,14 @@ let test_seq_parallel_identical () =
   checki "all ok sequential" 4 run1.Campaign.ok;
   checki "all ok parallel" 4 run4.Campaign.ok;
   List.iter2
-    (fun (a : Runner.result) (b : Runner.result) ->
-      checks "same run_id" a.Runner.run_id b.Runner.run_id;
+    (fun (a : Ledger.entry) (b : Ledger.entry) ->
+      checks "same run_id" a.Ledger.run_id b.Ledger.run_id;
       (* Byte-identical: the serialized metric lists match exactly. *)
       let serialize r =
         String.concat ";"
           (List.map
              (fun (k, v) -> Printf.sprintf "%s=%.17g" k v)
-             r.Runner.metrics)
+             r.Ledger.metrics)
       in
       checks "byte-identical metrics" (serialize a) (serialize b))
     run1.Campaign.results run4.Campaign.results
@@ -210,22 +280,22 @@ let test_campaign_failed_row () =
   checki "one point failed" 1 o.Campaign.failed;
   checki "failed exit code" 1 (Campaign.exit_code o);
   List.iter
-    (fun (r : Runner.result) ->
-      match r.Runner.status with
-      | Runner.Run_ok -> ()
-      | Runner.Run_failed msg ->
+    (fun (e : Ledger.entry) ->
+      match (e.Ledger.status, e.Ledger.error) with
+      | "ok", None -> ()
+      | "failed", Some msg ->
           checkb "message names the exception" true
             (contains_sub msg "always-broken");
           checkb "message carries the backtrace" true
             (contains_sub msg "Raised at")
-      | Runner.Run_timeout -> Alcotest.fail "unexpected timeout")
+      | s, _ -> Alcotest.fail ("unexpected status " ^ s))
     o.Campaign.results
 
 (* --- Ledger -------------------------------------------------------------- *)
 
 let temp_ledger () = Filename.temp_file "svt_ledger" ".jsonl"
 
-let sample_results () =
+let sample_entries () =
   let spec =
     Spec.cartesian ~modes:[ Mode.Baseline; Mode.Hw_svt ]
       ~levels:[ System.L2_nested ] ()
@@ -239,10 +309,15 @@ let sample_results () =
   in
   (Campaign.execute ~jobs:1 ~run spec).Campaign.results
 
+let write_plain path entries =
+  let w = Ledger.writer ~crc:false path in
+  List.iter (Ledger.append w) entries;
+  Ledger.close w
+
 let test_ledger_round_trip () =
   let path = temp_ledger () in
-  let entries = List.map Ledger.entry_of_result (sample_results ()) in
-  Ledger.write path entries;
+  let entries = sample_entries () in
+  write_plain path entries;
   (match Ledger.load path with
   | Error e -> Alcotest.fail e
   | Ok loaded ->
@@ -262,7 +337,7 @@ let test_ledger_round_trip () =
             a.Ledger.metrics b.Ledger.metrics)
         entries loaded);
   (* Appending accumulates lines rather than truncating. *)
-  Ledger.write path entries;
+  write_plain path entries;
   (match Ledger.load path with
   | Ok loaded -> checki "append-only" (2 * List.length entries) (List.length loaded)
   | Error e -> Alcotest.fail e);
@@ -309,12 +384,12 @@ let test_ledger_mode_compat () =
       data = [];
     }
   in
-  let line1 = Ledger.line_of_entry_crc e in
+  let line1 = Ledger.line ~crc:true e in
   match Ledger.entry_of_line line1 with
   | Error msg -> Alcotest.fail msg
   | Ok e' ->
       checkb "ooh point survives" true (e'.Ledger.point = point);
-      checks "ooh row byte-stable" line1 (Ledger.line_of_entry_crc e')
+      checks "ooh row byte-stable" line1 (Ledger.line ~crc:true e')
 
 (* Ledger compatibility across the arch-backend redesign (schema v4):
    v3 rows carry no arch field and must keep parsing as x86 with their
@@ -354,15 +429,15 @@ let test_ledger_arch_compat () =
     }
   in
   (* x86 rows keep the v3 wire format byte-for-byte: no arch key *)
-  let x86_line = Ledger.line_of_entry_crc (entry x86) in
+  let x86_line = Ledger.line ~crc:true (entry x86) in
   checkb "x86 row has no arch field" false (contains_sub x86_line "arch");
   (* an ARM row round-trips byte-stably with its arch field *)
-  let arm_line = Ledger.line_of_entry_crc (entry arm) in
+  let arm_line = Ledger.line ~crc:true (entry arm) in
   match Ledger.entry_of_line arm_line with
   | Error msg -> Alcotest.fail msg
   | Ok e' ->
       checkb "arm point survives" true (e'.Ledger.point = arm);
-      checks "arm row byte-stable" arm_line (Ledger.line_of_entry_crc e')
+      checks "arm row byte-stable" arm_line (Ledger.line ~crc:true e')
 
 (* An arch-axis sweep is byte-deterministic across worker counts: the
    jobs=2 sharding may change scheduling but never the ledger rows. *)
@@ -378,8 +453,7 @@ let test_ledger_arch_axis_jobs_deterministic () =
     |> List.map (fun r ->
            (* wall_s is host wall clock; the sweep's --deterministic pins
               it at the ledger-writing layer, so pin it here too *)
-           Ledger.line_of_entry_crc
-             { (Ledger.entry_of_result r) with Ledger.wall_s = 0.0 })
+           Ledger.line ~crc:true { r with Ledger.wall_s = 0.0 })
   in
   let j1 = lines 1 and j2 = lines 2 in
   checki "4 points" 4 (List.length j1);
@@ -399,7 +473,7 @@ let test_ledger_rejects_garbage () =
 let test_ledger_load_checks_crc () =
   let row per_op_us =
     let point = Spec.point ~workload:"cpuid" Mode.Baseline in
-    Ledger.line_of_entry_crc
+    Ledger.line ~crc:true
       {
         Ledger.run_id = Spec.run_id point;
         point;
@@ -477,7 +551,7 @@ let test_paper_speedup_pairs () =
   | rows -> checki "exactly one comparable pair" 1 (List.length rows)
 
 let test_ledger_diff () =
-  let entries = List.map Ledger.entry_of_result (sample_results ()) in
+  let entries = sample_entries () in
   checki "self-diff is empty" 0 (List.length (Ledger.diff entries entries));
   let bumped =
     List.map
@@ -508,24 +582,26 @@ let test_ledger_diff () =
 
 (* --- Journal: CRC, torn-write recovery, number stability ------------------ *)
 
-module Journal = Svt_campaign.Journal
-
 let test_crc_lines () =
-  let entries = List.map Ledger.entry_of_result (sample_results ()) in
+  let entries = sample_entries () in
   List.iter
     (fun (e : Ledger.entry) ->
-      let line = Ledger.line_of_entry_crc e in
-      (match Ledger.strip_crc line with
-      | Ok _ -> ()
-      | Error msg -> Alcotest.fail ("good line rejected: " ^ msg));
+      let line = Ledger.line ~crc:true e in
       (match Ledger.entry_of_line line with
       | Ok e' -> checks "run_id survives crc" e.Ledger.run_id e'.Ledger.run_id
-      | Error msg -> Alcotest.fail msg);
-      (* Flip one payload byte: the checksum must catch it. *)
-      let corrupt = Bytes.of_string line in
-      Bytes.set corrupt 3 '!';
+      | Error msg -> Alcotest.fail ("good line rejected: " ^ msg));
+      (* Flip one run_id digit: the row still parses without its
+         checksum, so only the CRC can catch the flip. *)
+      let at = String.length "{\"run_id\":\"" in
+      let flip l =
+        let b = Bytes.of_string l in
+        Bytes.set b at (if l.[at] = '0' then '1' else '0');
+        Bytes.to_string b
+      in
+      checkb "flip parses without a crc" true
+        (Result.is_ok (Ledger.entry_of_line (flip (Ledger.line ~crc:false e))));
       checkb "bit flip detected" true
-        (Result.is_error (Ledger.strip_crc (Bytes.to_string corrupt))))
+        (Result.is_error (Ledger.entry_of_line (flip line))))
     entries;
   (* A legacy line without a crc field is accepted unchecked. *)
   let plain = "{\"run_id\":\"x\",\"mode\":\"baseline\",\"level\":\"l2\",\"workload\":\"cpuid\",\"vcpus\":1,\"seed\":0,\"status\":\"ok\",\"attempts\":1,\"wall_s\":0,\"metrics\":{}}" in
@@ -538,9 +614,9 @@ let test_crc_lines () =
    whose full line text survived the cut. *)
 let test_recover_truncation_property () =
   let path = temp_ledger () in
-  let entries = List.map Ledger.entry_of_result (sample_results ()) in
+  let entries = sample_entries () in
   let entries = entries @ entries in
-  Journal.rewrite path entries;
+  Ledger.rewrite path entries;
   let ic = open_in_bin path in
   let len = in_channel_length ic in
   let bytes = really_input_string ic len in
@@ -567,8 +643,6 @@ let test_recover_truncation_property () =
              (Printexc.to_string e))
     in
     checki (Printf.sprintf "salvaged rows at offset %d" cut) (expected cut)
-      r.Ledger.salvaged;
-    checki "salvaged = |entries|" r.Ledger.salvaged
       (List.length r.Ledger.entries);
     (* Salvaged rows are exactly the prefix, in order. *)
     List.iteri
@@ -585,7 +659,7 @@ let test_recover_truncation_property () =
       checkb
         (Printf.sprintf "damage reported at offset %d" cut)
         true
-        (r.Ledger.dropped_bytes > 0 || r.Ledger.error <> None)
+        (r.Ledger.error <> None)
   done;
   Sys.remove tmp;
   Sys.remove path
@@ -613,35 +687,35 @@ let test_number_round_trip () =
       data = [];
     }
   in
-  let line1 = Ledger.line_of_entry_crc e in
+  let line1 = Ledger.line ~crc:true e in
   match Ledger.entry_of_line line1 with
   | Error msg -> Alcotest.fail msg
   | Ok e' ->
-      let line2 = Ledger.line_of_entry_crc e' in
+      let line2 = Ledger.line ~crc:true e' in
       checks "write/parse/write is byte-stable" line1 line2
+
+let salvaged path = List.length (Ledger.recover path).Ledger.entries
 
 let test_journal_checkpointing () =
   let path = temp_ledger () in
   Sys.remove path;
-  let entries = List.map Ledger.entry_of_result (sample_results ()) in
-  let j = Journal.create path in
-  List.iter (Journal.append j) entries;
+  let entries = sample_entries () in
+  let j = Ledger.writer ~crc:true path in
+  List.iter (Ledger.append j) entries;
   (* Every appended row is flushed at once: a kill before close loses
      nothing. *)
   checki "every row durable before close" (List.length entries)
-    (Ledger.recover path).Ledger.salvaged;
-  Journal.close j;
-  let r = Ledger.recover path in
-  checki "all rows durable after close" (List.length entries) r.Ledger.salvaged;
+    (salvaged path);
+  Ledger.close j;
+  checki "all rows durable after close" (List.length entries) (salvaged path);
   (* Append mode: a second journal continues the file. *)
-  let j = Journal.create path in
-  List.iter (Journal.append j) entries;
-  Journal.close j;
-  checki "appended" (2 * List.length entries) (Ledger.recover path).Ledger.salvaged;
+  let j = Ledger.writer ~crc:true path in
+  List.iter (Ledger.append j) entries;
+  Ledger.close j;
+  checki "appended" (2 * List.length entries) (salvaged path);
   (* Atomic rewrite replaces content. *)
-  Journal.rewrite path entries;
-  checki "rewrite is canonical" (List.length entries)
-    (Ledger.recover path).Ledger.salvaged;
+  Ledger.rewrite path entries;
+  checki "rewrite is canonical" (List.length entries) (salvaged path);
   Sys.remove path
 
 (* --- Pool supervision ----------------------------------------------------- *)
@@ -860,14 +934,12 @@ let test_fuel_budget_cuts_hung_workload () =
   checki "as a timeout" 1 o.Campaign.timeout;
   checki "timeout exit code" 1 (Campaign.exit_code o);
   let r = List.hd o.Campaign.results in
-  (match r.Runner.status with
-  | Runner.Run_timeout -> ()
-  | s -> Alcotest.fail ("expected timeout, got " ^ Runner.status_name s));
+  checks "status" "timeout" r.Ledger.status;
   checki "run once" 1 !calls;
   checkb "fuel counter in metrics" true
-    (List.assoc "sim_events" r.Runner.metrics = 20_000.0);
+    (List.assoc "sim_events" r.Ledger.metrics = 20_000.0);
   checkb "budget recorded" true
-    (List.assoc "budget.max_events" r.Runner.metrics = 20_000.0)
+    (List.assoc "budget.max_events" r.Ledger.metrics = 20_000.0)
 
 (* Failed rows carry a backtrace, and backtrace recording is per
    domain: a real sweep with failing points (an unknown workload, and a
@@ -937,6 +1009,7 @@ let () =
             test_run_id_stable_across_orderings;
           Alcotest.test_case "mode round trip" `Quick test_mode_round_trip;
           Alcotest.test_case "axis grammar" `Quick test_axis_grammar;
+          Alcotest.test_case "identity pinned" `Quick test_identity_pinned;
         ] );
       ( "pool",
         [

@@ -407,7 +407,7 @@ let test_ledger_hosts_field () =
       data = [];
     }
   in
-  (match Ledger.entry_of_line (Ledger.line_of_entry_crc e) with
+  (match Ledger.entry_of_line (Ledger.line ~crc:true e) with
   | Error msg -> Alcotest.fail msg
   | Ok e' -> checki "hosts survives round-trip" 4 e'.Ledger.point.Spec.hosts);
   (* legacy rows (schema v1/v2, no hosts field) still parse, hosts=1 *)

@@ -306,7 +306,7 @@ let test_jobs_determinism_with_faults () =
   let run jobs =
     let o = Campaign.execute ~jobs ~progress:false spec in
     List.map
-      (fun (r : Runner.result) -> (r.Runner.run_id, r.Runner.metrics))
+      (fun (e : Svt_campaign.Ledger.entry) -> (e.run_id, e.metrics))
       o.Campaign.results
     |> List.sort compare
   in

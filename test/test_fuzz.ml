@@ -207,7 +207,7 @@ let test_corpus_row_roundtrip () =
   Coverage.mark cov 4011;
   let kept = Corpus.kept_entry ~index:5 ~bits_added:2 ~events:123 ~cov input in
   (* through the journal line format and back *)
-  let line = Ledger.line_of_entry_crc kept in
+  let line = Ledger.line ~crc:true kept in
   let back =
     match Ledger.entry_of_line line with
     | Ok e -> e

@@ -8,7 +8,6 @@ module Probe = Svt_obs.Probe
 module Timeline = Svt_obs.Timeline
 module Chrome_trace = Svt_obs.Chrome_trace
 module Export = Svt_obs.Export
-module Recorder = Svt_obs.Recorder
 module Mode = Svt_core.Mode
 module System = Svt_core.System
 module Guest = Svt_core.Guest
@@ -49,7 +48,8 @@ let run_small_nested ?(prepare = ignore) mode =
   let sys =
     System.of_config (System.Config.make ~mode ~level:System.L2_nested ())
   in
-  let tl = Recorder.enable_timeline (System.obs sys) in
+  let tl = Timeline.create () in
+  Probe.subscribe (System.probe sys) (Timeline.sink tl);
   prepare sys;
   Svt_hyp.Vcpu.spawn_program (System.vcpu0 sys) (fun v ->
       for _ = 1 to 5 do
@@ -191,7 +191,9 @@ let test_ledger_round_trip () =
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      Ledger.write path [ entry ];
+      let w = Ledger.writer ~crc:false path in
+      Ledger.append w entry;
+      Ledger.close w;
       let loaded = List.hd (Result.get_ok (Ledger.load path)) in
       List.iter
         (fun (k, v) ->
@@ -308,8 +310,9 @@ let test_sinks_do_not_perturb () =
   let bare = run_with (fun _ -> ()) in
   let observed =
     run_with (fun sys ->
-        ignore (Recorder.enable_timeline (System.obs sys));
-        ignore (Recorder.enable_chrome (System.obs sys)))
+        Probe.subscribe (System.probe sys) (Timeline.sink (Timeline.create ()));
+        Probe.subscribe (System.probe sys)
+          (Chrome_trace.sink (Chrome_trace.create ())))
   in
   checki "same metric count" (List.length bare) (List.length observed);
   List.iter2

@@ -354,7 +354,9 @@ let test_ledger_schema_v2_round_trip () =
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      Ledger.write path [ entry ];
+      let w = Ledger.writer ~crc:false path in
+      Ledger.append w entry;
+      Ledger.close w;
       match Ledger.load path with
       | Error e -> Alcotest.fail e
       | Ok [ e ] ->
