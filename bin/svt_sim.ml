@@ -526,7 +526,7 @@ let sched_cmd =
          & info [ "vcpus" ] ~docv:"N" ~doc:"vCPUs per tenant.")
   in
   let horizon_ms =
-    Arg.(value & opt int 20
+    Arg.(value & opt pos_int 20
          & info [ "horizon-ms" ] ~docv:"MS" ~doc:"Host run length (virtual ms).")
   in
   let quantum_us =
@@ -662,7 +662,7 @@ let cluster_cmd =
   let module Cluster = Svt_cluster.Cluster in
   let module Admission = Svt_cluster.Admission in
   let hosts_arg =
-    Arg.(value & opt int 4 & info [ "hosts" ] ~docv:"N" ~doc:"Fleet size.")
+    Arg.(value & opt pos_int 4 & info [ "hosts" ] ~docv:"N" ~doc:"Fleet size.")
   in
   let cores_arg =
     Arg.(value & opt pos_int 4 & info [ "cores" ] ~docv:"N" ~doc:"Cores per host.")
@@ -672,7 +672,7 @@ let cluster_cmd =
          & info [ "smt" ] ~docv:"N" ~doc:"Hardware threads per core.")
   in
   let tenants_arg =
-    Arg.(value & opt int 10
+    Arg.(value & opt pos_int 10
          & info [ "tenants" ] ~docv:"N" ~doc:"Tenants submitted for admission.")
   in
   let vcpus_arg =
@@ -699,7 +699,7 @@ let cluster_cmd =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Fleet fault seed.")
   in
   let horizon_ms =
-    Arg.(value & opt int 20
+    Arg.(value & opt pos_int 20
          & info [ "horizon-ms" ] ~docv:"MS" ~doc:"Fleet run length (virtual ms).")
   in
   let strategy_arg =

@@ -1,6 +1,6 @@
-(* Architecture backends: the ISA-specific surface of the stack behind a
-   first-class module. A backend bundles the exit-reason spelling, the
-   calibrated context-switch cost table, and the nested-state model —
+(* Architecture backends: the ISA-specific surface of the stack, one
+   [match] on the kind per fact — the exit-reason spelling, the
+   calibrated context-switch cost table and the capability flags.
    x86/VMX keeps nested state in a hardware-cached VMCS that shadowing can
    absorb accesses to; ARM NV/VHE keeps it in memory-backed system
    registers (a VNCR-style page), so there is nothing for a shadow VMCS to
@@ -12,11 +12,6 @@
    survives), the ledger, the CLI and the fuzzer labels. *)
 
 type kind = X86 | Arm
-
-(* How a guest hypervisor's nested state is materialized. *)
-type state_model =
-  | Cached_vmcs (* hardware-cached VMCS, shadow-able (Intel VMX) *)
-  | Memory_sysregs (* memory-backed system-register image (ARM NV/VHE) *)
 
 (* ---- the canonical string table (see Svt_core.Mode) ------------------- *)
 
@@ -30,42 +25,6 @@ let of_string = function
 let all = [ X86; Arm ]
 let default = X86
 let equal = ( = )
-
-(* ---- the backend interface -------------------------------------------- *)
-
-module type S = sig
-  val kind : kind
-  val display_name : string
-  val nested_state : state_model
-
-  val has_shadow_vmcs : bool
-  (** Whether hardware can absorb L1's nested-state accesses into a
-      shadow structure without trapping. *)
-
-  val has_hw_svt : bool
-  (** Whether the HW SVt design point exists on this ISA: its per-level
-      hardware contexts extend the VMCS-caching machinery, so an ISA
-      whose nested state is a plain memory image has no shadow state for
-      the contexts to multiplex. *)
-
-  val cost : Cost_model.t
-  val exit_name : Exit_reason.t -> string
-  val world_switch : string
-  (** How control crosses privilege worlds, for table captions. *)
-end
-
-type t = (module S)
-
-module X86_backend : S = struct
-  let kind = X86
-  let display_name = "x86/VMX"
-  let nested_state = Cached_vmcs
-  let has_shadow_vmcs = true
-  let has_hw_svt = true
-  let cost = Cost_model.paper_machine
-  let exit_name = Exit_reason.name
-  let world_switch = "vm-entry/vm-exit"
-end
 
 (* ARM spellings of the modeled events. Display-only: metric keys and
    ledger rows keep [Exit_reason.name] so x86 artifacts stay byte-stable;
@@ -107,37 +66,15 @@ let arm_exit_name =
   | Wbinvd -> "DC_CIVAC"
   | Xsetbv -> "FPSIMD_TRAP"
 
-module Arm_backend : S = struct
-  let kind = Arm
-  let display_name = "ARM NV/VHE"
-  let nested_state = Memory_sysregs
-  let has_shadow_vmcs = false
-  let has_hw_svt = false
-  let cost = Cost_model.arm_machine
-  let exit_name = arm_exit_name
-  let world_switch = "eret/exception"
-end
+let cost_of = function
+  | X86 -> Cost_model.paper_machine
+  | Arm -> Cost_model.arm_machine
 
-let of_kind : kind -> t = function
-  | X86 -> (module X86_backend)
-  | Arm -> (module Arm_backend)
+let exit_name = function X86 -> Exit_reason.name | Arm -> arm_exit_name
 
-let cost_of k =
-  let (module B) = of_kind k in
-  B.cost
+let display_name = function X86 -> "x86/VMX" | Arm -> "ARM NV/VHE"
 
-let exit_name k r =
-  let (module B) = of_kind k in
-  B.exit_name r
-
-let display_name k =
-  let (module B) = of_kind k in
-  B.display_name
-
-let has_shadow_vmcs k =
-  let (module B) = of_kind k in
-  B.has_shadow_vmcs
-
-let has_hw_svt k =
-  let (module B) = of_kind k in
-  B.has_hw_svt
+(* x86 caches nested state in a shadow-able VMCS; ARM's is a plain
+   memory image, so there is no shadow for HW SVt's contexts to extend. *)
+let has_shadow_vmcs = function X86 -> true | Arm -> false
+let has_hw_svt = has_shadow_vmcs

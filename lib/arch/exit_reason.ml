@@ -125,3 +125,16 @@ let all =
     Vmwrite; Vmxoff; Vmxon; Cr_access; Dr_access; Io_instruction; Msr_read;
     Msr_write; Mwait_exit; Pause_exit; Ept_violation; Ept_misconfig; Invept;
     Preemption_timer; Apic_access; Apic_write; Eoi_induced; Wbinvd; Xsetbv ]
+
+let n_basic_numbers =
+  1 + List.fold_left (fun m r -> max m (basic_number r)) 0 all
+
+(* The inverse of [basic_number]; the [Some] cells are built once, so a
+   lookup allocates nothing. *)
+let by_number =
+  let tbl = Array.make n_basic_numbers None in
+  List.iter (fun r -> tbl.(basic_number r) <- Some r) all;
+  tbl
+
+let of_basic_number n =
+  if n >= 0 && n < n_basic_numbers then by_number.(n) else None

@@ -39,6 +39,14 @@ type t =
 val basic_number : t -> int
 (** The architectural basic exit reason number (SDM Appendix C). *)
 
+val n_basic_numbers : int
+(** One more than the largest {!basic_number}: the length of an array
+    indexed by it. *)
+
+val of_basic_number : int -> t option
+(** The reason with that basic number; [None] for a number no modeled
+    reason has. *)
+
 val name : t -> string
 
 val is_vmx_instruction : t -> bool

@@ -126,15 +126,6 @@ let serialize t r i cmd =
   | Blocked | Corrupt _ -> ());
   Aspace.write_bytes r.aspace (entry_addr r i) b
 
-(* Exit reasons by basic number, for deserialization; a number no reason
-   has reads back as [Vmcall]. *)
-let reason_of_number =
-  let open Svt_arch.Exit_reason in
-  let top = List.fold_left (fun m r -> Stdlib.max m (basic_number r)) 0 all in
-  let tbl = Array.make (top + 1) Vmcall in
-  List.iter (fun r -> tbl.(basic_number r) <- r) all;
-  tbl
-
 let get_u32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xFFFF_FFFF
 let get_seq b = Int64.to_int (Bytes.get_int64_le b 16)
 
@@ -143,10 +134,10 @@ let deserialize r i =
   Aspace.read_into r.aspace (entry_addr r i) b;
   match get_u32 b 0 with
   | 1 ->
-      let n = get_u32 b 4 in
+      (* a number no reason has reads back as [Vmcall] *)
       let reason =
-        if n < Array.length reason_of_number then reason_of_number.(n)
-        else Svt_arch.Exit_reason.Vmcall
+        Option.value ~default:Svt_arch.Exit_reason.Vmcall
+          (Svt_arch.Exit_reason.of_basic_number (get_u32 b 4))
       in
       Vm_trap { seq = get_seq b; reason; qual = Bytes.get_int64_le b 8 }
   | 2 -> Vm_resume { seq = get_seq b }

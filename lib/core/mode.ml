@@ -99,16 +99,15 @@ let to_string = function
   | Hw_full_nesting -> "hw-full-nesting"
   | Ooh -> "ooh"
 
-(* Wait names are parsed here rather than through [Wait.Kind.of_string]
-   because Wait's table is itself defined in terms of [wait_name] — the
-   dependency must point from Wait to Mode, not both ways. *)
-let wait_of_string s =
-  List.find_opt (fun k -> wait_name k = s) [ Polling; Mwait; Mutex ]
+let waits = [ Polling; Mwait; Mutex ]
+let placements = [ Smt_sibling; Same_numa_core; Cross_numa ]
+
+(* [wait_name]'s inverse: the only parser of wait spellings, reached
+   through the "sw-svt-<wait>" forms of [of_string]. *)
+let wait_of_string s = List.find_opt (fun k -> wait_name k = s) waits
 
 let placement_of_string s =
-  List.find_opt
-    (fun p -> placement_name p = s)
-    [ Smt_sibling; Same_numa_core; Cross_numa ]
+  List.find_opt (fun p -> placement_name p = s) placements
 
 let of_string s =
   let err () = Error (Printf.sprintf "unknown mode %S" s) in
@@ -142,7 +141,5 @@ let all =
   [ Baseline; Hw_svt; Hw_full_nesting; Ooh ]
   @ List.concat_map
       (fun wait ->
-        List.map
-          (fun placement -> Sw_svt { wait; placement })
-          [ Smt_sibling; Same_numa_core; Cross_numa ])
-      [ Polling; Mwait; Mutex ]
+        List.map (fun placement -> Sw_svt { wait; placement }) placements)
+      waits

@@ -75,9 +75,7 @@ type t = {
   ctx_l0 : int;
   ctx_l1 : int;
   ctx_l2 : int;
-  mutable in_flight : bool; (* an episode is being handled right now *)
   mutable last_episode_end : Time.t;
-  mutable episodes : int;
   mutable blocked_injections : int; (* SVT_BLOCKED events serviced (§5.3) *)
   metrics : Svt_stats.Metrics.t;
   (* the [l2_exit.<REASON>] counter and [l2_exit_time.<REASON>] timer
@@ -92,9 +90,6 @@ let charge t bucket span = Breakdown.charge (Vcpu.breakdown t.vcpu) bucket span
 (* --- observability ------------------------------------------------------ *)
 
 let no_cell = ref 0
-
-let n_basic_numbers =
-  1 + List.fold_left (fun m r -> max m (Exit_reason.basic_number r)) 0 Exit_reason.all
 
 let probe t = Svt_hyp.Machine.probe t.machine
 
@@ -144,7 +139,7 @@ let aux_trap t reason =
   let bd = Vcpu.breakdown t.vcpu in
   Single_level.aux_round_trip ~cost:t.cost ~mode:t.mode ~breakdown:bd
     ~bucket:Breakdown.L1_handler ~core:t.core ~hypervisor_ctx:t.ctx_l0
-    ~guest_ctx:t.ctx_l1 reason;
+    ~guest_ctx:t.ctx_l1;
   (* the aux trap's architectural effect on the shadow VMCS *)
   match reason with
   | Exit_reason.Vmread -> ignore (Vmcs.read t.vmcs12 Field.Guest_rip)
@@ -194,7 +189,6 @@ let transform_entry t =
    indication; L1's handler observes it and corrects vmcs01'. *)
 let reflect_entry_failure t =
   let bd = Vcpu.breakdown t.vcpu in
-  Svt_stats.Metrics.incr t.metrics "vmentry_fail_reflected";
   Injector.record t.injector Fault_outcome.Entry_fail_reflected;
   leg t Obs_span.World_switch
     [ ("leg", "l0-l1"); ("cause", "entry-fail") ]
@@ -214,7 +208,6 @@ let reflect_entry_failure t =
    controls afterwards. *)
 let reflect_delegation_fault t =
   let bd = Vcpu.breakdown t.vcpu in
-  Svt_stats.Metrics.incr t.metrics "ooh_delegation_faults";
   Injector.record t.injector Fault_outcome.Delegation_fault_reflected;
   leg t Obs_span.World_switch
     [ ("leg", "l2-l1"); ("cause", "delegation-fault") ]
@@ -264,12 +257,9 @@ let rec checked_transform_entry t budget =
           Vmcs.write t.vmcs12 f 0L;
           checked_transform_entry t (budget - 1))
 
-(* ② vmcs12 → vmcs02, guarded: L0 validates L1's vmcs12 (and the
-   transform's pointer translation) before trusting it. Invalid state is
-   not fatal — per §2.1 the entry fails back into L1, which repairs its
-   vmcs01' and retries. The corrupt-vmcs12 fault fires here, just before
-   the transform. The clean path pays only the pure (uncharged) checks. *)
-let guarded_transform_entry t =
+(* The corrupt-vmcs12 fault site, just before an entry's checks: one
+   field of vmcs12 gets a value the checks reject. *)
+let corrupt_vmcs12 t =
   if
     Injector.is_active t.injector
     && Injector.roll t.injector Fault_kind.Corrupt_vmcs12
@@ -277,11 +267,19 @@ let guarded_transform_entry t =
     let field, value =
       match Injector.pick t.injector Fault_kind.Corrupt_vmcs12 3 with
       | 0 -> (Field.Vmcs_link_pointer, 0x1001L) (* unaligned link pointer *)
-      | 1 -> (Field.Guest_cr0, 0L) (* PE/PG clear *)
+      | 1 -> (Field.Guest_cr0, 0L) (* PE/PG clear: OoH-delegated *)
       | _ -> (Field.Svt_visor, 7L) (* context id out of range *)
     in
     Vmcs.write t.vmcs12 field value
-  end;
+  end
+
+(* ② vmcs12 → vmcs02, guarded: L0 validates L1's vmcs12 (and the
+   transform's pointer translation) before trusting it. Invalid state is
+   not fatal — per §2.1 the entry fails back into L1, which repairs its
+   vmcs01' and retries. The corrupt-vmcs12 fault fires here, just before
+   the transform. The clean path pays only the pure (uncharged) checks. *)
+let guarded_transform_entry t =
+  corrupt_vmcs12 t;
   checked_transform_entry t 3
 
 (* Record the trap in vmcs02 as hardware does, then reflect it into vmcs12
@@ -347,7 +345,6 @@ let handle_baseline t info ~effect =
    L1₀ so the interrupt handler can run, then L1₀ yields straight back. *)
 let service_blocked_event t ch event =
   t.blocked_injections <- t.blocked_injections + 1;
-  Svt_stats.Metrics.incr t.metrics "svt_blocked_injections";
   let bd = Vcpu.breakdown t.vcpu in
   (* inject SVT_BLOCKED into L1₀ and take its immediate yield back *)
   Channel.post_retry ch (Channel.to_svt ch) bd Channel.Blocked;
@@ -483,7 +480,6 @@ let handle_sw_svt t ch info ~effect =
          (and every later) episode through classic reflection *)
       t.pending <- None;
       t.downgraded <- true;
-      Svt_stats.Metrics.incr t.metrics "svt_downgrades";
       Injector.record t.injector Fault_outcome.Downgrade;
       baseline_completion t info ~effect
 
@@ -685,13 +681,11 @@ let create ?injector ~machine ~mode ~vcpu ~l1_vm ~script () =
       ctx_l0;
       ctx_l1;
       ctx_l2;
-      in_flight = false;
       last_episode_end = Time.of_ns (-1_000_000);
-      episodes = 0;
       blocked_injections = 0;
       metrics = machine.Svt_hyp.Machine.metrics;
-      exit_counts = Array.make n_basic_numbers no_cell;
-      exit_times = Array.make n_basic_numbers no_cell;
+      exit_counts = Array.make Exit_reason.n_basic_numbers no_cell;
+      exit_times = Array.make Exit_reason.n_basic_numbers no_cell;
     }
   in
   (* Prime vmcs02 from the initial vmcs12 state (the first VMLAUNCH). *)
@@ -751,18 +745,7 @@ let rec delegated_checks t budget =
    while a corrupted L0-owned field still needs the reflected
    VM-entry-failure path (see [reflect_check_failures]). *)
 let ooh_delegated_entry t =
-  if
-    Injector.is_active t.injector
-    && Injector.roll t.injector Fault_kind.Corrupt_vmcs12
-  then begin
-    let field, value =
-      match Injector.pick t.injector Fault_kind.Corrupt_vmcs12 3 with
-      | 0 -> (Field.Vmcs_link_pointer, 0x1001L) (* unaligned link pointer *)
-      | 1 -> (Field.Guest_cr0, 0L) (* PE/PG clear: a delegated field *)
-      | _ -> (Field.Svt_visor, 7L) (* context id out of range *)
-    in
-    Vmcs.write t.vmcs12 field value
-  end;
+  corrupt_vmcs12 t;
   delegated_checks t 3
 
 (* Under OoH an aux access is a direct access to a delegated VMCS
@@ -778,7 +761,6 @@ let aux_delegated_access t _ = charge t Breakdown.L1_handler t.cost.ooh_vmcs_acc
    before handing the core back. *)
 let handle_ooh t (info : Svt_hyp.Exit.info) ~effect =
   if Svt_arch.Ooh.delegated info.reason then begin
-    Svt_stats.Metrics.incr t.metrics "ooh_delegated_exits";
     leg t Obs_span.World_switch
       [ ("leg", "l2-l1"); ("via", "ooh") ]
       Breakdown.Switch_l0_l1 t.cost.trap_hw;
@@ -790,7 +772,6 @@ let handle_ooh t (info : Svt_hyp.Exit.info) ~effect =
       t.cost.resume_hw
   end
   else begin
-    Svt_stats.Metrics.incr t.metrics "ooh_residual_exits";
     handle_baseline t info ~effect;
     (* L0 re-arms the delegation controls before resuming the guest *)
     charge t Breakdown.L0_handler t.cost.ooh_delegation_setup
@@ -811,33 +792,34 @@ let exit_cells t reason =
   end;
   i
 
+(* The reflection episode of [info] under the path's mode: the one
+   mode → handler match, shared by exits and interrupts for L1. *)
+let dispatch t info ~effect =
+  match (t.mode, t.channel) with
+  | Mode.Baseline, _ -> handle_baseline t info ~effect
+  | Mode.Sw_svt _, Some ch ->
+      if t.downgraded then handle_baseline t info ~effect
+      else handle_sw_svt t ch info ~effect
+  | Mode.Sw_svt _, None -> failwith "Nested: SW SVt without a channel"
+  | Mode.Hw_svt, _ -> handle_hw_svt t info ~effect
+  | Mode.Hw_full_nesting, _ -> handle_full_nesting t info ~effect
+  | Mode.Ooh, _ -> handle_ooh t info ~effect
+
 let handle t (info : Svt_hyp.Exit.info) =
   let bd = Vcpu.breakdown t.vcpu in
   Breakdown.count_exit bd;
-  t.episodes <- t.episodes + 1;
-  t.in_flight <- true;
   let slot = exit_cells t info.reason in
   incr t.exit_counts.(slot);
   let started = Proc.now () in
   let effect () = Svt_hyp.Semantics.apply t.vcpu info.action in
-  (if Svt_hyp.L1_script.reflects info.reason then
-     match (t.mode, t.channel) with
-     | Mode.Baseline, _ -> handle_baseline t info ~effect
-     | Mode.Sw_svt _, Some ch ->
-         if t.downgraded then handle_baseline t info ~effect
-         else handle_sw_svt t ch info ~effect
-     | Mode.Sw_svt _, None -> failwith "Nested: SW SVt without a channel"
-     | Mode.Hw_svt, _ -> handle_hw_svt t info ~effect
-     | Mode.Hw_full_nesting, _ -> handle_full_nesting t info ~effect
-     | Mode.Ooh, _ -> handle_ooh t info ~effect
-   else begin
-     (* L0 handles it directly (VMX instructions from L1 &c.) *)
-     Single_level.aux_round_trip ~cost:t.cost ~mode:t.mode ~breakdown:bd
-       ~bucket:Breakdown.L0_handler ~core:t.core ~hypervisor_ctx:t.ctx_l0
-       ~guest_ctx:t.ctx_l2 info.reason;
-     effect ()
-   end);
-  t.in_flight <- false;
+  if Svt_hyp.L1_script.reflects info.reason then dispatch t info ~effect
+  else begin
+    (* L0 handles it directly (VMX instructions from L1 &c.) *)
+    Single_level.aux_round_trip ~cost:t.cost ~mode:t.mode ~breakdown:bd
+      ~bucket:Breakdown.L0_handler ~core:t.core ~hypervisor_ctx:t.ctx_l0
+      ~guest_ctx:t.ctx_l2;
+    effect ()
+  end;
   t.last_episode_end <- Proc.now ();
   let timer = t.exit_times.(slot) in
   timer := !timer + Time.to_ns (Time.diff (Proc.now ()) started);
@@ -859,17 +841,8 @@ let interrupt_for_l1 t ~vector ~work =
   let info =
     Svt_hyp.Exit.of_action (Svt_hyp.Exit.External_interrupt { vector })
   in
-  let effect = work in
   let started = Proc.now () in
-  (match (t.mode, t.channel) with
-  | Mode.Baseline, _ -> handle_baseline t info ~effect
-  | Mode.Sw_svt _, Some ch ->
-      if t.downgraded then handle_baseline t info ~effect
-      else handle_sw_svt t ch info ~effect
-  | Mode.Sw_svt _, None -> failwith "Nested: SW SVt without a channel"
-  | Mode.Hw_svt, _ -> handle_hw_svt t info ~effect
-  | Mode.Hw_full_nesting, _ -> handle_full_nesting t info ~effect
-  | Mode.Ooh, _ -> handle_ooh t info ~effect);
+  dispatch t info ~effect:work;
   t.last_episode_end <- Proc.now ();
   let p = probe t in
   if Probe.is_on p then
@@ -887,6 +860,5 @@ let interrupt_for_l1 t ~vector ~work =
 let at_entry_boundary t =
   Time.(Time.diff (Proc.now ()) t.last_episode_end <= Time.of_ns 1_000)
 
-let episodes t = t.episodes
 let blocked_injections t = t.blocked_injections
 let vmcs12 t = t.vmcs12

@@ -13,11 +13,14 @@
     - {b HW SVt} (§4): world switches become hardware-context stall/
       resume events and register save/restore becomes ctxtld/ctxtst;
     - {b HW full nesting}: the invasive alternative (§3) where hardware
-      delivers L2 traps straight to L1.
+      delivers L2 traps straight to L1;
+    - {b OoH}: delegated exits enter L1 directly, residual ones reflect
+      as under the baseline.
 
     Every nanosecond spent is charged to the vCPU's
     {!Svt_hyp.Breakdown} buckets, so Table 1 is a printout of this
-    module's execution. *)
+    module's execution; {!handle} counts each exit there once
+    ({!Svt_hyp.Breakdown.exits}). *)
 
 type t
 
@@ -60,7 +63,6 @@ val at_entry_boundary : t -> bool
 
 (** {2 Introspection} *)
 
-val episodes : t -> int
 val blocked_injections : t -> int
 (** SVT_BLOCKED events serviced while waiting on the SVt-thread (§5.3). *)
 

@@ -18,8 +18,7 @@ module Smt_core = Svt_arch.Smt_core
    loaded. Charged to [bucket] (the paper folds these into ⑤ when they
    happen during L1's nested-trap handling). *)
 let aux_round_trip ~(cost : Cost_model.t) ~(mode : Mode.t) ~breakdown ~bucket
-    ~core ~hypervisor_ctx ~guest_ctx reason =
-  ignore reason;
+    ~core ~hypervisor_ctx ~guest_ctx =
   match mode with
   | Mode.Hw_svt ->
       Smt_core.activate core hypervisor_ctx;

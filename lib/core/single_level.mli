@@ -13,7 +13,6 @@ val aux_round_trip :
   core:Svt_arch.Smt_core.t ->
   hypervisor_ctx:int ->
   guest_ctx:int ->
-  Svt_arch.Exit_reason.t ->
   unit
 (** One auxiliary L1→L0 round trip (trap, emulate in L0's inner loop,
     resume), charged to [bucket] — the paper folds these into part ⑤. *)

@@ -17,20 +17,6 @@
 module Time = Svt_engine.Time
 module Cost_model = Svt_arch.Cost_model
 
-(* The one authoritative name<->mechanism mapping. Channel, the campaign
-   axis parser and the CLI all go through this instead of keeping their
-   own string tables. *)
-module Kind = struct
-  type t = Mode.wait_mechanism = Polling | Mwait | Mutex
-
-  let all = [ Polling; Mwait; Mutex ]
-  let to_string = Mode.wait_name
-
-  let of_string s =
-    List.find_opt (fun k -> to_string k = s) all
-
-end
-
 (* Virtual-clock backoff schedules for fault recovery: bounded
    exponential, deterministic in the attempt number. The ceiling is a
    hard invariant, not a tuning knob: the cluster layer re-admits

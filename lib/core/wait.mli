@@ -2,17 +2,6 @@
     SW SVt command channels (§6.1): polling, monitor/mwait, and a
     futex-style mutex, across thread placements. *)
 
-(** The waiting mechanisms by name. This is the single authority for the
-    mechanism<->string mapping; {!Channel}, the campaign axis grammar
-    and the CLI all share it. *)
-module Kind : sig
-  type t = Mode.wait_mechanism = Polling | Mwait | Mutex
-
-  val all : t list
-  val to_string : t -> string
-  val of_string : string -> t option
-end
-
 val retry_backoff : attempt:int -> Svt_engine.Time.t
 (** Bounded exponential backoff (virtual ns) before re-posting after
     channel backpressure: 500 ns doubling. The curve is monotone

@@ -25,7 +25,12 @@ val pick : t -> Kind.t -> int -> int
     variant after {!roll} fired. Only valid on an active injector. *)
 
 val record : t -> Outcome.t -> unit
-(** Count a degradation outcome (retry, downgrade, discard, ...). *)
+(** Count a degradation outcome (retry, downgrade, discard, ...). An
+    inert injector counts too: a clean run can still reflect an invalid
+    vmcs12 that L1 itself wrote. *)
+
+val count : t -> Outcome.t -> int
+(** How many times [outcome] was recorded (injections included). *)
 
 val fields : t -> (string * float) list
 (** Per-outcome counts as [("fault." ^ name, count)] ledger fields. *)

@@ -34,11 +34,6 @@ let fnv_fold h s =
   (* separate the concatenated key parts *)
   (!h lxor 0x1f) * fnv_prime
 
-(* The tags that name a handler path. Numeric payload tags (field
-   counts, vectors, ports) are deliberately excluded: they would turn
-   path coverage into value coverage and saturate the map. *)
-let key_tags = [ "reason"; "mode"; "leg"; "cause"; "dir"; "cmd"; "outcome" ]
-
 (* Fold the first value of tag [key], if any. *)
 let rec fold_tag h key = function
   | [] -> h
@@ -50,7 +45,7 @@ let rec fold_keys h tags = function
 
 let slot_of_span (span : Span.t) =
   let h = fnv_fold fnv_offset (Span.kind_name span.Span.kind) in
-  fold_keys h span.Span.tags key_tags land (size - 1)
+  fold_keys h span.Span.tags Span.key_tags land (size - 1)
 
 let mark t slot =
   let byte = slot lsr 3 and bit = slot land 7 in

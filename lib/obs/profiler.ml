@@ -127,16 +127,11 @@ let segment t node =
   t.seg.secs <- now;
   t.seg.alloc <- w
 
-(* The discriminating tags that name a handler path (the same set the
-   coverage map keys on); numeric payload tags are deliberately not
-   part of the identity. *)
-let key_tags = [ "reason"; "mode"; "leg"; "cause"; "dir"; "cmd"; "outcome" ]
-
 let sanitize v =
   String.map (function ';' | ' ' | '\n' | '\t' -> '_' | c -> c) v
 
 let label_of_span (sp : Span.t) =
-  let vals = List.filter_map (fun k -> Span.tag sp k) key_tags in
+  let vals = List.filter_map (fun k -> Span.tag sp k) Span.key_tags in
   let vals =
     match Span.tag sp "error" with
     | Some _ -> vals @ [ "ERR" ]

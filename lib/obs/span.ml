@@ -69,3 +69,9 @@ let has_lane s = s.core >= 0
 let duration s = Time.diff s.stop s.start
 let duration_ns s = Time.to_ns (duration s)
 let tag s name = List.assoc_opt name s.tags
+
+(* The tags that name a handler path, in the order the coverage hash
+   folds them. Numeric payload tags (field counts, vectors, ports) are
+   deliberately excluded: they would turn path coverage into value
+   coverage and saturate the map. *)
+let key_tags = [ "reason"; "mode"; "leg"; "cause"; "dir"; "cmd"; "outcome" ]

@@ -45,3 +45,9 @@ val has_lane : t -> bool
 
 val duration_ns : t -> int
 val tag : t -> string -> string option
+
+val key_tags : string list
+(** The tags that name a handler path, in a fixed order: the coverage
+    map hashes their values and the profiler labels frames with them.
+    Numeric payload tags (vectors, ports, field counts) are not among
+    them. *)

@@ -304,9 +304,7 @@ let svc_total tn =
 
 let episodes_total tn =
   let acc = ref 0 in
-  for i = 0 to tn.spec.n_vcpus - 1 do
-    acc := !acc + Nested.episodes (System.nested_path tn.sys i)
-  done;
+  each_vcpu tn (fun v -> acc := !acc + Breakdown.exits (Vcpu.breakdown v));
   !acc
 
 (* A tenant-less host still ticks: the clock jumps to the horizon so a

@@ -26,8 +26,6 @@ let timer_ref t name =
       Hashtbl.add t.timers name r;
       r
 
-let incr t name = Stdlib.incr (counter_ref t name)
-
 let time t name =
   match Hashtbl.find_opt t.timers name with
   | Some r -> Svt_engine.Time.of_ns !r

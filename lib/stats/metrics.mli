@@ -5,9 +5,6 @@
 type t
 
 val create : unit -> t
-val incr : t -> string -> unit
-(** Add one to a counter (a missing counter starts at 0). *)
-
 val counter_ref : t -> string -> int ref
 (** The counter's cell, created at 0 if missing: a caller that bumps the
     same counter on a hot path looks it up once and increments the

@@ -67,7 +67,9 @@ let test_mode_round_trip () =
   checkb "hw alias" true (Mode.of_string "hw" = Ok Mode.Hw_svt);
   checkb "ooh long name" true
     (Mode.of_string "out-of-hypervisor" = Ok Mode.Ooh);
-  checkb "garbage rejected" true (Result.is_error (Mode.of_string "warp-drive"))
+  checkb "garbage rejected" true (Result.is_error (Mode.of_string "warp-drive"));
+  checkb "unknown wait rejected" true
+    (Result.is_error (Mode.of_string "sw-svt-bogus"))
 
 let test_axis_grammar () =
   let axes =

@@ -26,6 +26,21 @@ module Cost_model = Svt_arch.Cost_model
 let counter m name =
   Option.value ~default:0 (List.assoc_opt name (Svt_stats.Metrics.counters m))
 
+(* Collect every span [sys] emits from now on, newest first. *)
+let record_spans sys =
+  let spans = ref [] in
+  Svt_obs.Probe.subscribe (System.probe sys) (fun s -> spans := s :: !spans);
+  spans
+
+(* World-switch legs with tag [key] = [value]. *)
+let count_legs spans key value =
+  List.length
+    (List.filter
+       (fun s ->
+         s.Svt_obs.Span.kind = Svt_obs.Span.World_switch
+         && Svt_obs.Span.tag s key = Some value)
+       !spans)
+
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 let cm = Cost_model.paper_machine
@@ -473,7 +488,8 @@ let test_nested_malicious_l1_pointer_reflected () =
   System.run sys;
   checkb "episode completes despite the bad pointer" true !completed;
   checkb "L1 saw a reflected VM-entry failure" true
-    (counter (System.metrics sys) "vmentry_fail_reflected"
+    (Svt_fault.Injector.count (System.injector sys)
+       Svt_fault.Outcome.Entry_fail_reflected
      >= 1)
 
 let test_nested_shadowing_off_costs_more () =
@@ -544,20 +560,21 @@ let test_ooh_delegated_residual_split () =
      take the direct path, none the residual one *)
   let sys = l2_stack Mode.Ooh in
   let vcpu = System.vcpu0 sys in
+  let spans = record_spans sys in
   Vcpu.spawn_program vcpu (fun v ->
       for _ = 1 to 4 do
         ignore (Guest.cpuid v ~leaf:1)
       done);
   System.run sys;
-  let m = System.metrics sys in
-  checki "all cpuid exits delegated" 4
-    (counter m "ooh_delegated_exits");
-  checki "no residual exits" 0
-    (counter m "ooh_residual_exits");
+  (* a delegated exit enters L1 on a [via=ooh] leg; a residual one
+     reflects, which starts with the L2 -> L0 leg *)
+  checki "all cpuid exits delegated" 4 (count_legs spans "via" "ooh");
+  checki "no residual exits" 0 (count_legs spans "leg" "l2-l0");
   (* an external interrupt for L1 is residual: it reflects through L0 and
      pays the delegation re-arm on top of the baseline episode *)
   let sys = l2_stack Mode.Ooh in
   let vcpu = System.vcpu0 sys in
+  let spans = record_spans sys in
   let serviced = ref false in
   Vcpu.spawn_program vcpu (fun v ->
       ignore (Guest.cpuid v ~leaf:1);
@@ -569,10 +586,9 @@ let test_ooh_delegated_residual_split () =
       Guest.compute_us v 10.0;
       ignore (Guest.cpuid v ~leaf:1));
   System.run sys;
-  let m = System.metrics sys in
   checkb "interrupt serviced" true !serviced;
   checkb "interrupt took the residual path" true
-    (counter m "ooh_residual_exits" >= 1)
+    (count_legs spans "leg" "l2-l0" >= 1)
 
 let test_nested_exit_metrics_recorded () =
   let sys = l2_stack Mode.Baseline in

@@ -146,14 +146,6 @@ let test_injector_counts_and_fields () =
 
 (* --- Wait backoff schedules --------------------------------------------------- *)
 
-let test_wait_kind_table () =
-  List.iter
-    (fun k ->
-      checkb (Wait.Kind.to_string k) true
-        (Wait.Kind.of_string (Wait.Kind.to_string k) = Some k))
-    Wait.Kind.all;
-  checkb "unknown name" true (Wait.Kind.of_string "bogus" = None)
-
 let test_backoff_monotone_and_capped () =
   let ns f a = Time.to_ns (f ~attempt:a) in
   checkb "retry backoff grows" true
@@ -544,7 +536,6 @@ let () =
         ] );
       ( "wait",
         [
-          Alcotest.test_case "kind table round-trips" `Quick test_wait_kind_table;
           Alcotest.test_case "backoff schedules" `Quick test_backoff_monotone_and_capped;
         ] );
       ( "degradation",

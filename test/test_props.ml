@@ -925,6 +925,80 @@ let prop_engine_matches_reference =
       let got, accounted = engine sc in
       accounted && got = reference sc)
 
+(* --- one exit count -------------------------------------------------------- *)
+
+(* An L2 guest program: trapping instructions, a vector injected into L2
+   through its LAPIC, and an interrupt for L1 landing on the vCPU. *)
+type l2_op = Cpuid | Wrmsr | Io_write | Vector | Host_event
+
+let pp_l2_op = function
+  | Cpuid -> "cpuid"
+  | Wrmsr -> "wrmsr"
+  | Io_write -> "io-write"
+  | Vector -> "vector"
+  | Host_event -> "host-event"
+
+let run_l2_op v = function
+  | Cpuid -> ignore (Svt_core.Guest.cpuid v ~leaf:1)
+  | Wrmsr -> Svt_core.Guest.wrmsr v Svt_arch.Msr.Ia32_tsc_deadline 0L
+  | Io_write -> Svt_core.Guest.io_write v ~port:0x80 1
+  | Vector ->
+      Svt_interrupt.Lapic.raise_vector (Svt_hyp.Vcpu.lapic v) 0x41;
+      Svt_core.Guest.compute_us v 5.0
+  | Host_event ->
+      Svt_hyp.Vcpu.enqueue_host_event v ~vector:0x31 ignore;
+      Svt_core.Guest.compute_us v 5.0
+
+(* The scheduler reads an L2 stack's exit count from the vCPUs'
+   breakdowns; the benchmark sums the [l2_exit.<REASON>] counters. Both
+   must count every exit of any program under every mode, once. *)
+let prop_one_exit_count =
+  let modes = Array.of_list Mode.all in
+  let gen =
+    QCheck.Gen.(
+      triple
+        (int_bound (Array.length modes - 1))
+        (int_range 1 2)
+        (list_size (int_range 1 10)
+           (oneofl [ Cpuid; Wrmsr; Io_write; Vector; Host_event ])))
+  in
+  let print (m, n, ops) =
+    Printf.sprintf "%s vcpus=%d [%s]" (Mode.to_string modes.(m)) n
+      (String.concat "; " (List.map pp_l2_op ops))
+  in
+  QCheck.Test.make ~name:"breakdown exits = l2_exit counters" ~count:100
+    (QCheck.make ~print gen)
+    (fun (m, n_vcpus, ops) ->
+      let sys =
+        Svt_core.System.of_config
+          (Svt_core.System.Config.make ~mode:modes.(m) ~n_vcpus
+             ~level:Svt_core.System.L2_nested ())
+      in
+      for i = 0 to n_vcpus - 1 do
+        Svt_hyp.Vcpu.spawn_program (Svt_core.System.vcpu sys i) (fun v ->
+            List.iter (run_l2_op v) ops)
+      done;
+      Svt_core.System.run sys;
+      let exits = ref 0 in
+      for i = 0 to n_vcpus - 1 do
+        let bd = Svt_hyp.Vcpu.breakdown (Svt_core.System.vcpu sys i) in
+        exits := !exits + Breakdown.exits bd
+      done;
+      let counted =
+        List.fold_left
+          (fun acc (k, c) ->
+            if String.starts_with ~prefix:"l2_exit." k then acc + c else acc)
+          0
+          (Svt_stats.Metrics.counters (Svt_core.System.metrics sys))
+      in
+      let traps =
+        List.length
+          (List.filter
+             (function Cpuid | Wrmsr | Io_write -> true | _ -> false)
+             ops)
+      in
+      !exits = counted && !exits >= n_vcpus * traps)
+
 let () =
   Alcotest.run "properties"
     [
@@ -942,6 +1016,7 @@ let () =
             prop_fabric_ordering;
             prop_tx_roundtrip;
             prop_cpuid_view_monotone;
+            prop_one_exit_count;
           ] );
       ("engine", [ QCheck_alcotest.to_alcotest prop_engine_matches_reference ]);
     ]

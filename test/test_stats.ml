@@ -136,8 +136,9 @@ let test_convergence_summarize_flags () =
 
 let test_metrics_counters () =
   let m = Metrics.create () in
-  Metrics.incr m "exits";
-  Metrics.incr m "exits";
+  let cell = Metrics.counter_ref m "exits" in
+  incr cell;
+  incr (Metrics.counter_ref m "exits");
   checki "counter" 2 (counter m "exits");
   checki "missing counter" 0 (counter m "nope")
 
@@ -176,8 +177,8 @@ let test_metrics_unknown_reads () =
    through. *)
 let test_metrics_counters_sorted () =
   let m = Metrics.create () in
-  Metrics.incr m "b-exit";
-  Metrics.incr m "a-exit";
+  incr (Metrics.counter_ref m "b-exit");
+  incr (Metrics.counter_ref m "a-exit");
   match Metrics.counters m with
   | [ ("a-exit", 1); ("b-exit", 1) ] -> ()
   | l -> Alcotest.fail (Printf.sprintf "unsorted counters (%d)" (List.length l))
