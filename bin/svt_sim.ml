@@ -44,6 +44,20 @@ let pos_int =
   in
   Arg.conv (parse, Fmt.int)
 
+(* A file the command writes. Its directory must exist and the path must
+   not name a directory, checked before any run: a bad path is a usage
+   error (exit 124), not a [Sys_error] once the simulation has finished. *)
+let out_path =
+  let parse s =
+    let dir = Filename.dirname s in
+    if not (Sys.file_exists dir && Sys.is_directory dir) then
+      Error (`Msg (Printf.sprintf "no directory %S for output file %S" dir s))
+    else if Sys.file_exists s && Sys.is_directory s then
+      Error (`Msg (Printf.sprintf "output file %S is a directory" s))
+    else Ok s
+  in
+  Arg.conv (parse, Fmt.string)
+
 let mode_conv = conv_of_result Mode.of_string Mode.to_string
 let level_conv = conv_of_result Spec.level_of_string Spec.level_to_string
 let arch_conv =
@@ -113,7 +127,7 @@ let trace_cmd =
   let module Probe = Svt_obs.Probe in
   let module Timeline = Svt_obs.Timeline in
   let out_arg =
-    Arg.(value & opt string "trace.json"
+    Arg.(value & opt out_path "trace.json"
          & info [ "o"; "out" ] ~docv:"PATH"
              ~doc:"Chrome trace-event JSON output (load in Perfetto or \
                    chrome://tracing).")
@@ -231,7 +245,7 @@ let profile_cmd =
                    alloc (exclusive allocated bytes).")
   in
   let out_arg =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (some out_path) None
          & info [ "o"; "out" ] ~docv:"PATH"
              ~doc:"Write the formatted output to PATH instead of stdout \
                    (summary then goes to stdout).")
@@ -391,7 +405,7 @@ let sweep_cmd =
              ~doc:"Worker domains. 1 forces the sequential, domain-free path.")
   in
   let ledger =
-    Arg.(value & opt string "sweep.jsonl"
+    Arg.(value & opt out_path "sweep.jsonl"
          & info [ "ledger" ] ~docv:"PATH"
              ~doc:"Journaled JSONL run ledger (one CRC'd object per run).")
   in
@@ -833,7 +847,7 @@ let fuzz_cmd =
          & info [ "jobs" ] ~docv:"N" ~doc:"Worker domains executing a round.")
   in
   let ledger_arg =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (some out_path) None
          & info [ "ledger" ] ~docv:"PATH"
              ~doc:"Journaled JSONL corpus ledger (kept inputs, shrunk \
                    violations, per-round progress barriers).")
@@ -964,7 +978,7 @@ let run_cmd =
                    the same faults; the fault.* metrics report the outcomes.")
   in
   let out_arg =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (some out_path) None
          & info [ "o"; "out" ] ~docv:"PATH"
              ~doc:"Append the run's ledger row (JSONL) to PATH. wall_s is \
                    pinned to 0, so two identical invocations write \

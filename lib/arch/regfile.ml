@@ -55,14 +55,3 @@ let blit_gprs t ~ctx b ~off =
   for j = 0 to Array.length gpr_slots - 1 do
     Bytes.set_int64_le b (off + (8 * j)) t.entries.(t.maps.(base + gpr_slots.(j)))
   done
-
-(* Copy the whole switched set between contexts through the register file
-   (what SVt's ctxtld/ctxtst loop does when a hypervisor populates a
-   subordinate VM's context). *)
-let copy_switched_set t ~from_ctx ~to_ctx =
-  check_ctx t from_ctx;
-  check_ctx t to_ctx;
-  for s = 0 to slots - 1 do
-    t.entries.(t.maps.((to_ctx * slots) + s)) <-
-      t.entries.(t.maps.((from_ctx * slots) + s))
-  done

@@ -18,5 +18,3 @@ val write : t -> ctx:int -> Reg.t -> int64 -> unit
 val blit_gprs : t -> ctx:int -> Bytes.t -> off:int -> unit
 (** Write the 16 GPRs of [ctx], in {!Reg.all_gprs} order, into the
     bytes from [off] as little-endian u64s. Allocates nothing. *)
-
-val copy_switched_set : t -> from_ctx:int -> to_ctx:int -> unit

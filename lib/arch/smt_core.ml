@@ -4,8 +4,8 @@
    context fetches instructions at a time; the per-core µ-registers below
    decide which, and VM trap / VM resume events switch the fetch target by
    copying SVt_visor / SVt_vm into SVt_current. Context indices seen by a
-   guest hypervisor are virtual; L0 virtualizes them through the SVt_vm /
-   SVt_nested fields of the VMCS it runs that hypervisor on. *)
+   guest hypervisor are virtual; L0 virtualizes them through the SVt
+   fields of the VMCS it runs that hypervisor on. *)
 
 type ctx_state = Active | Stalled | Halted
 
@@ -23,7 +23,6 @@ type t = {
   mutable svt_current : int;
   mutable svt_visor : int;
   mutable svt_vm : int;
-  mutable svt_nested : int;
   mutable is_vm : bool;
   states : ctx_state array;
   (* How many sibling contexts are actively consuming fetch/issue slots
@@ -49,7 +48,6 @@ let create ?(n_contexts = 2) ~id () =
     svt_current = 0;
     svt_visor = 0;
     svt_vm = invalid_ctx;
-    svt_nested = invalid_ctx;
     is_vm = false;
     states = Array.make n_contexts Stalled;
     polling_siblings = 0;
@@ -73,10 +71,9 @@ let state t ctx =
 
 (* Load the cached µ-registers from a VMCS's SVt fields, as VMPTRLD does
    (paper §4 step B). *)
-let load_svt_fields t ~visor ~vm ~nested =
+let load_svt_fields t ~visor ~vm =
   t.svt_visor <- visor;
-  t.svt_vm <- vm;
-  t.svt_nested <- nested
+  t.svt_vm <- vm
 
 (* A loop rather than [Array.iteri]: the closure would be allocated on
    every context switch of an HW SVt exit. *)
@@ -103,43 +100,13 @@ let vm_trap t =
   activate t t.svt_visor;
   t.is_vm <- false
 
-(* Resolve the target hardware context of a ctxtld/ctxtst instruction from
-   its virtualized [lvl] argument (paper §4): on the host (is_vm = 0),
-   lvl 1 → SVt_vm, lvl 2 → SVt_nested; in a guest hypervisor (is_vm = 1),
-   lvl 1 → SVt_nested. Any other combination traps so L0 can emulate
-   deeper hierarchies. *)
-let resolve_ctxt_level t ~lvl =
-  let target =
-    match (t.is_vm, lvl) with
-    | false, 1 -> t.svt_vm
-    | false, 2 -> t.svt_nested
-    | true, 1 -> t.svt_nested
-    | _ -> invalid_ctx
-  in
-  if target = invalid_ctx then Error `Trap_to_hypervisor else Ok target
-
-let ctxtld t ~lvl reg =
-  match resolve_ctxt_level t ~lvl with
-  | Error _ as e -> e
-  | Ok ctx -> Ok (Regfile.read t.regfile ~ctx reg)
-
-let ctxtst t ~lvl reg v =
-  match resolve_ctxt_level t ~lvl with
-  | Error _ as e -> e
-  | Ok ctx ->
-      Regfile.write t.regfile ~ctx reg v;
-      Ok ()
-
 (* SMT interference: while a sibling context spins (polling), the active
    thread loses issue slots. The multiplier model follows the qualitative
    §6.1 finding that polling "consumes execution cycles from the computing
    thread". *)
 let set_polling_siblings t n = t.polling_siblings <- max 0 n
 
-let interference_factor t =
-  match t.mode with
-  | Svt_mode when t.polling_siblings = 0 -> 1.0
-  | _ -> 1.0 +. (0.35 *. float_of_int t.polling_siblings)
+let interference_factor t = 1.0 +. (0.35 *. float_of_int t.polling_siblings)
 
 let scale_compute t span = Svt_engine.Time.scale span (interference_factor t)
 

@@ -35,7 +35,7 @@ val switches : t -> int
 
 val state : t -> int -> ctx_state
 
-val load_svt_fields : t -> visor:int -> vm:int -> nested:int -> unit
+val load_svt_fields : t -> visor:int -> vm:int -> unit
 (** Refresh the cached µ-registers from a VMCS's SVt fields, as VMPTRLD
     does (§4 step Ⓑ). *)
 
@@ -48,18 +48,6 @@ val vm_resume : t -> unit
 
 val vm_trap : t -> unit
 (** VM trap: fetch from SVt_visor, clear is_vm. *)
-
-val resolve_ctxt_level : t -> lvl:int -> (int, [ `Trap_to_hypervisor ]) result
-(** Resolve the virtualized [lvl] argument of ctxtld/ctxtst: on the host,
-    lvl 1 → SVt_vm and lvl 2 → SVt_nested; in a guest hypervisor, lvl 1 →
-    SVt_nested; anything else traps so L0 can emulate deeper
-    hierarchies. *)
-
-val ctxtld : t -> lvl:int -> Reg.t -> (int64, [ `Trap_to_hypervisor ]) result
-(** Read a register of another context through the shared physical
-    register file. *)
-
-val ctxtst : t -> lvl:int -> Reg.t -> int64 -> (unit, [ `Trap_to_hypervisor ]) result
 
 (** {2 SMT interference}
 

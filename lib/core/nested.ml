@@ -566,8 +566,8 @@ let handle_hw_svt t info ~effect =
   Smt_core.vm_resume t.core;
   charge t Breakdown.Switch_l0_l1 t.cost.thread_switch;
   leg_end t Obs_span.Svt_resume [ ("leg", "l0-l1") ] start;
-  (* ⑤ L1 handles; its cross-context accesses to L2's registers resolve
-     through SVt_nested (context virtualization, §4) *)
+  (* ⑤ L1 handles; §4 resolves its cross-context accesses to L2's
+     registers through SVt_nested, a level resolution not modelled here *)
   run_l1_handler t info ~effect ~aux:aux_trap;
   (* ④ L1's VMRESUME traps into L0's context *)
   let start = leg_start t in

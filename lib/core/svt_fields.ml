@@ -40,7 +40,7 @@ let kind_name = function
   | Instruction -> "Instruction"
   | Micro_register -> "u-register"
 
-let invalid = -1
+let invalid = Smt_core.invalid_ctx
 
 (* Program a VMCS's SVt fields. *)
 let set_contexts vmcs ~visor ~vm ~nested =
@@ -50,9 +50,7 @@ let set_contexts vmcs ~visor ~vm ~nested =
 
 let visor vmcs = Int64.to_int (Vmcs.peek vmcs Field.Svt_visor)
 let vm vmcs = Int64.to_int (Vmcs.peek vmcs Field.Svt_vm)
-let nested vmcs = Int64.to_int (Vmcs.peek vmcs Field.Svt_nested)
 
 (* VMPTRLD: load the cached µ-registers from the VMCS (paper §4 step B). *)
 let vmptrld core vmcs =
   Smt_core.load_svt_fields core ~visor:(visor vmcs) ~vm:(vm vmcs)
-    ~nested:(nested vmcs)

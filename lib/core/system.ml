@@ -226,13 +226,10 @@ type t = {
   machine : Machine.t;
   mode : Mode.t;
   level : level;
-  l1_vm : Vm.t;
-  guest_vm : Vm.t; (* the VM the workload runs in (l1_vm when L1_leaf) *)
+  guest_vm : Vm.t; (* the VM the workload runs in (L1's VM when L1_leaf) *)
   vcpus : Vcpu.t array;
   nested : Nested.t array; (* per vCPU; empty unless L2_nested *)
-  script : Svt_hyp.L1_script.t;
   injector : Injector.t;
-  mutable fabric : Svt_virtio.Fabric.t option;
 }
 
 let native_op_cost (_cost : Svt_arch.Cost_model.t) (info : Exit.info) =
@@ -348,8 +345,7 @@ let of_config (c : Config.t) =
             Vcpu.create ~machine ~vm:l0_vm ~index:i ~core_id:i ~hw_ctx:0)
       in
       Array.iter (wire_native cost) vcpus;
-      { machine; mode; level; l1_vm; guest_vm = l0_vm; vcpus; nested = [||];
-        script; injector; fabric = None }
+      { machine; mode; level; guest_vm = l0_vm; vcpus; nested = [||]; injector }
   | L1_leaf ->
       let vcpus =
         Array.init n_vcpus (fun i ->
@@ -364,15 +360,13 @@ let of_config (c : Config.t) =
           Array.iter
             (fun vcpu ->
               let core = Vcpu.core vcpu in
-              Svt_arch.Smt_core.load_svt_fields core ~visor:0 ~vm:1
-                ~nested:Svt_arch.Smt_core.invalid_ctx;
+              Svt_arch.Smt_core.load_svt_fields core ~visor:0 ~vm:1;
               Vcpu.set_hw_ctx vcpu 1;
               Svt_arch.Smt_core.vm_resume core)
             vcpus
       | Mode.Baseline | Mode.Sw_svt _ | Mode.Hw_full_nesting | Mode.Ooh -> ());
       Array.iter (wire_l1_leaf cost mode) vcpus;
-      { machine; mode; level; l1_vm; guest_vm = l1_vm; vcpus; nested = [||];
-        script; injector; fabric = None }
+      { machine; mode; level; guest_vm = l1_vm; vcpus; nested = [||]; injector }
   | L2_nested ->
       let l2_vm =
         Vm.create ~machine ~name:"l2" ~level:2 ~ram_bytes:(4 * mb) ~cpuid:l2_db
@@ -389,8 +383,7 @@ let of_config (c : Config.t) =
       in
       Array.iteri (fun i vcpu -> wire_l2 injector nested.(i) vcpu) vcpus;
       Array.iter Nested.start nested;
-      { machine; mode; level; l1_vm; guest_vm = l2_vm; vcpus; nested; script;
-        injector; fabric = None }
+      { machine; mode; level; guest_vm = l2_vm; vcpus; nested; injector }
 
 let probe t = Machine.probe t.machine
 let sim t = Machine.sim t.machine
@@ -437,11 +430,7 @@ let charge_l1_exit t reason =
    separate client machine over the 10 GbE fabric. Returns the device and
    the client-side endpoint. *)
 let attach_net ?(vcpu_index = 0) t =
-  let fabric =
-    Svt_virtio.Fabric.create (sim t) ~cost:(cost t) ~name_a:"host-nic"
-      ~name_b:"client"
-  in
-  t.fabric <- Some fabric;
+  let fabric = Svt_virtio.Fabric.create (sim t) ~cost:(cost t) in
   let net =
     Svt_virtio.Virtio_net.create ~machine:t.machine ~vm:t.guest_vm
       ~name:(Printf.sprintf "net%d" vcpu_index)

@@ -37,18 +37,10 @@ let next_int64 g =
   g.s3 <- rotl g.s3 45;
   result
 
-let split g =
-  (* Derive an independent generator; used to give each subsystem its own
-     stream so adding draws in one place does not perturb another. *)
-  let seed = Int64.to_int (next_int64 g) in
-  create (seed land max_int)
-
-(* Keyed splitting: child [index] of a parent *seed*. Unlike {!split},
-   which consumes parent state (so children depend on draw order), the
-   keyed form is a pure function of (parent, index): child i is the same
-   stream whether or not children 0..i-1 were ever built, which is what
-   per-kind fault streams and per-input fuzz streams need to stay
-   replay-stable. Multiplying the index by an odd constant keeps sibling
+(* Keyed splitting: child [index] of a parent *seed*, a pure function of
+   (parent, index). Child i is the same stream whether or not children
+   0..i-1 were ever built, which is what per-kind fault streams and
+   per-input fuzz streams need to stay replay-stable. Multiplying the index by an odd constant keeps sibling
    pre-mix states distinct; two splitmix64 rounds decorrelate them. *)
 let split_seed parent ~index =
   let state =

@@ -11,10 +11,6 @@ val of_seed : int64 -> t
     run-id hash: each run derives an independent, reproducible stream
     regardless of the order runs are scheduled in. *)
 
-val split : t -> t
-(** Derive an independent stream (one per subsystem). Consumes parent
-    state: the child depends on how many draws preceded it. *)
-
 val of_split : int64 -> index:int -> t
 (** [of_seed (split_seed parent ~index)]: the child stream itself. The
     fault injector keys its per-kind streams this way, and the fuzzer its

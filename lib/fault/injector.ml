@@ -10,7 +10,6 @@
 module Prng = Svt_engine.Prng
 
 type t = {
-  plan : Plan.t;
   active : bool;
   rates : float array; (* by Kind.index *)
   streams : Prng.t array; (* by Kind.index; only built when active *)
@@ -32,7 +31,7 @@ let create ?(seed = 0L) plan =
       Array.init Kind.n (fun i -> Prng.of_split seed ~index:i)
     else [||]
   in
-  { plan; active; rates; streams; counts = Array.make Outcome.n 0;
+  { active; rates; streams; counts = Array.make Outcome.n 0;
     observer = None }
 
 let none () = create Plan.empty

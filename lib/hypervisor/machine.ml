@@ -2,7 +2,6 @@
    8 cores each, 2-way SMT, 128 GB RAM, 10 GbE) as simulated resources. *)
 
 module Simulator = Svt_engine.Simulator
-module Time = Svt_engine.Time
 
 type config = {
   sockets : int;

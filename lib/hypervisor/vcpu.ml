@@ -30,7 +30,6 @@ type t = {
   lapic : Lapic.t;
   msrs : Svt_arch.Msr.File.t;
   wake : Signal.t;
-  mutable halted : bool;
   mutable run_state : run_state;
   mutable privileged : t -> Exit.info -> unit;
   mutable deliver_guest_irq : t -> int -> unit;
@@ -66,7 +65,6 @@ let create ~machine ~vm ~index ~core_id ~hw_ctx =
       lapic = Lapic.create sim;
       msrs = Svt_arch.Msr.File.create ();
       wake = Signal.create sim;
-      halted = false;
       run_state = Running;
       privileged = default_privileged;
       deliver_guest_irq = default_deliver;
@@ -163,13 +161,11 @@ let compute t span =
    state; the HLT *exit* is taken by the caller before idling). *)
 let wait_for_interrupt t =
   let started = Proc.now () in
-  t.halted <- true;
   let before = t.run_state in
   t.run_state <- Blocked;
   while not (pending t) do
     Signal.wait t.wake
   done;
-  t.halted <- false;
   t.run_state <- before;
   t.halted_ns <- t.halted_ns + Time.to_ns (Time.diff (Proc.now ()) started);
   Svt_obs.Probe.span (Machine.probe t.machine) Svt_obs.Span.Halt

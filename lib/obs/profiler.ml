@@ -71,7 +71,6 @@ type t = {
   engine_profiler : node; (* the sink's own bookkeeping *)
   pending : (int, pitem list ref) Hashtbl.t; (* per vcpu, arrival order *)
   mutable running : bool;
-  mutable in_event : bool;
   seg : meter; (* clock and words counter at the current segment's start *)
   mutable t_start : float;
   mutable t_stop : float;
@@ -100,7 +99,7 @@ let create ?(clock = default_clock) ?(words = default_words) () =
       engine_other = new_node ();
       engine_profiler = new_node ();
       pending = Hashtbl.create 8;
-      running = false; in_event = false;
+      running = false;
       seg = { secs = 0.0; alloc = 0.0 };
       t_start = 0.0; t_stop = 0.0;
       words_at_start = 0.0; alloc_words = 0.0;
@@ -206,15 +205,11 @@ let observer t =
           (* before the first event the region is still building the
              run (devices, guest programs), not serving the queue *)
           segment t (if t.events = 0 then t.engine_setup else t.engine_queue);
-          t.in_event <- true;
           t.events <- t.events + 1
         end);
     on_event_end =
       (fun () ->
-        if t.running then begin
-          segment t t.engine_dispatch;
-          t.in_event <- false
-        end);
+        if t.running then segment t t.engine_dispatch);
   }
 
 (* On OCaml 5 [Gc.quick_stat]'s minor count only advances when a minor

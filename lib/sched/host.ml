@@ -36,7 +36,6 @@ module Prng = Svt_engine.Prng
 module Smt_core = Svt_arch.Smt_core
 module Mode = Svt_core.Mode
 module System = Svt_core.System
-module Nested = Svt_core.Nested
 module Machine = Svt_hyp.Machine
 module Vcpu = Svt_hyp.Vcpu
 module Breakdown = Svt_hyp.Breakdown

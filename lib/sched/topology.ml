@@ -5,14 +5,8 @@
    API). Thread ids are core-major: tid = core * smt_per_core + ctx. *)
 
 module Smt_core = Svt_arch.Smt_core
-module Mode = Svt_core.Mode
 
-type t = {
-  sockets : int;
-  cores_per_socket : int;
-  smt_per_core : int;
-  cores : Smt_core.t array;
-}
+type t = { smt_per_core : int; cores : Smt_core.t array }
 
 let create ?(sockets = 2) ?(cores_per_socket = 8) ?(smt_per_core = 2) () =
   if sockets < 1 || cores_per_socket < 1 || smt_per_core < 1 then
@@ -24,7 +18,7 @@ let create ?(sockets = 2) ?(cores_per_socket = 8) ?(smt_per_core = 2) () =
         Smt_core.set_mode c Smt_core.Smt_mode;
         c)
   in
-  { sockets; cores_per_socket; smt_per_core; cores }
+  { smt_per_core; cores }
 
 let smt_per_core t = t.smt_per_core
 let n_cores t = Array.length t.cores
@@ -38,11 +32,3 @@ let thread t ~core ~ctx =
 
 let core_of_thread t tid = tid / t.smt_per_core
 let ctx_of_thread t tid = tid mod t.smt_per_core
-let numa_node t core = core / t.cores_per_socket
-
-(* Relative placement of two cores in Mode's distance vocabulary — the
-   same scale Wait prices channel wake-ups on. *)
-let placement t ~core_a ~core_b : Mode.placement =
-  if core_a = core_b then Mode.Smt_sibling
-  else if numa_node t core_a = numa_node t core_b then Mode.Same_numa_core
-  else Mode.Cross_numa

@@ -17,9 +17,3 @@ val core : t -> int -> Svt_arch.Smt_core.t
 val thread : t -> core:int -> ctx:int -> int
 val core_of_thread : t -> int -> int
 val ctx_of_thread : t -> int -> int
-val numa_node : t -> int -> int
-
-val placement : t -> core_a:int -> core_b:int -> Svt_core.Mode.placement
-(** Relative distance of two cores in {!Svt_core.Mode.placement} terms
-    (same core → [Smt_sibling], same socket → [Same_numa_core], else
-    [Cross_numa]) — the scale {!Svt_core.Wait} prices wake-ups on. *)

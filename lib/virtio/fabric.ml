@@ -6,10 +6,7 @@
 module Simulator = Svt_engine.Simulator
 module Time = Svt_engine.Time
 
-type endpoint = {
-  name : string;
-  mutable deliver : string -> unit; (* invoked at arrival time *)
-}
+type endpoint = { mutable deliver : string -> unit (* invoked at arrival time *) }
 
 type t = {
   sim : Simulator.t;
@@ -20,12 +17,12 @@ type t = {
   mutable busy_until_ba : Time.t;
 }
 
-let create sim ~cost ~name_a ~name_b =
+let create sim ~cost =
   {
     sim;
     cost;
-    a = { name = name_a; deliver = ignore };
-    b = { name = name_b; deliver = ignore };
+    a = { deliver = ignore };
+    b = { deliver = ignore };
     busy_until_ab = Time.zero;
     busy_until_ba = Time.zero;
   }

@@ -6,12 +6,7 @@
 type endpoint
 type t
 
-val create :
-  Svt_engine.Simulator.t ->
-  cost:Svt_arch.Cost_model.t ->
-  name_a:string ->
-  name_b:string ->
-  t
+val create : Svt_engine.Simulator.t -> cost:Svt_arch.Cost_model.t -> t
 
 val endpoint_a : t -> endpoint
 val endpoint_b : t -> endpoint

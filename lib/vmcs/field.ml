@@ -117,12 +117,6 @@ let index = function
 let by_index = Array.of_list all
 let of_index i = by_index.(i)
 
-(* Encodings in the style of the Intel layout: index within a class plus
-   width/class bits. The SVt fields slot into spare control-class indices,
-   matching the paper's claim that "the current VMCS layout allows fitting
-   our three fields" (§5.1). *)
-let encode f = 0x2000 lor index f
-
 (* Fields holding physical addresses that a guest hypervisor fills with
    *its* guest-physical values; L0 must translate them to host-physical
    when building vmcs02 (paper §2.1). *)
@@ -152,8 +146,6 @@ let is_control = function
   | Preemption_timer_value | Entry_interrupt_info ->
       true
   | _ -> false
-
-let is_svt = function Svt_visor | Svt_vm | Svt_nested -> true | _ -> false
 
 (* Fields the Out-of-Hypervisor mode delegates to L1: the guest-state and
    exit-information words its delegated handlers read and write directly.

@@ -62,10 +62,6 @@ val index : t -> int
 val of_index : int -> t
 (** The field at position [i] of {!all}: the inverse of {!index}. *)
 
-val encode : t -> int
-(** Intel-style encoding: index within a class plus width/class bits. The
-    SVt fields slot into spare control-class indices (§5.1). *)
-
 val is_physical_pointer : t -> bool
 (** Fields a guest hypervisor fills with its own guest-physical addresses;
     L0 translates them to host-physical when building vmcs02 (§2.1). *)
@@ -75,7 +71,6 @@ val is_guest_state : t -> bool
 
 val is_exit_info : t -> bool
 val is_control : t -> bool
-val is_svt : t -> bool
 
 val is_ooh_delegated : t -> bool
 (** Fields the Out-of-Hypervisor mode delegates to L1. *)

@@ -59,18 +59,6 @@ let test_regfile_cross_context_read_is_shared_file () =
   checkb "physical index valid" true (phys >= 0 && phys < 168);
   check64 "read via ctx1 map" 0xCAFEL (Regfile.read rf ~ctx:1 Reg.Rip)
 
-let test_regfile_copy_switched_set () =
-  let rf = make_rf () in
-  List.iteri
-    (fun i reg -> Regfile.write rf ~ctx:0 reg (Int64.of_int (100 + i)))
-    Reg.switched_set;
-  Regfile.copy_switched_set rf ~from_ctx:0 ~to_ctx:2;
-  List.iteri
-    (fun i reg ->
-      check64 (Reg.name reg) (Int64.of_int (100 + i))
-        (Regfile.read rf ~ctx:2 reg))
-    Reg.switched_set
-
 let test_regfile_too_small_rejected () =
   Alcotest.check_raises "sizing"
     (Invalid_argument "Regfile.create: physical file too small for all contexts")
@@ -108,26 +96,19 @@ module Ref_regfile = struct
   let phys_of t ~ctx reg = M.find_opt reg t.maps.(ctx)
 end
 
-type rf_op = Rf_write of int * Reg.t * int64 | Rf_copy of int * int
+type rf_op = Rf_write of int * Reg.t * int64
 
 let rf_pool = Reg.switched_set @ [ Reg.Cr 2; Reg.Dr 0; Reg.Segment "gdtr" ]
 
 let rf_op_to_string = function
   | Rf_write (c, r, v) -> Printf.sprintf "write %d %s %Ld" c (Reg.name r) v
-  | Rf_copy (a, b) -> Printf.sprintf "copy %d->%d" a b
 
 let rf_case =
   let open QCheck.Gen in
   let* contexts = int_range 1 4 in
   let* spare = int_range 0 8 in
   let ctx = int_bound (contexts - 1) and reg = oneofl rf_pool in
-  let op =
-    frequency
-      [
-        (4, map3 (fun c r v -> Rf_write (c, r, Int64.of_int v)) ctx reg small_nat);
-        (1, map2 (fun a b -> Rf_copy (a, b)) ctx ctx);
-      ]
-  in
+  let op = map3 (fun c r v -> Rf_write (c, r, Int64.of_int v)) ctx reg small_nat in
   let+ ops = list_size (int_bound 60) op in
   (contexts, (contexts * Reg.switched_count) + spare, ops)
 
@@ -152,18 +133,6 @@ let prop_regfile_matches_model =
                   Regfile.write rf ~ctx reg v;
                   false
                 with Invalid_argument _ -> true))
-        | Rf_copy (from_ctx, to_ctx) ->
-            List.iter
-              (fun reg ->
-                match
-                  (Ref_regfile.phys_of m ~ctx:from_ctx reg,
-                   Ref_regfile.phys_of m ~ctx:to_ctx reg)
-                with
-                | Some f, Some t -> m.Ref_regfile.entries.(t) <- m.Ref_regfile.entries.(f)
-                | _ -> assert false)
-              Reg.switched_set;
-            Regfile.copy_switched_set rf ~from_ctx ~to_ctx;
-            true
       in
       let agrees () =
         List.for_all
@@ -248,7 +217,7 @@ let make_core () = Smt_core.create ~id:0 ~n_contexts:3 ()
 
 let test_core_trap_resume_switch_fetch_target () =
   let core = make_core () in
-  Smt_core.load_svt_fields core ~visor:0 ~vm:1 ~nested:Smt_core.invalid_ctx;
+  Smt_core.load_svt_fields core ~visor:0 ~vm:1;
   checki "starts at ctx0" 0 (Smt_core.current core);
   Smt_core.vm_resume core;
   checki "resume fetches from SVt_vm" 1 (Smt_core.current core);
@@ -260,77 +229,11 @@ let test_core_trap_resume_switch_fetch_target () =
 
 let test_core_single_active_context () =
   let core = make_core () in
-  Smt_core.load_svt_fields core ~visor:0 ~vm:2 ~nested:Smt_core.invalid_ctx;
+  Smt_core.load_svt_fields core ~visor:0 ~vm:2;
   Smt_core.vm_resume core;
   checkb "ctx2 active" true (Smt_core.state core 2 = Smt_core.Active);
   checkb "ctx0 stalled" true (Smt_core.state core 0 <> Smt_core.Active);
   checkb "ctx1 stalled" true (Smt_core.state core 1 <> Smt_core.Active)
-
-(* The §4 worked example: context-id virtualization of ctxtld/ctxtst. *)
-let test_core_ctxt_level_resolution () =
-  let core = make_core () in
-  Smt_core.load_svt_fields core ~visor:0 ~vm:1 ~nested:2;
-  (* host executing: lvl 1 -> SVt_vm, lvl 2 -> SVt_nested *)
-  checkb "host lvl1" true (Smt_core.resolve_ctxt_level core ~lvl:1 = Ok 1);
-  checkb "host lvl2" true (Smt_core.resolve_ctxt_level core ~lvl:2 = Ok 2);
-  (* guest hypervisor executing: lvl 1 -> SVt_nested *)
-  Smt_core.vm_resume core;
-  checkb "guest lvl1 -> nested" true
-    (Smt_core.resolve_ctxt_level core ~lvl:1 = Ok 2);
-  (* deeper levels trap for software emulation *)
-  checkb "guest lvl2 traps" true
-    (Smt_core.resolve_ctxt_level core ~lvl:2 = Error `Trap_to_hypervisor)
-
-let test_core_ctxtld_ctxtst () =
-  let core = make_core () in
-  Smt_core.load_svt_fields core ~visor:0 ~vm:1 ~nested:2;
-  (match Smt_core.ctxtst core ~lvl:1 (Reg.Gpr Reg.RAX) 0xBEEFL with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "ctxtst should succeed");
-  (match Smt_core.ctxtld core ~lvl:1 (Reg.Gpr Reg.RAX) with
-  | Ok v -> check64 "round trip" 0xBEEFL v
-  | Error _ -> Alcotest.fail "ctxtld should succeed");
-  (* the value lives in context 1's architectural state *)
-  check64 "visible in ctx1" 0xBEEFL
-    (Regfile.read (Smt_core.regfile core) ~ctx:1 (Reg.Gpr Reg.RAX))
-
-let test_core_invalid_nested_traps () =
-  let core = make_core () in
-  Smt_core.load_svt_fields core ~visor:0 ~vm:1 ~nested:Smt_core.invalid_ctx;
-  checkb "lvl2 with invalid nested traps" true
-    (Smt_core.ctxtld core ~lvl:2 Reg.Rip = Error `Trap_to_hypervisor)
-
-(* Every way resolve_ctxt_level can refuse, and that a refused ctxtst
-   leaves the physical register file untouched. *)
-let test_core_ctxt_trap_paths () =
-  let core = make_core () in
-  Smt_core.load_svt_fields core ~visor:0 ~vm:1 ~nested:2;
-  (* out-of-range levels trap on the host... *)
-  checkb "host lvl0 traps" true
-    (Smt_core.resolve_ctxt_level core ~lvl:0 = Error `Trap_to_hypervisor);
-  checkb "host lvl3 traps" true
-    (Smt_core.resolve_ctxt_level core ~lvl:3 = Error `Trap_to_hypervisor);
-  (* ...and in a guest hypervisor, where only lvl 1 is architected *)
-  Smt_core.vm_resume core;
-  checkb "guest lvl0 traps" true
-    (Smt_core.resolve_ctxt_level core ~lvl:0 = Error `Trap_to_hypervisor);
-  checkb "guest lvl3 traps" true
-    (Smt_core.resolve_ctxt_level core ~lvl:3 = Error `Trap_to_hypervisor);
-  Smt_core.vm_trap core;
-  (* a host with no VM context loaded traps even on lvl 1 *)
-  Smt_core.load_svt_fields core ~visor:0 ~vm:Smt_core.invalid_ctx
-    ~nested:Smt_core.invalid_ctx;
-  checkb "host lvl1 without SVt_vm traps" true
-    (Smt_core.resolve_ctxt_level core ~lvl:1 = Error `Trap_to_hypervisor);
-  checkb "ctxtld propagates the trap" true
-    (Smt_core.ctxtld core ~lvl:1 (Reg.Gpr Reg.RAX) = Error `Trap_to_hypervisor);
-  (* a trapping ctxtst must not have stored anything anywhere *)
-  Regfile.write (Smt_core.regfile core) ~ctx:1 (Reg.Gpr Reg.RBX) 0x1111L;
-  checkb "ctxtst propagates the trap" true
-    (Smt_core.ctxtst core ~lvl:2 (Reg.Gpr Reg.RBX) 0x2222L
-    = Error `Trap_to_hypervisor);
-  check64 "trapped ctxtst wrote nothing" 0x1111L
-    (Regfile.read (Smt_core.regfile core) ~ctx:1 (Reg.Gpr Reg.RBX))
 
 let test_core_interference_model () =
   let core = make_core () in
@@ -343,8 +246,7 @@ let test_core_interference_model () =
 
 let test_core_resume_without_vm_rejected () =
   let core = make_core () in
-  Smt_core.load_svt_fields core ~visor:0 ~vm:Smt_core.invalid_ctx
-    ~nested:Smt_core.invalid_ctx;
+  Smt_core.load_svt_fields core ~visor:0 ~vm:Smt_core.invalid_ctx;
   Alcotest.check_raises "no SVt_vm"
     (Invalid_argument "Smt_core.vm_resume: no SVt_vm") (fun () ->
       Smt_core.vm_resume core)
@@ -481,7 +383,6 @@ let () =
           Alcotest.test_case "contexts isolated" `Quick test_regfile_isolated_contexts;
           Alcotest.test_case "cross-context via rename map" `Quick
             test_regfile_cross_context_read_is_shared_file;
-          Alcotest.test_case "copy switched set" `Quick test_regfile_copy_switched_set;
           Alcotest.test_case "sizing check" `Quick test_regfile_too_small_rejected;
           Alcotest.test_case "bad context rejected" `Quick test_regfile_bad_context;
           QCheck_alcotest.to_alcotest prop_regfile_matches_model;
@@ -509,12 +410,6 @@ let () =
             test_core_trap_resume_switch_fetch_target;
           Alcotest.test_case "single active context" `Quick
             test_core_single_active_context;
-          Alcotest.test_case "ctxt level virtualization (section 4)" `Quick
-            test_core_ctxt_level_resolution;
-          Alcotest.test_case "ctxtld/ctxtst round trip" `Quick test_core_ctxtld_ctxtst;
-          Alcotest.test_case "invalid nested traps" `Quick
-            test_core_invalid_nested_traps;
-          Alcotest.test_case "ctxt trap paths" `Quick test_core_ctxt_trap_paths;
           Alcotest.test_case "polling interference" `Quick test_core_interference_model;
           Alcotest.test_case "resume without SVt_vm rejected" `Quick
             test_core_resume_without_vm_rejected;

@@ -162,7 +162,7 @@ let prop_core_single_active =
     QCheck.(list_of_size Gen.(int_range 1 40) (int_bound 4))
     (fun ops ->
       let core = Smt_core.create ~id:0 ~n_contexts:3 () in
-      Smt_core.load_svt_fields core ~visor:0 ~vm:1 ~nested:2;
+      Smt_core.load_svt_fields core ~visor:0 ~vm:1;
       List.iter
         (fun op ->
           match op with
@@ -490,10 +490,7 @@ let prop_fabric_ordering =
     QCheck.(list_of_size Gen.(int_range 1 20) (int_range 1 2000))
     (fun sizes ->
       let sim = Simulator.create () in
-      let f =
-        Svt_virtio.Fabric.create sim ~cost:Svt_arch.Cost_model.paper_machine
-          ~name_a:"a" ~name_b:"b"
-      in
+      let f = Svt_virtio.Fabric.create sim ~cost:Svt_arch.Cost_model.paper_machine in
       let got = ref [] in
       Svt_virtio.Fabric.on_deliver (Svt_virtio.Fabric.endpoint_b f) (fun pkt ->
           got := String.length pkt :: !got);
@@ -595,10 +592,7 @@ let prop_tx_roundtrip =
       in
       let sim = Svt_hyp.Machine.sim machine in
       let net = Svt_virtio.Virtio_net.create ~machine ~vm ~name:"n0" in
-      let f =
-        Svt_virtio.Fabric.create sim ~cost:Svt_arch.Cost_model.paper_machine
-          ~name_a:"nic" ~name_b:"client"
-      in
+      let f = Svt_virtio.Fabric.create sim ~cost:Svt_arch.Cost_model.paper_machine in
       Svt_virtio.Virtio_net.set_tx_sink net (fun pkt ->
           Svt_virtio.Fabric.send f ~from:(Svt_virtio.Fabric.endpoint_a f) pkt);
       let got = ref [] in

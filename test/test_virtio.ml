@@ -130,8 +130,7 @@ let test_vq_freed_reused_first () =
 (* --- Fabric --------------------------------------------------------------- *)
 
 let make_fabric sim =
-  Fabric.create sim ~cost:Svt_arch.Cost_model.paper_machine ~name_a:"nic"
-    ~name_b:"client"
+  Fabric.create sim ~cost:Svt_arch.Cost_model.paper_machine
 
 let test_fabric_delivery_latency () =
   let sim = Simulator.create () in

@@ -16,10 +16,6 @@ let check64 = Alcotest.(check int64)
 
 (* --- Fields ----------------------------------------------------------------- *)
 
-let test_field_encodings_unique () =
-  let encs = List.map Field.encode Field.all in
-  checki "unique" (List.length encs) (List.length (List.sort_uniq compare encs))
-
 let test_field_index () =
   List.iteri (fun i f -> checki (Field.name f) i (Field.index f)) Field.all
 
@@ -27,11 +23,7 @@ let test_field_classification () =
   checkb "ept pointer is physical" true (Field.is_physical_pointer Field.Ept_pointer);
   checkb "guest rip is guest state" true (Field.is_guest_state Field.Guest_rip);
   checkb "exit reason is exit info" true (Field.is_exit_info Field.Exit_reason);
-  checkb "pin controls are controls" true (Field.is_control Field.Pin_based_controls);
-  checkb "svt fields tagged" true (Field.is_svt Field.Svt_visor);
-  (* every field belongs to at least one class... except host-state ones *)
-  checkb "classes cover the new fields" true
-    (List.for_all Field.is_svt [ Field.Svt_visor; Field.Svt_vm; Field.Svt_nested ])
+  checkb "pin controls are controls" true (Field.is_control Field.Pin_based_controls)
 
 (* --- Vmcs objects ------------------------------------------------------------ *)
 
@@ -58,7 +50,7 @@ let test_vmcs_record_exit () =
 let test_vmcs_access_allocates_nothing () =
   let v = Vmcs.create () in
   let fields = Array.of_list Field.all in
-  let values = Array.map (fun f -> Int64.of_int (0x1000 + Field.encode f)) fields in
+  let values = Array.map (fun f -> Int64.of_int (0x1000 + Field.index f)) fields in
   let n = Array.length fields in
   let pass () =
     for i = 0 to 999 do
@@ -292,7 +284,6 @@ let () =
     [
       ( "fields",
         [
-          Alcotest.test_case "encodings unique" `Quick test_field_encodings_unique;
           Alcotest.test_case "classification" `Quick test_field_classification;
           Alcotest.test_case "index follows all" `Quick test_field_index;
         ] );
