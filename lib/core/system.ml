@@ -333,8 +333,8 @@ let of_config (c : Config.t) =
   let l1_db = Cpuid_db.guest_view host_db ~expose_vmx:true in
   let l2_db = Cpuid_db.guest_view l1_db ~expose_vmx:false in
   let mb = 1 lsl 20 in
-  let l1_vm = Vm.create ~machine ~name:"l1" ~level:1 ~ram_bytes:(4 * mb) ~cpuid:l1_db in
-  let script = Svt_hyp.L1_script.create ~shadow cost in
+  (* L1's VM is built first when there is one, so it takes the first frames. *)
+  let l1_vm () = Vm.create ~machine ~name:"l1" ~level:1 ~ram_bytes:(4 * mb) ~cpuid:l1_db in
   match level with
   | L0_native ->
       let l0_vm =
@@ -347,6 +347,7 @@ let of_config (c : Config.t) =
       Array.iter (wire_native cost) vcpus;
       { machine; mode; level; guest_vm = l0_vm; vcpus; nested = [||]; injector }
   | L1_leaf ->
+      let l1_vm = l1_vm () in
       let vcpus =
         Array.init n_vcpus (fun i ->
             Vcpu.create ~machine ~vm:l1_vm ~index:i ~core_id:i ~hw_ctx:0)
@@ -368,6 +369,8 @@ let of_config (c : Config.t) =
       Array.iter (wire_l1_leaf cost mode) vcpus;
       { machine; mode; level; guest_vm = l1_vm; vcpus; nested = [||]; injector }
   | L2_nested ->
+      let l1_vm = l1_vm () in
+      let script = Svt_hyp.L1_script.create ~shadow cost in
       let l2_vm =
         Vm.create ~machine ~name:"l2" ~level:2 ~ram_bytes:(4 * mb) ~cpuid:l2_db
       in

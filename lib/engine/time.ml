@@ -5,8 +5,8 @@
 type t = int
 
 let zero = 0
-let of_ns ns = ns
-let to_ns t = t
+external of_ns : int -> t = "%identity"
+external to_ns : t -> int = "%identity"
 let of_us us = us * 1_000
 let of_ms ms = ms * 1_000_000
 let of_us_f us = int_of_float (us *. 1_000.0 +. 0.5)
@@ -14,15 +14,15 @@ let of_ms_f ms = int_of_float (ms *. 1_000_000.0 +. 0.5)
 let to_us_f t = float_of_int t /. 1_000.0
 let to_ms_f t = float_of_int t /. 1_000_000.0
 let to_sec_f t = float_of_int t /. 1_000_000_000.0
-let add = ( + )
-let sub = ( - )
-let diff a b = a - b
+external add : t -> t -> t = "%addint"
+external sub : t -> t -> t = "%subint"
+external diff : t -> t -> t = "%subint"
 let scale t k = int_of_float (float_of_int t *. k +. 0.5)
 let compare = Int.compare
-let ( <= ) : t -> t -> bool = Stdlib.( <= )
-let ( < ) : t -> t -> bool = Stdlib.( < )
-let ( >= ) : t -> t -> bool = Stdlib.( >= )
-let ( > ) : t -> t -> bool = Stdlib.( > )
+external ( <= ) : t -> t -> bool = "%lessequal"
+external ( < ) : t -> t -> bool = "%lessthan"
+external ( >= ) : t -> t -> bool = "%greaterequal"
+external ( > ) : t -> t -> bool = "%greaterthan"
 let min : t -> t -> t = Stdlib.min
 let max : t -> t -> t = Stdlib.max
 

@@ -8,7 +8,7 @@ val zero : t
 
 (** {2 Construction} *)
 
-val of_ns : int -> t
+external of_ns : int -> t = "%identity"
 val of_us : int -> t
 val of_ms : int -> t
 val of_us_f : float -> t
@@ -16,27 +16,30 @@ val of_ms_f : float -> t
 
 (** {2 Observation} *)
 
-val to_ns : t -> int
+external to_ns : t -> int = "%identity"
 val to_us_f : t -> float
 val to_ms_f : t -> float
 val to_sec_f : t -> float
 
-(** {2 Arithmetic and comparison} *)
+(** {2 Arithmetic and comparison}
 
-val add : t -> t -> t
-val sub : t -> t -> t
+    Compiler primitives, so each use is one machine instruction even where
+    the build does no cross-module inlining. *)
 
-val diff : t -> t -> t
+external add : t -> t -> t = "%addint"
+external sub : t -> t -> t = "%subint"
+
+external diff : t -> t -> t = "%subint"
 (** [diff a b] is [a - b]. *)
 
 val scale : t -> float -> t
 (** [scale t k] is [t * k], rounded to the nearest nanosecond. *)
 
 val compare : t -> t -> int
-val ( <= ) : t -> t -> bool
-val ( < ) : t -> t -> bool
-val ( >= ) : t -> t -> bool
-val ( > ) : t -> t -> bool
+external ( <= ) : t -> t -> bool = "%lessequal"
+external ( < ) : t -> t -> bool = "%lessthan"
+external ( >= ) : t -> t -> bool = "%greaterequal"
+external ( > ) : t -> t -> bool = "%greaterthan"
 val min : t -> t -> t
 val max : t -> t -> t
 

@@ -12,7 +12,14 @@
    words, so mapping a page allocates nothing: 0 is an empty entry; a
    mapped page sets [present], its read/write/exec bits and the host frame
    number above [frame_shift]; a misconfigured page sets only
-   [misconfig], and its tag lives in a side table keyed by guest page. *)
+   [misconfig], and its tag lives in a side table keyed by guest page.
+
+   A level-1 slot may instead hold a 2 MB entry, packed like a leaf entry
+   with the first of its 512 host frames, as hardware and KVM map
+   hugepage-backed guest RAM. [map_range] writes one for a whole aligned
+   block into an empty slot; a 4 KB write inside it first splits it into
+   the leaf table of its 512 entries, so reads see the same entries either
+   way. *)
 
 type perm = { read : bool; write : bool; exec : bool }
 
@@ -30,8 +37,8 @@ type fault =
   | Misconfiguration of { gpa : Addr.Gpa.t; tag : string }
 
 (* Levels 3 and 2 hold [Dir]s; level 1 holds [Leaves], the level-0
-   tables of packed entries. *)
-type node = Empty | Dir of node array | Leaves of int array
+   tables of packed entries, or [Huge] 2 MB entries. *)
+type node = Empty | Dir of node array | Leaves of int array | Huge of int
 
 type t = {
   root : node array;
@@ -78,28 +85,45 @@ let create () =
 
 let page_index gpa = Addr.Gpa.page_of gpa land page_number_mask
 let index_at page level = (page lsr (bits_per_level * level)) land (fanout - 1)
-let no_leaves : int array = [||]
+let no_dir : node array = [||]
 
-(* The leaf table covering guest page [page], creating the directories on
-   the way when [create] is set; [no_leaves] when absent. *)
-let rec leaves_of dir page level ~create =
-  let idx = index_at page level in
-  match dir.(idx) with
+(* The level-1 directory covering guest page [page], creating the
+   directories on the way when [create] is set; [no_dir] when absent. *)
+let rec dir_of dir page level ~create =
+  if level = 1 then dir
+  else
+    let idx = index_at page level in
+    match dir.(idx) with
+    | Dir d -> dir_of d page (level - 1) ~create
+    | Empty when create ->
+        let d = Array.make fanout Empty in
+        dir.(idx) <- Dir d;
+        dir_of d page (level - 1) ~create
+    | Empty | Leaves _ | Huge _ -> no_dir
+
+(* The packed entry of guest page [page]; 0 when nothing maps it. *)
+let rec entry_in dir page level =
+  match dir.(index_at page level) with
+  | Dir d -> entry_in d page (level - 1)
+  | Leaves l -> l.(page land (fanout - 1))
+  | Huge e -> e + ((page land (fanout - 1)) lsl frame_shift)
+  | Empty -> 0
+
+let entry_at t page = entry_in t.root page (levels - 1)
+
+(* The leaf table in slot [idx] of level-1 directory [d]: a new one for an
+   empty slot, or a 2 MB entry split into its 512 entries. *)
+let leaves_at d idx =
+  match d.(idx) with
   | Leaves l -> l
-  | Dir d -> leaves_of d page (level - 1) ~create
-  | Empty when not create -> no_leaves
-  | Empty when level = 1 ->
-      let l = Array.make fanout 0 in
-      dir.(idx) <- Leaves l;
+  | Huge e ->
+      let l = Array.init fanout (fun k -> e + (k lsl frame_shift)) in
+      d.(idx) <- Leaves l;
       l
-  | Empty ->
-      let d = Array.make fanout Empty in
-      dir.(idx) <- Dir d;
-      leaves_of d page (level - 1) ~create
-
-let entry_at t page =
-  let l = leaves_of t.root page (levels - 1) ~create:false in
-  if l == no_leaves then 0 else l.(page land (fanout - 1))
+  | Empty | Dir _ ->
+      let l = Array.make fanout 0 in
+      d.(idx) <- Leaves l;
+      l
 
 (* Overwrite the entry at [l.(i)] (guest page [page]), keeping the page
    count and the tag table in step with what the slot held before. *)
@@ -110,8 +134,17 @@ let set t l i page e =
   if e land present <> 0 then t.mapped_pages <- t.mapped_pages + 1;
   l.(i) <- e
 
+(* Write entry [e] for one guest page; writing 0 where nothing is mapped
+   creates nothing. *)
+let write t page e =
+  let d = dir_of t.root page (levels - 1) ~create:(e <> 0) in
+  let idx = index_at page 1 in
+  if d != no_dir && (e <> 0 || d.(idx) != Empty) then
+    set t (leaves_at d idx) (page land (fanout - 1)) page e
+
 (* Map a contiguous guest range onto the contiguous host run from [hpa]:
-   one walk per leaf table, then an int loop over its entries. *)
+   one walk per leaf table, then a 2 MB entry for a whole aligned block
+   over an empty slot, else an int loop over the table's entries. *)
 let map_range t ~gpa ~len ~perm ~hpa =
   if not (Addr.Gpa.is_page_aligned gpa && Addr.Hpa.is_page_aligned hpa) then
     invalid_arg "Ept.map: unaligned";
@@ -121,13 +154,21 @@ let map_range t ~gpa ~len ~perm ~hpa =
   let i = ref 0 in
   while !i < pages do
     let page = (first + !i) land page_number_mask in
-    let l = leaves_of t.root page (levels - 1) ~create:true in
-    let lo = page land (fanout - 1) in
+    let d = dir_of t.root page (levels - 1) ~create:true in
+    let idx = index_at page 1 and lo = page land (fanout - 1) in
     let n = Stdlib.min (pages - !i) (fanout - lo) in
-    let e = bits lor ((first_frame + !i) lsl frame_shift) in
-    for k = 0 to n - 1 do
-      set t l (lo + k) (page + k) (e + (k lsl frame_shift))
-    done;
+    let frame = first_frame + !i in
+    let e = bits lor (frame lsl frame_shift) in
+    if n = fanout && frame land (fanout - 1) = 0 && d.(idx) == Empty then begin
+      d.(idx) <- Huge e;
+      t.mapped_pages <- t.mapped_pages + fanout
+    end
+    else begin
+      let l = leaves_at d idx in
+      for k = 0 to n - 1 do
+        set t l (lo + k) (page + k) (e + (k lsl frame_shift))
+      done
+    end;
     i := !i + n
   done
 
@@ -136,8 +177,7 @@ let map t ~gpa ~hpa ~perm = map_range t ~gpa ~len:Addr.page_size ~perm ~hpa
 let mark_misconfig t ~gpa ~tag =
   if not (Addr.Gpa.is_page_aligned gpa) then invalid_arg "Ept.mark_misconfig";
   let page = page_index gpa in
-  let l = leaves_of t.root page (levels - 1) ~create:true in
-  set t l (page land (fanout - 1)) page misconfig;
+  write t page misconfig;
   Hashtbl.replace t.tags page tag
 
 let lookup t gpa =
@@ -167,10 +207,7 @@ let translate t ~gpa ~access =
       Error (Misconfiguration { gpa; tag = Hashtbl.find t.tags page })
     else Error (Violation { gpa; access })
 
-let unmap t ~gpa =
-  let page = page_index gpa in
-  let l = leaves_of t.root page (levels - 1) ~create:false in
-  if l != no_leaves then set t l (page land (fanout - 1)) page 0
+let unmap t ~gpa = write t (page_index gpa) 0
 
 let mapped_pages t = t.mapped_pages
 

@@ -34,7 +34,10 @@ val map_range :
 (** Map the [len] bytes (rounded up to pages) from [gpa] onto the
     contiguous host run from [hpa] (both page-aligned): page [i] of the
     range to the host frame [i] pages above [hpa]. One table walk per
-    512-page leaf table; no allocation per page. *)
+    512-page leaf table; no allocation per page. A whole 512-page-aligned
+    block onto a 512-frame-aligned run, where nothing is mapped yet, is one
+    2 MB entry; a later 4 KB write inside it splits it into 512 leaf
+    entries, so every read is the same as with 4 KB entries. *)
 
 val mark_misconfig : t -> gpa:Addr.Gpa.t -> tag:string -> unit
 (** Mark a page deliberately misconfigured (an MMIO doorbell). *)
@@ -54,6 +57,7 @@ val resolve : t -> gpa:Addr.Gpa.t -> access:access -> int
 val unmap : t -> gpa:Addr.Gpa.t -> unit
 
 val mapped_pages : t -> int
-(** Entries currently mapping a page (misconfigured entries excluded). *)
+(** Pages currently mapped, 512 for a 2 MB entry (misconfigured entries
+    excluded). *)
 
 val pp_fault : Format.formatter -> fault -> unit

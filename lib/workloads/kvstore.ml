@@ -49,15 +49,20 @@ let hash key =
 
 let bucket_of t key = hash key mod Array.length t.buckets
 
-(* --- LRU list maintenance --- *)
+(* --- LRU list maintenance ---
+
+   An end of the list is [e] when it holds [e] itself: a fresh [Some e]
+   is never physically equal to the stored option, so compare payloads. *)
+
+let is_entry e = function Some h -> h == e | None -> false
 
 let lru_unlink t e =
   (match e.lru_prev with
   | Some p -> p.lru_next <- e.lru_next
-  | None -> if t.lru_head == Some e then t.lru_head <- e.lru_next);
+  | None -> if is_entry e t.lru_head then t.lru_head <- e.lru_next);
   (match e.lru_next with
   | Some n -> n.lru_prev <- e.lru_prev
-  | None -> if t.lru_tail == Some e then t.lru_tail <- e.lru_prev);
+  | None -> if is_entry e t.lru_tail then t.lru_tail <- e.lru_prev);
   e.lru_prev <- None;
   e.lru_next <- None
 
@@ -68,7 +73,7 @@ let lru_push_front t e =
   if t.lru_tail = None then t.lru_tail <- Some e
 
 let lru_touch t e =
-  if t.lru_head != Some e then begin
+  if not (is_entry e t.lru_head) then begin
     lru_unlink t e;
     lru_push_front t e
   end
@@ -162,10 +167,11 @@ let get t key =
 
 let size t = t.size
 
-(* Walk the LRU from most to least recent (tests). *)
+(* Walk the LRU from most to least recent (tests), at most [size]
+   entries: a list linked into a cycle reads wrong instead of hanging. *)
 let lru_keys t =
-  let rec go acc = function
-    | None -> List.rev acc
-    | Some e -> go (e.key :: acc) e.lru_next
+  let rec go acc n = function
+    | Some e when n > 0 -> go (e.key :: acc) (n - 1) e.lru_next
+    | Some _ | None -> List.rev acc
   in
-  go [] t.lru_head
+  go [] t.size t.lru_head

@@ -20,4 +20,4 @@ val get : t -> string -> bytes option
 val size : t -> int
 
 val lru_keys : t -> string list
-(** Most- to least-recently used (tests). *)
+(** Most- to least-recently used, at most {!size} keys (tests). *)

@@ -217,11 +217,14 @@ let prop_ept_translate_preserves_offset =
       | Error _ -> false)
 
 (* Model-based check: random map / map_range / mark_misconfig / unmap
-   sequences against an association list from guest page to entry.
+   sequences against an association from guest page to entry (kept in a
+   hash table, so 1,024-page blocks stay cheap).
    Pages cluster at leaf-table edges, around 512 GB and at the top of the
    48-bit space (where ranges wrap); frames reach 129 GB. [map_range]
    takes a contiguous host run; a range of scattered frames (every third
-   one) is mapped page by page through [map]. *)
+   one) is mapped page by page through [map]. Some ranges map a
+   512-aligned guest block onto a 512-aligned frame run, as guest RAM is
+   mapped, so they lay 2 MB entries that the other ops then write inside. *)
 type ept_op =
   | Ept_map of int * int * int (* page, frame, perm index *)
   | Ept_range of int * int * int * int (* page, pages, first frame, perm index *)
@@ -251,9 +254,23 @@ let ept_ops =
       ]
   in
   let frame = int_bound (129 lsl 18) and perm = int_bound 7 in
+  let block =
+    map (fun b -> b * 512)
+      (frequency
+         [
+           (3, int_bound 2);
+           (2, map (fun k -> (1 lsl 18) - 1 + k) (int_bound 1));
+           (1, map (fun k -> (ept_page_space lsr 9) - 2 + k) (int_bound 1));
+         ])
+  in
   let op =
     frequency
       [
+        ( 2,
+          map3
+            (fun (p, n) f i -> Ept_range (p, n, f * 512, i))
+            (pair block (oneofl [ 512; 1000; 1024 ]))
+            (int_bound (129 lsl 9)) perm );
         (4, map3 (fun p f i -> Ept_map (p, f, i)) page frame perm);
         ( 2,
           map3
@@ -276,12 +293,13 @@ let prop_ept_matches_model =
     (QCheck.make ept_ops ~print:(fun ops -> String.concat "; " (List.map ept_op_to_string ops)))
     (fun ops ->
       let e = Ept.create () in
-      let model = ref [] and touched = ref [] in
+      let model = Hashtbl.create 64 and touched = ref [] in
       let set page entry =
         let page = page land (ept_page_space - 1) in
         touched := page :: !touched;
-        model := List.remove_assoc page !model;
-        Option.iter (fun en -> model := (page, en) :: !model) entry
+        match entry with
+        | Some en -> Hashtbl.replace model page en
+        | None -> Hashtbl.remove model page
       in
       let page_gpa p = gpa (p * 4096) in
       List.iter
@@ -311,7 +329,7 @@ let prop_ept_matches_model =
               set p None)
         ops;
       let agrees page =
-        let expected = List.assoc_opt page !model in
+        let expected = Hashtbl.find_opt model page in
         let g = Addr.Gpa.add (page_gpa page) ((page * 7) land 4095) in
         let translates access =
           let want =
@@ -338,8 +356,9 @@ let prop_ept_matches_model =
           (List.concat_map (fun p -> [ p; (p + 1) land (ept_page_space - 1) ]) !touched)
       in
       let mapped =
-        List.length
-          (List.filter (function _, Ept.Page _ -> true | _ -> false) !model)
+        Hashtbl.fold
+          (fun _ en n -> match en with Ept.Page _ -> n + 1 | Ept.Misconfig _ -> n)
+          model 0
       in
       List.for_all agrees pages && Ept.mapped_pages e = mapped)
 

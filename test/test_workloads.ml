@@ -49,6 +49,32 @@ let test_kv_eviction_under_cap () =
   checkb "kept recent" true
     (Kvstore.get s "b" <> None && Kvstore.get s "c" <> None)
 
+(* Touching the entry already at the head must leave the list as it was;
+   a head test that never matches links the head to itself. *)
+let test_kv_get_head_keeps_order () =
+  let s = Kvstore.create () in
+  List.iter (fun k -> Kvstore.set s k (Bytes.of_string k)) [ "a"; "b"; "c" ];
+  ignore (Kvstore.get s "c");
+  checkb "order kept" true (Kvstore.lru_keys s = [ "c"; "b"; "a" ])
+
+(* Two evictions, the second after a hit on the head: each evicts the
+   live tail once. Entries are a 1-byte key plus 30 bytes against a
+   64-byte cap, so one 2-byte entry after them fits exactly (64) and the
+   next evicts the oldest 31-byte entry: the accounting is exact. *)
+let test_kv_two_evictions () =
+  let s = Kvstore.create ~memory_cap:64 () in
+  List.iter (fun k -> Kvstore.set s k (Bytes.make 30 'x')) [ "a"; "b"; "c" ];
+  ignore (Kvstore.get s "c");
+  Kvstore.set s "d" (Bytes.make 30 'x');
+  checkb "a and b evicted" true (Kvstore.get s "a" = None && Kvstore.get s "b" = None);
+  checki "size after two evictions" 2 (Kvstore.size s);
+  checkb "lru after two evictions" true (Kvstore.lru_keys s = [ "d"; "c" ]);
+  Kvstore.set s "e" (Bytes.make 1 'x');
+  checki "exactly at the cap" 3 (Kvstore.size s);
+  Kvstore.set s "f" (Bytes.make 1 'x');
+  checki "one over evicts one" 3 (Kvstore.size s);
+  checkb "oldest evicted" true (Kvstore.lru_keys s = [ "f"; "e"; "d" ])
+
 let test_kv_resize_preserves_entries () =
   (* 2,000 keys cross the 3/4-load mark of 1,024 and then 2,048 buckets:
      two resizes *)
@@ -259,6 +285,8 @@ let () =
           Alcotest.test_case "overwrite" `Quick test_kv_overwrite;
           Alcotest.test_case "lru order and touch" `Quick test_kv_lru_order_and_touch;
           Alcotest.test_case "eviction under cap" `Quick test_kv_eviction_under_cap;
+          Alcotest.test_case "get head keeps order" `Quick test_kv_get_head_keeps_order;
+          Alcotest.test_case "two evictions" `Quick test_kv_two_evictions;
           Alcotest.test_case "resize preserves entries" `Quick
             test_kv_resize_preserves_entries;
           QCheck_alcotest.to_alcotest prop_kv_model;
