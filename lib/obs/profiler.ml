@@ -14,16 +14,19 @@
    exactly the profiled region's measured wall time; `svt_sim profile
    --validate` asserts that invariant to within 5%.
 
-   Tree structure is recovered from virtual time: a per-vCPU pending
-   list holds closed spans awaiting their parent, and a newly closed
-   span adopts every pending span it encloses. Spans nothing encloses
-   (vm-exit episodes, halts) fold into the aggregate tree under a
-   per-vCPU root once the pending list outgrows its cap, and at [stop].
+   Tree structure is recovered from virtual time. Spans close children
+   first, so the spans a new span encloses are the newest closed spans
+   of its vCPU: each vCPU keeps a newest-first stack of closed spans, and
+   the sink pops the run of enclosed ones off its head as the new span's
+   children. Spans nothing encloses (vm-exit episodes, halts) are folded
+   into the aggregate tree under a per-vCPU root, in batches once the
+   stack outgrows twice its cap, and at [stop]. Each span reaches the
+   aggregate tree exactly once, through one [fold].
 
-   The sink's own bookkeeping (the span's node, its adoption of pending
-   spans, its label) is a segment of its own, closed when the sink
-   returns and charged to [engine;profiler], so it inflates no simulator
-   frame.
+   The sink's own bookkeeping (the closed span, its adoption of pending
+   spans, its label, the batch folds) is a segment of its own, closed
+   when the sink returns and charged to [engine;profiler], so it inflates
+   no simulator frame.
 
    Allocation is charged per segment from the minor-allocation counter
    ([Gc.minor_words], exact at any point); whole-run totals including
@@ -36,40 +39,57 @@ module Simulator = Svt_engine.Simulator
    close leaves almost no garbage of its own to charge to the next. *)
 type meter = { mutable secs : float; mutable alloc : float }
 
+(* One node per distinct path of the aggregate tree. *)
 type node = {
   mutable calls : int;
   excl : meter; (* exclusive cost *)
-  kids : (string, node) Hashtbl.t;
+  mutable kids : (string * node) list;
 }
 
-let new_node () =
-  { calls = 0; excl = { secs = 0.0; alloc = 0.0 }; kids = Hashtbl.create 4 }
+let new_node () = { calls = 0; excl = { secs = 0.0; alloc = 0.0 }; kids = [] }
 
-let rec merge_into ~(dst : node) (src : node) =
-  dst.calls <- dst.calls + src.calls;
-  dst.excl.secs <- dst.excl.secs +. src.excl.secs;
-  dst.excl.alloc <- dst.excl.alloc +. src.excl.alloc;
-  Hashtbl.iter (fun label kid -> attach dst label kid) src.kids
-
-and attach parent label kid =
-  match Hashtbl.find_opt parent.kids label with
-  | Some existing -> merge_into ~dst:existing kid
-  | None -> Hashtbl.add parent.kids label kid
+(* The child of [parent] named [label], made on first use. *)
+let child parent label =
+  let rec find = function
+    | (l, n) :: _ when String.equal l label -> n
+    | _ :: rest -> find rest
+    | [] ->
+        let n = new_node () in
+        parent.kids <- (label, n) :: parent.kids;
+        n
+  in
+  find parent.kids
 
 (* A closed span awaiting its (virtually enclosing) parent. *)
-type pitem = { start : Svt_engine.Time.t; stop : Svt_engine.Time.t; node : node;
-               label : string }
+type closed = {
+  start : Svt_engine.Time.t;
+  stop : Svt_engine.Time.t;
+  label : string;
+  cost : meter; (* exclusive cost *)
+  inner : closed list; (* the closed spans it encloses *)
+}
+
+(* Add one span, and everything it encloses, to the aggregate tree. *)
+let rec fold parent (c : closed) =
+  let n = child parent c.label in
+  n.calls <- n.calls + 1;
+  n.excl.secs <- n.excl.secs +. c.cost.secs;
+  n.excl.alloc <- n.excl.alloc +. c.cost.alloc;
+  List.iter (fold n) c.inner
+
+(* A vCPU's closed spans that no span has enclosed yet, newest first. *)
+type stack = { mutable waiting : closed list; mutable depth : int }
 
 type t = {
   clock : unit -> float; (* host seconds *)
   words : unit -> float; (* allocated words so far (monotonic) *)
   root : node;
-  engine_setup : node; (* from [start] to the first event *)
-  engine_queue : node; (* between-event engine bookkeeping *)
-  engine_dispatch : node; (* in-event work after the last span close *)
-  engine_other : node; (* outside the event loop (setup, metric assembly) *)
-  engine_profiler : node; (* the sink's own bookkeeping *)
-  pending : (int, pitem list ref) Hashtbl.t; (* per vcpu, arrival order *)
+  engine_setup : meter; (* from [start] to the first event *)
+  engine_queue : meter; (* between-event engine bookkeeping *)
+  engine_dispatch : meter; (* in-event work after the last span close *)
+  engine_other : meter; (* outside the event loop (setup, metric assembly) *)
+  engine_profiler : meter; (* the sink's own bookkeeping *)
+  pending : (int, stack) Hashtbl.t; (* per vcpu *)
   mutable running : bool;
   seg : meter; (* clock and words counter at the current segment's start *)
   mutable t_start : float;
@@ -80,49 +100,40 @@ type t = {
   mutable events : int;
 }
 
-(* Cap on closed spans waiting for a parent, per vCPU. Episodes are a
-   handful of legs deep; anything older than the cap is an episode root
-   and folds into the aggregate tree. *)
+(* Closed spans kept waiting for a parent, per vCPU. Episodes are a
+   handful of legs deep; anything older is an episode root. Roots are
+   folded in batches once twice the cap wait, not one per span. *)
 let max_pending = 64
 
 let default_clock = Unix.gettimeofday
 let default_words () = Gc.minor_words ()
 
 let create ?(clock = default_clock) ?(words = default_words) () =
-  let t =
-    {
-      clock; words;
-      root = new_node ();
-      engine_setup = new_node ();
-      engine_queue = new_node ();
-      engine_dispatch = new_node ();
-      engine_other = new_node ();
-      engine_profiler = new_node ();
-      pending = Hashtbl.create 8;
-      running = false;
-      seg = { secs = 0.0; alloc = 0.0 };
-      t_start = 0.0; t_stop = 0.0;
-      words_at_start = 0.0; alloc_words = 0.0;
-      spans = 0; events = 0;
-    }
-  in
-  let engine = new_node () in
-  attach t.root "engine" engine;
-  attach engine "setup" t.engine_setup;
-  attach engine "queue" t.engine_queue;
-  attach engine "dispatch" t.engine_dispatch;
-  attach engine "other" t.engine_other;
-  attach engine "profiler" t.engine_profiler;
-  t
+  let root = new_node () in
+  let engine = child root "engine" in
+  {
+    clock; words; root;
+    engine_setup = (child engine "setup").excl;
+    engine_queue = (child engine "queue").excl;
+    engine_dispatch = (child engine "dispatch").excl;
+    engine_other = (child engine "other").excl;
+    engine_profiler = (child engine "profiler").excl;
+    pending = Hashtbl.create 8;
+    running = false;
+    seg = { secs = 0.0; alloc = 0.0 };
+    t_start = 0.0; t_stop = 0.0;
+    words_at_start = 0.0; alloc_words = 0.0;
+    spans = 0; events = 0;
+  }
 
 (* Close the current host-time segment, charging it exclusively to
-   [node]. One clock read ends this segment and starts the next, so the
+   [m]. One clock read ends this segment and starts the next, so the
    charges telescope: their sum is exactly (last read - t_start). *)
-let segment t node =
+let segment t (m : meter) =
   let now = t.clock () in
   let w = t.words () in
-  node.excl.secs <- node.excl.secs +. (now -. t.seg.secs);
-  node.excl.alloc <- node.excl.alloc +. (w -. t.seg.alloc);
+  m.secs <- m.secs +. (now -. t.seg.secs);
+  m.alloc <- m.alloc +. (w -. t.seg.alloc);
   t.seg.secs <- now;
   t.seg.alloc <- w
 
@@ -144,54 +155,50 @@ let label_of_span (sp : Span.t) =
 let vcpu_label vcpu =
   if vcpu < 0 then "host" else Printf.sprintf "vcpu%d" vcpu
 
-let pending_for t vcpu =
-  match Hashtbl.find_opt t.pending vcpu with
-  | Some r -> r
-  | None ->
-      let r = ref [] in
-      Hashtbl.add t.pending vcpu r;
-      r
-
-let fold_root t vcpu (p : pitem) =
-  let vnode =
-    match Hashtbl.find_opt t.root.kids (vcpu_label vcpu) with
-    | Some n -> n
-    | None ->
-        let n = new_node () in
-        Hashtbl.add t.root.kids (vcpu_label vcpu) n;
-        n
+(* Fold all but the newest [keep] of [vcpu]'s closed spans, oldest
+   first, under the vCPU's root. *)
+let fold_roots t vcpu st ~keep =
+  let rec split i = function
+    | c :: rest when i < keep -> c :: split (i + 1) rest
+    | [] -> []
+    | roots ->
+        List.iter (fold (child t.root (vcpu_label vcpu))) (List.rev roots);
+        []
   in
-  attach vnode p.label p.node
+  st.waiting <- split 0 st.waiting;
+  st.depth <- min keep st.depth
+
+(* Pop the run of closed spans [sp] (virtually) encloses off [st]: spans
+   close children first, so they are the newest ones. *)
+let rec adopt st (sp : Span.t) inner =
+  match st.waiting with
+  | c :: rest when sp.Span.start <= c.start && c.stop <= sp.Span.stop ->
+      st.waiting <- rest;
+      st.depth <- st.depth - 1;
+      adopt st sp (c :: inner)
+  | _ -> inner
 
 let sink t (sp : Span.t) =
   if t.running then begin
-    let node = new_node () in
-    node.calls <- 1;
-    segment t node;
+    let cost = { secs = 0.0; alloc = 0.0 } in
+    segment t cost;
     t.spans <- t.spans + 1;
-    let lst = pending_for t sp.Span.vcpu in
-    (* adopt every pending span this one (virtually) encloses *)
-    let mine, rest =
-      List.partition
-        (fun (p : pitem) ->
-          sp.Span.start <= p.start && p.stop <= sp.Span.stop)
-        !lst
+    let st =
+      match Hashtbl.find t.pending sp.Span.vcpu with
+      | st -> st
+      | exception Not_found ->
+          let st = { waiting = []; depth = 0 } in
+          Hashtbl.add t.pending sp.Span.vcpu st;
+          st
     in
-    List.iter (fun (p : pitem) -> attach node p.label p.node) mine;
-    let item =
-      { start = sp.Span.start; stop = sp.Span.stop; node;
-        label = label_of_span sp }
-    in
-    let rest = rest @ [ item ] in
-    (* bound memory: the oldest pending spans past the cap are episode
-       roots nothing will enclose — fold them now *)
-    let overflow = List.length rest - max_pending in
-    if overflow > 0 then begin
-      let folded = List.filteri (fun i _ -> i < overflow) rest in
-      List.iter (fun p -> fold_root t sp.Span.vcpu p) folded;
-      lst := List.filteri (fun i _ -> i >= overflow) rest
-    end
-    else lst := rest;
+    let inner = adopt st sp [] in
+    st.waiting <-
+      { start = sp.Span.start; stop = sp.Span.stop; label = label_of_span sp;
+        cost; inner }
+      :: st.waiting;
+    st.depth <- st.depth + 1;
+    if st.depth >= 2 * max_pending then
+      fold_roots t sp.Span.vcpu st ~keep:max_pending;
     (* the bookkeeping above is the profiler's own work: charge it to
        its own frame rather than to whichever segment closes next *)
     segment t t.engine_profiler
@@ -234,11 +241,7 @@ let stop t =
     t.running <- false;
     t.t_stop <- t.seg.secs;
     t.alloc_words <- allocated_words () -. t.words_at_start;
-    Hashtbl.iter
-      (fun vcpu lst ->
-        List.iter (fun p -> fold_root t vcpu p) !lst;
-        lst := [])
-      t.pending
+    Hashtbl.iter (fun vcpu st -> fold_roots t vcpu st ~keep:0) t.pending
   end
 
 (* ---- summary accessors ---- *)
@@ -247,7 +250,8 @@ let wall_s t =
   (if t.running then t.clock () else t.t_stop) -. t.t_start
 
 let rec excl_total_s (n : node) =
-  Hashtbl.fold (fun _ kid acc -> acc +. excl_total_s kid) n.kids n.excl.secs
+  List.fold_left
+    (fun acc (_, kid) -> acc +. excl_total_s kid) n.excl.secs n.kids
 
 let exclusive_total_s t = excl_total_s t.root
 let spans t = t.spans
@@ -256,6 +260,8 @@ let word_bytes = Sys.word_size / 8
 let allocated_bytes t = t.alloc_words *. float_of_int word_bytes
 
 (* ---- folded stacks ---- *)
+
+let by_label n = List.sort (fun (a, _) (b, _) -> String.compare a b) n.kids
 
 type metric = Mtime | Malloc
 
@@ -275,11 +281,7 @@ let folded ?(metric = Mtime) t =
     if v >= 1.0 && path <> [] then
       Buffer.add_string b
         (Printf.sprintf "%s %.0f\n" (String.concat ";" (List.rev path)) v);
-    let kids =
-      Hashtbl.fold (fun label kid acc -> (label, kid) :: acc) n.kids []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-    in
-    List.iter (fun (label, kid) -> walk (label :: path) kid) kids
+    List.iter (fun (label, kid) -> walk (label :: path) kid) (by_label n)
   in
   walk [] t.root;
   Buffer.contents b
@@ -314,10 +316,11 @@ let rows t =
           excl_bytes = n.excl.alloc *. float_of_int word_bytes;
         }
         :: !acc;
-    Hashtbl.iter (fun label kid -> walk (label :: path) kid) n.kids
+    List.iter (fun (label, kid) -> walk (label :: path) kid) n.kids
   in
   walk [] t.root;
-  List.sort (fun a b -> compare b.excl_ns a.excl_ns) !acc
+  (* ties broken by path, so the order does not depend on the tree's *)
+  List.sort (fun a b -> compare (b.excl_ns, a.path) (a.excl_ns, b.path)) !acc
 
 (* Rows the table prints; the rest are summarized in one line. *)
 let limit = 40
@@ -343,19 +346,14 @@ let to_json ?(extra = []) t =
     Buffer.add_string b
       (Printf.sprintf ",\"calls\":%d,\"excl_ns\":%.0f,\"excl_bytes\":%.0f"
          n.calls (n.excl.secs *. 1e9) (n.excl.alloc *. float_of_int word_bytes));
-    let kids =
-      Hashtbl.fold (fun l kid acc -> (l, kid) :: acc) n.kids []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-    in
+    let kids = by_label n in
     if kids <> [] then begin
       Buffer.add_string b ",\"children\":[";
       List.iteri
-        (fun i (l, kid) ->
-          if i > 0 then Buffer.add_char b ',';
-          node_json l kid)
-        kids
+        (fun i (l, kid) -> if i > 0 then Buffer.add_char b ','; node_json l kid)
+        kids;
+      Buffer.add_char b ']'
     end;
-    if kids <> [] then Buffer.add_char b ']';
     Buffer.add_char b '}'
   in
   Buffer.add_string b

@@ -560,6 +560,81 @@ let test_profiler_alloc_total_exact () =
     true
     (words >= 30_000.0 && words <= 30_064.0)
 
+(* A point run under a profiler with the real clock and word counter. *)
+let profiled (p : Spec.point) =
+  let prof = Profiler.create () in
+  let sys = Runner.make_system p in
+  Probe.subscribe (System.probe sys) (Profiler.sink prof);
+  Simulator.set_observer (System.sim sys) (Some (Profiler.observer prof));
+  Profiler.start prof;
+  ignore (Runner.workload_metrics p sys : (string * float) list);
+  Profiler.stop prof;
+  prof
+
+let rr_sw_svt = Spec.point ~workload:"rr" Mode.sw_svt_default
+
+(* The profiler's own garbage per span. Whatever the sink allocates is
+   charged to engine;profiler, but the collections it triggers land in
+   whichever frame runs next, so a sink that allocates kilobytes per span
+   inflates the simulator frames it is meant to measure, and the armed
+   run stops resembling the unarmed one. A node and a hash table per span
+   with list copies of the pending spans cost about 5,000 B per span
+   here; the stack of closed spans costs about 390. *)
+let profiler_bytes_per_span_max = 1024.0
+
+let test_profiler_alloc_guard () =
+  let prof = profiled rr_sw_svt in
+  let per_span =
+    (find_row prof "engine;profiler").Profiler.excl_bytes
+    /. float_of_int (Profiler.spans prof)
+  in
+  checkb
+    (Printf.sprintf "engine;profiler allocates %.0f B/span (at most %.0f; %d spans)"
+       per_span profiler_bytes_per_span_max (Profiler.spans prof))
+    true
+    (per_span <= profiler_bytes_per_span_max)
+
+(* --format json: the tree's span calls add up to the spans received,
+   and its exclusive times to the header's total (each node's figure is
+   rounded to 1 ns). *)
+let test_profiler_json () =
+  let prof = profiled rr_sw_svt in
+  let field k = function
+    | Ledger.Obj kv -> List.assoc k kv
+    | _ -> Alcotest.fail ("not an object around " ^ k)
+  in
+  let num k j =
+    match field k j with Ledger.Num f -> f | _ -> Alcotest.fail (k ^ " not a number")
+  in
+  let children j =
+    match j with
+    | Ledger.Obj kv -> (
+        match List.assoc_opt "children" kv with
+        | Some (Ledger.Arr l) -> l
+        | _ -> [])
+    | _ -> []
+  in
+  let rec fold f acc j = List.fold_left (fold f) (f acc j) (children j) in
+  let doc = Ledger.parse_json (Profiler.to_json prof) in
+  let tree = field "tree" doc in
+  let name j = match field "name" j with Ledger.Str s -> s | _ -> "" in
+  let span_roots =
+    List.filter
+      (fun j -> String.starts_with ~prefix:"vcpu" (name j) || name j = "host")
+      (children tree)
+  in
+  checkb "has a vcpu subtree" true (span_roots <> []);
+  let calls = List.fold_left (fold (fun acc j -> acc +. num "calls" j)) 0.0 span_roots in
+  checki "tree calls = spans" (Profiler.spans prof) (int_of_float calls);
+  checki "header spans" (Profiler.spans prof) (int_of_float (num "spans" doc));
+  let nodes = fold (fun acc _ -> acc + 1) 0 tree in
+  let excl = fold (fun acc j -> acc +. num "excl_ns" j) 0.0 tree in
+  let total = num "excl_total_ns" doc in
+  checkb
+    (Printf.sprintf "excl_total_ns %.0f = tree sum %.0f within %d ns" total excl nodes)
+    true
+    (abs_float (total -. excl) <= float_of_int nodes)
+
 (* Active-sink allocation budget (exact allocated-word deltas): with a
    counting sink subscribed the probe must build real spans, but the
    per-span construction cost has a hard ceiling. The workload is
@@ -648,5 +723,8 @@ let () =
             test_profiler_does_not_perturb;
           Alcotest.test_case "allocation total exact" `Quick
             test_profiler_alloc_total_exact;
+          Alcotest.test_case "own allocation per span" `Quick
+            test_profiler_alloc_guard;
+          Alcotest.test_case "json tree sums" `Quick test_profiler_json;
         ] );
     ]
