@@ -343,7 +343,7 @@ let profile_cmd =
         p.Spec.workload (System.level_name p.Spec.level) (Mode.name p.Spec.mode)
         (1e3 *. Profiler.wall_s prof)
         (Profiler.spans prof) (Profiler.events prof)
-        (Profiler.allocated_bytes prof /. 1024.0)
+        (Profiler.allocated_bytes prof /. 1e3)
         q.Svt_engine.Event_queue.adds q.Svt_engine.Event_queue.pops
         q.Svt_engine.Event_queue.peak_live in_place
     in
@@ -521,7 +521,6 @@ let sweep_diff_cmd =
 (* ---- host consolidation (lib/sched) ---- *)
 
 let sched_cmd =
-  let module Topology = Svt_sched.Topology in
   let module Policy = Svt_sched.Policy in
   let module Host = Svt_sched.Host in
   let cores_arg =
@@ -609,12 +608,9 @@ let sched_cmd =
     List.iter
       (fun (mode, policy) ->
         let label = Policy.label mode policy in
-        let topology =
-          Topology.create ~sockets:1 ~cores_per_socket:cores
-            ~smt_per_core:smt ()
-        in
         let host =
-          Host.create ~quantum:(Time.of_us quantum_us) ~topology ()
+          Host.create ~quantum:(Time.of_us quantum_us) ~cores
+            ~smt_per_core:smt ()
         in
         let rec admit i =
           if i >= tenants then Ok ()

@@ -1,15 +1,11 @@
 (* SMT core model with the SVt extensions of paper §4 / Table 2.
 
-   A core has [n] hardware contexts (SMT threads). In SVt mode only one
+   A core has [n] hardware contexts (SMT threads). Under SVt only one
    context fetches instructions at a time; the per-core µ-registers below
    decide which, and VM trap / VM resume events switch the fetch target by
    copying SVt_visor / SVt_vm into SVt_current. Context indices seen by a
    guest hypervisor are virtual; L0 virtualizes them through the SVt
    fields of the VMCS it runs that hypervisor on. *)
-
-type ctx_state = Active | Stalled | Halted
-
-type mode = Smt_mode | Svt_mode
 
 (* Per-core µ-registers (Table 2). [invalid_ctx] encodes the "invalid
    value" the paper stores in unused SVt fields. *)
@@ -19,12 +15,9 @@ type t = {
   id : int;
   n_contexts : int;
   regfile : Regfile.t;
-  mutable mode : mode;
   mutable svt_current : int;
   mutable svt_visor : int;
   mutable svt_vm : int;
-  mutable is_vm : bool;
-  states : ctx_state array;
   (* How many sibling contexts are actively consuming fetch/issue slots
      (e.g. a polling waiter in the SW prototype); drives the interference
      multiplier on compute time. *)
@@ -44,12 +37,9 @@ let create ?(n_contexts = 2) ~id () =
       Regfile.create ~contexts:n_contexts
         ~physical_entries:
           (max physical_entries (n_contexts * Reg.switched_count));
-    mode = Svt_mode;
     svt_current = 0;
     svt_visor = 0;
     svt_vm = invalid_ctx;
-    is_vm = false;
-    states = Array.make n_contexts Stalled;
     polling_siblings = 0;
     switches = 0;
   }
@@ -58,16 +48,11 @@ let id t = t.id
 let n_contexts t = t.n_contexts
 let regfile t = t.regfile
 let current t = t.svt_current
-let is_vm t = t.is_vm
 let switches t = t.switches
 
 let check_ctx t ctx =
   if ctx < 0 || ctx >= t.n_contexts then
     invalid_arg "Smt_core: bad hardware context index"
-
-let state t ctx =
-  check_ctx t ctx;
-  t.states.(ctx)
 
 (* Load the cached µ-registers from a VMCS's SVt fields, as VMPTRLD does
    (paper §4 step B). *)
@@ -75,30 +60,24 @@ let load_svt_fields t ~visor ~vm =
   t.svt_visor <- visor;
   t.svt_vm <- vm
 
-(* A loop rather than [Array.iteri]: the closure would be allocated on
-   every context switch of an HW SVt exit. *)
+(* SVt_current is the whole fetch state: every other context is
+   stalled. *)
 let activate t ctx =
   check_ctx t ctx;
-  for i = 0 to Array.length t.states - 1 do
-    if i <> ctx && t.states.(i) = Active then t.states.(i) <- Stalled
-  done;
   if t.svt_current <> ctx then t.switches <- t.switches + 1;
-  t.svt_current <- ctx;
-  t.states.(ctx) <- Active
+  t.svt_current <- ctx
 
 (* A VM resume event: stall the current context and start fetching from
-   SVt_vm; sets is_vm (paper §4 step C). *)
+   SVt_vm (paper §4 step C). *)
 let vm_resume t =
   if t.svt_vm = invalid_ctx then invalid_arg "Smt_core.vm_resume: no SVt_vm";
-  activate t t.svt_vm;
-  t.is_vm <- true
+  activate t t.svt_vm
 
 (* A VM trap event: stall the current context and resume SVt_visor. *)
 let vm_trap t =
   if t.svt_visor = invalid_ctx then
     invalid_arg "Smt_core.vm_trap: no SVt_visor";
-  activate t t.svt_visor;
-  t.is_vm <- false
+  activate t t.svt_visor
 
 (* SMT interference: while a sibling context spins (polling), the active
    thread loses issue slots. The multiplier model follows the qualitative
@@ -109,37 +88,3 @@ let set_polling_siblings t n = t.polling_siblings <- max 0 n
 let interference_factor t = 1.0 +. (0.35 *. float_of_int t.polling_siblings)
 
 let scale_compute t span = Svt_engine.Time.scale span (interference_factor t)
-
-(* ---- host-level occupancy (lib/sched) ----
-
-   A host scheduler placing many guests on one topology runs its cores in
-   plain SMT mode, where several contexts fetch concurrently. The [states]
-   array then tracks which hardware threads actually hold runnable work
-   this quantum, and a busy context is slowed by its busy siblings —
-   milder than a spin-polling sibling (0.30 vs 0.35 per thread), since
-   co-resident compute shares issue slots instead of burning them. *)
-
-let set_mode t m =
-  t.mode <- m;
-  if m = Smt_mode then Array.fill t.states 0 t.n_contexts Halted
-
-let set_ctx_busy t ctx busy =
-  check_ctx t ctx;
-  (match t.mode with
-  | Smt_mode -> ()
-  | Svt_mode ->
-      invalid_arg "Smt_core.set_ctx_busy: SVt cores fetch from one context");
-  t.states.(ctx) <- (if busy then Active else Halted)
-
-let co_runner_slowdown = 0.30
-
-let co_runner_factor t ~ctx =
-  check_ctx t ctx;
-  let busy_siblings =
-    let n = ref 0 in
-    Array.iteri (fun i s -> if i <> ctx && s = Active then incr n) t.states;
-    !n
-  in
-  1.0
-  +. (co_runner_slowdown *. float_of_int busy_siblings)
-  +. (0.35 *. float_of_int t.polling_siblings)

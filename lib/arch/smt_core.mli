@@ -8,9 +8,6 @@
     hypervisor are virtual — L0 virtualizes them through the SVt fields
     of the VMCS that hypervisor runs on. *)
 
-type ctx_state = Active | Stalled | Halted
-type mode = Smt_mode | Svt_mode
-
 val invalid_ctx : int
 (** The "invalid value" the paper stores in unused SVt fields. *)
 
@@ -27,13 +24,8 @@ val regfile : t -> Regfile.t
 val current : t -> int
 (** The context currently fetching instructions (SVt_current). *)
 
-val is_vm : t -> bool
-(** The pre-existing is_vm µ-register: executing inside a VM? *)
-
 val switches : t -> int
 (** Stall/resume events so far (tests, metrics). *)
-
-val state : t -> int -> ctx_state
 
 val load_svt_fields : t -> visor:int -> vm:int -> unit
 (** Refresh the cached µ-registers from a VMCS's SVt fields, as VMPTRLD
@@ -43,11 +35,11 @@ val activate : t -> int -> unit
 (** Stall whatever runs and start fetching from the given context. *)
 
 val vm_resume : t -> unit
-(** VM resume: stall the current context, fetch from SVt_vm, set is_vm
-    (§4 step Ⓒ). Raises if SVt_vm is invalid. *)
+(** VM resume: stall the current context and fetch from SVt_vm (§4 step
+    Ⓒ). Raises if SVt_vm is invalid. *)
 
 val vm_trap : t -> unit
-(** VM trap: fetch from SVt_visor, clear is_vm. *)
+(** VM trap: fetch from SVt_visor. Raises if SVt_visor is invalid. *)
 
 (** {2 SMT interference}
 
@@ -57,23 +49,3 @@ val vm_trap : t -> unit
 val set_polling_siblings : t -> int -> unit
 val interference_factor : t -> float
 val scale_compute : t -> Svt_engine.Time.t -> Svt_engine.Time.t
-
-(** {2 Host-level occupancy}
-
-    A host scheduler (lib/sched) placing many guests on one topology runs
-    its cores in plain {!Smt_mode}, where several contexts fetch
-    concurrently; the per-context states then track which hardware
-    threads hold runnable work in the current quantum. *)
-
-val set_mode : t -> mode -> unit
-(** Switch the fetch model. Entering [Smt_mode] clears every context to
-    [Halted] (no occupancy yet). *)
-
-val set_ctx_busy : t -> int -> bool -> unit
-(** Mark a hardware thread as holding runnable work ([Active]) or idle
-    ([Halted]) for the current scheduling quantum. Raises on SVt-mode
-    cores, which fetch from exactly one context by construction. *)
-
-val co_runner_factor : t -> ctx:int -> float
-(** Slowdown multiplier seen by context [ctx] from busy siblings and
-    polling waiters: [1 + 0.30·busy_siblings + 0.35·polling]. *)

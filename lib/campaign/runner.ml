@@ -146,13 +146,11 @@ let tenant_specs (p : Spec.point) =
         p.Spec.mode)
 
 (* Consolidation: the tenants time-sliced on one host of the point's
-   cores x smt topology under the scheduler. *)
+   cores x smt threads under the scheduler. *)
 let consolidate_metrics (p : Spec.point) =
-  let topology =
-    Svt_sched.Topology.create ~sockets:1 ~cores_per_socket:p.Spec.cores
-      ~smt_per_core:p.Spec.smt ()
+  let host =
+    Svt_sched.Host.create ~cores:p.Spec.cores ~smt_per_core:p.Spec.smt ()
   in
-  let host = Svt_sched.Host.create ~topology () in
   List.iteri
     (fun i spec ->
       match Svt_sched.Host.add_tenant host spec with

@@ -34,7 +34,6 @@ module Prng = Svt_engine.Prng
 module Mode = Svt_core.Mode
 module Cluster_kind = Svt_fault.Cluster_kind
 module Cluster_plan = Svt_fault.Cluster_plan
-module Topology = Svt_sched.Topology
 module Policy = Svt_sched.Policy
 module Host = Svt_sched.Host
 
@@ -44,7 +43,7 @@ type config = {
   n_hosts : int;
   sockets : int;
   cores_per_socket : int;
-  smt_per_core : int; (* every host gets its own Topology of this shape *)
+  smt_per_core : int; (* every host: sockets x cores_per_socket x smt *)
   quantum : Time.t;
   epoch : Time.t; (* fleet step; faults and admission act at this grain *)
   admission : Admission.config;
@@ -66,11 +65,21 @@ let default_config =
   }
 
 let validate_config c =
-  if c.n_hosts < 1 then Error (Printf.sprintf "n_hosts %d must be >= 1" c.n_hosts)
-  else if Time.(c.epoch < c.quantum) then
-    Error "epoch must be at least one quantum"
-  else
-    Result.map (fun _ -> c) (Admission.validate_config c.admission)
+  let below_one =
+    List.find_opt
+      (fun (_, v) -> v < 1)
+      [ ("n_hosts", c.n_hosts); ("sockets", c.sockets);
+        ("cores_per_socket", c.cores_per_socket);
+        ("smt_per_core", c.smt_per_core) ]
+  in
+  match below_one with
+  | Some (field, v) -> Error (Printf.sprintf "%s %d must be >= 1" field v)
+  | None when Time.(c.quantum <= Time.zero) ->
+      Error
+        (Printf.sprintf "quantum %d ns must be positive" (Time.to_ns c.quantum))
+  | None when Time.(c.epoch < c.quantum) ->
+      Error "epoch must be at least one quantum"
+  | None -> Result.map (fun _ -> c) (Admission.validate_config c.admission)
 
 (* ---- fleet members ---- *)
 
@@ -130,11 +139,11 @@ type t = {
   mutable quarantines : int;
 }
 
-let fresh_topology cfg =
-  Topology.create ~sockets:cfg.sockets ~cores_per_socket:cfg.cores_per_socket
-    ~smt_per_core:cfg.smt_per_core ()
+let host_cores cfg = cfg.sockets * cfg.cores_per_socket
 
-let fresh_host cfg = Host.create ~quantum:cfg.quantum ~topology:(fresh_topology cfg) ()
+let fresh_host cfg =
+  Host.create ~quantum:cfg.quantum ~cores:(host_cores cfg)
+    ~smt_per_core:cfg.smt_per_core ()
 
 let create cfg =
   match validate_config cfg with
@@ -172,10 +181,9 @@ let find_tenant t name =
 (* ---- admission ---- *)
 
 let gang_need t tn (mode, policy) =
-  Policy.gang_threads ~smt_per_core:t.cfg.smt_per_core
+  Policy.host_threads ~smt_per_core:t.cfg.smt_per_core
     ~n_vcpus:tn.requested.Host.n_vcpus
     (Policy.claim ~mode policy)
-  + (Policy.claim ~mode policy).Policy.pool_threads
 
 (* Live hosts in this epoch's rotated scan order: the start index walks
    one host per epoch, so bin-packing pressure moves around the fleet
@@ -191,7 +199,7 @@ let scan_views t =
           {
             Admission.id = m.id;
             committed = m.committed;
-            capacity = Topology.n_threads (Host.topology m.host);
+            capacity = host_cores t.cfg * t.cfg.smt_per_core;
           }
       else None)
     (List.init n Fun.id)

@@ -17,7 +17,8 @@ type config = {
   n_hosts : int;
   sockets : int;
   cores_per_socket : int;
-  smt_per_core : int;  (** every host gets its own topology of this shape *)
+  smt_per_core : int;
+      (** every host has sockets × cores_per_socket × smt_per_core threads *)
   quantum : Svt_engine.Time.t;
   epoch : Svt_engine.Time.t;
       (** the fleet step: faults, expiries and admission act at this
@@ -33,6 +34,9 @@ val default_config : config
     within 40 epochs is quarantined for good. *)
 
 val validate_config : config -> (config, string) result
+(** [Error] names the first offending field: a host count or dimension
+    < 1, a quantum <= 0, an epoch shorter than the quantum, or an
+    invalid {!Admission.config}. *)
 
 type t
 

@@ -1,12 +1,13 @@
 (* The multi-tenant host: gang-schedules many full nested-virtualization
    stacks (one System per tenant, each with its own simulator and local
-   clock) over one hardware-thread topology, on a host virtual clock
-   advanced in fixed quanta.
+   clock) over the host's cores x SMT hardware threads, on a host
+   virtual clock advanced in fixed quanta. Thread ids are core-major:
+   tid = core * smt_per_core + ctx.
 
    Determinism. The host never consults wall time or ambient randomness:
    tenants are visited in rotating admission order, placement is a
    greedy first-free scan, and every charge is integer nanoseconds.
-   The same topology + tenant specs + horizon therefore produce
+   The same host shape + tenant specs + horizon therefore produce
    byte-identical reports regardless of process scheduling — which is
    what lets the campaign layer shard consolidation points across worker
    domains.
@@ -18,8 +19,8 @@
      quantum accrues to [target] for free (idling needs no hardware);
    - a runnable tenant that wins a gang grab runs
      [System.run_slice ~until:target'] where [target'] advances by the
-     quantum scaled down by SMT co-residency ([co_runner_factor] over
-     its claimed threads) and by any outstanding penalty debt;
+     quantum scaled down by SMT co-residency (the busy siblings on its
+     granted threads' cores) and by any outstanding penalty debt;
    - a runnable tenant that loses the grab is stolen from: target
      frozen, steal time charged.
 
@@ -33,7 +34,6 @@
 
 module Time = Svt_engine.Time
 module Prng = Svt_engine.Prng
-module Smt_core = Svt_arch.Smt_core
 module Mode = Svt_core.Mode
 module System = Svt_core.System
 module Machine = Svt_hyp.Machine
@@ -67,14 +67,14 @@ type tenant = {
   mutable slept : Time.t; (* quanta slept through *)
   mutable finished : bool;
   mutable last_episodes : int;
-  mutable last_svc : Time.t;
-  mutable svc : Time.t; (* cumulative SVt-thread service demand *)
+  mutable last_svc : Time.t; (* cumulative SVt-thread service demand *)
   mutable wake_penalty : Time.t;
   mutable queue_penalty : Time.t;
 }
 
 type t = {
-  topo : Topology.t;
+  n_cores : int;
+  smt : int; (* hardware threads per core *)
   quantum : Time.t;
   mutable clock : Time.t; (* host virtual now *)
   mutable tenants : tenant list; (* admission order *)
@@ -87,11 +87,14 @@ type t = {
   mutable pool_capacity : Time.t;
 }
 
-let create ?(quantum = Time.of_us 50) ~topology () =
+let create ?(quantum = Time.of_us 50) ~cores ~smt_per_core () =
+  if cores < 1 || smt_per_core < 1 then
+    invalid_arg "Host.create: cores and smt_per_core must be >= 1";
   if Time.(quantum <= Time.zero) then
     invalid_arg "Host.create: quantum must be positive";
   {
-    topo = topology;
+    n_cores = cores;
+    smt = smt_per_core;
     quantum;
     clock = Time.zero;
     tenants = [];
@@ -104,7 +107,6 @@ let create ?(quantum = Time.of_us 50) ~topology () =
     pool_capacity = Time.zero;
   }
 
-let topology t = t.topo
 let now t = t.clock
 let rounds t = t.rounds
 
@@ -121,30 +123,28 @@ let set_throttle t factor =
 (* ---- admission ---- *)
 
 (* Host-level feasibility, in System.Config's error vocabulary: the gang
-   (plus the policy's global pool) must ever fit the topology, and a
+   (plus the policy's global pool) must ever fit the host, and a
    reserved sibling needs a sibling to reserve. *)
 let host_errors t spec claim =
-  let smt = Topology.smt_per_core t.topo in
   let errs = ref [] in
   if spec.n_vcpus < 1 then
     errs := System.Config.Invalid_vcpus spec.n_vcpus :: !errs;
   (match (spec.mode, spec.policy) with
-  | Mode.Sw_svt _, Policy.Dedicated_sibling when smt < 2 ->
+  | Mode.Sw_svt _, Policy.Dedicated_sibling when t.smt < 2 ->
       errs :=
-        System.Config.Dedicated_sibling_needs_smt { smt_per_core = smt }
+        System.Config.Dedicated_sibling_needs_smt { smt_per_core = t.smt }
         :: !errs
   | _ -> ());
   let required =
-    Policy.gang_threads ~smt_per_core:smt ~n_vcpus:spec.n_vcpus claim
-    + claim.Policy.pool_threads
+    Policy.host_threads ~smt_per_core:t.smt ~n_vcpus:spec.n_vcpus claim
   in
-  let available = Topology.n_threads t.topo in
-  if spec.n_vcpus > Topology.n_cores t.topo || required > available then
+  let available = t.n_cores * t.smt in
+  if spec.n_vcpus > t.n_cores || required > available then
     errs :=
       System.Config.Insufficient_cores
         {
           n_vcpus = spec.n_vcpus;
-          cores = Topology.n_cores t.topo;
+          cores = t.n_cores;
           required_threads = required;
           available_threads = available;
         }
@@ -163,11 +163,10 @@ let build_system t spec =
     Prng.create
       (0x5c4ed lxor (spec.seed * 0x9E3779B9) lxor (t.admitted * 7919))
   in
-  let smt_host = Topology.smt_per_core t.topo in
   let internal_smt =
     match spec.mode with
-    | Mode.Baseline | Mode.Hw_full_nesting | Mode.Ooh -> smt_host
-    | Mode.Sw_svt _ | Mode.Hw_svt -> max 2 smt_host
+    | Mode.Baseline | Mode.Hw_full_nesting | Mode.Ooh -> t.smt
+    | Mode.Sw_svt _ | Mode.Hw_svt -> max 2 t.smt
   in
   let machine =
     {
@@ -184,7 +183,7 @@ let build_system t spec =
        its latency model assumes them); what the HOST policy changes —
        pool capacity, donation wakes — is charged by the round loop.
        Host-level feasibility of spec.policy is checked in
-       [host_errors], against the host topology. *)
+       [host_errors], against the host's cores and threads. *)
     System.Config.make ~arch:spec.arch ~machine ~n_vcpus:spec.n_vcpus
       ~mode:spec.mode ~level:System.L2_nested ()
   in
@@ -228,7 +227,6 @@ let add_tenant t spec =
               finished = false;
               last_episodes = 0;
               last_svc = Time.zero;
-              svc = Time.zero;
               wake_penalty = Time.zero;
               queue_penalty = Time.zero;
             }
@@ -249,8 +247,7 @@ let each_vcpu tn f =
    take free threads core-major, packing siblings together. All-or-
    nothing: a gang that does not fit leaves the free map untouched. *)
 let try_place t free tn =
-  let smt = Topology.smt_per_core t.topo in
-  let n_cores = Topology.n_cores t.topo in
+  let smt = t.smt and n_cores = t.n_cores in
   let need = tn.spec.n_vcpus in
   if tn.claim.Policy.whole_core then begin
     let picked = ref [] in
@@ -314,14 +311,20 @@ let episodes_total tn =
 let run_idle t ~horizon =
   if Time.(now t < horizon) then t.clock <- horizon
 
+(* A busy thread is slowed by each busy sibling on its core: co-resident
+   compute shares issue slots instead of burning them, so the cost is
+   milder than a spin-polling sibling's (0.30 vs Smt_core's 0.35). *)
+let co_runner_slowdown = 0.30
+
 let run_busy t ~horizon =
-  let topo = t.topo in
-  let smt = Topology.smt_per_core topo in
-  let n_cores = Topology.n_cores topo in
-  let n_threads = Topology.n_threads topo in
+  let smt = t.smt and n_cores = t.n_cores in
+  let n_threads = n_cores * smt in
   let tenants = Array.of_list t.tenants in
   let n = Array.length tenants in
   let free = Array.init n_cores (fun _ -> Array.make smt true) in
+  (* busy threads per core this round: pool slots and granted slots; a
+     whole-core claim's reserved siblings stay idle *)
+  let busy = Array.make n_cores 0 in
   let pool =
     Array.fold_left
       (fun acc tn -> max acc tn.claim.Policy.pool_threads)
@@ -334,7 +337,7 @@ let run_busy t ~horizon =
       (min pool n_threads)
       (fun i ->
         let tid = n_threads - 1 - i in
-        (Topology.core_of_thread topo tid, Topology.ctx_of_thread topo tid))
+        (tid / smt, tid mod smt))
   in
   while
     Time.(now t < horizon)
@@ -342,18 +345,14 @@ let run_busy t ~horizon =
   do
     let round_start = now t in
     (* fresh occupancy: clear every thread, then reserve the pool *)
-    for c = 0 to n_cores - 1 do
-      Array.fill free.(c) 0 smt true;
-      for x = 0 to smt - 1 do
-        Smt_core.set_ctx_busy (Topology.core topo c) x false
-      done
-    done;
+    Array.iter (fun f -> Array.fill f 0 smt true) free;
+    Array.fill busy 0 n_cores 0;
     List.iter
       (fun (c, x) ->
         free.(c).(x) <- false;
         (* service threads poll/serve continuously: co-resident vCPUs
            see them as busy siblings *)
-        Smt_core.set_ctx_busy (Topology.core topo c) x true)
+        busy.(c) <- busy.(c) + 1)
       pool_slots;
     (* classify and place, rotating the start tenant each round *)
     let granted = ref [] in
@@ -391,12 +390,10 @@ let run_busy t ~horizon =
     done;
     t.cursor <- (t.cursor + 1) mod n;
     let granted = List.rev !granted in
-    (* mark the vCPU threads busy so co-residency factors see them *)
+    (* count the vCPU threads busy so co-residency factors see them *)
     List.iter
       (fun (_, slots) ->
-        List.iter
-          (fun (c, x) -> Smt_core.set_ctx_busy (Topology.core topo c) x true)
-          slots)
+        List.iter (fun (c, _) -> busy.(c) <- busy.(c) + 1) slots)
       granted;
     (* grant slices *)
     let round_svc = ref [] in
@@ -404,8 +401,10 @@ let run_busy t ~horizon =
       (fun (tn, slots) ->
         let factor =
           List.fold_left
-            (fun acc (c, x) ->
-              acc +. Smt_core.co_runner_factor (Topology.core topo c) ~ctx:x)
+            (fun acc (c, _) ->
+              acc
+              +. (1.0
+                 +. (co_runner_slowdown *. float_of_int (busy.(c) - 1))))
             0.0 slots
           /. float_of_int (List.length slots)
         in
@@ -422,7 +421,6 @@ let run_busy t ~horizon =
         let svc = svc_total tn in
         let dsvc = Time.diff svc tn.last_svc in
         tn.last_svc <- svc;
-        tn.svc <- Time.add tn.svc dsvc;
         if tn.claim.Policy.pool_threads > 0 then
           round_svc := (tn, dsvc) :: !round_svc;
         if tn.claim.Policy.donation then begin
@@ -539,12 +537,12 @@ let report t =
   {
     elapsed_ms = Time.to_ms_f (now t);
     r_rounds = t.rounds;
-    r_cores = Topology.n_cores t.topo;
-    r_smt = Topology.smt_per_core t.topo;
+    r_cores = t.n_cores;
+    r_smt = t.smt;
     occupancy =
       (if t.rounds > 0 then
          float_of_int t.busy_thread_quanta
-         /. float_of_int (Topology.n_threads t.topo * t.rounds)
+         /. float_of_int (t.n_cores * t.smt * t.rounds)
        else 0.0);
     pool_utilization =
       (if Time.(t.pool_capacity > Time.zero) then

@@ -1,7 +1,7 @@
 (** The multi-tenant consolidation host: gang-schedules many complete
     nested-virtualization stacks ({!Svt_core.System}, one simulator and
-    local clock each) over one {!Topology} of SMT cores, advancing a
-    host virtual clock in fixed quanta.
+    local clock each) over [cores] × [smt_per_core] hardware threads,
+    advancing a host virtual clock in fixed quanta.
 
     Each tenant carries a monotone local-time entitlement ([target]):
     sleeping tenants accrue it free, granted tenants simulate up to it
@@ -14,7 +14,7 @@
     while aggregate throughput bears the provisioning trade-off.
 
     Everything is deterministic: rotating-order greedy placement,
-    integer-nanosecond charges, no wall clock. Same topology + specs +
+    integer-nanosecond charges, no wall clock. Same host shape + specs +
     horizon ⇒ byte-identical reports. *)
 
 type tenant_spec = {
@@ -42,12 +42,15 @@ val tenant_spec :
 
 type t
 
-val create : ?quantum:Svt_engine.Time.t -> topology:Topology.t -> unit -> t
-(** Default quantum: 50 µs. *)
+val create :
+  ?quantum:Svt_engine.Time.t -> cores:int -> smt_per_core:int -> unit -> t
+(** A host of [cores] cores of [smt_per_core] hardware threads each.
+    Default quantum: 50 µs. Raises [Invalid_argument] on a dimension
+    < 1 or a quantum <= 0. *)
 
 val add_tenant : t -> tenant_spec -> (unit, Svt_core.System.Config.error list) result
 (** Build and admit one tenant stack. Host-level feasibility (the gang
-    plus any service pool must fit the topology; [Dedicated_sibling]
+    plus any service pool must fit the host; [Dedicated_sibling]
     needs SMT ≥ 2) and the stack's own {!Svt_core.System.Config.validate}
     are both reported in the config-error vocabulary. Admission is legal
     at any point, including between {!run} calls: a late tenant starts
@@ -107,6 +110,5 @@ val pp_report : Format.formatter -> report -> unit
 
 (** {2 Accessors} *)
 
-val topology : t -> Topology.t
 val now : t -> Svt_engine.Time.t
 val rounds : t -> int

@@ -65,6 +65,10 @@ let claim ~(mode : Mode.t) (p : t) =
 let gang_threads ~smt_per_core ~n_vcpus c =
   n_vcpus * (if c.whole_core then smt_per_core else 1)
 
+(* Threads a tenant needs from a host: its gang plus the policy's pool. *)
+let host_threads ~smt_per_core ~n_vcpus c =
+  gang_threads ~smt_per_core ~n_vcpus c + c.pool_threads
+
 (* What an on-demand-donated sibling costs per trap episode: the
    SVt-thread is not parked in mwait on the command line (the sibling is
    running someone else's vCPU), so every episode pays a full wait setup

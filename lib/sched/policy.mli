@@ -35,6 +35,10 @@ val gang_threads : smt_per_core:int -> n_vcpus:int -> claim -> int
 (** Hardware threads the gang occupies while granted (excluding the
     host-global pool). *)
 
+val host_threads : smt_per_core:int -> n_vcpus:int -> claim -> int
+(** Hardware threads a host must have for the tenant: the gang plus the
+    policy's pool threads. *)
+
 val donation_wake_cost : Svt_arch.Cost_model.t -> Svt_core.Mode.t -> Svt_engine.Time.t
 (** Per-episode charge of waking a donated (non-parked) SVt-thread:
     wait-entry setup plus the {!Svt_core.Wait} response latency of the

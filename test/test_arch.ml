@@ -221,19 +221,15 @@ let test_core_trap_resume_switch_fetch_target () =
   checki "starts at ctx0" 0 (Smt_core.current core);
   Smt_core.vm_resume core;
   checki "resume fetches from SVt_vm" 1 (Smt_core.current core);
-  checkb "is_vm set" true (Smt_core.is_vm core);
   Smt_core.vm_trap core;
   checki "trap fetches from SVt_visor" 0 (Smt_core.current core);
-  checkb "is_vm cleared" false (Smt_core.is_vm core);
   checki "two switches" 2 (Smt_core.switches core)
 
 let test_core_single_active_context () =
   let core = make_core () in
   Smt_core.load_svt_fields core ~visor:0 ~vm:2;
   Smt_core.vm_resume core;
-  checkb "ctx2 active" true (Smt_core.state core 2 = Smt_core.Active);
-  checkb "ctx0 stalled" true (Smt_core.state core 0 <> Smt_core.Active);
-  checkb "ctx1 stalled" true (Smt_core.state core 1 <> Smt_core.Active)
+  checki "ctx2 is the one fetching" 2 (Smt_core.current core)
 
 let test_core_interference_model () =
   let core = make_core () in

@@ -179,6 +179,34 @@ let state_accounted (r : Cluster.report) =
       || (String.length tr.Cluster.tr_state > 1 && tr.Cluster.tr_state.[0] = 'h'))
     r.Cluster.tenant_rows
 
+(* A config the hosts cannot be built from is a typed [Error] naming the
+   field, not an [Invalid_argument] out of [Host.create]. *)
+let test_config_validation () =
+  let d = Cluster.default_config in
+  checkb "default config valid" true (Result.is_ok (Cluster.validate_config d));
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  List.iter
+    (fun (field, cfg) ->
+      match Cluster.validate_config cfg with
+      | Ok _ -> Alcotest.fail (field ^ ": invalid config accepted")
+      | Error e ->
+          checkb (Printf.sprintf "%s named in %S" field e) true (contains e field))
+    [
+      ("n_hosts", { d with Cluster.n_hosts = 0 });
+      ("sockets", { d with Cluster.sockets = 0 });
+      ("cores_per_socket", { d with Cluster.cores_per_socket = -1 });
+      ("smt_per_core", { d with Cluster.smt_per_core = 0 });
+      ("sockets", { d with Cluster.sockets = -1; cores_per_socket = -4 });
+      ("quantum", { d with Cluster.quantum = Time.zero });
+      ("quantum", { d with Cluster.quantum = Time.of_ns (-50) });
+    ]
+
 (* The acceptance scenario: a seeded host-crash campaign in which every
    evacuated tenant is re-placed (or explicitly rejected with a typed
    reason) and no tenant is silently lost. *)
@@ -438,6 +466,7 @@ let () =
         ] );
       ( "fleet",
         [
+          Alcotest.test_case "config validation" `Quick test_config_validation;
           Alcotest.test_case "conservation under crashes" `Quick
             test_conservation_under_crashes;
           Alcotest.test_case "quarantine" `Quick test_quarantine_and_flap;

@@ -163,20 +163,21 @@ let prop_core_single_active =
     (fun ops ->
       let core = Smt_core.create ~id:0 ~n_contexts:3 () in
       Smt_core.load_svt_fields core ~visor:0 ~vm:1;
-      List.iter
-        (fun op ->
-          match op with
-          | 0 -> Smt_core.vm_resume core
-          | 1 -> Smt_core.vm_trap core
-          | n -> Smt_core.activate core (n - 2))
-        ops;
-      let active =
-        List.length
-          (List.filter
-             (fun i -> Smt_core.state core i = Smt_core.Active)
-             [ 0; 1; 2 ])
+      (* the model: SVt_current is the last target, and every change of
+         target is one switch *)
+      let target, changes =
+        List.fold_left
+          (fun (cur, changes) op ->
+            let next =
+              match op with
+              | 0 -> Smt_core.vm_resume core; 1
+              | 1 -> Smt_core.vm_trap core; 0
+              | n -> Smt_core.activate core (n - 2); n - 2
+            in
+            (next, if next <> cur then changes + 1 else changes))
+          (0, 0) ops
       in
-      active <= 1 && Smt_core.current core < 3)
+      Smt_core.current core = target && Smt_core.switches core = changes)
 
 (* The entry transform is incremental: applying it twice with no writes
    in between copies nothing the second time, and vmcs02 equals vmcs12 on

@@ -1,6 +1,6 @@
 (* Tests for the multi-tenant consolidation scheduler (lib/sched):
-   topology/thread mapping, policy claims, admission control, virtual-
-   time determinism, and the paper's dedicated-sibling capacity
+   host dimensions, policy claims, admission control, SMT co-residency
+   pricing, virtual-time determinism, and the paper's dedicated-sibling capacity
    trade-off (saturated Dedicated_sibling aggregate lands below plain
    SMT sharing; On_demand_donation recovers it at a wake-latency cost;
    per-exit latency keeps the fig6/fig7 ordering). *)
@@ -8,7 +8,6 @@
 module Time = Svt_engine.Time
 module Mode = Svt_core.Mode
 module System = Svt_core.System
-module Topology = Svt_sched.Topology
 module Policy = Svt_sched.Policy
 module Host = Svt_sched.Host
 module Spec = Svt_campaign.Spec
@@ -19,28 +18,19 @@ let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 let checks = Alcotest.(check string)
 
-(* --- Topology ------------------------------------------------------------ *)
-
-let test_topology_thread_mapping () =
-  let topo = Topology.create ~sockets:2 ~cores_per_socket:4 ~smt_per_core:2 () in
-  checki "cores" 8 (Topology.n_cores topo);
-  checki "threads" 16 (Topology.n_threads topo);
-  (* core-major tids round-trip *)
-  for core = 0 to 7 do
-    for ctx = 0 to 1 do
-      let tid = Topology.thread topo ~core ~ctx in
-      checki "core of tid" core (Topology.core_of_thread topo tid);
-      checki "ctx of tid" ctx (Topology.ctx_of_thread topo tid)
-    done
-  done;
-  checki "tid layout" 9 (Topology.thread topo ~core:4 ~ctx:1)
+(* --- Host dimensions ------------------------------------------------------- *)
 
 let test_topology_validation () =
-  checkb "zero smt rejected" true
-    (try
-       ignore (Topology.create ~smt_per_core:0 ());
-       false
-     with Invalid_argument _ -> true)
+  List.iter
+    (fun (cores, smt) ->
+      checkb
+        (Printf.sprintf "%d cores x %d SMT rejected" cores smt)
+        true
+        (try
+           ignore (Host.create ~cores ~smt_per_core:smt ());
+           false
+         with Invalid_argument _ -> true))
+    [ (4, 0); (0, 2); (-1, -2) ]
 
 (* --- Policy -------------------------------------------------------------- *)
 
@@ -100,8 +90,7 @@ let test_ooh_claims_no_service_thread () =
 let test_ooh_admits_without_smt () =
   (* the same smt=1 host that rejects sw-svt/dedicated-sibling takes an
      ooh tenant: delegation needs no SMT sibling *)
-  let topo = Topology.create ~sockets:1 ~cores_per_socket:4 ~smt_per_core:1 () in
-  let host = Host.create ~topology:topo () in
+  let host = Host.create ~cores:4 ~smt_per_core:1 () in
   (match
      Host.add_tenant host
        (Host.tenant_spec ~policy:Policy.Dedicated_sibling Mode.sw_svt_default)
@@ -117,8 +106,7 @@ let has_err pred = List.exists pred
 
 let test_admission_errors () =
   (* Dedicated sibling on a host without SMT *)
-  let topo = Topology.create ~sockets:1 ~cores_per_socket:4 ~smt_per_core:1 () in
-  let host = Host.create ~topology:topo () in
+  let host = Host.create ~cores:4 ~smt_per_core:1 () in
   (match
      Host.add_tenant host
        (Host.tenant_spec ~policy:Policy.Dedicated_sibling Mode.sw_svt_default)
@@ -131,8 +119,7 @@ let test_admission_errors () =
              | System.Config.Dedicated_sibling_needs_smt _ -> true | _ -> false)
            errs));
   (* more vCPUs than cores *)
-  let topo = Topology.create ~sockets:1 ~cores_per_socket:2 ~smt_per_core:2 () in
-  let host = Host.create ~topology:topo () in
+  let host = Host.create ~cores:2 ~smt_per_core:2 () in
   (match Host.add_tenant host (Host.tenant_spec ~n_vcpus:3 Mode.Baseline) with
   | Ok () -> Alcotest.fail "3 vCPUs admitted on 2 cores"
   | Error errs ->
@@ -155,8 +142,7 @@ let test_admission_errors () =
 (* --- Consolidation runs -------------------------------------------------- *)
 
 let saturated_host ?(tenants = 8) mode policy =
-  let topo = Topology.create ~sockets:1 ~cores_per_socket:4 ~smt_per_core:2 () in
-  let host = Host.create ~topology:topo () in
+  let host = Host.create ~cores:4 ~smt_per_core:2 () in
   for i = 0 to tenants - 1 do
     match Host.add_tenant host (Host.tenant_spec ~policy ~seed:i mode) with
     | Ok () -> ()
@@ -228,14 +214,56 @@ let test_deterministic_replay () =
       checkb (Printf.sprintf "field %s identical" ka) true (va = vb))
     fa fb
 
+(* SMT co-residency pricing: a granted slot's slice shrinks by 0.30 per
+   busy sibling thread on its core. Pool service threads count as busy
+   siblings; a whole-core claim's reserved siblings do not. Pool threads
+   take the highest core-major thread ids (tid = core * smt + ctx), so
+   two of them fill the last core of a 2 x 2 host. Every tenant here is
+   granted every round, so its entitlement is the round count times one
+   scaled quantum. *)
+let test_co_residency_pricing () =
+  let q = Time.of_us 50 in
+  let granted ?(cores = 1) ~smt ~tenants mode policy =
+    let host = Host.create ~quantum:q ~cores ~smt_per_core:smt () in
+    for i = 0 to tenants - 1 do
+      match Host.add_tenant host (Host.tenant_spec ~policy ~seed:i mode) with
+      | Ok () -> ()
+      | Error _ -> Alcotest.fail (Printf.sprintf "tenant %d rejected" i)
+    done;
+    Host.run host ~horizon:(Time.of_ms 1);
+    (Host.rounds host, Host.report host)
+  in
+  let expect label ~divisor (rounds, r) =
+    checki (label ^ ": 20 rounds") 20 rounds;
+    let per_round = Time.scale q (1.0 /. divisor) in
+    List.iter
+      (fun tr ->
+        Alcotest.(check (float 1e-9))
+          (Printf.sprintf "%s: %s granted" label tr.Host.tenant)
+          (Time.to_ms_f (Time.of_ns (rounds * Time.to_ns per_round)))
+          tr.Host.granted_ms)
+      r.Host.tenant_reports
+  in
+  expect "two thread claims on one 2-SMT core" ~divisor:1.3
+    (granted ~smt:2 ~tenants:2 Mode.Baseline Policy.default);
+  expect "dedicated sibling alone" ~divisor:1.0
+    (granted ~smt:2 ~tenants:1 Mode.sw_svt_default Policy.Dedicated_sibling);
+  expect "shared-pool tenant beside a pool thread" ~divisor:1.3
+    (granted ~smt:2 ~tenants:1 Mode.sw_svt_default
+       (Policy.Shared_pool { threads = 1 }));
+  expect "shared-pool tenant on the core the pool leaves free" ~divisor:1.0
+    (granted ~cores:2 ~smt:2 ~tenants:1 Mode.sw_svt_default
+       (Policy.Shared_pool { threads = 2 }));
+  expect "four thread claims on one 4-SMT core" ~divisor:1.9
+    (granted ~smt:4 ~tenants:4 Mode.Baseline Policy.default)
+
 (* --- Late admission & host degradation ----------------------------------- *)
 
 let tenant_names (r : Host.report) =
   List.map (fun tr -> tr.Host.tenant) r.Host.tenant_reports
 
 let test_mid_run_admission () =
-  let topo = Topology.create ~sockets:1 ~cores_per_socket:4 ~smt_per_core:2 () in
-  let host = Host.create ~topology:topo () in
+  let host = Host.create ~cores:4 ~smt_per_core:2 () in
   for i = 0 to 2 do
     match Host.add_tenant host (Host.tenant_spec ~seed:i Mode.Baseline) with
     | Ok () -> ()
@@ -252,8 +280,7 @@ let test_mid_run_admission () =
     (tenant_names (Host.report host) = [ "t0"; "t1"; "t2"; "t3" ])
 
 let test_idle_host_run_advances_clock () =
-  let topo = Topology.create ~sockets:1 ~cores_per_socket:2 ~smt_per_core:2 () in
-  let host = Host.create ~topology:topo () in
+  let host = Host.create ~cores:2 ~smt_per_core:2 () in
   Host.run host ~horizon:(Time.of_ms 3);
   checkb "idle host clock at horizon" true (Host.now host = Time.of_ms 3);
   checki "idle host counts no rounds" 0 (Host.rounds host);
@@ -270,10 +297,7 @@ let test_idle_host_run_advances_clock () =
 
 let test_throttle_inflates_quantum () =
   let run_throttled factor =
-    let topo =
-      Topology.create ~sockets:1 ~cores_per_socket:4 ~smt_per_core:2 ()
-    in
-    let host = Host.create ~topology:topo () in
+    let host = Host.create ~cores:4 ~smt_per_core:2 () in
     for i = 0 to 3 do
       match Host.add_tenant host (Host.tenant_spec ~seed:i Mode.Baseline) with
       | Ok () -> ()
@@ -296,8 +320,7 @@ let test_throttle_inflates_quantum () =
       checkb
         (Printf.sprintf "throttle %g rejected" f)
         true
-        (let topo = Topology.create () in
-         let host = Host.create ~topology:topo () in
+        (let host = Host.create ~cores:16 ~smt_per_core:2 () in
          try
            Host.set_throttle host f;
            false
@@ -400,7 +423,6 @@ let () =
     [
       ( "topology",
         [
-          Alcotest.test_case "thread mapping" `Quick test_topology_thread_mapping;
           Alcotest.test_case "dimension validation" `Quick test_topology_validation;
         ] );
       ( "policy",
@@ -426,6 +448,8 @@ let () =
           Alcotest.test_case "per-exit ordering (fig6)" `Quick
             test_per_exit_ordering_matches_fig6;
           Alcotest.test_case "deterministic replay" `Quick test_deterministic_replay;
+          Alcotest.test_case "SMT co-residency pricing" `Quick
+            test_co_residency_pricing;
           Alcotest.test_case "mid-run admission" `Quick test_mid_run_admission;
           Alcotest.test_case "idle host run advances clock" `Quick
             test_idle_host_run_advances_clock;
