@@ -1,4 +1,4 @@
-.PHONY: build test check clean
+.PHONY: build test check clean layout
 
 # The verification bundle. `dune runtest` is the one gate harness: the
 # alcotest suites (determinism across jobs=1/2 and interrupt+resume
@@ -15,3 +15,16 @@ test: build
 
 clean:
 	dune clean
+
+# Where each lib module's code sits in the benchmark binary: the start
+# address and byte size of every camlSvt_* unit, in link order. Code
+# placement alone can move a workload (stream's work_per_s by ~13% when
+# camlSvt_mem__* shifted 144 B), so compare this output across a change
+# before crediting it with such a move.
+layout:
+	@dune build ./benchmark/svt_bench.exe
+	@nm -n _build/default/benchmark/svt_bench.exe | awk ' \
+	  function hex(s,  n, i) { n = 0; for (i = 1; i <= length(s); i++) \
+	    n = n * 16 + index("0123456789abcdef", substr(s, i, 1)) - 1; return n } \
+	  $$3 ~ /^camlSvt_.*\.code_begin$$/ { sub(/\.code_begin$$/, "", $$3); unit = $$3; at = $$1 } \
+	  $$3 == unit ".code_end" { printf "%-40s 0x%s %7d\n", unit, at, hex($$1) - hex(at) }'

@@ -11,7 +11,9 @@ type t = { leaves : (int * int, regs) Hashtbl.t }
 let ecx_vmx_bit = Int64.shift_left 1L 5
 let ecx_hypervisor_bit = Int64.shift_left 1L 31
 
-let host () =
+(* Built once per process: a [t] is never written after it is built, so
+   every stack, and every worker domain, shares this one. *)
+let host_db =
   let leaves = Hashtbl.create 16 in
   (* Maximum leaf + vendor id "GenuineIntel" packed per spec. *)
   Hashtbl.replace leaves (0, 0)
@@ -30,6 +32,8 @@ let host () =
   Hashtbl.replace leaves (0x80000001, 0)
     { eax = 0L; ebx = 0L; ecx = 0x21L; edx = 0x2C100800L };
   { leaves }
+
+let host () = host_db
 
 let query t ~leaf ~subleaf =
   match Hashtbl.find_opt t.leaves (leaf, subleaf) with

@@ -7,7 +7,10 @@ type regs = { eax : int64; ebx : int64; ecx : int64; edx : int64 }
 type t
 
 val host : unit -> t
-(** Haswell-flavoured host leaves (vendor string, features incl. VMX). *)
+(** Haswell-flavoured host leaves (vendor string, features incl. VMX).
+    One table per process: no function writes a [t] once built, so the
+    host table and the views derived from it can be shared by every
+    stack and worker domain. *)
 
 val query : t -> leaf:int -> subleaf:int -> regs
 (** Unknown leaves read as zeroes, as hardware does past the max leaf. *)

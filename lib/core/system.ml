@@ -304,6 +304,12 @@ let wire_l2 injector nested vcpu =
   Vcpu.set_deliver_host_event vcpu (fun _ ~vector ~work ->
       Nested.interrupt_for_l1 nested ~vector ~work)
 
+(* The CPUID views of each level, built once per process and shared by
+   every stack: a [Cpuid_db.t] is read-only. *)
+let host_db = Cpuid_db.host ()
+let l1_db = Cpuid_db.guest_view host_db ~expose_vmx:true
+let l2_db = Cpuid_db.guest_view l1_db ~expose_vmx:false
+
 let of_config (c : Config.t) =
   let c =
     match Config.validate c with
@@ -329,9 +335,6 @@ let of_config (c : Config.t) =
              ~tags:[ ("outcome", Fault_outcome.name o) ]
              ~start:(Svt_obs.Probe.now probe) ()));
   let cost = Machine.cost machine in
-  let host_db = machine.Machine.host_cpuid in
-  let l1_db = Cpuid_db.guest_view host_db ~expose_vmx:true in
-  let l2_db = Cpuid_db.guest_view l1_db ~expose_vmx:false in
   let mb = 1 lsl 20 in
   (* L1's VM is built first when there is one, so it takes the first frames. *)
   let l1_vm () = Vm.create ~machine ~name:"l1" ~level:1 ~ram_bytes:(4 * mb) ~cpuid:l1_db in

@@ -36,7 +36,6 @@ type t = {
   alloc : Svt_mem.Frame_alloc.t;
   cores : Svt_arch.Smt_core.t option array;
       (* each built on its first [core] call: a stack touches one or two *)
-  host_cpuid : Svt_arch.Cpuid_db.t;
   metrics : Svt_stats.Metrics.t;
   probe : Svt_obs.Probe.t;
   rng : Svt_engine.Prng.t;
@@ -57,7 +56,6 @@ let create ?(config = paper_config) () =
       Svt_mem.Frame_alloc.create ~base:(1 lsl 30)
         ~size_bytes:(ram_gb * (1 lsl 30));
     cores = Array.make n_cores None;
-    host_cpuid = Svt_arch.Cpuid_db.host ();
     metrics = Svt_stats.Metrics.create ();
     probe = Svt_obs.Probe.create ~clock:(fun () -> Simulator.now sim) ();
     rng = Svt_engine.Prng.create config.seed;

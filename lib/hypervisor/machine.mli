@@ -28,7 +28,6 @@ type t = {
   alloc : Svt_mem.Frame_alloc.t;
   cores : Svt_arch.Smt_core.t option array;
       (** built on demand: read them through {!core} *)
-  host_cpuid : Svt_arch.Cpuid_db.t;
   metrics : Svt_stats.Metrics.t;
   probe : Svt_obs.Probe.t;
   rng : Svt_engine.Prng.t;

@@ -9,17 +9,18 @@
    owner later [ack]s the highest-priority vector (moving IRR→ISR) and
    finally signals [eoi].
 
-   Each register keeps a count of its set bits, so the queries and
-   updates that find nothing set (the common case on every vCPU run-loop
-   turn) return without scanning 256 vectors. *)
+   Each register is one byte per vector (34 words with its header,
+   against 257 for a [bool array]) and keeps a count of its set bytes, so
+   the queries and updates that find nothing set (the common case on
+   every vCPU run-loop turn) return without scanning 256 vectors. *)
 
 module Time = Svt_engine.Time
 module Simulator = Svt_engine.Simulator
 
 type t = {
   sim : Simulator.t;
-  irr : bool array; (* interrupt request register, per vector *)
-  isr : bool array; (* in-service register *)
+  irr : Bytes.t; (* interrupt request register, per vector *)
+  isr : Bytes.t; (* in-service register *)
   mutable irr_count : int; (* vectors set in [irr] *)
   mutable isr_count : int; (* vectors set in [isr] *)
   mutable on_pending : (int -> unit) option;
@@ -31,11 +32,15 @@ let vectors = 256
 (* The vector the TSC-deadline timer raises. *)
 let timer_vector = 0xEF
 
+let bit_off = '\000'
+let bit_on = '\001'
+let is_set reg v = Bytes.get reg v <> bit_off
+
 let create sim =
   {
     sim;
-    irr = Array.make vectors false;
-    isr = Array.make vectors false;
+    irr = Bytes.make vectors bit_off;
+    isr = Bytes.make vectors bit_off;
     irr_count = 0;
     isr_count = 0;
     on_pending = None;
@@ -49,8 +54,8 @@ let check_vector v =
 
 let raise_vector t v =
   check_vector v;
-  if not t.irr.(v) then begin
-    t.irr.(v) <- true;
+  if not (is_set t.irr v) then begin
+    Bytes.set t.irr v bit_on;
     t.irr_count <- t.irr_count + 1;
     match t.on_pending with Some f -> f v | None -> ()
   end
@@ -61,7 +66,7 @@ let has_pending t = t.irr_count > 0
    Higher vector number = higher priority, as in hardware. *)
 let highest reg =
   let v = ref (vectors - 1) in
-  while not reg.(!v) do
+  while not (is_set reg !v) do
     decr v
   done;
   !v
@@ -71,21 +76,21 @@ let ack t =
   if t.irr_count = 0 then None
   else begin
     let v = highest t.irr in
-    t.irr.(v) <- false;
+    Bytes.set t.irr v bit_off;
     t.irr_count <- t.irr_count - 1;
-    if not t.isr.(v) then t.isr_count <- t.isr_count + 1;
-    t.isr.(v) <- true;
+    if not (is_set t.isr v) then t.isr_count <- t.isr_count + 1;
+    Bytes.set t.isr v bit_on;
     Some v
   end
 
 (* Clear the highest in-service vector. *)
 let eoi t =
   if t.isr_count > 0 then begin
-    t.isr.(highest t.isr) <- false;
+    Bytes.set t.isr (highest t.isr) bit_off;
     t.isr_count <- t.isr_count - 1
   end
 
-let in_service t v = t.isr.(v)
+let in_service t v = is_set t.isr v
 
 (* TSC-deadline timer: arm an absolute deadline; a new write replaces the
    previous deadline (as the MSR does); writing 0 disarms. *)

@@ -19,7 +19,12 @@
    hugepage-backed guest RAM. [map_range] writes one for a whole aligned
    block into an empty slot; a 4 KB write inside it first splits it into
    the leaf table of its 512 entries, so reads see the same entries either
-   way. *)
+   way.
+
+   Every other table is sized to the highest slot written so far, not to
+   its 512 slots: it starts at [floor] slots and doubles on a write past
+   its end, and a read past its end is an empty entry. A VM's tables then
+   stay small enough for the minor heap. *)
 
 type perm = { read : bool; write : bool; exec : bool }
 
@@ -41,7 +46,7 @@ type fault =
 type node = Empty | Dir of node array | Leaves of int array | Huge of int
 
 type t = {
-  root : node array;
+  mutable root : node array; (* grown like any other table *)
   tags : (int, string) Hashtbl.t; (* guest page -> misconfig tag *)
   mutable mapped_pages : int;
 }
@@ -49,6 +54,9 @@ type t = {
 let levels = 4
 let bits_per_level = 9
 let fanout = 1 lsl bits_per_level
+
+(* Slots in a new table; tables double from here up to [fanout]. *)
+let floor = 8
 
 (* Guest page numbers wrap at the 48 bits four levels index. *)
 let page_number_mask = (1 lsl (bits_per_level * levels)) - 1
@@ -76,52 +84,84 @@ let access_bit = function
 
 let hpa_of_entry e = Addr.Hpa.of_int ((e lsr frame_shift) lsl Addr.page_shift)
 
-let create () =
-  {
-    root = Array.make fanout Empty;
-    tags = Hashtbl.create 8;
-    mapped_pages = 0;
-  }
+let create () = { root = [||]; tags = Hashtbl.create 8; mapped_pages = 0 }
 
 let page_index gpa = Addr.Gpa.page_of gpa land page_number_mask
 let index_at page level = (page lsr (bits_per_level * level)) land (fanout - 1)
 let no_dir : node array = [||]
 
-(* The level-1 directory covering guest page [page], creating the
-   directories on the way when [create] is set; [no_dir] when absent. *)
-let rec dir_of dir page level ~create =
+(* [a] itself if it has slot [idx], else a copy doubled from [floor] until
+   it does, its new slots [fill]. [idx < fanout], so it stops at [fanout]. *)
+let widen a idx fill =
+  if idx < Array.length a then a
+  else begin
+    let n = ref (Stdlib.max floor (Array.length a)) in
+    while !n <= idx do
+      n := 2 * !n
+    done;
+    let b = Array.make !n fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+(* Slot [idx] of a directory; [Empty] past its end. *)
+let slot dir idx = if idx < Array.length dir then Array.unsafe_get dir idx else Empty
+
+(* The level-1 directory covering guest page [page] below [dir]; [no_dir]
+   when absent. With [create], the directories on the way are made or
+   widened so that each has the slot [page] indexes; [dir] must already
+   have its own. *)
+let rec dir_below dir page level ~create =
   if level = 1 then dir
   else
-    let idx = index_at page level in
-    match dir.(idx) with
-    | Dir d -> dir_of d page (level - 1) ~create
+    let idx = index_at page level and below = index_at page (level - 1) in
+    match slot dir idx with
+    | Dir d when create ->
+        let d' = widen d below Empty in
+        if d' != d then dir.(idx) <- Dir d';
+        dir_below d' page (level - 1) ~create
+    | Dir d -> dir_below d page (level - 1) ~create
     | Empty when create ->
-        let d = Array.make fanout Empty in
+        let d = widen no_dir below Empty in
         dir.(idx) <- Dir d;
-        dir_of d page (level - 1) ~create
+        dir_below d page (level - 1) ~create
     | Empty | Leaves _ | Huge _ -> no_dir
 
-(* The packed entry of guest page [page]; 0 when nothing maps it. *)
+let dir_of t page ~create =
+  if create then t.root <- widen t.root (index_at page (levels - 1)) Empty;
+  dir_below t.root page (levels - 1) ~create
+
+(* The packed entry of guest page [page]; 0 when nothing maps it. One
+   length compare per level stands in for the bounds check, and reads
+   past a table's end as empty. *)
 let rec entry_in dir page level =
-  match dir.(index_at page level) with
-  | Dir d -> entry_in d page (level - 1)
-  | Leaves l -> l.(page land (fanout - 1))
-  | Huge e -> e + ((page land (fanout - 1)) lsl frame_shift)
-  | Empty -> 0
+  let idx = index_at page level in
+  if idx < Array.length dir then
+    match Array.unsafe_get dir idx with
+    | Dir d -> entry_in d page (level - 1)
+    | Leaves l ->
+        let i = page land (fanout - 1) in
+        if i < Array.length l then Array.unsafe_get l i else 0
+    | Huge e -> e + ((page land (fanout - 1)) lsl frame_shift)
+    | Empty -> 0
+  else 0
 
 let entry_at t page = entry_in t.root page (levels - 1)
 
-(* The leaf table in slot [idx] of level-1 directory [d]: a new one for an
-   empty slot, or a 2 MB entry split into its 512 entries. *)
-let leaves_at d idx =
+(* The leaf table in slot [idx] of level-1 directory [d], with entry [hi]:
+   a new or widened one, or a 2 MB entry split into its 512 entries. *)
+let leaves_at d idx ~hi =
   match d.(idx) with
-  | Leaves l -> l
+  | Leaves l ->
+      let l' = widen l hi 0 in
+      if l' != l then d.(idx) <- Leaves l';
+      l'
   | Huge e ->
       let l = Array.init fanout (fun k -> e + (k lsl frame_shift)) in
       d.(idx) <- Leaves l;
       l
   | Empty | Dir _ ->
-      let l = Array.make fanout 0 in
+      let l = widen [||] hi 0 in
       d.(idx) <- Leaves l;
       l
 
@@ -135,12 +175,14 @@ let set t l i page e =
   l.(i) <- e
 
 (* Write entry [e] for one guest page; writing 0 where nothing is mapped
-   creates nothing. *)
+   creates or widens nothing. *)
 let write t page e =
-  let d = dir_of t.root page (levels - 1) ~create:(e <> 0) in
-  let idx = index_at page 1 in
-  if d != no_dir && (e <> 0 || d.(idx) != Empty) then
-    set t (leaves_at d idx) (page land (fanout - 1)) page e
+  let d = dir_of t page ~create:(e <> 0) in
+  let idx = index_at page 1 and i = page land (fanout - 1) in
+  match slot d idx with
+  | Empty when e = 0 -> ()
+  | Leaves l when e = 0 && i >= Array.length l -> ()
+  | Empty | Leaves _ | Huge _ | Dir _ -> set t (leaves_at d idx ~hi:i) i page e
 
 (* Map a contiguous guest range onto the contiguous host run from [hpa]:
    one walk per leaf table, then a 2 MB entry for a whole aligned block
@@ -154,7 +196,7 @@ let map_range t ~gpa ~len ~perm ~hpa =
   let i = ref 0 in
   while !i < pages do
     let page = (first + !i) land page_number_mask in
-    let d = dir_of t.root page (levels - 1) ~create:true in
+    let d = dir_of t page ~create:true in
     let idx = index_at page 1 and lo = page land (fanout - 1) in
     let n = Stdlib.min (pages - !i) (fanout - lo) in
     let frame = first_frame + !i in
@@ -164,7 +206,7 @@ let map_range t ~gpa ~len ~perm ~hpa =
       t.mapped_pages <- t.mapped_pages + fanout
     end
     else begin
-      let l = leaves_at d idx in
+      let l = leaves_at d idx ~hi:(lo + n - 1) in
       for k = 0 to n - 1 do
         set t l (lo + k) (page + k) (e + (k lsl frame_shift))
       done

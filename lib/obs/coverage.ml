@@ -43,9 +43,20 @@ let rec fold_keys h tags = function
   | [] -> h
   | key :: keys -> fold_keys (fold_tag h key tags) tags keys
 
+(* Every key starts with the span kind's name, so its hash is folded once
+   per kind here rather than once per span. *)
+let kind_prefixes =
+  let a = Array.make Span.n_kinds 0 in
+  List.iter
+    (fun k -> a.(Span.kind_index k) <- fnv_fold fnv_offset (Span.kind_name k))
+    Span.all_kinds;
+  a
+
+let kind_prefix k = kind_prefixes.(Span.kind_index k)
+
 let slot_of_span (span : Span.t) =
-  let h = fnv_fold fnv_offset (Span.kind_name span.Span.kind) in
-  fold_keys h span.Span.tags Span.key_tags land (size - 1)
+  fold_keys (kind_prefix span.Span.kind) span.Span.tags Span.key_tags
+  land (size - 1)
 
 let mark t slot =
   let byte = slot lsr 3 and bit = slot land 7 in

@@ -21,6 +21,11 @@ val attach : t -> Probe.t -> unit
 val slot_of_span : Span.t -> int
 (** The slot a span hashes to (deterministic across processes). *)
 
+val kind_prefix : Span.kind -> int
+(** The 64-bit FNV-1a hash (folded to a native int) of the kind's
+    {!Span.kind_name} plus its key separator: the start of every slot
+    hash of that kind, computed once per kind. *)
+
 val mark : t -> int -> unit
 
 val mem : t -> int -> bool

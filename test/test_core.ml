@@ -344,7 +344,10 @@ let test_nested_cpuid_reply_correct () =
       Mode.Hw_svt;
       Mode.Hw_full_nesting;
       Mode.Ooh
-    ]
+    ];
+  (* the views are read-only, so every stack shares one per level *)
+  let view mode = Svt_hyp.Vm.cpuid_db (System.guest_vm (l2_stack mode)) in
+  checkb "one L2 view per process" true (view Mode.Baseline == view Mode.Hw_svt)
 
 let episode_us mode =
   let sys = l2_stack mode in
@@ -724,23 +727,38 @@ let test_arch_arm_speedup_exceeds_x86 () =
   checkb "arm relative speedup larger" true
     (arm_base /. arm_svt > x86_base /. x86_svt)
 
-(* Allocation guard for stack construction: a default x86 L2 baseline
-   stack allocates 43.8 KB. Construction is deterministic and the count
-   is exact, so the 50 KB bound needs no noise margin. It fails if guest
-   RAM goes back to 4 KB EPT leaves (four 512-entry leaf tables more,
-   59.7 KB), and so also on a boxed entry per mapped guest page, the
-   host's 16 cores built eagerly, or another eagerly filled table. *)
+(* Allocation guard for stack construction, on the seven stacks every
+   fuzz input builds. Each allocates 11.2–12.7 KB, all of it on the
+   minor heap: a block above [Max_young_wosize] (256 words) goes straight
+   to the major heap and is paid for again by a major collection, so a
+   512-slot EPT table (4 KB) fails the first check. Direct major words are major minus promoted words, read after
+   a minor collection on each side, as [Profiler.allocated_words] reads
+   them. Construction is deterministic and the counts exact, so the
+   20 KB bound needs no noise margin. *)
 let test_of_config_alloc_guard () =
-  let cfg = System.Config.make ~mode:Mode.Baseline ~level:System.L2_nested () in
-  ignore (System.of_config cfg : System.t) (* warm-up *);
-  let w0 = Svt_obs.Profiler.allocated_words () in
-  ignore (System.of_config cfg : System.t);
-  let kb =
-    (Svt_obs.Profiler.allocated_words () -. w0)
-    *. float_of_int (Sys.word_size / 8)
-    /. 1024.0
+  let words () =
+    Gc.minor ();
+    let g = Gc.quick_stat () in
+    (g.Gc.minor_words +. g.Gc.major_words -. g.Gc.promoted_words,
+     g.Gc.major_words -. g.Gc.promoted_words)
   in
-  checkb (Printf.sprintf "of_config allocates %.1f KB (bound 50)" kb) true (kb <= 50.0)
+  List.iter
+    (fun (arch, mode) ->
+      let cfg =
+        System.Config.make ~arch ~max_sim_events:Svt_fuzz.Fuzz.default_budget
+          ~mode ~level:System.L2_nested ()
+      in
+      ignore (System.of_config cfg : System.t) (* warm-up *);
+      let total0, major0 = words () in
+      ignore (Sys.opaque_identity (System.of_config cfg) : System.t);
+      let total1, major1 = words () in
+      let label = Svt_fuzz.Fuzz.point_label (arch, mode) in
+      checki (label ^ ": direct major-heap words") 0
+        (int_of_float (major1 -. major0));
+      let kb = (total1 -. total0) *. float_of_int (Sys.word_size / 8) /. 1024.0 in
+      checkb (Printf.sprintf "%s: of_config allocates %.1f KB (bound 20)" label kb)
+        true (kb <= 20.0))
+    Svt_fuzz.Fuzz.modes
 
 (* Allocation guard for the nested exit: a baseline L2 MSR_WRITE exit
    runs the reflection protocol end to end (the exit and entry

@@ -355,12 +355,30 @@ let prop_ept_matches_model =
         List.sort_uniq compare
           (List.concat_map (fun p -> [ p; (p + 1) land (ept_page_space - 1) ]) !touched)
       in
+      (* Each touched page's neighbour one slot over at every directory
+         level (p+512, p+2^18, p+2^27), and pages in slots nothing
+         writes: tables are sized to the highest slot written, so most
+         of these reads fall past a table's end and must still read as
+         the model's "unmapped". *)
+      let reads_as_model page =
+        let page = page land (ept_page_space - 1) in
+        Ept.lookup e (page_gpa page) = Hashtbl.find_opt model page
+      in
+      let neighbours_read_as_model p =
+        List.for_all (fun d -> reads_as_model (p + d)) [ 1 lsl 9; 1 lsl 18; 1 lsl 27 ]
+      in
+      let never_written =
+        [ 3 lsl 27; (5 lsl 27) + (7 lsl 18) + (9 lsl 9) + 11; 1 lsl 35; ept_page_space - 1 ]
+      in
       let mapped =
         Hashtbl.fold
           (fun _ en n -> match en with Ept.Page _ -> n + 1 | Ept.Misconfig _ -> n)
           model 0
       in
-      List.for_all agrees pages && Ept.mapped_pages e = mapped)
+      List.for_all agrees pages
+      && List.for_all neighbours_read_as_model !touched
+      && List.for_all reads_as_model never_written
+      && Ept.mapped_pages e = mapped)
 
 (* --- Address space --------------------------------------------------------- *)
 

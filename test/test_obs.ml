@@ -230,20 +230,23 @@ let test_coverage_slot_keying () =
     (Coverage.slot_of_span (span Span.Vm_exit)
     <> Coverage.slot_of_span (span Span.World_switch))
 
-(* The 64-bit FNV-1a slot hash the native-int one must agree with. *)
-let reference_slot (sp : Span.t) =
+(* The 64-bit FNV-1a slot hash the native-int one must agree with: one
+   key part folded in, then the part separator. *)
+let reference_fold h s =
   let prime = 0x100000001b3L in
-  let fold h s =
-    let h = ref h in
-    String.iter
-      (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) prime)
-      s;
-    Int64.mul (Int64.logxor !h 0x1fL) prime
-  in
-  let h = fold 0xcbf29ce484222325L (Span.kind_name sp.Span.kind) in
+  let h = ref h in
+  String.iter
+    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) prime)
+    s;
+  Int64.mul (Int64.logxor !h 0x1fL) prime
+
+let reference_offset = 0xcbf29ce484222325L
+
+let reference_slot (sp : Span.t) =
+  let h = reference_fold reference_offset (Span.kind_name sp.Span.kind) in
   let h =
     List.fold_left
-      (fun h tag -> match Span.tag sp tag with None -> h | Some v -> fold h v)
+      (fun h tag -> match Span.tag sp tag with None -> h | Some v -> reference_fold h v)
       h
       [ "reason"; "mode"; "leg"; "cause"; "dir"; "cmd"; "outcome" ]
   in
@@ -265,6 +268,17 @@ let prop_coverage_slot_matches_int64 =
     (fun (kind, tags) ->
       let sp = span kind ~tags in
       Coverage.slot_of_span sp = reference_slot sp)
+
+let test_coverage_kind_prefix () =
+  (* the per-kind table holds each kind name's whole hash, not just the
+     13 bits a slot keeps: native ints agree with the 64-bit hash on all
+     but the top bit *)
+  List.iter
+    (fun k ->
+      checki (Span.kind_name k)
+        (Int64.to_int (reference_fold reference_offset (Span.kind_name k)))
+        (Coverage.kind_prefix k))
+    Span.all_kinds
 
 let test_coverage_merge_and_hex () =
   let a = Coverage.create () and b = Coverage.create () in
@@ -695,6 +709,7 @@ let () =
         [
           Alcotest.test_case "slot keying" `Quick test_coverage_slot_keying;
           QCheck_alcotest.to_alcotest prop_coverage_slot_matches_int64;
+          Alcotest.test_case "kind prefix table" `Quick test_coverage_kind_prefix;
           Alcotest.test_case "merge and hex" `Quick test_coverage_merge_and_hex;
           Alcotest.test_case "probe sink" `Quick test_coverage_attaches_to_probe;
         ] );
