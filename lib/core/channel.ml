@@ -8,7 +8,9 @@
    the same bytes both sides map. The 16 GPRs go from the L2 vCPU's
    hardware context straight into the entry's bytes; no consumer of this
    model reads them back, so receiving decodes only the command code,
-   reason, qualification and sequence number.
+   reason, qualification and sequence number. Like the BAR both sides map
+   once, a ring translates its page through the EPT on first use only and
+   then reads and writes the guest's bytes on that host page directly.
 
    Waiting is modeled per the chosen mechanism (polling / mwait / mutex)
    and placement: the consumer pays the response latency on wake-up, and a
@@ -45,9 +47,9 @@ let header_bytes = 8 (* head u32 | tail u32 *)
 
 type ring = {
   aspace : Aspace.t;
-  base : Gpa.t;
+  base : Gpa.t; (* page-aligned *)
   signal : Signal.t;
-  scratch : Bytes.t; (* one entry, built or read here in one copy *)
+  mutable page : Bytes.t; (* the host page under [base]; empty until used *)
 }
 
 type t = {
@@ -63,16 +65,15 @@ type t = {
   injector : Injector.t;
 }
 
-(* A ring (8 + 16 x 152 = 2,440 bytes) fits in the page it starts on, so
-   no entry straddles a page: an entry is one EPT translation and one
-   blit. *)
+(* A ring (8 + 16 x 152 = 2,440 bytes) fits in the one page it starts,
+   so its header and every entry are bytes of that page. *)
+let () = assert (header_bytes + (ring_entries * entry_bytes) <= Svt_mem.Addr.page_size)
+
 let make_ring sim aspace =
-  let pages = (header_bytes + (ring_entries * entry_bytes) + Svt_mem.Addr.page_size - 1)
-              / Svt_mem.Addr.page_size in
   { aspace;
-    base = Aspace.alloc_guest_pages aspace pages;
+    base = Aspace.alloc_guest_pages aspace 1;
     signal = Signal.create sim;
-    scratch = Bytes.create entry_bytes }
+    page = Bytes.empty }
 
 let create ?(vcpu_index = -1) ?injector ~machine ~aspace ~wait ~placement
     ~core ~ctx () =
@@ -90,13 +91,30 @@ let create ?(vcpu_index = -1) ?injector ~machine ~aspace ~wait ~placement
     injector = (match injector with Some i -> i | None -> Injector.none ());
   }
 
-let head r = Aspace.read_u32 r.aspace r.base
-let tail r = Aspace.read_u32 r.aspace (Gpa.add r.base 4)
-let set_head r v = Aspace.write_u32 r.aspace r.base (v land 0xFFFF)
-let set_tail r v = Aspace.write_u32 r.aspace (Gpa.add r.base 4) (v land 0xFFFF)
+(* The ring's host page, pinned on its first access: one EPT
+   translation, for write access, so a fault raises at that access.
+   Pinning here rather than in [make_ring] leaves the page
+   unmaterialized for a stack that never exits. *)
+let page r =
+  let p = r.page in
+  if Bytes.length p > 0 then p
+  else begin
+    let p = Aspace.host_page r.aspace r.base in
+    r.page <- p;
+    p
+  end
 
-let entry_addr r i =
-  Gpa.add r.base (header_bytes + (i mod ring_entries * entry_bytes))
+let get_u32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xFFFF_FFFF
+let set_u32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
+
+let head r = get_u32 (page r) 0
+let tail r = get_u32 (page r) 4
+let set_head r v = set_u32 (page r) 0 (v land 0xFFFF)
+let set_tail r v = set_u32 (page r) 4 (v land 0xFFFF)
+
+(* Entry [i]'s offset in the page; [head - 1] at a wrapped head of 0 is
+   the last entry. *)
+let entry_off i = header_bytes + (i land (ring_entries - 1) * entry_bytes)
 
 let code_of = function
   | Vm_trap _ -> 1
@@ -107,40 +125,37 @@ let code_of = function
 (* Entry layout, little-endian: code u32 | reason u32 | qual u64 | seq u64
    | regs u64 x 16. Fields a command does not carry are zero. The regs are
    the GPRs of the channel's context at the moment of posting. *)
-let put_payload t b seq =
-  Bytes.set_int64_le b 16 (Int64.of_int seq);
+let put_payload t b off seq =
+  Bytes.set_int64_le b (off + 16) (Int64.of_int seq);
   Svt_arch.Regfile.blit_gprs (Svt_arch.Smt_core.regfile t.core) ~ctx:t.ctx b
-    ~off:24
+    ~off:(off + 24)
 
 let serialize t r i cmd =
-  let b = r.scratch in
-  Bytes.fill b 0 entry_bytes '\000';
-  Bytes.set_int32_le b 0 (Int32.of_int (code_of cmd));
-  (match cmd with
+  let b = page r and off = entry_off i in
+  Bytes.fill b off entry_bytes '\000';
+  set_u32 b off (code_of cmd);
+  match cmd with
   | Vm_trap { seq; reason; qual } ->
-      Bytes.set_int32_le b 4
-        (Int32.of_int (Svt_arch.Exit_reason.basic_number reason));
-      Bytes.set_int64_le b 8 qual;
-      put_payload t b seq
-  | Vm_resume { seq } -> put_payload t b seq
-  | Blocked | Corrupt _ -> ());
-  Aspace.write_bytes r.aspace (entry_addr r i) b
+      set_u32 b (off + 4) (Svt_arch.Exit_reason.basic_number reason);
+      Bytes.set_int64_le b (off + 8) qual;
+      put_payload t b off seq
+  | Vm_resume { seq } -> put_payload t b off seq
+  | Blocked | Corrupt _ -> ()
 
-let get_u32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xFFFF_FFFF
-let get_seq b = Int64.to_int (Bytes.get_int64_le b 16)
+let get_seq b off = Int64.to_int (Bytes.get_int64_le b (off + 16))
 
 let deserialize r i =
-  let b = r.scratch in
-  Aspace.read_into r.aspace (entry_addr r i) b;
-  match get_u32 b 0 with
+  let b = page r and off = entry_off i in
+  match get_u32 b off with
   | 1 ->
       (* a number no reason has reads back as [Vmcall] *)
       let reason =
         Option.value ~default:Svt_arch.Exit_reason.Vmcall
-          (Svt_arch.Exit_reason.of_basic_number (get_u32 b 4))
+          (Svt_arch.Exit_reason.of_basic_number (get_u32 b (off + 4)))
       in
-      Vm_trap { seq = get_seq b; reason; qual = Bytes.get_int64_le b 8 }
-  | 2 -> Vm_resume { seq = get_seq b }
+      Vm_trap
+        { seq = get_seq b off; reason; qual = Bytes.get_int64_le b (off + 8) }
+  | 2 -> Vm_resume { seq = get_seq b off }
   | 3 -> Blocked
   | n -> Corrupt n
 
@@ -180,8 +195,8 @@ let post t ring bd cmd =
       (* corruption smashes the command code of the entry just written *)
       if Injector.is_active inj && Injector.roll inj Svt_fault.Kind.Corrupt_ring
       then
-        Aspace.write_u32 ring.aspace
-          (entry_addr ring (head ring - 1))
+        set_u32 (page ring)
+          (entry_off (head ring - 1))
           (0xC0 + Injector.pick inj Svt_fault.Kind.Corrupt_ring 16);
       if
         Injector.is_active inj
@@ -201,20 +216,19 @@ let post t ring bd cmd =
 (* Bounded-retry producer: back off on the virtual clock and re-post
    until the consumer drains the ring. Only gives up after the backoff
    schedule is exhausted — at that point the ring is genuinely wedged. *)
-let post_retry t ring bd cmd =
-  let rec go attempt =
-    match post t ring bd cmd with
-    | Ok () -> ()
-    | Error `Backpressure ->
-        if attempt >= 8 then
-          failwith "Channel: ring backpressure did not clear after 8 retries"
-        else begin
-          Injector.record t.injector Svt_fault.Outcome.Backpressure_retry;
-          Proc.delay (Wait.retry_backoff ~attempt);
-          go (attempt + 1)
-        end
-  in
-  go 0
+let rec post_retry_from t ring bd cmd attempt =
+  match post t ring bd cmd with
+  | Ok () -> ()
+  | Error `Backpressure ->
+      if attempt >= 8 then
+        failwith "Channel: ring backpressure did not clear after 8 retries"
+      else begin
+        Injector.record t.injector Svt_fault.Outcome.Backpressure_retry;
+        Proc.delay (Wait.retry_backoff ~attempt);
+        post_retry_from t ring bd cmd (attempt + 1)
+      end
+
+let post_retry t ring bd cmd = post_retry_from t ring bd cmd 0
 
 let pending ring = (head ring - tail ring) land 0xFFFF > 0
 
@@ -242,23 +256,23 @@ let charge_wake t bd =
   Breakdown.charge bd Breakdown.Channel
     (Wait.response_latency t.cost ~wait:t.wait ~placement:t.placement)
 
+let rec recv_loop t ring bd =
+  match try_recv t ring bd with
+  | Some cmd ->
+      if Wait.steals_cycles t.wait then
+        Svt_arch.Smt_core.set_polling_siblings t.core 0;
+      cmd
+  | None ->
+      Signal.wait ring.signal;
+      charge_wake t bd;
+      recv_loop t ring bd
+
 (* Blocking receive with the full waiting-mechanism model. *)
 let recv t ring bd =
   Breakdown.charge bd Breakdown.Channel (Wait.enter_cost t.cost t.wait);
   if Wait.steals_cycles t.wait then
     Svt_arch.Smt_core.set_polling_siblings t.core 1;
-  let rec loop () =
-    match try_recv t ring bd with
-    | Some cmd ->
-        if Wait.steals_cycles t.wait then
-          Svt_arch.Smt_core.set_polling_siblings t.core 0;
-        cmd
-    | None ->
-        Signal.wait ring.signal;
-        charge_wake t bd;
-        loop ()
-  in
-  loop ()
+  recv_loop t ring bd
 
 let to_svt t = t.to_svt
 let from_svt t = t.from_svt

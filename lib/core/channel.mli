@@ -45,7 +45,9 @@ val create :
   unit ->
   t
 (** Allocate both rings in [aspace] (the ivshmem-style shared pages of
-    §5.2). [core] is the core whose sibling a polling waiter would slow,
+    §5.2), one guest page each. A ring translates its page through the
+    EPT on its first use, for write access, and from then on reads and
+    writes the guest's bytes on that host page directly. [core] is the core whose sibling a polling waiter would slow,
     and [ctx] the hardware context of [core] whose GPRs the [Vm_trap]
     and [Vm_resume] entries carry;
     [vcpu_index] tags the ring-send/ring-recv observability spans with

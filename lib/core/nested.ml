@@ -67,7 +67,14 @@ type t = {
   injector : Injector.t;
   (* SW SVt state *)
   channel : Channel.t option;
-  mutable pending : (Svt_hyp.Exit.info * (unit -> unit)) option;
+  resume_signals : Simulator.Signal.t list;
+      (* the resume ring's and the vCPU's wake-up, which [wait_resume]
+         waits on: built once, not per exit *)
+  (* the exit handed to the SVt-thread, while it is pending: its info
+     and the effect completing it, else [no_exit] and [ignore] *)
+  mutable pending : bool;
+  mutable pending_info : Svt_hyp.Exit.info;
+  mutable pending_effect : unit -> unit;
   mutable seq : int; (* episode sequence number carried by ring commands *)
   mutable thread_last_done : int; (* last seq the SVt-thread answered *)
   mutable downgraded : bool; (* watchdog fell back to baseline for good *)
@@ -86,6 +93,13 @@ type t = {
 }
 
 let charge t bucket span = Breakdown.charge (Vcpu.breakdown t.vcpu) bucket span
+
+let no_exit = Svt_hyp.Exit.of_action Svt_hyp.Exit.Pause
+
+let clear_pending t =
+  t.pending <- false;
+  t.pending_info <- no_exit;
+  t.pending_effect <- ignore
 
 (* --- observability ------------------------------------------------------ *)
 
@@ -374,8 +388,7 @@ let rec wait_resume t ch bd =
           service_blocked_event t ch ev;
           wait_resume t ch bd
       | None ->
-          Simulator.Signal.wait_any
-            [ Channel.ring_signal (Channel.from_svt ch); Vcpu.wake_signal t.vcpu ];
+          Simulator.Signal.wait_any t.resume_signals;
           if Channel.pending_ring (Channel.from_svt ch) then
             Channel.charge_wake ch bd;
           wait_resume t ch bd)
@@ -454,7 +467,9 @@ let handle_sw_svt t ch info ~effect =
   let trap_cmd =
     Channel.Vm_trap { seq; reason = info.reason; qual = info.qualification }
   in
-  t.pending <- Some (info, effect);
+  t.pending <- true;
+  t.pending_info <- info;
+  t.pending_effect <- effect;
   Channel.post_retry ch (Channel.to_svt ch) bd trap_cmd;
   let start = leg_start t in
   let outcome =
@@ -478,7 +493,7 @@ let handle_sw_svt t ch info ~effect =
   | `Downgraded ->
       (* the SVt-thread is wedged: abandon the round trip and finish this
          (and every later) episode through classic reflection *)
-      t.pending <- None;
+      clear_pending t;
       t.downgraded <- true;
       Injector.record t.injector Fault_outcome.Downgrade;
       baseline_completion t info ~effect
@@ -493,24 +508,24 @@ let svt_thread_body t ch () =
   let rec loop () =
     let cmd = Channel.recv ch (Channel.to_svt ch) bd in
     (match cmd with
-    | Channel.Vm_trap { seq; _ } -> (
-        match t.pending with
-        | Some (info, effect) when seq = t.seq ->
-            t.pending <- None;
-            run_l1_handler t info ~effect ~aux:aux_trap;
-            t.thread_last_done <- seq;
-            answer seq
-        | Some _ ->
-            (* a trap left over from an episode the watchdog abandoned *)
-            Injector.record t.injector Fault_outcome.Stale_ignored
-        | None ->
-            if seq = t.thread_last_done then
-              (* the answer was lost in the ring: the watchdog re-posted
-                 the command, so answer it again *)
-              answer seq
-            else if Injector.is_active t.injector then
-              Injector.record t.injector Fault_outcome.Stale_ignored
-            else failwith "SVt-thread: command without pending exit")
+    | Channel.Vm_trap { seq; _ } ->
+        if t.pending && seq = t.seq then begin
+          let info = t.pending_info and effect = t.pending_effect in
+          clear_pending t;
+          run_l1_handler t info ~effect ~aux:aux_trap;
+          t.thread_last_done <- seq;
+          answer seq
+        end
+        else if t.pending then
+          (* a trap left over from an episode the watchdog abandoned *)
+          Injector.record t.injector Fault_outcome.Stale_ignored
+        else if seq = t.thread_last_done then
+          (* the answer was lost in the ring: the watchdog re-posted the
+             command, so answer it again *)
+          answer seq
+        else if Injector.is_active t.injector then
+          Injector.record t.injector Fault_outcome.Stale_ignored
+        else failwith "SVt-thread: command without pending exit"
     | Channel.Blocked ->
         (* L1₀ is being interrupted while we handle a trap; nothing for the
            SVt-thread itself to do (§5.3 guarantees no concurrent access
@@ -674,7 +689,14 @@ let create ?injector ~machine ~mode ~vcpu ~l1_vm ~script () =
       l0_ept_pointer;
       injector;
       channel;
-      pending = None;
+      resume_signals =
+        (match channel with
+        | Some ch ->
+            [ Channel.ring_signal (Channel.from_svt ch); Vcpu.wake_signal vcpu ]
+        | None -> []);
+      pending = false;
+      pending_info = no_exit;
+      pending_effect = ignore;
       seq = 0;
       thread_last_done = 0;
       downgraded = false;

@@ -37,6 +37,19 @@ type t = {
   mutable in_process : bool; (* one of its processes is executing *)
   mutable in_place : int; (* delays taken without a queue round trip *)
   mutable delay_target : Time.t; (* the wake-up of the [E_delay] performed *)
+  mutable wait_on : signal list; (* the signals of the wait performed *)
+  mutable wait_span : Time.t; (* the timeout of the [E_wait_timeout] performed *)
+}
+
+(* A broadcast condition variable (the [Signal] module below). A waiter
+   is the payload its wake-up will carry: the waiting process's parked
+   continuation, or a [Call] shared by every signal of a [wait_any] or
+   the one of a [wait_timeout]. [one] is the list of the signal alone,
+   so a plain wait names its signal without building a list. *)
+and signal = {
+  sim : t;
+  mutable waiters : Event_queue.payload list; (* newest first *)
+  mutable one : signal list;
 }
 
 type sim = t
@@ -63,6 +76,9 @@ type _ Effect.t +=
   | E_delay : unit Effect.t (* to [delay_target] of the running simulator *)
   | E_suspend : (('a -> unit) -> unit) -> 'a Effect.t
   | E_sim : t Effect.t
+  | E_wait : unit Effect.t (* on [wait_on] of the running simulator *)
+  | E_wait_timeout : [ `Signaled | `Timeout ] Effect.t
+      (* on the one signal of [wait_on], for [wait_span] *)
 
 (* The runaway guard every simulator starts with: far above any real
    run, so only a hung one ever spends it. *)
@@ -72,7 +88,7 @@ let create () =
   { now = Time.zero; queue = Event_queue.create (); error = None;
     events_processed = 0; budget_events = default_max_events;
     observer = None; horizon = max_int; in_process = false; in_place = 0;
-    delay_target = Time.zero }
+    delay_target = Time.zero; wait_on = []; wait_span = Time.zero }
 
 (* The simulator whose [run] is in progress on this domain, or [idle]
    outside every run. [run] sets it and restores the previous value on
@@ -103,15 +119,22 @@ let schedule_at t ~time run =
 
 let cancel t h = Event_queue.cancel t.queue h
 
+let rec register_all payload = function
+  | [] -> ()
+  | s :: rest ->
+      s.waiters <- payload :: s.waiters;
+      register_all payload rest
+
 (* [in_process] is set on every entry into a process (its start and
    each resumption) and cleared on every exit (an effect that suspends
    it, or the body returning or raising), so it is true only while
    process code of [t] is the code running. A queued delay's continuation
    is resumed by [step], which sets it the same way.
 
-   The handler's answer to [E_delay] is built once per process, so a
-   delay that suspends allocates nothing but the continuation and its
-   [Wake] payload. *)
+   The handler's answers to [E_delay] and the waits are built once per
+   process, so a delay that suspends allocates nothing but the
+   continuation and its [Wake] payload, and so does a plain wait, plus
+   its list cell. *)
 let spawn t ?(name = "proc") f =
   let resume k v =
     t.in_process <- true;
@@ -122,6 +145,53 @@ let spawn t ?(name = "proc") f =
       (fun (k : (unit, unit) Effect.Deep.continuation) ->
         t.in_process <- false;
         ignore (Event_queue.add t.queue ~time:t.delay_target (Event_queue.Wake k)))
+  in
+  let on_wait =
+    Some
+      (fun (k : (unit, unit) Effect.Deep.continuation) ->
+        t.in_process <- false;
+        let signals = t.wait_on in
+        t.wait_on <- [];
+        match signals with
+        | [ s ] -> s.waiters <- Event_queue.Wake k :: s.waiters
+        | _ ->
+            (* the first broadcast resumes [k]; the registrations that
+               lose stay listed and run as no-ops *)
+            let settled = ref false in
+            register_all
+              (Event_queue.Call
+                 (fun () ->
+                   if not !settled then begin
+                     settled := true;
+                     resume k ()
+                   end))
+              signals)
+  in
+  let on_wait_timeout =
+    Some
+      (fun (k : ([ `Signaled | `Timeout ], unit) Effect.Deep.continuation) ->
+        t.in_process <- false;
+        let s = List.hd t.wait_on in
+        t.wait_on <- [];
+        let settled = ref false in
+        let timer =
+          Event_queue.add t.queue ~time:(Time.add t.now t.wait_span)
+            (Event_queue.Call
+               (fun () ->
+                 if not !settled then begin
+                   settled := true;
+                   resume k `Timeout
+                 end))
+        in
+        s.waiters <-
+          Event_queue.Call
+            (fun () ->
+              if not !settled then begin
+                settled := true;
+                Event_queue.cancel t.queue timer;
+                resume k `Signaled
+              end)
+          :: s.waiters)
   in
   let body () =
     t.in_process <- true;
@@ -141,6 +211,8 @@ let spawn t ?(name = "proc") f =
                 Some (fun (k : (a, _) Effect.Deep.continuation) ->
                     Effect.Deep.continue k t.now)
             | E_delay -> on_delay
+            | E_wait -> if t.wait_on == [] then None else on_wait
+            | E_wait_timeout -> if t.wait_on == [] then None else on_wait_timeout
             | E_suspend register ->
                 Some (fun (k : (a, _) Effect.Deep.continuation) ->
                     t.in_process <- false;
@@ -276,57 +348,65 @@ module Proc = struct
 end
 
 module Signal = struct
-  (* Broadcast condition variable with optional timeout on wait. *)
-  type nonrec t = { sim : t; mutable waiters : (unit -> unit) list }
+  (* Broadcast condition variable with optional timeout on wait. A plain
+     wait parks the process's continuation itself in the waiter list, so
+     its wake-up is a [Wake] slot like a queued delay's. [wait_any] and
+     [wait_timeout] park it behind one settled flag: the first wake-up
+     resumes it and any later one is a no-op. A registration that lost
+     stays listed until its signal's next broadcast, which spends one
+     event on it: [events_processed] counts that event, and the digests
+     pinned on it with it. *)
+  type t = signal
 
-  let create sim = { sim; waiters = [] }
+  let create sim =
+    let s = { sim; waiters = []; one = [] } in
+    s.one <- [ s ];
+    s
 
+  let rec add_all sim = function
+    | [] -> ()
+    | p :: rest ->
+        ignore (Event_queue.add sim.queue ~time:sim.now p);
+        add_all sim rest
+
+  (* Wake-ups run oldest first, at the current instant, one queue entry
+     each. *)
   let broadcast s =
-    let waiters = List.rev s.waiters in
-    s.waiters <- [];
-    List.iter
-      (fun resume -> ignore (schedule s.sim ~after:Time.zero resume))
-      waiters
+    match s.waiters with
+    | [] -> ()
+    | [ p ] ->
+        s.waiters <- [];
+        ignore (Event_queue.add s.sim.queue ~time:s.sim.now p)
+    | waiters ->
+        s.waiters <- [];
+        add_all s.sim (List.rev waiters)
+
+  (* The signals travel to the process's handler through the running
+     simulator. Outside a process the effect is left unhandled, as
+     [Proc]'s operations leave theirs. *)
+  let park signals =
+    let t = Domain.DLS.get running in
+    if t.in_process then t.wait_on <- signals
 
   let wait s =
-    Proc.suspend (fun resume -> s.waiters <- resume :: s.waiters)
+    park s.one;
+    Effect.perform E_wait
 
-  (* Block until any of the given signals broadcasts. Waiter closures left
-     registered on the other signals are guarded by a settled flag, so a
-     later broadcast on those is a harmless no-op for this waiter. *)
   let wait_any signals =
     match signals with
     | [] -> invalid_arg "Signal.wait_any: no signals"
-    | [ s ] -> wait s
     | _ ->
-        Proc.suspend (fun resume ->
-            let settled = ref false in
-            let on_signal () =
-              if not !settled then begin
-                settled := true;
-                resume ()
-              end
-            in
-            List.iter (fun s -> s.waiters <- on_signal :: s.waiters) signals)
+        park signals;
+        Effect.perform E_wait
 
   let wait_timeout s span =
-    Proc.suspend (fun resume ->
-        let settled = ref false in
-        let handle =
-          schedule s.sim ~after:span (fun () ->
-              if not !settled then begin
-                settled := true;
-                resume `Timeout
-              end)
-        in
-        let on_signal () =
-          if not !settled then begin
-            settled := true;
-            cancel s.sim handle;
-            resume `Signaled
-          end
-        in
-        s.waiters <- on_signal :: s.waiters)
+    if span < 0 then invalid_arg "Signal.wait_timeout: negative span";
+    let t = Domain.DLS.get running in
+    if t.in_process then begin
+      t.wait_on <- s.one;
+      t.wait_span <- span
+    end;
+    Effect.perform E_wait_timeout
 end
 
 module Mailbox = struct

@@ -114,23 +114,35 @@ module Proc : sig
   val spawn : ?name:string -> (unit -> unit) -> unit
 end
 
-(** Broadcast condition variable. *)
+(** Broadcast condition variable. The waits are process-only: called
+    from a plain callback they raise [Effect.Unhandled]. *)
 module Signal : sig
   type t
 
   val create : sim -> t
 
   val broadcast : t -> unit
-  (** Wake every currently-blocked waiter. *)
+  (** Wake every currently-registered waiter: one queued event each, at
+      the current instant, oldest registration first. *)
 
   val wait : t -> unit
-  (** Block (process-only) until the next {!broadcast}. *)
+  (** Block until the next {!broadcast}. The process's continuation is
+      itself the waiter, and its wake-up an {!Event_queue.Wake} payload,
+      with no closure around it. *)
 
   val wait_any : t list -> unit
-  (** Block until any of the signals broadcasts. *)
+  (** Block until any of the signals broadcasts. One waiter, behind a
+      settled flag, is registered on every signal; the first broadcast
+      resumes the process, and a registration that lost stays until its
+      signal's next broadcast, which spends one no-op event on it.
+      Raises [Invalid_argument] on an empty list. *)
 
   val wait_timeout : t -> Time.t -> [ `Signaled | `Timeout ]
-  (** Block until the next broadcast or until the span elapses. *)
+  (** Block until the next broadcast or until the span elapses: a timer
+      and a registration behind one settled flag, the first to fire
+      winning. A timed-out registration stays until the signal's next
+      broadcast, which spends one no-op event on it. Raises
+      [Invalid_argument] on a negative span. *)
 end
 
 (** Unbounded FIFO channel between processes. *)

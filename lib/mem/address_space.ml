@@ -89,6 +89,11 @@ let read_bytes t gpa len =
 
 let write_bytes t gpa data = copy_pages t gpa data Ept.Write Phys_mem.write_from
 
+(* A shared ring's page, translated once (the ivshmem BAR, mapped by
+   both sides). [Phys_mem] never replaces a page, and [alloc_guest_pages]
+   only maps fresh guest pages, so the bytes stay the guest's. *)
+let host_page t gpa = Phys_mem.page_for t.mem (hpa_exn t gpa Ept.Write)
+
 (* Allocate fresh, already-mapped guest pages (for rings, buffers). *)
 let alloc_guest_pages t n =
   let base = t.alloc_cursor in

@@ -42,6 +42,13 @@ val read_into : t -> Addr.Gpa.t -> bytes -> unit
 
 val write_bytes : t -> Addr.Gpa.t -> bytes -> unit
 
+val host_page : t -> Addr.Gpa.t -> bytes
+(** The host page backing the guest page of [gpa], translated once
+    through the EPT for write access (a fault raises as {!write_u32}
+    would). Its bytes are the guest's own: a store through either is
+    seen through the other, as long as the guest page is not remapped,
+    and this module only ever maps fresh pages. *)
+
 val alloc_guest_pages : t -> int -> Addr.Gpa.t
 (** Allocate fresh, already-mapped guest pages (rings, buffers); returns
     the base GPA. *)

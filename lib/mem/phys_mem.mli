@@ -8,6 +8,12 @@ type t
 
 val create : unit -> t
 
+val page_for : t -> Addr.Hpa.t -> bytes
+(** The 4 KB page holding [hpa], materialized on first touch; the byte
+    at [Addr.Hpa.offset hpa] is the one the accessors below read and
+    write. A page, once materialized, is never replaced, so these are
+    its bytes for the life of [t]. *)
+
 val read_u8 : t -> Addr.Hpa.t -> int
 
 val read_u64 : t -> Addr.Hpa.t -> int

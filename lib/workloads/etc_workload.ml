@@ -29,7 +29,19 @@ let value_size rng =
   else if u < 0.99 then Prng.int_in_range rng ~lo:700 ~hi:4000
   else Prng.int_in_range rng ~lo:4000 ~hi:8000
 
-let key_of rank = Printf.sprintf "etc:key:%07d" rank
+(* "etc:key:" and the rank in seven zero-padded digits, as
+   [Printf.sprintf "etc:key:%07d"] prints it, written byte by byte: it
+   runs on every request and on each key of the pre-warm. *)
+let key_of rank =
+  if rank < 0 || rank > 9_999_999 then invalid_arg "Etc_workload.key_of";
+  let b = Bytes.create 15 in
+  Bytes.blit_string "etc:key:" 0 b 0 8;
+  let r = ref rank in
+  for i = 14 downto 8 do
+    Bytes.unsafe_set b i (Char.unsafe_chr (Char.code '0' + (!r mod 10)));
+    r := !r / 10
+  done;
+  Bytes.unsafe_to_string b
 
 (* Request wire format: 'G'/'S' byte, 4-byte id, 4-byte key rank,
    4-byte value size. Responses echo the id ('R' + id + payload). *)

@@ -6,6 +6,15 @@
     ETC value sizes and issues requests with exponential gaps at the
     target load. *)
 
+val key_space : int
+(** The Zipfian key ranks run [1 .. key_space]; the store is pre-warmed
+    with every one. *)
+
+val key_of : int -> string
+(** The store key of a rank: ["etc:key:"] and the rank in seven
+    zero-padded digits. Raises [Invalid_argument] outside
+    [0 .. 9_999_999]. *)
+
 val value_size : Svt_engine.Prng.t -> int
 (** Draw from the ETC value-size mix (tens of bytes to a few KB, heavy
     tail). *)

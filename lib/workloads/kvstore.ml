@@ -40,11 +40,9 @@ let fnv_prime = 0x100000001b3
 
 let hash key =
   let h = ref fnv_offset in
-  String.iter
-    (fun c ->
-      h := !h lxor Char.code c;
-      h := !h * fnv_prime)
-    key;
+  for i = 0 to String.length key - 1 do
+    h := (!h lxor Char.code (String.unsafe_get key i)) * fnv_prime
+  done;
   !h land max_int
 
 let bucket_of t key = hash key mod Array.length t.buckets

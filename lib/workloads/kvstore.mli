@@ -15,6 +15,10 @@ val set : t -> string -> bytes -> unit
 val get : t -> string -> bytes option
 (** Hit moves the entry to the LRU front. *)
 
+val hash : string -> int
+(** FNV-1a over the key's bytes, on OCaml's 63-bit ints (the 64-bit
+    offset basis truncated), masked non-negative: the bucket hash. *)
+
 (** {2 Introspection} *)
 
 val size : t -> int

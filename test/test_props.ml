@@ -641,6 +641,8 @@ let prop_cpuid_view_monotone =
 type op =
   | Delay of int
   | Spawn of op list
+  | Wait of int (* signal *)
+  | Wait_any (* on both signals *)
   | Wait_timeout of int * int (* signal, span *)
   | Broadcast of int
   | Timer of int (* a plain callback this far ahead *)
@@ -658,6 +660,8 @@ let n_signals = 2
 let rec pp_op = function
   | Delay d -> Printf.sprintf "delay %d" d
   | Spawn ops -> "spawn [" ^ String.concat "; " (List.map pp_op ops) ^ "]"
+  | Wait s -> Printf.sprintf "wait s%d" s
+  | Wait_any -> "wait-any"
   | Wait_timeout (s, d) -> Printf.sprintf "wait s%d %d" s d
   | Broadcast s -> Printf.sprintf "broadcast s%d" s
   | Timer d -> Printf.sprintf "timer %d" d
@@ -679,6 +683,8 @@ let gen_scenario =
     frequency
       ([
          (6, map (fun d -> Delay d) span);
+         (1, map (fun s -> Wait s) (int_bound (n_signals - 1)));
+         (1, return Wait_any);
          ( 2,
            map2
              (fun s d -> Wait_timeout (s, d))
@@ -724,7 +730,10 @@ type trace = {
 
 (* The reference: the engine's semantics spelled out over a sorted list
    of pending events, with processes written in continuation-passing
-   style. Every wake-up goes through the list. *)
+   style. Every wake-up goes through the list. A wait that can be woken
+   more than once (by either signal, or by its signal or its timer) is
+   settled by the first; the others stay listed and each costs an event
+   that does nothing. *)
 let reference sc =
   let now = ref 0 and events = ref 0 and seq = ref 0 in
   let pending = ref [] in
@@ -757,6 +766,16 @@ let reference sc =
         | Spawn ops ->
             spawn ops;
             next 0
+        | Wait s -> signals.(s) <- signals.(s) @ [ (fun () -> next 4) ]
+        | Wait_any ->
+            let settled = ref false in
+            let wake () =
+              if not !settled then begin
+                settled := true;
+                next 5
+              end
+            in
+            Array.iteri (fun s ws -> signals.(s) <- ws @ [ wake ]) signals
         | Wait_timeout (s, d) ->
             let settled = ref false in
             let h =
@@ -856,6 +875,12 @@ let engine sc =
               incr pids;
               Simulator.Proc.spawn (body child ops);
               0
+          | Wait s ->
+              Simulator.Signal.wait signals.(s);
+              4
+          | Wait_any ->
+              Simulator.Signal.wait_any (Array.to_list signals);
+              5
           | Wait_timeout (s, d) -> (
               match Simulator.Signal.wait_timeout signals.(s) d with
               | `Timeout -> 1
@@ -909,10 +934,12 @@ let engine sc =
   ( { steps = List.rev !steps; slice_ends = List.rev !slice_ends; exhausted },
     accounted )
 
-(* Taking a delay in place must be invisible: the same steps at the
-   same instants in the same order, the same clock and event count after
-   every slice, the same budget exhaustion. Every event is either popped
-   or taken in place, and the dispatch hooks fire once per event. *)
+(* Taking a delay in place and parking a waiter's continuation must be
+   invisible: the same steps at the same instants in the same order, the
+   same clock and event count after every slice (a losing registration's
+   no-op event included), the same budget exhaustion. Every event is
+   either popped or taken in place, and the dispatch hooks fire once per
+   event. *)
 let prop_engine_matches_reference =
   QCheck.Test.make ~name:"engine matches the reference scheduler" ~count:500
     (QCheck.make ~print:pp_scenario gen_scenario)

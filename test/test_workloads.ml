@@ -110,6 +110,20 @@ let prop_kv_model =
         model true
       && Kvstore.size s = Hashtbl.length model)
 
+(* The bucket hash is FNV-1a on 63-bit ints: the fold it was first
+   written as, over any bytes, the empty key and high bytes included. *)
+let prop_kv_hash_is_fnv1a =
+  QCheck.Test.make ~name:"kvstore hash is FNV-1a" ~count:500
+    QCheck.(string_gen_of_size Gen.(int_bound 40) Gen.char)
+    (fun key ->
+      let reference =
+        String.fold_left
+          (fun h c -> (h lxor Char.code c) * 0x100000001b3)
+          0x1cbf29ce48422232 key
+        land max_int
+      in
+      Kvstore.hash key = reference)
+
 (* --- Btree ---------------------------------------------------------------- *)
 
 (* Number of keys, through the leaf chain. *)
@@ -175,6 +189,18 @@ let test_etc_request_codec () =
   checki "id" 4242 r.Etc.id;
   checki "rank" 17 r.Etc.rank;
   checki "vsize" 300 r.Etc.vsize
+
+(* The key writer spells every rank the client can draw as the format
+   string did. *)
+let test_etc_key_of_matches_sprintf () =
+  for rank = 0 to Etc.key_space do
+    let want = Printf.sprintf "etc:key:%07d" rank in
+    if Etc.key_of rank <> want then
+      Alcotest.failf "key_of %d = %S, want %S" rank (Etc.key_of rank) want
+  done;
+  Alcotest.(check string) "largest rank" "etc:key:9999999" (Etc.key_of 9_999_999);
+  checkb "negative rank rejected" true
+    (match Etc.key_of (-1) with _ -> false | exception Invalid_argument _ -> true)
 
 let test_etc_value_sizes_plausible () =
   let rng = Prng.create 3 in
@@ -290,6 +316,7 @@ let () =
           Alcotest.test_case "resize preserves entries" `Quick
             test_kv_resize_preserves_entries;
           QCheck_alcotest.to_alcotest prop_kv_model;
+          QCheck_alcotest.to_alcotest prop_kv_hash_is_fnv1a;
         ] );
       ( "btree",
         [
@@ -304,6 +331,8 @@ let () =
         [
           Alcotest.test_case "request codec" `Quick test_etc_request_codec;
           Alcotest.test_case "value sizes" `Quick test_etc_value_sizes_plausible;
+          Alcotest.test_case "key_of matches sprintf" `Quick
+            test_etc_key_of_matches_sprintf;
         ] );
       ( "tpcc",
         [
