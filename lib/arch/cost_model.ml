@@ -73,19 +73,13 @@ type t = {
   (* L0 re-arming the delegation controls after it intervened: paid once
      per residual exit (and per repaired delegation fault) before L2
      restarts *)
-  (* --- interrupts / timers --- *)
-  irq_inject : Time.t; (* hypervisor-side injection bookkeeping *)
-  ipi_deliver : Time.t;
-  eoi_cost : Time.t;
   (* --- devices --- *)
   vhost_kick : Time.t; (* host-side virtio notification processing *)
   vhost_wake : Time.t; (* scheduling latency of an idle vhost worker *)
-  vhost_per_byte : Time.t; (* host-side copy cost per byte *)
   virtio_queue_op : Time.t; (* vring descriptor handling per request *)
   nic_wire_latency : Time.t; (* one-way propagation + switch + client stack *)
   nic_bandwidth_gbps : float;
   disk_base_latency : Time.t; (* ramfs-backed virtio disk service time *)
-  disk_per_byte : Time.t;
   disk_write_extra : Time.t; (* extra service time of writes (journaling) *)
   nested_disk_penalty : Time.t;
   (* extra backend latency when the guest's disk is itself a file on a
@@ -162,17 +156,12 @@ let paper_machine =
     ooh_delegated_dispatch = 120;
     ooh_vmcs_access = 120;
     ooh_delegation_setup = 800;
-    irq_inject = 350;
-    ipi_deliver = 700;
-    eoi_cost = 150;
     vhost_kick = 1500;
     vhost_wake = 1500;
-    vhost_per_byte = 0; (* folded into bandwidth below *)
     virtio_queue_op = 400;
     nic_wire_latency = 5_500;
     nic_bandwidth_gbps = 10.0;
     disk_base_latency = 3_000;
-    disk_per_byte = 0;
     disk_write_extra = 3_000;
     nested_disk_penalty = 4_000;
     guest_syscall = 1_800;
@@ -249,17 +238,12 @@ let arm_machine =
     ooh_delegated_dispatch = 140;
     ooh_vmcs_access = 60; (* a plain load from the VNCR page *)
     ooh_delegation_setup = 700;
-    irq_inject = 300;
-    ipi_deliver = 650;
-    eoi_cost = 100; (* GIC EOI register write *)
     vhost_kick = 1500;
     vhost_wake = 1500;
-    vhost_per_byte = 0;
     virtio_queue_op = 400;
     nic_wire_latency = 5_500;
     nic_bandwidth_gbps = 10.0;
     disk_base_latency = 3_000;
-    disk_per_byte = 0;
     disk_write_extra = 3_000;
     nested_disk_penalty = 4_000;
     guest_syscall = 1_800;

@@ -7,6 +7,12 @@
     reproduces Table 1 (0.05/0.81/1.29/4.89/1.40/1.96 µs); everything
     else follows from which steps each run mode eliminates.
 
+    Every field is read by the simulation. Interrupt delivery and EOI
+    have no constants of their own: they cost what the external-interrupt
+    and EOI-induced exits cost ([per_reason]). A request's size enters
+    only through [nic_bandwidth_gbps]; disk service time does not depend
+    on it.
+
     Times are nanoseconds ({!Svt_engine.Time.t}). *)
 
 (** Per-exit-reason handler behaviour. [l1_pure] is the guest
@@ -60,17 +66,12 @@ type t = {
   ooh_delegation_setup : Svt_engine.Time.t;
       (** L0 re-arming the OoH delegation controls after a residual exit
           or a repaired delegation fault *)
-  irq_inject : Svt_engine.Time.t;
-  ipi_deliver : Svt_engine.Time.t;
-  eoi_cost : Svt_engine.Time.t;
   vhost_kick : Svt_engine.Time.t;
   vhost_wake : Svt_engine.Time.t;
-  vhost_per_byte : Svt_engine.Time.t;
   virtio_queue_op : Svt_engine.Time.t;
   nic_wire_latency : Svt_engine.Time.t;
   nic_bandwidth_gbps : float;
   disk_base_latency : Svt_engine.Time.t;
-  disk_per_byte : Svt_engine.Time.t;
   disk_write_extra : Svt_engine.Time.t;
   nested_disk_penalty : Svt_engine.Time.t;
   guest_syscall : Svt_engine.Time.t;

@@ -51,15 +51,12 @@ let validate_config c =
 
 (* Every tenant the fleet does not place ends in exactly one of these —
    the "no tenant silently lost" half of the conservation invariant. *)
-type rejection =
-  | Quota_exceeded of { quota : int; requested : int }
-  | Retries_exhausted of { attempts : int }
-  | Config_rejected of { errors : Svt_core.System.Config.error list }
+type rejection = Quota_exceeded | Retries_exhausted | Config_rejected
 
 let rejection_token = function
-  | Quota_exceeded _ -> "quota"
-  | Retries_exhausted _ -> "retries"
-  | Config_rejected _ -> "config"
+  | Quota_exceeded -> "quota"
+  | Retries_exhausted -> "retries"
+  | Config_rejected -> "config"
 
 (* ---- host selection ---- *)
 

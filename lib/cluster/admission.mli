@@ -23,13 +23,11 @@ val default_config : config
 
 val validate_config : config -> (config, string) result
 
-(** Why a tenant is not placed. Every unplaced tenant ends in exactly
-    one of these — the typed half of the fleet's conservation
-    invariant (no tenant silently lost). *)
-type rejection =
-  | Quota_exceeded of { quota : int; requested : int }
-  | Retries_exhausted of { attempts : int }
-  | Config_rejected of { errors : Svt_core.System.Config.error list }
+(** Why a tenant is not placed: its vCPUs exceed the quota, its
+    placement attempts ran out, or no host's topology can run its spec.
+    Every unplaced tenant ends in exactly one of these — the typed half
+    of the fleet's conservation invariant (no tenant silently lost). *)
+type rejection = Quota_exceeded | Retries_exhausted | Config_rejected
 
 val rejection_token : rejection -> string
 (** Short stable token for ledgers and tables: ["quota"], ["retries"],

@@ -207,21 +207,19 @@ let scan_views t =
 (* Walk the ladder from the tenant's sticky placement. Outcomes:
    [`Placed] (host found and tenant admitted), [`No_capacity] (some
    rung was blocked only by overcommit — worth retrying later), or
-   [`Config e] (every rung that found a host was statically rejected —
+   [`Config] (every rung that found a host was statically rejected —
    the spec can never run on this fleet's topology). *)
 let try_place t tn =
   let steps =
     Admission.ladder ~mode:tn.effective_mode ~policy:tn.effective_policy
   in
   let capacity_blocked = ref false in
-  let static_errors = ref None in
+  let statically_rejected = ref false in
   let rec go = function
     | [] ->
         if !capacity_blocked then `No_capacity
-        else (
-          match !static_errors with
-          | Some errs -> `Config errs
-          | None -> `No_capacity (* no live host at all: retry later *))
+        else if !statically_rejected then `Config
+        else `No_capacity (* no live host at all: retry later *)
     | ((mode, policy) as step) :: rest -> (
         let need = gang_need t tn step in
         match Admission.pick t.cfg.admission ~need (scan_views t) with
@@ -234,10 +232,10 @@ let try_place t tn =
               { tn.requested with Host.mode; policy; name = tn.t_name }
             in
             match Host.add_tenant m.host spec with
-            | Error errs ->
+            | Error _ ->
                 (* same topology fleet-wide: statically infeasible here
                    means statically infeasible everywhere — next rung *)
-                if !static_errors = None then static_errors := Some errs;
+                statically_rejected := true;
                 go rest
             | Ok () ->
                 m.committed <- m.committed + need;
@@ -259,12 +257,10 @@ let max_attempts = 10
 
 let place_failed t tn outcome =
   match outcome with
-  | `Config errs ->
-      tn.t_state <- Rejected (Admission.Config_rejected { errors = errs })
+  | `Config -> tn.t_state <- Rejected Admission.Config_rejected
   | `No_capacity ->
       if tn.attempts + 1 >= max_attempts then
-        tn.t_state <-
-          Rejected (Admission.Retries_exhausted { attempts = tn.attempts + 1 })
+        tn.t_state <- Rejected Admission.Retries_exhausted
       else begin
         tn.next_try <-
           t.epoch_idx + Admission.backoff_epochs ~attempt:tn.attempts;
@@ -278,7 +274,7 @@ let process_queue t =
       | Queued when tn.next_try <= t.epoch_idx -> (
           match try_place t tn with
           | `Placed -> if tn.evictions > 0 then tn.readmissions <- tn.readmissions + 1
-          | (`No_capacity | `Config _) as fail -> place_failed t tn fail)
+          | (`No_capacity | `Config) as fail -> place_failed t tn fail)
       | _ -> ())
     (tenants t)
 
@@ -307,13 +303,7 @@ let submit t spec =
     }
   in
   if spec.Host.n_vcpus > t.cfg.admission.Admission.quota_vcpus then
-    tn.t_state <-
-      Rejected
-        (Admission.Quota_exceeded
-           {
-             quota = t.cfg.admission.Admission.quota_vcpus;
-             requested = spec.Host.n_vcpus;
-           });
+    tn.t_state <- Rejected Admission.Quota_exceeded;
   t.tenants <- tn :: t.tenants;
   name
 
@@ -430,7 +420,6 @@ type host_row = {
   hr_id : int;
   hr_state : string;
   hr_tenants : int;
-  hr_committed : int;
   hr_occupancy : float;
   hr_kops : float;
   hr_crashes : int;
@@ -523,7 +512,6 @@ let report t =
                  (List.filter
                     (fun tn -> tn.t_state = Placed m.id)
                     t.tenants);
-             hr_committed = m.committed;
              hr_occupancy =
                (match r with Some r -> r.Host.occupancy | None -> 0.0);
              hr_kops =

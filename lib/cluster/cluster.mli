@@ -78,7 +78,6 @@ type host_row = {
   hr_id : int;
   hr_state : string;  (** up | degraded | down | quarantined *)
   hr_tenants : int;
-  hr_committed : int;
   hr_occupancy : float;
   hr_kops : float;
   hr_crashes : int;

@@ -2,13 +2,14 @@
 
    Processes are ordinary OCaml functions executed under an effect handler
    (OCaml 5 one-shot continuations). A process interacts with virtual time
-   only through the [Proc] operations below: [delay] advances its own clock
-   by suspending until the event queue reaches the target instant, and
-   [suspend] parks the process until some other party calls the provided
-   resume function. A suspended delay parks the process's continuation
-   itself in a queue slot ([Event_queue.Wake]), and [step] resumes it.
-   Only one process runs at a time and control transfers happen
-   exclusively at these points, so simulations are deterministic.
+   only through the [Proc] operations below and the waits of [Signal]:
+   [delay] advances its own clock by suspending until the event queue
+   reaches the target instant, and a wait parks the process until a
+   broadcast. Either way the process's continuation itself is parked, in
+   a queue slot ([Event_queue.Wake]) or a signal's waiter list, and
+   [step] resumes it. [Mailbox] blocks its reader on a [Signal]. Only one
+   process runs at a time and control transfers happen exclusively at
+   these points, so simulations are deterministic.
 
    A delay whose wake-up would be the next event popped anyway skips the
    queue: the process keeps running and the clock, event count and
@@ -74,7 +75,6 @@ let () =
 type _ Effect.t +=
   | E_now : Time.t Effect.t
   | E_delay : unit Effect.t (* to [delay_target] of the running simulator *)
-  | E_suspend : (('a -> unit) -> unit) -> 'a Effect.t
   | E_sim : t Effect.t
   | E_wait : unit Effect.t (* on [wait_on] of the running simulator *)
   | E_wait_timeout : [ `Signaled | `Timeout ] Effect.t
@@ -213,10 +213,6 @@ let spawn t ?(name = "proc") f =
             | E_delay -> on_delay
             | E_wait -> if t.wait_on == [] then None else on_wait
             | E_wait_timeout -> if t.wait_on == [] then None else on_wait_timeout
-            | E_suspend register ->
-                Some (fun (k : (a, _) Effect.Deep.continuation) ->
-                    t.in_process <- false;
-                    register (fun v -> resume k v))
             | E_sim ->
                 Some (fun (k : (a, _) Effect.Deep.continuation) ->
                     Effect.Deep.continue k t)
@@ -339,12 +335,6 @@ module Proc = struct
         Effect.perform E_delay
       end
     end
-
-  let suspend register = Effect.perform (E_suspend register)
-
-  let spawn ?name f =
-    let t = sim () in
-    spawn t ?name f
 end
 
 module Signal = struct
@@ -410,27 +400,24 @@ module Signal = struct
 end
 
 module Mailbox = struct
-  (* Unbounded FIFO channel between processes. Blocked readers wake in
-     the order they blocked. *)
-  type 'a mailbox = {
-    sim : t;
-    items : 'a Queue.t;
-    readers : ('a -> unit) Queue.t;
-  }
+  (* Unbounded FIFO channel between processes. A reader blocks on the
+     mailbox's signal while the queue is empty, and [send] broadcasts
+     after each push. With the one reader every mailbox has, each wake-up
+     is one queued event at the send's instant, and a send while no
+     reader waits schedules nothing. *)
+  type 'a t = { items : 'a Queue.t; nonempty : Signal.t }
 
-  type 'a t = 'a mailbox
-
-  let create sim = { sim; items = Queue.create (); readers = Queue.create () }
+  let create sim = { items = Queue.create (); nonempty = Signal.create sim }
 
   let send mb v =
-    if Queue.is_empty mb.readers then Queue.push v mb.items
-    else
-      let resume = Queue.pop mb.readers in
-      ignore (schedule mb.sim ~after:Time.zero (fun () -> resume v))
+    Queue.push v mb.items;
+    Signal.broadcast mb.nonempty
 
   let recv mb =
-    if not (Queue.is_empty mb.items) then Queue.pop mb.items
-    else Proc.suspend (fun resume -> Queue.push resume mb.readers)
+    while Queue.is_empty mb.items do
+      Signal.wait mb.nonempty
+    done;
+    Queue.pop mb.items
 
   let try_recv mb =
     if Queue.is_empty mb.items then None else Some (Queue.pop mb.items)

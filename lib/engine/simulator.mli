@@ -4,7 +4,9 @@
     clock. Processes are plain functions run with {!spawn}; inside a
     process, the operations in {!Proc} (and the synchronization primitives
     {!Signal}, {!Mailbox}) are the only ways to interact with
-    virtual time. Exactly one process runs at any instant and control only
+    virtual time. A process blocks in exactly two ways: in {!Proc.delay},
+    or waiting on a {!Signal} ({!Mailbox.recv} is a wait on the mailbox's
+    signal). Exactly one process runs at any instant and control only
     transfers at those operations, so runs are fully deterministic. *)
 
 type t
@@ -110,8 +112,6 @@ module Proc : sig
       continuation is parked in a queue slot as it is (an
       {!Event_queue.Wake} payload, no closure around it) and resumed when
       that slot is popped. *)
-
-  val spawn : ?name:string -> (unit -> unit) -> unit
 end
 
 (** Broadcast condition variable. The waits are process-only: called
@@ -145,16 +145,26 @@ module Signal : sig
       [Invalid_argument] on a negative span. *)
 end
 
-(** Unbounded FIFO channel between processes. *)
+(** Unbounded FIFO channel between processes, built on a {!Signal}.
+    Each mailbox is meant to have one reader, as every mailbox in the
+    simulator does. *)
 module Mailbox : sig
   type 'a t
 
   val create : sim -> 'a t
 
   val send : 'a t -> 'a -> unit
+  (** Push the item, then broadcast the mailbox's signal: a blocked
+      reader wakes by one queued event at the current instant, and a
+      send while no reader waits schedules nothing. Callable from a
+      process or a plain callback. *)
 
   val recv : 'a t -> 'a
-  (** Block (process-only) until an item is available. *)
+  (** Pop the oldest item, first waiting on the mailbox's signal while
+      the queue is empty (process-only, like {!Signal.wait}). A woken
+      reader that finds the queue empty, because another reader took
+      the item first, waits again. *)
 
   val try_recv : 'a t -> 'a option
+  (** Pop the oldest item without blocking; [None] when empty. *)
 end

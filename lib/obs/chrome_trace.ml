@@ -38,9 +38,14 @@ let buf_us b ns = Buffer.add_string b (Printf.sprintf "%.3f" (float_of_int ns /.
    Perfetto track per hardware thread (so sibling stalls line up on the
    physical topology), in a tid range disjoint from the per-vCPU tracks
    that untagged spans keep. 32 bounds contexts-per-core, not vCPUs. *)
-let lane_tid (s : Span.t) = 1000 + (s.Span.core * 32) + max 0 s.Span.ctx
+let lane_tid (core, ctx) = 1000 + (core * 32) + ctx
+
+(* A tagged span's (core, context) lane; a span with a core but no
+   context (-1) sits on context 0. *)
+let lane (s : Span.t) = (s.Span.core, max 0 s.Span.ctx)
+
 let span_tid (s : Span.t) =
-  if Span.has_lane s then lane_tid s else s.Span.vcpu + 1
+  if Span.has_lane s then lane_tid (lane s) else s.Span.vcpu + 1
 
 let buf_event b (s : Span.t) =
   Buffer.add_string b "{\"name\":";
@@ -76,12 +81,11 @@ let buf_metadata b ~vcpus ~lanes =
            (if v < 0 then "\"host\"" else Printf.sprintf "\"vcpu%d\"" v)))
     vcpus;
   List.iter
-    (fun (core, ctx) ->
+    (fun ((core, ctx) as l) ->
       Buffer.add_string b
         (Printf.sprintf
            ",{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"args\":{\"name\":\"core%d.t%d\"}}"
-           (1000 + (core * 32) + ctx)
-           core ctx))
+           (lane_tid l) core ctx))
     lanes
 
 let to_buffer t b =
@@ -100,9 +104,7 @@ let to_buffer t b =
   let lanes =
     List.sort_uniq compare
       (List.filter_map
-         (fun (s : Span.t) ->
-           if Span.has_lane s then Some (s.Span.core, max 0 s.Span.ctx)
-           else None)
+         (fun (s : Span.t) -> if Span.has_lane s then Some (lane s) else None)
          spans)
   in
   Buffer.add_string b "{\"traceEvents\":[";

@@ -10,7 +10,6 @@ type summary = {
   count : int;
   mean_ns : float;
   p99_ns : int;
-  max_ns : int;
   total_ns : int;
 }
 
@@ -56,7 +55,6 @@ let summary t kind h =
     count = Histogram.count h;
     mean_ns = Histogram.mean h;
     p99_ns = Histogram.p99 h;
-    max_ns = Histogram.max_value h;
     total_ns = t.totals.(Span.kind_index kind);
   }
 

@@ -13,7 +13,6 @@ type summary = {
   count : int;
   mean_ns : float;
   p99_ns : int;
-  max_ns : int;
   total_ns : int;
 }
 

@@ -5,7 +5,9 @@
 
 (** {2 Table 1: cpuid breakdown in a nested VM} *)
 
-type table1_row = { part : string; time_us : float; percent : float }
+(** One part of the breakdown. {!table1} has a row per part, in the
+    order of [Svt_hyp.Breakdown.rows], which names them. *)
+type table1_row = { time_us : float; percent : float }
 
 val table1 : table1_row list
 val table1_total_us : float

@@ -481,7 +481,6 @@ type tenant_report = {
   t_vcpus : int;
   ops : int;
   kops_per_sec : float;
-  exits : int;
   per_exit_us : float;
   granted_ms : float;
   steal_ms : float;
@@ -520,7 +519,6 @@ let tenant_report elapsed_s tn =
       (if elapsed_s > 0.0 then
          float_of_int tn.counters.Open_loop.ops /. elapsed_s /. 1000.0
        else 0.0);
-    exits = !exits;
     per_exit_us =
       (if !exits > 0 then Time.to_us_f !overhead /. float_of_int !exits
        else 0.0);

@@ -79,7 +79,6 @@ type tenant_report = {
   t_vcpus : int;
   ops : int;
   kops_per_sec : float;
-  exits : int;
   per_exit_us : float;  (** mean virtualization overhead per exit *)
   granted_ms : float;  (** entitlement received *)
   steal_ms : float;  (** runnable but not placed *)

@@ -1,10 +1,11 @@
 (* SVt-thread provisioning policies, turned into concrete gang claims.
 
-   The policy type itself lives in Mode (System.Config.validate needs it
-   below this layer); here it is priced: how many hardware threads a
-   tenant's vCPU gang pins, whether whole cores are claimed, how many
-   host-global service threads a shared pool reserves, and what a
-   donated sibling charges per trap episode. *)
+   The policy type itself lives in Mode, where the benchmark names its
+   constructors ([Mode.Dedicated_sibling]); nothing below this layer
+   needs it, since [System.Config] has no policy field. Here it is
+   priced: whether a tenant's vCPU gang claims whole cores or one thread
+   per vCPU, how many host-global service threads a shared pool
+   reserves, and what a donated sibling charges per trap episode. *)
 
 module Time = Svt_engine.Time
 module Mode = Svt_core.Mode
@@ -27,7 +28,6 @@ let label mode p =
       Mode.to_string mode
 
 type claim = {
-  threads_per_vcpu : int;
   whole_core : bool;
   pool_threads : int;
   donation : bool;
@@ -38,27 +38,22 @@ let claim ~(mode : Mode.t) (p : t) =
   | Mode.Baseline | Mode.Hw_full_nesting | Mode.Ooh ->
       (* no SVt-thread at all (OoH delegates to L1 in-place): one
          hardware thread per vCPU, siblings free for co-runners *)
-      { threads_per_vcpu = 1; whole_core = false; pool_threads = 0;
-        donation = false }
+      { whole_core = false; pool_threads = 0; donation = false }
   | Mode.Hw_svt ->
       (* SVt hardware fetches from exactly one context of the core at a
          time (§4): the vCPU's stack owns the whole core, no co-runner
          can use the siblings *)
-      { threads_per_vcpu = 1; whole_core = true; pool_threads = 0;
-        donation = false }
+      { whole_core = true; pool_threads = 0; donation = false }
   | Mode.Sw_svt _ -> (
       match p with
       | Dedicated_sibling ->
           (* the paper's setup: the sibling is reserved for the
              SVt-thread and never runs other work *)
-          { threads_per_vcpu = 1; whole_core = true; pool_threads = 0;
-            donation = false }
+          { whole_core = true; pool_threads = 0; donation = false }
       | Shared_pool { threads } ->
-          { threads_per_vcpu = 1; whole_core = false;
-            pool_threads = threads; donation = false }
+          { whole_core = false; pool_threads = threads; donation = false }
       | On_demand_donation ->
-          { threads_per_vcpu = 1; whole_core = false; pool_threads = 0;
-            donation = true })
+          { whole_core = false; pool_threads = 0; donation = true })
 
 (* Threads a tenant's gang occupies while granted (host-global pool
    threads are accounted separately, once). *)

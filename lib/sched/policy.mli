@@ -1,6 +1,7 @@
 (** SVt-thread provisioning policies priced as concrete gang claims.
-    The type is an alias of {!Svt_core.Mode.svt_policy} (validation
-    lives below this layer); naming and parsing delegate there. *)
+    The type is an alias of {!Svt_core.Mode.svt_policy}, where the
+    benchmark names its constructors; naming and parsing delegate
+    there. *)
 
 type t = Svt_core.Mode.svt_policy =
   | Dedicated_sibling
@@ -16,9 +17,9 @@ val label : Svt_core.Mode.t -> t -> string
     for SW SVt modes, the bare mode name otherwise (the policy places
     SVt-threads, which only SW SVt runs). *)
 
-(** What one tenant's vCPU gang occupies under a (mode, policy) pair. *)
+(** What one tenant's vCPU gang occupies under a (mode, policy) pair:
+    one hardware thread per vCPU, or a whole core per vCPU. *)
 type claim = {
-  threads_per_vcpu : int;  (** hardware threads pinned per vCPU *)
   whole_core : bool;
       (** the gang claims full cores: reserved siblings admit no
           co-runner (HW SVt, and SW SVt under [Dedicated_sibling]) *)

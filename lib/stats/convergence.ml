@@ -10,13 +10,7 @@ let outlier_sigma = 4.0 (* rejection threshold *)
 let min_samples = 16
 let max_samples = 100_000
 
-type result = {
-  mean : float;
-  stddev : float;
-  samples_used : int;
-  samples_rejected : int;
-  converged : bool;
-}
+type result = { mean : float; samples_used : int; converged : bool }
 
 let reject_outliers samples =
   let s = Summary.of_list samples in
@@ -29,7 +23,7 @@ let reject_outliers samples =
   end
 
 let summarize samples =
-  let kept, rejected = reject_outliers samples in
+  let kept, _ = reject_outliers samples in
   let s = Summary.of_list kept in
   let mu = Summary.mean s in
   let half_width = confidence_sigma *. Summary.stderr_of_mean s in
@@ -39,8 +33,7 @@ let summarize samples =
     && mu <> 0.0
     && Float.abs (half_width /. mu) <= target_rel_error
   in
-  { mean = mu; stddev = Summary.stddev s; samples_used = Summary.count s;
-    samples_rejected = rejected; converged }
+  { mean = mu; samples_used = Summary.count s; converged }
 
 (* Repeatedly run [sample] in batches until converged. *)
 let run sample =

@@ -3,13 +3,7 @@
     rejection (§2.3, §6.1). A result needs at least 16 samples to count
     as converged; sampling stops at 100,000 either way. *)
 
-type result = {
-  mean : float;
-  stddev : float;
-  samples_used : int;
-  samples_rejected : int;
-  converged : bool;
-}
+type result = { mean : float; samples_used : int; converged : bool }
 
 val reject_outliers : float list -> float list * int
 (** Returns kept samples and the number rejected. *)

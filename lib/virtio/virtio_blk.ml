@@ -132,12 +132,9 @@ let driver_collect t =
 
 (* --- backend worker --- *)
 
-let service_time t ~kind ~bytes =
+let service_time t ~kind =
   let base =
-    Time.add t.cost.Svt_arch.Cost_model.disk_base_latency
-      (Time.add t.nested_penalty
-         (Time.scale t.cost.Svt_arch.Cost_model.disk_per_byte
-            (float_of_int bytes)))
+    Time.add t.cost.Svt_arch.Cost_model.disk_base_latency t.nested_penalty
   in
   match kind with
   | Read -> base
@@ -171,7 +168,7 @@ let start_backend t =
               let sector = Aspace.read_u64 (aspace t) (Gpa.add addr 4) in
               let count = Aspace.read_u32 (aspace t) (Gpa.add addr 12) in
               let bytes = count * Ramdisk.sector_size in
-              Proc.delay (service_time t ~kind ~bytes);
+              Proc.delay (service_time t ~kind);
               (match kind with
               | Read ->
                   let data = Ramdisk.read t.disk ~sector ~count in

@@ -46,4 +46,4 @@ val driver_collect : t -> (int * req_kind * bytes option) option
 
 (** {2 Introspection} *)
 
-val service_time : t -> kind:req_kind -> bytes:int -> Svt_engine.Time.t
+val service_time : t -> kind:req_kind -> Svt_engine.Time.t

@@ -72,7 +72,7 @@ let one_io sys vcpu blk rng ~op ~bytes =
       submit_and_kick sys vcpu blk ~kind:Blk.Flush ~sector ~count:1 ();
       ignore (poll_completion vcpu blk)
 
-type latency_result = { mean_us : float; p99_us : float; ops : int }
+type latency_result = { mean_us : float; p99_us : float }
 
 (* ioping: serial 512 B accesses; reports per-op latency. *)
 let run_ioping ?(ops = 300) ~op sys =
@@ -91,10 +91,9 @@ let run_ioping ?(ops = 300) ~op sys =
   {
     mean_us = Svt_stats.Histogram.mean lat /. 1000.0;
     p99_us = float_of_int (Svt_stats.Histogram.p99 lat) /. 1000.0;
-    ops;
   }
 
-type bandwidth_result = { kb_per_sec : float; ops : int }
+type bandwidth_result = { kb_per_sec : float }
 
 (* fio: 4 KB random accesses at queue depth 8; reports throughput. The
    guest keeps [depth] requests in flight, collecting completions as they
@@ -144,4 +143,4 @@ let run_fio ?(ops = 600) ?(depth = 8) ~op sys =
       elapsed := Time.diff (Proc.now ()) t0);
   System.run sys;
   let secs = Time.to_sec_f !elapsed in
-  { kb_per_sec = float_of_int (ops * bytes / 1024) /. secs; ops }
+  { kb_per_sec = float_of_int (ops * bytes / 1024) /. secs }

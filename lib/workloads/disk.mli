@@ -5,11 +5,11 @@
 
 type op = Randread | Randwrite
 
-type latency_result = { mean_us : float; p99_us : float; ops : int }
+type latency_result = { mean_us : float; p99_us : float }
 
 val run_ioping : ?ops:int -> op:op -> Svt_core.System.t -> latency_result
 
-type bandwidth_result = { kb_per_sec : float; ops : int }
+type bandwidth_result = { kb_per_sec : float }
 
 val run_fio :
   ?ops:int -> ?depth:int -> op:op -> Svt_core.System.t -> bandwidth_result

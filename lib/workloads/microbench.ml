@@ -118,7 +118,6 @@ let exit_ops =
   ]
 
 type exit_row = {
-  reason : Svt_arch.Exit_reason.t;
   exit_label : string; (* the backend's own spelling of the exit *)
   baseline_us : float;
   svt_us : float;
@@ -146,7 +145,6 @@ let per_exit_table ?arch () =
       let baseline_us = one ~mode:Svt_core.Mode.Baseline op in
       let svt_us = one ~mode:Svt_core.Mode.sw_svt_default op in
       {
-        reason;
         exit_label = Svt_arch.Backend.exit_name kind reason;
         baseline_us;
         svt_us;

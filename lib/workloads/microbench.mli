@@ -27,7 +27,6 @@ val fig6 : ?arch:Svt_arch.Backend.kind -> unit -> fig6_row list
 (** One row of the per-backend exit profile: the nested latency of one
     driveable exit reason under baseline and SVt. *)
 type exit_row = {
-  reason : Svt_arch.Exit_reason.t;
   exit_label : string;  (** the backend's own spelling of the exit *)
   baseline_us : float;
   svt_us : float;

@@ -21,10 +21,10 @@ module Fabric = Svt_virtio.Fabric
 
 (* --- schema ------------------------------------------------------------- *)
 
-type item_row = { mutable i_price : int; i_name : string }
+type item_row = { mutable i_price : int }
 type stock_row = { mutable s_quantity : int; mutable s_ytd : int }
 type customer_row = { mutable c_balance : int; mutable c_ytd_payment : int }
-type order_row = { o_c_id : int; o_lines : int; mutable o_delivered : bool }
+type order_row = { mutable o_delivered : bool }
 
 type db = {
   items : item_row Btree.t;
@@ -50,7 +50,7 @@ let build_db () =
     }
   in
   for i = 1 to n_items do
-    Btree.insert db.items i { i_price = 100 + (i mod 900); i_name = Printf.sprintf "item-%d" i };
+    Btree.insert db.items i { i_price = 100 + (i mod 900) };
     Btree.insert db.stock i { s_quantity = 100; s_ytd = 0 }
   done;
   for c = 1 to n_customers do
@@ -104,9 +104,10 @@ let engine_work db rng wal kind =
       done;
       let oid = db.next_order_id in
       db.next_order_id <- oid + 1;
-      Btree.insert db.orders oid
-        { o_c_id = 1 + Prng.int rng n_customers; o_lines = lines;
-          o_delivered = false };
+      (* the order's customer is drawn, keeping the transaction's random
+         stream, but no transaction reads it back, so it is not stored *)
+      ignore (Prng.int rng n_customers);
+      Btree.insert db.orders oid { o_delivered = false };
       ignore (Wal.append wal (Printf.sprintf "neword:%d:%d" oid lines))
   | Payment ->
       let c = 1 + Prng.int rng n_customers in
@@ -144,7 +145,6 @@ type result = {
   tpm : float;
   transactions : int;
   new_orders : int;
-  elapsed : Time.t;
 }
 
 (* One sysbench connection: the client sends each statement, the server
@@ -231,5 +231,4 @@ let run ?(duration = Time.of_ms 400) sys =
     tpm = float_of_int !txns /. minutes;
     transactions = !txns;
     new_orders = !new_orders;
-    elapsed = !elapsed;
   }

@@ -6,10 +6,10 @@
     Stock-Level 4 % each); read-write transactions commit through the
     WAL. Throughput is transactions per minute. *)
 
-type item_row = { mutable i_price : int; i_name : string }
+type item_row = { mutable i_price : int }
 type stock_row = { mutable s_quantity : int; mutable s_ytd : int }
 type customer_row = { mutable c_balance : int; mutable c_ytd_payment : int }
-type order_row = { o_c_id : int; o_lines : int; mutable o_delivered : bool }
+type order_row = { mutable o_delivered : bool }
 
 type db = {
   items : item_row Btree.t;
@@ -35,7 +35,6 @@ type result = {
   tpm : float;
   transactions : int;
   new_orders : int;
-  elapsed : Svt_engine.Time.t;
 }
 
 val run : ?duration:Svt_engine.Time.t -> Svt_core.System.t -> result

@@ -22,13 +22,7 @@ module Guest = Svt_core.Guest
 module Vcpu = Svt_hyp.Vcpu
 module Blk = Svt_virtio.Virtio_blk
 
-type result = {
-  fps : int;
-  frames : int;
-  dropped : int;
-  late_worst_us : float;
-  idle_fraction : float;
-}
+type result = { frames : int; dropped : int; idle_fraction : float }
 
 (* Decode time: typical frames take ~3.2 ms of CPU (matching the paper's
    observation that L2 idles 61 % of the time); roughly one frame in 400
@@ -58,7 +52,6 @@ let run ?(seconds = 300) ~fps sys =
   let frames = seconds * fps in
   let period = Time.of_ns (1_000_000_000 / fps) in
   let dropped = ref 0 in
-  let worst_late = ref 0 in
   let rng = Prng.create (1000 + fps) in
   let read_chunk v =
     (match
@@ -92,11 +85,9 @@ let run ?(seconds = 300) ~fps sys =
         let heavy = Prng.float rng < heavy_frame_rate in
         Guest.compute v (decode_time rng ~heavy);
         let now = Proc.now () in
-        if Time.(now > vsync) then begin
+        if Time.(now > vsync) then
           (* missed the deadline: drop and resynchronize *)
-          incr dropped;
-          worst_late := max !worst_late (Time.to_ns (Time.diff now vsync))
-        end
+          incr dropped
         else begin
           (* sleep until vsync: arm the deadline timer and halt *)
           Guest.arm_timer v ~after:(Time.diff vsync now);
@@ -108,10 +99,8 @@ let run ?(seconds = 300) ~fps sys =
   System.run sys;
   let total = Time.scale period (float_of_int frames) in
   {
-    fps;
     frames;
     dropped = !dropped;
-    late_worst_us = float_of_int !worst_late /. 1000.0;
     idle_fraction =
       Time.to_sec_f (Vcpu.halted_time vcpu) /. Time.to_sec_f total;
   }

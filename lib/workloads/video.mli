@@ -7,10 +7,8 @@
     exit-burst stalls that only fit the budget when traps are cheap. *)
 
 type result = {
-  fps : int;
   frames : int;
   dropped : int;
-  late_worst_us : float;
   idle_fraction : float;
       (** paper §6.3.3: L2 idles 61 % of the time at 120 FPS *)
 }

@@ -357,7 +357,7 @@ let test_sim_queued_delay_allocation () =
   if bytes_per_event > 48. then
     Alcotest.failf "%.1f B per queued delay (at most 48)" bytes_per_event
 
-(* The process operations are for processes only. From a plain callback
+(* The process operations and the waits are for processes only. From a plain callback
    they must fail loudly, even while a process of the same simulator is
    mid-run, rather than move the clock. *)
 let test_sim_proc_ops_outside_process () =
@@ -368,8 +368,9 @@ let test_sim_proc_ops_outside_process () =
   in
   raises_unhandled "delay outside any run" (fun () -> Proc.delay 5);
   raises_unhandled "now outside any run" (fun () -> ignore (Proc.now ()));
-  let misuse op =
+  let misuse make_op =
     let sim = Simulator.create () in
+    let op = make_op sim in
     Simulator.spawn sim (fun () ->
         Proc.delay 10;
         ignore (Simulator.schedule sim ~after:Time.zero op);
@@ -378,16 +379,22 @@ let test_sim_proc_ops_outside_process () =
     raises_unhandled "from a callback" (fun () -> Simulator.run sim);
     checki "clock unmoved" 5 (Simulator.now sim)
   in
-  misuse (fun () -> Proc.delay 1);
-  misuse (fun () -> ignore (Proc.now ()));
-  misuse (fun () -> ignore (Proc.sim ()))
+  misuse (fun _ () -> Proc.delay 1);
+  misuse (fun _ () -> ignore (Proc.now ()));
+  misuse (fun _ () -> ignore (Proc.sim ()));
+  misuse (fun sim ->
+      let s = Simulator.Signal.create sim in
+      fun () -> Simulator.Signal.wait s);
+  misuse (fun sim ->
+      let mb = Simulator.Mailbox.create sim in
+      fun () -> ignore (Simulator.Mailbox.recv mb : int))
 
 let test_sim_nested_spawn () =
   let sim = Simulator.create () in
   let hits = ref 0 in
   Simulator.spawn sim (fun () ->
       Proc.delay 10;
-      Proc.spawn (fun () ->
+      Simulator.spawn (Proc.sim ()) (fun () ->
           Proc.delay 10;
           incr hits);
       incr hits);
@@ -484,6 +491,67 @@ let test_mailbox_try_recv () =
   Alcotest.(check (option int)) "empty" None (Simulator.Mailbox.try_recv mb);
   Simulator.Mailbox.send mb 9;
   Alcotest.(check (option int)) "pops" (Some 9) (Simulator.Mailbox.try_recv mb)
+
+(* The vhost-rx shape of [System.attach_net]: one reader takes the first
+   item with [recv], spends a wake-up and a kick, then drains whatever
+   else arrived with [try_recv] and spends a per-item cost. Items arrive
+   from plain callbacks (the wire), several in one instant, and from a
+   process. The batches, the instants they were taken, and the engine's
+   counters are pinned, so a change to how a mailbox parks or wakes its
+   reader shows. *)
+let test_mailbox_vhost_rx_script () =
+  let sim = Simulator.create () in
+  let mb = Simulator.Mailbox.create sim in
+  let batches = ref [] in
+  Simulator.spawn sim ~name:"rx" (fun () ->
+      let rec loop () =
+        let first = Simulator.Mailbox.recv mb in
+        let woke = Proc.now () in
+        Proc.delay 2;
+        Proc.delay 1;
+        let rec gather acc =
+          match Simulator.Mailbox.try_recv mb with
+          | Some v -> gather (v :: acc)
+          | None -> List.rev acc
+        in
+        let batch = first :: gather [] in
+        List.iter (fun _ -> Proc.delay 1) batch;
+        batches := (woke, Proc.now (), batch) :: !batches;
+        loop ()
+      in
+      loop ());
+  let wire at items =
+    ignore
+      (Simulator.schedule sim ~after:at (fun () ->
+           List.iter (Simulator.Mailbox.send mb) items))
+  in
+  wire 3 [ 1; 2 ];
+  wire 4 [ 3 ];
+  wire 20 [ 4 ];
+  wire 21 [ 5; 6; 7 ];
+  wire 40 [ 10 ];
+  Simulator.spawn sim ~name:"tx" (fun () ->
+      Proc.delay 10;
+      Simulator.Mailbox.send mb 8;
+      Proc.delay 1;
+      Simulator.Mailbox.send mb 9;
+      Proc.delay 29;
+      Simulator.Mailbox.send mb 11);
+  Simulator.run sim;
+  check
+    Alcotest.(list (triple int int (list int)))
+    "batches: woken at, done at, items"
+    [ (3, 9, [ 1; 2; 3 ]); (10, 15, [ 8; 9 ]); (20, 27, [ 4; 5; 6; 7 ]);
+      (40, 45, [ 10; 11 ]) ]
+    (List.rev !batches);
+  let q = Simulator.queue_stats sim in
+  check
+    Alcotest.(list int)
+    "events, in place, adds, pops, cancels, peak"
+    [ 33; 16; 17; 17; 0; 7 ]
+    [ Simulator.events_processed sim; Simulator.delays_in_place sim;
+      q.Event_queue.adds; q.pops; q.cancels; q.peak_live ];
+  checki "ends at the last batch" 45 (Simulator.now sim)
 
 (* --- PRNG ---------------------------------------------------------------- *)
 
@@ -642,6 +710,8 @@ let () =
           Alcotest.test_case "signal wait_any" `Quick test_signal_wait_any;
           Alcotest.test_case "mailbox fifo" `Quick test_mailbox_fifo;
           Alcotest.test_case "mailbox try_recv" `Quick test_mailbox_try_recv;
+          Alcotest.test_case "mailbox vhost-rx script" `Quick
+            test_mailbox_vhost_rx_script;
         ] );
       ( "prng",
         [

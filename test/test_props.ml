@@ -637,7 +637,9 @@ let prop_cpuid_view_monotone =
 (* --- The engine against a reference scheduler ----------------------------- *)
 
 (* A random process script. Spans are small so that equal-time ties
-   between processes, timers and wake-ups are common. *)
+   between processes, timers and wake-ups are common. One mailbox has at
+   most one reader, as every mailbox in lib/ does: only one top-level
+   script receives, and none of its children. *)
 type op =
   | Delay of int
   | Spawn of op list
@@ -647,6 +649,10 @@ type op =
   | Broadcast of int
   | Timer of int (* a plain callback this far ahead *)
   | Cancel_timer (* the process's latest timer, fired or not *)
+  | Send of int (* this many items, in one instant *)
+  | Post of int * int (* a plain callback this far ahead sends this many *)
+  | Recv (* the reader only *)
+  | Drain (* the reader only: [try_recv] until empty *)
 
 type scenario = {
   scripts : op list list; (* spawned in order at time 0 *)
@@ -666,6 +672,10 @@ let rec pp_op = function
   | Broadcast s -> Printf.sprintf "broadcast s%d" s
   | Timer d -> Printf.sprintf "timer %d" d
   | Cancel_timer -> "cancel"
+  | Send n -> Printf.sprintf "send %d" n
+  | Post (d, n) -> Printf.sprintf "post %d %d" d n
+  | Recv -> "recv"
+  | Drain -> "drain"
 
 let pp_scenario sc =
   Printf.sprintf "budget %d%s, slices [%s]\n%s" sc.budget
@@ -679,7 +689,7 @@ let pp_scenario sc =
 let gen_scenario =
   let open QCheck.Gen in
   let span = frequency [ (3, int_range 0 3); (1, int_range 4 12) ] in
-  let rec gen_op depth =
+  let rec gen_op ~reader depth =
     frequency
       ([
          (6, map (fun d -> Delay d) span);
@@ -693,19 +703,27 @@ let gen_scenario =
          (2, map (fun s -> Broadcast s) (int_bound (n_signals - 1)));
          (2, map (fun d -> Timer d) span);
          (1, return Cancel_timer);
+         (2, map (fun n -> Send n) (int_range 1 3));
+         (1, map2 (fun d n -> Post (d, n)) span (int_range 1 3));
        ]
+      @ (if reader then [ (3, return Recv); (1, return Drain) ] else [])
       @
       if depth > 0 then
         [
           ( 1,
             map
               (fun ops -> Spawn ops)
-              (list_size (int_bound 4) (gen_op (depth - 1))) );
+              (list_size (int_bound 4) (gen_op ~reader:false (depth - 1))) );
         ]
       else [])
   in
-  let* scripts =
-    list_size (int_range 1 4) (list_size (int_bound 8) (gen_op 2))
+  let script ~reader = list_size (int_bound 8) (gen_op ~reader 2) in
+  let* others = list_size (int_range 0 3) (script ~reader:false) in
+  let* reader = script ~reader:true in
+  let* at = int_bound (List.length others) in
+  let scripts =
+    List.filteri (fun i _ -> i < at) others
+    @ (reader :: List.filteri (fun i _ -> i >= at) others)
   in
   let* gaps = list_size (int_bound 4) (int_bound 15) in
   let slices =
@@ -720,8 +738,9 @@ let gen_scenario =
   { scripts; slices; budget; observed }
 
 (* What a run shows: one entry per finished step, [(now, pid, step,
-   value)] with pid -1 for a timer firing; then [(now, events)] after
-   each slice; then the budget exhaustion, if any. *)
+   value)] with pid -1 for a timer or post firing (a received item is
+   its step's value); then [(now, events)] after each slice; then the
+   budget exhaustion, if any. *)
 type trace = {
   steps : (int * int * int * int) list;
   slice_ends : (int * int) list;
@@ -733,7 +752,9 @@ type trace = {
    style. Every wake-up goes through the list. A wait that can be woken
    more than once (by either signal, or by its signal or its timer) is
    settled by the first; the others stay listed and each costs an event
-   that does nothing. *)
+   that does nothing. The mailbox holds numbered items and at most one
+   blocked reader: a send wakes it by one event at the send's instant,
+   and a send with no reader blocked schedules nothing. *)
 let reference sc =
   let now = ref 0 and events = ref 0 and seq = ref 0 in
   let pending = ref [] in
@@ -749,6 +770,18 @@ let reference sc =
   let cancel h = pending := List.filter (fun (_, s, _) -> s <> h) !pending in
   let steps = ref [] and pids = ref 0 and timers = ref 0 in
   let signals = Array.make n_signals [] in
+  let items = Queue.create () and reader = ref None and sent = ref 0 in
+  let send n =
+    for _ = 1 to n do
+      incr sent;
+      Queue.push !sent items;
+      Option.iter
+        (fun wake ->
+          reader := None;
+          ignore (add !now wake))
+        !reader
+    done
+  in
   let rec spawn ops =
     let pid = !pids in
     incr pids;
@@ -810,7 +843,31 @@ let reference sc =
             next 0
         | Cancel_timer ->
             Option.iter cancel !last_timer;
-            next 0)
+            next 0
+        | Send n ->
+            send n;
+            next 0
+        | Post (d, n) ->
+            let id = !timers in
+            incr timers;
+            last_timer :=
+              Some
+                (add (!now + d) (fun () ->
+                     steps := (!now, -1, id, 6) :: !steps;
+                     send n));
+            next 0
+        | Recv ->
+            let rec recv () =
+              if Queue.is_empty items then reader := Some recv
+              else next (Queue.pop items)
+            in
+            recv ()
+        | Drain ->
+            let rec drain acc =
+              if Queue.is_empty items then next (Hashtbl.hash (List.rev acc))
+              else drain (Queue.pop items :: acc)
+            in
+            drain [])
   in
   List.iter spawn sc.scripts;
   let exception Exhausted of int * int * int in
@@ -861,6 +918,13 @@ let engine sc =
          });
   let steps = ref [] and pids = ref 0 and timers = ref 0 in
   let signals = Array.init n_signals (fun _ -> Simulator.Signal.create sim) in
+  let mailbox = Simulator.Mailbox.create sim and sent = ref 0 in
+  let send n =
+    for _ = 1 to n do
+      incr sent;
+      Simulator.Mailbox.send mailbox !sent
+    done
+  in
   let rec body pid ops () =
     let last_timer = ref None in
     List.iteri
@@ -873,7 +937,7 @@ let engine sc =
           | Spawn ops ->
               let child = !pids in
               incr pids;
-              Simulator.Proc.spawn (body child ops);
+              Simulator.spawn (Simulator.Proc.sim ()) (body child ops);
               0
           | Wait s ->
               Simulator.Signal.wait signals.(s);
@@ -899,6 +963,26 @@ let engine sc =
           | Cancel_timer ->
               Option.iter (Simulator.cancel sim) !last_timer;
               0
+          | Send n ->
+              send n;
+              0
+          | Post (d, n) ->
+              let id = !timers in
+              incr timers;
+              last_timer :=
+                Some
+                  (Simulator.schedule sim ~after:d (fun () ->
+                       steps := (Simulator.now sim, -1, id, 6) :: !steps;
+                       send n));
+              0
+          | Recv -> Simulator.Mailbox.recv mailbox
+          | Drain ->
+              let rec drain acc =
+                match Simulator.Mailbox.try_recv mailbox with
+                | Some v -> drain (v :: acc)
+                | None -> Hashtbl.hash (List.rev acc)
+              in
+              drain []
         in
         steps := (Simulator.Proc.now (), pid, step, v) :: !steps)
       ops
@@ -937,9 +1021,10 @@ let engine sc =
 (* Taking a delay in place and parking a waiter's continuation must be
    invisible: the same steps at the same instants in the same order, the
    same clock and event count after every slice (a losing registration's
-   no-op event included), the same budget exhaustion. Every event is
-   either popped or taken in place, and the dispatch hooks fire once per
-   event. *)
+   no-op event included), the same budget exhaustion. A mailbox's reader
+   receives the same items at the same instants, and its wake-ups cost
+   the same events. Every event is either popped or taken in place, and
+   the dispatch hooks fire once per event. *)
 let prop_engine_matches_reference =
   QCheck.Test.make ~name:"engine matches the reference scheduler" ~count:500
     (QCheck.make ~print:pp_scenario gen_scenario)

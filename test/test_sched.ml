@@ -53,7 +53,8 @@ let test_policy_parse_round_trip () =
 let test_policy_claims () =
   let c = Policy.claim ~mode:Mode.Baseline Policy.Dedicated_sibling in
   checkb "baseline: thread per vCPU, policy ignored" true
-    (c.Policy.threads_per_vcpu = 1 && (not c.Policy.whole_core)
+    (Policy.gang_threads ~smt_per_core:2 ~n_vcpus:1 c = 1
+    && (not c.Policy.whole_core)
     && c.Policy.pool_threads = 0 && not c.Policy.donation);
   let c = Policy.claim ~mode:Mode.sw_svt_default Policy.Dedicated_sibling in
   checkb "sw-svt dedicated: whole core" true c.Policy.whole_core;
@@ -81,7 +82,8 @@ let test_ooh_claims_no_service_thread () =
       let b = Policy.claim ~mode:Mode.Baseline policy in
       checkb (Policy.name policy ^ ": ooh claim = baseline claim") true (c = b);
       checkb (Policy.name policy ^ ": single thread, nothing extra") true
-        (c.Policy.threads_per_vcpu = 1 && (not c.Policy.whole_core)
+        (Policy.gang_threads ~smt_per_core:2 ~n_vcpus:1 c = 1
+        && (not c.Policy.whole_core)
         && c.Policy.pool_threads = 0 && not c.Policy.donation))
     [ Policy.Dedicated_sibling;
       Policy.On_demand_donation;

@@ -349,8 +349,8 @@ let test_blk_flush_cheaper_than_write () =
   let disk = Ramdisk.create ~size_mb:1 in
   let blk = Blk.create ~machine ~vm ~name:"b0" ~disk in
   Blk.set_nested_penalty blk (Time.of_us 30);
-  let w = Blk.service_time blk ~kind:Blk.Write ~bytes:512 in
-  let f = Blk.service_time blk ~kind:Blk.Flush ~bytes:512 in
+  let w = Blk.service_time blk ~kind:Blk.Write in
+  let f = Blk.service_time blk ~kind:Blk.Flush in
   checkb "flush skips the nested data path" true (f < w)
 
 let () =
