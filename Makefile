@@ -26,5 +26,6 @@ layout:
 	@nm -n _build/default/benchmark/svt_bench.exe | awk ' \
 	  function hex(s,  n, i) { n = 0; for (i = 1; i <= length(s); i++) \
 	    n = n * 16 + index("0123456789abcdef", substr(s, i, 1)) - 1; return n } \
-	  $$3 ~ /^camlSvt_.*\.code_begin$$/ { sub(/\.code_begin$$/, "", $$3); unit = $$3; at = $$1 } \
-	  $$3 == unit ".code_end" { printf "%-40s 0x%s %7d\n", unit, at, hex($$1) - hex(at) }'
+	  $$3 ~ /^camlSvt_.*\.code_begin$$/ { sub(/\.code_begin$$/, "", $$3); at[$$3] = $$1 } \
+	  $$3 ~ /^camlSvt_.*\.code_end$$/ { sub(/\.code_end$$/, "", $$3); \
+	    printf "%-40s 0x%s %7d\n", $$3, at[$$3], hex($$1) - hex(at[$$3]) }'

@@ -31,7 +31,7 @@ let slot_mask = (1 lsl slot_bits) - 1
    mistaken for it. *)
 let vacant = Call (fun () -> ())
 
-type t = {
+type slots = {
   mutable heap : int array; (* [0, size): min-heap of slot ids; the rest free *)
   mutable times : Time.t array;
   mutable seqs : int array;
@@ -49,20 +49,28 @@ type t = {
   mutable peak_live : int;
 }
 
+(* [time] sits outside [slots] because the interface exports it: the
+   event loop reads each popped event's time as a field, not through a
+   second call. *)
+type t = { mutable time : Time.t; slots : slots }
+
 (* Lifetime op counts and high-water mark of a queue. *)
 type stats = { adds : int; pops : int; cancels : int; peak_live : int }
 
 let initial_slots = 16
 
 let create () =
-  { heap = Array.init initial_slots Fun.id;
-    times = Array.make initial_slots 0;
-    seqs = Array.make initial_slots (-1);
-    payloads = Array.make initial_slots vacant;
-    size = 0; next_seq = 0; live = 0;
-    adds = 0; pops = 0; cancels = 0; peak_live = 0 }
+  { time = Time.zero;
+    slots =
+      { heap = Array.init initial_slots Fun.id;
+        times = Array.make initial_slots 0;
+        seqs = Array.make initial_slots (-1);
+        payloads = Array.make initial_slots vacant;
+        size = 0; next_seq = 0; live = 0;
+        adds = 0; pops = 0; cancels = 0; peak_live = 0 } }
 
-let stats (q : t) =
+let stats q =
+  let q = q.slots in
   { adds = q.adds; pops = q.pops; cancels = q.cancels; peak_live = q.peak_live }
 
 (* Called only when every slot is in the heap, so the new slots are the
@@ -127,6 +135,7 @@ let sift_down q i =
   heap.(!i) <- s
 
 let add q ~time payload =
+  let q = q.slots in
   if q.size = Array.length q.heap then grow q;
   let s = q.heap.(q.size) in
   let seq = q.next_seq in
@@ -142,6 +151,7 @@ let add q ~time payload =
   (seq lsl slot_bits) lor s
 
 let cancel q h =
+  let q = q.slots in
   let s = h land slot_mask in
   if q.seqs.(s) = h lsr slot_bits && q.payloads.(s) != vacant then begin
     q.payloads.(s) <- vacant;
@@ -160,30 +170,40 @@ let remove_head q =
   heap.(n) <- head;
   if n > 0 then sift_down q 0
 
-(* The slot of the earliest live entry, discarding cancelled ones at the
-   head. *)
-let rec live_head q =
-  if q.size = 0 then invalid_arg "Event_queue: empty queue";
-  let s = q.heap.(0) in
-  if q.payloads.(s) == vacant then begin
-    remove_head q;
-    live_head q
-  end
-  else s
+(* Discard cancelled entries at the head, so that the head, if any, is
+   live. Inlined into [pop] and [head_time], which every event calls. *)
+let[@inline] drop_cancelled q =
+  while q.size > 0 && q.payloads.(q.heap.(0)) == vacant do
+    remove_head q
+  done
 
-let next_time q = q.times.(live_head q)
+let none = vacant
 
-(* A taken slot is left [vacant], so a later [cancel] on its handle — a
+(* A popped slot is left [vacant], so a later [cancel] on its handle — a
    watchdog calling [cancel] on a deadline that already fired — is a
    no-op instead of corrupting the live count. *)
-let take q =
-  let s = live_head q in
-  let payload = q.payloads.(s) in
-  q.payloads.(s) <- vacant;
-  remove_head q;
-  q.live <- q.live - 1;
-  q.pops <- q.pops + 1;
-  payload
+let pop q ~until =
+  let s = q.slots in
+  drop_cancelled s;
+  if s.size = 0 then none
+  else begin
+    let slot = s.heap.(0) in
+    let time = s.times.(slot) in
+    if time > until then none
+    else begin
+      let payload = s.payloads.(slot) in
+      s.payloads.(slot) <- vacant;
+      remove_head s;
+      s.live <- s.live - 1;
+      s.pops <- s.pops + 1;
+      q.time <- time;
+      payload
+    end
+  end
 
-let is_empty q = q.live = 0
-let length q = q.live
+let head_time q =
+  let q = q.slots in
+  drop_cancelled q;
+  if q.size = 0 then max_int else q.times.(q.heap.(0))
+
+let length q = q.slots.live

@@ -11,7 +11,15 @@
     already fired or was cancelled, even one whose slot a newer event
     has since reused, is recognised and ignored. *)
 
-type t
+type slots
+(** The slot pool and its heap. *)
+
+type t = private {
+  mutable time : Time.t;
+      (** The time of the event {!pop} last returned: a field, so the
+          event loop reads it without a call. *)
+  slots : slots;
+}
 
 type handle
 (** Names one event for {!cancel}. An immediate value: it costs no
@@ -41,19 +49,23 @@ val add : t -> time:Time.t -> payload -> handle
 (** Enqueue [payload] to fire at [time]. *)
 
 val cancel : t -> handle -> unit
-(** Idempotent; a cancelled event is never returned by {!take}. A no-op
+(** Idempotent; a cancelled event is never returned by {!pop}. A no-op
     on a handle whose event already fired, also after its slot has been
     reused. *)
 
-val next_time : t -> Time.t
-(** Time of the earliest live event. Raises [Invalid_argument] on an
-    empty queue, so check {!is_empty} first. *)
+val none : payload
+(** What {!pop} returns when no event is due; compare it with [==]. It
+    is never the payload of a queued event. *)
 
-val take : t -> payload
-(** Remove the earliest live event and return its payload. Raises
-    [Invalid_argument] on an empty queue. *)
+val pop : t -> until:Time.t -> payload
+(** Remove the earliest live event if its time is at most [until],
+    record that time in [time] and return its payload. Returns {!none},
+    removing nothing, when the queue is empty or its earliest live event
+    lies beyond [until]. *)
 
-val is_empty : t -> bool
+val head_time : t -> Time.t
+(** Time of the earliest live event, or [max_int] when the queue is
+    empty. *)
 
 val length : t -> int
 (** Number of live (non-cancelled) events. *)

@@ -7,7 +7,7 @@
    reaches the target instant, and a wait parks the process until a
    broadcast. Either way the process's continuation itself is parked, in
    a queue slot ([Event_queue.Wake]) or a signal's waiter list, and
-   [step] resumes it. [Mailbox] blocks its reader on a [Signal]. Only one
+   [run] resumes it. [Mailbox] blocks its reader on a [Signal]. Only one
    process runs at a time and control transfers happen exclusively at
    these points, so simulations are deterministic.
 
@@ -129,7 +129,7 @@ let rec register_all payload = function
    each resumption) and cleared on every exit (an effect that suspends
    it, or the body returning or raising), so it is true only while
    process code of [t] is the code running. A queued delay's continuation
-   is resumed by [step], which sets it the same way.
+   is resumed by [run], which sets it the same way.
 
    The handler's answers to [E_delay] and the waits are built once per
    process, so a delay that suspends allocates nothing but the
@@ -229,51 +229,55 @@ let dispatch t = function
       t.in_process <- true;
       Effect.Deep.continue k ()
 
-(* Fuel check, performed before an event is consumed: the queue still
-   holds the event that would overrun, so a handler catching the
-   exception sees a consistent (merely truncated) simulation. The caller
-   guarantees the queue is not empty. *)
-let step t =
-  if t.events_processed >= t.budget_events then
-    raise
-      (Budget_exhausted
-         { events = t.events_processed; now = t.now;
-           max_events = t.budget_events });
-  t.now <- Event_queue.next_time t.queue;
-  let payload = Event_queue.take t.queue in
-  t.events_processed <- t.events_processed + 1;
-  (match t.observer with
-  | None -> dispatch t payload
-  | Some ob -> (
-      ob.on_event_start ();
-      (* the end hook fires even when the callback raises, so the
-         profiler's in-event segmentation cannot wedge open *)
-      match dispatch t payload with
-      | () -> ob.on_event_end ()
-      | exception e ->
-          ob.on_event_end ();
-          raise e));
-  match t.error with Some e -> raise e | None -> ()
+(* Every event is one [Event_queue.pop]: it takes the earliest event due
+   by [limit] and leaves its time in the queue's [time] field, or answers
+   [none] when nothing is due. The fuel check comes first, before an
+   event is consumed: the queue still holds the event that would
+   overrun, so a handler catching the exception sees a consistent
+   (merely truncated) simulation. A spent budget with nothing due ends
+   the run normally. *)
+let rec loop t limit =
+  let q = t.queue in
+  if t.events_processed >= t.budget_events then begin
+    if Event_queue.length q > 0 && Time.(Event_queue.head_time q <= limit) then
+      raise
+        (Budget_exhausted
+           { events = t.events_processed; now = t.now;
+             max_events = t.budget_events })
+  end
+  else begin
+    let payload = Event_queue.pop q ~until:limit in
+    if payload != Event_queue.none then begin
+      t.now <- q.time;
+      t.events_processed <- t.events_processed + 1;
+      (match t.observer with
+      | None -> dispatch t payload
+      | Some ob -> (
+          ob.on_event_start ();
+          (* the end hook fires even when the callback raises, so the
+             profiler's in-event segmentation cannot wedge open *)
+          match dispatch t payload with
+          | () -> ob.on_event_end ()
+          | exception e ->
+              ob.on_event_end ();
+              raise e));
+      (match t.error with Some e -> raise e | None -> ());
+      loop t limit
+    end
+  end
 
 let run ?until t =
   let limit = match until with Some l -> l | None -> max_int in
   let outer = Domain.DLS.get running in
   Domain.DLS.set running t;
   t.horizon <- limit;
-  (match
-     while
-       (not (Event_queue.is_empty t.queue))
-       && Time.(Event_queue.next_time t.queue <= limit)
-     do
-       step t
-     done
-   with
+  (match loop t limit with
   | () -> Domain.DLS.set running outer
   | exception e ->
       Domain.DLS.set running outer;
       raise e);
   match until with
-  | Some limit when Time.(t.now < limit) && Event_queue.is_empty t.queue ->
+  | Some limit when Time.(t.now < limit) && Event_queue.length t.queue = 0 ->
       t.now <- limit
   | _ -> ()
 
@@ -284,8 +288,8 @@ let events_processed t = t.events_processed
    whose next event lies beyond the scheduling horizon is asleep and can
    have its slice skipped without running (or perturbing) it. *)
 let next_event_time t =
-  if Event_queue.is_empty t.queue then None
-  else Some (Event_queue.next_time t.queue)
+  if Event_queue.length t.queue = 0 then None
+  else Some (Event_queue.head_time t.queue)
 
 module Proc = struct
   (* Outside a process of the running simulator these fall back to the
@@ -302,11 +306,12 @@ module Proc = struct
   (* A delay whose wake-up would be the very next event popped is taken
      in place: the clock advances, the event is counted and the dispatch
      hooks fire exactly as a queue round trip would, but the process
-     never suspends. "Next popped" is exactly what [run] and [step]
-     would do after this event: the target lies within the run's
-     horizon, the budget has room, and the target is strictly earlier
-     than the queue head (at an equal time the head was enqueued first,
-     so FIFO order makes it go first). A pending process error needs no
+     never suspends. "Next popped" is exactly what [run]'s loop would
+     do after this event: the target lies within the run's horizon, the
+     budget has room, and the target is strictly earlier than the queue
+     head, one [Event_queue.head_time] read that is [max_int] for an
+     empty queue (at an equal time the head was enqueued first, so FIFO
+     order makes it go first). A pending process error needs no
      check: the process that raised it has ended, and no other process
      runs within the same event. *)
   let delay span =
@@ -318,8 +323,7 @@ module Proc = struct
         t.in_process
         && Time.(target <= t.horizon)
         && t.events_processed < t.budget_events
-        && (Event_queue.is_empty t.queue
-           || Time.(target < Event_queue.next_time t.queue))
+        && Time.(target < Event_queue.head_time t.queue)
       then begin
         t.now <- target;
         t.events_processed <- t.events_processed + 1;

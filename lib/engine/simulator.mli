@@ -80,7 +80,8 @@ val spawn : t -> ?name:string -> (unit -> unit) -> unit
 
 val run : ?until:Time.t -> t -> unit
 (** Process events until the queue drains or [until] is passed; raises
-    {!Budget_exhausted} when the budget runs out first. When [until] is
+    {!Budget_exhausted} when the budget is spent while an event is still
+    due by [until]. When [until] is
     given and the queue drains early, the clock still advances to
     [until]. *)
 

@@ -3,53 +3,92 @@
    SVt command channels live in this memory and are read/written by both
    guests and hypervisors.
 
-   Pages are found by frame number through a directory of 512-page chunks:
-   two array loads, no hashing. Frames come dense from the bump allocator,
-   so the directory only grows as far as the highest page touched (one
-   word per 2 MB of host address space; 128 GB costs 512 KB). *)
+   Pages are found by frame number through a directory of chunks of up
+   to 512 pages: two array loads, no hashing. The directory starts at the
+   first chunk touched and grows toward each chunk touched outside it, by
+   at least its own length, so it spans little more than the chunks
+   between the lowest and highest pages touched (one word per 2 MB of
+   host address space). A chunk is sized like an EPT table: 8 slots,
+   doubling on a touch past its end up to 512. Frames come dense from
+   the bump allocator, so a fresh machine's first page costs a directory
+   of one slot and a chunk of 8, which stay on the minor heap. *)
 
 let chunk_bits = 9
 let chunk_pages = 1 lsl chunk_bits
+
+(* Slots in a new chunk; chunks double from here up to [chunk_pages]. *)
+let chunk_floor = 8
 
 (* [no_chunk] fills the directory's untouched slots and [no_page] a
    chunk's untouched pages; both are told apart by length. *)
 let no_chunk : Bytes.t array = [||]
 let no_page = Bytes.empty
 
-type t = { mutable dir : Bytes.t array array; mutable resident : int }
+(* [dir.(i)] is chunk [base + i]. *)
+type t = {
+  mutable base : int;
+  mutable dir : Bytes.t array array;
+  mutable resident : int;
+}
 
-let create () = { dir = [||]; resident = 0 }
+let create () = { base = 0; dir = [||]; resident = 0 }
 
-let materialize t pn =
-  let ci = pn lsr chunk_bits in
+(* The directory index of chunk [c], after widening the directory to
+   cover it. *)
+let cover t c =
   let len = Array.length t.dir in
-  if ci >= len then begin
-    let dir = Array.make (Stdlib.max (ci + 1) (2 * len)) no_chunk in
+  if len = 0 then t.base <- c;
+  if c < t.base then begin
+    let base = Stdlib.max 0 (Stdlib.min c (t.base - len)) in
+    let dir = Array.make (t.base + len - base) no_chunk in
+    Array.blit t.dir 0 dir (t.base - base) len;
+    t.base <- base;
+    t.dir <- dir
+  end
+  else if c - t.base >= len then begin
+    let dir = Array.make (Stdlib.max (c - t.base + 1) (2 * len)) no_chunk in
     Array.blit t.dir 0 dir 0 len;
     t.dir <- dir
   end;
-  let chunk =
-    match t.dir.(ci) with
-    | c when Array.length c > 0 -> c
-    | _ ->
-        let c = Array.make chunk_pages no_page in
-        t.dir.(ci) <- c;
-        c
-  in
+  c - t.base
+
+(* [chunk] itself if it has slot [slot], else a copy doubled from
+   [chunk_floor] until it does. [slot < chunk_pages], so it stops at
+   [chunk_pages]. *)
+let widen chunk slot =
+  if slot < Array.length chunk then chunk
+  else begin
+    let n = ref (Stdlib.max chunk_floor (Array.length chunk)) in
+    while !n <= slot do
+      n := 2 * !n
+    done;
+    let c = Array.make !n no_page in
+    Array.blit chunk 0 c 0 (Array.length chunk);
+    c
+  end
+
+let materialize t pn =
+  let ci = cover t (pn lsr chunk_bits) in
+  let slot = pn land (chunk_pages - 1) in
+  let chunk = widen t.dir.(ci) slot in
+  t.dir.(ci) <- chunk;
   let p = Bytes.make Addr.page_size '\000' in
-  chunk.(pn land (chunk_pages - 1)) <- p;
+  chunk.(slot) <- p;
   t.resident <- t.resident + 1;
   p
 
-(* The hit path, which is almost every access, allocates nothing. *)
+(* The hit path, which is almost every access, allocates nothing. A
+   chunk index outside the directory, an untouched chunk ([no_chunk] has
+   no slot) and a slot past its chunk's end all miss the same way. *)
 let page_for t hpa =
   let pn = Addr.Hpa.page_of hpa in
-  let ci = pn lsr chunk_bits in
+  let ci = (pn lsr chunk_bits) - t.base in
   let dir = t.dir in
-  if ci < Array.length dir then begin
+  if ci >= 0 && ci < Array.length dir then begin
     let chunk = dir.(ci) in
-    if Array.length chunk > 0 then begin
-      let p = chunk.(pn land (chunk_pages - 1)) in
+    let slot = pn land (chunk_pages - 1) in
+    if slot < Array.length chunk then begin
+      let p = chunk.(slot) in
       if Bytes.length p > 0 then p else materialize t pn
     end
     else materialize t pn

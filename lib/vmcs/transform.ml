@@ -68,21 +68,20 @@ let entry ~vmcs12 ~vmcs02 ~l1_ept ~l0_ept_pointer =
   for k = n - 1 downto 0 do
     let i = Vmcs.dirty_index vmcs12 k in
     let f = Field.of_index i in
-    let v = Vmcs.peek vmcs12 f in
-    (* one write per branch: a value bound by a match whose other
-       branches box would be unboxed, and so re-boxed on a plain copy *)
     match kinds.(i) with
-    | Plain -> Vmcs.write vmcs02 f v
+    | Plain -> Vmcs.copy ~src:vmcs12 ~dst:vmcs02 f
     | Ept_ptr ->
         incr translated;
         Vmcs.write vmcs02 f l0_ept_pointer
     | Pointer ->
         incr translated;
         Vmcs.write vmcs02 f
-          (translate_pointer ~l1_ept ~current:(Vmcs.peek vmcs02 f) f v)
+          (translate_pointer ~l1_ept ~current:(Vmcs.peek vmcs02 f) f
+             (Vmcs.peek vmcs12 f))
     | Control ->
         incr merged;
-        Vmcs.write vmcs02 f (merge_controls ~current:(Vmcs.peek vmcs02 f) v)
+        Vmcs.write vmcs02 f
+          (merge_controls ~current:(Vmcs.peek vmcs02 f) (Vmcs.peek vmcs12 f))
   done;
   Vmcs.clean vmcs12;
   { fields_copied = n; pointers_translated = !translated;
@@ -103,8 +102,7 @@ let exit_result =
    trap as if its own hardware had taken it. *)
 let exit ~vmcs02 ~vmcs12 =
   for k = 0 to Array.length exit_fields - 1 do
-    let f = exit_fields.(k) in
-    Vmcs.write vmcs12 f (Vmcs.peek vmcs02 f)
+    Vmcs.copy ~src:vmcs02 ~dst:vmcs12 exit_fields.(k)
   done;
   Vmcs.clean vmcs02;
   exit_result

@@ -30,15 +30,27 @@ let read t f = t.values.(Field.index f)
 (* The same read, for internal bookkeeping paths. *)
 let peek = read
 
-let write t f v =
-  let i = Field.index f in
-  t.values.(i) <- v;
+(* Mark the field at index [i] dirty. Inlined into its two callers, so a
+   write or a copy stays one call. *)
+let[@inline] mark_dirty t i =
   let bit = 1 lsl i in
   if t.dirty_mask land bit = 0 then begin
     t.dirty_mask <- t.dirty_mask lor bit;
     t.dirty.(t.n_dirty) <- i;
     t.n_dirty <- t.n_dirty + 1
   end
+
+let write t f v =
+  let i = Field.index f in
+  t.values.(i) <- v;
+  mark_dirty t i
+
+(* [write dst f (read src f)] with one index lookup; the stored box moves
+   as it is, so nothing is unboxed or allocated. *)
+let copy ~src ~dst f =
+  let i = Field.index f in
+  dst.values.(i) <- src.values.(i);
+  mark_dirty dst i
 
 let dirty_count t = t.n_dirty
 let dirty_index t k = t.dirty.(k)

@@ -21,6 +21,10 @@ val peek : t -> Field.t -> int64
 val write : t -> Field.t -> int64 -> unit
 (** Marks the field dirty. *)
 
+val copy : src:t -> dst:t -> Field.t -> unit
+(** [copy ~src ~dst f] is [write dst f (read src f)] in one call: it marks
+    [f] dirty in [dst] and allocates nothing. *)
+
 val dirty_fields : t -> Field.t list
 (** The fields first written since the last {!clean}, newest first. *)
 

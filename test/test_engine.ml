@@ -37,17 +37,15 @@ let test_time_compare () =
 
 (* --- Event queue --------------------------------------------------------- *)
 
-(* Queue a callback, and pop as the simulator does: read the head's
-   time, then take it. *)
+(* Queue a callback, and pop as the simulator does: one [pop], after
+   which the queue's [time] is the popped event's. *)
 let add q ~time f = Event_queue.add q ~time (Event_queue.Call f)
 
 let pop q =
-  if Event_queue.is_empty q then None
-  else
-    let time = Event_queue.next_time q in
-    match Event_queue.take q with
-    | Event_queue.Call run -> Some (time, run)
-    | Event_queue.Wake _ -> Alcotest.fail "no process was parked"
+  match Event_queue.pop q ~until:max_int with
+  | p when p == Event_queue.none -> None
+  | Event_queue.Call run -> Some (q.Event_queue.time, run)
+  | Event_queue.Wake _ -> Alcotest.fail "no process was parked"
 
 let test_queue_order () =
   let q = Event_queue.create () in
@@ -147,17 +145,23 @@ let test_queue_stale_handle () =
 
 let test_queue_peek () =
   let q = Event_queue.create () in
-  checkb "empty" true (Event_queue.is_empty q);
+  checki "empty: head at max_int" max_int (Event_queue.head_time q);
+  checkb "empty: nothing due" true
+    (Event_queue.pop q ~until:max_int == Event_queue.none);
   let h = add q ~time:7 ignore in
   let _later = add q ~time:9 ignore in
-  checki "peek" 7 (Event_queue.next_time q);
+  checki "peek" 7 (Event_queue.head_time q);
   Event_queue.cancel q h;
-  checki "peek skips cancelled" 9 (Event_queue.next_time q);
-  let (_ : Event_queue.payload) = Event_queue.take q in
-  checkb "drained" true (Event_queue.is_empty q);
-  Alcotest.check_raises "no head when empty"
-    (Invalid_argument "Event_queue: empty queue") (fun () ->
-      ignore (Event_queue.next_time q))
+  checki "peek skips cancelled" 9 (Event_queue.head_time q);
+  checkb "head beyond until: nothing due" true
+    (Event_queue.pop q ~until:8 == Event_queue.none);
+  checki "and nothing removed" 1 (Event_queue.length q);
+  checkb "head at until: due" true
+    (Event_queue.pop q ~until:9 != Event_queue.none);
+  checki "its time" 9 q.Event_queue.time;
+  checki "drained" 0 (Event_queue.length q);
+  checki "drained: head at max_int" max_int (Event_queue.head_time q);
+  checki "pops" 1 (Event_queue.stats q).pops
 
 let test_queue_growth () =
   let q = Event_queue.create () in
@@ -281,6 +285,50 @@ let test_sim_budget () =
     done
   in
   checkb "budget counts across run ~until calls" true (exhaust sliced = whole)
+
+(* The budget's edges in [run]: the budget is checked before an event is
+   consumed, and only when one is due by [until]. A budget spent by the
+   last queued event is no overrun, and neither is one spent when the
+   head lies beyond [until]. *)
+let test_sim_budget_edges () =
+  let sim_with times ~budget =
+    let sim = Simulator.create () in
+    List.iter (fun at -> ignore (Simulator.schedule_at sim ~time:at ignore)) times;
+    Simulator.set_budget ~max_events:budget sim;
+    sim
+  in
+  (* the queue drains exactly as the budget is spent *)
+  let sim = sim_with [ 10; 20; 30 ] ~budget:3 in
+  Simulator.run sim;
+  checki "drained: events" 3 (Simulator.events_processed sim);
+  checki "drained: clock" 30 (Simulator.now sim);
+  Alcotest.(check (option int)) "drained: queue empty" None
+    (Simulator.next_event_time sim);
+  let sim = sim_with [ 10; 20; 30 ] ~budget:3 in
+  Simulator.run ~until:100 sim;
+  checki "drained before until: clock at until" 100 (Simulator.now sim);
+  (* an event is due and the budget is spent *)
+  List.iter
+    (fun until ->
+      let sim = sim_with [ 10; 20; 30; 40 ] ~budget:3 in
+      match Simulator.run ?until sim with
+      | () -> Alcotest.fail "a due event overran the budget silently"
+      | exception Simulator.Budget_exhausted { events; now; max_events } ->
+          checki "due: events" 3 events;
+          checki "due: now" 30 now;
+          checki "due: max_events" 3 max_events;
+          Alcotest.(check (option int)) "due: event still queued" (Some 40)
+            (Simulator.next_event_time sim))
+    [ None; Some 40 ];
+  (* the head lies beyond [until] and the budget is spent: the run
+     returns, its clock at the last event, as any run whose head lies
+     beyond [until] leaves it *)
+  let sim = sim_with [ 10; 20; 30; 100 ] ~budget:3 in
+  Simulator.run ~until:50 sim;
+  checki "beyond until: events" 3 (Simulator.events_processed sim);
+  checki "beyond until: clock" 30 (Simulator.now sim);
+  Alcotest.(check (option int)) "beyond until: head kept" (Some 100)
+    (Simulator.next_event_time sim)
 
 (* One process making 1,000 back-to-back delays: nearly every one is
    taken in place, and the budget and the [until] horizon still cut the
@@ -691,6 +739,7 @@ let () =
           Alcotest.test_case "process exception propagates" `Quick
             test_sim_process_exception_propagates;
           Alcotest.test_case "fuel budget" `Quick test_sim_budget;
+          Alcotest.test_case "fuel budget edges" `Quick test_sim_budget_edges;
           Alcotest.test_case "nested spawn" `Quick test_sim_nested_spawn;
           Alcotest.test_case "delay chain under budget" `Quick
             test_sim_delay_chain_budget;

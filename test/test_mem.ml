@@ -116,6 +116,60 @@ let test_phys_mem_frame_directory () =
   checki "a neighbour stays zero" 0 (Phys_mem.read_u8 m (Addr.Hpa.of_int ((1 lsl 30) + 4096)));
   checki "and is now resident" 6 (Phys_mem.resident_pages m)
 
+(* Phys_mem against a Hashtbl model, over the pages that move the
+   directory and its chunks: page 0, the 1 GB base where RAM frames
+   start, the last page of the base's 2 MB chunk, 128 GB, and pages
+   below a higher one touched first (a chunk below the directory's
+   first, and a low slot of a chunk grown for a high one). *)
+let test_phys_mem_model () =
+  let m = Phys_mem.create () in
+  let model = Hashtbl.create 16 in
+  let base = 1 lsl 30 in
+  let pages =
+    [ base; base + (2 lsl 20) - 4096; 128 lsl 30; 0; base + 4096;
+      base - 4096; base + (2 lsl 20); 0x3000; (128 lsl 30) - (2 lsl 20) ]
+  in
+  List.iteri
+    (fun i a ->
+      let hpa = Addr.Hpa.of_int (a + (8 * i)) in
+      Phys_mem.write_u64 m hpa (i + 1);
+      Hashtbl.replace model a (i + 1);
+      (* every page touched so far still holds its word *)
+      Hashtbl.iter
+        (fun a' _ ->
+          let j = Option.get (List.find_index (( = ) a') pages) in
+          checki
+            (Printf.sprintf "page %#x after touching %#x" a' a)
+            (Hashtbl.find model a')
+            (Phys_mem.read_u64 m (Addr.Hpa.of_int (a' + (8 * j)))))
+        model;
+      checki "resident" (Hashtbl.length model) (Phys_mem.resident_pages m))
+    pages;
+  checki "an untouched neighbour reads zero" 0
+    (Phys_mem.read_u64 m (Addr.Hpa.of_int (base + 8192)))
+
+(* The first page at the 1 GB base puts only its own 4 KB (514 words
+   with its header and padding) straight on the major heap: the
+   directory and the chunk start small enough for the minor heap. A
+   513-slot directory and a 512-slot chunk read 1,541 words. Direct major
+   words are major minus promoted words, read after a minor collection
+   on each side. *)
+let test_phys_mem_first_touch_heap () =
+  let direct_major () =
+    Gc.minor ();
+    let g = Gc.quick_stat () in
+    g.Gc.major_words -. g.Gc.promoted_words
+  in
+  let before = direct_major () in
+  let m = Phys_mem.create () in
+  Phys_mem.write_u64 m (Addr.Hpa.of_int (1 lsl 30)) 1;
+  let words = direct_major () -. before in
+  ignore (Sys.opaque_identity m);
+  checkb
+    (Printf.sprintf "first touch puts %.0f words on the major heap (at most 520)"
+       words)
+    true (words <= 520.)
+
 (* --- Frame_alloc ---------------------------------------------------------- *)
 
 let test_frame_alloc_distinct_aligned () =
@@ -536,6 +590,9 @@ let () =
             test_phys_mem_narrow_crossing;
           Alcotest.test_case "sparse materialization" `Quick test_phys_mem_sparse;
           Alcotest.test_case "frame directory" `Quick test_phys_mem_frame_directory;
+          Alcotest.test_case "model" `Quick test_phys_mem_model;
+          Alcotest.test_case "first touch stays off the major heap" `Quick
+            test_phys_mem_first_touch_heap;
         ] );
       ( "frame-alloc",
         [

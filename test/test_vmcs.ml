@@ -52,11 +52,13 @@ let test_vmcs_access_allocates_nothing () =
   let fields = Array.of_list Field.all in
   let values = Array.map (fun f -> Int64.of_int (0x1000 + Field.index f)) fields in
   let n = Array.length fields in
+  let other = Vmcs.create () in
   let pass () =
     for i = 0 to 999 do
       let k = i mod n in
       Vmcs.write v fields.(k) (Vmcs.read v fields.((k + 1) mod n));
-      Vmcs.write v fields.(k) values.(k)
+      Vmcs.write v fields.(k) values.(k);
+      Vmcs.copy ~src:v ~dst:other fields.(k)
     done
   in
   pass ();
@@ -64,8 +66,47 @@ let test_vmcs_access_allocates_nothing () =
   pass ();
   let words = Gc.minor_words () -. before in
   checkb
-    (Printf.sprintf "1,000 reads and re-writes allocate %.0f minor words" words)
+    (Printf.sprintf "1,000 reads, re-writes and copies allocate %.0f minor words"
+       words)
     true (words < 16.)
+
+(* [Vmcs.copy] is [write dst f (read src f)]: over any sequence of source
+   writes, copies and cleans, both leave the same values and the same
+   dirty stack behind. *)
+type op = Set of int * int | Copy of int | Clean_src | Clean_dst
+
+let n_fields = List.length Field.all
+
+let op_gen =
+  QCheck.Gen.(
+    frequency
+      [ (4, map2 (fun i v -> Set (i, v)) (int_bound (n_fields - 1)) int);
+        (6, map (fun i -> Copy i) (int_bound (n_fields - 1)));
+        (1, return Clean_src);
+        (1, return Clean_dst) ])
+
+let prop_copy_is_write_of_read =
+  QCheck.Test.make ~name:"copy is write of read" ~count:200
+    QCheck.(make Gen.(list_size (int_bound 120) op_gen))
+    (fun ops ->
+      let side copy =
+        let src = Vmcs.create () and dst = Vmcs.create () in
+        List.iter
+          (function
+            | Set (i, v) -> Vmcs.write src (Field.of_index i) (Int64.of_int v)
+            | Copy i -> copy ~src ~dst (Field.of_index i)
+            | Clean_src -> Vmcs.clean src
+            | Clean_dst -> Vmcs.clean dst)
+          ops;
+        let state v =
+          ( List.map (Vmcs.read v) Field.all,
+            Vmcs.dirty_count v,
+            List.init (Vmcs.dirty_count v) (Vmcs.dirty_index v) )
+        in
+        (state src, state dst)
+      in
+      side Vmcs.copy
+      = side (fun ~src ~dst f -> Vmcs.write dst f (Vmcs.read src f)))
 
 (* --- Shadowing ---------------------------------------------------------------- *)
 
@@ -294,6 +335,7 @@ let () =
           Alcotest.test_case "record exit" `Quick test_vmcs_record_exit;
           Alcotest.test_case "reads and dirty re-writes allocate nothing" `Quick
             test_vmcs_access_allocates_nothing;
+          QCheck_alcotest.to_alcotest prop_copy_is_write_of_read;
         ] );
       ( "shadow",
         [
