@@ -1,4 +1,4 @@
-.PHONY: build test check clean layout
+.PHONY: build test check clean layout loc
 
 # The verification bundle. `dune runtest` is the one gate harness: the
 # alcotest suites (determinism across jobs=1/2 and interrupt+resume
@@ -29,3 +29,12 @@ layout:
 	  $$3 ~ /^camlSvt_.*\.code_begin$$/ { sub(/\.code_begin$$/, "", $$3); at[$$3] = $$1 } \
 	  $$3 ~ /^camlSvt_.*\.code_end$$/ { sub(/\.code_end$$/, "", $$3); \
 	    printf "%-40s 0x%s %7d\n", $$3, at[$$3], hex($$1) - hex(at[$$3]) }'
+
+# Lines of OCaml (.ml + .mli) in each lib/ library and in total. The net
+# LOC a change records in CHANGES.md is the difference of this output
+# before and after it.
+loc:
+	@for d in lib/*/; do \
+	  printf "%-12s %6d\n" "$$(basename $$d)" "$$(cat $$d*.ml $$d*.mli | wc -l)"; \
+	done
+	@printf "%-12s %6d\n" total "$$(cat lib/*/*.ml lib/*/*.mli | wc -l)"

@@ -165,9 +165,35 @@ let command_name = function
   | Blocked -> "blocked"
   | Corrupt _ -> "corrupt"
 
-let direction_name t ring = if ring == t.to_svt then "to-svt" else "from-svt"
-
 let full ring = (head ring - tail ring) land 0xFFFF >= ring_entries
+
+(* A ring span opens and closes here; the off path (no sink installed)
+   pays a branch at each end and builds nothing. *)
+let span_start t = if Probe.is_on t.probe then Probe.now t.probe else Time.zero
+
+(* Close the span of [cmd] sent ([send]) or received on [ring], on the
+   hardware thread of the side that moved it. L0 sends to-svt and
+   receives from-svt on the core's current context, the vCPU's. Under
+   [Smt_sibling] placement the SVt-thread's side (receiving to-svt,
+   sending from-svt) runs on the core's next context; the other
+   placements put the SVt-thread on a core the model does not name, so
+   its spans keep the vCPU's lane. *)
+let span_end t ~send ring cmd start =
+  if Probe.is_on t.probe then begin
+    let core = t.core and to_svt = ring == t.to_svt in
+    let ctx =
+      if send <> to_svt && t.placement = Mode.Smt_sibling then
+        (t.ctx + 1) mod Svt_arch.Smt_core.n_contexts core
+      else Svt_arch.Smt_core.current core
+    in
+    Probe.span t.probe
+      (if send then Svt_obs.Span.Ring_send else Svt_obs.Span.Ring_recv)
+      ~vcpu:t.vcpu_index ~level:0 ~core:(Svt_arch.Smt_core.id core) ~ctx
+      ~tags:
+        [ ("cmd", command_name cmd);
+          ("dir", if to_svt then "to-svt" else "from-svt") ]
+      ~start ()
+  end
 
 (* Publish [cmd] at the current head. Precondition: not [full]. *)
 let publish t ring cmd =
@@ -180,7 +206,7 @@ let publish t ring cmd =
    the caller's timeline and the given breakdown bucket. A full ring is
    reported as backpressure for the caller to back off and retry. *)
 let post t ring bd cmd =
-  let start = if Probe.is_on t.probe then Probe.now t.probe else Time.zero in
+  let start = span_start t in
   Breakdown.charge bd Breakdown.Channel t.cost.Svt_arch.Cost_model.ring_write;
   let inj = t.injector in
   if Injector.is_active inj && Injector.roll inj Svt_fault.Kind.Delay_ring then
@@ -204,12 +230,7 @@ let post t ring bd cmd =
         && not (full ring)
       then publish t ring cmd
     end;
-    if Probe.is_on t.probe then
-      Probe.span t.probe Svt_obs.Span.Ring_send ~vcpu:t.vcpu_index ~level:0
-        ~core:(Svt_arch.Smt_core.id t.core)
-        ~ctx:(Svt_arch.Smt_core.current t.core)
-        ~tags:[ ("cmd", command_name cmd); ("dir", direction_name t ring) ]
-        ~start ();
+    span_end t ~send:true ring cmd start;
     Ok ()
   end
 
@@ -235,17 +256,12 @@ let pending ring = (head ring - tail ring) land 0xFFFF > 0
 (* Consume the next command without waiting; caller pays the read cost. *)
 let try_recv t ring bd =
   if pending ring then begin
-    let start = if Probe.is_on t.probe then Probe.now t.probe else Time.zero in
+    let start = span_start t in
     Breakdown.charge bd Breakdown.Channel t.cost.Svt_arch.Cost_model.ring_read;
     let tl = tail ring in
     let cmd = deserialize ring tl in
     set_tail ring (tl + 1);
-    if Probe.is_on t.probe then
-      Probe.span t.probe Svt_obs.Span.Ring_recv ~vcpu:t.vcpu_index ~level:0
-        ~core:(Svt_arch.Smt_core.id t.core)
-        ~ctx:(Svt_arch.Smt_core.current t.core)
-        ~tags:[ ("cmd", command_name cmd); ("dir", direction_name t ring) ]
-        ~start ();
+    span_end t ~send:false ring cmd start;
     Some cmd
   end
   else None

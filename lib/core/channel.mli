@@ -51,7 +51,10 @@ val create :
     and [ctx] the hardware context of [core] whose GPRs the [Vm_trap]
     and [Vm_resume] entries carry;
     [vcpu_index] tags the ring-send/ring-recv observability spans with
-    the L2 vCPU these rings serve (default [-1], untagged). [injector]
+    the L2 vCPU these rings serve (default [-1], untagged). A span sits
+    on [core]'s current context, but the SVt-thread's side (receiving
+    {!to_svt}, sending {!from_svt}) sits on the context after [ctx]
+    under [Smt_sibling] placement, the SMT sibling it runs on. [injector]
     defaults to the inert injector (no faults, zero overhead). *)
 
 val to_svt : t -> ring

@@ -107,17 +107,17 @@ let no_cell = ref 0
 
 let probe t = Svt_hyp.Machine.probe t.machine
 
+let tracing t = Probe.is_on (probe t)
+
 (* A protocol leg is bracketed by [leg_start] and [leg_end], which emit
    a span of [kind] over it; the off path (no sink installed) pays a
-   branch at each end and builds nothing. *)
-let leg_start t =
-  let p = probe t in
-  if Probe.is_on p then Probe.now p else Time.zero
+   branch at each end and builds nothing. A leg whose tags are built per
+   call checks [tracing] before building them. *)
+let leg_start t = if tracing t then Probe.now (probe t) else Time.zero
 
 let leg_end t kind tags start =
-  let p = probe t in
-  if Probe.is_on p then
-    Probe.span p kind ~vcpu:(Vcpu.index t.vcpu) ~level:2
+  if tracing t then
+    Probe.span (probe t) kind ~vcpu:(Vcpu.index t.vcpu) ~level:2
       ~core:(Smt_core.id t.core) ~ctx:(Smt_core.current t.core) ~tags ~start ()
 
 (* The common leg: one charge. *)
@@ -164,39 +164,33 @@ let aux_trap t reason =
       (* §5.2: handlers that assume L1 and L2 share a hardware context
          (e.g. INVEPT) must propagate state from L0₁ back to L0₀ through
          the rings *)
-      match (t.mode, t.channel) with
-      | Mode.Sw_svt _, Some _ ->
+      match t.channel with
+      | Some _ ->
           Breakdown.charge bd Breakdown.Channel
             (Time.add t.cost.ring_write t.cost.ring_read)
-      | _ -> ())
+      | None -> ())
   | _ -> ()
 
 (* --- transforms -------------------------------------------------------- *)
 
-let transform_exit t =
-  let p = probe t in
-  let start = if Probe.is_on p then Probe.now p else Time.zero in
-  let r = Transform.exit ~vmcs02:t.vmcs02 ~vmcs12:t.vmcs12 in
+(* Charge a transform's cost as a vmcs-transform leg begun at [start]. *)
+let transform_leg t ~direction r start =
   charge t Breakdown.Transform (Transform.cost t.cost r);
-  if Probe.is_on p then
-    Probe.span p Obs_span.Vmcs_transform ~vcpu:(Vcpu.index t.vcpu) ~level:2
-      ~core:(Smt_core.id t.core) ~ctx:(Smt_core.current t.core)
-      ~tags:(Transform.span_tags ~direction:"exit" r)
-      ~start ()
+  if tracing t then
+    leg_end t Obs_span.Vmcs_transform (Transform.span_tags ~direction r) start
+
+let transform_exit t =
+  let start = leg_start t in
+  transform_leg t ~direction:"exit"
+    (Transform.exit ~vmcs02:t.vmcs02 ~vmcs12:t.vmcs12)
+    start
 
 let transform_entry t =
-  let p = probe t in
-  let start = if Probe.is_on p then Probe.now p else Time.zero in
-  let r =
-    Transform.entry ~vmcs12:t.vmcs12 ~vmcs02:t.vmcs02 ~l1_ept:t.l1_ept
-      ~l0_ept_pointer:t.l0_ept_pointer
-  in
-  charge t Breakdown.Transform (Transform.cost t.cost r);
-  if Probe.is_on p then
-    Probe.span p Obs_span.Vmcs_transform ~vcpu:(Vcpu.index t.vcpu) ~level:2
-      ~core:(Smt_core.id t.core) ~ctx:(Smt_core.current t.core)
-      ~tags:(Transform.span_tags ~direction:"entry" r)
-      ~start ()
+  let start = leg_start t in
+  transform_leg t ~direction:"entry"
+    (Transform.entry ~vmcs12:t.vmcs12 ~vmcs02:t.vmcs02 ~l1_ept:t.l1_ept
+       ~l0_ept_pointer:t.l0_ept_pointer)
+    start
 
 (* Reflect a failed VM entry to L1 (§2.1): instead of launching a guest
    from an invalid vmcs02, L0 re-enters L1 with the entry-failure
@@ -248,11 +242,14 @@ let reflect_check_failures t es =
   if l0_owned <> [] then reflect_entry_failure t;
   List.iter (Svt_vmcs.Checks.repair t.vmcs12) es
 
-(* Check vmcs12, then transform it, reflecting each failure to L1 and
-   retrying up to [budget] times. *)
-let rec checked_transform_entry t budget =
+(* Check vmcs12 and, when [transform], translate it into vmcs02,
+   reflecting each failure to L1 and retrying up to [budget] times. *)
+let rec checked_entry t ~transform budget =
   if budget = 0 then
-    failwith "Nested: vmcs12 still invalid after repeated entry failures";
+    failwith
+      (if transform then
+         "Nested: vmcs12 still invalid after repeated entry failures"
+       else "Nested: vmcs12 still invalid after repeated delegation faults");
   match
     Svt_vmcs.Checks.run
       ~arch:(Svt_hyp.Machine.arch t.machine)
@@ -261,7 +258,8 @@ let rec checked_transform_entry t budget =
   | Error es ->
       (* the failure handler resets the offending fields, then retries *)
       reflect_check_failures t es;
-      checked_transform_entry t (budget - 1)
+      checked_entry t ~transform (budget - 1)
+  | Ok () when not transform -> ()
   | Ok () -> (
       match transform_entry t with
       | () -> ()
@@ -269,7 +267,7 @@ let rec checked_transform_entry t budget =
           reflect_entry_failure t;
           (* L1 clears the dangling pointer field and retries *)
           Vmcs.write t.vmcs12 f 0L;
-          checked_transform_entry t (budget - 1))
+          checked_entry t ~transform (budget - 1))
 
 (* The corrupt-vmcs12 fault site, just before an entry's checks: one
    field of vmcs12 gets a value the checks reject. *)
@@ -287,14 +285,23 @@ let corrupt_vmcs12 t =
     Vmcs.write t.vmcs12 field value
   end
 
-(* ② vmcs12 → vmcs02, guarded: L0 validates L1's vmcs12 (and the
-   transform's pointer translation) before trusting it. Invalid state is
-   not fatal — per §2.1 the entry fails back into L1, which repairs its
-   vmcs01' and retries. The corrupt-vmcs12 fault fires here, just before
-   the transform. The clean path pays only the pure (uncharged) checks. *)
-let guarded_transform_entry t =
+(* A VM entry into L2, guarded: the checks validate vmcs12 before it is
+   trusted. Invalid state is not fatal — per §2.1 the entry fails back
+   into L1, which repairs its vmcs01' and retries. The corrupt-vmcs12
+   fault fires here, just before the checks. The clean path pays only
+   the pure (uncharged) checks.
+
+   With [transform] (every mode but OoH's delegated exits) this is ②,
+   vmcs12 → vmcs02, and the transform's pointer translation is checked
+   too. Without, it is OoH's L1-issued entry: hardware validates the
+   delegated fields as it launches L2, with no L0 transform in between,
+   and a corrupted *delegated* field surfaces to L1 as a delegation
+   fault (repaired locally, no L0), while a corrupted L0-owned field
+   still takes the reflected VM-entry-failure path (see
+   [reflect_check_failures]). *)
+let guarded_entry t ~transform =
   corrupt_vmcs12 t;
-  checked_transform_entry t 3
+  checked_entry t ~transform 3
 
 (* Record the trap in vmcs02 as hardware does, then reflect it into vmcs12
    so L1 sees it (②③ of Algorithm 1). *)
@@ -335,7 +342,7 @@ let baseline_completion t info ~effect =
   charge t Breakdown.L0_handler
     (Time.of_ns (Time.to_ns t.cost.l0_ctx_mgmt_l2 - Time.to_ns t.cost.l0_ctx_mgmt_l2 / 2));
   (* ② vmcs12 → vmcs02 *)
-  guarded_transform_entry t;
+  guarded_entry t ~transform:true;
   (* ① resume L2 *)
   leg t Obs_span.Svt_resume [ ("leg", "l0-l2") ] Breakdown.Switch_l2_l0
     t.cost.resume_hw
@@ -375,81 +382,83 @@ let service_blocked_event t ch event =
   Breakdown.charge bd Breakdown.Switch_l0_l1
     (Time.add t.cost.trap_hw t.cost.l1_world_extra)
 
-(* Wait for CMD_VM_RESUME, servicing interrupts for L1₀ meanwhile. Both
-   waits are top-level functions, so an episode allocates no closure for
-   the one it does not take. *)
-let rec wait_resume t ch bd =
+(* A ring command neither side expects: with faults armed it is what an
+   injected fault left behind, counted as [outcome] and dropped; without,
+   the protocol is broken. *)
+let unexpected t outcome what =
+  if Injector.is_active t.injector then Injector.record t.injector outcome
+  else failwith what
+
+(* The stall watchdog over one resume wait, armed only when faults can
+   occur: if the resume does not arrive by the (virtual-clock) deadline,
+   the wait re-posts the command; after the backoff schedule is
+   exhausted, it gives the episode up. [expired] says the [deadline] of
+   [attempt] has passed, which [expiry] announces. *)
+type watchdog = {
+  expiry : Simulator.Signal.t;
+  expired : bool ref;
+  mutable deadline : Svt_engine.Event_queue.handle;
+  mutable attempt : int;
+}
+
+let schedule_deadline t expiry expired ~attempt =
+  expired := false;
+  Simulator.schedule (Svt_hyp.Machine.sim t.machine)
+    ~after:(Wait.watchdog_timeout ~attempt)
+    (fun () ->
+      expired := true;
+      Simulator.Signal.broadcast expiry)
+
+let arm_watchdog t =
+  let expiry = Simulator.Signal.create (Svt_hyp.Machine.sim t.machine) in
+  let expired = ref false in
+  { expiry; expired; deadline = schedule_deadline t expiry expired ~attempt:0;
+    attempt = 0 }
+
+(* Wait for the CMD_VM_RESUME of episode [t.seq], servicing interrupts
+   for L1₀ meanwhile: [`Resumed] once it arrives, [`Downgraded] when the
+   watchdog [wd] gives up, after re-posting [trap_cmd] twice. With no
+   watchdog ([None]: no faults can occur) the wait schedules no event and
+   allocates nothing. *)
+let rec wait_resume t ch bd trap_cmd wd =
   match Channel.try_recv ch (Channel.from_svt ch) bd with
-  | Some (Channel.Vm_resume _) -> ()
-  | Some _ -> wait_resume t ch bd
+  | Some (Channel.Vm_resume { seq }) when seq = t.seq ->
+      (match wd with
+      | Some w -> Simulator.cancel (Svt_hyp.Machine.sim t.machine) w.deadline
+      | None -> ());
+      `Resumed
+  | Some (Channel.Corrupt _) ->
+      unexpected t Fault_outcome.Corrupt_discarded "Nested: corrupt ring entry";
+      wait_resume t ch bd trap_cmd wd
+  | Some _ ->
+      (* a resume answering an earlier episode, or a command that
+         belongs on the other ring *)
+      unexpected t Fault_outcome.Stale_ignored
+        "Nested: command without a pending episode";
+      wait_resume t ch bd trap_cmd wd
   | None -> (
-      match Vcpu.take_host_event t.vcpu with
-      | Some ev ->
+      match (Vcpu.take_host_event t.vcpu, wd) with
+      | Some ev, _ ->
           service_blocked_event t ch ev;
-          wait_resume t ch bd
-      | None ->
-          Simulator.Signal.wait_any t.resume_signals;
+          wait_resume t ch bd trap_cmd wd
+      | None, Some w when !(w.expired) ->
+          if w.attempt >= 2 then `Downgraded
+          else begin
+            Injector.record t.injector Fault_outcome.Resume_retry;
+            Channel.post_retry ch (Channel.to_svt ch) bd trap_cmd;
+            w.attempt <- w.attempt + 1;
+            w.deadline <-
+              schedule_deadline t w.expiry w.expired ~attempt:w.attempt;
+            wait_resume t ch bd trap_cmd wd
+          end
+      | None, _ ->
+          Simulator.Signal.wait_any
+            (match wd with
+            | None -> t.resume_signals
+            | Some w -> t.resume_signals @ [ w.expiry ]);
           if Channel.pending_ring (Channel.from_svt ch) then
             Channel.charge_wake ch bd;
-          wait_resume t ch bd)
-
-(* Same wait, under a stall watchdog: if the resume does not arrive by the
-   (virtual-clock) deadline, re-post the command; after the backoff
-   schedule is exhausted, give the episode up and fall back to baseline
-   reflection for the rest of the run. Only armed when faults can
-   actually occur — the clean path schedules no events. *)
-let wait_resume_watchdog t ch bd trap_cmd ~seq =
-  let sim = Svt_hyp.Machine.sim t.machine in
-  let wd = Simulator.Signal.create sim in
-  let rec await attempt =
-    let expired = ref false in
-    let deadline =
-      Simulator.schedule sim
-        ~after:(Wait.watchdog_timeout ~attempt)
-        (fun () ->
-          expired := true;
-          Simulator.Signal.broadcast wd)
-    in
-    let finish r =
-      Simulator.cancel sim deadline;
-      r
-    in
-    let rec drain () =
-      match Channel.try_recv ch (Channel.from_svt ch) bd with
-      | Some (Channel.Vm_resume { seq = s; _ }) when s = seq ->
-          finish `Resumed
-      | Some (Channel.Vm_resume _) ->
-          Injector.record t.injector Fault_outcome.Stale_ignored;
-          drain ()
-      | Some (Channel.Corrupt _) ->
-          Injector.record t.injector Fault_outcome.Corrupt_discarded;
-          drain ()
-      | Some _ -> drain ()
-      | None -> (
-          match Vcpu.take_host_event t.vcpu with
-          | Some ev ->
-              service_blocked_event t ch ev;
-              drain ()
-          | None ->
-              if !expired then
-                if attempt >= 2 then finish `Downgraded
-                else begin
-                  Injector.record t.injector Fault_outcome.Resume_retry;
-                  Channel.post_retry ch (Channel.to_svt ch) bd trap_cmd;
-                  await (attempt + 1)
-                end
-              else begin
-                Simulator.Signal.wait_any
-                  [ Channel.ring_signal (Channel.from_svt ch);
-                    Vcpu.wake_signal t.vcpu; wd ];
-                if Channel.pending_ring (Channel.from_svt ch) then
-                  Channel.charge_wake ch bd;
-                drain ()
-              end)
-    in
-    drain ()
-  in
-  await 0
+          wait_resume t ch bd trap_cmd wd)
 
 let handle_sw_svt t ch info ~effect =
   let bd = Vcpu.breakdown t.vcpu in
@@ -463,23 +472,17 @@ let handle_sw_svt t ch info ~effect =
   (* CMD_VM_TRAP to the SVt-thread; the channel adds the register
      payload from L2's hardware context *)
   t.seq <- t.seq + 1;
-  let seq = t.seq in
   let trap_cmd =
-    Channel.Vm_trap { seq; reason = info.reason; qual = info.qualification }
+    Channel.Vm_trap
+      { seq = t.seq; reason = info.reason; qual = info.qualification }
   in
   t.pending <- true;
   t.pending_info <- info;
   t.pending_effect <- effect;
   Channel.post_retry ch (Channel.to_svt ch) bd trap_cmd;
+  let wd = if Injector.is_active t.injector then Some (arm_watchdog t) else None in
   let start = leg_start t in
-  let outcome =
-    if Injector.is_active t.injector then
-      wait_resume_watchdog t ch bd trap_cmd ~seq
-    else begin
-      wait_resume t ch bd;
-      `Resumed
-    end
-  in
+  let outcome = wait_resume t ch bd trap_cmd wd in
   leg_end t Obs_span.Svt_stall [ ("on", "svt-thread") ] start;
   match outcome with
   | `Resumed ->
@@ -487,7 +490,7 @@ let handle_sw_svt t ch info ~effect =
       charge t Breakdown.L0_handler t.cost.sw_prepare_resume;
       charge t Breakdown.L0_handler
         (Time.of_ns (Time.to_ns t.cost.l0_ctx_mgmt_l2 - Time.to_ns t.cost.l0_ctx_mgmt_l2 / 2));
-      guarded_transform_entry t;
+      guarded_entry t ~transform:true;
       leg t Obs_span.Svt_resume [ ("leg", "l0-l2") ] Breakdown.Switch_l2_l0
         t.cost.resume_hw
   | `Downgraded ->
@@ -508,37 +511,30 @@ let svt_thread_body t ch () =
   let rec loop () =
     let cmd = Channel.recv ch (Channel.to_svt ch) bd in
     (match cmd with
-    | Channel.Vm_trap { seq; _ } ->
-        if t.pending && seq = t.seq then begin
-          let info = t.pending_info and effect = t.pending_effect in
-          clear_pending t;
-          run_l1_handler t info ~effect ~aux:aux_trap;
-          t.thread_last_done <- seq;
-          answer seq
-        end
-        else if t.pending then
-          (* a trap left over from an episode the watchdog abandoned *)
-          Injector.record t.injector Fault_outcome.Stale_ignored
-        else if seq = t.thread_last_done then
-          (* the answer was lost in the ring: the watchdog re-posted the
-             command, so answer it again *)
-          answer seq
-        else if Injector.is_active t.injector then
-          Injector.record t.injector Fault_outcome.Stale_ignored
-        else failwith "SVt-thread: command without pending exit"
+    | Channel.Vm_trap { seq; _ } when t.pending && seq = t.seq ->
+        let info = t.pending_info and effect = t.pending_effect in
+        clear_pending t;
+        run_l1_handler t info ~effect ~aux:aux_trap;
+        t.thread_last_done <- seq;
+        answer seq
+    | Channel.Vm_trap { seq; _ } when (not t.pending) && seq = t.thread_last_done
+      ->
+        (* the answer was lost in the ring: the watchdog re-posted the
+           command, so answer it again *)
+        answer seq
     | Channel.Blocked ->
         (* L1₀ is being interrupted while we handle a trap; nothing for the
            SVt-thread itself to do (§5.3 guarantees no concurrent access
            to the L2₀ vCPU state). *)
         ()
     | Channel.Corrupt _ ->
-        if Injector.is_active t.injector then
-          Injector.record t.injector Fault_outcome.Corrupt_discarded
-        else failwith "SVt-thread: corrupt ring entry"
-    | Channel.Vm_resume _ ->
-        if Injector.is_active t.injector then
-          Injector.record t.injector Fault_outcome.Stale_ignored
-        else failwith "SVt-thread: unexpected CMD_VM_RESUME");
+        unexpected t Fault_outcome.Corrupt_discarded
+          "SVt-thread: corrupt ring entry"
+    | Channel.Vm_trap _ | Channel.Vm_resume _ ->
+        (* a trap left over from an episode the watchdog abandoned, or a
+           resume on the wrong ring *)
+        unexpected t Fault_outcome.Stale_ignored
+          "SVt-thread: command without a pending exit");
     loop ()
   in
   loop ()
@@ -597,7 +593,7 @@ let handle_hw_svt t info ~effect =
   charge t Breakdown.L0_handler t.cost.vmptrld;
   Svt_fields.vmptrld t.core t.vmcs02;
   (* ② *)
-  guarded_transform_entry t;
+  guarded_entry t ~transform:true;
   (* ① resume L2's context *)
   let start = leg_start t in
   Smt_core.vm_resume t.core;
@@ -718,12 +714,12 @@ let create ?injector ~machine ~mode ~vcpu ~l1_vm ~script () =
 
 (* Spawn the SVt-thread (SW SVt only); call once after [create]. *)
 let start t =
-  match (t.mode, t.channel) with
-  | Mode.Sw_svt _, Some ch ->
+  match t.channel with
+  | Some ch ->
       Simulator.spawn (Svt_hyp.Machine.sim t.machine)
         ~name:(Printf.sprintf "svt-thread-%s" (Vcpu.name t.vcpu))
         (svt_thread_body t ch)
-  | _ -> ()
+  | None -> ()
 
 (* --- full hardware nesting (the alternative design point, §3) ------------ *)
 
@@ -745,31 +741,6 @@ let handle_full_nesting t (info : Svt_hyp.Exit.info) ~effect =
 
 (* --- Out-of-Hypervisor delegation (PAPERS.md) --------------------------- *)
 
-(* Check the delegated vmcs12 fields, reflecting each failure and
-   retrying up to [budget] times. *)
-let rec delegated_checks t budget =
-  if budget = 0 then
-    failwith "Nested: vmcs12 still invalid after repeated delegation faults";
-  match
-    Svt_vmcs.Checks.run
-      ~arch:(Svt_hyp.Machine.arch t.machine)
-      ~n_hw_contexts:(Smt_core.n_contexts t.core) t.vmcs12
-  with
-  | Error es ->
-      reflect_check_failures t es;
-      delegated_checks t (budget - 1)
-  | Ok () -> ()
-
-(* The L1-issued VM entry on the delegated path: hardware validates the
-   delegated fields as it launches L2, with no L0 transform in between.
-   The corrupt-vmcs12 fault can fire here too — a corrupted *delegated*
-   field surfaces to L1 as a delegation fault (repaired locally, no L0),
-   while a corrupted L0-owned field still needs the reflected
-   VM-entry-failure path (see [reflect_check_failures]). *)
-let ooh_delegated_entry t =
-  corrupt_vmcs12 t;
-  delegated_checks t 3
-
 (* Under OoH an aux access is a direct access to a delegated VMCS
    field. *)
 let aux_delegated_access t _ = charge t Breakdown.L1_handler t.cost.ooh_vmcs_access
@@ -789,7 +760,7 @@ let handle_ooh t (info : Svt_hyp.Exit.info) ~effect =
     charge t Breakdown.L1_handler t.cost.ooh_delegated_dispatch;
     charge t Breakdown.L1_handler t.cost.ctx_mgmt_single;
     run_l1_handler t info ~effect ~aux:aux_delegated_access;
-    ooh_delegated_entry t;
+    guarded_entry t ~transform:false;
     leg t Obs_span.Svt_resume [ ("leg", "l1-l2") ] Breakdown.Switch_l0_l1
       t.cost.resume_hw
   end
@@ -818,11 +789,9 @@ let exit_cells t reason =
    mode → handler match, shared by exits and interrupts for L1. *)
 let dispatch t info ~effect =
   match (t.mode, t.channel) with
-  | Mode.Baseline, _ -> handle_baseline t info ~effect
-  | Mode.Sw_svt _, Some ch ->
-      if t.downgraded then handle_baseline t info ~effect
-      else handle_sw_svt t ch info ~effect
-  | Mode.Sw_svt _, None -> failwith "Nested: SW SVt without a channel"
+  | Mode.Sw_svt _, Some ch when not t.downgraded ->
+      handle_sw_svt t ch info ~effect
+  | (Mode.Baseline | Mode.Sw_svt _), _ -> handle_baseline t info ~effect
   | Mode.Hw_svt, _ -> handle_hw_svt t info ~effect
   | Mode.Hw_full_nesting, _ -> handle_full_nesting t info ~effect
   | Mode.Ooh, _ -> handle_ooh t info ~effect
@@ -845,14 +814,10 @@ let handle t (info : Svt_hyp.Exit.info) =
   t.last_episode_end <- Proc.now ();
   let timer = t.exit_times.(slot) in
   timer := !timer + Time.to_ns (Time.diff (Proc.now ()) started);
-  let p = probe t in
-  if Probe.is_on p then
-    Probe.span p Obs_span.Vm_exit ~vcpu:(Vcpu.index t.vcpu) ~level:2
-      ~core:(Smt_core.id t.core) ~ctx:(Smt_core.current t.core)
-      ~tags:
-        [ ("reason", Exit_reason.name info.reason);
-          ("mode", Mode.name t.mode) ]
-      ~start:started ()
+  if tracing t then
+    leg_end t Obs_span.Vm_exit
+      [ ("reason", Exit_reason.name info.reason); ("mode", Mode.name t.mode) ]
+      started
 
 (* An interrupt destined for L1 arriving while this vCPU runs L2: a full
    reflection episode normally, or the SVT_BLOCKED light path when it
@@ -866,15 +831,12 @@ let interrupt_for_l1 t ~vector ~work =
   let started = Proc.now () in
   dispatch t info ~effect:work;
   t.last_episode_end <- Proc.now ();
-  let p = probe t in
-  if Probe.is_on p then
-    Probe.span p Obs_span.Vm_exit ~vcpu:(Vcpu.index t.vcpu) ~level:2
-      ~core:(Smt_core.id t.core) ~ctx:(Smt_core.current t.core)
-      ~tags:
-        [ ("reason", "external-interrupt-l1");
-          ("vector", string_of_int vector);
-          ("mode", Mode.name t.mode) ]
-      ~start:started ()
+  if tracing t then
+    leg_end t Obs_span.Vm_exit
+      [ ("reason", "external-interrupt-l1");
+        ("vector", string_of_int vector);
+        ("mode", Mode.name t.mode) ]
+      started
 
 (* Whether the vCPU is (virtually) inside/just past a trap episode, so a
    pending vector can be injected on the upcoming VM entry instead of

@@ -55,8 +55,6 @@ and signal = {
 
 type sim = t
 
-exception Deadlock of string
-
 (* Deterministic fuel: exhaustion depends only on the event stream, never
    on the host clock, so the same run exhausts at the same instant on
    every machine. The payload records where the run stood when the fuel

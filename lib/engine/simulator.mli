@@ -14,8 +14,6 @@ type t
 type sim = t
 (** Alias for use inside the submodules below, whose own [t] shadows it. *)
 
-exception Deadlock of string
-
 exception Budget_exhausted of { events : int; now : Time.t; max_events : int }
 (** Raised from {!run} when the simulator has processed its event
     budget ({!set_budget}) and still has events queued. This is the one

@@ -167,10 +167,9 @@ let run_mode ~budget ~machine_seed ~fault_seed ~arch ~mode (input : Input.t) =
       fp := mix !fp (Int64.of_int !served);
       completed := true);
   let fate =
-    (* The simulator never raises Deadlock for a parked process: a hung
-       program just stops scheduling events and [run] returns with the
-       queue drained — so "finished without completing" IS the deadlock
-       signal. *)
+    (* The simulator has no deadlock detector: a hung program just stops
+       scheduling events and [run] returns with the queue drained — so
+       "finished without completing" IS the deadlock signal. *)
     match System.run sys with
     | () -> if !completed then `Ok else `Deadlock
     | exception Simulator.Budget_exhausted _ -> `Exhausted

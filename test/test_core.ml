@@ -337,6 +337,48 @@ let test_single_level_episode_costs () =
   let io = Single_level.episode_cost ~cost:cm ~mode:Mode.Baseline Exit_reason.Io_instruction in
   checkb "userspace adds ~4us" true (io > 4_000)
 
+(* [Single_level.handle] takes exactly [episode_cost]: the vhost and
+   blk backends price an L1 exit with the formula, and the handler is
+   what a guest pays, so the two must agree. Each exit the guest API
+   raises on an L1-leaf stack is measured around the handler, as a
+   Breakdown delta and as elapsed virtual time, in every mode. *)
+let test_single_level_handle_matches_episode_cost () =
+  List.iter
+    (fun mode ->
+      let sys =
+        System.of_config (System.Config.make ~mode ~level:System.L1_leaf ())
+      in
+      let blk, _ = System.attach_blk sys in
+      let cost = System.cost sys in
+      let seen = ref [] in
+      let v0 = System.vcpu0 sys in
+      Vcpu.set_privileged v0 (fun v (info : Exit.info) ->
+          let bd = Vcpu.breakdown v in
+          let t0 = Proc.now () and b0 = Breakdown.total bd in
+          Single_level.handle ~cost ~mode v info;
+          seen :=
+            ( info.reason,
+              Time.diff (Proc.now ()) t0,
+              Time.diff (Breakdown.total bd) b0 )
+            :: !seen);
+      Vcpu.spawn_program v0 (fun v ->
+          ignore (Guest.cpuid v ~leaf:1);
+          Guest.wrmsr v Svt_arch.Msr.Ia32_star 1L;
+          ignore (Guest.rdmsr v Svt_arch.Msr.Ia32_star);
+          Guest.io_write v ~port:0x80 1;
+          ignore (Guest.io_read v ~port:0x80);
+          Guest.mmio_write32 v (Svt_virtio.Virtio_blk.doorbell_gpa blk) 1);
+      System.run sys;
+      checki (Mode.name mode ^ ": exits measured") 6 (List.length !seen);
+      List.iter
+        (fun (reason, elapsed, charged) ->
+          let want = Single_level.episode_cost ~cost ~mode reason in
+          let label = Mode.name mode ^ " " ^ Exit_reason.name reason in
+          checki (label ^ ": elapsed") want elapsed;
+          checki (label ^ ": charged") want charged)
+        !seen)
+    Mode.all
+
 (* --- Nested protocol -------------------------------------------------------------- *)
 
 let run_cpuid_once mode =
@@ -893,6 +935,8 @@ let () =
         [
           Alcotest.test_case "episode costs by mode" `Quick
             test_single_level_episode_costs;
+          Alcotest.test_case "handle charges the episode cost" `Quick
+            test_single_level_handle_matches_episode_cost;
         ] );
       ( "arch",
         [

@@ -178,6 +178,59 @@ let test_e2e_certain_ring_drop_downgrades () =
   checkb "watchdog retried" true (metric m "fault.resume-retry" >= 1.0);
   checkb "downgraded to baseline" true (metric m "fault.downgrade" >= 1.0)
 
+(* --- The resume watchdog, pinned ----------------------------------------------- *)
+
+(* One SW SVt stack under [plan], seeded [seed], running [cpuids] cpuid
+   exits: its [fault.*] fields, the instant the last exit completed (ns),
+   and the engine queue's adds, pops and cancels. *)
+let watchdog_run ~seed ~cpuids plan =
+  let sys =
+    System.of_config
+      (System.Config.make ~faults:(Plan.of_string_exn plan) ~fault_seed:seed
+         ~mode:Mode.sw_svt_default ~level:System.L2_nested ())
+  in
+  let done_at = ref Time.zero in
+  Vcpu.spawn_program (System.vcpu0 sys) (fun v ->
+      for _ = 1 to cpuids do
+        ignore (Guest.cpuid v ~leaf:1)
+      done;
+      done_at := Simulator.Proc.now ());
+  System.run sys;
+  let q = Simulator.queue_stats (System.sim sys) in
+  ( Injector.fields (System.injector sys),
+    Time.to_ns !done_at,
+    (q.Svt_engine.Event_queue.adds, q.pops, q.cancels) )
+
+(* The three ways a watchdog wait ends, each pinned to its fault fields,
+   completion instant and queue traffic. Seed 1 at drop-ring:0.5 drops
+   the first CMD_VM_TRAP only: the 20 us deadline expires, the re-post
+   gets through, and the wait's deadline is cancelled on the resume.
+   Certain duplication leaves extra CMD_VM_RESUMEs of an answered
+   episode in the ring, which the next episode's wait drains as stale.
+   Certain drop loses the trap and both re-posts, so the third deadline
+   downgrades the vCPU and the exit completes through baseline
+   reflection. *)
+let test_watchdog_pinned () =
+  let check label ~seed ~cpuids plan ~fields ~at ~queue =
+    let f, t, q = watchdog_run ~seed ~cpuids plan in
+    Alcotest.(check (list (pair string (float 0.))))
+      (label ^ ": fault fields") fields f;
+    checki (label ^ ": completion instant (ns)") at t;
+    Alcotest.(check (triple int int int))
+      (label ^ ": queue adds, pops, cancels") queue q
+  in
+  check "resume after one retry" ~seed:1L ~cpuids:1 "drop-ring:0.5"
+    ~fields:[ ("fault.injected.drop-ring", 1.); ("fault.resume-retry", 1.) ]
+    ~at:26_640 ~queue:(14, 13, 1);
+  check "stale resume ignored" ~seed:1L ~cpuids:2 "dup-ring:1"
+    ~fields:[ ("fault.injected.dup-ring", 6.); ("fault.stale-ignored", 3.) ]
+    ~at:16_800 ~queue:(18, 16, 2);
+  check "downgrade after two retries" ~seed:1L ~cpuids:1 "drop-ring:1"
+    ~fields:
+      [ ("fault.injected.drop-ring", 3.); ("fault.resume-retry", 2.);
+        ("fault.downgrade", 1.) ]
+    ~at:150_950 ~queue:(11, 11, 0)
+
 let test_e2e_corrupt_vmcs12_reflected () =
   (* Every entry transform sees a corrupted vmcs12; each corruption must
      be reflected to L1 as a VM-entry failure and repaired, never abort
@@ -542,6 +595,8 @@ let () =
         [
           Alcotest.test_case "certain ring drop downgrades" `Quick
             test_e2e_certain_ring_drop_downgrades;
+          Alcotest.test_case "resume watchdog pinned" `Quick
+            test_watchdog_pinned;
           Alcotest.test_case "corrupt vmcs12 reflected to L1" `Quick
             test_e2e_corrupt_vmcs12_reflected;
           Alcotest.test_case "ooh delegation-fault split" `Quick

@@ -129,7 +129,7 @@ let test_exec_clean_input_no_violation () =
 let test_exec_detects_deadlock () =
   (* a bare HLT parks the vCPU forever; the queue drains with the
      program unfinished, which the harness must classify as a deadlock
-     (Simulator.Deadlock is never raised for parked processes) *)
+     (the simulator itself raises nothing for a parked process) *)
   let input = { Input.empty with Input.ops = [ Input.Hlt ] } in
   match (Fuzz.exec ~master:0L input).Fuzz.violation with
   | Some (Fuzz.Deadlock _) -> ()

@@ -109,6 +109,55 @@ let test_sw_svt_ring_spans () =
   checkb "sends >= exits" true
     (Timeline.count tl Span.Ring_send >= Timeline.count tl Span.Vm_exit)
 
+(* Each side of the rings is drawn on the hardware thread it runs on.
+   L0 posts to-svt and receives from-svt on the vCPU's context; under
+   smt-sibling placement the SVt-thread receives to-svt and posts
+   from-svt on the core's other context. A placement off the core names
+   no thread for the SVt-thread, so its spans keep the vCPU's lane. *)
+let ring_lanes mode =
+  let lanes = Hashtbl.create 4 in
+  let collect sys =
+    Probe.subscribe (System.probe sys) (fun s ->
+        match s.Span.kind with
+        | Span.Ring_send | Span.Ring_recv ->
+            let key =
+              ( Span.kind_name s.Span.kind,
+                Option.value ~default:"?" (Span.tag s "dir") )
+            in
+            let seen = Option.value ~default:[] (Hashtbl.find_opt lanes key) in
+            let lane = (s.Span.core, s.Span.ctx) in
+            if not (List.mem lane seen) then
+              Hashtbl.replace lanes key (lane :: seen)
+        | _ -> ())
+  in
+  let sys, _ = run_small_nested ~prepare:collect mode in
+  let v = System.vcpu0 sys in
+  (Svt_hyp.Vcpu.core_id v, Svt_hyp.Vcpu.hw_ctx v, lanes)
+
+let test_ring_span_lanes () =
+  let lane_list = Alcotest.(list (pair int int)) in
+  let core, ctx, lanes = ring_lanes Mode.sw_svt_default in
+  let sibling = 1 - ctx in
+  List.iter
+    (fun (kind, dir, want) ->
+      Alcotest.check lane_list
+        (Printf.sprintf "smt-sibling %s %s" kind dir)
+        [ (core, want) ]
+        (Option.value ~default:[] (Hashtbl.find_opt lanes (kind, dir))))
+    [ ("ring-send", "to-svt", ctx); ("ring-recv", "from-svt", ctx);
+      ("ring-recv", "to-svt", sibling); ("ring-send", "from-svt", sibling) ];
+  let core, ctx, lanes =
+    ring_lanes (Mode.Sw_svt { wait = Mode.Mwait; placement = Mode.Same_numa_core })
+  in
+  checki "same-numa-core: all four (kind, dir) pairs seen" 4
+    (Hashtbl.length lanes);
+  Hashtbl.iter
+    (fun (kind, dir) seen ->
+      Alcotest.check lane_list
+        (Printf.sprintf "same-numa-core %s %s" kind dir)
+        [ (core, ctx) ] seen)
+    lanes
+
 (* A timeline rides on every campaign run; creating one must cost a few
    words per span kind, not a histogram per kind. A kind's histogram
    appears with its first span. *)
@@ -698,6 +747,8 @@ let () =
           Alcotest.test_case "nesting and ordering" `Quick
             test_nesting_and_ordering;
           Alcotest.test_case "sw-svt ring spans" `Quick test_sw_svt_ring_spans;
+          Alcotest.test_case "ring spans on their side's lane" `Quick
+            test_ring_span_lanes;
           Alcotest.test_case "create allocates little" `Quick
             test_timeline_create_is_small;
         ] );
