@@ -1,4 +1,4 @@
-.PHONY: build test check clean layout loc
+.PHONY: build test check clean layout loc same-outputs
 
 # The verification bundle. `dune runtest` is the one gate harness: the
 # alcotest suites (determinism across jobs=1/2 and interrupt+resume
@@ -38,3 +38,45 @@ loc:
 	  printf "%-12s %6d\n" "$$(basename $$d)" "$$(cat $$d*.ml $$d*.mli | wc -l)"; \
 	done
 	@printf "%-12s %6d\n" total "$$(cat lib/*/*.ml lib/*/*.mli | wc -l)"
+
+# Whether this tree's outputs equal those of revision BASE: `make
+# same-outputs BASE=<rev>`. BASE is cloned (a plain `git clone`, which
+# leaves nothing in this repository's .git) and built under SAME_OUT.
+# On both trees it collects the golden outputs `dune runtest` writes
+# (test/*.output), the benchmark's smoke digests, and the digests and
+# every count-unit metric in results.json of a traced `svt_bench
+# --seconds 1` at seeds 1 and 2, then diffs them; on any difference the
+# recipe exits 1 (so make fails). It takes about a minute and is not
+# part of `dune runtest`.
+SAME_OUT ?= $(CURDIR)/_build/same-outputs
+BENCH = dune exec --root . --no-print-directory --display quiet \
+  benchmark/svt_bench.exe --
+# results.json -> "seed S WORKLOAD digest D" and "seed S WORKLOAD METRIC V"
+COUNTS = awk -v s=$$seed 'BEGIN { RS = "[{},]" } { gsub(/[ \t\n]/, "") } \
+  /^"(etc|tpcc|stream|fuzz|fleet)":$$/ { w = $$0; gsub(/[":]/, "", w) } \
+  /^"digest":/ { sub(/^"digest":/, ""); print "seed", s, w, "digest", $$0 } \
+  /^"[a-z0-9_.]+":$$/ { m = $$0; gsub(/[":]/, "", m) } \
+  /^"value":/ { v = $$0; sub(/^"value":/, "", v) } \
+  /^"unit":"count"$$/ { print "seed", s, w, m, v }'
+same-outputs:
+	@test -n "$(BASE)" || { echo "usage: make same-outputs BASE=<rev>" >&2; exit 2; }
+	@rm -rf $(SAME_OUT) && mkdir -p $(SAME_OUT)
+	@git clone --quiet --no-checkout . $(SAME_OUT)/base
+	@git -C $(SAME_OUT)/base checkout --quiet $(BASE)
+	@for side in base new; do \
+	  if [ $$side = base ]; then dir=$(SAME_OUT)/base; else dir=$(CURDIR); fi; \
+	  out=$(SAME_OUT)/$$side; \
+	  ( cd $$dir && dune build --root . @runtest >/dev/null 2>&1; \
+	    for f in _build/default/test/*.output; do echo "golden $$f"; cat $$f; done; \
+	    $(BENCH) --smoke --out $$out-smoke | awk '$$1 == "digest" { print "smoke", $$0 }'; \
+	    for seed in 1 2; do \
+	      $(BENCH) --trace 1 --seconds 1 --seed $$seed --out $$out-$$seed >/dev/null; \
+	      $(COUNTS) $$out-$$seed/results.json; \
+	    done ) > $$out.txt; \
+	done
+	@if diff $(SAME_OUT)/base.txt $(SAME_OUT)/new.txt; then \
+	  echo "same outputs as $(BASE): $$(grep -c '^golden ' $(SAME_OUT)/new.txt) golden outputs," \
+	    "$$(grep -c '^smoke ' $(SAME_OUT)/new.txt) smoke digests," \
+	    "$$(grep -c '^seed .* digest ' $(SAME_OUT)/new.txt) seeded digests," \
+	    "$$(grep '^seed ' $(SAME_OUT)/new.txt | grep -vc ' digest ') count metrics"; \
+	else echo "outputs differ from $(BASE)" >&2; exit 1; fi

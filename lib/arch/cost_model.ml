@@ -252,8 +252,32 @@ let arm_machine =
     per_reason = arm_profiles;
   }
 
-let transform_cost t ~fields =
-  Time.add t.transform_base (Time.scale t.transform_per_field (float_of_int fields))
+(* --- named constants: costs with one value on every machine (see the
+   interface for why they are not fields), each with its source --- *)
+
+(* a native privileged op other than cpuid: under Table 1's ⓪ (0.05 µs) *)
+let native_privileged_op = Time.of_ns 40
+
+(* an L1 VMCS access under full nesting, plain hardware: Table 1's ⓪ *)
+let full_nesting_aux_access = Time.of_ns 50
+
+(* Assumed, with no figure in the paper: a [userspace] exit's round trip
+   through QEMU on top of the kernel handler (every port-I/O exit) *)
+let userspace_bounce = Time.of_us 4
+
+(* Assumed: L1 correcting vmcs01' after a failed VM entry (§2.1), and L1
+   repairing a field after an OoH delegation fault; fault runs only *)
+let l1_entry_fail_fixup = Time.of_us 2
+let l1_delegation_fault_fixup = Time.of_us 1
+
+(* Assumed: §6.1 ranks the wait mechanisms but gives no entry cost;
+   arming monitor/mwait, and a futex wait's bookkeeping and syscall *)
+let mwait_enter = Time.of_ns 60
+let mutex_enter = Time.of_ns 250
+
+(* Assumed: one step of an idle vhost worker's poll window before it
+   parks (virtio-blk and virtio-net) *)
+let vhost_poll_interval = Time.of_us 5
 
 (* Serialization delay of [bytes] of payload on the NIC wire, including
    per-MTU framing overhead (Ethernet + IP + TCP headers): large TCP

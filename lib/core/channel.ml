@@ -31,6 +31,7 @@ module Signal = Simulator.Signal
 module Gpa = Svt_mem.Addr.Gpa
 module Aspace = Svt_mem.Address_space
 module Breakdown = Svt_hyp.Breakdown
+module Cost = Svt_hyp.Cost
 module Probe = Svt_obs.Probe
 module Injector = Svt_fault.Injector
 
@@ -63,6 +64,8 @@ type t = {
   probe : Probe.t;
   vcpu_index : int; (* the L2 vCPU these rings serve; -1 when unknown *)
   injector : Injector.t;
+  wake : Cost.t; (* the wait mechanism's wake-up and entry, from [Wait] *)
+  enter : Cost.t;
 }
 
 (* A ring (8 + 16 x 152 = 2,440 bytes) fits in the one page it starts,
@@ -89,6 +92,8 @@ let create ?(vcpu_index = -1) ?injector ~machine ~aspace ~wait ~placement
     probe = Svt_hyp.Machine.probe machine;
     vcpu_index;
     injector = (match injector with Some i -> i | None -> Injector.none ());
+    wake = Wait.wake ~wait ~placement;
+    enter = Wait.enter wait;
   }
 
 (* The ring's host page, pinned on its first access: one EPT
@@ -167,6 +172,10 @@ let command_name = function
 
 let full ring = (head ring - tail ring) land 0xFFFF >= ring_entries
 
+let ring_write = [ Cost.charge Breakdown.Channel "ring_write" ]
+let ring_read = [ Cost.charge Breakdown.Channel "ring_read" ]
+let write_tags, read_tags = ([ Cost.tag ring_write ], [ Cost.tag ring_read ])
+
 (* A ring span opens and closes here; the off path (no sink installed)
    pays a branch at each end and builds nothing. *)
 let span_start t = if Probe.is_on t.probe then Probe.now t.probe else Time.zero
@@ -190,8 +199,9 @@ let span_end t ~send ring cmd start =
       (if send then Svt_obs.Span.Ring_send else Svt_obs.Span.Ring_recv)
       ~vcpu:t.vcpu_index ~level:0 ~core:(Svt_arch.Smt_core.id core) ~ctx
       ~tags:
-        [ ("cmd", command_name cmd);
-          ("dir", if to_svt then "to-svt" else "from-svt") ]
+        (("cmd", command_name cmd)
+        :: ("dir", if to_svt then "to-svt" else "from-svt")
+        :: (if send then write_tags else read_tags))
       ~start ()
   end
 
@@ -207,8 +217,9 @@ let publish t ring cmd =
    reported as backpressure for the caller to back off and retry. *)
 let post t ring bd cmd =
   let start = span_start t in
-  Breakdown.charge bd Breakdown.Channel t.cost.Svt_arch.Cost_model.ring_write;
+  Cost.apply bd t.cost Cost.no_exit 0 ring_write;
   let inj = t.injector in
+  (* a delay fault holds the post for the fault plan's magnitude *)
   if Injector.is_active inj && Injector.roll inj Svt_fault.Kind.Delay_ring then
     Proc.delay (Time.of_ns (Svt_fault.Kind.param_ns Svt_fault.Kind.Delay_ring));
   if full ring then Error `Backpressure
@@ -257,7 +268,7 @@ let pending ring = (head ring - tail ring) land 0xFFFF > 0
 let try_recv t ring bd =
   if pending ring then begin
     let start = span_start t in
-    Breakdown.charge bd Breakdown.Channel t.cost.Svt_arch.Cost_model.ring_read;
+    Cost.apply bd t.cost Cost.no_exit 0 ring_read;
     let tl = tail ring in
     let cmd = deserialize ring tl in
     set_tail ring (tl + 1);
@@ -268,9 +279,7 @@ let try_recv t ring bd =
 
 (* The wake-up penalty of the configured wait mechanism, paid once per
    successful wait. *)
-let charge_wake t bd =
-  Breakdown.charge bd Breakdown.Channel
-    (Wait.response_latency t.cost ~wait:t.wait ~placement:t.placement)
+let charge_wake t bd = Cost.apply bd t.cost Cost.no_exit 0 t.wake
 
 let rec recv_loop t ring bd =
   match try_recv t ring bd with
@@ -285,7 +294,7 @@ let rec recv_loop t ring bd =
 
 (* Blocking receive with the full waiting-mechanism model. *)
 let recv t ring bd =
-  Breakdown.charge bd Breakdown.Channel (Wait.enter_cost t.cost t.wait);
+  Cost.apply bd t.cost Cost.no_exit 0 t.enter;
   if Wait.steals_cycles t.wait then
     Svt_arch.Smt_core.set_polling_siblings t.core 1;
   recv_loop t ring bd

@@ -26,7 +26,10 @@
      an L0-reflected entry failure.
 
    All costs flow through the per-vCPU Breakdown buckets, so Table 1 is
-   literally a printout of this module's execution.
+   literally a printout of this module's execution. Each leg states its
+   cost once, as a [Svt_hyp.Cost] value built below at module
+   initialisation; the spans of legs that only charge carry its terms
+   as their [cost] tag.
 
    Fault tolerance: the path degrades rather than aborts. An invalid
    vmcs12 (corrupted by a fault or by a malicious L1) is reflected to L1
@@ -39,6 +42,7 @@ module Time = Svt_engine.Time
 module Simulator = Svt_engine.Simulator
 module Proc = Simulator.Proc
 module Breakdown = Svt_hyp.Breakdown
+module Cost = Svt_hyp.Cost
 module Cost_model = Svt_arch.Cost_model
 module Smt_core = Svt_arch.Smt_core
 module Vmcs = Svt_vmcs.Vmcs
@@ -92,7 +96,8 @@ type t = {
   exit_times : int ref array;
 }
 
-let charge t bucket span = Breakdown.charge (Vcpu.breakdown t.vcpu) bucket span
+(* Charge cost value [v] for an exit of profile [p]. *)
+let pay t p v = Cost.apply (Vcpu.breakdown t.vcpu) t.cost p 0 v
 
 let no_exit = Svt_hyp.Exit.of_action Svt_hyp.Exit.Pause
 
@@ -120,116 +125,148 @@ let leg_end t kind tags start =
     Probe.span (probe t) kind ~vcpu:(Vcpu.index t.vcpu) ~level:2
       ~core:(Smt_core.id t.core) ~ctx:(Smt_core.current t.core) ~tags ~start ()
 
-(* The common leg: one charge. *)
-let leg t kind tags bucket span =
-  let start = leg_start t in
-  charge t bucket span;
-  leg_end t kind tags start
+(* Most legs only charge: a span over the charges [before] and [after]
+   the hardware-context switch an HW SVt leg makes, its [tags] ending in
+   their [cost] tag. Legs, like every cost value here, are built once. *)
+type leg = { kind : Obs_span.kind; tags : (string * string) list; before : Cost.t; after : Cost.t }
 
-let ctxt_access_bulk t =
-  charge t Breakdown.Ctxt_access
-    (Time.scale t.cost.ctxt_reg_access (float_of_int t.cost.ctxt_regs_per_switch))
+let leg ?(before = []) kind tags after =
+  { kind; tags = tags @ [ Cost.tag (before @ after) ]; before; after }
+
+let run_leg t p l switch =
+  let start = leg_start t in
+  if l.before != [] then pay t p l.before;
+  switch t.core;
+  pay t p l.after;
+  leg_end t l.kind l.tags start
+
+(* --- cost values, by Table 1 part -------------------------------------- *)
+
+let switch_l2 = Cost.charge Breakdown.Switch_l2_l0 (* ① *)
+let l0 = Cost.charge Breakdown.L0_handler (* ③ *)
+let switch_l1 = Cost.charge Breakdown.Switch_l0_l1 (* ④ *)
+let l1 = Cost.charge Breakdown.L1_handler (* ⑤ *)
+let to_l1 = [ switch_l1 "resume_hw+l1_world_extra" ]
+let from_l1 = [ switch_l1 "trap_hw+l1_world_extra" ]
+let world_switch = leg Obs_span.World_switch
+let resume = leg Obs_span.Svt_resume
+
+(* ③ decide to reflect, saving the L2-world state the handler needs *)
+let reflect = [ l0 "l0_reflect_decision"; l0 "l0_ctx_mgmt_l2.half" ]
+
+(* ③ load vmcs01, inject the trap for L1, prepare L1's world *)
+let load_vmcs01 = [ l0 "vmptrld"; l0 "l0_inject_exit_info"; l0 "l0_ctx_mgmt_l1.half" ]
+
+(* ③ emulate the VM entry, restore the L2 world *)
+let emulate_entry =
+  [ l0 "l0_emulate_vmentry"; l0 "l0_ctx_mgmt_l1.rest"; l0 "vmptrld"; l0 "l0_ctx_mgmt_l2.rest" ]
+
+(* An auxiliary round trip into L0 (a vmread/vmwrite of a non-shadowed
+   vmcs01' field, or a VMX instruction L0 handles inline): trap, emulate,
+   resume, charged to one bucket (⑤ in L1's handler, as in the paper).
+   The SVt-thread reaches a memory-backed sysreg image (ARM NV/VHE)
+   directly, with no trap. *)
+type aux = { hw_enter : Cost.t; hw_leave : Cost.t; direct : Cost.t; trap : Cost.t }
+
+let aux charge =
+  { hw_enter = [ charge "thread_switch"; charge "l0_emulate_aux" ];
+    hw_leave = [ charge "thread_switch" ];
+    direct = [ charge "svt_sysreg_direct" ];
+    trap = [ charge "trap_hw"; charge "l0_emulate_aux"; charge "resume_hw" ] }
+
+let aux_in_l1, aux_in_l0 = (aux l1, aux l0)
+
+let aux_round_trip t p legs ~guest_ctx =
+  match t.mode with
+  | Mode.Hw_svt ->
+      Smt_core.activate t.core t.ctx_l0;
+      pay t p legs.hw_enter;
+      Smt_core.activate t.core guest_ctx;
+      pay t p legs.hw_leave
+  | Mode.Sw_svt _ when t.cost.svt_sysreg_direct <> None -> pay t p legs.direct
+  | Mode.Baseline | Mode.Sw_svt _ | Mode.Hw_full_nesting | Mode.Ooh -> pay t p legs.trap
 
 (* --- the L1 handler body, shared by every mode ------------------------- *)
 
 (* Run L1's trap handler for [info] (see [Svt_hyp.L1_script]): half its
    pure work, its aux traps, the semantic [effect], the rest of the work.
-   [aux t reason] performs one aux trap; each path passes a top-level
+   [aux t p reason] performs one aux trap; each path passes a top-level
    function, so a handler run builds nothing. *)
-let run_l1_handler t (info : Svt_hyp.Exit.info) ~(effect : unit -> unit) ~aux =
-  let script = t.script and reason = info.reason in
-  charge t Breakdown.L1_handler (Svt_hyp.L1_script.head_work script reason);
-  for i = 0 to Svt_hyp.L1_script.aux_count script reason - 1 do
-    aux t (Svt_hyp.L1_script.aux_reason i)
+let run_l1_handler t p (info : Svt_hyp.Exit.info) ~(effect : unit -> unit) ~aux =
+  pay t p Svt_hyp.L1_script.head;
+  for i = 0 to Svt_hyp.L1_script.aux_count t.script info.reason - 1 do
+    aux t p (Svt_hyp.L1_script.aux_reason i)
   done;
   effect ();
-  charge t Breakdown.L1_handler (Svt_hyp.L1_script.tail_work script reason)
+  pay t p Svt_hyp.L1_script.tail
 
-(* An aux trap taken into L0, charged to ⑤ as in the paper. Under SW SVt,
-   writes to vmcs01' must additionally be propagated from L0₁ to L0₀
-   through the channel (§5.2: "L0₁ then propagates the necessary
-   information into L0₀"). *)
-let aux_trap t reason =
-  let bd = Vcpu.breakdown t.vcpu in
-  Single_level.aux_round_trip ~cost:t.cost ~mode:t.mode ~breakdown:bd
-    ~bucket:Breakdown.L1_handler ~core:t.core ~hypervisor_ctx:t.ctx_l0
-    ~guest_ctx:t.ctx_l1;
-  (* the aux trap's architectural effect on the shadow VMCS *)
+(* An aux trap taken into L0, and its effect on the shadow VMCS. *)
+let aux_trap t p reason =
+  aux_round_trip t p aux_in_l1 ~guest_ctx:t.ctx_l1;
   match reason with
   | Exit_reason.Vmread -> ignore (Vmcs.read t.vmcs12 Field.Guest_rip)
   | Exit_reason.Vmwrite ->
       Vmcs.write t.vmcs12 Field.Guest_rip
         (Int64.add (Vmcs.peek t.vmcs12 Field.Guest_rip) 2L)
-  | Exit_reason.Invept -> (
-      (* §5.2: handlers that assume L1 and L2 share a hardware context
-         (e.g. INVEPT) must propagate state from L0₁ back to L0₀ through
-         the rings *)
-      match t.channel with
-      | Some _ ->
-          Breakdown.charge bd Breakdown.Channel
-            (Time.add t.cost.ring_write t.cost.ring_read)
-      | None -> ())
   | _ -> ()
 
 (* --- transforms -------------------------------------------------------- *)
 
-(* Charge a transform's cost as a vmcs-transform leg begun at [start]. *)
-let transform_leg t ~direction r start =
-  charge t Breakdown.Transform (Transform.cost t.cost r);
+(* ② Charge a transform's cost, by the fields it copied, as a
+   vmcs-transform leg. The transform itself takes no virtual time, so
+   the leg starts as it returns. *)
+let transform = [ Cost.charge Breakdown.Transform "transform_base+transform_per_field*fields" ]
+let transform_tags = [ Cost.tag transform ]
+
+let transform_leg t p ~direction (r : Transform.result) =
+  let start = leg_start t in
+  Cost.apply (Vcpu.breakdown t.vcpu) t.cost p r.fields_copied transform;
   if tracing t then
-    leg_end t Obs_span.Vmcs_transform (Transform.span_tags ~direction r) start
+    leg_end t Obs_span.Vmcs_transform (Transform.span_tags ~direction r transform_tags) start
 
-let transform_exit t =
-  let start = leg_start t in
-  transform_leg t ~direction:"exit"
-    (Transform.exit ~vmcs02:t.vmcs02 ~vmcs12:t.vmcs12)
-    start
+let transform_exit t p =
+  transform_leg t p ~direction:"exit" (Transform.exit ~vmcs02:t.vmcs02 ~vmcs12:t.vmcs12)
 
-let transform_entry t =
-  let start = leg_start t in
-  transform_leg t ~direction:"entry"
+let transform_entry t p =
+  transform_leg t p ~direction:"entry"
     (Transform.entry ~vmcs12:t.vmcs12 ~vmcs02:t.vmcs02 ~l1_ept:t.l1_ept
        ~l0_ept_pointer:t.l0_ept_pointer)
-    start
 
 (* Reflect a failed VM entry to L1 (§2.1): instead of launching a guest
    from an invalid vmcs02, L0 re-enters L1 with the entry-failure
    indication; L1's handler observes it and corrects vmcs01'. *)
-let reflect_entry_failure t =
-  let bd = Vcpu.breakdown t.vcpu in
+let fail_to_l1 = world_switch [ ("leg", "l0-l1"); ("cause", "entry-fail") ] to_l1
+let fail_fixup = [ l1 "l1_entry_fail_fixup" ]
+let fail_from_l1 = world_switch [ ("leg", "l1-l0"); ("cause", "entry-fail") ] from_l1
+
+let reflect_entry_failure t p =
   Injector.record t.injector Fault_outcome.Entry_fail_reflected;
-  leg t Obs_span.World_switch
-    [ ("leg", "l0-l1"); ("cause", "entry-fail") ]
-    Breakdown.Switch_l0_l1
-    (Time.add t.cost.resume_hw t.cost.l1_world_extra);
-  (* L1's entry-failure handler inspects and corrects vmcs01' *)
-  Breakdown.charge bd Breakdown.L1_handler (Time.of_us 2);
-  leg t Obs_span.World_switch
-    [ ("leg", "l1-l0"); ("cause", "entry-fail") ]
-    Breakdown.Switch_l0_l1
-    (Time.add t.cost.trap_hw t.cost.l1_world_extra)
+  run_leg t p fail_to_l1 ignore;
+  pay t p fail_fixup;
+  run_leg t p fail_from_l1 ignore
 
 (* OoH: the hardware's delegation checks caught a bad *delegated* field
    at an L1-issued entry. The fault is delivered straight to L1 — no L0
    world switch — so the repair loop costs a delegated dispatch plus
    L1's fix-up, and L0 is only involved to re-arm the delegation
    controls afterwards. *)
-let reflect_delegation_fault t =
-  let bd = Vcpu.breakdown t.vcpu in
+let delegation_fault =
+  world_switch [ ("leg", "l2-l1"); ("cause", "delegation-fault") ]
+    [ switch_l1 "ooh_delegated_dispatch" ]
+
+let delegation_fixup = [ l1 "l1_delegation_fault_fixup"; l1 "ooh_delegation_setup" ]
+
+let reflect_delegation_fault t p =
   Injector.record t.injector Fault_outcome.Delegation_fault_reflected;
-  leg t Obs_span.World_switch
-    [ ("leg", "l2-l1"); ("cause", "delegation-fault") ]
-    Breakdown.Switch_l0_l1 t.cost.ooh_delegated_dispatch;
-  (* L1's delegation-fault handler inspects and repairs the field *)
-  Breakdown.charge bd Breakdown.L1_handler (Time.of_us 1);
-  Breakdown.charge bd Breakdown.L1_handler t.cost.ooh_delegation_setup
+  run_leg t p delegation_fault ignore;
+  pay t p delegation_fixup
 
 (* Dispatch a batch of entry-check failures to the right repair path.
    Under OoH, failures on delegated fields surface to L1 as delegation
    faults; everything else (and every failure under the other modes)
    takes the reflected VM-entry-failure path. Either way the offending
    fields are reset before the caller retries. *)
-let reflect_check_failures t es =
+let reflect_check_failures t p es =
   let delegated, l0_owned =
     match t.mode with
     | Mode.Ooh ->
@@ -238,13 +275,13 @@ let reflect_check_failures t es =
           es
     | _ -> ([], es)
   in
-  if delegated <> [] then reflect_delegation_fault t;
-  if l0_owned <> [] then reflect_entry_failure t;
+  if delegated <> [] then reflect_delegation_fault t p;
+  if l0_owned <> [] then reflect_entry_failure t p;
   List.iter (Svt_vmcs.Checks.repair t.vmcs12) es
 
 (* Check vmcs12 and, when [transform], translate it into vmcs02,
    reflecting each failure to L1 and retrying up to [budget] times. *)
-let rec checked_entry t ~transform budget =
+let rec checked_entry t p ~transform budget =
   if budget = 0 then
     failwith
       (if transform then
@@ -257,17 +294,17 @@ let rec checked_entry t ~transform budget =
   with
   | Error es ->
       (* the failure handler resets the offending fields, then retries *)
-      reflect_check_failures t es;
-      checked_entry t ~transform (budget - 1)
+      reflect_check_failures t p es;
+      checked_entry t p ~transform (budget - 1)
   | Ok () when not transform -> ()
   | Ok () -> (
-      match transform_entry t with
+      match transform_entry t p with
       | () -> ()
       | exception Transform.Invalid_pointer (f, _) ->
-          reflect_entry_failure t;
+          reflect_entry_failure t p;
           (* L1 clears the dangling pointer field and retries *)
           Vmcs.write t.vmcs12 f 0L;
-          checked_entry t ~transform (budget - 1))
+          checked_entry t p ~transform (budget - 1))
 
 (* The corrupt-vmcs12 fault site, just before an entry's checks: one
    field of vmcs12 gets a value the checks reject. *)
@@ -299,88 +336,71 @@ let corrupt_vmcs12 t =
    fault (repaired locally, no L0), while a corrupted L0-owned field
    still takes the reflected VM-entry-failure path (see
    [reflect_check_failures]). *)
-let guarded_entry t ~transform =
+let guarded_entry t p ~transform =
   corrupt_vmcs12 t;
-  checked_entry t ~transform 3
+  checked_entry t p ~transform 3
 
 (* Record the trap in vmcs02 as hardware does, then reflect it into vmcs12
    so L1 sees it (②③ of Algorithm 1). *)
-let record_and_reflect t (info : Svt_hyp.Exit.info) =
+let record_and_reflect t p (info : Svt_hyp.Exit.info) =
   Vmcs.record_exit t.vmcs02 ~reason:info.reason
     ~qualification:info.qualification ~instruction_length:2;
   (* hardware also saved the guest state snapshot *)
   Vmcs.write t.vmcs02 Field.Guest_rip
     (Int64.add (Vmcs.peek t.vmcs02 Field.Guest_rip) 2L);
-  transform_exit t;
+  transform_exit t p;
   Vmcs.write t.vmcs12 Field.Entry_interrupt_info
     (Int64.of_int (Exit_reason.basic_number info.reason))
 
 (* --- baseline path (Algorithm 1 verbatim) ------------------------------ *)
 
+let trap_l2 = world_switch [ ("leg", "l2-l0") ] [ switch_l2 "trap_hw" ]
+let enter_l1 = world_switch [ ("leg", "l0-l1") ] to_l1
+let leave_l1 = world_switch [ ("leg", "l1-l0") ] from_l1
+let resume_l2 = resume [ ("leg", "l0-l2") ] [ switch_l2 "resume_hw" ]
+
 (* ③ onward: load vmcs01, run L1's handler, take its VMRESUME back,
    emulate the entry and resume L2. Split out of [handle_baseline] because
    the SVt→baseline downgrade path joins here after its own prefix. *)
-let baseline_completion t info ~effect =
-  (* ③ load vmcs01, inject the trap for L1, prepare L1's world *)
-  charge t Breakdown.L0_handler t.cost.vmptrld;
-  charge t Breakdown.L0_handler t.cost.l0_inject_exit_info;
-  charge t Breakdown.L0_handler
-    (Time.of_ns (Time.to_ns t.cost.l0_ctx_mgmt_l1 / 2));
-  (* ④ VM resume into L1 *)
-  leg t Obs_span.World_switch [ ("leg", "l0-l1") ] Breakdown.Switch_l0_l1
-    (Time.add t.cost.resume_hw t.cost.l1_world_extra);
-  (* ⑤ L1 handles the trap against vmcs01' *)
-  run_l1_handler t info ~effect ~aux:aux_trap;
-  (* ④ L1's VMRESUME traps into L0 *)
-  leg t Obs_span.World_switch [ ("leg", "l1-l0") ] Breakdown.Switch_l0_l1
-    (Time.add t.cost.trap_hw t.cost.l1_world_extra);
-  (* ③ emulate the VM entry, restore the L2 world *)
-  charge t Breakdown.L0_handler t.cost.l0_emulate_vmentry;
-  charge t Breakdown.L0_handler
-    (Time.of_ns (Time.to_ns t.cost.l0_ctx_mgmt_l1 - Time.to_ns t.cost.l0_ctx_mgmt_l1 / 2));
-  charge t Breakdown.L0_handler t.cost.vmptrld;
-  charge t Breakdown.L0_handler
-    (Time.of_ns (Time.to_ns t.cost.l0_ctx_mgmt_l2 - Time.to_ns t.cost.l0_ctx_mgmt_l2 / 2));
-  (* ② vmcs12 → vmcs02 *)
-  guarded_entry t ~transform:true;
-  (* ① resume L2 *)
-  leg t Obs_span.Svt_resume [ ("leg", "l0-l2") ] Breakdown.Switch_l2_l0
-    t.cost.resume_hw
+let baseline_completion t p info ~effect =
+  pay t p load_vmcs01;
+  (* ④ VM resume into L1, ⑤ L1 handles the trap against vmcs01', ④ L1's
+     VMRESUME traps into L0 *)
+  run_leg t p enter_l1 ignore;
+  run_l1_handler t p info ~effect ~aux:aux_trap;
+  run_leg t p leave_l1 ignore;
+  pay t p emulate_entry;
+  (* ② vmcs12 → vmcs02, ① resume L2 *)
+  guarded_entry t p ~transform:true;
+  run_leg t p resume_l2 ignore
 
-let handle_baseline t info ~effect =
-  (* ① L2 → L0 *)
-  leg t Obs_span.World_switch [ ("leg", "l2-l0") ] Breakdown.Switch_l2_l0
-    t.cost.trap_hw;
-  (* ③ decide to reflect; save the L2-world state the handler will need *)
-  charge t Breakdown.L0_handler t.cost.l0_reflect_decision;
-  charge t Breakdown.L0_handler
-    (Time.of_ns (Time.to_ns t.cost.l0_ctx_mgmt_l2 / 2));
-  (* ② vmcs02 → vmcs12 *)
-  record_and_reflect t info;
-  baseline_completion t info ~effect
+let handle_baseline t p info ~effect =
+  (* ① L2 → L0, ③, ② vmcs02 → vmcs12 *)
+  run_leg t p trap_l2 ignore;
+  pay t p reflect;
+  record_and_reflect t p info;
+  baseline_completion t p info ~effect
 
 (* --- SW SVt path (§5.2, Figure 5) --------------------------------------- *)
 
 (* Service one host-side event while blocked on the SVt-thread: the
    SVT_BLOCKED protocol of §5.3. L0₀ injects a distinguished trap into
    L1₀ so the interrupt handler can run, then L1₀ yields straight back. *)
-let service_blocked_event t ch event =
+let service_blocked_event t p ch event =
   t.blocked_injections <- t.blocked_injections + 1;
   let bd = Vcpu.breakdown t.vcpu in
   (* inject SVT_BLOCKED into L1₀ and take its immediate yield back *)
   Channel.post_retry ch (Channel.to_svt ch) bd Channel.Blocked;
-  (* a stuck SVT_BLOCKED leg: the stall fault holds the injection before
-     L1₀ manages to yield back *)
+  (* a stuck SVT_BLOCKED leg: the stall fault holds the injection, for
+     the fault plan's magnitude, before L1₀ manages to yield back *)
   if
     Injector.is_active t.injector
     && Injector.roll t.injector Fault_kind.Stall_blocked
   then
     Proc.delay (Time.of_ns (Fault_kind.param_ns Fault_kind.Stall_blocked));
-  Breakdown.charge bd Breakdown.Switch_l0_l1
-    (Time.add t.cost.resume_hw t.cost.l1_world_extra);
+  pay t p to_l1;
   event ();
-  Breakdown.charge bd Breakdown.Switch_l0_l1
-    (Time.add t.cost.trap_hw t.cost.l1_world_extra)
+  pay t p from_l1
 
 (* A ring command neither side expects: with faults armed it is what an
    injected fault left behind, counted as [outcome] and dropped; without,
@@ -420,7 +440,7 @@ let arm_watchdog t =
    watchdog [wd] gives up, after re-posting [trap_cmd] twice. With no
    watchdog ([None]: no faults can occur) the wait schedules no event and
    allocates nothing. *)
-let rec wait_resume t ch bd trap_cmd wd =
+let rec wait_resume t p ch bd trap_cmd wd =
   match Channel.try_recv ch (Channel.from_svt ch) bd with
   | Some (Channel.Vm_resume { seq }) when seq = t.seq ->
       (match wd with
@@ -429,18 +449,18 @@ let rec wait_resume t ch bd trap_cmd wd =
       `Resumed
   | Some (Channel.Corrupt _) ->
       unexpected t Fault_outcome.Corrupt_discarded "Nested: corrupt ring entry";
-      wait_resume t ch bd trap_cmd wd
+      wait_resume t p ch bd trap_cmd wd
   | Some _ ->
       (* a resume answering an earlier episode, or a command that
          belongs on the other ring *)
       unexpected t Fault_outcome.Stale_ignored
         "Nested: command without a pending episode";
-      wait_resume t ch bd trap_cmd wd
+      wait_resume t p ch bd trap_cmd wd
   | None -> (
       match (Vcpu.take_host_event t.vcpu, wd) with
       | Some ev, _ ->
-          service_blocked_event t ch ev;
-          wait_resume t ch bd trap_cmd wd
+          service_blocked_event t p ch ev;
+          wait_resume t p ch bd trap_cmd wd
       | None, Some w when !(w.expired) ->
           if w.attempt >= 2 then `Downgraded
           else begin
@@ -449,7 +469,7 @@ let rec wait_resume t ch bd trap_cmd wd =
             w.attempt <- w.attempt + 1;
             w.deadline <-
               schedule_deadline t w.expiry w.expired ~attempt:w.attempt;
-            wait_resume t ch bd trap_cmd wd
+            wait_resume t p ch bd trap_cmd wd
           end
       | None, _ ->
           Simulator.Signal.wait_any
@@ -458,17 +478,18 @@ let rec wait_resume t ch bd trap_cmd wd =
             | Some w -> t.resume_signals @ [ w.expiry ]);
           if Channel.pending_ring (Channel.from_svt ch) then
             Channel.charge_wake ch bd;
-          wait_resume t ch bd trap_cmd wd)
+          wait_resume t p ch bd trap_cmd wd)
 
-let handle_sw_svt t ch info ~effect =
+(* ① and the L2-side half of ③ are unchanged: L2 still exits through the
+   pre-existing trap path on this hardware thread; L2 restarts through it
+   too. *)
+let sw_trap = switch_l2 "trap_hw" :: reflect
+let sw_resume = [ l0 "sw_prepare_resume"; l0 "l0_ctx_mgmt_l2.rest" ]
+
+let handle_sw_svt t p ch info ~effect =
   let bd = Vcpu.breakdown t.vcpu in
-  (* ① and the L2-side half of ③ are unchanged: L2 still exits through the
-     pre-existing trap path on this hardware thread. *)
-  charge t Breakdown.Switch_l2_l0 t.cost.trap_hw;
-  charge t Breakdown.L0_handler t.cost.l0_reflect_decision;
-  charge t Breakdown.L0_handler
-    (Time.of_ns (Time.to_ns t.cost.l0_ctx_mgmt_l2 / 2));
-  record_and_reflect t info;
+  pay t p sw_trap;
+  record_and_reflect t p info;
   (* CMD_VM_TRAP to the SVt-thread; the channel adds the register
      payload from L2's hardware context *)
   t.seq <- t.seq + 1;
@@ -482,24 +503,20 @@ let handle_sw_svt t ch info ~effect =
   Channel.post_retry ch (Channel.to_svt ch) bd trap_cmd;
   let wd = if Injector.is_active t.injector then Some (arm_watchdog t) else None in
   let start = leg_start t in
-  let outcome = wait_resume t ch bd trap_cmd wd in
+  let outcome = wait_resume t p ch bd trap_cmd wd in
   leg_end t Obs_span.Svt_stall [ ("on", "svt-thread") ] start;
   match outcome with
   | `Resumed ->
-      (* restart L2 through the pre-existing path *)
-      charge t Breakdown.L0_handler t.cost.sw_prepare_resume;
-      charge t Breakdown.L0_handler
-        (Time.of_ns (Time.to_ns t.cost.l0_ctx_mgmt_l2 - Time.to_ns t.cost.l0_ctx_mgmt_l2 / 2));
-      guarded_entry t ~transform:true;
-      leg t Obs_span.Svt_resume [ ("leg", "l0-l2") ] Breakdown.Switch_l2_l0
-        t.cost.resume_hw
+      pay t p sw_resume;
+      guarded_entry t p ~transform:true;
+      run_leg t p resume_l2 ignore
   | `Downgraded ->
       (* the SVt-thread is wedged: abandon the round trip and finish this
          (and every later) episode through classic reflection *)
       clear_pending t;
       t.downgraded <- true;
       Injector.record t.injector Fault_outcome.Downgrade;
-      baseline_completion t info ~effect
+      baseline_completion t p info ~effect
 
 (* The SVt-thread: pinned to the SMT sibling, parked inside the (L1 guest)
    kernel, serving CMD_VM_TRAP commands (Figure 5's L1₁). *)
@@ -514,7 +531,9 @@ let svt_thread_body t ch () =
     | Channel.Vm_trap { seq; _ } when t.pending && seq = t.seq ->
         let info = t.pending_info and effect = t.pending_effect in
         clear_pending t;
-        run_l1_handler t info ~effect ~aux:aux_trap;
+        run_l1_handler t
+          (Cost_model.profile t.cost info.reason)
+          info ~effect ~aux:aux_trap;
         t.thread_last_done <- seq;
         answer seq
     | Channel.Vm_trap { seq; _ } when (not t.pending) && seq = t.thread_last_done
@@ -541,64 +560,49 @@ let svt_thread_body t ch () =
 
 (* --- HW SVt path (§4) ---------------------------------------------------- *)
 
-(* §3.1: with fewer hardware contexts than virtualization levels, L1 and
-   L2 multiplex one context, and switching between their worlds means
-   reloading the shared context's register state (through ctxtld/ctxtst)
-   and re-pointing the VMCS — a software context switch again, though a
-   cheaper one than the baseline's. *)
-let multiplexed t = t.ctx_l1 = t.ctx_l2
+(* ③ the handler reaches L2's registers through ctxtld/ctxtst instead of
+   a memory save/restore. §3.1: with fewer hardware contexts than
+   virtualization levels, L1 and L2 multiplex one context, and switching
+   between their worlds means reloading the shared context's register
+   state and re-pointing the VMCS ([reload]) — a software context switch
+   again, though a cheaper one than the baseline's. *)
+let regs = "ctxt_reg_access*ctxt_regs_per_switch"
+let ctxt_regs = Cost.charge Breakdown.Ctxt_access regs
+let reload = [ Cost.charge Breakdown.Ctxt_access (regs ^ "+" ^ regs); l0 "vmptrld" ]
+let hw_reflect = [ ctxt_regs; l0 "l0_reflect_decision" ]
+let vmptrld = [ l0 "vmptrld" ]
+let inject = [ l0 "l0_inject_exit_info" ]
+let hw_emulate_entry = [ l0 "l0_emulate_vmentry"; ctxt_regs ]
+let hw_emulate_entry_mux = reload @ hw_emulate_entry
+let hw_l1 = [ switch_l1 "thread_switch" ]
+let hw_trap_l2 = leg Obs_span.Svt_trap [ ("leg", "l2-l0") ] [ switch_l2 "thread_switch" ]
+let hw_resume_l1 = resume [ ("leg", "l0-l1") ] hw_l1
+let hw_resume_l1_mux = leg ~before:reload Obs_span.Svt_resume [ ("leg", "l0-l1") ] hw_l1
+let hw_trap_l1 = leg Obs_span.Svt_trap [ ("leg", "l1-l0") ] hw_l1
+let hw_resume_l2 = resume [ ("leg", "l0-l2") ] [ switch_l2 "thread_switch" ]
 
-let charge_multiplex_reload t =
-  if multiplexed t then begin
-    charge t Breakdown.Ctxt_access
-      (Time.scale t.cost.ctxt_reg_access
-         (float_of_int (2 * t.cost.ctxt_regs_per_switch)));
-    charge t Breakdown.L0_handler t.cost.vmptrld
-  end
-
-let handle_hw_svt t info ~effect =
+let handle_hw_svt t p info ~effect =
+  let mux = t.ctx_l1 = t.ctx_l2 in
   (* ① VM trap = stall L2's context, fetch from SVt_visor's *)
-  let start = leg_start t in
-  Smt_core.vm_trap t.core;
-  charge t Breakdown.Switch_l2_l0 t.cost.thread_switch;
-  leg_end t Obs_span.Svt_trap [ ("leg", "l2-l0") ] start;
-  (* ③ the handler reads L2's registers through ctxtld instead of a
-     memory save/restore *)
-  ctxt_access_bulk t;
-  charge t Breakdown.L0_handler t.cost.l0_reflect_decision;
-  record_and_reflect t info;
-  charge t Breakdown.L0_handler t.cost.vmptrld;
+  run_leg t p hw_trap_l2 Smt_core.vm_trap;
+  pay t p hw_reflect;
+  record_and_reflect t p info;
+  pay t p vmptrld;
   Svt_fields.vmptrld t.core t.vmcs01;
-  charge t Breakdown.L0_handler t.cost.l0_inject_exit_info;
-  (* ④ resume into L1's hardware context; when L1 and L2 multiplex one
-     context (§3.1), its register state must be reloaded first *)
-  let start = leg_start t in
-  charge_multiplex_reload t;
-  Smt_core.vm_resume t.core;
-  charge t Breakdown.Switch_l0_l1 t.cost.thread_switch;
-  leg_end t Obs_span.Svt_resume [ ("leg", "l0-l1") ] start;
+  pay t p inject;
+  (* ④ resume into L1's hardware context *)
+  run_leg t p (if mux then hw_resume_l1_mux else hw_resume_l1) Smt_core.vm_resume;
   (* ⑤ L1 handles; §4 resolves its cross-context accesses to L2's
      registers through SVt_nested, a level resolution not modelled here *)
-  run_l1_handler t info ~effect ~aux:aux_trap;
-  (* ④ L1's VMRESUME traps into L0's context *)
-  let start = leg_start t in
-  Smt_core.vm_trap t.core;
-  charge t Breakdown.Switch_l0_l1 t.cost.thread_switch;
-  leg_end t Obs_span.Svt_trap [ ("leg", "l1-l0") ] start;
-  (* ... and the shared context must be reloaded with L2's state *)
-  charge_multiplex_reload t;
-  (* ③ emulate the entry; restore goes through ctxtst *)
-  charge t Breakdown.L0_handler t.cost.l0_emulate_vmentry;
-  ctxt_access_bulk t;
-  charge t Breakdown.L0_handler t.cost.vmptrld;
+  run_l1_handler t p info ~effect ~aux:aux_trap;
+  (* ④ L1's VMRESUME traps into L0's context; ③ emulate the entry *)
+  run_leg t p hw_trap_l1 Smt_core.vm_trap;
+  pay t p (if mux then hw_emulate_entry_mux else hw_emulate_entry);
+  pay t p vmptrld;
   Svt_fields.vmptrld t.core t.vmcs02;
-  (* ② *)
-  guarded_entry t ~transform:true;
-  (* ① resume L2's context *)
-  let start = leg_start t in
-  Smt_core.vm_resume t.core;
-  charge t Breakdown.Switch_l2_l0 t.cost.thread_switch;
-  leg_end t Obs_span.Svt_resume [ ("leg", "l0-l2") ] start
+  (* ② and ① resume L2's context *)
+  guarded_entry t p ~transform:true;
+  run_leg t p hw_resume_l2 Smt_core.vm_resume
 
 (* --- construction ------------------------------------------------------- *)
 
@@ -699,7 +703,7 @@ let create ?injector ~machine ~mode ~vcpu ~l1_vm ~script () =
       ctx_l0;
       ctx_l1;
       ctx_l2;
-      last_episode_end = Time.of_ns (-1_000_000);
+      last_episode_end = Time.of_ns (-1_000_000) (* long before any entry *);
       blocked_injections = 0;
       metrics = machine.Svt_hyp.Machine.metrics;
       exit_counts = Array.make Exit_reason.n_basic_numbers no_cell;
@@ -724,26 +728,29 @@ let start t =
 (* --- full hardware nesting (the alternative design point, §3) ------------ *)
 
 (* Under full nesting an aux access is a plain VMCS access on real
-   hardware. *)
-let aux_hw_access t _ = charge t Breakdown.L1_handler (Time.of_ns 50)
+   hardware; L1 resumes L2 itself, as for OoH-delegated exits. *)
+let hw_access = [ l1 "full_nesting_aux_access" ]
+let aux_hw_access t p _ = pay t p hw_access
+let resume_from_l1 = resume [ ("leg", "l1-l2") ] [ switch_l1 "resume_hw" ]
 
 (* Architectural support for nested delivery: the hardware walks the VMCS
    hierarchy itself and delivers the L2 trap straight into L1. No L0
    involvement, no transforms — and L1's vmread/vmwrite hit real hardware
    state, so the auxiliary traps vanish too. The price the paper argues
    against is hardware complexity, not performance. *)
-let handle_full_nesting t (info : Svt_hyp.Exit.info) ~effect =
-  charge t Breakdown.Switch_l0_l1 t.cost.trap_hw;
-  charge t Breakdown.L1_handler t.cost.ctx_mgmt_single;
-  run_l1_handler t info ~effect ~aux:aux_hw_access;
-  leg t Obs_span.Svt_resume [ ("leg", "l1-l2") ] Breakdown.Switch_l0_l1
-    t.cost.resume_hw
+let full_nesting_trap = [ switch_l1 "trap_hw"; l1 "ctx_mgmt_single" ]
+
+let handle_full_nesting t p (info : Svt_hyp.Exit.info) ~effect =
+  pay t p full_nesting_trap;
+  run_l1_handler t p info ~effect ~aux:aux_hw_access;
+  run_leg t p resume_from_l1 ignore
 
 (* --- Out-of-Hypervisor delegation (PAPERS.md) --------------------------- *)
 
 (* Under OoH an aux access is a direct access to a delegated VMCS
    field. *)
-let aux_delegated_access t _ = charge t Breakdown.L1_handler t.cost.ooh_vmcs_access
+let delegated_access = [ l1 "ooh_vmcs_access" ]
+let aux_delegated_access t p _ = pay t p delegated_access
 
 (* Delegated exits go straight into L1: one hardware dispatch, the L1
    handler running against the delegated VMCS fields (each auxiliary
@@ -752,22 +759,21 @@ let aux_delegated_access t _ = charge t Breakdown.L1_handler t.cost.ooh_vmcs_acc
    exits (interrupts, I/O, timers — see [Svt_arch.Ooh]) still take the
    full baseline reflection, plus L0 re-arming the delegation controls
    before handing the core back. *)
-let handle_ooh t (info : Svt_hyp.Exit.info) ~effect =
+let ooh_trap = world_switch [ ("leg", "l2-l1"); ("via", "ooh") ] [ switch_l1 "trap_hw" ]
+let ooh_dispatch = [ l1 "ooh_delegated_dispatch"; l1 "ctx_mgmt_single" ]
+let ooh_rearm = [ l0 "ooh_delegation_setup" ]
+
+let handle_ooh t p (info : Svt_hyp.Exit.info) ~effect =
   if Svt_arch.Ooh.delegated info.reason then begin
-    leg t Obs_span.World_switch
-      [ ("leg", "l2-l1"); ("via", "ooh") ]
-      Breakdown.Switch_l0_l1 t.cost.trap_hw;
-    charge t Breakdown.L1_handler t.cost.ooh_delegated_dispatch;
-    charge t Breakdown.L1_handler t.cost.ctx_mgmt_single;
-    run_l1_handler t info ~effect ~aux:aux_delegated_access;
-    guarded_entry t ~transform:false;
-    leg t Obs_span.Svt_resume [ ("leg", "l1-l2") ] Breakdown.Switch_l0_l1
-      t.cost.resume_hw
+    run_leg t p ooh_trap ignore;
+    pay t p ooh_dispatch;
+    run_l1_handler t p info ~effect ~aux:aux_delegated_access;
+    guarded_entry t p ~transform:false;
+    run_leg t p resume_from_l1 ignore
   end
   else begin
-    handle_baseline t info ~effect;
-    (* L0 re-arms the delegation controls before resuming the guest *)
-    charge t Breakdown.L0_handler t.cost.ooh_delegation_setup
+    handle_baseline t p info ~effect;
+    pay t p ooh_rearm
   end
 
 (* --- entry points ------------------------------------------------------- *)
@@ -787,18 +793,18 @@ let exit_cells t reason =
 
 (* The reflection episode of [info] under the path's mode: the one
    mode → handler match, shared by exits and interrupts for L1. *)
-let dispatch t info ~effect =
+let dispatch t (info : Svt_hyp.Exit.info) ~effect =
+  let p = Cost_model.profile t.cost info.reason in
   match (t.mode, t.channel) with
   | Mode.Sw_svt _, Some ch when not t.downgraded ->
-      handle_sw_svt t ch info ~effect
-  | (Mode.Baseline | Mode.Sw_svt _), _ -> handle_baseline t info ~effect
-  | Mode.Hw_svt, _ -> handle_hw_svt t info ~effect
-  | Mode.Hw_full_nesting, _ -> handle_full_nesting t info ~effect
-  | Mode.Ooh, _ -> handle_ooh t info ~effect
+      handle_sw_svt t p ch info ~effect
+  | (Mode.Baseline | Mode.Sw_svt _), _ -> handle_baseline t p info ~effect
+  | Mode.Hw_svt, _ -> handle_hw_svt t p info ~effect
+  | Mode.Hw_full_nesting, _ -> handle_full_nesting t p info ~effect
+  | Mode.Ooh, _ -> handle_ooh t p info ~effect
 
 let handle t (info : Svt_hyp.Exit.info) =
-  let bd = Vcpu.breakdown t.vcpu in
-  Breakdown.count_exit bd;
+  Breakdown.count_exit (Vcpu.breakdown t.vcpu);
   let slot = exit_cells t info.reason in
   incr t.exit_counts.(slot);
   let started = Proc.now () in
@@ -806,8 +812,7 @@ let handle t (info : Svt_hyp.Exit.info) =
   if Svt_hyp.L1_script.reflects info.reason then dispatch t info ~effect
   else begin
     (* L0 handles it directly (VMX instructions from L1 &c.) *)
-    Single_level.aux_round_trip ~cost:t.cost ~mode:t.mode ~breakdown:bd
-      ~bucket:Breakdown.L0_handler ~core:t.core ~hypervisor_ctx:t.ctx_l0
+    aux_round_trip t (Cost_model.profile t.cost info.reason) aux_in_l0
       ~guest_ctx:t.ctx_l2;
     effect ()
   end;
@@ -840,7 +845,9 @@ let interrupt_for_l1 t ~vector ~work =
 
 (* Whether the vCPU is (virtually) inside/just past a trap episode, so a
    pending vector can be injected on the upcoming VM entry instead of
-   forcing a fresh exit (the injection-on-entry fast path). *)
+   forcing a fresh exit (the injection-on-entry fast path). The 1 µs
+   window is a modelling rule for when an entry is imminent, not a cost
+   anything pays, so it stays here rather than in [Cost_model]. *)
 let at_entry_boundary t =
   Time.(Time.diff (Proc.now ()) t.last_episode_end <= Time.of_ns 1_000)
 

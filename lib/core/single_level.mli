@@ -1,21 +1,7 @@
-(** Single-level trap handling: exits of a direct guest of L0, and the
-    lightweight auxiliary exits a guest hypervisor takes while handling a
-    nested trap (vmread/vmwrite of non-shadowed vmcs01' fields).
+(** Single-level trap handling: exits of a direct guest of L0.
 
     HW SVt collapses these switches into hardware-context switches too;
     the SW prototype leaves them unchanged (§5.2). *)
-
-val aux_round_trip :
-  cost:Svt_arch.Cost_model.t ->
-  mode:Mode.t ->
-  breakdown:Svt_hyp.Breakdown.t ->
-  bucket:Svt_hyp.Breakdown.bucket ->
-  core:Svt_arch.Smt_core.t ->
-  hypervisor_ctx:int ->
-  guest_ctx:int ->
-  unit
-(** One auxiliary L1→L0 round trip (trap, emulate in L0's inner loop,
-    resume), charged to [bucket] — the paper folds these into part ⑤. *)
 
 val handle :
   cost:Svt_arch.Cost_model.t ->
@@ -32,5 +18,5 @@ val episode_cost :
   mode:Mode.t ->
   Svt_arch.Exit_reason.t ->
   Svt_engine.Time.t
-(** The cost of one such exit, for workload code charging guest-
-    hypervisor overhead inside backend processes. *)
+(** The total of the cost value {!handle} applies, for workload code
+    charging guest-hypervisor overhead inside backend processes. *)

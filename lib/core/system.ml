@@ -232,18 +232,18 @@ type t = {
   injector : Injector.t;
 }
 
-let native_op_cost (_cost : Svt_arch.Cost_model.t) (info : Exit.info) =
+let native_op_cost (info : Exit.info) =
   (* the instruction's execution time is charged by the Guest API itself;
      natively there is nothing else to pay *)
   match info.reason with
   | Exit_reason.Cpuid -> Time.zero
-  | _ -> Time.of_ns 40
+  | _ -> Svt_arch.Cost_model.native_privileged_op
 
 (* Native execution: privileged operations execute directly. *)
-let wire_native cost vcpu =
+let wire_native vcpu =
   Vcpu.set_privileged vcpu (fun v info ->
       Svt_hyp.Breakdown.charge (Vcpu.breakdown v) Svt_hyp.Breakdown.L2_guest
-        (native_op_cost cost info);
+        (native_op_cost info);
       Svt_hyp.Semantics.apply v info.action);
   Vcpu.set_deliver_guest_irq vcpu (fun v vector ->
       (match Vcpu.isr_handler v vector with Some f -> f () | None -> ());
@@ -278,7 +278,7 @@ let wire_l2 injector nested vcpu =
         Nested.handle nested (Exit.of_action Exit.Eoi)
       end;
       (* Lost-interrupt fault: the vector is dropped in delivery and only
-         re-raised when the guest's own recovery timeout notices. *)
+         re-raised when the guest's recovery timeout (the plan's) fires. *)
       if Injector.is_active injector && Injector.roll injector Fault_kind.Drop_irq
       then begin
         Proc.delay (Time.of_ns (Fault_kind.param_ns Fault_kind.Drop_irq));
@@ -347,7 +347,7 @@ let of_config (c : Config.t) =
         Array.init n_vcpus (fun i ->
             Vcpu.create ~machine ~vm:l0_vm ~index:i ~core_id:i ~hw_ctx:0)
       in
-      Array.iter (wire_native cost) vcpus;
+      Array.iter wire_native vcpus;
       { machine; mode; level; guest_vm = l0_vm; vcpus; nested = [||]; injector }
   | L1_leaf ->
       let l1_vm = l1_vm () in

@@ -15,15 +15,17 @@
    write and the consumer starting useful work. *)
 
 module Time = Svt_engine.Time
-module Cost_model = Svt_arch.Cost_model
+module Cost = Svt_hyp.Cost
 
 (* Virtual-clock backoff schedules for fault recovery: bounded
-   exponential, deterministic in the attempt number. The ceiling is a
-   hard invariant, not a tuning knob: the cluster layer re-admits
-   evacuated tenants on the same curve, so an unbounded schedule would
-   park a tenant that happened to fail often essentially forever. The
-   attempt number is clamped below too — callers count attempts from 0
-   or 1, and a negative attempt must not turn the shift into UB. *)
+   exponential, deterministic in the attempt number. They are recovery
+   policy, not costs of the machinery, so their constants stay here
+   rather than in [Cost_model]. The ceiling is a hard invariant, not a
+   tuning knob: the cluster layer re-admits evacuated tenants on the
+   same curve, so an unbounded schedule would park a tenant that
+   happened to fail often essentially forever. The attempt number is
+   clamped below too — callers count attempts from 0 or 1, and a
+   negative attempt must not turn the shift into UB. *)
 let retry_backoff_cap_attempt = 6
 let watchdog_cap_attempt = 4
 
@@ -36,21 +38,28 @@ let watchdog_timeout ~attempt =
 let retry_backoff_max = retry_backoff ~attempt:retry_backoff_cap_attempt
 let watchdog_timeout_max = watchdog_timeout ~attempt:watchdog_cap_attempt
 
-let line_transfer (cm : Cost_model.t) (p : Mode.placement) =
-  match p with
-  | Mode.Smt_sibling -> cm.line_transfer_smt
-  | Mode.Same_numa_core -> cm.line_transfer_core
-  | Mode.Cross_numa -> cm.line_transfer_numa
+(* The coherence transfer of the monitored line, by placement. *)
+let line_term = function
+  | Mode.Smt_sibling -> "line_transfer_smt"
+  | Mode.Same_numa_core -> "line_transfer_core"
+  | Mode.Cross_numa -> "line_transfer_numa"
 
-let response_latency (cm : Cost_model.t) ~(wait : Mode.wait_mechanism)
-    ~(placement : Mode.placement) =
-  let transfer = line_transfer cm placement in
-  match wait with
-  | Mode.Polling -> Time.add transfer cm.poll_check
-  | Mode.Mwait -> Time.add transfer cm.mwait_wake
-  | Mode.Mutex ->
-      (* brief spin phase covers the fast path, then the futex cost *)
-      Time.add transfer cm.mutex_wake
+let channel term = [ Cost.charge Svt_hyp.Breakdown.Channel term ]
+let line_transfer cm p = Cost.total cm Cost.no_exit 0 (channel (line_term p))
+
+(* The consumer's wake-up, one charge: the line transfer plus the
+   mechanism's wake (a mutex's brief spin phase covers the fast path,
+   then the futex cost). Built once per pair, as [enters] per mechanism. *)
+let wakes =
+  List.map (fun (w, wake) ->
+      let pair p = (p, channel (line_term p ^ "+" ^ wake)) in
+      (w, List.map pair Mode.[ Smt_sibling; Same_numa_core; Cross_numa ]))
+    Mode.[ (Polling, "poll_check"); (Mwait, "mwait_wake"); (Mutex, "mutex_wake") ]
+
+let wake ~wait ~placement = List.assoc placement (List.assoc wait wakes)
+
+let response_latency cm ~wait ~placement =
+  Cost.total cm Cost.no_exit 0 (wake ~wait ~placement)
 
 (* Whether the waiter consumes execution resources of a colocated thread
    while waiting. Only polling does; mwait keeps the context in C1 and a
@@ -59,8 +68,11 @@ let steals_cycles = function
   | Mode.Polling -> true
   | Mode.Mwait | Mode.Mutex -> false
 
-(* One-shot cost the waiter pays to *enter* the waiting state. *)
-let enter_cost (cm : Cost_model.t) = function
-  | Mode.Polling -> cm.poll_check
-  | Mode.Mwait -> Time.of_ns 60 (* monitor setup *)
-  | Mode.Mutex -> Time.of_ns 250 (* lock bookkeeping, syscall entry *)
+(* One-shot cost the waiter pays to *enter* the waiting state: a first
+   poll, arming the monitor, or the futex's bookkeeping and syscall. *)
+let enters =
+  List.map (fun (w, term) -> (w, channel term))
+    Mode.[ (Polling, "poll_check"); (Mwait, "mwait_enter"); (Mutex, "mutex_enter") ]
+
+let enter wait = List.assoc wait enters
+let enter_cost cm wait = Cost.total cm Cost.no_exit 0 (enter wait)

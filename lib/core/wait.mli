@@ -29,18 +29,25 @@ val line_transfer :
     and consumer for a given placement (cross-NUMA is ~an order of
     magnitude more than the SMT sibling). *)
 
+val wake : wait:Mode.wait_mechanism -> placement:Mode.placement -> Svt_hyp.Cost.t
+(** The consumer's wake-up as a cost value: one charge to the channel
+    bucket, built once. *)
+
 val response_latency :
   Svt_arch.Cost_model.t ->
   wait:Mode.wait_mechanism ->
   placement:Mode.placement ->
   Svt_engine.Time.t
 (** Delay between the producer's flag write and the consumer starting
-    useful work. *)
+    useful work: the total of {!wake}. *)
 
 val steals_cycles : Mode.wait_mechanism -> bool
 (** Whether the waiter consumes issue slots of a colocated SMT thread
     while waiting — only polling does. *)
 
+val enter : Mode.wait_mechanism -> Svt_hyp.Cost.t
+(** Entering the waiting state (monitor setup, futex bookkeeping, first
+    poll) as a cost value, built once. *)
+
 val enter_cost : Svt_arch.Cost_model.t -> Mode.wait_mechanism -> Svt_engine.Time.t
-(** One-shot cost of entering the waiting state (monitor setup, futex
-    bookkeeping, first poll). *)
+(** The total of {!enter}. *)

@@ -7,7 +7,6 @@
    vmcs01', advancing the guest RIP). The trap paths run that sequence
    themselves, so no per-exit script is built. *)
 
-module Time = Svt_engine.Time
 module Exit_reason = Svt_arch.Exit_reason
 
 type t = {
@@ -34,13 +33,8 @@ let aux_count t reason =
     profile.l1_aux_exits
   else profile.l1_aux_exits + unshadowed_extra_aux
 
-let head_work t reason =
-  let profile = Svt_arch.Cost_model.profile t.cost reason in
-  Time.of_ns (Time.to_ns profile.l1_pure / 2)
-
-let tail_work t reason =
-  let profile = Svt_arch.Cost_model.profile t.cost reason in
-  Time.sub profile.l1_pure (head_work t reason)
+let head = [ Cost.charge Breakdown.L1_handler "l1_pure.half" ]
+let tail = [ Cost.charge Breakdown.L1_handler "l1_pure.rest" ]
 
 (* Whether L0 reflects this exit to L1: only the VMX instructions are L1's
    own operations on its (emulated) virtualization hardware, which L0

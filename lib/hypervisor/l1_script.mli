@@ -1,22 +1,22 @@
 (** What the L1 guest hypervisor's trap handler does for a reflected L2
     exit, read from the cost model's per-reason profile.
 
-    A handler runs {!head_work} of pure emulation work, then {!aux_count}
+    A handler runs {!head} of pure emulation work, then {!aux_count}
     auxiliary traps into L0 (vmread/vmwrite of non-shadowed vmcs01'
     fields — Algorithm 1 lines 8–10; more of them when hardware VMCS
     shadowing is disabled), the {!aux_reason} of each by its position,
-    then the exit's semantic effect, then {!tail_work}. The trap paths
+    then the exit's semantic effect, then {!tail}. The trap paths
     run this sequence directly; nothing is built per exit. *)
 
 type t
 
 val create : ?shadow:Svt_vmcs.Shadow.t -> Svt_arch.Cost_model.t -> t
 
-val head_work : t -> Svt_arch.Exit_reason.t -> Svt_engine.Time.t
-(** The work before the aux traps: half the profile's L1 pure work,
-    rounded down. *)
+val head : Cost.t
+(** The work before the aux traps, charged to ⑤: half the exit
+    profile's L1 pure work, rounded down. *)
 
-val tail_work : t -> Svt_arch.Exit_reason.t -> Svt_engine.Time.t
+val tail : Cost.t
 (** The work after the effect: the rest of the L1 pure work. *)
 
 val aux_count : t -> Svt_arch.Exit_reason.t -> int

@@ -148,7 +148,7 @@ let start_backend t =
   Simulator.spawn t.sim ~name:"vhost-blk" (fun () ->
       let rec poll_window n =
         if n > 0 && Virtqueue.avail_pending t.queue = 0 then begin
-          Proc.delay (Time.of_us 5);
+          Proc.delay Svt_arch.Cost_model.vhost_poll_interval;
           poll_window (n - 1)
         end
       in

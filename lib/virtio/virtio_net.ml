@@ -12,7 +12,6 @@
 module Simulator = Svt_engine.Simulator
 module Signal = Simulator.Signal
 module Proc = Simulator.Proc
-module Time = Svt_engine.Time
 module Gpa = Svt_mem.Addr.Gpa
 module Aspace = Svt_mem.Address_space
 
@@ -199,7 +198,7 @@ let start_backend t =
          notifications and parking; sustained streams thus never kick. *)
       let rec poll_window n =
         if n > 0 && Virtqueue.avail_pending t.tx = 0 then begin
-          Proc.delay (Time.of_us 5);
+          Proc.delay Svt_arch.Cost_model.vhost_poll_interval;
           poll_window (n - 1)
         end
       in

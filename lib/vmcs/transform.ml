@@ -107,18 +107,11 @@ let exit ~vmcs02 ~vmcs12 =
   Vmcs.clean vmcs02;
   exit_result
 
-(* Cost of a transform in the calibrated model, from the amount of work
-   actually performed. *)
-let cost (cm : Svt_arch.Cost_model.t) result =
-  Svt_arch.Cost_model.transform_cost cm ~fields:result.fields_copied
-
 (* Observability payload: how much work this transform did, as span tags
-   for the obs layer (emitted by the nested path, which also knows the
-   charged cost). *)
-let span_tags ~direction result =
-  [
-    ("dir", direction);
-    ("fields", string_of_int result.fields_copied);
-    ("pointers", string_of_int result.pointers_translated);
-    ("controls", string_of_int result.controls_merged);
-  ]
+   for the obs layer, ahead of [rest] (the nested path's cost tag). *)
+let span_tags ~direction result rest =
+  ("dir", direction)
+  :: ("fields", string_of_int result.fields_copied)
+  :: ("pointers", string_of_int result.pointers_translated)
+  :: ("controls", string_of_int result.controls_merged)
+  :: rest

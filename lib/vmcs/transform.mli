@@ -40,10 +40,10 @@ val exit : vmcs02:Vmcs.t -> vmcs12:Vmcs.t -> result
     into vmcs12 after an L2 exit, so L1 sees the trap as if its own
     hardware had taken it. *)
 
-val cost : Svt_arch.Cost_model.t -> result -> Svt_engine.Time.t
-(** The calibrated cost of a transform, from the work actually done. *)
-
-val span_tags : direction:string -> result -> (string * string) list
+val span_tags :
+  direction:string -> result -> (string * string) list -> (string * string) list
 (** The transform's work amounts as span tags for the observability
-    layer ([dir]/[fields]/[pointers]/[controls]); [direction] is
-    ["entry"] or ["exit"]. *)
+    layer ([dir]/[fields]/[pointers]/[controls]), ahead of the given
+    tags; [direction] is ["entry"] or ["exit"]. The cost a transform
+    charges is the nested path's: [transform_base] plus
+    [transform_per_field] per copied field. *)

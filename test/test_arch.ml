@@ -270,8 +270,12 @@ let test_cost_model_profiles () =
 
 let test_cost_model_transform_cost_scales () =
   let cm = Cost_model.paper_machine in
-  let c8 = Cost_model.transform_cost cm ~fields:8 in
-  let c16 = Cost_model.transform_cost cm ~fields:16 in
+  let transform =
+    [ Svt_hyp.Cost.charge Svt_hyp.Breakdown.Transform
+        "transform_base+transform_per_field*fields" ]
+  in
+  let cost fields = Svt_hyp.Cost.total cm Svt_hyp.Cost.no_exit fields transform in
+  let c8 = cost 8 and c16 = cost 16 in
   checkb "more fields cost more" true (c16 > c8);
   checki "linear in fields" (8 * cm.transform_per_field) (c16 - c8)
 

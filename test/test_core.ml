@@ -839,7 +839,7 @@ let test_of_config_alloc_guard () =
    transforms, the entry checks, the L1 handler with its six aux round
    trips, every charged leg) and allocates 45 words, the guest's own exit
    record and the boxed vmcs field values included; under HW SVt, with
-   its 16 hardware-context switches, 49. A closure per leg reads 69
+   its 16 hardware-context switches, 45 too. A closure per leg reads 69
    words, a script list per exit 134 and a closure per context switch
    145, so the bound is 60. SW SVt adds the round trip through the two
    command rings and the two processes' waits: 97 words, the trap and
@@ -869,6 +869,94 @@ let test_nested_exit_alloc_guard () =
           per_exit (Mode.name mode) bound)
     [ (Mode.Baseline, 60.); (Mode.Hw_svt, 60.); (Mode.sw_svt_default, 120.);
       (Mode.Ooh, 20.) ]
+
+(* Every span with a [cost] tag lasts exactly what its named terms sum
+   to under the stack's cost model. The terms are read through a table
+   of this test's own, so a tag that names another term than its charge
+   pays, or a term this table does not know, fails. Fault-free cpuid and
+   MSR_WRITE exits on L2 stacks in each nested mode (HW SVt also with
+   multiplexed contexts), and cpuid on L1-leaf stacks. *)
+let test_cost_tags_sum_to_spans () =
+  let term (cm : Cost_model.t) (s : Svt_obs.Span.t) name =
+    let tag k =
+      match Svt_obs.Span.tag s k with
+      | Some v -> v
+      | None -> Alcotest.failf "%s: no %s tag" name k
+    in
+    let profile () =
+      let r = tag "reason" in
+      Cost_model.profile cm
+        (List.find (fun x -> Exit_reason.name x = r) Exit_reason.all)
+    in
+    match name with
+    | "trap_hw" -> cm.trap_hw
+    | "resume_hw" -> cm.resume_hw
+    | "l1_world_extra" -> cm.l1_world_extra
+    | "thread_switch" -> cm.thread_switch
+    | "vmptrld" -> cm.vmptrld
+    | "ctx_mgmt_single" -> cm.ctx_mgmt_single
+    | "ctxt_reg_access*ctxt_regs_per_switch" ->
+        cm.ctxt_reg_access * cm.ctxt_regs_per_switch
+    | "transform_base" -> cm.transform_base
+    | "transform_per_field*fields" ->
+        cm.transform_per_field * int_of_string (tag "fields")
+    | "ring_write" -> cm.ring_write
+    | "ring_read" -> cm.ring_read
+    | "l0_pure" -> (profile ()).l0_pure
+    | "userspace_bounce" -> Cost_model.userspace_bounce
+    | _ -> Alcotest.failf "unknown cost term %S" name
+  in
+  let kinds = Hashtbl.create 8 in
+  let check label sys program =
+    let cm = System.cost sys in
+    let tl = Svt_obs.Timeline.create () in
+    Svt_obs.Probe.subscribe (System.probe sys) (Svt_obs.Timeline.sink tl);
+    let spans = record_spans sys in
+    Vcpu.spawn_program (System.vcpu0 sys) program;
+    System.run sys;
+    checki (label ^ ": both sinks saw every span")
+      (Svt_obs.Timeline.total_spans tl) (List.length !spans);
+    List.iter
+      (fun (s : Svt_obs.Span.t) ->
+        match Svt_obs.Span.tag s "cost" with
+        | None -> ()
+        | Some terms ->
+            Hashtbl.replace kinds s.kind ();
+            let sum =
+              List.fold_left
+                (fun acc t -> acc + term cm s t)
+                0
+                (String.split_on_char '+' terms)
+            in
+            checki
+              (Printf.sprintf "%s: %s %s" label
+                 (Svt_obs.Span.kind_name s.kind) terms)
+              (Svt_obs.Span.duration_ns s) sum)
+      !spans
+  in
+  let exits v =
+    ignore (Guest.cpuid v ~leaf:1);
+    Guest.wrmsr v Svt_arch.Msr.Ia32_star 1L
+  in
+  List.iter
+    (fun mode -> check (Mode.name mode) (l2_stack mode) exits)
+    [ Mode.Baseline; Mode.sw_svt_default; Mode.Hw_svt; Mode.Ooh;
+      Mode.Hw_full_nesting ];
+  check "hw-svt multiplexed" (l2_stack ~multiplex_contexts:true Mode.Hw_svt) exits;
+  List.iter
+    (fun mode ->
+      check
+        (Mode.name mode ^ " L1-leaf")
+        (System.of_config (System.Config.make ~mode ~level:System.L1_leaf ()))
+        (fun v -> ignore (Guest.cpuid v ~leaf:1)))
+    [ Mode.Baseline; Mode.Hw_svt ];
+  List.iter
+    (fun k ->
+      checkb (Svt_obs.Span.kind_name k ^ " spans carry a cost tag") true
+        (Hashtbl.mem kinds k))
+    Svt_obs.Span.
+      [ World_switch; Svt_trap; Svt_resume; Vmcs_transform; Ring_send;
+        Ring_recv; Vm_exit ]
 
 (* A fuel budget below one event is a configuration error, reported
    through the typed [Config.error] front door like every other bad knob
@@ -977,5 +1065,7 @@ let () =
           Alcotest.test_case "levels ordering" `Quick test_levels_ordering;
           Alcotest.test_case "shadow VMCS consistency" `Quick
             test_vmcs_shadow_state_consistent;
+          Alcotest.test_case "cost tags sum to their spans" `Quick
+            test_cost_tags_sum_to_spans;
         ] );
     ]

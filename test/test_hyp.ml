@@ -291,22 +291,24 @@ let test_l1_script_default_shape () =
   let cm = Svt_arch.Cost_model.paper_machine in
   let s = L1_script.create cm in
   let unshadowed = L1_script.create ~shadow:Svt_vmcs.Shadow.no_shadowing cm in
+  let work profile v = Svt_hyp.Cost.total cm profile 0 v in
   List.iter
     (fun r ->
       let profile = Svt_arch.Cost_model.profile cm r in
       let name = Exit_reason.name r in
       checki (name ^ ": head is half the pure work") (profile.l1_pure / 2)
-        (L1_script.head_work s r);
+        (work profile L1_script.head);
       checki (name ^ ": head + tail is the pure work") profile.l1_pure
-        (L1_script.head_work s r + L1_script.tail_work s r);
+        (work profile L1_script.head + work profile L1_script.tail);
       checki (name ^ ": aux traps") profile.l1_aux_exits (L1_script.aux_count s r);
       checki (name ^ ": unshadowed aux traps") (profile.l1_aux_exits + 6)
         (L1_script.aux_count unshadowed r))
     Exit_reason.all;
   checki "cpuid: one aux" 1 (L1_script.aux_count s Exit_reason.Cpuid);
   checki "msr write: six aux" 6 (L1_script.aux_count s Exit_reason.Msr_write);
+  let cpuid = Svt_arch.Cost_model.profile cm Exit_reason.Cpuid in
   checki "cpuid pure work" 900
-    (L1_script.head_work s Exit_reason.Cpuid + L1_script.tail_work s Exit_reason.Cpuid);
+    (work cpuid L1_script.head + work cpuid L1_script.tail);
   List.iteri
     (fun i r ->
       checkb (Printf.sprintf "aux %d" i) true (L1_script.aux_reason i = r))
